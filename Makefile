@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt bench bench-smoke trace-smoke debug-smoke serve-smoke metrics-smoke prof-smoke tune-smoke fuzz-smoke fuzz-nightly examples fig3 tables full clean
+.PHONY: all build test test-race vet fmt perfbench-test bench bench-smoke trace-smoke debug-smoke serve-smoke metrics-smoke prof-smoke tune-smoke fuzz-smoke fuzz-nightly examples fig3 tables full clean
 
-all: build vet test test-race
+all: build vet test test-race perfbench-test
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,12 @@ test:
 # prove determinism when they also run race-clean).
 test-race:
 	$(GO) test -race ./...
+
+# The repository benchmark (perfbench/) is a Go module of its own, so the
+# ./... targets above never build it; vet it and run its short tests so an
+# internal API change that breaks the benchmark fails here.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test -short .
 
 # Long-form test run with saved output, per the reproduction protocol.
 test-log:

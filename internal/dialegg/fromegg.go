@@ -16,9 +16,10 @@ type rebuilder struct {
 	encs   *Encodings
 	codecs *Codecs
 
-	// memo is a scope stack mapping a term's canonical text to the rebuilt
-	// value, giving SSA sharing with correct dominance.
-	memo []map[string]*mlir.Value
+	// memo is a scope stack mapping a term's structural ID (ids) to the
+	// rebuilt value, giving SSA sharing with correct dominance.
+	memo []map[uint32]*mlir.Value
+	ids  *sexp.Interner
 	// valueRemap maps original SSA values (function/block args, opaque
 	// results) to their rebuilt counterparts.
 	valueRemap map[*mlir.Value]*mlir.Value
@@ -43,6 +44,12 @@ func RebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, enc
 
 // RebuildFuncWithCodecs is RebuildFunc with custom de-eggifiers (§5.2).
 func RebuildFuncWithCodecs(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, encs *Encodings, codecs *Codecs) (*mlir.Operation, error) {
+	return rebuildFunc(orig, rootTerm, tr, encs, codecs, sexp.NewInterner())
+}
+
+// rebuildFunc is RebuildFuncWithCodecs keying subterms by their IDs in
+// ids, which may already number rootTerm's subterms.
+func rebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, encs *Encodings, codecs *Codecs, ids *sexp.Interner) (*mlir.Operation, error) {
 	if rootTerm.Head() != "Blk" {
 		return nil, fmt.Errorf("dialegg: extracted root is not a block term: %s", rootTerm.Head())
 	}
@@ -50,6 +57,7 @@ func RebuildFuncWithCodecs(orig *mlir.Operation, rootTerm *sexp.Node, tr *Transl
 		tr:             tr,
 		encs:           encs,
 		codecs:         codecs,
+		ids:            ids,
 		valueRemap:     make(map[*mlir.Value]*mlir.Value),
 		reEmitted:      make(map[*mlir.Operation]*mlir.Operation),
 		rebuiltEncoded: make(map[*mlir.Operation]bool),
@@ -71,10 +79,10 @@ func RebuildFuncWithCodecs(orig *mlir.Operation, rootTerm *sexp.Node, tr *Transl
 	return f, nil
 }
 
-func (rb *rebuilder) pushScope() { rb.memo = append(rb.memo, make(map[string]*mlir.Value)) }
+func (rb *rebuilder) pushScope() { rb.memo = append(rb.memo, make(map[uint32]*mlir.Value)) }
 func (rb *rebuilder) popScope()  { rb.memo = rb.memo[:len(rb.memo)-1] }
 
-func (rb *rebuilder) memoGet(key string) (*mlir.Value, bool) {
+func (rb *rebuilder) memoGet(key uint32) (*mlir.Value, bool) {
 	for i := len(rb.memo) - 1; i >= 0; i-- {
 		if v, ok := rb.memo[i][key]; ok {
 			return v, true
@@ -83,7 +91,7 @@ func (rb *rebuilder) memoGet(key string) (*mlir.Value, bool) {
 	return nil, false
 }
 
-func (rb *rebuilder) memoPut(key string, v *mlir.Value) {
+func (rb *rebuilder) memoPut(key uint32, v *mlir.Value) {
 	rb.memo[len(rb.memo)-1][key] = v
 }
 
@@ -135,7 +143,7 @@ func (rb *rebuilder) rebuildBlockInto(b *mlir.Block, blkTerm *sexp.Node, origBlo
 // vectors are stable through saturation); it anchors region rebinding
 // when the term's leaves cannot identify the original block themselves.
 func (rb *rebuilder) buildTerm(term *sexp.Node, origOp *mlir.Operation) (*mlir.Value, error) {
-	key := term.String()
+	key := rb.ids.ID(term)
 	if v, ok := rb.memoGet(key); ok {
 		return v, nil
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"dialegg/internal/egglog"
 	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
 	"dialegg/internal/obs"
@@ -153,11 +152,13 @@ func (r *Report) merge(o *Report) {
 // equality-saturation optimization to MLIR functions and modules.
 type Optimizer struct {
 	opts Options
+	// key names the template of the rule set (see template.go).
+	key templateKey
 }
 
 // NewOptimizer returns a driver for the given options.
 func NewOptimizer(opts Options) *Optimizer {
-	return &Optimizer{opts: opts}
+	return &Optimizer{opts: opts, key: templateKeyOf(opts.RuleSources, opts.ExplainRewrites)}
 }
 
 // preludeRuleCount is the number of rules the prelude itself declares
@@ -195,35 +196,26 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	}
 
 	// Phase 0 (counted into EggTotal, like loading the .egg file into
-	// egglog): prelude + user declarations/rules + preparation scan.
+	// egglog): clone the rule set's template — prelude + user
+	// declarations/rules + preparation scan, built once per process.
 	startEgg := time.Now()
-	p := egglog.NewProgram()
-	// Thread observability into the program so run/extract commands inside
-	// rule sources trace and report like the pipeline's own saturation.
+	tmpl, err := o.template()
+	if err != nil {
+		return nil, nil, err
+	}
+	p := tmpl.prog.Clone()
+	encs := tmpl.encs
+	report.NumRules = tmpl.numRules
+	// Thread observability into the program: its commands and RunRules
+	// read these defaults.
 	p.RunDefaults.Recorder = rec
 	p.RunDefaults.RuleMetrics = o.opts.RunConfig.RuleMetrics
 	p.RunDefaults.ProfileSample = o.opts.RunConfig.ProfileSample
 	if o.opts.Journal.Enabled() {
-		// Attach before any declarations so the function's graph segment
-		// captures the prelude onward and is replayable from scratch.
+		// The template's recorded history back-fills the segment, so the
+		// function's graph is replayable from scratch.
 		p.SetJournal(o.opts.Journal, mlir.FuncName(f))
 		p.RunDefaults.SnapshotEvery = o.opts.SnapshotEvery
-	}
-	if o.opts.ExplainRewrites {
-		p.Graph().EnableExplanations()
-	}
-	if _, err := p.ExecuteString(Prelude); err != nil {
-		return nil, nil, fmt.Errorf("dialegg: prelude: %w", err)
-	}
-	for i, src := range o.opts.RuleSources {
-		if _, err := p.ExecuteString(src); err != nil {
-			return nil, nil, fmt.Errorf("dialegg: rule source %d: %w", i, err)
-		}
-	}
-	report.NumRules = p.NumRules() - preludeRuleCount
-	encs, err := Prepare(p)
-	if err != nil {
-		return nil, nil, err
 	}
 	report.EggTotal += time.Since(startEgg)
 	if rec.Enabled() {
@@ -297,7 +289,10 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 		return nil, nil, fmt.Errorf("dialegg: extraction: %w", err)
 	}
 	report.ExtractCost = cost
-	report.ExtractDAGCost = TermDAGCost(term, costOfProgram(p))
+	// One numbering of the term's subterms serves the DAG cost and the
+	// back-translation's sharing.
+	ids := sexp.NewInterner()
+	report.ExtractDAGCost = termDAGCost(term, costOfProgram(p), ids)
 	if rec.Enabled() {
 		rec.Complete(obs.LanePipeline, "phase", "extract", startExtract, time.Since(startExtract), map[string]int64{
 			"cost":     cost,
@@ -325,7 +320,7 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 
 	// Phase 3: Egglog -> MLIR.
 	startBack := time.Now()
-	nf, err := RebuildFuncWithCodecs(f, term, tr, encs, o.opts.Codecs)
+	nf, err := rebuildFunc(f, term, tr, encs, o.opts.Codecs, ids)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dialegg: back-translation: %w", err)
 	}

@@ -577,3 +577,46 @@ func TestPrintFunction(t *testing.T) {
 		t.Error("unknown function accepted")
 	}
 }
+
+// TestProgramCloneIsolation: lets, sort aliases, rules, rows and unions a
+// clone adds stay out of the program it was cloned from and out of other
+// clones, and each clone continues from the original's state.
+func TestProgramCloneIsolation(t *testing.T) {
+	p := NewProgram()
+	mustExec(t, p, exprPrelude+paperRules+`(let a (Mul (Var "x") (Num 2)))`)
+	rules, rows := p.NumRules(), p.Graph().TotalRows()
+
+	c1, c2 := p.Clone(), p.Clone()
+	mustExec(t, c1, `
+(sort Exprs (Vec Expr))
+(rewrite (Add ?x ?y) (Add ?y ?x))
+(let b (Add (Var "x") (Num 2)))
+(union a b)
+(run 3)`)
+	if _, ok := c1.LookupLet("b"); !ok {
+		t.Fatal("the clone lost its own let")
+	}
+	for name, o := range map[string]*Program{"original": p, "other clone": c2} {
+		if _, ok := o.LookupLet("b"); ok {
+			t.Errorf("%s sees the clone's let", name)
+		}
+		if _, ok := o.sortNames["Exprs"]; ok {
+			t.Errorf("%s sees the clone's sort alias", name)
+		}
+		if o.NumRules() != rules {
+			t.Errorf("%s has %d rules, want %d", name, o.NumRules(), rules)
+		}
+		if got := o.Graph().TotalRows(); got != rows {
+			t.Errorf("%s has %d rows, want %d", name, got, rows)
+		}
+	}
+	// The other clone continues from the original's state: it still
+	// extracts a from the let the original bound.
+	term, _, err := c2.ExtractExpr(sexp.Symbol("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := term.String(); got != `(Mul (Var "x") (Num 2))` {
+		t.Errorf("other clone extracts a as %s", got)
+	}
+}

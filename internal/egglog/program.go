@@ -2,6 +2,8 @@ package egglog
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"dialegg/internal/egraph"
 	"dialegg/internal/obs/journal"
@@ -55,6 +57,31 @@ func NewProgram() *Program {
 	}
 	return p
 }
+
+// Clone returns an independent session continuing from p's state: a
+// clone of the e-graph (egraph.EGraph.Clone) plus copies of the sort
+// names, global lets and rulesets. Compiled rules and primitives are
+// shared; they are immutable. Commands executed on the clone never affect
+// p, and p must not be mutated while it is being cloned; concurrent
+// Clones of one program are safe.
+func (p *Program) Clone() *Program {
+	c := *p
+	c.g = p.g.Clone()
+	c.sortNames = maps.Clone(p.sortNames)
+	c.lets = maps.Clone(p.lets)
+	c.rules = slices.Clip(p.rules)
+	c.rulesets = make(map[string][]*egraph.Rule, len(p.rulesets))
+	for name, rs := range p.rulesets {
+		c.rulesets[name] = slices.Clip(rs)
+	}
+	c.rulesetOrder = slices.Clip(p.rulesetOrder)
+	return &c
+}
+
+// RecordHistory makes the session's e-graph keep its own journal from
+// now on, so a journal attached to any later Clone replays from scratch
+// (egraph.EGraph.RecordHistory). Call it before executing any command.
+func (p *Program) RecordHistory() { p.g.RecordHistory() }
 
 // Graph exposes the underlying e-graph (read-mostly; used by DialEgg and
 // tests).

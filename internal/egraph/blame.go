@@ -67,7 +67,7 @@ func (e *Extractor) Blame(roots []Value) ([]BlameRow, error) {
 			return nil, fmt.Errorf("egraph: class %d has no extractable term", cls)
 		}
 		chosen[ref] = true
-		r := &ref.fn.table.rows[ref.row]
+		r := &g.tab(ref.fn).rows[ref.row]
 		for _, a := range r.args {
 			for _, c := range g.childClasses(a) {
 				if !reachable[c] {
@@ -95,8 +95,9 @@ func (e *Extractor) Blame(roots []Value) ([]BlameRow, error) {
 	}
 	for _, f := range g.funcs {
 		blamable := f.IsConstructor() && !f.Unextractable
-		for ri := range f.table.rows {
-			r := &f.table.rows[ri]
+		rows := g.tab(f).rows
+		for ri := range rows {
+			r := &rows[ri]
 			if r.dead {
 				continue
 			}

@@ -21,8 +21,9 @@ func (g *EGraph) WriteDot(w io.Writer) error {
 		if !f.IsConstructor() {
 			continue
 		}
-		for ri := range f.table.rows {
-			r := &f.table.rows[ri]
+		rows := g.tab(f).rows
+		for ri := range rows {
+			r := &rows[ri]
 			if r.dead {
 				continue
 			}
@@ -48,7 +49,7 @@ func (g *EGraph) WriteDot(w io.Writer) error {
 		fmt.Fprintf(w, "  subgraph cluster_%d {\n", cls)
 		fmt.Fprintf(w, "    label=\"class %d\"\n    style=dashed\n", cls)
 		for _, n := range classes[cls] {
-			r := &n.fn.table.rows[n.row]
+			r := &g.tab(n.fn).rows[n.row]
 			label := n.fn.Name
 			for _, a := range r.args {
 				if a.Sort.Kind != KindEq && a.Sort.Kind != KindVec {
@@ -79,7 +80,7 @@ func (g *EGraph) WriteDot(w io.Writer) error {
 	}
 	for _, cls := range ids {
 		for _, n := range classes[cls] {
-			r := &n.fn.table.rows[n.row]
+			r := &g.tab(n.fn).rows[n.row]
 			for _, a := range r.args {
 				for _, childCls := range g.childClasses(a) {
 					if target, ok := anchor(childCls); ok {

@@ -99,7 +99,7 @@ func TestCostOverrideSurvivesRebuild(t *testing.T) {
 	// with the alternative removed would cost 500+children. Check via the
 	// cost table directly.
 	found := false
-	for _, c := range l.Mul.costTable {
+	for _, c := range g.costs[l.Mul.id] {
 		if c == 500 {
 			found = true
 		}

@@ -1,7 +1,9 @@
 package egraph
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 
 	"dialegg/internal/obs/journal"
@@ -16,6 +18,20 @@ type EGraph struct {
 	// iteration.
 	funcs   []*Function
 	funcsBy map[string]*Function
+	// tables and costs hold each declared function's rows and
+	// unstable-cost overrides, indexed by Function.id. Keeping the storage
+	// here rather than on Function leaves sorts, functions and the rules
+	// compiled against them immutable, so clones of one graph share them.
+	tables []*table
+	costs  []map[string]int64
+	// declsShared marks sorts and funcsBy as shared with the graph this
+	// one was cloned from; the first declaration copies them (ownDecls).
+	declsShared bool
+	// history, set on clones of a graph that recorded its own journal
+	// (RecordHistory), holds that journal as JSON Lines; SetJournal
+	// back-fills it. histBuf is the recording graph's buffer.
+	history []byte
+	histBuf *bytes.Buffer
 
 	uf      *unionfind.UF
 	strings *stringPool
@@ -106,8 +122,19 @@ func (g *EGraph) mustAddSort(s *Sort) *Sort {
 	if _, dup := g.sorts[s.Name]; dup {
 		panic("duplicate sort " + s.Name)
 	}
+	g.ownDecls()
 	g.sorts[s.Name] = s
 	return s
+}
+
+// ownDecls gives a clone its own copy of the declaration maps before it
+// first declares a sort or function.
+func (g *EGraph) ownDecls() {
+	if g.declsShared {
+		g.sorts = maps.Clone(g.sorts)
+		g.funcsBy = maps.Clone(g.funcsBy)
+		g.declsShared = false
+	}
 }
 
 // AddEqSort declares a new equivalence sort (egglog's `sort`/`datatype`).
@@ -161,15 +188,22 @@ func (g *EGraph) DeclareFunction(f *Function) (*Function, error) {
 	if f.Cost == 0 && f.IsConstructor() {
 		f.Cost = 1
 	}
-	f.table = newTable(len(f.Params))
-	f.table.trackOrig = g.trackOrig
+	f.id = len(g.tables)
+	t := newTable(len(f.Params))
+	t.trackOrig = g.trackOrig
+	g.tables = append(g.tables, t)
+	g.costs = append(g.costs, nil)
 	g.funcs = append(g.funcs, f)
+	g.ownDecls()
 	g.funcsBy[f.Name] = f
 	if g.journal != nil {
 		g.jEmit(g.fnEvent(f))
 	}
 	return f, nil
 }
+
+// tab returns the table holding f's rows in g.
+func (g *EGraph) tab(f *Function) *table { return g.tables[f.id] }
 
 // FunctionByName looks up a declared function.
 func (g *EGraph) FunctionByName(name string) (*Function, bool) {
@@ -325,7 +359,8 @@ func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if out, ok := f.table.lookup(canon); ok {
+	t := g.tab(f)
+	if out, ok := t.lookup(canon); ok {
 		// The row's original identity is returned (not the canonical
 		// class): callers compare via Find/Eq, and proofs stay anchored at
 		// e-node identities.
@@ -340,15 +375,15 @@ func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
 	} else {
 		out = Value{Sort: g.Unit}
 	}
-	f.table.insert(canon, out, g.epoch)
-	f.table.invalidateArgIndex()
+	t.insert(canon, out, g.epoch)
+	t.invalidateArgIndex()
 	g.effects++
 	g.stampProvenance(f)
 	if g.trackOrig && f.IsConstructor() {
 		if g.createdBy == nil {
 			g.createdBy = make(map[uint32]createdRef)
 		}
-		g.createdBy[uint32(out.Bits)] = createdRef{fn: f, row: len(f.table.rows) - 1}
+		g.createdBy[uint32(out.Bits)] = createdRef{fn: f, row: len(t.rows) - 1}
 	}
 	if g.journal != nil {
 		o := g.encodeVal(out)
@@ -365,7 +400,7 @@ func (g *EGraph) LookupRaw(f *Function, args ...Value) (Value, bool) {
 	if err != nil {
 		return Value{}, false
 	}
-	out, ok := f.table.lookup(canon)
+	out, ok := g.tab(f).lookup(canon)
 	return out, ok
 }
 
@@ -375,7 +410,7 @@ func (g *EGraph) Lookup(f *Function, args ...Value) (Value, bool) {
 	if err != nil {
 		return Value{}, false
 	}
-	out, ok := f.table.lookup(canon)
+	out, ok := g.tab(f).lookup(canon)
 	if !ok {
 		return Value{}, false
 	}
@@ -395,34 +430,34 @@ func (g *EGraph) Set(f *Function, args []Value, out Value) error {
 		return err
 	}
 	out = g.canonFind(out)
-	key := argsKey(canon)
-	if i, ok := f.table.index[key]; ok {
+	t := g.tab(f)
+	if i, ok := t.index[argsKey(canon)]; ok {
 		if f.IsConstructor() {
 			// The union (when effective) dirties the graph; the next
 			// Rebuild detects the row's canonical output change through
 			// outCanon and stamps it into the frontier.
-			merged, err := g.Union(f.table.rows[i].out, out)
+			merged, err := g.Union(t.rows[i].out, out)
 			if err != nil {
 				return fmt.Errorf("egraph: merge %s: %w", f.Name, err)
 			}
-			f.table.rows[i].out = merged
+			t.rows[i].out = merged
 			if g.journal != nil {
 				o := g.encodeVal(merged)
 				g.jEmit(journal.Event{Kind: journal.KRowOut, Fn: f.Name, Args: g.encodeVals(canon), Out: &o})
 			}
 			return nil
 		}
-		merged, err := f.Merge(f.table.rows[i].out, out)
+		merged, err := f.Merge(t.rows[i].out, out)
 		if err != nil {
 			return fmt.Errorf("egraph: merge %s: %w", f.Name, err)
 		}
-		if merged.Bits != f.table.rows[i].out.Bits {
+		if merged.Bits != t.rows[i].out.Bits {
 			// A primitive merge can change the value without any union,
 			// so the frontier stamp must happen here (no Rebuild runs).
-			f.table.rows[i].out = merged
-			f.table.rows[i].outCanon = merged.Bits
-			f.table.touch(i, g.epoch)
-			f.table.invalidateArgIndex()
+			t.rows[i].out = merged
+			t.rows[i].outCanon = merged.Bits
+			t.touch(i, g.epoch)
+			t.invalidateArgIndex()
 			g.effects++
 			if g.journal != nil {
 				o := g.encodeVal(merged)
@@ -431,8 +466,8 @@ func (g *EGraph) Set(f *Function, args []Value, out Value) error {
 		}
 		return nil
 	}
-	f.table.insert(canon, out, g.epoch)
-	f.table.invalidateArgIndex()
+	t.insert(canon, out, g.epoch)
+	t.invalidateArgIndex()
 	g.effects++
 	g.stampProvenance(f)
 	if g.journal != nil {
@@ -448,8 +483,8 @@ func (g *EGraph) Set(f *Function, args []Value, out Value) error {
 // and the minimum stamp a row must carry to count as delta.
 func (g *EGraph) advanceFrontier() (deltaRows int, minStamp uint64) {
 	minStamp = g.epoch
-	for _, f := range g.funcs {
-		deltaRows += f.table.rotateFrontier()
+	for _, t := range g.tables {
+		deltaRows += t.rotateFrontier()
 	}
 	g.epoch++
 	return deltaRows, minStamp
@@ -459,8 +494,8 @@ func (g *EGraph) advanceFrontier() (deltaRows int, minStamp uint64) {
 // and relations); the saturation runner uses it for fixpoint detection.
 func (g *EGraph) TotalRows() int {
 	n := 0
-	for _, f := range g.funcs {
-		n += f.table.live
+	for _, t := range g.tables {
+		n += t.live
 	}
 	return n
 }
@@ -480,14 +515,16 @@ func (g *EGraph) SetNodeCost(f *Function, args []Value, cost int64) error {
 	if cost < 1 {
 		cost = 1
 	}
-	if f.costTable == nil {
-		f.costTable = make(map[string]int64)
+	costs := g.costs[f.id]
+	if costs == nil {
+		costs = make(map[string]int64)
+		g.costs[f.id] = costs
 	}
 	key := argsKey(canon)
-	if old, ok := f.costTable[key]; ok && old <= cost {
+	if old, ok := costs[key]; ok && old <= cost {
 		return nil // keep the cheaper of the two
 	}
-	f.costTable[key] = cost
+	costs[key] = cost
 	g.effects++
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KCost, Fn: f.Name, Args: g.encodeVals(canon), Cost: cost})
@@ -547,8 +584,9 @@ func (g *EGraph) NumClasses() int {
 		if !f.IsConstructor() {
 			continue
 		}
-		for i := range f.table.rows {
-			r := &f.table.rows[i]
+		rows := g.tab(f).rows
+		for i := range rows {
+			r := &rows[i]
 			if r.dead {
 				continue
 			}
@@ -564,7 +602,7 @@ func (g *EGraph) NumNodes() int {
 	n := 0
 	for _, f := range g.funcs {
 		if f.IsConstructor() {
-			n += f.table.live
+			n += g.tab(f).live
 		}
 	}
 	return n
@@ -573,8 +611,9 @@ func (g *EGraph) NumNodes() int {
 // ForEachRow calls fn for every live row of f's table in insertion order
 // with canonical args/out. The callback must not modify the graph.
 func (g *EGraph) ForEachRow(f *Function, fn func(args []Value, out Value) bool) {
-	for i := range f.table.rows {
-		r := &f.table.rows[i]
+	rows := g.tab(f).rows
+	for i := range rows {
+		r := &rows[i]
 		if r.dead {
 			continue
 		}
@@ -610,9 +649,9 @@ func (g *EGraph) Rebuild() int {
 	}
 	// Rows were re-canonicalized; the per-argument match indexes are
 	// stale, and tables dominated by tombstones are worth compacting.
-	for _, f := range g.funcs {
-		f.table.maybeCompact()
-		f.table.invalidateArgIndex()
+	for _, t := range g.tables {
+		t.maybeCompact()
+		t.invalidateArgIndex()
 	}
 	g.dirty = false
 	if g.journal != nil {
@@ -627,7 +666,7 @@ func (g *EGraph) Rebuild() int {
 func (g *EGraph) Clean() bool { return !g.dirty }
 
 func (g *EGraph) rebuildTable(f *Function) bool {
-	t := f.table
+	t := g.tab(f)
 	changed := false
 	for i := range t.rows {
 		r := &t.rows[i]
@@ -705,13 +744,14 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 // rebuildCostTable re-canonicalizes cost-override keys; colliding entries
 // keep the cheaper cost.
 func (g *EGraph) rebuildCostTable(f *Function) bool {
-	if len(f.costTable) == 0 {
+	costs := g.costs[f.id]
+	if len(costs) == 0 {
 		return false
 	}
 	changed := false
-	fresh := make(map[string]int64, len(f.costTable))
+	fresh := make(map[string]int64, len(costs))
 	args := make([]Value, len(f.Params))
-	for key, cost := range f.costTable {
+	for key, cost := range costs {
 		decodeArgs(key, f.Params, args)
 		stale := false
 		for i := range args {
@@ -730,7 +770,7 @@ func (g *EGraph) rebuildCostTable(f *Function) bool {
 			fresh[nk] = cost
 		}
 	}
-	f.costTable = fresh
+	g.costs[f.id] = fresh
 	return changed
 }
 

@@ -92,8 +92,8 @@ func (g *EGraph) EnableExplanations() {
 		g.proofs = &proofForest{}
 		g.proofs.ensure(g.uf.Len())
 	}
-	for _, f := range g.funcs {
-		f.table.trackOrig = true
+	for _, t := range g.tables {
+		t.trackOrig = true
 	}
 	g.trackOrig = true
 }
@@ -304,7 +304,7 @@ func (g *EGraph) originalTerm(id uint32, depth int) *sexp.Node {
 	if !ok {
 		return nil
 	}
-	r := &ref.fn.table.rows[ref.row]
+	r := &g.tab(ref.fn).rows[ref.row]
 	args := r.orig
 	if args == nil {
 		args = r.args

@@ -22,6 +22,11 @@ type Extractor struct {
 	// bestNode maps canonical class ID -> (function, row index) of the
 	// chosen e-node.
 	bestNode map[uint32]nodeRef
+	// terms memoizes the extracted term of each canonical class, so every
+	// occurrence of a class shares one node: extracted terms are DAGs, and
+	// building one costs time linear in the classes it reaches. Callers
+	// must not mutate them (sexp nodes are immutable by convention).
+	terms map[uint32]*sexp.Node
 }
 
 type nodeRef struct {
@@ -36,6 +41,7 @@ func NewExtractor(g *EGraph) *Extractor {
 		g:        g,
 		bestCost: make(map[uint32]int64),
 		bestNode: make(map[uint32]nodeRef),
+		terms:    make(map[uint32]*sexp.Node),
 	}
 	e.run()
 	return e
@@ -49,8 +55,9 @@ func (e *Extractor) run() {
 			if !f.IsConstructor() || f.Unextractable {
 				continue
 			}
-			for ri := range f.table.rows {
-				r := &f.table.rows[ri]
+			rows := g.tab(f).rows
+			for ri := range rows {
+				r := &rows[ri]
 				if r.dead {
 					continue
 				}
@@ -73,14 +80,14 @@ func (e *Extractor) run() {
 // some child class has no known cost yet.
 func (e *Extractor) nodeCost(f *Function, r *row) (int64, bool) {
 	base := f.Cost
-	if f.costTable != nil {
+	if e.g.costs[f.id] != nil {
 		// Row args are not guaranteed canonical between rebuilds; the cost
 		// table is canonicalized during Rebuild, so canonicalize the key.
 		canon := make([]Value, len(r.args))
 		for i, a := range r.args {
 			canon[i] = e.g.Find(a)
 		}
-		if c, ok := f.costTable[argsKey(canon)]; ok {
+		if c, ok := e.g.costs[f.id][argsKey(canon)]; ok {
 			base = c
 		}
 	}
@@ -167,8 +174,9 @@ func (e *Extractor) ExtractVariants(v Value, n int) ([]Variant, error) {
 		if !f.IsConstructor() || f.Unextractable {
 			continue
 		}
-		for ri := range f.table.rows {
-			r := &f.table.rows[ri]
+		rows := g.tab(f).rows
+		for ri := range rows {
+			r := &rows[ri]
 			if r.dead || g.uf.Find(uint32(g.Find(r.out).Bits)) != cls {
 				continue
 			}
@@ -238,11 +246,14 @@ func (e *Extractor) term(v Value) (*sexp.Node, error) {
 		return out, nil
 	case KindEq:
 		cls := g.uf.Find(uint32(v.Bits))
+		if t, ok := e.terms[cls]; ok {
+			return t, nil
+		}
 		ref, ok := e.bestNode[cls]
 		if !ok {
 			return nil, fmt.Errorf("egraph: class %d of sort %s has no extractable term", cls, v.Sort)
 		}
-		r := &ref.fn.table.rows[ref.row]
+		r := &g.tab(ref.fn).rows[ref.row]
 		out := sexp.List(sexp.Symbol(ref.fn.Name))
 		for _, a := range r.args {
 			t, err := e.term(a)
@@ -251,6 +262,7 @@ func (e *Extractor) term(v Value) (*sexp.Node, error) {
 			}
 			out.List = append(out.List, t)
 		}
+		e.terms[cls] = out
 		return out, nil
 	default:
 		return nil, fmt.Errorf("egraph: cannot extract value of sort %s", v.Sort)

@@ -29,8 +29,9 @@ func NewFirstChoiceExtractor(g *EGraph) *FirstChoiceExtractor {
 			if !f.IsConstructor() || f.Unextractable {
 				continue
 			}
-			for ri := range f.table.rows {
-				r := &f.table.rows[ri]
+			rows := g.tab(f).rows
+			for ri := range rows {
+				r := &rows[ri]
 				if r.dead {
 					continue
 				}
@@ -114,7 +115,7 @@ func (e *FirstChoiceExtractor) term(v Value) (*sexp.Node, int64, error) {
 		if !ok {
 			return nil, 0, fmt.Errorf("egraph: class %d has no extractable term", cls)
 		}
-		r := &ref.fn.table.rows[ref.row]
+		r := &g.tab(ref.fn).rows[ref.row]
 		out := sexp.List(sexp.Symbol(ref.fn.Name))
 		total := ref.fn.Cost
 		for _, a := range r.args {

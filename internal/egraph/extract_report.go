@@ -100,8 +100,9 @@ func (e *Extractor) classReport(cls uint32, topK int) (*ClassReport, []uint32, e
 		if !f.IsConstructor() || f.Unextractable {
 			continue
 		}
-		for ri := range f.table.rows {
-			r := &f.table.rows[ri]
+		rows := g.tab(f).rows
+		for ri := range rows {
+			r := &rows[ri]
 			if r.dead || g.uf.Find(uint32(g.Find(r.out).Bits)) != cls {
 				continue
 			}
@@ -137,18 +138,18 @@ func (e *Extractor) classReport(cls uint32, topK int) (*ClassReport, []uint32, e
 // provenance; false when a child class has no extractable term.
 func (e *Extractor) nodeChoice(f *Function, ri int) (*NodeChoice, bool) {
 	g := e.g
-	r := &f.table.rows[ri]
+	r := &g.tab(f).rows[ri]
 	total, ok := e.nodeCost(f, r)
 	if !ok {
 		return nil, false
 	}
 	nc := &NodeChoice{Fn: f.Name, Cost: total, Base: f.Cost}
-	if f.costTable != nil {
+	if g.costs[f.id] != nil {
 		canon := make([]Value, len(r.args))
 		for i, a := range r.args {
 			canon[i] = g.Find(a)
 		}
-		if c, ok := f.costTable[argsKey(canon)]; ok {
+		if c, ok := g.costs[f.id][argsKey(canon)]; ok {
 			nc.Base = c
 			nc.Override = true
 		}

@@ -61,10 +61,10 @@ type Function struct {
 	// "" for the default MergeMustEqual.
 	MergeName string
 
-	table *table
-	// costTable, lazily created, stores per-row cost overrides installed by
-	// the unstable-cost action. Keyed like the main table.
-	costTable map[string]int64
+	// id indexes the function's storage (rows, cost overrides) in the
+	// graph that declared it and in that graph's clones; it is assigned by
+	// DeclareFunction, after which a Function is never modified.
+	id int
 }
 
 // IsConstructor reports whether the function builds e-nodes (output is an

@@ -14,17 +14,23 @@ import (
 // recorded with enough information for Replay to reconstruct the graph
 // bit-identically.
 //
-// Attach the journal before inserting any rows: declarations made earlier
-// are back-filled into the segment header, but existing rows and classes
-// are not, and a replay of such a journal diverges. All emission happens
-// in the engine's serial sections, so journaling adds nothing to the
-// concurrent match phase.
+// On a clone of a graph that recorded its history (RecordHistory), the
+// segment header is that history: everything the graph held when it was
+// cloned, rows and unions included. Otherwise attach the journal before
+// inserting any rows: declarations made earlier are back-filled into the
+// segment header, but existing rows and classes are not, and a replay of
+// such a journal diverges. All emission happens in the engine's serial
+// sections, so journaling adds nothing to the concurrent match phase.
 func (g *EGraph) SetJournal(w *journal.Writer, label string) {
 	g.journal = w
 	if w == nil {
 		return
 	}
 	w.Emit(journal.Event{Kind: journal.KGraph, Name: label, Explanations: g.proofs != nil})
+	if g.history != nil {
+		w.EmitLines(g.history)
+		return
+	}
 	// Back-fill declarations that preceded attachment. Eq-sort order is
 	// immaterial for replay (sorts are resolved by name), so sorted-by-name
 	// keeps the segment header deterministic; function order is declaration
@@ -260,7 +266,8 @@ func (g *EGraph) ruleName(id uint32) string {
 // iteration N" available to Explain, DOT, snapshots, and the extraction
 // report without re-running under a debug flag.
 func (g *EGraph) stampProvenance(f *Function) {
-	r := &f.table.rows[len(f.table.rows)-1]
+	rows := g.tab(f).rows
+	r := &rows[len(rows)-1]
 	r.provRule = g.ruleCur
 	r.provIter = g.iterCur
 }
@@ -269,7 +276,7 @@ func (g *EGraph) stampProvenance(f *Function) {
 // which saturation iteration. rule is "" (and iter 0) for rows created
 // outside rule application — initial program terms, explicit inserts.
 func (g *EGraph) RowProvenance(f *Function, ri int) (rule string, iter int) {
-	r := &f.table.rows[ri]
+	r := &g.tab(f).rows[ri]
 	return g.ruleName(r.provRule), int(r.provIter)
 }
 

@@ -115,7 +115,7 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 	ab := l.app(t, l.Add, a, b)
 	cd := l.app(t, l.Add, c, d)
 	g.Rebuild()
-	tab := l.Add.table
+	tab := g.tab(l.Add)
 	idx := tab.buildArgIndex(0, 2)
 	if len(idx[g.Find(a).Bits]) != 1 || len(idx[g.Find(c).Bits]) != 1 {
 		t.Fatalf("fresh col-0 index: %v", idx)
@@ -180,7 +180,7 @@ func TestArgIndexConcurrentBuild(t *testing.T) {
 		l.app(t, l.Add, l.num(t, i), l.num(t, i+1))
 	}
 	g.Rebuild()
-	tab := l.Add.table
+	tab := g.tab(l.Add)
 	var wg sync.WaitGroup
 	results := make([]argIdx, 16)
 	for w := 0; w < 16; w++ {

@@ -222,7 +222,8 @@ func (g *EGraph) firstPremiseScan(r *Rule) (scanLen, live int) {
 		return 0, 0
 	}
 	if p, ok := r.Premises[0].(*TablePremise); ok {
-		return len(p.Fn.table.rows), p.Fn.table.live
+		t := g.tab(p.Fn)
+		return len(t.rows), t.live
 	}
 	return 0, 0
 }
@@ -441,7 +442,7 @@ func (g *EGraph) matchShard(r *Rule, spec matchSpec, lo, hi int, yield func(bind
 // sort restores.
 func (m *matchRun) runDelta(lo, hi int) error {
 	p := m.r.Premises[m.hoist].(*TablePremise)
-	t := p.Fn.table
+	t := m.g.tab(p.Fn)
 	fr := t.frontier
 	if hi < 0 || hi > len(fr) {
 		hi = len(fr)
@@ -522,7 +523,7 @@ func (m *matchRun) matchTable(pos, i, lo, hi int, p *TablePremise) error {
 			break
 		}
 	}
-	t := p.Fn.table
+	t := g.tab(p.Fn)
 	if allBound {
 		if lo > 0 {
 			return nil // single-lookup premise: first shard owns it

@@ -152,15 +152,16 @@ func replayEvent(g *EGraph, res *ReplayResult, e *journal.Event, opt ReplayOptio
 		} else {
 			out = Value{Sort: g.Unit}
 		}
-		f.table.insert(args, out, g.epoch)
-		f.table.invalidateArgIndex()
+		t := g.tab(f)
+		t.insert(args, out, g.epoch)
+		t.invalidateArgIndex()
 		g.effects++
 		stampReplayProvenance(g, f, e)
 		if g.trackOrig && f.IsConstructor() {
 			if g.createdBy == nil {
 				g.createdBy = make(map[uint32]createdRef)
 			}
-			g.createdBy[uint32(out.Bits)] = createdRef{fn: f, row: len(f.table.rows) - 1}
+			g.createdBy[uint32(out.Bits)] = createdRef{fn: f, row: len(t.rows) - 1}
 		}
 		return nil
 
@@ -173,8 +174,9 @@ func replayEvent(g *EGraph, res *ReplayResult, e *journal.Event, opt ReplayOptio
 		if err != nil {
 			return err
 		}
-		f.table.insert(args, out, g.epoch)
-		f.table.invalidateArgIndex()
+		t := g.tab(f)
+		t.insert(args, out, g.epoch)
+		t.invalidateArgIndex()
 		g.effects++
 		stampReplayProvenance(g, f, e)
 		return nil
@@ -187,7 +189,7 @@ func replayEvent(g *EGraph, res *ReplayResult, e *journal.Event, opt ReplayOptio
 		_ = args
 		// Mirrors Set's constructor-merge path: only the row's output
 		// identity moves; outCanon stays stale until the next Rebuild.
-		f.table.rows[i].out = out
+		g.tab(f).rows[i].out = out
 		return nil
 
 	case journal.KMerge:
@@ -195,10 +197,11 @@ func replayEvent(g *EGraph, res *ReplayResult, e *journal.Event, opt ReplayOptio
 		if err != nil {
 			return err
 		}
-		f.table.rows[i].out = out
-		f.table.rows[i].outCanon = out.Bits
-		f.table.touch(i, g.epoch)
-		f.table.invalidateArgIndex()
+		t := g.tab(f)
+		t.rows[i].out = out
+		t.rows[i].outCanon = out.Bits
+		t.touch(i, g.epoch)
+		t.invalidateArgIndex()
 		g.effects++
 		return nil
 
@@ -229,12 +232,12 @@ func replayEvent(g *EGraph, res *ReplayResult, e *journal.Event, opt ReplayOptio
 		if err != nil {
 			return err
 		}
-		if f.costTable == nil {
-			f.costTable = make(map[string]int64)
+		if g.costs[f.id] == nil {
+			g.costs[f.id] = make(map[string]int64)
 		}
 		// The original emitted only installs that won the keep-cheaper
 		// check, so the recorded cost overwrites unconditionally.
-		f.costTable[argsKey(args)] = e.Cost
+		g.costs[f.id][argsKey(args)] = e.Cost
 		g.effects++
 		return nil
 
@@ -304,7 +307,7 @@ func replayRowUpdate(g *EGraph, e *journal.Event) (*Function, []Value, int, Valu
 	if err != nil {
 		return nil, nil, 0, Value{}, err
 	}
-	i, ok := f.table.lookupRow(args)
+	i, ok := g.tab(f).lookupRow(args)
 	if !ok {
 		return nil, nil, 0, Value{}, fmt.Errorf("diverged: %s row not found for recorded args", f.Name)
 	}
@@ -319,7 +322,8 @@ func replayRowUpdate(g *EGraph, e *journal.Event) (*Function, []Value, int, Valu
 // iteration) to the row just inserted. Rule IDs are re-interned locally;
 // names, which is what every consumer renders, match the original.
 func stampReplayProvenance(g *EGraph, f *Function, e *journal.Event) {
-	r := &f.table.rows[len(f.table.rows)-1]
+	rows := g.tab(f).rows
+	r := &rows[len(rows)-1]
 	r.provRule = g.ruleID(e.Rule)
 	r.provIter = uint32(e.Iter)
 }

@@ -180,8 +180,9 @@ func TestReplayWithExplanations(t *testing.T) {
 	// original recorded: the two Add orientations are provably equal.
 	addF := rg.funcsBy["Add"]
 	var outs []Value
-	for ri := range addF.table.rows {
-		if r := &addF.table.rows[ri]; !r.dead {
+	rows := rg.tab(addF).rows
+	for ri := range rows {
+		if r := &rows[ri]; !r.dead {
 			outs = append(outs, r.out)
 		}
 	}

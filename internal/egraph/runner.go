@@ -447,7 +447,7 @@ func (g *EGraph) planDeltaTasks(rules []*Rule, maxShards int, decisions []sched.
 		tp := tablePremises(r)
 		outer := 0
 		for _, pi := range tp {
-			outer += len(r.Premises[pi].(*TablePremise).Fn.table.frontier)
+			outer += len(g.tab(r.Premises[pi].(*TablePremise).Fn).frontier)
 		}
 		if outer == 0 {
 			continue
@@ -457,7 +457,7 @@ func (g *EGraph) planDeltaTasks(rules []*Rule, maxShards int, decisions []sched.
 			continue
 		}
 		for s, pi := range tp {
-			fr := len(r.Premises[pi].(*TablePremise).Fn.table.frontier)
+			fr := len(g.tab(r.Premises[pi].(*TablePremise).Fn).frontier)
 			if fr == 0 {
 				continue
 			}
@@ -627,9 +627,9 @@ func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minSta
 // rowCensus counts live and dead (tombstoned, awaiting compaction) rows
 // across all tables. O(#functions); used by the RuleMetrics gauges.
 func (g *EGraph) rowCensus() (live, dead int) {
-	for _, f := range g.funcs {
-		live += f.table.live
-		dead += len(f.table.rows) - f.table.live
+	for _, t := range g.tables {
+		live += t.live
+		dead += len(t.rows) - t.live
 	}
 	return live, dead
 }

@@ -233,6 +233,9 @@ func TestConcurrentFindDuringMatch(t *testing.T) {
 		},
 		NumSlots: 5,
 	}
+	// Declaring a sort is a compile-time step, never concurrent with
+	// matching; only the interning below races.
+	vecI64 := g.VecSortOf(g.I64)
 	workers := 4 * runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
 	counts := make([]int, workers)
@@ -250,7 +253,7 @@ func TestConcurrentFindDuringMatch(t *testing.T) {
 				counts[w] = 1
 			default: // pool interning (string prims do this mid-match)
 				g.InternString("shared")
-				g.InternVec(g.VecSortOf(g.I64), []Value{I64Value(g.I64, int64(w))})
+				g.InternVec(vecI64, []Value{I64Value(g.I64, int64(w))})
 				counts[w] = 1
 			}
 		}(w)

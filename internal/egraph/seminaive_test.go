@@ -25,8 +25,9 @@ func graphFingerprint(g *EGraph) string {
 	fmt.Fprintf(&b, "unions %d nodes %d classes %d\n", g.unionCount, g.NumNodes(), g.NumClasses())
 	for _, f := range g.funcs {
 		fmt.Fprintf(&b, "%s:", f.Name)
-		for i := range f.table.rows {
-			r := &f.table.rows[i]
+		rows := g.tab(f).rows
+		for i := range rows {
+			r := &rows[i]
 			if r.dead {
 				continue
 			}

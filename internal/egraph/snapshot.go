@@ -64,8 +64,9 @@ func (g *EGraph) Snapshot(iteration int) *Snapshot {
 	}
 	for _, f := range g.funcs {
 		fs := FnSnap{Name: f.Name}
-		for ri := range f.table.rows {
-			r := &f.table.rows[ri]
+		rows := g.tab(f).rows
+		for ri := range rows {
+			r := &rows[ri]
 			if r.dead {
 				continue
 			}
@@ -81,8 +82,8 @@ func (g *EGraph) Snapshot(iteration int) *Snapshot {
 			if f.IsConstructor() {
 				rs.Class = fmt.Sprintf("#%d", g.uf.Find(uint32(r.out.Bits)))
 			}
-			if f.costTable != nil {
-				if c, ok := f.costTable[argsKey(r.args)]; ok {
+			if g.costs[f.id] != nil {
+				if c, ok := g.costs[f.id][argsKey(r.args)]; ok {
 					cc := c
 					rs.Cost = &cc
 				}

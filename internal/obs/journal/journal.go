@@ -27,6 +27,7 @@ package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -226,6 +227,24 @@ func (w *Writer) Emit(e Event) {
 		return
 	}
 	w.n++
+}
+
+// EmitLines appends events another Writer already encoded (its JSON
+// Lines output) verbatim.
+func (w *Writer) EmitLines(lines []byte) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return
+	}
+	if _, err := w.bw.Write(lines); err != nil {
+		w.err = err
+		return
+	}
+	w.n += bytes.Count(lines, []byte{'\n'})
 }
 
 // Count returns the number of events emitted so far.

@@ -25,6 +25,7 @@ type metrics struct {
 	canceled     atomic.Uint64
 	stopCanceled atomic.Uint64
 	queueFull    atomic.Uint64
+	jobPanics    atomic.Uint64
 	inflight     atomic.Int64
 
 	// latency is the egg_request_duration_seconds histogram: log-spaced

@@ -168,6 +168,10 @@ type Server struct {
 	profMu   sync.Mutex
 	prof     *profile.Profile
 	profSlow []profSlowEntry
+
+	// jobHook, when set (by tests), runs at the start of every executed
+	// job, inside its panic isolation.
+	jobHook func(*workItem)
 }
 
 // New builds a Server and starts its worker pool.
@@ -422,6 +426,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.metrics.queueFull.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.failf(w, http.StatusServiceUnavailable, "optimization queue is full")
+	case errors.Is(err, errJobPanic):
+		source, status = "panic", http.StatusInternalServerError
+		s.failf(w, http.StatusInternalServerError, "optimization failed: %v", err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		source, status = "canceled", statusClientClosedRequest
 		s.metrics.canceled.Add(1)
@@ -483,9 +490,23 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one optimization on a worker goroutine.
+// errJobPanic marks a job whose optimization panicked; the handler answers
+// it with 500.
+var errJobPanic = errors.New("optimization panicked")
+
+// runJob executes one optimization on a worker goroutine. A panic inside
+// the job fails that job alone: it becomes errJobPanic (a 500 and a
+// flight record), counts in egg_job_panics_total, and leaves no cache
+// entry, because only successful results are cached.
 func (s *Server) runJob(j *job) {
 	defer close(j.done)
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.jobPanics.Add(1)
+			s.logger.Error("optimization panicked", "key", j.work.key[:12], "panic", fmt.Sprint(r))
+			j.resp, j.err = nil, fmt.Errorf("%w: %v", errJobPanic, r)
+		}
+	}()
 	s.queueAges.pop()
 	// Abandoned while queued: every waiter left, don't burn the worker.
 	if err := j.ctx.Err(); err != nil {
@@ -495,6 +516,9 @@ func (s *Server) runJob(j *job) {
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
 	start := time.Now()
+	if s.jobHook != nil {
+		s.jobHook(j.work)
+	}
 
 	reg := dialects.NewRegistry()
 	m, err := mlir.ParseModule(j.work.canonical, reg)

@@ -419,3 +419,46 @@ func TestStatz(t *testing.T) {
 	}
 	_ = s
 }
+
+// TestJobPanicIsolated: a panic inside one job answers that request with
+// 500, counts in egg_job_panics_total, leaves a flight record, caches
+// nothing, and the pool goes on serving the next request.
+func TestJobPanicIsolated(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	s.jobHook = func(w *workItem) {
+		if strings.Contains(w.canonical, "@boom") {
+			panic("injected failure")
+		}
+	}
+	boom := &OptimizeRequest{MLIR: strings.Replace(divPow2Module, "@scale", "@boom", 1), RuleSet: "imgconv"}
+	for i := 0; i < 2; i++ {
+		resp, body, _ := postOptimize(t, c.BaseURL, boom, "")
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("panicking job #%d: status %d, want 500: %s", i, resp.StatusCode, body)
+		}
+	}
+	if st := s.Stats(); st.Cache.Entries != 0 || st.Runs != 0 {
+		t.Fatalf("panicking jobs left %d cache entries and %d runs, want none", st.Cache.Entries, st.Runs)
+	}
+	var panicked int
+	for _, fr := range s.flight.Records() {
+		if fr.Status == http.StatusInternalServerError && fr.Source == "panic" {
+			panicked++
+		}
+	}
+	if panicked != 2 {
+		t.Errorf("flight recorder holds %d panic records, want 2", panicked)
+	}
+
+	body, source, err := c.OptimizeRaw(context.Background(), &OptimizeRequest{MLIR: divPow2Module, RuleSet: "imgconv"})
+	if err != nil || source != "miss" {
+		t.Fatalf("request after the panics: cache=%q err=%v", source, err)
+	}
+	if !strings.Contains(string(body), "arith.shrsi") {
+		t.Fatalf("request after the panics was not optimized: %s", body)
+	}
+	_, _, metrics := httpGet(t, c.BaseURL+"/metrics")
+	if got := metricValue(t, metrics, "egg_job_panics_total"); got != 2 {
+		t.Errorf("egg_job_panics_total = %v, want 2", got)
+	}
+}

@@ -62,6 +62,8 @@ func newInstruments(s *Server) *instruments {
 		func() float64 { return u(s.metrics.canceled.Load()) })
 	cf("egg_stop_canceled_total", "Saturation runs stopped by context cancellation.",
 		func() float64 { return u(s.metrics.stopCanceled.Load()) })
+	cf("egg_job_panics_total", "Optimization jobs that panicked (answered with 500, never cached).",
+		func() float64 { return u(s.metrics.jobPanics.Load()) })
 	cf("egg_queue_full_total", "Requests rejected because the job queue was full.",
 		func() float64 { return u(s.metrics.queueFull.Load()) })
 

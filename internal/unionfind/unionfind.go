@@ -112,6 +112,20 @@ func (u *UF) UnionInto(keep, other uint32) uint32 {
 	return rk
 }
 
+// Clone returns an independent copy of the forest: the same parents and
+// sizes, with the Find counter off and at zero. Safe to call concurrently
+// with other Clones and Finds, not with MakeSet or Union.
+func (u *UF) Clone() *UF {
+	c := &UF{
+		parent: make([]atomic.Uint32, len(u.parent)),
+		size:   append([]uint32(nil), u.size...),
+	}
+	for i := range u.parent {
+		c.parent[i].Store(u.parent[i].Load())
+	}
+	return c
+}
+
 // SizeOf returns the number of elements in x's set.
 func (u *UF) SizeOf(x uint32) int { return int(u.size[u.Find(x)]) }
 
