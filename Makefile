@@ -58,7 +58,7 @@ trace-smoke:
 		-stats-json stats.json -trace trace.json \
 		-cpuprofile cpu.pprof -memprofile mem.pprof \
 		examples/div_pow2.mlir > /dev/null
-	$(GO) run ./internal/obs/tracelint -trace trace.json -stats stats.json
+	$(GO) run ./cmd/egg-lint trace.json stats.json
 	@echo "trace-smoke: OK (trace.json, stats.json, cpu.pprof, mem.pprof)"
 
 # Time-travel smoke: journal a real run with embedded snapshots and an
@@ -68,7 +68,7 @@ debug-smoke:
 	$(GO) run ./cmd/egg-opt -rules imgconv -workers 2 \
 		-journal journal.jsonl -snapshot-every 1 -explain-extraction \
 		examples/div_pow2.mlir > /dev/null 2> extraction.txt
-	$(GO) run ./internal/obs/tracelint -journal journal.jsonl
+	$(GO) run ./cmd/egg-lint journal.jsonl
 	$(GO) run ./cmd/egg-debug replay -journal journal.jsonl -verify \
 		-snapshot snapshot.json -dot egraph.dot
 	$(GO) run ./cmd/egg-debug diff -journal journal.jsonl -from 1 -to -1
@@ -83,13 +83,13 @@ serve-smoke:
 # Telemetry-plane smoke: egg-serve's self-contained metrics exercise —
 # normal traffic plus a watchdog-tripping saturation explosion, then
 # /metrics, /buildz, and /debugz/flightz checks — followed by the
-# standalone linters over the written artifacts (Prometheus exposition
-# invariants; Chrome-trace shape of the tripped request's flight record).
+# linter over the written artifacts (Prometheus exposition invariants;
+# Chrome-trace shape of the tripped request's flight record).
 metrics-smoke:
 	$(GO) run ./cmd/egg-serve -metrics-smoke -log off
-	$(GO) run ./internal/obs/metricslint -file metrics.txt \
-		-require egg_requests_total,egg_request_duration_seconds,egg_watchdog_trips_total,egg_build_info,egg_rule_matched_total,egg_engine_nodes,egg_queue_age_seconds,egg_uptime_seconds
-	$(GO) run ./internal/obs/tracelint -trace flight.trace.json
+	$(GO) run ./cmd/egg-lint \
+		-require egg_requests_total,egg_request_duration_seconds,egg_watchdog_trips_total,egg_build_info,egg_rule_matched_total,egg_engine_nodes,egg_queue_age_seconds,egg_uptime_seconds \
+		metrics.txt flight.trace.json
 	@echo "metrics-smoke: OK (metrics.txt, flight.trace.json)"
 
 # Profiler smoke: run the paper benchmark with a saturation profile,
@@ -101,12 +101,12 @@ prof-smoke:
 		-profile profile.json -profile-sample 2 \
 		-journal journal.jsonl -stats-json stats.json \
 		examples/div_pow2.mlir > /dev/null
-	$(GO) run ./cmd/egg-prof lint profile.json
+	$(GO) run ./cmd/egg-lint profile.json
 	$(GO) run ./cmd/egg-prof blame profile.json
 	$(GO) run ./cmd/egg-prof selectivity profile.json
 	$(GO) run ./cmd/egg-prof top -n 5 profile.json
 	$(GO) run ./cmd/egg-prof build -journal journal.jsonl -stats stats.json -o profile.merged.json
-	$(GO) run ./cmd/egg-prof lint profile.merged.json
+	$(GO) run ./cmd/egg-lint profile.merged.json
 	@echo "prof-smoke: OK (profile.json, profile.merged.json)"
 
 # Scheduling autotuner smoke: a tiny-budget tune over one workload must
@@ -114,7 +114,7 @@ prof-smoke:
 # and runs under (the whole artifact lifecycle: search -> lint -> load).
 tune-smoke:
 	$(GO) run ./cmd/egg-tune -workloads chain16 -budget 4 -o schedule.json
-	$(GO) run ./cmd/egg-tune lint schedule.json
+	$(GO) run ./cmd/egg-lint schedule.json
 	$(GO) run ./cmd/egg-opt -rules imgconv -schedule schedule.json \
 		examples/div_pow2.mlir > /dev/null
 	@echo "tune-smoke: OK (schedule.json)"

@@ -9,8 +9,8 @@
 //	benchtab -full       # the paper's workload sizes (minutes)
 //	benchtab -fig3       # only Figure 3
 //	benchtab -table2 -chains 10,20,40,80
-//	benchtab -bench2     # naive vs semi-naive matching -> BENCH_2.json
-//	benchtab -compare BENCH_2.json BENCH_3.json   # perf-regression gate
+//	benchtab -bench2     # naive vs semi-naive matching -> bench2_fresh.json
+//	benchtab -compare BENCH_4.json bench2_fresh.json   # perf-regression gate
 //
 // Observability: --stats prints each benchmark's saturation and per-rule
 // metrics to stderr (tables stay on stdout); --stats-json writes every
@@ -33,8 +33,8 @@ func main() {
 	fig3 := flag.Bool("fig3", false, "regenerate Figure 3")
 	table1 := flag.Bool("table1", false, "regenerate Table 1")
 	table2 := flag.Bool("table2", false, "regenerate Table 2")
-	bench2 := flag.Bool("bench2", false, "compare naive vs semi-naive matching and write BENCH_2.json")
-	bench2Out := flag.String("bench2-out", "BENCH_2.json", "output path for -bench2")
+	bench2 := flag.Bool("bench2", false, "compare naive vs semi-naive matching and write the -bench2-out artifact")
+	bench2Out := flag.String("bench2-out", "bench2_fresh.json", "output path for -bench2")
 	compare := flag.Bool("compare", false, "compare two bench2 artifacts: benchtab -compare old.json new.json (nonzero exit on regressions)")
 	compareTol := flag.Float64("compare-tol", 0.05, "fractional growth in deterministic row counts tolerated by -compare before failing")
 	full := flag.Bool("full", false, "use the paper's full workload sizes")

@@ -1,0 +1,67 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"dialegg/internal/obs"
+	"dialegg/internal/obs/profile"
+	"dialegg/internal/sched"
+)
+
+// TestLintPicksCheckerByShape: each artifact kind reaches its own checker,
+// and a malformed file of each kind is rejected by it.
+func TestLintPicksCheckerByShape(t *testing.T) {
+	rec := obs.NewRecorder()
+	rec.Complete(obs.LaneEngine, "phase", "run", time.Now(), time.Millisecond, nil)
+	var trace bytes.Buffer
+	if err := rec.WriteTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := profile.New().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := sched.NewArtifact()
+	art.Rulesets = []sched.RulesetSchedule{{Scheduler: "simple"}}
+	schedule, err := art.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, data, want string // want: summary prefix, or "!" + error substring
+	}{
+		{"trace", trace.String(), "trace OK"},
+		{"empty trace", `{"traceEvents": []}`, "!no span events"},
+		{"stats", `{"run": {"iterations": 1, "per_iter": [{"rows_scanned": 4}], "rows_scanned": 4}}`, "stats OK"},
+		{"stats rows", `{"iterations": 1, "per_iter": [{"rows_scanned": 3}], "rows_scanned": 4}`, "!per-iteration rows 3"},
+		{"journal", "{\"k\":\"graph\",\"n\":\"f\"}\n{\"k\":\"sort\",\"n\":\"Expr\"}\n", "journal OK, 2 events"},
+		{"journal kind", "{\"k\":\"graph\",\"n\":\"f\"}\n{\"k\":\"nope\"}\n", "!nope"},
+		{"metrics", "# HELP x_total x\n# TYPE x_total counter\nx_total 1\n", "metrics OK, 1 samples"},
+		{"metrics required", "# HELP y_total y\n# TYPE y_total counter\ny_total 1\n", "!required metric x_total"},
+		{"profile", string(prof), "profile OK"},
+		{"schedule", string(schedule), "schedule OK"},
+		{"unknown schema", `{"schema": "nope/v9"}`, "!unknown artifact schema"},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_"))
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := lint(path, "x_total")
+		if want, ok := strings.CutPrefix(tc.want, "!"); ok {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, want)
+			}
+			continue
+		}
+		if err != nil || !strings.HasPrefix(msg, tc.want) {
+			t.Errorf("%s: got %q, %v; want %q", tc.name, msg, err, tc.want)
+		}
+	}
+}

@@ -218,6 +218,7 @@ func run(opts options) (err error) {
 		if err != nil {
 			return fmt.Errorf("opening journal: %w", err)
 		}
+		jw.SnapshotEvery = opts.snapshotEvery
 		defer func() {
 			if cerr := jw.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("closing journal: %w", cerr)
@@ -247,7 +248,6 @@ func run(opts options) (err error) {
 			KeepEggProgram:    opts.emitEgg,
 			ExplainRewrites:   opts.explain,
 			Journal:           jw,
-			SnapshotEvery:     opts.snapshotEvery,
 			ExplainExtraction: opts.explainExtr,
 			Blame:             opts.profileFile != "",
 		})

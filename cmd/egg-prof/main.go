@@ -1,5 +1,5 @@
 // Command egg-prof is the saturation profiler's offline half: it builds,
-// merges, lints, and renders canonical profile artifacts (see
+// merges, and renders canonical profile artifacts (see
 // internal/obs/profile) from the observability outputs the other tools
 // already produce — mutation journals (-journal on egg-opt/egglog) and
 // stats JSON (--stats-json), plus profile artifacts written directly with
@@ -12,12 +12,11 @@
 //	egg-prof blame profile.json        # per-rule extraction cost/benefit
 //	egg-prof selectivity profile.json  # sampled premise fan-out/selectivity
 //	egg-prof top -n 10 profile.json    # most expensive rules
-//	egg-prof lint profile.json         # schema + invariant check
 //
 // build folds any mix of repeatable -journal, -stats, and -in inputs into
 // one artifact; counters sum per rule. blame, selectivity, and top read
-// one artifact and render a report to stdout. lint validates artifacts the
-// way prof-smoke's CI gate does and exits nonzero on the first violation.
+// one artifact and render a report to stdout. cmd/egg-lint validates
+// artifacts.
 package main
 
 import (
@@ -46,7 +45,7 @@ func main() {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: egg-prof <build|merge|blame|selectivity|top|lint> [flags] [args]")
+	return fmt.Errorf("usage: egg-prof <build|merge|blame|selectivity|top> [flags] [args]")
 }
 
 func run(args []string) error {
@@ -61,8 +60,6 @@ func run(args []string) error {
 		return runMerge(rest)
 	case "blame", "selectivity", "top":
 		return runReport(cmd, rest)
-	case "lint":
-		return runLint(rest)
 	default:
 		return usage()
 	}
@@ -163,20 +160,6 @@ func runReport(kind string, args []string) error {
 		fmt.Print(p.FormatSelectivity())
 	case "top":
 		fmt.Print(p.FormatTop(*n))
-	}
-	return nil
-}
-
-// runLint validates artifacts; the first violation fails the command.
-func runLint(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("lint needs at least one artifact")
-	}
-	for _, path := range args {
-		if _, err := profile.ReadFile(path); err != nil {
-			return err
-		}
-		fmt.Printf("%s: ok\n", path)
 	}
 	return nil
 }

@@ -312,8 +312,7 @@ func smokeGet(ctx context.Context, url string) ([]byte, int, error) {
 // runMetricsSmoke exercises the telemetry plane end to end: normal and
 // watchdog-tripping traffic, then /metrics, /buildz, and /debugz/flightz
 // checks. The raw exposition and the tripped request's flight trace are
-// written into dir so the CI pipeline can re-lint them with the
-// standalone metricslint and tracelint tools.
+// written into dir so the CI pipeline can re-lint them with egg-lint.
 func runMetricsSmoke(cfg serve.Config, dir string, drainTimeout time.Duration) error {
 	// Deterministic trip thresholds: the chain workload at least doubles
 	// every early iteration, so 2 consecutive >=1.5x iterations always fire.
@@ -442,7 +441,7 @@ func runMetricsSmoke(cfg serve.Config, dir string, drainTimeout time.Duration) e
 
 	// The live aggregate profile lints against the artifact schema, links
 	// its slow requests back to resolvable flight records, and is
-	// persisted for the CLI gate (egg-prof lint re-validates it).
+	// persisted for the CLI gate (egg-lint re-validates it).
 	profilez, code, err := smokeGet(ctx, base+"/debugz/profilez")
 	if err != nil || code != http.StatusOK {
 		return fmt.Errorf("metrics-smoke: GET /debugz/profilez (status %d): %w", code, err)

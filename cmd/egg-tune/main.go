@@ -9,7 +9,8 @@
 //
 //	egg-tune -o schedule.json             # tune the full corpus
 //	egg-tune -workloads chain16 -budget 8 # quick, one workload
-//	egg-tune lint schedule.json           # validate an artifact
+//
+// cmd/egg-lint validates the emitted artifact.
 //
 // The objective is total match-phase row visits (rows_scanned), the
 // engine's deterministic cost proxy: it does not move with the machine,
@@ -274,9 +275,6 @@ func tuneOne(w workload, budget int, verbose bool) (sched.RulesetSchedule, int, 
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "lint" {
-		os.Exit(runLint(os.Args[2:]))
-	}
 	out := flag.String("o", "schedule.json", "output path for the dialegg-schedule/v1 artifact")
 	budget := flag.Int("budget", 24, "candidate evaluations per workload (grid first, then hill-climb)")
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default: the full corpus)")
@@ -349,22 +347,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s (%d workloads, %d evaluations)\n", *out, len(selected), info.Evaluated)
-}
-
-// runLint implements `egg-tune lint <file>`: load (which lints) and
-// report.
-func runLint(args []string) int {
-	fs := flag.NewFlagSet("lint", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: egg-tune lint <schedule.json>")
-		return 2
-	}
-	art, err := sched.ReadArtifact(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "egg-tune:", err)
-		return 1
-	}
-	fmt.Printf("%s: OK (%s, %d ruleset entries)\n", fs.Arg(0), art.Schema, len(art.Rulesets))
-	return 0
 }

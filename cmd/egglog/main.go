@@ -130,6 +130,7 @@ func run(opts options) (err error) {
 		if jerr != nil {
 			return fmt.Errorf("opening journal: %w", jerr)
 		}
+		jw.SnapshotEvery = opts.snapshotEvery
 		defer func() {
 			if cerr := jw.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("closing journal: %w", cerr)
@@ -144,7 +145,6 @@ func run(opts options) (err error) {
 	p.RunDefaults.Workers = opts.workers
 	p.RunDefaults.Naive = opts.naive
 	p.RunDefaults.RuleMetrics = opts.stats || opts.statsJSON != "" || opts.profileFile != ""
-	p.RunDefaults.SnapshotEvery = opts.snapshotEvery
 	p.RunDefaults.ProfileSample = opts.profileSample
 	if opts.scheduleFile != "" {
 		art, aerr := sched.ReadArtifact(opts.scheduleFile)

@@ -65,12 +65,9 @@ func runBench2Mode(b *Benchmark, naive bool, scheduler sched.Scheduler) (Bench2M
 	}
 	cfg := b.RunConfig
 	cfg.Scheduler = scheduler
-	opt := dialegg.NewOptimizer(dialegg.Options{
-		RuleSources: b.Rules,
-		RunConfig:   cfg,
-		Workers:     1,
-		Naive:       naive,
-	})
+	cfg.Workers = 1
+	cfg.Naive = naive
+	opt := dialegg.NewOptimizer(dialegg.Options{RuleSources: b.Rules, RunConfig: cfg})
 	rep, err := opt.OptimizeModule(m)
 	if err != nil {
 		return Bench2Mode{}, fmt.Errorf("bench %s: dialegg: %w", b.Name, err)

@@ -33,8 +33,8 @@ type CompareRow struct {
 	// OldSchedRows/NewSchedRows gate the scheduled (reference-backoff)
 	// run's row visits; OldThrottled/NewThrottled and
 	// OldLimited/NewLimited its deterministic intervention counts. All
-	// zero when the baseline artifact predates the scheduled column
-	// (BENCH_3.json and older), in which case they are not gated.
+	// zero when the baseline artifact predates the scheduled column, in
+	// which case they are not gated.
 	OldSchedRows int64 `json:"old_sched_rows,omitempty"`
 	NewSchedRows int64 `json:"new_sched_rows,omitempty"`
 	OldThrottled int64 `json:"old_throttled,omitempty"`
@@ -49,8 +49,8 @@ type CompareRow struct {
 	NewMatchMS float64 `json:"new_match_ms"`
 }
 
-// ReadBench2JSON reads a bench2 measurement artifact (BENCH_2.json /
-// BENCH_3.json shape).
+// ReadBench2JSON reads a bench2 measurement artifact (the BENCH_4.json
+// shape; artifacts without the scheduled column also read).
 func ReadBench2JSON(path string) ([]Bench2Row, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -14,10 +14,11 @@ import (
 	"dialegg/internal/obs/journal"
 	"dialegg/internal/obs/telemetry"
 	"dialegg/internal/rules"
+	"dialegg/internal/sched"
 )
 
 // liveGauges is the benchmark's stand-in for the serving layer's
-// LiveSink: per-iteration gauge publication plus per-rule counter vecs,
+// Observer: per-iteration gauge publication plus per-rule counter vecs,
 // the work egg-serve does on every iteration when telemetry is on.
 type liveGauges struct {
 	iter, nodes, classes, rows *telemetry.Gauge
@@ -36,17 +37,17 @@ func newLiveGauges() *liveGauges {
 	}
 }
 
-func (l *liveGauges) LiveIter(st egraph.LiveIterStats, rules []egraph.LiveRuleStats) {
-	l.iter.Set(float64(st.Iter))
+func (l *liveGauges) ObserveIter(iter int, st *egraph.IterStats, rules []sched.RuleIterStats) {
+	l.iter.Set(float64(iter))
 	l.nodes.Set(float64(st.Nodes))
 	l.classes.Set(float64(st.Classes))
 	l.rows.Set(float64(st.LiveRows))
 	for _, r := range rules {
 		if r.Matched > 0 {
-			l.matched.With(r.Name).Add(uint64(r.Matched))
+			l.matched.With(r.Rule).Add(uint64(r.Matched))
 		}
 		if r.Applied > 0 {
-			l.applied.With(r.Name).Add(uint64(r.Applied))
+			l.applied.With(r.Rule).Add(uint64(r.Applied))
 		}
 	}
 }
@@ -58,7 +59,7 @@ func (l *liveGauges) LiveIter(st egraph.LiveIterStats, rules []egraph.LiveRuleSt
 // /metrics, --stats/--stats-json, and --trace). The off/on ratio is the
 // cost of instrumentation on the hot path; the acceptance budget for
 // the disabled configuration is < 2% versus the seed (the nil-recorder,
-// nil-live path is a pointer check per iteration, so "off" and "seed"
+// nil-observer path is a pointer check per iteration, so "off" and "seed"
 // should be indistinguishable within noise).
 func BenchmarkObservabilityOverhead(b *testing.B) {
 	modes := []struct {
@@ -96,7 +97,7 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 						cfg.Recorder = obs.NewRecorder()
 					}
 					if mode.live {
-						cfg.Live = newLiveGauges()
+						cfg.Observer = newLiveGauges()
 					}
 					opt := dialegg.NewOptimizer(dialegg.Options{
 						RuleSources: rules.MatmulChain(),
@@ -153,10 +154,10 @@ func BenchmarkJournalOverhead(b *testing.B) {
 							IterLimit:  120,
 							Workers:    1,
 						},
-						SnapshotEvery: mode.snapshots,
 					}
 					if mode.journaled {
 						opts.Journal = journal.NewWriter(io.Discard)
+						opts.Journal.SnapshotEvery = mode.snapshots
 					}
 					rep, err := dialegg.NewOptimizer(opts).OptimizeModule(m)
 					if err != nil {

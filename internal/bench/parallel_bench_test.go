@@ -9,6 +9,7 @@ import (
 	"dialegg/internal/dialegg"
 	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
+	"dialegg/internal/obs"
 	"dialegg/internal/rules"
 )
 
@@ -85,9 +86,27 @@ func simulateMakespan(tasks []time.Duration, workers int) time.Duration {
 	return makespan
 }
 
+// taskTimesPerIter reads the match task durations back from a recorder's
+// spans, one slice per iteration: each engine-lane match phase opens an
+// iteration, and the worker-lane match spans that follow it (the events
+// are sorted by start time) are its tasks, in execution order.
+func taskTimesPerIter(rec *obs.Recorder) [][]time.Duration {
+	var iters [][]time.Duration
+	for _, ev := range rec.Events() {
+		switch {
+		case ev.Lane == obs.LaneEngine && ev.Cat == "phase" && ev.Name == "match":
+			iters = append(iters, nil)
+		case ev.Lane >= obs.LaneWorker && ev.Cat == "match":
+			iters[len(iters)-1] = append(iters[len(iters)-1], ev.Dur)
+		}
+	}
+	return iters
+}
+
 // BenchmarkMatchMakespanProjection measures every match task's serial
-// cost (Workers=1, MatchShards=8, RecordTaskTimes) and list-schedules
-// those durations onto 2/4/8 simulated workers. On a multi-core host the
+// cost (Workers=1, MatchShards=8, read from the Recorder's worker-lane
+// match spans) and list-schedules each iteration's durations onto 2/4/8
+// simulated workers. On a multi-core host the
 // pool realizes this makespan directly, so proj-speedup-Nw is the
 // match-phase speedup the measured shard balance supports — a
 // measurement that stays meaningful on single-core CI, where wall-clock
@@ -105,14 +124,15 @@ func BenchmarkMatchMakespanProjection(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				rec := obs.NewRecorder()
 				cfg := egraph.RunConfig{
-					NodeLimit:       2_000_000,
-					MatchLimit:      2_000_000,
-					TimeLimit:       240 * time.Second,
-					IterLimit:       120,
-					Workers:         1,
-					MatchShards:     8,
-					RecordTaskTimes: true,
+					NodeLimit:   2_000_000,
+					MatchLimit:  2_000_000,
+					TimeLimit:   240 * time.Second,
+					IterLimit:   120,
+					Workers:     1,
+					MatchShards: 8,
+					Recorder:    rec,
 				}
 				opt := dialegg.NewOptimizer(dialegg.Options{
 					RuleSources: rules.MatmulChain(),
@@ -125,12 +145,12 @@ func BenchmarkMatchMakespanProjection(b *testing.B) {
 				if !rep.Run.Saturated() {
 					b.Fatalf("chain %d did not saturate: %s", n, rep.Run.Stop)
 				}
-				for _, it := range rep.Run.PerIter {
-					for _, d := range it.TaskTimes {
+				for _, taskTimes := range taskTimesPerIter(rec) {
+					for _, d := range taskTimes {
 						serialMatch += d
 					}
 					for w := range makespans {
-						makespans[w] += simulateMakespan(it.TaskTimes, w)
+						makespans[w] += simulateMakespan(taskTimes, w)
 					}
 				}
 			}

@@ -32,10 +32,10 @@ func TestJournalEndToEnd(t *testing.T) {
 
 	var buf bytes.Buffer
 	jw := journal.NewWriter(&buf)
+	jw.SnapshotEvery = 1
 	opt := NewOptimizer(Options{
 		RuleSources:       rules.ImgConv(),
 		Journal:           jw,
-		SnapshotEvery:     1,
 		ExplainExtraction: true,
 	})
 	rep, err := opt.OptimizeModule(m)

@@ -19,17 +19,8 @@ type Options struct {
 	// operation declarations, cost models, and rewrite rules (the user's
 	// .egg files).
 	RuleSources []string
-	// RunConfig bounds the saturation run.
+	// RunConfig bounds and observes each function's saturation run.
 	RunConfig egraph.RunConfig
-	// Workers bounds the match-phase worker pool of the saturation run
-	// (0 = GOMAXPROCS, 1 = serial). A non-zero RunConfig.Workers wins.
-	// Extraction results are identical for every worker count.
-	Workers int
-	// Naive disables semi-naive (delta-frontier) rule matching, making
-	// every iteration re-match the full database. Results are identical
-	// either way; naive exists as an escape hatch and for benchmarking.
-	// A set RunConfig.Naive wins.
-	Naive bool
 	// KeepEggProgram stores the generated egglog program text in the
 	// report (for debugging and the egg-opt --emit-egg flag).
 	KeepEggProgram bool
@@ -42,12 +33,9 @@ type Options struct {
 	ExplainRewrites bool
 	// Journal, when non-nil, records every e-graph mutation as an event
 	// journal; each optimized function opens its own graph segment labeled
-	// with the function name, replayable with egg-debug.
+	// with the function name, replayable with egg-debug. The writer's
+	// SnapshotEvery sets how often the saturation runs embed snapshots.
 	Journal *journal.Writer
-	// SnapshotEvery embeds a full e-graph snapshot in the journal after
-	// every N-th saturation iteration's rebuild (0 = none); only meaningful
-	// with Journal set.
-	SnapshotEvery int
 	// ExplainExtraction attaches, per rewritten operation, a report of the
 	// extraction decision for its replacement: the chosen node with its
 	// cost breakdown, rejected alternatives, and the creating rule of every
@@ -78,7 +66,7 @@ type Report struct {
 
 	// SatMatch, SatApply, and SatRebuild split Saturation into the
 	// engine's three phases (match is the parallel one; see
-	// Options.Workers).
+	// RunConfig.Workers).
 	SatMatch   time.Duration `json:"sat_match_ns"`
 	SatApply   time.Duration `json:"sat_apply_ns"`
 	SatRebuild time.Duration `json:"sat_rebuild_ns"`
@@ -206,16 +194,10 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	p := tmpl.prog.Clone()
 	encs := tmpl.encs
 	report.NumRules = tmpl.numRules
-	// Thread observability into the program: its commands and RunRules
-	// read these defaults.
-	p.RunDefaults.Recorder = rec
-	p.RunDefaults.RuleMetrics = o.opts.RunConfig.RuleMetrics
-	p.RunDefaults.ProfileSample = o.opts.RunConfig.ProfileSample
 	if o.opts.Journal.Enabled() {
 		// The template's recorded history back-fills the segment, so the
 		// function's graph is replayable from scratch.
 		p.SetJournal(o.opts.Journal, mlir.FuncName(f))
-		p.RunDefaults.SnapshotEvery = o.opts.SnapshotEvery
 	}
 	report.EggTotal += time.Since(startEgg)
 	if rec.Enabled() {
@@ -254,12 +236,6 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	startSat := time.Now()
 	cfg := o.opts.RunConfig
 	cfg.Ctx = ctx
-	if cfg.Workers == 0 {
-		cfg.Workers = o.opts.Workers
-	}
-	if !cfg.Naive {
-		cfg.Naive = o.opts.Naive
-	}
 	run := p.RunRules(cfg)
 	if run.Err != nil {
 		return nil, nil, fmt.Errorf("dialegg: saturation: %w", run.Err)

@@ -32,7 +32,7 @@ func compileOnce(c compileCase, jw *journal.Writer) string {
 	if err != nil {
 		return "parse error: " + err.Error()
 	}
-	opt := dialegg.NewOptimizer(dialegg.Options{RuleSources: c.rules, RunConfig: c.cfg, Journal: jw, SnapshotEvery: 1})
+	opt := dialegg.NewOptimizer(dialegg.Options{RuleSources: c.rules, RunConfig: c.cfg, Journal: jw})
 	if _, err := opt.OptimizeModule(m); err != nil {
 		return "optimize error: " + err.Error()
 	}
@@ -131,6 +131,7 @@ func TestWarmTemplateJournalReplay(t *testing.T) {
 	journalOf := func() []byte {
 		var buf bytes.Buffer
 		jw := journal.NewWriter(&buf)
+		jw.SnapshotEvery = 1
 		compileOnce(c, jw)
 		if err := jw.Flush(); err != nil {
 			t.Fatal(err)

@@ -128,9 +128,9 @@ func checkSchedAgreement(m *mlir.Module, optSrc string, reg *mlir.Registry, opts
 func checkJournalReplay(m *mlir.Module, origSrc, optSrc string, opts Options, fail func(name, detail string) *Failure) *Failure {
 	var buf bytes.Buffer
 	w := journal.NewWriter(&buf)
+	w.SnapshotEvery = 1
 	opt := dialegg.NewOptimizer(dialegg.Options{
-		RuleSources: opts.Rules, RunConfig: opts.RunConfig,
-		Journal: w, SnapshotEvery: 1,
+		RuleSources: opts.Rules, RunConfig: opts.RunConfig, Journal: w,
 	})
 	jm := m.Clone()
 	if _, err := opt.OptimizeModule(jm); err != nil {

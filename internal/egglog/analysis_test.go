@@ -1,6 +1,8 @@
 package egglog
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dialegg/internal/egraph"
@@ -79,6 +81,30 @@ func TestIntervalMergeAcrossUnion(t *testing.T) {
 	hv, ok := g.Lookup(hi, a)
 	if !ok || hv.AsI64() != 50 {
 		t.Errorf("hi after union = %v,%v want 50 (tightest)", hv.AsI64(), ok)
+	}
+
+	// The lattice forms are accepted in either argument order; any other
+	// merge is rejected, naming the function, the form and its position,
+	// instead of being approximated.
+	mustExec(t, p, `(function hi2 (Expr) i64 :merge (min new old))`)
+	for _, form := range []string{
+		`new`,                 // overwrite
+		`(+ old new)`,         // an expression the engine does not evaluate
+		`(min old 0)`,         // min, but not over (old, new)
+		`(max old new extra)`, // wrong arity
+	} {
+		decl := `(function bad (Expr) i64 :merge ` + form + `)`
+		_, err := p.ExecuteString(decl)
+		pos := fmt.Sprintf("1:%d:", strings.Index(decl, form)+1)
+		if err == nil || !strings.Contains(err.Error(), "function bad") ||
+			!strings.Contains(err.Error(), form) || !strings.Contains(err.Error(), pos) {
+			t.Errorf(":merge %s: err = %v, want the function, the form and %s", form, err, pos)
+		}
+	}
+	// min/max compare raw i64 bits, which is wrong for any other sort.
+	if _, err := p.ExecuteString(`(function badf (Expr) f64 :merge (min old new))`); err == nil ||
+		!strings.Contains(err.Error(), "function badf") || !strings.Contains(err.Error(), "1:34:") {
+		t.Errorf("f64 min merge: err = %v, want a positioned rejection", err)
 	}
 }
 

@@ -323,7 +323,7 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 				continue
 			}
 			if i+1 >= len(items) {
-				return nil, fmt.Errorf("egglog: %s:scheduler expects a spec", schedPos(items[i]))
+				return nil, fmt.Errorf("egglog: %s:scheduler expects a spec", srcPos(items[i]))
 			}
 			var spec string
 			switch v := items[i+1]; v.Kind {
@@ -332,11 +332,11 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 			case sexp.KindString:
 				spec = v.Str
 			default:
-				return nil, fmt.Errorf("egglog: %s:scheduler expects a symbol or string spec, got %s", schedPos(items[i+1]), items[i+1])
+				return nil, fmt.Errorf("egglog: %s:scheduler expects a symbol or string spec, got %s", srcPos(items[i+1]), items[i+1])
 			}
 			s, err := sched.Parse(spec)
 			if err != nil {
-				return nil, fmt.Errorf("egglog: %s%v", schedPos(items[i+1]), err)
+				return nil, fmt.Errorf("egglog: %s%v", srcPos(items[i+1]), err)
 			}
 			cfg.Scheduler = s
 			items = append(append([]*sexp.Node{}, items[:i]...), items[i+2:]...)

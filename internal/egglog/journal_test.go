@@ -20,8 +20,9 @@ func TestJournalReplayEgglogPrograms(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			p := egglog.NewProgram()
-			p.SetJournal(journal.NewWriter(&buf), tc.name)
-			p.RunDefaults.SnapshotEvery = 1
+			jw := journal.NewWriter(&buf)
+			jw.SnapshotEvery = 1
+			p.SetJournal(jw, tc.name)
 			if _, err := p.ExecuteString(tc.src); err != nil {
 				t.Fatal(err)
 			}

@@ -138,12 +138,10 @@ func optimizeFingerprint(t *testing.T, b *bench.Benchmark, workers int, naive bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := dialegg.NewOptimizer(dialegg.Options{
-		RuleSources: b.Rules,
-		RunConfig:   b.RunConfig,
-		Workers:     workers,
-		Naive:       naive,
-	})
+	cfg := b.RunConfig
+	cfg.Workers = workers
+	cfg.Naive = naive
+	opt := dialegg.NewOptimizer(dialegg.Options{RuleSources: b.Rules, RunConfig: cfg})
 	rep, err := opt.OptimizeModule(m)
 	if err != nil {
 		t.Fatalf("workers=%d naive=%v: %v", workers, naive, err)

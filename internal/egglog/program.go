@@ -194,21 +194,11 @@ func (p *Program) declareFunction(args []*sexp.Node) error {
 		case args[i].IsSymbol(":unextractable"):
 			f.Unextractable = true
 		case args[i].IsSymbol(":merge"):
-			// Accept and approximate egglog's :merge expressions: the
-			// common (min old new) / (max old new) forms map to the
-			// corresponding engine merges; anything else overwrites.
 			if i+1 >= len(args) {
 				return fmt.Errorf("egglog: :merge expects an expression")
 			}
-			// MergeName mirrors the choice symbolically so journals can
-			// reconstruct the merge function on replay.
-			switch args[i+1].Head() {
-			case "min":
-				f.Merge, f.MergeName = egraph.MergeMinI64, "min"
-			case "max":
-				f.Merge, f.MergeName = egraph.MergeMaxI64, "max"
-			default:
-				f.Merge, f.MergeName = egraph.MergeOverwrite, "overwrite"
+			if err := p.setMerge(f, args[i+1]); err != nil {
+				return err
 			}
 			i++
 		default:
@@ -217,6 +207,29 @@ func (p *Program) declareFunction(args []*sexp.Node) error {
 	}
 	_, err = p.g.DeclareFunction(f)
 	return err
+}
+
+// setMerge resolves a function's :merge expression. The engine evaluates
+// the lattice merges analyses use — (min old new) and (max old new), in
+// either argument order, on an i64 output — and every other expression is
+// rejected rather than approximated. MergeName mirrors the choice
+// symbolically so journals can reconstruct the merge function on replay.
+func (p *Program) setMerge(f *egraph.Function, e *sexp.Node) error {
+	args := e.Args()
+	oldNew := len(args) == 2 && (args[0].IsSymbol("old") && args[1].IsSymbol("new") ||
+		args[0].IsSymbol("new") && args[1].IsSymbol("old"))
+	if oldNew && f.Out == p.g.I64 {
+		switch e.Head() {
+		case "min":
+			f.Merge, f.MergeName = egraph.MergeMinI64, "min"
+			return nil
+		case "max":
+			f.Merge, f.MergeName = egraph.MergeMaxI64, "max"
+			return nil
+		}
+	}
+	return fmt.Errorf("egglog: %sfunction %s (output %s): unsupported :merge %s; want (min old new) or (max old new) on an i64 output",
+		srcPos(e), f.Name, f.Out.Name, e)
 }
 
 // declareRelation handles (relation Name (ParamSorts...)).
@@ -451,9 +464,6 @@ func (p *Program) RunRules(cfg egraph.RunConfig) egraph.RunReport {
 	}
 	if cfg.Recorder == nil {
 		cfg.Recorder = p.RunDefaults.Recorder
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = p.RunDefaults.SnapshotEvery
 	}
 	if cfg.ProfileSample == 0 {
 		cfg.ProfileSample = p.RunDefaults.ProfileSample

@@ -80,11 +80,11 @@ func (p *Program) RunSchedule(items []*sexp.Node, cfg egraph.RunConfig) (egraph.
 	return total, nil
 }
 
-// schedPos renders a schedule node's source position for error messages
-// ("3:14: " when the node came from the parser, empty otherwise), so a
-// failing sub-schedule is locatable inside a long (run-schedule ...)
-// body instead of only by its rendered text.
-func schedPos(n *sexp.Node) string {
+// srcPos renders a node's source position for error messages ("3:14: "
+// when the node came from the parser, empty otherwise), so a failing
+// sub-schedule or :merge is locatable inside a long program instead of
+// only by its rendered text.
+func srcPos(n *sexp.Node) string {
 	if n.Line > 0 {
 		return fmt.Sprintf("%d:%d: ", n.Line, n.Col)
 	}
@@ -96,7 +96,7 @@ func schedPos(n *sexp.Node) string {
 // the combined message carries it exactly once.
 func schedItemErr(item *sexp.Node, err error) error {
 	return fmt.Errorf("egglog: %sschedule item %s: %s",
-		schedPos(item), item, strings.TrimPrefix(err.Error(), "egglog: "))
+		srcPos(item), item, strings.TrimPrefix(err.Error(), "egglog: "))
 }
 
 func (p *Program) runScheduleItem(item *sexp.Node, cfg egraph.RunConfig) (egraph.RunReport, error) {
@@ -110,7 +110,7 @@ func (p *Program) runScheduleItem(item *sexp.Node, cfg egraph.RunConfig) (egraph
 		return p.g.Run(rules, one), nil
 	}
 	if item.Kind != sexp.KindList {
-		return egraph.RunReport{}, fmt.Errorf("egglog: %sinvalid schedule item %s (want a ruleset symbol or a (run|saturate|seq|repeat ...) list)", schedPos(item), item)
+		return egraph.RunReport{}, fmt.Errorf("egglog: %sinvalid schedule item %s (want a ruleset symbol or a (run|saturate|seq|repeat ...) list)", srcPos(item), item)
 	}
 	switch item.Head() {
 	case "run":
@@ -123,7 +123,7 @@ func (p *Program) runScheduleItem(item *sexp.Node, cfg egraph.RunConfig) (egraph
 			case sexp.KindInt:
 				iters = int(a.Int)
 			default:
-				return egraph.RunReport{}, fmt.Errorf("egglog: %sinvalid (run ...) argument %s in %s", schedPos(a), a, item)
+				return egraph.RunReport{}, fmt.Errorf("egglog: %sinvalid (run ...) argument %s in %s", srcPos(a), a, item)
 			}
 		}
 		rules, err := p.rulesFor(name)
@@ -191,7 +191,7 @@ func (p *Program) runScheduleItem(item *sexp.Node, cfg egraph.RunConfig) (egraph
 
 	case "repeat":
 		if len(item.Args()) < 1 || item.Args()[0].Kind != sexp.KindInt {
-			return egraph.RunReport{}, fmt.Errorf("egglog: %srepeat expects a count: %s", schedPos(item), item)
+			return egraph.RunReport{}, fmt.Errorf("egglog: %srepeat expects a count: %s", srcPos(item), item)
 		}
 		var total egraph.RunReport
 		for i := int64(0); i < item.Args()[0].Int; i++ {
@@ -210,6 +210,6 @@ func (p *Program) runScheduleItem(item *sexp.Node, cfg egraph.RunConfig) (egraph
 		return total, nil
 
 	default:
-		return egraph.RunReport{}, fmt.Errorf("egglog: %sunknown schedule form %q in %s", schedPos(item), item.Head(), item)
+		return egraph.RunReport{}, fmt.Errorf("egglog: %sunknown schedule form %q in %s", srcPos(item), item.Head(), item)
 	}
 }

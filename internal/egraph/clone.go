@@ -56,7 +56,7 @@ func (g *EGraph) Clone() *EGraph {
 		c.history = append(slices.Clip(g.history), g.histBuf.Bytes()...)
 	}
 	c.journal, c.histBuf = nil, nil
-	c.inRebuild, c.reqID, c.snapRoots = false, "", nil
+	c.inRebuild, c.snapRoots = false, nil
 	return &c
 }
 

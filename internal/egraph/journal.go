@@ -57,7 +57,6 @@ func (g *EGraph) jEmit(e journal.Event) {
 	}
 	e.Iter = int(g.iterCur)
 	e.Rebuild = g.inRebuild
-	e.Req = g.reqID
 	if e.Rule == "" {
 		e.Rule = g.ruleName(g.ruleCur)
 	}

@@ -1,81 +1,104 @@
 package egraph
 
-// Tests for the live-gauge feed (RunConfig.Live) and request-ID
-// correlation (RunConfig.RequestID): the telemetry substrate the serving
-// layer's Prometheus gauges and engine health watchdog consume.
+// Tests for the per-iteration record feed (RunConfig.Observer): the
+// telemetry substrate the serving layer's Prometheus gauges and engine
+// health watchdog consume.
 
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"reflect"
 	"testing"
 
-	"dialegg/internal/obs"
-	"dialegg/internal/obs/journal"
+	"dialegg/internal/sched"
 )
 
-// captureSink records every LiveIter delivery.
-type captureSink struct {
-	iters []LiveIterStats
-	rules [][]LiveRuleStats
+// captureObserver records every ObserveIter delivery.
+type captureObserver struct {
+	iters []int
+	stats []IterStats
+	rules [][]sched.RuleIterStats
 }
 
-func (c *captureSink) LiveIter(st LiveIterStats, rules []LiveRuleStats) {
-	c.iters = append(c.iters, st)
-	// The runner reuses the rules buffer; copy per the interface contract.
-	c.rules = append(c.rules, append([]LiveRuleStats(nil), rules...))
+func (c *captureObserver) ObserveIter(iter int, st *IterStats, rules []sched.RuleIterStats) {
+	c.iters = append(c.iters, iter)
+	// The runner reuses both buffers; copy per the interface contract.
+	c.stats = append(c.stats, *st)
+	c.rules = append(c.rules, append([]sched.RuleIterStats(nil), rules...))
 }
 
-// TestLiveSinkMatchesReport: the live feed delivers one payload per
-// iteration, in order, and its gauges agree with the final RunReport —
-// the live view is the report, earlier.
-func TestLiveSinkMatchesReport(t *testing.T) {
-	l := newExprLangQuiet()
-	g := l.g
-	prev, _ := g.Insert(l.Num, I64Value(g.I64, 0))
-	for i := 1; i < 40; i++ {
-		leaf, _ := g.Insert(l.Num, I64Value(g.I64, int64(i)))
-		prev, _ = g.Insert(l.Add, prev, leaf)
+// TestObserverMatchesReport: the observer sees exactly the record the
+// report keeps. With per-rule metrics and a throttling scheduler on, each
+// payload equals its PerIter entry, and the per-rule outcomes summed over
+// iterations equal RunReport.Rules — one record, every consumer.
+func TestObserverMatchesReport(t *testing.T) {
+	l, rules := blowupGraph(40)
+	obs := &captureObserver{}
+	rep := l.g.Run(rules, RunConfig{
+		IterLimit:   8,
+		Workers:     2,
+		RuleMetrics: true,
+		Scheduler:   sched.Backoff{Threshold: 4, Factor: 2, BanLength: 2},
+		Observer:    obs,
+	})
+	if rep.Err != nil {
+		t.Fatal(rep.Err)
 	}
-	sink := &captureSink{}
-	rep := g.Run([]*Rule{commRule(l.Add)}, RunConfig{IterLimit: 4, NodeLimit: 50_000, Workers: 2, Live: sink})
-
-	if len(sink.iters) != rep.Iterations {
-		t.Fatalf("live feed delivered %d payloads for %d iterations", len(sink.iters), rep.Iterations)
+	if len(obs.stats) != rep.Iterations || len(rep.PerIter) != rep.Iterations {
+		t.Fatalf("observer got %d payloads, report has %d records for %d iterations",
+			len(obs.stats), len(rep.PerIter), rep.Iterations)
 	}
-	for i, st := range sink.iters {
-		if st.Iter != i+1 {
-			t.Errorf("payload %d: Iter = %d, want %d", i, st.Iter, i+1)
+	for i, st := range obs.stats {
+		if obs.iters[i] != i+1 {
+			t.Errorf("payload %d: iter = %d, want %d", i, obs.iters[i], i+1)
 		}
-		it := rep.PerIter[i]
-		if st.Nodes != it.Nodes || st.Matches != it.Matches || st.DeltaRows != it.DeltaRows {
-			t.Errorf("payload %d: nodes/matches/delta = %d/%d/%d, report says %d/%d/%d",
-				i, st.Nodes, st.Matches, st.DeltaRows, it.Nodes, it.Matches, it.DeltaRows)
+		if !reflect.DeepEqual(st, rep.PerIter[i]) {
+			t.Errorf("payload %d differs from its PerIter entry:\n got  %+v\n want %+v", i, st, rep.PerIter[i])
 		}
 		if st.Classes <= 0 || st.LiveRows <= 0 {
 			t.Errorf("payload %d: classes %d / live rows %d not populated", i, st.Classes, st.LiveRows)
 		}
 	}
-	// Final payload sizes the finished graph.
-	last := sink.iters[len(sink.iters)-1]
-	if last.Nodes != rep.Nodes {
-		t.Errorf("last live nodes = %d, report nodes = %d", last.Nodes, rep.Nodes)
+	sums := make([]RuleStats, len(rules))
+	for i, payload := range obs.rules {
+		if len(payload) != len(rules) {
+			t.Fatalf("payload %d carries %d rules, want %d", i, len(payload), len(rules))
+		}
+		for j, o := range payload {
+			if o.Rule != rules[j].Name {
+				t.Fatalf("payload %d rule %d = %q, want %q", i, j, o.Rule, rules[j].Name)
+			}
+			sums[j].Matched += o.Matched
+			sums[j].Applied += o.Applied
+			if o.Skipped {
+				sums[j].Throttled++
+			}
+			if o.Limited {
+				sums[j].MatchLimited++
+			}
+		}
 	}
-	// Per-rule deltas: every payload names the comm rule with matched >=
-	// applied > 0 until saturation.
-	for i, rules := range sink.rules[:len(sink.rules)-1] {
-		if len(rules) != 1 || rules[0].Name != "comm-Add" {
-			t.Fatalf("payload %d rules = %+v", i, rules)
+	var throttled, limited int64
+	for j, want := range rep.Rules {
+		got := sums[j]
+		if got.Matched != want.Matched || got.Applied != want.Applied ||
+			got.Throttled != want.Throttled+want.Banned || got.MatchLimited != want.MatchLimited {
+			t.Errorf("rule %s: observer sums matched/applied/skipped/limited = %d/%d/%d/%d, report %d/%d/%d/%d",
+				want.Name, got.Matched, got.Applied, got.Throttled, got.MatchLimited,
+				want.Matched, want.Applied, want.Throttled+want.Banned, want.MatchLimited)
 		}
-		if rules[0].Applied <= 0 || rules[0].Matched < rules[0].Applied {
-			t.Errorf("payload %d: matched/applied = %d/%d", i, rules[0].Matched, rules[0].Applied)
-		}
+		throttled += want.Throttled
+		limited += want.MatchLimited
+	}
+	// The agreement must cover the scheduler's columns, not just zeros.
+	if throttled == 0 || limited == 0 {
+		t.Fatalf("workload never throttled (%d) or limited (%d) a rule", throttled, limited)
 	}
 }
 
-// TestLiveSinkDoesNotChangeResult: a run with a live sink attached is
-// bit-identical to one without — the telemetry feed only observes.
-func TestLiveSinkDoesNotChangeResult(t *testing.T) {
+// TestObserverDoesNotChangeResult: a run with an observer attached is
+// bit-identical to one without — the feed only observes.
+func TestObserverDoesNotChangeResult(t *testing.T) {
 	build := func() (*exprLang, []*Rule) {
 		l := newExprLangQuiet()
 		g := l.g
@@ -89,7 +112,7 @@ func TestLiveSinkDoesNotChangeResult(t *testing.T) {
 	l1, rules1 := build()
 	plain := l1.g.Run(rules1, RunConfig{IterLimit: 3, NodeLimit: 50_000, Workers: 2})
 	l2, rules2 := build()
-	observed := l2.g.Run(rules2, RunConfig{IterLimit: 3, NodeLimit: 50_000, Workers: 2, Live: &captureSink{}, RequestID: "req-x"})
+	observed := l2.g.Run(rules2, RunConfig{IterLimit: 3, NodeLimit: 50_000, Workers: 2, Observer: &captureObserver{}})
 
 	if plain.Iterations != observed.Iterations || plain.Nodes != observed.Nodes ||
 		plain.Classes != observed.Classes || plain.Stop != observed.Stop {
@@ -98,90 +121,6 @@ func TestLiveSinkDoesNotChangeResult(t *testing.T) {
 	b1, _ := json.Marshal(l1.g.Snapshot(0))
 	b2, _ := json.Marshal(l2.g.Snapshot(0))
 	if !bytes.Equal(b1, b2) {
-		t.Fatal("live-observed run produced a different e-graph snapshot")
-	}
-}
-
-// TestRequestIDCorrelation: a run with RequestID stamps the ID on every
-// journal event it emits and labels the trace recorder with it.
-func TestRequestIDCorrelation(t *testing.T) {
-	const reqID = "req-0123456789abcdef"
-	l := newExprLangQuiet()
-	g := l.g
-	var buf bytes.Buffer
-	jw := journal.NewWriter(&buf)
-	g.SetJournal(jw, "live-test")
-	a, _ := g.Insert(l.Num, I64Value(g.I64, 1))
-	b, _ := g.Insert(l.Num, I64Value(g.I64, 2))
-	g.Insert(l.Add, a, b)
-
-	rec := obs.NewRecorder()
-	rep := g.Run([]*Rule{commRule(l.Add)}, RunConfig{IterLimit: 3, Workers: 1, RequestID: reqID, Recorder: rec})
-	if !rep.Saturated() {
-		t.Fatalf("stop = %s", rep.Stop)
-	}
-	g.SetJournal(nil, "")
-	if err := jw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	events, err := journal.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inRun bool
-	var runEvents, stamped int
-	for _, ev := range events {
-		switch ev.Kind {
-		case journal.KRun:
-			inRun = true
-		}
-		if inRun {
-			runEvents++
-			if ev.Req == reqID {
-				stamped++
-			} else {
-				t.Errorf("event %s (iter %d) req = %q, want %q", ev.Kind, ev.Iter, ev.Req, reqID)
-			}
-		} else if ev.Req != "" {
-			t.Errorf("pre-run event %s carries req %q", ev.Kind, ev.Req)
-		}
-		if ev.Kind == journal.KRunEnd {
-			inRun = false
-		}
-	}
-	if runEvents == 0 || stamped != runEvents {
-		t.Fatalf("stamped %d of %d run events", stamped, runEvents)
-	}
-
-	if got := rec.Labels()["request_id"]; got != reqID {
-		t.Errorf("recorder label = %q, want %q", got, reqID)
-	}
-	// The label survives into the Chrome trace, and the trace stays valid.
-	var trace bytes.Buffer
-	if err := rec.WriteTrace(&trace); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ValidateTrace(trace.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(trace.String(), reqID) {
-		t.Error("trace does not carry the request ID")
-	}
-
-	// A journaled run with no RequestID stamps nothing.
-	var buf2 bytes.Buffer
-	jw2 := journal.NewWriter(&buf2)
-	l2 := newExprLangQuiet()
-	l2.g.SetJournal(jw2, "no-req")
-	x, _ := l2.g.Insert(l2.Num, I64Value(l2.g.I64, 1))
-	y, _ := l2.g.Insert(l2.Num, I64Value(l2.g.I64, 2))
-	l2.g.Insert(l2.Add, x, y)
-	l2.g.Run([]*Rule{commRule(l2.Add)}, RunConfig{IterLimit: 2, Workers: 1})
-	if err := jw2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf2.String(), `"req"`) {
-		t.Error("request-less run stamped req on journal events")
+		t.Fatal("observed run produced a different e-graph snapshot")
 	}
 }

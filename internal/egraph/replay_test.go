@@ -25,7 +25,9 @@ func journaledRun(t *testing.T, workers int, naive, journaled bool) (*EGraph, Ru
 	g := l.g
 	var buf bytes.Buffer
 	if journaled {
-		g.SetJournal(journal.NewWriter(&buf), "replay-test")
+		jw := journal.NewWriter(&buf)
+		jw.SnapshotEvery = 1
+		g.SetJournal(jw, "replay-test")
 	}
 	a, _ := g.Insert(l.Var, g.InternString("a"))
 	prev := a
@@ -38,7 +40,7 @@ func journaledRun(t *testing.T, workers int, naive, journaled bool) (*EGraph, Ru
 		prev = add
 	}
 	rep := g.Run([]*Rule{commRule(l.Add), commRule(l.Mul)},
-		RunConfig{IterLimit: 3, Workers: workers, Naive: naive, SnapshotEvery: 1})
+		RunConfig{IterLimit: 3, Workers: workers, Naive: naive})
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}
@@ -153,11 +155,13 @@ func TestReplayWithExplanations(t *testing.T) {
 	g := l.g
 	g.EnableExplanations()
 	var buf bytes.Buffer
-	g.SetJournal(journal.NewWriter(&buf), "explained")
+	jw := journal.NewWriter(&buf)
+	jw.SnapshotEvery = 1
+	g.SetJournal(jw, "explained")
 	a, _ := g.Insert(l.Var, g.InternString("a"))
 	b, _ := g.Insert(l.Num, I64Value(g.I64, 1))
 	orig, _ := g.Insert(l.Add, a, b)
-	rep := g.Run([]*Rule{commRule(l.Add)}, RunConfig{IterLimit: 3, Workers: 1, SnapshotEvery: 1})
+	rep := g.Run([]*Rule{commRule(l.Add)}, RunConfig{IterLimit: 3, Workers: 1})
 	if rep.Err != nil {
 		t.Fatal(rep.Err)
 	}

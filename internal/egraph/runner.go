@@ -46,11 +46,6 @@ type RunConfig struct {
 	// improves load balance; the merged match order is unchanged by
 	// either knob.
 	MatchShards int
-	// RecordTaskTimes populates IterStats.TaskTimes and TaskRows with
-	// each match task's duration and row count, making the match phase's
-	// parallelism observable (per-shard work and its balance across
-	// workers).
-	RecordTaskTimes bool
 	// RuleMetrics enables per-rule accounting (RunReport.Rules) and the
 	// expensive per-iteration gauges (Classes, LiveRows/DeadRows, Finds).
 	// Off — the default — none of these are computed, keeping the
@@ -58,30 +53,19 @@ type RunConfig struct {
 	RuleMetrics bool
 	// Recorder, when non-nil, receives structured trace spans: one per
 	// iteration and per phase on the engine lane, and one per match task
-	// on its worker's lane. The spans render as Chrome trace-event JSON
-	// via the recorder's WriteTrace. A nil Recorder records nothing and
-	// costs nothing.
+	// on its worker's lane (args: the task's rows, matches and
+	// sub-query). The spans render as Chrome trace-event JSON via the
+	// recorder's WriteTrace. A nil Recorder records nothing and costs
+	// nothing.
 	Recorder *obs.Recorder
-	// RequestID is the correlation key of the serving-layer request this
-	// run executes for. It changes no engine behavior; it is stamped on
-	// every journal event the run emits and attached as a trace-level
-	// label on the Recorder, so one request's journal, trace, and log
-	// lines all join on the same ID. Empty means no request context.
-	RequestID string
-	// Live, when non-nil, receives per-iteration engine gauges (graph
-	// growth, row census, per-rule match/apply counts) while the run is
-	// in progress — the feed the serving layer exports as live Prometheus
-	// gauges and the engine health watchdog watches for saturation
-	// explosions. Unlike RuleMetrics it does not enable the union-find
-	// Find counter or per-match no-op accounting, so its per-iteration
-	// cost is one class count plus one row census. A nil Live costs one
-	// pointer check per iteration and changes nothing.
-	Live LiveSink
-	// SnapshotEvery, when > 0 and the graph has a journal attached, embeds
-	// a full state snapshot (EGraph.Snapshot) into the journal after every
-	// N-th iteration's rebuild. Snapshots are what `egg-debug replay
-	// -verify` byte-compares against and what the snapshot differ consumes.
-	SnapshotEvery int
+	// Observer, when non-nil, receives each iteration's record while the
+	// run is in progress — the feed the serving layer exports as live
+	// Prometheus gauges and the engine health watchdog watches for
+	// saturation explosions. It turns on the IterStats census (Classes,
+	// LiveRows/DeadRows) but, unlike RuleMetrics, not the union-find Find
+	// counter or per-match accounting. A nil Observer costs one pointer
+	// check per iteration and changes nothing.
+	Observer Observer
 	// ProfileSample, when > 0, enables sampled premise-selectivity
 	// collection (RunReport.Selectivity): every N-th top-level row of each
 	// rule's match scan opens a traced sub-tree in which per-premise
@@ -214,7 +198,7 @@ type IterStats struct {
 	Nodes int `json:"nodes"`
 	// Classes is the e-class count after the rebuild. Computing it walks
 	// every constructor row, so it is only populated (non-zero) when
-	// RunConfig.RuleMetrics is set.
+	// RunConfig.RuleMetrics or RunConfig.Observer is set.
 	Classes int `json:"classes,omitempty"`
 	// Unions counts effective unions performed by applies and rebuild;
 	// RebuildUnions is the rebuild-only share (congruence repairs).
@@ -227,13 +211,9 @@ type IterStats struct {
 	// RebuildPasses is how many passes Rebuild needed to restore
 	// congruence (repair rounds).
 	RebuildPasses int `json:"rebuild_passes"`
-	// TaskTimes and TaskRows hold each match task's duration and row
-	// visits in task-plan order (rule-major, shard-minor) when
-	// RunConfig.RecordTaskTimes is set. sum(TaskRows) == RowsScanned.
-	TaskTimes []time.Duration `json:"task_times_ns,omitempty"`
-	TaskRows  []int64         `json:"task_rows,omitempty"`
 	// RowsScanned counts the iteration's match-phase row visits (scan
-	// loop iterations plus direct lookups) summed over all tasks.
+	// loop iterations plus direct lookups) summed over all tasks — the
+	// sum of the rows args of the iteration's worker-lane match spans.
 	RowsScanned int64 `json:"rows_scanned"`
 	// DeltaRows is the size of the iteration's delta frontier: the live
 	// rows inserted or re-canonicalized during the previous iteration,
@@ -245,7 +225,7 @@ type IterStats struct {
 	SemiNaive bool `json:"semi_naive"`
 	// LiveRows and DeadRows census the database tables after the
 	// iteration's rebuild (dead rows await compaction). Populated only
-	// when RunConfig.RuleMetrics is set.
+	// when RunConfig.RuleMetrics or RunConfig.Observer is set.
 	LiveRows int `json:"live_rows,omitempty"`
 	DeadRows int `json:"dead_rows,omitempty"`
 	// Finds counts union-find Find calls during the iteration (match
@@ -279,47 +259,16 @@ type SchedDecision struct {
 // Saturated reports whether the run reached a fixed point.
 func (r RunReport) Saturated() bool { return r.Stop == StopSaturated }
 
-// LiveIterStats is one iteration's live gauge payload, delivered to
-// RunConfig.Live right after the iteration's rebuild — while the run is
-// still going, which is what makes saturation explosions observable
-// before the final RunReport exists.
-type LiveIterStats struct {
-	// Iter is the 1-based iteration number within this run.
-	Iter int
-	// Nodes and Classes size the e-graph after the iteration's rebuild.
-	Nodes   int
-	Classes int
-	// LiveRows and DeadRows census the database tables; DeltaRows is the
-	// iteration's semi-naive frontier size.
-	LiveRows  int
-	DeadRows  int
-	DeltaRows int
-	// Matches is the number of matches applied this iteration.
-	Matches int
-}
-
-// LiveRuleStats is one rule's match activity in one iteration (deltas,
-// not run totals — sinks that export monotonic counters just add them).
-type LiveRuleStats struct {
-	Name string
-	// Matched is the rule's pre-truncation match count this iteration;
-	// Applied the post-truncation count actually applied.
-	Matched int64
-	Applied int64
-	// Throttled reports that the scheduler skipped the rule this
-	// iteration; Limited that a scheduler cap truncated its matches. Both
-	// false without a scheduler.
-	Throttled bool
-	Limited   bool
-}
-
-// LiveSink receives live per-iteration gauges during a saturation run.
-// LiveIter is called from the runner's serial section after each
-// iteration's rebuild; rules is valid only for the duration of the call
-// (the runner reuses the buffer). Implementations must not call back
+// Observer receives a saturation run's iteration records as they are
+// made. ObserveIter is called from the runner's serial section after each
+// completed iteration with its 1-based number within the run, the record
+// the run appends to RunReport.PerIter, and every rule's outcome in
+// declaration order (deltas, not run totals — the same slice the
+// scheduler's RecordIter receives). Both are valid only for the duration
+// of the call: the runner reuses them. Implementations must not call back
 // into the e-graph.
-type LiveSink interface {
-	LiveIter(st LiveIterStats, rules []LiveRuleStats)
+type Observer interface {
+	ObserveIter(iter int, st *IterStats, rules []sched.RuleIterStats)
 }
 
 // ruleMatches holds one rule's merged match buffer for the apply phase.
@@ -489,9 +438,9 @@ func keyLess(a, b []int32) bool {
 // graph: pool interning, union-find path halving, and lazy index builds
 // are internally synchronized.
 //
-// The returned tasks carry per-task timings, row counts, and worker ids
-// when any consumer wants them (RecordTaskTimes, RuleMetrics, or an
-// enabled Recorder); the runner aggregates them serially after the phase.
+// The returned tasks carry per-task row counts, plus timings and worker
+// ids when a consumer wants them (RuleMetrics or an enabled Recorder);
+// the runner aggregates them serially after the phase.
 // Scheduler decisions and full-scan debt (both nil for unscheduled runs)
 // shape the plan — skipped rules get no tasks, indebted rules full-scan —
 // and scheduler caps truncate the merged per-rule lists. Caps are applied
@@ -505,7 +454,7 @@ func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minSta
 	} else {
 		tasks = g.planMatchTasks(rules, cfg.MatchShards, decisions)
 	}
-	timeTasks := cfg.RecordTaskTimes || cfg.RuleMetrics || cfg.Recorder.Enabled()
+	timeTasks := cfg.RuleMetrics || cfg.Recorder.Enabled()
 
 	runTask := func(worker, i int) {
 		t := &tasks[i]
@@ -625,7 +574,7 @@ func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minSta
 }
 
 // rowCensus counts live and dead (tombstoned, awaiting compaction) rows
-// across all tables. O(#functions); used by the RuleMetrics gauges.
+// across all tables. O(#functions); used by the IterStats census.
 func (g *EGraph) rowCensus() (live, dead int) {
 	for _, t := range g.tables {
 		live += t.live
@@ -651,438 +600,465 @@ func (g *EGraph) rowCensus() (live, dead int) {
 // frontier, so the full match re-establishes the baseline the deltas are
 // relative to.
 //
-// Observability is additive and, when off, free: cfg.RuleMetrics turns on
-// per-rule accounting (RunReport.Rules) plus the expensive per-iteration
-// gauges, and cfg.Recorder collects trace spans. Neither changes which
-// matches are found or applied.
+// Observability is additive and, when off, free. Each completed
+// iteration's record — its IterStats and one per-rule outcome slice — is
+// built once and feeds every consumer: RunReport.PerIter and (with
+// cfg.RuleMetrics) RunReport.Rules, the scheduler, cfg.Observer, the
+// engine-lane spans of cfg.Recorder, and the journal's due snapshot.
+// None of them changes which matches are found or applied.
 func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
-	cfg = cfg.withDefaults()
-	start := time.Now()
-	report := RunReport{Stop: StopIterLimit, Workers: cfg.Workers}
-	rec := cfg.Recorder
-	if cfg.RequestID != "" {
-		// Correlate this run's artifacts: journal events are stamped with
-		// the request ID for the run's duration, and the trace carries it
-		// as a process-level label.
-		if g.journal != nil {
-			g.reqID = cfg.RequestID
-			defer func() { g.reqID = "" }()
-		}
-		rec.SetLabel("request_id", cfg.RequestID)
-	}
-	if g.journal != nil {
-		g.jEmit(journal.Event{Kind: journal.KRun, Workers: cfg.Workers})
-	}
-	var liveRules []LiveRuleStats
-
-	var selAgg []RuleSelectivity
-	if cfg.ProfileSample > 0 {
-		selAgg = make([]RuleSelectivity, len(rules))
-		for i, r := range rules {
-			selAgg[i] = newRuleSelectivity(r, cfg.ProfileSample)
-		}
-	}
-	// Scheduler state: one fresh Instance per run (strategies are
-	// reusable; instances are not), the per-iteration decision vector, the
-	// cumulative per-rule stats decisions key on, the RecordIter buffer,
-	// and the full-scan debt ledger. All of it lives in the serial
-	// section; the match workers only ever see the finished decisions.
-	var schedInst sched.Instance
-	var decisions []sched.Decision
-	var schedTotals []sched.RuleStats
-	var schedIter []sched.RuleIterStats
-	var needFull []bool
-	if cfg.Scheduler != nil {
-		schedInst = cfg.Scheduler.New()
-		decisions = make([]sched.Decision, len(rules))
-		schedTotals = make([]sched.RuleStats, len(rules))
-		schedIter = make([]sched.RuleIterStats, len(rules))
-		needFull = make([]bool, len(rules))
-	}
-	var rstats []RuleStats
-	if cfg.RuleMetrics {
-		rstats = make([]RuleStats, len(rules))
-		for i, r := range rules {
-			rstats[i].Name = r.Name
-		}
-		// The Find counter is toggled here, in the serial prologue, so the
-		// match phase's concurrent Finds all observe counting == true (the
-		// worker goroutine spawns give the happens-before edge).
-		g.uf.SetCounting(true)
-		defer g.uf.SetCounting(false)
-	}
-	if rec.Enabled() {
-		rec.SetLaneName(obs.LaneEngine, "engine")
-		for w := 0; w < cfg.Workers; w++ {
-			rec.SetLaneName(obs.LaneWorker+w, fmt.Sprintf("match worker %d", w))
-		}
-		defer func() {
-			rec.Complete(obs.LaneEngine, "phase", "run", start, report.Elapsed, map[string]int64{
-				"iterations": int64(report.Iterations),
-				"nodes":      int64(report.Nodes),
-				"rows":       report.RowsScanned,
-			})
-		}()
-	}
-
-	for iter := 0; iter < cfg.IterLimit; iter++ {
-		if cfg.Ctx.Err() != nil {
-			report.Stop = StopCanceled
+	r := g.newRun(rules, cfg)
+	for ; r.iter < r.cfg.IterLimit; r.iter++ {
+		if stop := r.plan(); stop != "" {
+			r.report.Stop = stop
 			break
 		}
-		if time.Since(start) > cfg.TimeLimit {
-			report.Stop = StopTimeLimit
-			break
-		}
-		iterStart := time.Now()
-		// The graph-lifetime iteration counter stamps row provenance and
-		// union justifications; the journal's iter event marks the boundary
-		// replay stops at for --to-iter.
-		g.iterCur++
-		if g.journal != nil {
-			g.jEmit(journal.Event{Kind: journal.KIter})
-		}
-		// Matching relies on canonical rows (for safe concurrent reads and
-		// the per-argument indexes); restore congruence if a caller left
-		// the graph dirty. This is also what makes the match-phase reads a
-		// consistent snapshot: no union or insert happens between here and
-		// the end of the match phase.
-		if !g.Clean() {
-			g.Rebuild()
-		}
-		// Close the epoch: rows touched since the previous iteration's
-		// match phase become the delta frontier this iteration scans.
-		deltaRows, minStamp := g.advanceFrontier()
-		useDelta := !cfg.Naive && iter > 0
-		unionsBefore := g.unionCount
-		rowsBefore := g.TotalRows()
-		findsBefore := g.uf.Finds()
-		var it IterStats
-		it.DeltaRows = deltaRows
-		it.SemiNaive = useDelta
-		// Scheduler decisions for the iteration, computed serially from
-		// merged stats before any worker starts — never from wall time or
-		// goroutine order, which is the determinism contract.
-		if schedInst != nil {
-			for i, r := range rules {
-				decisions[i] = schedInst.RuleBudget(r.Name, iter+1, schedTotals[i])
-			}
-		}
-
-		// Phase 1: match all rules against the frozen view on the pool.
-		startMatch := time.Now()
-		pending, tasks, scanned, err := g.collectMatches(rules, cfg, useDelta, minStamp, decisions, needFull)
-		it.MatchTime = time.Since(startMatch)
-		it.RowsScanned = scanned
-		report.RowsScanned += scanned
-		report.MatchTime += it.MatchTime
-		if cfg.RecordTaskTimes {
-			it.TaskTimes = make([]time.Duration, len(tasks))
-			it.TaskRows = make([]int64, len(tasks))
-			for i := range tasks {
-				it.TaskTimes[i] = tasks[i].took
-				it.TaskRows[i] = tasks[i].scanned
-			}
-		}
-		if cfg.ProfileSample > 0 {
-			// Fold task sinks serially, in plan order. Summation is
-			// commutative, so the aggregate depends only on which rows were
-			// sampled — a function of global row indices, not of sharding.
-			for i := range tasks {
-				t := &tasks[i]
-				if t.sel == nil {
-					continue
-				}
-				agg := &selAgg[t.ruleIdx]
-				agg.SampledRoots += t.sel.roots
-				for j := range t.sel.prem {
-					agg.Premises[j].add(t.sel.prem[j])
-				}
-			}
-		}
-		if cfg.RuleMetrics {
-			for i := range tasks {
-				t := &tasks[i]
-				rs := &rstats[t.ruleIdx]
-				rs.RowsScanned += t.scanned
-				rs.MatchTime += t.took
-				// Count each (rule, sub-query) plan once, on its first
-				// shard: sub >= 0 is a delta-restricted sub-query, sub < 0
-				// a full scan (naive iterations and hybrid fallbacks).
-				if t.lo == 0 {
-					if t.sub >= 0 {
-						rs.DeltaQueries++
-					} else {
-						rs.FullScans++
-					}
-				}
-			}
-			for i := range pending {
-				rstats[i].Matched += pending[i].found
-			}
-		}
-		if rec.Enabled() {
-			for i := range tasks {
-				t := &tasks[i]
-				rec.Complete(obs.LaneWorker+t.worker, "match", rules[t.ruleIdx].Name, t.began, t.took, map[string]int64{
-					"rows":    t.scanned,
-					"matches": int64(len(t.buf)),
-					"sub":     int64(t.sub),
-				})
-			}
-			rec.Complete(obs.LaneEngine, "phase", "match", startMatch, it.MatchTime, map[string]int64{
-				"rows":  scanned,
-				"tasks": int64(len(tasks)),
-			})
-		}
-		if err != nil {
-			report.Stop = StopRuleError
-			report.Err = err
-			report.PerIter = append(report.PerIter, it)
-			report.Rules = rstats
-			report.Selectivity = selAgg
-			report.finish(g, start)
-			return report
+		if err := r.match(); err != nil {
+			return r.abort(StopRuleError, err)
 		}
 		// A cancellation during the match phase may have skipped tasks, so
 		// the merged buffers can be incomplete; applying them would make
 		// the result depend on cancellation timing. Discard the phase and
 		// stop — the graph is still clean (matching only reads).
-		if cfg.Ctx.Err() != nil {
-			report.Stop = StopCanceled
-			report.PerIter = append(report.PerIter, it)
-			break
+		if r.cfg.Ctx.Err() != nil {
+			return r.abort(StopCanceled, nil)
 		}
-		truncated := false
-		for _, rm := range pending {
-			truncated = truncated || rm.truncated
+		if err := r.apply(); err != nil {
+			return r.abort(StopRuleError, err)
 		}
-
-		// Phase 2: apply serially, in merged (deterministic) order, so
-		// unions, inserts, and proof recording need no locking. The apply
-		// runs under the frozen iteration-start canonicalization
-		// (beginFrozenApply), so each match's effect depends only on the
-		// snapshot it was collected against — re-applying an old match is
-		// then a guaranteed no-op, which is what lets semi-naive mode skip
-		// old matches without changing a single bit of the result.
-		startApply := time.Now()
-		applied := 0
-		g.beginFrozenApply()
-		for ri := range pending {
-			rm := &pending[ri]
-			if len(rm.matches) > 0 {
-				// Provenance context: rows and unions made while applying
-				// this batch are stamped with the rule (endFrozenApply
-				// clears it on every exit from the phase).
-				g.ruleCur = g.ruleID(rm.rule.Name)
-				if g.journal != nil {
-					g.jEmit(journal.Event{Kind: journal.KFire, Name: rm.rule.Name, Matches: len(rm.matches)})
-				}
-			}
-			var ruleStart time.Time
-			var ruleRowsBefore int
-			var ruleUnionsBefore uint64
-			if cfg.RuleMetrics && len(rm.matches) > 0 {
-				ruleStart = time.Now()
-				ruleRowsBefore = g.TotalRows()
-				ruleUnionsBefore = g.unionCount
-			}
-			for _, binds := range rm.matches {
-				// A match whose actions moved neither the union counter nor
-				// the effect counter (new rows, merge changes, cost installs)
-				// changed nothing — the per-rule no-op count is what makes
-				// naive mode's redundant re-matching visible in --stats.
-				var before uint64
-				if cfg.RuleMetrics {
-					before = g.unionCount + g.effects
-				}
-				if err := g.ApplyActions(rm.rule, binds); err != nil {
-					g.endFrozenApply()
-					report.Stop = StopRuleError
-					report.Err = fmt.Errorf("applying rule %s: %w", rm.rule.Name, err)
-					report.PerIter = append(report.PerIter, it)
-					report.Rules = rstats
-					report.Selectivity = selAgg
-					report.finish(g, start)
-					return report
-				}
-				applied++
-				if cfg.RuleMetrics {
-					rstats[ri].Applied++
-					if g.unionCount+g.effects == before {
-						rstats[ri].Noops++
-					}
-				}
-			}
-			if cfg.RuleMetrics && len(rm.matches) > 0 {
-				rstats[ri].ApplyTime += time.Since(ruleStart)
-				// Growth attribution: rows and unions the batch produced,
-				// measured over the serial apply of this rule's matches —
-				// the live-run counterpart of the journal's per-row
-				// provenance. Rebuild's congruence unions are deliberately
-				// excluded; they belong to no single rule.
-				rstats[ri].RowsCreated += int64(g.TotalRows() - ruleRowsBefore)
-				rstats[ri].UnionsMade += g.unionCount - ruleUnionsBefore
-			}
-		}
-		g.endFrozenApply()
-		it.ApplyTime = time.Since(startApply)
-		report.ApplyTime += it.ApplyTime
-
-		// Phase 3: restore congruence.
-		startRebuild := time.Now()
-		rebuildUnionsBefore := g.unionCount
-		it.RebuildPasses = g.Rebuild()
-		it.RebuildUnions = g.unionCount - rebuildUnionsBefore
-		it.RebuildTime = time.Since(startRebuild)
-		report.RebuildTime += it.RebuildTime
-		// The graph is clean (just rebuilt), so the snapshot captures the
-		// exact state replay reaches when it stops after this iteration.
-		if g.journal != nil && cfg.SnapshotEvery > 0 && (iter+1)%cfg.SnapshotEvery == 0 {
-			if b, err := json.Marshal(g.Snapshot(int(g.iterCur))); err == nil {
-				g.jEmit(journal.Event{Kind: journal.KSnapshot, Snapshot: b})
-			}
-		}
-
-		report.Iterations = iter + 1
-		nodesAfter := g.NumNodes()
-		it.Matches = applied
-		it.Nodes = nodesAfter
-		it.Unions = g.unionCount - unionsBefore
-		if cfg.RuleMetrics {
-			it.Classes = g.NumClasses()
-			it.LiveRows, it.DeadRows = g.rowCensus()
-			it.Finds = g.uf.Finds() - findsBefore
-		}
-		// Close the scheduler's loop: fold the iteration's merged per-rule
-		// outcomes into the cumulative stats, surface interventions in
-		// IterStats (and the per-rule counters when metrics are on), record
-		// full-scan debt for skipped/truncated rules, and report the
-		// iteration back to the strategy. schedActive marks a non-final
-		// intervention — while one exists, a no-growth iteration must not
-		// be read as saturation, because an expiring ban can still wake the
-		// run up.
-		schedActive := false
-		if schedInst != nil {
-			for i := range pending {
-				rm := &pending[i]
-				d := decisions[i]
-				skipped := d.Action == sched.ActionSkip
-				schedIter[i] = sched.RuleIterStats{
-					Rule:    rules[i].Name,
-					Matched: rm.found,
-					Applied: int64(len(rm.matches)),
-					Skipped: skipped,
-					Limited: rm.schedTruncated,
-				}
-				schedTotals[i].Matched += rm.found
-				schedTotals[i].Applied += int64(len(rm.matches))
-				switch {
-				case skipped:
-					schedTotals[i].SkippedIters++
-					if !d.Final {
-						schedActive = true
-					}
-					it.Sched = append(it.Sched, SchedDecision{Rule: rules[i].Name, Action: "skip", Final: d.Final})
-					if cfg.RuleMetrics {
-						if d.Final {
-							rstats[i].Banned++
-						} else {
-							rstats[i].Throttled++
-						}
-					}
-				case rm.schedTruncated:
-					dropped := rm.found - int64(len(rm.matches))
-					schedActive = true
-					it.Sched = append(it.Sched, SchedDecision{Rule: rules[i].Name, Action: "limit", Limit: d.Limit, Dropped: dropped})
-					if cfg.RuleMetrics {
-						rstats[i].MatchLimited++
-						rstats[i].SchedDropped += dropped
-					}
-				}
-				needFull[i] = skipped || rm.schedTruncated
-			}
-			schedInst.RecordIter(iter+1, schedIter)
-		}
-		report.PerIter = append(report.PerIter, it)
-		if cfg.Live != nil {
-			lst := LiveIterStats{
-				Iter:      iter + 1,
-				Nodes:     nodesAfter,
-				DeltaRows: deltaRows,
-				Matches:   applied,
-			}
-			if cfg.RuleMetrics {
-				lst.Classes, lst.LiveRows, lst.DeadRows = it.Classes, it.LiveRows, it.DeadRows
-			} else {
-				lst.Classes = g.NumClasses()
-				lst.LiveRows, lst.DeadRows = g.rowCensus()
-			}
-			liveRules = liveRules[:0]
-			for i := range pending {
-				rm := &pending[i]
-				throttled := schedInst != nil && decisions[i].Action == sched.ActionSkip
-				if rm.found == 0 && len(rm.matches) == 0 && !throttled {
-					continue
-				}
-				liveRules = append(liveRules, LiveRuleStats{
-					Name:      rm.rule.Name,
-					Matched:   rm.found,
-					Applied:   int64(len(rm.matches)),
-					Throttled: throttled,
-					Limited:   rm.schedTruncated,
-				})
-			}
-			cfg.Live.LiveIter(lst, liveRules)
-		}
-		if rec.Enabled() {
-			rec.Complete(obs.LaneEngine, "phase", "apply", startApply, it.ApplyTime, map[string]int64{
-				"matches": int64(applied),
-			})
-			rec.Complete(obs.LaneEngine, "phase", "rebuild", startRebuild, it.RebuildTime, map[string]int64{
-				"passes": int64(it.RebuildPasses),
-				"unions": int64(it.RebuildUnions),
-			})
-			rec.Complete(obs.LaneEngine, "iter", fmt.Sprintf("iteration %d", iter+1), iterStart, time.Since(iterStart), map[string]int64{
-				"matches":    int64(applied),
-				"nodes":      int64(nodesAfter),
-				"delta_rows": int64(deltaRows),
-				"unions":     int64(it.Unions),
-			})
-		}
-
-		if truncated {
-			report.Stop = StopMatchLimit
-			break
-		}
-		// Saturation needs an honest fixpoint: no growth AND no live
-		// scheduler intervention. A no-growth iteration with a temporary
-		// ban or a binding cap is a fixpoint of the throttled system only —
-		// derivable facts remain, and an expiring ban can still produce
-		// them — so the run keeps iterating (cheaply: saturated fringes
-		// plan no tasks) until the scheduler goes quiet or a limit lands.
-		// Final skips are exempt: a permanently banned rule never comes
-		// back, so it cannot justify keeping the run alive.
-		if g.unionCount == unionsBefore && g.TotalRows() == rowsBefore && !schedActive {
-			report.Stop = StopSaturated
-			break
-		}
-		if nodesAfter > cfg.NodeLimit {
-			report.Stop = StopNodeLimit
+		r.rebuild()
+		if stop := r.finish(); stop != "" {
+			r.report.Stop = stop
 			break
 		}
 	}
-	report.Rules = rstats
-	report.Selectivity = selAgg
-	report.finish(g, start)
-	return report
+	return r.end()
 }
 
-func (r *RunReport) finish(g *EGraph, start time.Time) {
-	r.Nodes = g.NumNodes()
-	r.Classes = g.NumClasses()
-	r.Elapsed = time.Since(start)
-	if g.journal != nil {
-		g.jEmit(journal.Event{Kind: journal.KRunEnd, Name: string(r.Stop)})
+// run is one saturation run in progress: the config, the report being
+// built, the scheduler's state, and the current iteration's record. All
+// of it lives in the runner's serial section; the match workers only see
+// the finished scheduler decisions.
+type run struct {
+	g      *EGraph
+	rules  []*Rule
+	cfg    RunConfig
+	start  time.Time
+	report RunReport
+
+	// Scheduler state: one fresh Instance per run (strategies are
+	// reusable; instances are not), the iteration's decision vector, the
+	// cumulative per-rule stats decisions key on, and the full-scan debt
+	// ledger.
+	inst      sched.Instance
+	decisions []sched.Decision
+	totals    []sched.RuleStats
+	needFull  []bool
+
+	// The current iteration (0-based): its record, its per-rule outcomes
+	// in declaration order (one buffer reused across iterations), the
+	// merged matches, the counters its growth is measured against, and
+	// the start times its spans need.
+	iter         int
+	it           IterStats
+	outcome      []sched.RuleIterStats
+	pending      []ruleMatches
+	minStamp     uint64
+	unionsBefore uint64
+	rowsBefore   int
+	findsBefore  uint64
+	iterStart    time.Time
+	applyStart   time.Time
+	rebuildStart time.Time
+}
+
+// newRun opens a run: the journal's run bracket, the report's per-rule
+// sections, the scheduler instance, and the trace lane names.
+func (g *EGraph) newRun(rules []*Rule, cfg RunConfig) *run {
+	cfg = cfg.withDefaults()
+	r := &run{
+		g: g, rules: rules, cfg: cfg, start: time.Now(),
+		report:  RunReport{Stop: StopIterLimit, Workers: cfg.Workers},
+		outcome: make([]sched.RuleIterStats, 0, len(rules)),
 	}
+	if g.journal != nil {
+		g.jEmit(journal.Event{Kind: journal.KRun, Workers: cfg.Workers})
+	}
+	if cfg.ProfileSample > 0 {
+		r.report.Selectivity = make([]RuleSelectivity, len(rules))
+		for i, rule := range rules {
+			r.report.Selectivity[i] = newRuleSelectivity(rule, cfg.ProfileSample)
+		}
+	}
+	if cfg.Scheduler != nil {
+		r.inst = cfg.Scheduler.New()
+		r.decisions = make([]sched.Decision, len(rules))
+		r.totals = make([]sched.RuleStats, len(rules))
+		r.needFull = make([]bool, len(rules))
+	}
+	if cfg.RuleMetrics {
+		r.report.Rules = make([]RuleStats, len(rules))
+		for i, rule := range rules {
+			r.report.Rules[i].Name = rule.Name
+		}
+		// The Find counter is toggled here, in the serial prologue, so the
+		// match phase's concurrent Finds all observe counting == true (the
+		// worker goroutine spawns give the happens-before edge). end turns
+		// it off again.
+		g.uf.SetCounting(true)
+	}
+	if rec := cfg.Recorder; rec.Enabled() {
+		rec.SetLaneName(obs.LaneEngine, "engine")
+		for w := 0; w < cfg.Workers; w++ {
+			rec.SetLaneName(obs.LaneWorker+w, fmt.Sprintf("match worker %d", w))
+		}
+	}
+	return r
+}
+
+// plan opens the iteration, or returns why the run must stop before it:
+// it restores congruence if a caller left the graph dirty, closes the
+// semi-naive epoch, snapshots the counters the iteration's growth is
+// measured against, and asks the scheduler for every rule's budget.
+func (r *run) plan() StopReason {
+	if r.cfg.Ctx.Err() != nil {
+		return StopCanceled
+	}
+	if time.Since(r.start) > r.cfg.TimeLimit {
+		return StopTimeLimit
+	}
+	g := r.g
+	r.iterStart = time.Now()
+	// The graph-lifetime iteration counter stamps row provenance and
+	// union justifications; the journal's iter event marks the boundary
+	// replay stops at for --to-iter.
+	g.iterCur++
+	if g.journal != nil {
+		g.jEmit(journal.Event{Kind: journal.KIter})
+	}
+	// Matching relies on canonical rows (for safe concurrent reads and
+	// the per-argument indexes). This is also what makes the match-phase
+	// reads a consistent snapshot: no union or insert happens between here
+	// and the end of the match phase.
+	if !g.Clean() {
+		g.Rebuild()
+	}
+	// Close the epoch: rows touched since the previous iteration's match
+	// phase become the delta frontier this iteration scans.
+	deltaRows, minStamp := g.advanceFrontier()
+	r.minStamp = minStamp
+	r.unionsBefore, r.rowsBefore, r.findsBefore = g.unionCount, g.TotalRows(), g.uf.Finds()
+	r.it = IterStats{DeltaRows: deltaRows, SemiNaive: !r.cfg.Naive && r.iter > 0}
+	// Scheduler decisions are computed serially from merged stats before
+	// any worker starts — never from wall time or goroutine order, which
+	// is the determinism contract.
+	if r.inst != nil {
+		for i, rule := range r.rules {
+			r.decisions[i] = r.inst.RuleBudget(rule.Name, r.iter+1, r.totals[i])
+		}
+	}
+	return ""
+}
+
+// match runs the match phase against the frozen view on the worker pool
+// and folds what its tasks measured into the run: rows scanned, per-rule
+// task metrics, sampled selectivity, and the worker-lane and match-phase
+// spans. On success it starts the iteration's per-rule outcomes from the
+// merged match lists.
+func (r *run) match() error {
+	// Drop the previous iteration's matches first, so they can be
+	// collected while this iteration's are gathered.
+	r.pending = nil
+	start := time.Now()
+	pending, tasks, scanned, err := r.g.collectMatches(r.rules, r.cfg, r.it.SemiNaive, r.minStamp, r.decisions, r.needFull)
+	r.it.MatchTime = time.Since(start)
+	r.it.RowsScanned = scanned
+	r.report.RowsScanned += scanned
+	r.report.MatchTime += r.it.MatchTime
+	rec := r.cfg.Recorder
+	for i := range tasks {
+		t := &tasks[i]
+		if t.sel != nil {
+			// Fold task sinks serially, in plan order. Summation is
+			// commutative, so the aggregate depends only on which rows were
+			// sampled — a function of global row indices, not of sharding.
+			agg := &r.report.Selectivity[t.ruleIdx]
+			agg.SampledRoots += t.sel.roots
+			for j := range t.sel.prem {
+				agg.Premises[j].add(t.sel.prem[j])
+			}
+		}
+		if r.report.Rules != nil {
+			rs := &r.report.Rules[t.ruleIdx]
+			rs.RowsScanned += t.scanned
+			rs.MatchTime += t.took
+			// Count each (rule, sub-query) plan once, on its first shard:
+			// sub >= 0 is a delta-restricted sub-query, sub < 0 a full scan
+			// (naive iterations and hybrid fallbacks).
+			if t.lo == 0 {
+				if t.sub >= 0 {
+					rs.DeltaQueries++
+				} else {
+					rs.FullScans++
+				}
+			}
+		}
+		if rec.Enabled() {
+			rec.Complete(obs.LaneWorker+t.worker, "match", r.rules[t.ruleIdx].Name, t.began, t.took, map[string]int64{
+				"rows":    t.scanned,
+				"matches": int64(len(t.buf)),
+				"sub":     int64(t.sub),
+			})
+		}
+	}
+	if rec.Enabled() {
+		rec.Complete(obs.LaneEngine, "phase", "match", start, r.it.MatchTime, map[string]int64{
+			"rows":  scanned,
+			"tasks": int64(len(tasks)),
+		})
+	}
+	r.pending = pending
+	r.outcome = r.outcome[:0]
+	for i := range pending {
+		rm := &pending[i]
+		r.outcome = append(r.outcome, sched.RuleIterStats{
+			Rule:    rm.rule.Name,
+			Matched: rm.found,
+			Skipped: schedSkip(r.decisions, i),
+			Limited: rm.schedTruncated,
+		})
+	}
+	return err
+}
+
+// apply runs the apply phase serially, in merged (deterministic) order,
+// so unions, inserts, and proof recording need no locking. The apply
+// runs under the frozen iteration-start canonicalization
+// (beginFrozenApply), so each match's effect depends only on the snapshot
+// it was collected against — re-applying an old match is then a
+// guaranteed no-op, which is what lets semi-naive mode skip old matches
+// without changing a single bit of the result.
+func (r *run) apply() error {
+	g := r.g
+	r.applyStart = time.Now()
+	g.beginFrozenApply()
+	defer g.endFrozenApply()
+	applied := 0
+	for ri := range r.pending {
+		rm := &r.pending[ri]
+		if len(rm.matches) == 0 {
+			continue
+		}
+		// Provenance context: rows and unions made while applying this
+		// batch are stamped with the rule (endFrozenApply clears it).
+		g.ruleCur = g.ruleID(rm.rule.Name)
+		if g.journal != nil {
+			g.jEmit(journal.Event{Kind: journal.KFire, Name: rm.rule.Name, Matches: len(rm.matches)})
+		}
+		var rs *RuleStats
+		var batchStart time.Time
+		var rowsBefore int
+		var unionsBefore uint64
+		if r.report.Rules != nil {
+			rs = &r.report.Rules[ri]
+			batchStart, rowsBefore, unionsBefore = time.Now(), g.TotalRows(), g.unionCount
+		}
+		for j, binds := range rm.matches {
+			// A match whose actions moved neither the union counter nor the
+			// effect counter (new rows, merge changes, cost installs)
+			// changed nothing — the per-rule no-op count is what makes naive
+			// mode's redundant re-matching visible in --stats.
+			var before uint64
+			if rs != nil {
+				before = g.unionCount + g.effects
+			}
+			if err := g.ApplyActions(rm.rule, binds); err != nil {
+				r.outcome[ri].Applied = int64(j)
+				return fmt.Errorf("applying rule %s: %w", rm.rule.Name, err)
+			}
+			if rs != nil && g.unionCount+g.effects == before {
+				rs.Noops++
+			}
+		}
+		r.outcome[ri].Applied = int64(len(rm.matches))
+		applied += len(rm.matches)
+		if rs != nil {
+			rs.ApplyTime += time.Since(batchStart)
+			// Growth attribution: rows and unions the batch produced — the
+			// live-run counterpart of the journal's per-row provenance.
+			// Rebuild's congruence unions belong to no single rule.
+			rs.RowsCreated += int64(g.TotalRows() - rowsBefore)
+			rs.UnionsMade += g.unionCount - unionsBefore
+		}
+	}
+	r.it.Matches = applied
+	r.it.ApplyTime = time.Since(r.applyStart)
+	r.report.ApplyTime += r.it.ApplyTime
+	return nil
+}
+
+// rebuild restores congruence after the apply phase.
+func (r *run) rebuild() {
+	g := r.g
+	r.rebuildStart = time.Now()
+	unionsBefore := g.unionCount
+	r.it.RebuildPasses = g.Rebuild()
+	r.it.RebuildUnions = g.unionCount - unionsBefore
+	r.it.RebuildTime = time.Since(r.rebuildStart)
+	r.report.RebuildTime += r.it.RebuildTime
+}
+
+// finish completes the iteration's record and feeds every consumer from
+// it: the journal's due snapshot, the scheduler, RunReport.PerIter and
+// Rules, the Observer, and the engine-lane spans. It returns why the run
+// stops after this iteration, or "" to go on.
+func (r *run) finish() StopReason {
+	g, it := r.g, &r.it
+	// The graph is clean (just rebuilt), so the snapshot captures the
+	// exact state replay reaches when it stops after this iteration.
+	if g.journal.SnapshotDue(r.iter + 1) {
+		if b, err := json.Marshal(g.Snapshot(int(g.iterCur))); err == nil {
+			g.jEmit(journal.Event{Kind: journal.KSnapshot, Snapshot: b})
+		}
+	}
+	r.report.Iterations = r.iter + 1
+	it.Nodes = g.NumNodes()
+	it.Unions = g.unionCount - r.unionsBefore
+	if r.cfg.RuleMetrics || r.cfg.Observer != nil {
+		it.Classes = g.NumClasses()
+		it.LiveRows, it.DeadRows = g.rowCensus()
+	}
+	if r.cfg.RuleMetrics {
+		it.Finds = g.uf.Finds() - r.findsBefore
+	}
+	schedActive := r.recordSched()
+	r.report.PerIter = append(r.report.PerIter, *it)
+	r.foldRules(true)
+	if r.cfg.Observer != nil {
+		r.cfg.Observer.ObserveIter(r.iter+1, it, r.outcome)
+	}
+	if rec := r.cfg.Recorder; rec.Enabled() {
+		rec.Complete(obs.LaneEngine, "phase", "apply", r.applyStart, it.ApplyTime, map[string]int64{
+			"matches": int64(it.Matches),
+		})
+		rec.Complete(obs.LaneEngine, "phase", "rebuild", r.rebuildStart, it.RebuildTime, map[string]int64{
+			"passes": int64(it.RebuildPasses),
+			"unions": int64(it.RebuildUnions),
+		})
+		rec.Complete(obs.LaneEngine, "iter", fmt.Sprintf("iteration %d", r.iter+1), r.iterStart, time.Since(r.iterStart), map[string]int64{
+			"matches":    int64(it.Matches),
+			"nodes":      int64(it.Nodes),
+			"delta_rows": int64(it.DeltaRows),
+			"unions":     int64(it.Unions),
+		})
+	}
+
+	for _, rm := range r.pending {
+		if rm.truncated {
+			return StopMatchLimit
+		}
+	}
+	// Saturation needs an honest fixpoint: no growth AND no live scheduler
+	// intervention. A no-growth iteration with a temporary ban or a
+	// binding cap is a fixpoint of the throttled system only — derivable
+	// facts remain, and an expiring ban can still produce them — so the
+	// run keeps iterating (cheaply: saturated fringes plan no tasks) until
+	// the scheduler goes quiet or a limit lands. Final skips are exempt: a
+	// permanently banned rule never comes back, so it cannot justify
+	// keeping the run alive.
+	if g.unionCount == r.unionsBefore && g.TotalRows() == r.rowsBefore && !schedActive {
+		return StopSaturated
+	}
+	if it.Nodes > r.cfg.NodeLimit {
+		return StopNodeLimit
+	}
+	return ""
+}
+
+// recordSched closes the scheduler's loop: it folds the iteration's
+// outcomes into the cumulative stats decisions key on, surfaces
+// interventions in IterStats.Sched, records full-scan debt for skipped
+// and truncated rules, and reports the iteration to the strategy. It
+// returns whether a non-final intervention is live — while one exists, a
+// no-growth iteration must not be read as saturation, because an
+// expiring ban can still wake the run up.
+func (r *run) recordSched() (active bool) {
+	if r.inst == nil {
+		return false
+	}
+	for i := range r.outcome {
+		o, d := &r.outcome[i], r.decisions[i]
+		r.totals[i].Matched += o.Matched
+		r.totals[i].Applied += o.Applied
+		switch {
+		case o.Skipped:
+			r.totals[i].SkippedIters++
+			active = active || !d.Final
+			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "skip", Final: d.Final})
+		case o.Limited:
+			active = true
+			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "limit", Limit: d.Limit, Dropped: o.Matched - o.Applied})
+		}
+		r.needFull[i] = o.Skipped || o.Limited
+	}
+	r.inst.RecordIter(r.iter+1, r.outcome)
+	return active
+}
+
+// foldRules adds the iteration's per-rule outcomes to RunReport.Rules
+// (when RuleMetrics is on). The scheduler's interventions count only for
+// complete iterations: an iteration stopped before its rebuild never
+// reached the scheduler.
+func (r *run) foldRules(complete bool) {
+	if r.report.Rules == nil {
+		return
+	}
+	for i := range r.outcome {
+		o, rs := &r.outcome[i], &r.report.Rules[i]
+		rs.Matched += o.Matched
+		rs.Applied += o.Applied
+		switch {
+		case !complete:
+		case o.Skipped && r.decisions[i].Final:
+			rs.Banned++
+		case o.Skipped:
+			rs.Throttled++
+		case o.Limited:
+			rs.MatchLimited++
+			rs.SchedDropped += o.Matched - o.Applied
+		}
+	}
+}
+
+// abort stops the run inside an iteration. The partial record is kept:
+// PerIter gains the iteration's entry and Rules its matched and applied
+// counts so far, while Iterations counts only completed iterations.
+func (r *run) abort(stop StopReason, err error) RunReport {
+	r.report.Stop, r.report.Err = stop, err
+	r.report.PerIter = append(r.report.PerIter, r.it)
+	r.foldRules(false)
+	return r.end()
+}
+
+// end sizes the final graph and closes the run's journal bracket and
+// trace span.
+func (r *run) end() RunReport {
+	g, rep := r.g, &r.report
+	rep.Nodes = g.NumNodes()
+	rep.Classes = g.NumClasses()
+	rep.Elapsed = time.Since(r.start)
+	if g.journal != nil {
+		g.jEmit(journal.Event{Kind: journal.KRunEnd, Name: string(rep.Stop)})
+	}
+	if r.cfg.RuleMetrics {
+		g.uf.SetCounting(false)
+	}
+	if rec := r.cfg.Recorder; rec.Enabled() {
+		rec.Complete(obs.LaneEngine, "phase", "run", r.start, rep.Elapsed, map[string]int64{
+			"iterations": int64(rep.Iterations),
+			"nodes":      int64(rep.Nodes),
+			"rows":       rep.RowsScanned,
+		})
+	}
+	return *rep
 }

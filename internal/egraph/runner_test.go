@@ -6,6 +6,7 @@ package egraph
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -269,5 +270,54 @@ func TestConcurrentFindDuringMatch(t *testing.T) {
 	}
 	if want <= 0 {
 		t.Fatal("join rule found no matches")
+	}
+}
+
+// TestStopMidIterationKeepsPartialRecord: a run stopped inside an
+// iteration by a rule error keeps that iteration's partial record —
+// PerIter gains its entry while Iterations counts only completed
+// iterations, and Rules gains what the iteration matched and applied
+// before the failure.
+func TestStopMidIterationKeepsPartialRecord(t *testing.T) {
+	for _, phase := range []string{"match", "apply"} {
+		l, _ := buildChainGraph()
+		calls := 0
+		failThird := &Prim{Name: "fail-third", Apply: func(_ *EGraph, args []Value) (Value, bool) {
+			calls++
+			return args[0], calls < 3
+		}}
+		boom := &Rule{
+			Name:     "boom",
+			Premises: []Premise{&TablePremise{Fn: l.Add, Args: []Atom{VarAtom(0), VarAtom(1)}, Out: VarAtom(2)}},
+			Actions: []Action{&UnionAction{
+				A: &ATerm{Kind: AVar, Slot: 2},
+				B: &ATerm{Kind: APrim, Prim: failThird, Args: []*ATerm{{Kind: AVar, Slot: 2}}},
+			}},
+			NumSlots: 4,
+		}
+		if phase == "match" {
+			// Slot 3 is never bound, so matching the rule fails.
+			boom.Premises = append(boom.Premises, &EvalPremise{Prim: failThird, Args: []Atom{VarAtom(3)}, Out: VarAtom(3)})
+		}
+		rep := l.g.Run([]*Rule{commRule(l.Add), boom}, RunConfig{IterLimit: 4, Workers: 2, RuleMetrics: true})
+		if rep.Stop != StopRuleError || rep.Err == nil || !strings.Contains(rep.Err.Error(), phase+"ing rule boom") {
+			t.Fatalf("%s: stop = %s, err = %v", phase, rep.Stop, rep.Err)
+		}
+		if rep.Iterations != 0 || len(rep.PerIter) != 1 || rep.PerIter[0].Matches != 0 {
+			t.Errorf("%s: iterations %d, per-iter %+v; want the one partial record", phase, rep.Iterations, rep.PerIter)
+		}
+		comm, b := rep.Rules[0], rep.Rules[1]
+		switch phase {
+		case "match":
+			if comm.Matched != 0 || b.Matched != 0 || comm.Applied != 0 || b.Applied != 0 {
+				t.Errorf("match: rules %+v, want nothing matched or applied", rep.Rules)
+			}
+		case "apply":
+			// comm-Add precedes boom, so its batch applied in full; boom
+			// applied two matches before its third failed.
+			if comm.Matched == 0 || comm.Applied != comm.Matched || b.Matched != comm.Matched || b.Applied != 2 {
+				t.Errorf("apply: rules %+v, want comm fully applied and boom 2 of %d", rep.Rules, comm.Matched)
+			}
+		}
 	}
 }

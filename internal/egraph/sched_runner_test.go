@@ -271,7 +271,9 @@ func TestSchedulerJournalReplayParity(t *testing.T) {
 		// Attach before any insert: the journal must carry the full history
 		// for replay to reconstruct the graph.
 		if journaled {
-			g.SetJournal(journal.NewWriter(&buf), "sched-replay")
+			jw := journal.NewWriter(&buf)
+			jw.SnapshotEvery = 1
+			g.SetJournal(jw, "sched-replay")
 		}
 		prev, _ := g.Insert(l.Num, I64Value(g.I64, 0))
 		for i := 1; i < 24; i++ {
@@ -280,10 +282,9 @@ func TestSchedulerJournalReplayParity(t *testing.T) {
 		}
 		rules := []*Rule{commRule(l.Add), commRule(l.Mul)}
 		rep := g.Run(rules, RunConfig{
-			IterLimit:     6,
-			Workers:       2,
-			SnapshotEvery: 1,
-			Scheduler:     sched.Backoff{Threshold: 5, Factor: 2, BanLength: 2},
+			IterLimit: 6,
+			Workers:   2,
+			Scheduler: sched.Backoff{Threshold: 5, Factor: 2, BanLength: 2},
 		})
 		if rep.Err != nil {
 			t.Fatal(rep.Err)

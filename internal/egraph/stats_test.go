@@ -1,7 +1,7 @@
 package egraph
 
 // Tests for the observability layer's accounting: per-rule metrics, the
-// cross-field invariants the stats validator (tracelint) relies on, report
+// cross-field invariants the stats validator (egg-lint) relies on, report
 // merging, and the stats-JSON round trip.
 
 import (
@@ -93,22 +93,32 @@ func TestRuleMetricsNoopDetection(t *testing.T) {
 	}
 }
 
-// TestTaskRowsSumToRowsScanned: IterStats.RowsScanned equals the sum of
-// TaskRows when RecordTaskTimes is set — the invariant that per-task
-// accounting loses no rows.
+// TestTaskRowsSumToRowsScanned: each iteration's RowsScanned equals the
+// sum of the rows args on the Recorder's worker-lane match spans — the
+// invariant that per-task accounting loses no rows.
 func TestTaskRowsSumToRowsScanned(t *testing.T) {
 	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: 4, MatchShards: 8, RecordTaskTimes: true})
+	rec := obs.NewRecorder()
+	rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: 4, MatchShards: 8, Recorder: rec})
+	// Spans come back sorted by start time; every task span starts inside
+	// the engine-lane match phase of its iteration.
+	var sums []int64
+	tasks := 0
+	for _, ev := range rec.Events() {
+		switch {
+		case ev.Lane == obs.LaneEngine && ev.Cat == "phase" && ev.Name == "match":
+			sums = append(sums, 0)
+		case ev.Lane >= obs.LaneWorker && ev.Cat == "match":
+			sums[len(sums)-1] += ev.Args["rows"]
+			tasks++
+		}
+	}
+	if len(sums) != len(rep.PerIter) || tasks == 0 {
+		t.Fatalf("%d match phases with %d task spans for %d iterations", len(sums), tasks, len(rep.PerIter))
+	}
 	for i, it := range rep.PerIter {
-		if len(it.TaskRows) != len(it.TaskTimes) {
-			t.Fatalf("iter %d: %d task rows, %d task times", i+1, len(it.TaskRows), len(it.TaskTimes))
-		}
-		var sum int64
-		for _, r := range it.TaskRows {
-			sum += r
-		}
-		if sum != it.RowsScanned {
-			t.Errorf("iter %d: task rows sum %d != rows scanned %d", i+1, sum, it.RowsScanned)
+		if sums[i] != it.RowsScanned {
+			t.Errorf("iter %d: task rows sum %d != rows scanned %d", i+1, sums[i], it.RowsScanned)
 		}
 	}
 }
@@ -235,7 +245,7 @@ func TestRunReportMerge(t *testing.T) {
 // marshal/unmarshal round trip with every counted field intact.
 func TestRunReportJSONRoundTrip(t *testing.T) {
 	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2, RuleMetrics: true, RecordTaskTimes: true})
+	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2, RuleMetrics: true})
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

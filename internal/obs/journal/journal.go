@@ -129,12 +129,6 @@ type Event struct {
 	// Rebuild marks events emitted while Rebuild was restoring congruence;
 	// replay skips them (its own Rebuild call regenerates them).
 	Rebuild bool `json:"rb,omitempty"`
-	// Req is the correlation ID of the serving-layer request whose run
-	// emitted this event (RunConfig.RequestID; "" outside request
-	// context). Replay ignores it — it exists so one request's journal
-	// events, trace spans, and log lines join on the same key.
-	Req string `json:"req,omitempty"`
-
 	// Name is the sort/rule/graph-segment name (KSort, KFire, KGraph).
 	Name string `json:"n,omitempty"`
 	// Explanations (KGraph) records whether proof recording was on, so
@@ -180,6 +174,13 @@ type Event struct {
 // are mutex-guarded for safety, but the engine only emits from serial
 // sections, so the lock is uncontended by construction.
 type Writer struct {
+	// SnapshotEvery, when > 0, makes every saturation run on a graph this
+	// journal is attached to embed a full state snapshot (KSnapshot) after
+	// each N-th iteration of the run. Snapshots are what `egg-debug replay
+	// -verify` byte-compares against and what the snapshot differ
+	// consumes. Set it before the first run.
+	SnapshotEvery int
+
 	mu  sync.Mutex
 	bw  *bufio.Writer
 	c   io.Closer
@@ -206,6 +207,12 @@ func Create(path string) (*Writer, error) {
 // Enabled reports whether events are being journaled; it is the guard
 // instrumented code uses before building event values.
 func (w *Writer) Enabled() bool { return w != nil }
+
+// SnapshotDue reports whether a run should embed a snapshot after its
+// iter-th (1-based) iteration.
+func (w *Writer) SnapshotDue(iter int) bool {
+	return w != nil && w.SnapshotEvery > 0 && iter%w.SnapshotEvery == 0
+}
 
 // Emit appends one event. Errors are sticky and surfaced by Close.
 func (w *Writer) Emit(e Event) {

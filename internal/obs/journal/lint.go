@@ -17,8 +17,8 @@ import (
 //   - row events name a previously declared function;
 //   - embedded snapshots are valid JSON.
 //
-// It returns the first violation found, or nil. cmd tracelint exposes it
-// via -journal, and `make debug-smoke` runs it in CI.
+// It returns the first violation found, or nil. cmd/egg-lint exposes it,
+// and `make debug-smoke` runs it in CI.
 func Lint(events []Event) error {
 	if len(events) == 0 {
 		return fmt.Errorf("journal is empty")

@@ -343,8 +343,8 @@ func ReadFile(path string) (*Profile, error) {
 // Lint validates the artifact against the v1 schema contract: the schema
 // tag, canonical (sorted, duplicate-free) section order, and the
 // cross-field invariants every producer guarantees. This is the gate
-// `make prof-smoke` runs on freshly produced artifacts, in the spirit of
-// tracelint and metricslint.
+// `make prof-smoke` runs on freshly produced artifacts through
+// cmd/egg-lint.
 func (p *Profile) Lint() error {
 	if p.Schema != SchemaV1 {
 		return fmt.Errorf("schema %q, want %q", p.Schema, SchemaV1)

@@ -23,7 +23,7 @@ import (
 //     bucket exists, and it equals _count
 //
 // It returns the number of sample lines validated. It is the metrics
-// analogue of obs.ValidateTrace, run by internal/obs/metricslint in
+// analogue of obs.ValidateTrace, run by cmd/egg-lint in
 // `make metrics-smoke` and over live scrapes in the serve tests.
 func Lint(data []byte) (int, error) {
 	fams := make(map[string]*famInfo)

@@ -19,7 +19,7 @@
 //     p50/p99 are now derived from these buckets too.
 //   - Deterministic exposition. WriteText emits families sorted by name
 //     and label sets sorted by value, so scrapes diff cleanly and the
-//     linter (lint.go, internal/obs/metricslint) can hold the output to
+//     linter (lint.go, cmd/egg-lint) can hold the output to
 //     the format's invariants in CI.
 package telemetry
 

@@ -99,8 +99,7 @@ func metricValue(t *testing.T, exposition []byte, name string) float64 {
 
 // TestMetricsEndpoint drives real traffic, scrapes /metrics, and holds
 // the exposition to the Prometheus text-format invariants with the same
-// linter the metricslint CLI uses — the live-scrape gate the CI smoke
-// also runs.
+// linter egg-lint uses — the live-scrape gate the CI smoke also runs.
 func TestMetricsEndpoint(t *testing.T) {
 	_, c := newTestServer(t, Config{Workers: 2})
 	ctx := context.Background()

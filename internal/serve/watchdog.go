@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"dialegg/internal/egraph"
+	"dialegg/internal/sched"
 )
 
 // WatchdogConfig tunes the engine health watchdog: the saturation-
@@ -41,9 +42,9 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	return c
 }
 
-// liveSink is the serving layer's egraph.LiveSink: one per job, it
-// publishes the engine's per-iteration state as live gauges and per-rule
-// counters, then runs the watchdog check. LiveIter is called from the
+// liveSink is the serving layer's egraph.Observer: one per job, it
+// publishes the engine's per-iteration record as live gauges and per-rule
+// counters, then runs the watchdog check. ObserveIter is called from the
 // engine's serial section between iterations, so the struct needs no
 // locking of its own.
 type liveSink struct {
@@ -57,10 +58,10 @@ func (s *Server) newLiveSink(o *requestObs) *liveSink {
 	return &liveSink{s: s, o: o}
 }
 
-// LiveIter implements egraph.LiveSink.
-func (ls *liveSink) LiveIter(st egraph.LiveIterStats, rules []egraph.LiveRuleStats) {
+// ObserveIter implements egraph.Observer.
+func (ls *liveSink) ObserveIter(iter int, st *egraph.IterStats, rules []sched.RuleIterStats) {
 	t := ls.s.tel
-	t.engineIter.Set(float64(st.Iter))
+	t.engineIter.Set(float64(iter))
 	t.engineNodes.Set(float64(st.Nodes))
 	t.engineClasses.Set(float64(st.Classes))
 	t.engineLiveRows.Set(float64(st.LiveRows))
@@ -69,23 +70,23 @@ func (ls *liveSink) LiveIter(st egraph.LiveIterStats, rules []egraph.LiveRuleSta
 	t.engineMatches.Set(float64(st.Matches))
 	for _, r := range rules {
 		if r.Matched > 0 {
-			t.ruleMatched.With(r.Name).Add(uint64(r.Matched))
+			t.ruleMatched.With(r.Rule).Add(uint64(r.Matched))
 		}
 		if r.Applied > 0 {
-			t.ruleApplied.With(r.Name).Add(uint64(r.Applied))
+			t.ruleApplied.With(r.Rule).Add(uint64(r.Applied))
 		}
-		if r.Throttled {
-			t.schedThrottled.With(r.Name).Add(1)
+		if r.Skipped {
+			t.schedThrottled.With(r.Rule).Add(1)
 		}
 		if r.Limited {
-			t.schedLimited.With(r.Name).Add(1)
+			t.schedLimited.With(r.Rule).Add(1)
 		}
 	}
-	ls.watchdog(st)
+	ls.watchdog(iter, st)
 }
 
 // watchdog evaluates the explosion heuristics against this iteration.
-func (ls *liveSink) watchdog(st egraph.LiveIterStats) {
+func (ls *liveSink) watchdog(iter int, st *egraph.IterStats) {
 	wd := ls.s.cfg.Watchdog
 	if wd.Disabled {
 		return
@@ -110,14 +111,14 @@ func (ls *liveSink) watchdog(st egraph.LiveIterStats) {
 		}
 	}
 	if reason != "" {
-		ls.s.tripWatchdog(ls.o, reason, st)
+		ls.s.tripWatchdog(ls.o, reason, iter, st)
 	}
 }
 
 // tripWatchdog records a watchdog trip: once per request it increments
 // the trip counter, emits the structured warning, and marks the request
 // so its flight record carries the verdict.
-func (s *Server) tripWatchdog(o *requestObs, reason string, st egraph.LiveIterStats) {
+func (s *Server) tripWatchdog(o *requestObs, reason string, iter int, st *egraph.IterStats) {
 	if !o.trip(reason) {
 		return // already flagged; one trip per request
 	}
@@ -129,7 +130,7 @@ func (s *Server) tripWatchdog(o *requestObs, reason string, st egraph.LiveIterSt
 	s.logger.Warn("engine watchdog tripped",
 		"request_id", id,
 		"reason", reason,
-		"iteration", st.Iter,
+		"iteration", iter,
 		"nodes", st.Nodes,
 		"classes", st.Classes,
 		"matches", st.Matches,

@@ -1,8 +1,9 @@
 package dialegg_test
 
 // End-to-end tests for the saturation profiler's CLI surface: the
-// -profile flags on egg-opt and egglog, and the egg-prof
-// build/merge/blame/selectivity/top/lint subcommands. The blame report on
+// -profile flags on egg-opt and egglog, the egg-prof
+// build/merge/blame/selectivity/top subcommands, and egg-lint on the
+// artifacts. The blame report on
 // a paper workload is pinned with a golden file — blame depends only on
 // the final graph and the extraction decision, both of which are
 // deterministic, so the table must not drift.
@@ -49,13 +50,14 @@ func TestEggProfCLI(t *testing.T) {
 	}
 	optBin := buildTool(t, "egg-opt")
 	profBin := buildTool(t, "egg-prof")
+	lintBin := buildTool(t, "egg-lint")
 	dir := t.TempDir()
 	prof, jnl, stats := profileWorkload(t, optBin, dir, "2")
 
 	// lint: the live artifact satisfies the schema contract.
-	out, err := exec.Command(profBin, "lint", prof).CombinedOutput()
+	out, err := exec.Command(lintBin, prof).CombinedOutput()
 	if err != nil {
-		t.Fatalf("egg-prof lint: %v\n%s", err, out)
+		t.Fatalf("egg-lint: %v\n%s", err, out)
 	}
 
 	// blame: golden-pinned per-rule cost/benefit table.
@@ -144,7 +146,7 @@ func TestEggProfCLI(t *testing.T) {
 	if err := os.WriteFile(bad, bytes.Replace(raw, []byte(profile.SchemaV1), []byte("nope/v9"), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := exec.Command(profBin, "lint", bad).CombinedOutput(); err == nil {
+	if out, err := exec.Command(lintBin, bad).CombinedOutput(); err == nil {
 		t.Errorf("lint accepted corrupted artifact:\n%s", out)
 	}
 }
