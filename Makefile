@@ -92,20 +92,18 @@ metrics-smoke:
 		metrics.txt flight.trace.json
 	@echo "metrics-smoke: OK (metrics.txt, flight.trace.json)"
 
-# Profiler smoke: run the paper benchmark with a saturation profile,
-# journal, and stats, lint the artifact, render the blame and selectivity
-# reports, then rebuild an equivalent profile offline from the journal +
-# stats (the two ingestion paths must both lint).
+# Profiler smoke: run the paper benchmark with a saturation profile, lint
+# the artifact, render the blame, selectivity, and top reports, then merge
+# the artifact with itself and lint the merged one too.
 prof-smoke:
 	$(GO) run ./cmd/egg-opt -rules imgconv -workers 2 \
 		-profile profile.json -profile-sample 2 \
-		-journal journal.jsonl -stats-json stats.json \
 		examples/div_pow2.mlir > /dev/null
 	$(GO) run ./cmd/egg-lint profile.json
 	$(GO) run ./cmd/egg-prof blame profile.json
 	$(GO) run ./cmd/egg-prof selectivity profile.json
 	$(GO) run ./cmd/egg-prof top -n 5 profile.json
-	$(GO) run ./cmd/egg-prof build -journal journal.jsonl -stats stats.json -o profile.merged.json
+	$(GO) run ./cmd/egg-prof merge -o profile.merged.json profile.json profile.json
 	$(GO) run ./cmd/egg-lint profile.merged.json
 	@echo "prof-smoke: OK (profile.json, profile.merged.json)"
 

@@ -3,9 +3,11 @@
 //
 //   - a Chrome trace ({"traceEvents": ...}): named events, monotonic
 //     complete events, balanced B/E pairs (obs.ValidateTrace);
-//   - stats JSON (egg-opt's report with the engine report under "run", or
-//     egglog's bare run report): per-iteration and per-rule row counts add
-//     up to the run total, applied <= matched, noops <= applied;
+//   - stats JSON (egg-opt's report with the engine report under "run" and
+//     extraction blame under "blame", or egglog's bare run report):
+//     per-iteration and per-rule row counts add up to the run total, and
+//     every rule, selectivity, and blame record passes its own Check (the
+//     checks a profile artifact's Lint applies);
 //   - an e-graph event journal (JSON Lines of events): known kinds,
 //     iteration monotonicity, balanced rebuild markers, canonical union
 //     operands (journal.Lint);
@@ -102,9 +104,9 @@ func lint(path, require string) (string, error) {
 		return lintJournal(path)
 	}
 	if nested, ok := probe["run"]; ok {
-		data = nested
+		return "stats OK", lintStats(nested, probe["blame"])
 	}
-	return "stats OK", lintStats(data)
+	return "stats OK", lintStats(data, nil)
 }
 
 func lintJournal(path string) (string, error) {
@@ -131,11 +133,18 @@ func lintMetrics(data []byte, require string) (string, error) {
 	return fmt.Sprintf("metrics OK, %d samples", n), nil
 }
 
-// lintStats checks the cross-field invariants of an engine run report.
-func lintStats(data []byte) error {
+// lintStats checks the cross-field invariants of an engine run report and
+// of the extraction blame rows reported beside it (blame may be nil).
+func lintStats(data, blame []byte) error {
 	var run egraph.RunReport
 	if err := json.Unmarshal(data, &run); err != nil {
 		return fmt.Errorf("stats: run report: %w", err)
+	}
+	var rows []egraph.BlameRow
+	if blame != nil {
+		if err := json.Unmarshal(blame, &rows); err != nil {
+			return fmt.Errorf("stats: blame: %w", err)
+		}
 	}
 	if run.Iterations < 1 {
 		return fmt.Errorf("stats: no iterations recorded")
@@ -152,16 +161,23 @@ func lintStats(data []byte) error {
 	}
 	var ruleRows int64
 	for _, r := range run.Rules {
-		if r.Applied > r.Matched {
-			return fmt.Errorf("stats: rule %s: applied %d > matched %d", r.Name, r.Applied, r.Matched)
-		}
-		if r.Noops > r.Applied {
-			return fmt.Errorf("stats: rule %s: noops %d > applied %d", r.Name, r.Noops, r.Applied)
+		if err := r.Check(); err != nil {
+			return fmt.Errorf("stats: %w", err)
 		}
 		ruleRows += r.RowsScanned
 	}
 	if len(run.Rules) > 0 && ruleRows != run.RowsScanned {
 		return fmt.Errorf("stats: per-rule rows %d != total rows scanned %d", ruleRows, run.RowsScanned)
+	}
+	for _, rs := range run.Selectivity {
+		if err := rs.Check(); err != nil {
+			return fmt.Errorf("stats: %w", err)
+		}
+	}
+	for _, br := range rows {
+		if err := br.Check(); err != nil {
+			return fmt.Errorf("stats: %w", err)
+		}
 	}
 	return nil
 }

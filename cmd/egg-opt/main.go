@@ -278,9 +278,7 @@ func run(opts options) (err error) {
 			}
 		}
 		if opts.profileFile != "" {
-			prof := profile.FromRunReport(rep.Run, rep.Blame)
-			prof.Sources = []string{"live"}
-			if err := prof.Write(opts.profileFile); err != nil {
+			if err := profile.FromRunReport(rep.Run, rep.Blame).Write(opts.profileFile); err != nil {
 				return fmt.Errorf("writing profile: %w", err)
 			}
 		}
@@ -316,14 +314,7 @@ func printStats(w io.Writer, rep *dialegg.Report) {
 		rep.Run.Iterations, rep.Run.Nodes, rep.Run.Stop, rep.Run.Workers, rep.Run.RowsScanned)
 	fmt.Fprintf(w, "times: mlir->egg %v, egglog %v (saturation %v = match %v + apply %v + rebuild %v), egg->mlir %v\n",
 		rep.MLIRToEgg, rep.EggTotal, rep.Saturation, rep.SatMatch, rep.SatApply, rep.SatRebuild, rep.EggToMLIR)
-	for i, it := range rep.Run.PerIter {
-		mode := "full"
-		if it.SemiNaive {
-			mode = "delta"
-		}
-		fmt.Fprintf(w, "  iter %d (%s): %d matches, %d unions, %d nodes, %d delta rows, %d scanned, match %v, apply %v, rebuild %v (%d passes)\n",
-			i+1, mode, it.Matches, it.Unions, it.Nodes, it.DeltaRows, it.RowsScanned, it.MatchTime, it.ApplyTime, it.RebuildTime, it.RebuildPasses)
-	}
+	fmt.Fprint(w, egraph.FormatIterStats(rep.Run.PerIter))
 	if len(rep.Run.Rules) > 0 {
 		fmt.Fprint(w, egraph.FormatRuleStats(rep.Run.Rules))
 	}

@@ -229,14 +229,7 @@ func run(opts options) (err error) {
 		if last := p.LastRun; last.Iterations > 0 {
 			fmt.Fprintf(os.Stderr, "last run: %d iterations, workers %d, rows scanned %d, match %v, apply %v, rebuild %v\n",
 				last.Iterations, last.Workers, last.RowsScanned, last.MatchTime, last.ApplyTime, last.RebuildTime)
-			for i, it := range last.PerIter {
-				mode := "full"
-				if it.SemiNaive {
-					mode = "delta"
-				}
-				fmt.Fprintf(os.Stderr, "  iter %d (%s): %d matches, %d unions, %d nodes, %d delta rows, %d scanned, match %v, apply %v, rebuild %v (%d passes)\n",
-					i+1, mode, it.Matches, it.Unions, it.Nodes, it.DeltaRows, it.RowsScanned, it.MatchTime, it.ApplyTime, it.RebuildTime, it.RebuildPasses)
-			}
+			fmt.Fprint(os.Stderr, egraph.FormatIterStats(last.PerIter))
 			if len(last.Rules) > 0 {
 				fmt.Fprint(os.Stderr, egraph.FormatRuleStats(last.Rules))
 			}
@@ -255,9 +248,7 @@ func run(opts options) (err error) {
 				return fmt.Errorf("blame analysis: %w", err)
 			}
 		}
-		prof := profile.FromRunReport(profRuns, blame)
-		prof.Sources = []string{"live"}
-		if err := prof.Write(opts.profileFile); err != nil {
+		if err := profile.FromRunReport(profRuns, blame).Write(opts.profileFile); err != nil {
 			return fmt.Errorf("writing profile: %w", err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dialegg/internal/egraph"
+	"dialegg/internal/sched"
 )
 
 // These tests implement the paper's §9 outlook: "an exciting direction
@@ -181,8 +182,35 @@ func TestRunConfigDefaults(t *testing.T) {
 (let e (Add (Num 1) (Num 2)))
 `)
 	p.RunDefaults = egraph.RunConfig{IterLimit: 1}
-	rep := p.RunRules(egraph.RunConfig{})
+	mustExec(t, p, `(run)`)
+	rep := p.LastRun
 	if rep.Iterations != 1 {
 		t.Errorf("iterations = %d, want 1 (RunDefaults)", rep.Iterations)
+	}
+}
+
+// countObserver counts ObserveIter deliveries.
+type countObserver int
+
+func (c *countObserver) ObserveIter(int, *egraph.IterStats, []sched.RuleIterStats) { *c++ }
+
+// TestRunKeepsRunDefaults: (run N) runs under the whole RunDefaults config
+// with only IterLimit overridden, so an observer set there sees every
+// iteration, as it does under run-schedule.
+func TestRunKeepsRunDefaults(t *testing.T) {
+	p := NewProgram()
+	mustExec(t, p, exprPrelude+`
+(rewrite (Add ?x ?y) (Add ?y ?x))
+(let e (Add (Num 1) (Add (Num 2) (Num 3))))
+`)
+	var seen countObserver
+	p.RunDefaults = egraph.RunConfig{IterLimit: 10, Observer: &seen}
+	mustExec(t, p, `(run 3)`)
+	rep := p.LastRun
+	if rep.Iterations < 1 || rep.Iterations > 3 {
+		t.Fatalf("(run 3) ran %d iterations", rep.Iterations)
+	}
+	if int(seen) != rep.Iterations {
+		t.Errorf("observer saw %d of (run 3)'s %d iterations", seen, rep.Iterations)
 	}
 }

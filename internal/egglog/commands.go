@@ -227,7 +227,7 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 		return nil, nil
 
 	case "run":
-		cfg := egraph.RunConfig{}
+		cfg := p.RunDefaults
 		if len(args) >= 1 && args[0].Kind == sexp.KindInt {
 			cfg.IterLimit = int(args[0].Int)
 		}

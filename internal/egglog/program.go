@@ -37,8 +37,9 @@ type Program struct {
 	// LastRun holds the report of the most recent (run ...).
 	LastRun egraph.RunReport
 
-	// RunDefaults bounds (run ...) commands; zero values use engine
-	// defaults.
+	// RunDefaults is the run configuration (run ...) and (run-schedule ...)
+	// commands start from; (run N) overrides its IterLimit. Zero values use
+	// engine defaults.
 	RunDefaults egraph.RunConfig
 }
 
@@ -435,42 +436,10 @@ func (p *Program) Let(name string, expr *sexp.Node) (egraph.Value, error) {
 	return v, nil
 }
 
-// RunRules saturates the graph with every registered rule. cfg zero-fields
-// fall back to RunDefaults, then engine defaults.
+// RunRules saturates the graph with every registered rule under cfg as
+// given. The (run ...) and (run-schedule ...) commands start cfg from
+// RunDefaults.
 func (p *Program) RunRules(cfg egraph.RunConfig) egraph.RunReport {
-	if cfg.Ctx == nil {
-		cfg.Ctx = p.RunDefaults.Ctx
-	}
-	if cfg.IterLimit == 0 {
-		cfg.IterLimit = p.RunDefaults.IterLimit
-	}
-	if cfg.NodeLimit == 0 {
-		cfg.NodeLimit = p.RunDefaults.NodeLimit
-	}
-	if cfg.MatchLimit == 0 {
-		cfg.MatchLimit = p.RunDefaults.MatchLimit
-	}
-	if cfg.TimeLimit == 0 {
-		cfg.TimeLimit = p.RunDefaults.TimeLimit
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = p.RunDefaults.Workers
-	}
-	if !cfg.Naive {
-		cfg.Naive = p.RunDefaults.Naive
-	}
-	if !cfg.RuleMetrics {
-		cfg.RuleMetrics = p.RunDefaults.RuleMetrics
-	}
-	if cfg.Recorder == nil {
-		cfg.Recorder = p.RunDefaults.Recorder
-	}
-	if cfg.ProfileSample == 0 {
-		cfg.ProfileSample = p.RunDefaults.ProfileSample
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = p.RunDefaults.Scheduler
-	}
 	p.LastRun = p.g.Run(p.rules, cfg)
 	return p.LastRun
 }

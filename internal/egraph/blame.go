@@ -34,6 +34,19 @@ type BlameRow struct {
 	WasteRatio float64 `json:"waste_ratio"`
 }
 
+// Check reports the first violated invariant of one blame row: its three
+// buckets partition its rows, and its waste ratio lies in [0, 1].
+func (b BlameRow) Check() error {
+	if b.Extracted+b.Rejected+b.Waste != b.Rows {
+		return fmt.Errorf("blame %s: extracted %d + rejected %d + waste %d != rows %d",
+			b.Rule, b.Extracted, b.Rejected, b.Waste, b.Rows)
+	}
+	if b.WasteRatio < 0 || b.WasteRatio > 1 {
+		return fmt.Errorf("blame %s: waste ratio %g outside [0,1]", b.Rule, b.WasteRatio)
+	}
+	return nil
+}
+
 // Blame joins per-row provenance against this extractor's decisions and
 // aggregates the verdicts per creating rule, sorted by rule name. The
 // reachable set is the union over roots of the e-classes extraction visits

@@ -7,8 +7,11 @@ package egraph
 // shard count, and turning sampling on must not change the graph.
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
+
+	"dialegg/internal/obs/journal"
 )
 
 // runSelectivity saturates a fresh chain graph under one worker/shard
@@ -143,6 +146,15 @@ func TestMergeSelectivity(t *testing.T) {
 			}
 		}
 	}
+
+	// Premises src has beyond dst's are appended as copies, so folding
+	// more into the result never writes through to src.
+	src := []RuleSelectivity{{Rule: "r", Premises: []PremiseStats{{BoundCols: []int64{1}}, {BoundCols: []int64{1}}}}}
+	dst := MergeSelectivity([]RuleSelectivity{{Rule: "r", Premises: []PremiseStats{{BoundCols: []int64{1}}}}}, src)
+	MergeSelectivity(dst, src)
+	if got := src[0].Premises[1].BoundCols[0]; got != 1 {
+		t.Errorf("merging into the result changed src's bound-column count to %d", got)
+	}
 }
 
 // TestBlameClassification: a three-rule workload with a known verdict for
@@ -240,5 +252,70 @@ func TestRowsCreatedAttribution(t *testing.T) {
 	}
 	if rs.UnionsMade < 1 {
 		t.Errorf("UnionsMade = %d, want >= 1", rs.UnionsMade)
+	}
+}
+
+// TestRowsCreatedMatchesJournal: the live growth attribution (each apply
+// batch's row and union deltas) equals, rule for rule, the count of the
+// journal's non-rebuild insert/set and union events that carry the rule
+// as provenance — in both match modes and at any worker count.
+func TestRowsCreatedMatchesJournal(t *testing.T) {
+	for _, tc := range []struct {
+		naive   bool
+		workers int
+	}{{false, 1}, {false, 4}, {true, 2}} {
+		l := newExprLangQuiet()
+		g := l.g
+		var buf bytes.Buffer
+		jw := journal.NewWriter(&buf)
+		g.SetJournal(jw, "growth")
+		prev, _ := g.Insert(l.Num, I64Value(g.I64, 0))
+		for i := 1; i < 10; i++ {
+			leaf, _ := g.Insert(l.Num, I64Value(g.I64, int64(i)))
+			prev, _ = g.Insert(l.Add, prev, leaf)
+		}
+		g.Insert(l.Mul, prev, prev)
+		rep := g.Run([]*Rule{commRule(l.Add), assocRule(l.Add), commRule(l.Mul)},
+			RunConfig{IterLimit: 4, Workers: tc.workers, Naive: tc.naive, RuleMetrics: true})
+		if rep.Err != nil {
+			t.Fatal(rep.Err)
+		}
+		if err := jw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		events, err := journal.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := map[string]int64{}
+		unions := map[string]uint64{}
+		for _, e := range events {
+			if e.Rebuild || e.Rule == "" {
+				continue
+			}
+			switch e.Kind {
+			case journal.KInsert, journal.KSet:
+				rows[e.Rule]++
+			case journal.KUnion:
+				unions[e.Rule]++
+			}
+		}
+		grew := false
+		for _, rs := range rep.Rules {
+			if rs.RowsCreated != rows[rs.Name] || rs.UnionsMade != unions[rs.Name] {
+				t.Errorf("naive=%v workers=%d rule %s: stats rows/unions %d/%d, journal %d/%d",
+					tc.naive, tc.workers, rs.Name, rs.RowsCreated, rs.UnionsMade, rows[rs.Name], unions[rs.Name])
+			}
+			grew = grew || rs.RowsCreated > 0
+			delete(rows, rs.Name)
+			delete(unions, rs.Name)
+		}
+		if !grew {
+			t.Errorf("naive=%v workers=%d: no rule created rows", tc.naive, tc.workers)
+		}
+		if len(rows)+len(unions) > 0 {
+			t.Errorf("naive=%v workers=%d: journal attributes growth to rules the report lacks: %v %v",
+				tc.naive, tc.workers, rows, unions)
+		}
 	}
 }

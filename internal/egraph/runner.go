@@ -852,9 +852,6 @@ func (r *run) apply() error {
 		// Provenance context: rows and unions made while applying this
 		// batch are stamped with the rule (endFrozenApply clears it).
 		g.ruleCur = g.ruleID(rm.rule.Name)
-		if g.journal != nil {
-			g.jEmit(journal.Event{Kind: journal.KFire, Name: rm.rule.Name, Matches: len(rm.matches)})
-		}
 		var rs *RuleStats
 		var batchStart time.Time
 		var rowsBefore int

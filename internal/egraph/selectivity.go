@@ -76,6 +76,25 @@ type RuleSelectivity struct {
 	Premises []PremiseStats `json:"premises"`
 }
 
+// Check reports the first violated invariant of one rule's sampled
+// counters: no premise matches more rows than it visited, and a table
+// premise's access paths sum to its executions.
+func (rs RuleSelectivity) Check() error {
+	if rs.SampleEvery < 0 || rs.SampledRoots < 0 {
+		return fmt.Errorf("selectivity %s: negative sampling fields", rs.Rule)
+	}
+	for _, ps := range rs.Premises {
+		if ps.Matches > ps.Visits {
+			return fmt.Errorf("selectivity %s premise %d: matches %d > visits %d", rs.Rule, ps.Index, ps.Matches, ps.Visits)
+		}
+		paths := ps.Lookups + ps.IndexProbes + ps.FullScans + ps.DeltaScans
+		if ps.Kind == "table" && paths != ps.Execs {
+			return fmt.Errorf("selectivity %s premise %d: access paths %d != execs %d", rs.Rule, ps.Index, paths, ps.Execs)
+		}
+	}
+	return nil
+}
+
 // newRuleSelectivity builds the descriptor skeleton for one rule.
 func newRuleSelectivity(r *Rule, every int) RuleSelectivity {
 	rs := RuleSelectivity{Rule: r.Name, SampleEvery: every, Premises: make([]PremiseStats, len(r.Premises))}
@@ -129,7 +148,9 @@ func MergeSelectivity(dst, src []RuleSelectivity) []RuleSelectivity {
 			if j < len(d.Premises) {
 				d.Premises[j].add(s.Premises[j])
 			} else {
-				d.Premises = append(d.Premises, s.Premises[j])
+				ps := s.Premises[j]
+				ps.BoundCols = append([]int64(nil), ps.BoundCols...)
+				d.Premises = append(d.Premises, ps)
 			}
 		}
 	}

@@ -70,6 +70,28 @@ func (s *RuleStats) add(o RuleStats) {
 	s.SchedDropped += o.SchedDropped
 }
 
+// Check reports the first violated invariant of one rule's record: every
+// counter and duration is non-negative, applied <= matched, noops <=
+// applied, and dropped matches imply an iteration a cap truncated.
+// profile.Lint and egg-lint's stats check both hold records to it.
+func (s RuleStats) Check() error {
+	if s.Matched < 0 || s.Applied < 0 || s.Noops < 0 || s.RowsScanned < 0 ||
+		s.DeltaQueries < 0 || s.FullScans < 0 || s.MatchTime < 0 || s.ApplyTime < 0 ||
+		s.RowsCreated < 0 || s.Throttled < 0 || s.Banned < 0 || s.MatchLimited < 0 || s.SchedDropped < 0 {
+		return fmt.Errorf("rule %s: negative counter", s.Name)
+	}
+	if s.Applied > s.Matched {
+		return fmt.Errorf("rule %s: applied %d > matched %d", s.Name, s.Applied, s.Matched)
+	}
+	if s.Noops > s.Applied {
+		return fmt.Errorf("rule %s: noops %d > applied %d", s.Name, s.Noops, s.Applied)
+	}
+	if s.SchedDropped > 0 && s.MatchLimited == 0 {
+		return fmt.Errorf("rule %s: sched_dropped %d without a match_limited iteration", s.Name, s.SchedDropped)
+	}
+	return nil
+}
+
 // MergeRuleStats folds src into dst by rule name, preserving dst's order
 // and appending rules dst has not seen. Used when aggregating reports
 // across schedule items or across the functions of a module.
@@ -117,6 +139,21 @@ func (r *RunReport) Merge(o RunReport) {
 	if r.Err == nil {
 		r.Err = o.Err
 	}
+}
+
+// FormatIterStats renders one line per iteration record, indented under
+// the CLIs' --stats run summary.
+func FormatIterStats(iters []IterStats) string {
+	var b strings.Builder
+	for i, it := range iters {
+		mode := "full"
+		if it.SemiNaive {
+			mode = "delta"
+		}
+		fmt.Fprintf(&b, "  iter %d (%s): %d matches, %d unions, %d nodes, %d delta rows, %d scanned, match %v, apply %v, rebuild %v (%d passes)\n",
+			i+1, mode, it.Matches, it.Unions, it.Nodes, it.DeltaRows, it.RowsScanned, it.MatchTime, it.ApplyTime, it.RebuildTime, it.RebuildPasses)
+	}
+	return b.String()
 }
 
 // FormatRuleStats renders per-rule metrics as an aligned text table in

@@ -339,3 +339,18 @@ func TestFormatRuleStats(t *testing.T) {
 		t.Errorf("header missing columns: %s", lines[0])
 	}
 }
+
+// TestFormatIterStats: one indented line per iteration record, numbered
+// from 1, naming the match mode.
+func TestFormatIterStats(t *testing.T) {
+	out := FormatIterStats([]IterStats{
+		{Matches: 4, Unions: 1, Nodes: 15, DeltaRows: 8, RowsScanned: 7,
+			MatchTime: time.Millisecond, ApplyTime: 2 * time.Microsecond, RebuildTime: 3 * time.Nanosecond, RebuildPasses: 1},
+		{SemiNaive: true, Matches: 3, Nodes: 16, DeltaRows: 7, RowsScanned: 9, RebuildPasses: 2},
+	})
+	want := "  iter 1 (full): 4 matches, 1 unions, 15 nodes, 8 delta rows, 7 scanned, match 1ms, apply 2µs, rebuild 3ns (1 passes)\n" +
+		"  iter 2 (delta): 3 matches, 0 unions, 16 nodes, 7 delta rows, 9 scanned, match 0s, apply 0s, rebuild 0s (2 passes)\n"
+	if out != want {
+		t.Errorf("got:\n%s\nwant:\n%s", out, want)
+	}
+}

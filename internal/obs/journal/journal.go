@@ -1,8 +1,8 @@
 // Package journal is the semantic observability layer of the saturation
 // engine: an append-only event log of everything that mutates an e-graph —
 // sort and function declarations, e-node insertions, unions with their
-// justification, rebuild congruence repairs, rule firings, iteration
-// boundaries, and periodic state snapshots.
+// justification, rebuild congruence repairs, iteration boundaries, and
+// periodic state snapshots.
 //
 // Where package obs answers "where did the time go", a journal answers
 // "which rule created which e-node, when, and why" — and because every
@@ -69,8 +69,6 @@ const (
 	// KIter marks the start of a saturation iteration (graph-lifetime
 	// iteration counter, monotonically increasing across runs).
 	KIter = "iter"
-	// KFire records one rule's match batch entering the apply phase.
-	KFire = "fire"
 	// KRebuildBegin / KRebuildEnd bracket a Rebuild call.
 	KRebuildBegin = "rebuild-begin"
 	KRebuildEnd   = "rebuild-end"
@@ -83,8 +81,8 @@ const (
 var knownKinds = map[string]bool{
 	KGraph: true, KSort: true, KFn: true, KInsert: true, KSet: true,
 	KRowOut: true, KMerge: true, KUnion: true, KCost: true, KRun: true,
-	KRunEnd: true, KIter: true, KFire: true, KRebuildBegin: true,
-	KRebuildEnd: true, KSnapshot: true,
+	KRunEnd: true, KIter: true, KRebuildBegin: true, KRebuildEnd: true,
+	KSnapshot: true,
 }
 
 // Val is a journal-encoded engine value: self-describing (sort name plus
@@ -129,7 +127,8 @@ type Event struct {
 	// Rebuild marks events emitted while Rebuild was restoring congruence;
 	// replay skips them (its own Rebuild call regenerates them).
 	Rebuild bool `json:"rb,omitempty"`
-	// Name is the sort/rule/graph-segment name (KSort, KFire, KGraph).
+	// Name is the sort or graph-segment name (KSort, KGraph), or the stop
+	// reason (KRunEnd).
 	Name string `json:"n,omitempty"`
 	// Explanations (KGraph) records whether proof recording was on, so
 	// replay mirrors the original's table bookkeeping.
@@ -159,8 +158,6 @@ type Event struct {
 
 	// Cost is an unstable-cost override (KCost).
 	Cost int64 `json:"cost,omitempty"`
-	// Matches is a fired rule's applied-match count (KFire).
-	Matches int `json:"matches,omitempty"`
 	// Workers is the run's match-phase pool size (KRun).
 	Workers int `json:"workers,omitempty"`
 	// Passes is how many passes Rebuild needed (KRebuildEnd).

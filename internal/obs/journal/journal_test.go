@@ -22,7 +22,6 @@ func sampleEvents() []Event {
 		{Kind: KInsert, Fn: "Tag", Args: []Val{{Sort: "String", Str: &s}}, Out: &Val{Sort: "Expr", Bits: "1"}},
 		{Kind: KRun, Workers: 2},
 		{Kind: KIter, Iter: 1},
-		{Kind: KFire, Iter: 1, Name: "some-rule", Matches: 1},
 		{Kind: KUnion, Iter: 1, Rule: "some-rule",
 			A: &Val{Sort: "Expr", Bits: "0"}, B: &Val{Sort: "Expr", Bits: "1"},
 			CanonA: 0, CanonB: 1,
@@ -152,11 +151,11 @@ func TestLintViolations(t *testing.T) {
 			return e
 		}), "outside rebuild markers"},
 		{"unflagged-inside-rebuild", mutate(func(e []Event) []Event {
-			e[11].Rebuild = false
+			e[10].Rebuild = false
 			return e
 		}), "inside rebuild markers"},
 		{"graph-inside-rebuild", mutate(func(e []Event) []Event {
-			return append(e[:11:11], Event{Kind: KGraph, Name: "x"})
+			return append(e[:10:10], Event{Kind: KGraph, Name: "x"})
 		}), "inside a rebuild"},
 		{"fn-unnamed", mutate(func(e []Event) []Event {
 			e[2].Fn = ""
@@ -167,15 +166,15 @@ func TestLintViolations(t *testing.T) {
 			return e
 		}), "undeclared function"},
 		{"union-not-effective", mutate(func(e []Event) []Event {
-			e[9].CanonB = e[9].CanonA
+			e[8].CanonB = e[8].CanonA
 			return e
 		}), "not an effective union"},
 		{"union-missing-operand", mutate(func(e []Event) []Event {
-			e[9].B = nil
+			e[8].B = nil
 			return e
 		}), "missing operand"},
 		{"snapshot-bad-json", mutate(func(e []Event) []Event {
-			e[13].Snapshot = json.RawMessage(`{"iteration":`)
+			e[12].Snapshot = json.RawMessage(`{"iteration":`)
 			return e
 		}), "not valid JSON"},
 	}

@@ -1,9 +1,7 @@
 package profile
 
 // Tests for the profile artifact: canonical byte-identity across worker
-// counts, agreement between the live (batch-delta) and journal
-// (provenance) growth attribution, merge summation, schema linting, and
-// the on-disk round trip.
+// counts, merge summation, schema linting, and the on-disk round trip.
 
 import (
 	"bytes"
@@ -11,7 +9,6 @@ import (
 	"testing"
 
 	"dialegg/internal/egraph"
-	"dialegg/internal/obs/journal"
 )
 
 // chainWorkload builds an Add/Mul chain with commutativity rules — the
@@ -88,68 +85,16 @@ func TestCanonicalWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestLiveVsJournalGrowth: the live batch-delta growth attribution and the
-// journal's per-event provenance count the same rows and unions per rule.
-func TestLiveVsJournalGrowth(t *testing.T) {
-	var buf bytes.Buffer
-	g, rules := chainWorkload(t, 30)
-	w := journal.NewWriter(&buf)
-	g.SetJournal(w, "profile-test")
-	rep := g.Run(rules, egraph.RunConfig{IterLimit: 4, RuleMetrics: true})
-	g.SetJournal(nil, "")
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	live := FromRunReport(rep, nil)
-	events, err := journal.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jp := FromJournal(events)
-	if err := jp.Lint(); err != nil {
-		t.Fatalf("journal-derived profile fails lint: %v", err)
-	}
-
-	liveBy := map[string]RuleProfile{}
-	for _, rp := range live.Rules {
-		liveBy[rp.Name] = rp
-	}
-	checked := 0
-	for _, rp := range jp.Rules {
-		if rp.Name == SeedRule {
-			continue // live runs don't account pre-run inserts
-		}
-		lrp, ok := liveBy[rp.Name]
-		if !ok {
-			t.Errorf("journal rule %q missing from live profile", rp.Name)
-			continue
-		}
-		if rp.RowsCreated != lrp.RowsCreated {
-			t.Errorf("rule %s: journal rows_created %d != live %d", rp.Name, rp.RowsCreated, lrp.RowsCreated)
-		}
-		if rp.UnionsMade != lrp.UnionsMade {
-			t.Errorf("rule %s: journal unions_made %d != live %d", rp.Name, rp.UnionsMade, lrp.UnionsMade)
-		}
-		if rp.Applied != lrp.Applied {
-			t.Errorf("rule %s: journal applied %d != live %d", rp.Name, rp.Applied, lrp.Applied)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no rules compared")
-	}
-	if jp.Iterations != rep.Iterations {
-		t.Errorf("journal iterations %d != report %d", jp.Iterations, rep.Iterations)
-	}
-}
-
-// TestMergeSums: merging a profile into itself doubles every counter and
-// keeps canonical order.
+// TestMergeSums: merging a profile into itself doubles every counter,
+// keeps canonical order, and leaves the merged-in profile unchanged.
 func TestMergeSums(t *testing.T) {
 	p := runProfile(t, 2, 2)
 	q := runProfile(t, 2, 2)
-	before := append([]RuleProfile(nil), p.Rules...)
+	before := append([]egraph.RuleStats(nil), p.Rules...)
+	qBefore, err := q.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Merge(q)
 	if err := p.Lint(); err != nil {
 		t.Fatalf("merged profile fails lint: %v", err)
@@ -157,13 +102,16 @@ func TestMergeSums(t *testing.T) {
 	if p.Runs != 2 {
 		t.Errorf("runs = %d, want 2", p.Runs)
 	}
-	for i, rp := range p.Rules {
-		if rp.Matched != 2*before[i].Matched || rp.RowsCreated != 2*before[i].RowsCreated {
-			t.Errorf("rule %s: merge did not double counters", rp.Name)
+	for i, rs := range p.Rules {
+		if rs.Matched != 2*before[i].Matched || rs.RowsCreated != 2*before[i].RowsCreated {
+			t.Errorf("rule %s: merge did not double counters", rs.Name)
+		}
+		if rs.MatchTime != before[i].MatchTime+q.Rules[i].MatchTime {
+			t.Errorf("rule %s: merge did not sum match time", rs.Name)
 		}
 	}
-	if p.Timing == nil || p.Timing.ElapsedNS <= 0 {
-		t.Error("merge dropped timing")
+	if qAfter, _ := q.Encode(); !bytes.Equal(qAfter, qBefore) {
+		t.Error("merge modified the merged-in profile")
 	}
 }
 
@@ -172,7 +120,7 @@ func TestLintViolations(t *testing.T) {
 	base := func() *Profile {
 		p := New()
 		p.Runs = 1
-		p.Rules = []RuleProfile{{Name: "a", Matched: 2, Applied: 2}, {Name: "b"}}
+		p.Rules = []egraph.RuleStats{{Name: "a", Matched: 2, Applied: 2}, {Name: "b"}}
 		p.Blame = []egraph.BlameRow{{Rule: "a", Rows: 2, Extracted: 1, Waste: 1, WasteRatio: 0.5}}
 		return p
 	}
@@ -187,6 +135,7 @@ func TestLintViolations(t *testing.T) {
 		"blame sum":       func(p *Profile) { p.Blame[0].Waste = 5 },
 		"ratio range":     func(p *Profile) { p.Blame[0].WasteRatio = 1.5 },
 		"negative rows":   func(p *Profile) { p.Rules[0].RowsScanned = -1 },
+		"negative time":   func(p *Profile) { p.Rules[0].ApplyTime = -1 },
 	}
 	for name, mutate := range cases {
 		p := base()

@@ -26,15 +26,14 @@ type OptimizeRequest struct {
 	Config *RunOptions `json:"config,omitempty"`
 }
 
-// RunOptions is the request-settable subset of egraph.RunConfig — exactly
-// the fields that can change the optimization result, which are also the
-// fields the cache key hashes.
+// RunOptions is the request-settable subset of egraph.RunConfig: the
+// limits that can change the optimization result, which the cache key
+// hashes. The match mode is not settable; every request runs semi-naive.
 type RunOptions struct {
 	IterLimit   int   `json:"iter_limit,omitempty"`
 	NodeLimit   int   `json:"node_limit,omitempty"`
 	MatchLimit  int   `json:"match_limit,omitempty"`
 	TimeLimitMS int64 `json:"time_limit_ms,omitempty"`
-	Naive       bool  `json:"naive,omitempty"`
 }
 
 // OptimizeStats is the result summary attached to every response. It is

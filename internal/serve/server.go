@@ -309,7 +309,6 @@ func (s *Server) resolve(req *OptimizeRequest) (*workItem, error) {
 		cfg.NodeLimit = o.NodeLimit
 		cfg.MatchLimit = o.MatchLimit
 		cfg.TimeLimit = time.Duration(o.TimeLimitMS) * time.Millisecond
-		cfg.Naive = o.Naive
 	}
 	cfg.Workers = s.cfg.SatWorkers
 	// Scheduler resolution happens before the key is computed: a tuned

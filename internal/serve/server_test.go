@@ -393,6 +393,38 @@ func TestRunOptionsAffectKeyAndResult(t *testing.T) {
 	}
 }
 
+// TestNaiveRequestFieldIgnored: a request that still sends the removed
+// config.naive field is decoded leniently and served semi-naive — it gets
+// the same key, and the cached result, of the request without it.
+func TestNaiveRequestFieldIgnored(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	plain, _, err := c.Optimize(context.Background(), &OptimizeRequest{MLIR: divPow2Module, RuleSet: "imgconv"})
+	if err != nil {
+		t.Fatalf("plain request: %v", err)
+	}
+	body, err := json.Marshal(map[string]any{
+		"mlir": divPow2Module, "rule_set": "imgconv", "config": map[string]any{"naive": true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.BaseURL+"/optimize", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatalf("POST with naive: %v", err)
+	}
+	defer resp.Body.Close()
+	var got OptimizeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("naive request: status %d, decode error %v", resp.StatusCode, err)
+	}
+	if got.Key != plain.Key || got.MLIR != plain.MLIR {
+		t.Errorf("naive request key %s, want the plain request's %s", got.Key, plain.Key)
+	}
+	if runs := s.Stats().Runs; runs != 1 {
+		t.Errorf("Runs = %d, want 1 (the naive request is a cache hit)", runs)
+	}
+}
+
 // TestStatz checks the stats endpoint returns live gauges and latency
 // quantiles after traffic.
 func TestStatz(t *testing.T) {

@@ -2,7 +2,7 @@ package dialegg_test
 
 // End-to-end tests for the saturation profiler's CLI surface: the
 // -profile flags on egg-opt and egglog, the egg-prof
-// build/merge/blame/selectivity/top subcommands, and egg-lint on the
+// merge/blame/selectivity/top subcommands, and egg-lint on the
 // artifacts. The blame report on
 // a paper workload is pinned with a golden file — blame depends only on
 // the final graph and the extraction decision, both of which are
@@ -22,25 +22,21 @@ import (
 
 var updateProfGolden = flag.Bool("update", false, "rewrite golden files")
 
-// profileWorkload runs egg-opt over the shared CLI program with every
-// profiler input enabled and returns the artifact, journal, and stats
-// paths.
-func profileWorkload(t *testing.T, bin, dir string, workers string) (string, string, string) {
+// profileWorkload runs egg-opt over the shared CLI program with a
+// sampled saturation profile and returns the artifact path.
+func profileWorkload(t *testing.T, bin, dir string, workers string) string {
 	t.Helper()
 	mlirPath := filepath.Join(dir, "prog.mlir")
 	if err := os.WriteFile(mlirPath, []byte(cliProgram), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	prof := filepath.Join(dir, "profile"+workers+".json")
-	jnl := filepath.Join(dir, "run"+workers+".jsonl")
-	stats := filepath.Join(dir, "stats"+workers+".json")
 	out, err := exec.Command(bin, "-rules", "imgconv", "-workers", workers,
-		"-profile", prof, "-profile-sample", "2",
-		"-journal", jnl, "-stats-json", stats, mlirPath).CombinedOutput()
+		"-profile", prof, "-profile-sample", "2", mlirPath).CombinedOutput()
 	if err != nil {
 		t.Fatalf("egg-opt -profile: %v\n%s", err, out)
 	}
-	return prof, jnl, stats
+	return prof
 }
 
 // TestEggProfCLI drives egg-opt -profile and every egg-prof subcommand.
@@ -52,7 +48,7 @@ func TestEggProfCLI(t *testing.T) {
 	profBin := buildTool(t, "egg-prof")
 	lintBin := buildTool(t, "egg-lint")
 	dir := t.TempDir()
-	prof, jnl, stats := profileWorkload(t, optBin, dir, "2")
+	prof := profileWorkload(t, optBin, dir, "2")
 
 	// lint: the live artifact satisfies the schema contract.
 	out, err := exec.Command(lintBin, prof).CombinedOutput()
@@ -97,33 +93,9 @@ func TestEggProfCLI(t *testing.T) {
 		t.Errorf("top -n 3 output malformed:\n%s", out)
 	}
 
-	// build: offline reconstruction from the journal and stats JSON.
-	built := filepath.Join(dir, "built.json")
-	out, err = exec.Command(profBin, "build", "-journal", jnl, "-stats", stats, "-o", built).CombinedOutput()
-	if err != nil {
-		t.Fatalf("egg-prof build: %v\n%s", err, out)
-	}
-	bp, err := profile.ReadFile(built)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lp, err := profile.ReadFile(prof)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// The journal and the stats each witnessed the same saturation, so the
-	// offline build's growth attribution is exactly twice the live run's.
-	liveBy := map[string]int64{}
-	for _, rp := range lp.Rules {
-		liveBy[rp.Name] = rp.RowsCreated
-	}
-	for _, rp := range bp.Rules {
-		if rp.Name == profile.SeedRule {
-			continue
-		}
-		if want := 2 * liveBy[rp.Name]; rp.RowsCreated != want {
-			t.Errorf("built rule %s: rows_created %d, want %d (journal + stats)", rp.Name, rp.RowsCreated, want)
-		}
 	}
 
 	// merge: folding an artifact into itself doubles the counters.
@@ -138,6 +110,15 @@ func TestEggProfCLI(t *testing.T) {
 	}
 	if mp.Runs != 2*lp.Runs {
 		t.Errorf("merged runs = %d, want %d", mp.Runs, 2*lp.Runs)
+	}
+	if len(mp.Rules) != len(lp.Rules) {
+		t.Fatalf("merged profile has %d rules, want %d", len(mp.Rules), len(lp.Rules))
+	}
+	for i, rs := range mp.Rules {
+		if rs.Applied != 2*lp.Rules[i].Applied || rs.RowsCreated != 2*lp.Rules[i].RowsCreated {
+			t.Errorf("merged rule %s: applied/rows_created %d/%d, want twice %d/%d",
+				rs.Name, rs.Applied, rs.RowsCreated, lp.Rules[i].Applied, lp.Rules[i].RowsCreated)
+		}
 	}
 
 	// lint rejects a corrupted artifact.
@@ -160,8 +141,8 @@ func TestEggOptProfileWorkerIndependent(t *testing.T) {
 	}
 	bin := buildTool(t, "egg-opt")
 	dir := t.TempDir()
-	p1, _, _ := profileWorkload(t, bin, dir, "1")
-	p4, _, _ := profileWorkload(t, bin, dir, "4")
+	p1 := profileWorkload(t, bin, dir, "1")
+	p4 := profileWorkload(t, bin, dir, "4")
 	a, err := profile.ReadFile(p1)
 	if err != nil {
 		t.Fatal(err)
