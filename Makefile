@@ -107,14 +107,17 @@ prof-smoke:
 	$(GO) run ./cmd/egg-lint profile.merged.json
 	@echo "prof-smoke: OK (profile.json, profile.merged.json)"
 
-# Scheduling autotuner smoke: a tiny-budget tune over one workload must
-# emit a lintable dialegg-schedule/v1 artifact that egg-opt then loads
-# and runs under (the whole artifact lifecycle: search -> lint -> load).
+# Scheduling autotuner smoke: a tiny-budget tune over two workloads must
+# emit a lintable dialegg-schedule/v2 artifact (commassoc's default entry
+# is a backoff spec with parameters) that egg-opt and egglog then load and
+# run under (the whole artifact lifecycle: search -> lint -> load).
 tune-smoke:
-	$(GO) run ./cmd/egg-tune -workloads chain16 -budget 4 -o schedule.json
+	$(GO) run ./cmd/egg-tune -workloads chain16,commassoc -budget 4 -o schedule.json
 	$(GO) run ./cmd/egg-lint schedule.json
 	$(GO) run ./cmd/egg-opt -rules imgconv -schedule schedule.json \
 		examples/div_pow2.mlir > /dev/null
+	echo '(datatype E (Num i64) (Add E E)) (rewrite (Add ?a ?b) (Add ?b ?a)) (let x (Add (Add (Num 1) (Num 2)) (Num 3))) (run 8) (extract x)' \
+		| $(GO) run ./cmd/egglog -schedule schedule.json > /dev/null
 	@echo "tune-smoke: OK (schedule.json)"
 
 # Differential fuzzing smoke: replay the checked-in repro corpus (fixed

@@ -13,7 +13,7 @@
 //     operands (journal.Lint);
 //   - Prometheus text exposition: name and label syntax, HELP/TYPE,
 //     duplicate samples, counter and histogram invariants (telemetry.Lint);
-//   - a dialegg-profile/v1 or dialegg-schedule/v1 artifact (the schema's
+//   - a dialegg-profile/v1 or dialegg-schedule/v2 artifact (the schema's
 //     Lint).
 //
 // It exits non-zero with a diagnostic on the first malformed file; the
@@ -92,7 +92,7 @@ func lint(path, require string) (string, error) {
 		case profile.SchemaV1:
 			_, err := profile.ReadFile(path)
 			return "profile OK", err
-		case sched.SchemaV1:
+		case sched.SchemaV2:
 			art, err := sched.ReadArtifact(path)
 			if err != nil {
 				return "", err

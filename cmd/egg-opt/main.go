@@ -111,7 +111,7 @@ func main() {
 	flag.StringVar(&opts.profileFile, "profile", "", "write a saturation-profile artifact (per-rule cost/benefit + extraction blame; egg-prof readable) to this file")
 	flag.IntVar(&opts.profileSample, "profile-sample", 0, "sample every Nth match root for premise-selectivity statistics in the profile (0 = off)")
 	flag.StringVar(&opts.scheduler, "scheduler", "", "rule scheduling strategy: simple, backoff[:threshold=N,factor=N,ban=N], or matchlimit[:N] (default simple)")
-	flag.StringVar(&opts.scheduleFile, "schedule", "", "load a tuned dialegg-schedule/v1 artifact (egg-tune output) and use its entry for the -rules set; -scheduler overrides")
+	flag.StringVar(&opts.scheduleFile, "schedule", "", "load a tuned dialegg-schedule/v2 artifact (egg-tune output) and use its entry for the -rules set; -scheduler overrides")
 	flag.Parse()
 	opts.eggFiles = eggFiles
 
@@ -155,19 +155,9 @@ func run(opts options) (err error) {
 		return err
 	}
 
-	var ruleSrcs []string
-	switch opts.ruleSet {
-	case "":
-	case "imgconv":
-		ruleSrcs = rules.ImgConv()
-	case "vecnorm":
-		ruleSrcs = rules.VecNorm()
-	case "poly":
-		ruleSrcs = rules.Poly()
-	case "matmul":
-		ruleSrcs = rules.MatmulChain()
-	default:
-		return fmt.Errorf("unknown -rules set %q", opts.ruleSet)
+	ruleSrcs, err := rules.Bundle(opts.ruleSet)
+	if err != nil {
+		return err
 	}
 	for _, f := range opts.eggFiles {
 		b, err := os.ReadFile(f)
@@ -177,26 +167,11 @@ func run(opts options) (err error) {
 		ruleSrcs = append(ruleSrcs, string(b))
 	}
 
-	// Scheduler resolution: a tuned artifact supplies the -rules set's
-	// entry (or its default), and an explicit -scheduler spec overrides.
-	var scheduler sched.Scheduler
-	if opts.scheduleFile != "" {
-		art, err := sched.ReadArtifact(opts.scheduleFile)
-		if err != nil {
-			return err
-		}
-		if rs := art.For(opts.ruleSet); rs != nil {
-			if scheduler, err = rs.Build(); err != nil {
-				return err
-			}
-		}
-	}
-	if opts.scheduler != "" {
-		s, err := sched.Parse(opts.scheduler)
-		if err != nil {
-			return err
-		}
-		scheduler = s
+	// A tuned artifact supplies the -rules set's entry (or its default),
+	// and an explicit -scheduler spec overrides.
+	scheduler, err := sched.Load(opts.scheduleFile, opts.ruleSet, opts.scheduler)
+	if err != nil {
+		return err
 	}
 
 	reg := dialects.NewRegistry()

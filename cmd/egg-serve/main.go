@@ -87,13 +87,13 @@ func main() {
 	noWatchdog := flag.Bool("no-watchdog", false, "disable the engine health watchdog")
 	profileFlag := flag.Bool("profile", false, "aggregate a live saturation profile (per-rule cost/benefit + blame) served at /debugz/profilez; adds per-run RuleMetrics overhead")
 	profileSample := flag.Int("profile-sample", 0, "sample every Nth match root for premise-selectivity statistics in the live profile (0 = off; needs -profile)")
-	schedule := flag.String("schedule", "", "load a tuned dialegg-schedule/v1 artifact (egg-tune output); requests resolve their rule set's entry")
+	schedule := flag.String("schedule", "", "load a tuned dialegg-schedule/v2 artifact (egg-tune output); requests resolve their rule set's entry")
 	flag.Parse()
 
 	logger, err := buildLogger(*logMode)
 	if err == nil {
 		var defaultRules []string
-		defaultRules, err = bundledRules(*ruleSet)
+		defaultRules, err = rules.Bundle(*ruleSet)
 		if err == nil {
 			cfg := serve.Config{
 				Workers:       *workers,
@@ -145,23 +145,6 @@ func buildLogger(mode string) (*slog.Logger, error) {
 		return nil, nil
 	default:
 		return nil, fmt.Errorf("unknown -log mode %q (want text, json, or off)", mode)
-	}
-}
-
-func bundledRules(name string) ([]string, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "imgconv":
-		return rules.ImgConv(), nil
-	case "vecnorm":
-		return rules.VecNorm(), nil
-	case "poly":
-		return rules.Poly(), nil
-	case "matmul":
-		return rules.MatmulChain(), nil
-	default:
-		return nil, fmt.Errorf("unknown -rules set %q", name)
 	}
 }
 

@@ -2,8 +2,9 @@
 // corpus of representative workloads under candidate rule-scheduling
 // strategies (internal/sched), searches for the cheapest one whose
 // extraction stays byte-identical to the unscheduled baseline, and emits
-// a versioned dialegg-schedule/v1 artifact that egg-opt, egglog, and
-// egg-serve load with -schedule.
+// a versioned dialegg-schedule/v2 artifact that egg-opt, egglog, and
+// egg-serve load with -schedule. Each entry stores the winning strategy
+// as its -scheduler spec.
 //
 // Usage:
 //
@@ -142,66 +143,46 @@ func evaluate(w workload, s sched.Scheduler) (evalResult, error) {
 	}, nil
 }
 
-// candidate pairs a strategy with the artifact entry that reproduces it.
-type candidate struct {
-	Sched sched.Scheduler
-	Entry sched.RulesetSchedule // Scheduler/params filled; RuleSet stamped later
-}
-
-func backoffCand(threshold, factor, ban int) candidate {
-	return candidate{
-		Sched: sched.Backoff{Threshold: threshold, Factor: factor, BanLength: ban},
-		Entry: sched.RulesetSchedule{Scheduler: "backoff", Threshold: threshold, Factor: factor, BanLength: ban},
-	}
-}
-
-func matchLimitCand(limit int) candidate {
-	return candidate{
-		Sched: sched.MatchLimit{Limit: limit},
-		Entry: sched.RulesetSchedule{Scheduler: "matchlimit", MatchLimit: limit},
-	}
-}
-
 // grid is the coarse first-stage search space.
-func grid() []candidate {
-	var out []candidate
+func grid() []sched.Scheduler {
+	var out []sched.Scheduler
 	for _, threshold := range []int{8, 32, 128, 512} {
 		for _, ban := range []int{2, 5} {
-			out = append(out, backoffCand(threshold, 2, ban))
+			out = append(out, sched.Backoff{Threshold: threshold, Factor: 2, BanLength: ban})
 		}
 	}
 	for _, limit := range []int{64, 256, 1024} {
-		out = append(out, matchLimitCand(limit))
+		out = append(out, sched.MatchLimit{Limit: limit})
 	}
 	return out
 }
 
-// neighbors yields the hill-climb moves from a candidate: each integer
-// parameter doubled and halved (floors keep them meaningful).
-func neighbors(c candidate) []candidate {
-	var out []candidate
-	e := c.Entry
-	switch e.Scheduler {
-	case "backoff":
-		for _, t := range []int{e.Threshold * 2, e.Threshold / 2} {
+// neighbors yields the hill-climb moves from a strategy: each integer
+// parameter doubled and halved (floors keep them meaningful), and a
+// backoff's factor switched between 2 and 4.
+func neighbors(s sched.Scheduler) []sched.Scheduler {
+	var out []sched.Scheduler
+	switch c := s.(type) {
+	case sched.Backoff:
+		for _, t := range []int{c.Threshold * 2, c.Threshold / 2} {
 			if t >= 1 {
-				out = append(out, backoffCand(t, e.Factor, e.BanLength))
+				out = append(out, sched.Backoff{Threshold: t, Factor: c.Factor, BanLength: c.BanLength})
 			}
 		}
-		for _, b := range []int{e.BanLength * 2, e.BanLength / 2} {
+		for _, b := range []int{c.BanLength * 2, c.BanLength / 2} {
 			if b >= 1 {
-				out = append(out, backoffCand(e.Threshold, e.Factor, b))
+				out = append(out, sched.Backoff{Threshold: c.Threshold, Factor: c.Factor, BanLength: b})
 			}
 		}
-		if e.Factor == 2 {
-			out = append(out, backoffCand(e.Threshold, 4, e.BanLength))
-		} else {
-			out = append(out, backoffCand(e.Threshold, 2, e.BanLength))
+		factor := 4
+		if c.Factor != 2 {
+			factor = 2
 		}
-	case "matchlimit":
-		for _, l := range []int{e.MatchLimit * 2, e.MatchLimit / 2} {
+		out = append(out, sched.Backoff{Threshold: c.Threshold, Factor: factor, BanLength: c.BanLength})
+	case sched.MatchLimit:
+		for _, l := range []int{c.Limit * 2, c.Limit / 2} {
 			if l >= 1 {
-				out = append(out, matchLimitCand(l))
+				out = append(out, sched.MatchLimit{Limit: l})
 			}
 		}
 	}
@@ -220,15 +201,15 @@ func tuneOne(w workload, budget int, verbose bool) (sched.RulesetSchedule, int, 
 		fmt.Fprintf(os.Stderr, "egg-tune: %s baseline: %d rows, %d iters, stop %s\n",
 			w.Name, base.Cost, base.Iter, base.Stop)
 	}
-	best := candidate{Sched: sched.Simple{}, Entry: sched.RulesetSchedule{Scheduler: "simple"}}
+	var best sched.Scheduler = sched.Simple{}
 	bestCost := base.Cost
 	evals := 0
-	try := func(c candidate) error {
+	try := func(s sched.Scheduler) error {
 		if evals >= budget {
 			return nil
 		}
 		evals++
-		r, err := evaluate(w, c.Sched)
+		r, err := evaluate(w, s)
 		if err != nil {
 			return err
 		}
@@ -238,24 +219,24 @@ func tuneOne(w workload, budget int, verbose bool) (sched.RulesetSchedule, int, 
 			if ok {
 				verdict = fmt.Sprintf("%d rows (%+.1f%%)", r.Cost, 100*float64(r.Cost-base.Cost)/float64(base.Cost))
 			}
-			fmt.Fprintf(os.Stderr, "egg-tune: %s %-40s %s\n", w.Name, c.Sched.Fingerprint(), verdict)
+			fmt.Fprintf(os.Stderr, "egg-tune: %s %-40s %s\n", w.Name, s.Fingerprint(), verdict)
 		}
 		if ok && r.Cost < bestCost {
-			best, bestCost = c, r.Cost
+			best, bestCost = s, r.Cost
 		}
 		return nil
 	}
-	for _, c := range grid() {
-		if err := try(c); err != nil {
+	for _, s := range grid() {
+		if err := try(s); err != nil {
 			return sched.RulesetSchedule{}, evals, err
 		}
 	}
 	// Greedy hill-climb: take the best neighbor until none improves or
-	// the budget runs out.
-	for best.Entry.Scheduler != "simple" && evals < budget {
+	// the budget runs out (Simple has no neighbors, so it stops at once).
+	for evals < budget {
 		improvedFrom := bestCost
-		for _, c := range neighbors(best) {
-			if err := try(c); err != nil {
+		for _, s := range neighbors(best) {
+			if err := try(s); err != nil {
 				return sched.RulesetSchedule{}, evals, err
 			}
 		}
@@ -263,19 +244,16 @@ func tuneOne(w workload, budget int, verbose bool) (sched.RulesetSchedule, int, 
 			break
 		}
 	}
-	entry := best.Entry
-	entry.RuleSet = w.RuleSet
-	entry.BaselineCost = base.Cost
-	entry.TunedCost = bestCost
-	if entry.Scheduler == "simple" {
-		// Lint forbids parameters on simple entries; costs are fine.
-		entry.Threshold, entry.Factor, entry.BanLength, entry.MatchLimit = 0, 0, 0, 0
-	}
-	return entry, evals, nil
+	return sched.RulesetSchedule{
+		RuleSet:      w.RuleSet,
+		Scheduler:    best.Fingerprint(),
+		BaselineCost: base.Cost,
+		TunedCost:    bestCost,
+	}, evals, nil
 }
 
 func main() {
-	out := flag.String("o", "schedule.json", "output path for the dialegg-schedule/v1 artifact")
+	out := flag.String("o", "schedule.json", "output path for the dialegg-schedule/v2 artifact")
 	budget := flag.Int("budget", 24, "candidate evaluations per workload (grid first, then hill-climb)")
 	workloads := flag.String("workloads", "", "comma-separated workload subset (default: the full corpus)")
 	verbose := flag.Bool("v", false, "log every candidate evaluation to stderr")
@@ -323,18 +301,14 @@ func main() {
 		if label == "" {
 			label = "(default)"
 		}
-		spec := entry.Scheduler
-		if s, err := entry.Build(); err == nil {
-			spec = s.Fingerprint()
-		}
 		fmt.Printf("%-10s %-10s %12d %12d %+7.1f%%  %s\n",
 			w.Name, label, entry.BaselineCost, entry.TunedCost,
-			100*float64(entry.TunedCost-entry.BaselineCost)/float64(entry.BaselineCost), spec)
+			100*float64(entry.TunedCost-entry.BaselineCost)/float64(entry.BaselineCost), entry.Scheduler)
 	}
 	if !haveDefault {
 		// Unknown rule sets degrade to the seed behavior rather than an
 		// arbitrary tuned strategy.
-		art.Rulesets = append(art.Rulesets, sched.RulesetSchedule{RuleSet: "", Scheduler: "simple"})
+		art.Rulesets = append(art.Rulesets, sched.RulesetSchedule{RuleSet: "", Scheduler: sched.Simple{}.Fingerprint()})
 	}
 	art.Tuner = info
 	art.Canonical()

@@ -71,7 +71,7 @@ func main() {
 	flag.StringVar(&opts.profileFile, "profile", "", "write a saturation-profile artifact (per-rule cost/benefit + extraction blame; egg-prof readable) to this file")
 	flag.IntVar(&opts.profileSample, "profile-sample", 0, "sample every Nth match root for premise-selectivity statistics in the profile (0 = off)")
 	flag.StringVar(&opts.scheduler, "scheduler", "", "rule scheduling strategy for (run ...): simple, backoff[:threshold=N,factor=N,ban=N], or matchlimit[:N]")
-	flag.StringVar(&opts.scheduleFile, "schedule", "", "load a tuned dialegg-schedule/v1 artifact (egg-tune output); -scheduler overrides")
+	flag.StringVar(&opts.scheduleFile, "schedule", "", "load a tuned dialegg-schedule/v2 artifact (egg-tune output); -scheduler overrides")
 	flag.StringVar(&opts.scheduleSet, "schedule-ruleset", "", "ruleset name to resolve in the -schedule artifact (default: the artifact's default entry)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -146,25 +146,8 @@ func run(opts options) (err error) {
 	p.RunDefaults.Naive = opts.naive
 	p.RunDefaults.RuleMetrics = opts.stats || opts.statsJSON != "" || opts.profileFile != ""
 	p.RunDefaults.ProfileSample = opts.profileSample
-	if opts.scheduleFile != "" {
-		art, aerr := sched.ReadArtifact(opts.scheduleFile)
-		if aerr != nil {
-			return aerr
-		}
-		if rs := art.For(opts.scheduleSet); rs != nil {
-			s, berr := rs.Build()
-			if berr != nil {
-				return berr
-			}
-			p.RunDefaults.Scheduler = s
-		}
-	}
-	if opts.scheduler != "" {
-		s, serr := sched.Parse(opts.scheduler)
-		if serr != nil {
-			return serr
-		}
-		p.RunDefaults.Scheduler = s
+	if p.RunDefaults.Scheduler, err = sched.Load(opts.scheduleFile, opts.scheduleSet, opts.scheduler); err != nil {
+		return err
 	}
 	if opts.traceFile != "" {
 		p.RunDefaults.Recorder = obs.NewRecorder()

@@ -61,17 +61,18 @@ func collectRewrites(origBlock *mlir.Block, blkTerm *sexp.Node, tr *Translation,
 	return out
 }
 
+// extractionTopK bounds the rejected alternatives an extraction report
+// lists per e-class.
+const extractionTopK = 3
+
 // explainExtractions produces one extraction-decision report per rewritten
 // operation: why extraction chose the replacement term over the other
 // candidates in its e-class, with cost breakdowns and the creating rule of
 // every candidate node.
-func explainExtractions(p *egglog.Program, pairs []rewritePair, topK int) []string {
-	if topK == 0 {
-		topK = 3
-	}
+func explainExtractions(p *egglog.Program, pairs []rewritePair) []string {
 	var out []string
 	for _, pair := range pairs {
-		rep, err := p.ExtractionDecisions(pair.term, topK)
+		rep, err := p.ExtractionDecisions(pair.term, extractionTopK)
 		if err != nil {
 			out = append(out, fmt.Sprintf("%s: (no extraction report: %v)", pair.origOp.Name, err))
 			continue

@@ -38,12 +38,9 @@ type Options struct {
 	Journal *journal.Writer
 	// ExplainExtraction attaches, per rewritten operation, a report of the
 	// extraction decision for its replacement: the chosen node with its
-	// cost breakdown, rejected alternatives, and the creating rule of every
-	// node (Report.ExtractionReports).
+	// cost breakdown, up to three rejected alternatives per e-class, and
+	// the creating rule of every node (Report.ExtractionReports).
 	ExplainExtraction bool
-	// ExtractionTopK bounds the rejected alternatives listed per e-class in
-	// extraction reports (0 = a default of 3, negative = all).
-	ExtractionTopK int
 	// Blame runs extraction blame analysis after each function's
 	// extraction, joining per-row rule provenance against the extraction
 	// decisions (Report.Blame): every constructor row a rule created is
@@ -290,7 +287,7 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 			report.RewriteExplanations = explainRewrites(p, tr, pairs)
 		}
 		if o.opts.ExplainExtraction {
-			report.ExtractionReports = explainExtractions(p, pairs, o.opts.ExtractionTopK)
+			report.ExtractionReports = explainExtractions(p, pairs)
 		}
 	}
 

@@ -214,3 +214,50 @@ func TestRunKeepsRunDefaults(t *testing.T) {
 		t.Errorf("observer saw %d of (run 3)'s %d iterations", seen, rep.Iterations)
 	}
 }
+
+// TestLatticeChangeKeepsRunAlive: a primitive :merge that changes a value
+// is progress even though it adds no row and makes no union — the row
+// joins the next delta, so rules that read the value still have work.
+// lo(c) needs three rounds to settle (a, then b = a+a, then c = b+a), so
+// the run may not stop as saturated before its fourth, quiet iteration.
+func TestLatticeChangeKeepsRunAlive(t *testing.T) {
+	const src = `
+(datatype E (Num i64) (Add E E))
+(function lo (E) i64 :merge (max old new))
+(let a (Num 1))
+(let b (Add a a))
+(let c (Add b a))
+(set (lo a) -100)
+(set (lo b) -100)
+(set (lo c) -100)
+(rule ((= ?e (Num ?n))) ((set (lo ?e) ?n)))
+(rule ((= ?e (Add ?x ?y)) (= ?lx (lo ?x)) (= ?ly (lo ?y)))
+      ((set (lo ?e) (+ ?lx ?ly))))
+(run 10)
+(extract (lo c))
+`
+	for _, naive := range []bool{false, true} {
+		p := NewProgram()
+		p.RunDefaults.Naive = naive
+		var run, ext *Result
+		res := mustExec(t, p, src)
+		for i := range res {
+			switch res[i].Command {
+			case "run":
+				run = &res[i]
+			case "extract":
+				ext = &res[i]
+			}
+		}
+		if run == nil || ext == nil {
+			t.Fatalf("naive=%v: missing run or extract result: %+v", naive, res)
+		}
+		if rep := run.Report; rep.Stop != egraph.StopSaturated || rep.Iterations != 4 {
+			t.Errorf("naive=%v: run stopped %s after %d iterations, want saturated after 4",
+				naive, rep.Stop, rep.Iterations)
+		}
+		if got := ext.Term.String(); got != "3" {
+			t.Errorf("naive=%v: (extract (lo c)) = %s, want 3", naive, got)
+		}
+	}
+}

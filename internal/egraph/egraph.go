@@ -41,9 +41,11 @@ type EGraph struct {
 	// New and shared by all functions of this graph.
 	I64, F64, Str, Bool, Unit *Sort
 
-	// unionCount increments on every effective union; the runner uses it to
-	// detect fixpoints.
+	// unionCount increments on every effective union and mergeCount on
+	// every primitive-merge value change; the runner uses both to detect
+	// fixpoints.
 	unionCount uint64
+	mergeCount uint64
 	// effects counts graph mutations other than unions: new table rows,
 	// primitive-merge value changes, and cost-override installs. The
 	// runner's per-rule metrics read unionCount+effects around each match
@@ -453,6 +455,7 @@ func (g *EGraph) Set(f *Function, args []Value, out Value) error {
 			t.touch(i, g.epoch)
 			t.invalidateArgIndex()
 			g.effects++
+			g.mergeCount++
 			if g.journal != nil {
 				o := g.encodeVal(merged)
 				g.jEmit(journal.Event{Kind: journal.KMerge, Fn: f.Name, Args: g.encodeVals(canon), Out: &o})

@@ -82,10 +82,10 @@ func TestObserverMatchesReport(t *testing.T) {
 	for j, want := range rep.Rules {
 		got := sums[j]
 		if got.Matched != want.Matched || got.Applied != want.Applied ||
-			got.Throttled != want.Throttled+want.Banned || got.MatchLimited != want.MatchLimited {
+			got.Throttled != want.Throttled || got.MatchLimited != want.MatchLimited {
 			t.Errorf("rule %s: observer sums matched/applied/skipped/limited = %d/%d/%d/%d, report %d/%d/%d/%d",
 				want.Name, got.Matched, got.Applied, got.Throttled, got.MatchLimited,
-				want.Matched, want.Applied, want.Throttled+want.Banned, want.MatchLimited)
+				want.Matched, want.Applied, want.Throttled, want.MatchLimited)
 		}
 		throttled += want.Throttled
 		limited += want.MatchLimited

@@ -91,8 +91,8 @@ type RunConfig struct {
 	// such a rule against the full database the next time it runs.
 	// Scheduler-imposed truncation does not stop the run (unlike
 	// MatchLimit), and saturation is only declared on a no-growth
-	// iteration whose skips are all final — a temporarily banned rule
-	// keeps the run alive until its ban expires, exactly like egg's
+	// iteration without skips or binding caps — a banned rule keeps the
+	// run alive until its ban expires, exactly like egg's
 	// BackoffScheduler. Nil (or sched.Simple) behaves bit-identically to
 	// the unscheduled engine. A scheduler changes results, so it is part
 	// of the memo cache key (via Fingerprint), unlike the observability
@@ -251,9 +251,6 @@ type SchedDecision struct {
 	Limit int `json:"limit,omitempty"`
 	// Dropped counts matches discarded by the cap (found minus applied).
 	Dropped int64 `json:"dropped,omitempty"`
-	// Final marks a permanent skip (the strategy will never run the rule
-	// again), which is what lets the runner still declare saturation.
-	Final bool `json:"final,omitempty"`
 }
 
 // Saturated reports whether the run reached a fixed point.
@@ -647,12 +644,10 @@ type run struct {
 	report RunReport
 
 	// Scheduler state: one fresh Instance per run (strategies are
-	// reusable; instances are not), the iteration's decision vector, the
-	// cumulative per-rule stats decisions key on, and the full-scan debt
-	// ledger.
+	// reusable; instances are not), the iteration's decision vector, and
+	// the full-scan debt ledger.
 	inst      sched.Instance
 	decisions []sched.Decision
-	totals    []sched.RuleStats
 	needFull  []bool
 
 	// The current iteration (0-based): its record, its per-rule outcomes
@@ -665,6 +660,7 @@ type run struct {
 	pending      []ruleMatches
 	minStamp     uint64
 	unionsBefore uint64
+	mergesBefore uint64
 	rowsBefore   int
 	findsBefore  uint64
 	iterStart    time.Time
@@ -693,7 +689,6 @@ func (g *EGraph) newRun(rules []*Rule, cfg RunConfig) *run {
 	if cfg.Scheduler != nil {
 		r.inst = cfg.Scheduler.New()
 		r.decisions = make([]sched.Decision, len(rules))
-		r.totals = make([]sched.RuleStats, len(rules))
 		r.needFull = make([]bool, len(rules))
 	}
 	if cfg.RuleMetrics {
@@ -747,14 +742,16 @@ func (r *run) plan() StopReason {
 	// phase become the delta frontier this iteration scans.
 	deltaRows, minStamp := g.advanceFrontier()
 	r.minStamp = minStamp
-	r.unionsBefore, r.rowsBefore, r.findsBefore = g.unionCount, g.TotalRows(), g.uf.Finds()
+	r.unionsBefore, r.mergesBefore = g.unionCount, g.mergeCount
+	r.rowsBefore, r.findsBefore = g.TotalRows(), g.uf.Finds()
 	r.it = IterStats{DeltaRows: deltaRows, SemiNaive: !r.cfg.Naive && r.iter > 0}
-	// Scheduler decisions are computed serially from merged stats before
-	// any worker starts — never from wall time or goroutine order, which
-	// is the determinism contract.
+	// Scheduler decisions are computed serially before any worker starts,
+	// from state the strategy built out of merged per-iteration outcomes —
+	// never from wall time or goroutine order, which is the determinism
+	// contract.
 	if r.inst != nil {
 		for i, rule := range r.rules {
-			r.decisions[i] = r.inst.RuleBudget(rule.Name, r.iter+1, r.totals[i])
+			r.decisions[i] = r.inst.RuleBudget(rule.Name, r.iter+1)
 		}
 	}
 	return ""
@@ -956,14 +953,14 @@ func (r *run) finish() StopReason {
 		}
 	}
 	// Saturation needs an honest fixpoint: no growth AND no live scheduler
-	// intervention. A no-growth iteration with a temporary ban or a
-	// binding cap is a fixpoint of the throttled system only — derivable
-	// facts remain, and an expiring ban can still produce them — so the
-	// run keeps iterating (cheaply: saturated fringes plan no tasks) until
-	// the scheduler goes quiet or a limit lands. Final skips are exempt: a
-	// permanently banned rule never comes back, so it cannot justify
-	// keeping the run alive.
-	if g.unionCount == r.unionsBefore && g.TotalRows() == r.rowsBefore && !schedActive {
+	// intervention. Growth includes a primitive :merge that changed a
+	// row's value: the row joins the next delta, so rules that read the
+	// value still have work. A no-growth iteration with a ban or a binding
+	// cap is a fixpoint of the throttled system only — derivable facts
+	// remain, and an expiring ban can still produce them — so the run
+	// keeps iterating (cheaply: saturated fringes plan no tasks) until the
+	// scheduler goes quiet or a limit lands.
+	if g.unionCount == r.unionsBefore && g.TotalRows() == r.rowsBefore && g.mergeCount == r.mergesBefore && !schedActive {
 		return StopSaturated
 	}
 	if it.Nodes > r.cfg.NodeLimit {
@@ -972,29 +969,25 @@ func (r *run) finish() StopReason {
 	return ""
 }
 
-// recordSched closes the scheduler's loop: it folds the iteration's
-// outcomes into the cumulative stats decisions key on, surfaces
-// interventions in IterStats.Sched, records full-scan debt for skipped
-// and truncated rules, and reports the iteration to the strategy. It
-// returns whether a non-final intervention is live — while one exists, a
-// no-growth iteration must not be read as saturation, because an
-// expiring ban can still wake the run up.
+// recordSched closes the scheduler's loop: it surfaces interventions in
+// IterStats.Sched, records full-scan debt for skipped and truncated
+// rules, and reports the iteration to the strategy. It returns whether an
+// intervention is live — while one exists, a no-growth iteration must
+// not be read as saturation, because an expiring ban can still wake the
+// run up.
 func (r *run) recordSched() (active bool) {
 	if r.inst == nil {
 		return false
 	}
 	for i := range r.outcome {
-		o, d := &r.outcome[i], r.decisions[i]
-		r.totals[i].Matched += o.Matched
-		r.totals[i].Applied += o.Applied
+		o := &r.outcome[i]
 		switch {
 		case o.Skipped:
-			r.totals[i].SkippedIters++
-			active = active || !d.Final
-			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "skip", Final: d.Final})
+			active = true
+			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "skip"})
 		case o.Limited:
 			active = true
-			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "limit", Limit: d.Limit, Dropped: o.Matched - o.Applied})
+			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "limit", Limit: r.decisions[i].Limit, Dropped: o.Matched - o.Applied})
 		}
 		r.needFull[i] = o.Skipped || o.Limited
 	}
@@ -1016,8 +1009,6 @@ func (r *run) foldRules(complete bool) {
 		rs.Applied += o.Applied
 		switch {
 		case !complete:
-		case o.Skipped && r.decisions[i].Final:
-			rs.Banned++
 		case o.Skipped:
 			rs.Throttled++
 		case o.Limited:

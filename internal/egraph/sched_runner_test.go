@@ -2,8 +2,7 @@ package egraph
 
 // Tests for the scheduler hook at the runner's match-phase boundary:
 // counter surfacing, worker-count determinism of scheduled runs, the
-// nil == Simple equivalence, and the saturation semantics around
-// temporary vs final bans.
+// nil == Simple equivalence, and the saturation semantics around bans.
 
 import (
 	"bytes"
@@ -71,18 +70,12 @@ func TestSchedulerBackoffCounters(t *testing.T) {
 	if comm.Throttled == 0 {
 		t.Errorf("expected backoff bans on comm-Add: %+v", comm)
 	}
-	if comm.Banned != 0 {
-		t.Errorf("backoff bans are temporary, Banned must stay 0: %+v", comm)
-	}
 	var skips, limits int
 	for _, it := range rep.PerIter {
 		for _, d := range it.Sched {
 			switch d.Action {
 			case "skip":
 				skips++
-				if d.Final {
-					t.Errorf("backoff skip marked final: %+v", d)
-				}
 			case "limit":
 				limits++
 				if d.Dropped <= 0 || d.Limit <= 0 {
@@ -225,36 +218,6 @@ func TestSchedulerBanThenSaturate(t *testing.T) {
 	}
 	if l.g.UnionCount() != ul.g.UnionCount() {
 		t.Errorf("union counts diverge: %d vs %d", l.g.UnionCount(), ul.g.UnionCount())
-	}
-}
-
-// TestSchedulerFinalBanAllowsSaturation: a MatchLimit waste ban is
-// permanent, so it must not keep the run alive — after the probation
-// window the run saturates with the banned rule simply excluded.
-func TestSchedulerFinalBanAllowsSaturation(t *testing.T) {
-	l := newExprLangQuiet()
-	g := l.g
-	a, _ := g.Insert(l.Num, I64Value(g.I64, 1))
-	b, _ := g.Insert(l.Num, I64Value(g.I64, 2))
-	g.Insert(l.Add, a, b)
-	rep := g.Run([]*Rule{commRule(l.Add)}, RunConfig{
-		IterLimit:   16,
-		RuleMetrics: true,
-		Scheduler:   sched.MatchLimit{Limit: 100, Waste: map[string]float64{"comm-Add": 1.0}, Probation: 1},
-	})
-	if rep.Err != nil {
-		t.Fatal(rep.Err)
-	}
-	if rep.Stop != StopSaturated {
-		t.Fatalf("stop = %s, want saturated (final bans don't block the fixpoint)", rep.Stop)
-	}
-	// Iteration 1 is probation (the flip is applied); iteration 2 is a
-	// final skip with no growth, which counts as the fixpoint.
-	if rep.Iterations != 2 {
-		t.Errorf("iterations = %d, want 2 (probation, then immediate fixpoint)", rep.Iterations)
-	}
-	if len(rep.Rules) == 0 || rep.Rules[0].Banned == 0 {
-		t.Errorf("Banned counter not surfaced: %+v", rep.Rules)
 	}
 }
 

@@ -42,12 +42,10 @@ type RuleStats struct {
 	RowsCreated int64  `json:"rows_created"`
 	UnionsMade  uint64 `json:"unions_made"`
 	// Scheduler counters (zero without a RunConfig.Scheduler): Throttled
-	// counts iterations a temporary ban skipped the rule, Banned
-	// iterations a final (permanent) skip did, MatchLimited iterations a
+	// counts iterations a ban skipped the rule, MatchLimited iterations a
 	// scheduler cap actually truncated the rule's matches, and
 	// SchedDropped the matches those truncations discarded.
 	Throttled    int64 `json:"throttled,omitempty"`
-	Banned       int64 `json:"banned,omitempty"`
 	MatchLimited int64 `json:"match_limited,omitempty"`
 	SchedDropped int64 `json:"sched_dropped,omitempty"`
 }
@@ -65,7 +63,6 @@ func (s *RuleStats) add(o RuleStats) {
 	s.RowsCreated += o.RowsCreated
 	s.UnionsMade += o.UnionsMade
 	s.Throttled += o.Throttled
-	s.Banned += o.Banned
 	s.MatchLimited += o.MatchLimited
 	s.SchedDropped += o.SchedDropped
 }
@@ -77,7 +74,7 @@ func (s *RuleStats) add(o RuleStats) {
 func (s RuleStats) Check() error {
 	if s.Matched < 0 || s.Applied < 0 || s.Noops < 0 || s.RowsScanned < 0 ||
 		s.DeltaQueries < 0 || s.FullScans < 0 || s.MatchTime < 0 || s.ApplyTime < 0 ||
-		s.RowsCreated < 0 || s.Throttled < 0 || s.Banned < 0 || s.MatchLimited < 0 || s.SchedDropped < 0 {
+		s.RowsCreated < 0 || s.Throttled < 0 || s.MatchLimited < 0 || s.SchedDropped < 0 {
 		return fmt.Errorf("rule %s: negative counter", s.Name)
 	}
 	if s.Applied > s.Matched {
@@ -159,12 +156,12 @@ func FormatIterStats(iters []IterStats) string {
 // FormatRuleStats renders per-rule metrics as an aligned text table in
 // rule-declaration order (the CLIs' --stats output). Times are printed in
 // milliseconds with enough precision for CI-scale runs. The scheduler
-// columns (thr/ban/cap) appear only when a scheduler actually acted, so
+// columns (thr/cap) appear only when a scheduler actually acted, so
 // unscheduled runs keep the historic table shape.
 func FormatRuleStats(rules []RuleStats) string {
 	sched := false
 	for _, r := range rules {
-		if r.Throttled != 0 || r.Banned != 0 || r.MatchLimited != 0 {
+		if r.Throttled != 0 || r.MatchLimited != 0 {
 			sched = true
 			break
 		}
@@ -173,7 +170,7 @@ func FormatRuleStats(rules []RuleStats) string {
 	fmt.Fprintf(&b, "%-32s %9s %9s %7s %10s %6s %5s %8s %8s %10s %10s",
 		"rule", "matched", "applied", "noops", "rows", "delta", "full", "created", "unions", "match(ms)", "apply(ms)")
 	if sched {
-		fmt.Fprintf(&b, " %5s %5s %5s", "thr", "ban", "cap")
+		fmt.Fprintf(&b, " %5s %5s", "thr", "cap")
 	}
 	b.WriteByte('\n')
 	for _, r := range rules {
@@ -183,7 +180,7 @@ func FormatRuleStats(rules []RuleStats) string {
 			float64(r.MatchTime.Nanoseconds())/1e6,
 			float64(r.ApplyTime.Nanoseconds())/1e6)
 		if sched {
-			fmt.Fprintf(&b, " %5d %5d %5d", r.Throttled, r.Banned, r.MatchLimited)
+			fmt.Fprintf(&b, " %5d %5d", r.Throttled, r.MatchLimited)
 		}
 		b.WriteByte('\n')
 	}

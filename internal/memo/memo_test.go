@@ -176,8 +176,16 @@ func TestGroupDedup(t *testing.T) {
 			}
 		}()
 	}
-	// Wait until the flight exists so all callers join it.
-	for g.Inflight() == 0 {
+	// Release only once all n callers have joined the flight: a caller
+	// that arrived after the release would start a second one.
+	for {
+		g.mu.Lock()
+		c := g.calls["k"]
+		joined := c != nil && c.waiters == n
+		g.mu.Unlock()
+		if joined {
+			break
+		}
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

@@ -5,7 +5,10 @@
 // concatenated files).
 package rules
 
-import _ "embed"
+import (
+	_ "embed"
+	"fmt"
+)
 
 // ArithCore declares the integer arith-dialect operations with
 // latency-calibrated costs.
@@ -68,3 +71,23 @@ func Poly() []string { return []string{ArithCore, ArithFloat, Horner} }
 
 // MatmulChain is the rule set for the 2MM/3MM/NMM benchmarks.
 func MatmulChain() []string { return []string{ArithCore, Matmul} }
+
+// Bundle resolves a bundled rule-set name, as egg-opt's and egg-serve's
+// -rules flags and egg-serve's rule_set request field take it: "" is no
+// rules, and imgconv, vecnorm, poly and matmul are the benchmark sets
+// above. Any other name is an error that lists the accepted names.
+func Bundle(name string) ([]string, error) {
+	switch name {
+	case "":
+		return nil, nil
+	case "imgconv":
+		return ImgConv(), nil
+	case "vecnorm":
+		return VecNorm(), nil
+	case "poly":
+		return Poly(), nil
+	case "matmul":
+		return MatmulChain(), nil
+	}
+	return nil, fmt.Errorf("unknown rule set %q (want imgconv, vecnorm, poly, or matmul)", name)
+}

@@ -1,15 +1,17 @@
 package sched
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
 )
 
-// SchemaV1 tags the versioned schedule artifact. Readers reject other
-// schemas so a format change can never be misread silently.
-const SchemaV1 = "dialegg-schedule/v1"
+// SchemaV2 tags the versioned schedule artifact, whose entries store each
+// strategy as its -scheduler spec. Readers reject other schemas, v1
+// included, so a format change can never be misread silently.
+const SchemaV2 = "dialegg-schedule/v2"
 
 // TunerInfo records how a tuned artifact was produced — provenance for
 // humans and the ablation tables, never consulted by loaders.
@@ -23,34 +25,15 @@ type TunerInfo struct {
 	Evaluated int `json:"evaluated,omitempty"`
 }
 
-// RuleOverride tunes one rule inside a ruleset entry. Zero fields inherit
-// the entry-wide parameters.
-type RuleOverride struct {
-	Rule string `json:"rule"`
-	// Threshold/BanLength apply to backoff entries.
-	Threshold int `json:"threshold,omitempty"`
-	BanLength int `json:"ban_length,omitempty"`
-	// MatchLimit applies to matchlimit entries (negative = uncapped).
-	MatchLimit int `json:"match_limit,omitempty"`
-}
-
 // RulesetSchedule is one rule set's tuned strategy. The empty RuleSet
 // name is the default entry, used when no named entry matches — it is
 // what makes a tuned artifact loadable against rule sets the tuner never
 // saw (they get the globally best strategy instead of an error).
 type RulesetSchedule struct {
 	RuleSet string `json:"ruleset"`
-	// Scheduler is the strategy kind: "simple", "backoff", or
-	// "matchlimit".
+	// Scheduler is the strategy as its canonical -scheduler spec (its
+	// Fingerprint), e.g. "backoff:threshold=128,factor=2,ban=5".
 	Scheduler string `json:"scheduler"`
-	// Backoff parameters (zero = strategy default).
-	Threshold int `json:"threshold,omitempty"`
-	Factor    int `json:"factor,omitempty"`
-	BanLength int `json:"ban_length,omitempty"`
-	// MatchLimit parameters (zero = strategy default).
-	MatchLimit int `json:"match_limit,omitempty"`
-	// Rules holds per-rule overrides, sorted by rule name.
-	Rules []RuleOverride `json:"rules,omitempty"`
 	// BaselineCost/TunedCost record the tuner's objective value under the
 	// Simple baseline and under this entry, for the ablation record.
 	BaselineCost int64 `json:"baseline_cost,omitempty"`
@@ -66,18 +49,13 @@ type Artifact struct {
 	Rulesets []RulesetSchedule `json:"rulesets"`
 }
 
-// NewArtifact returns an empty v1 artifact.
-func NewArtifact() *Artifact { return &Artifact{Schema: SchemaV1} }
+// NewArtifact returns an empty v2 artifact.
+func NewArtifact() *Artifact { return &Artifact{Schema: SchemaV2} }
 
-// Canonical sorts the artifact into its deterministic order (rulesets by
-// name, overrides by rule) so Encode is byte-stable regardless of build
-// order.
+// Canonical sorts the rulesets by name so Encode is byte-stable
+// regardless of build order.
 func (a *Artifact) Canonical() {
 	sort.Slice(a.Rulesets, func(i, j int) bool { return a.Rulesets[i].RuleSet < a.Rulesets[j].RuleSet })
-	for i := range a.Rulesets {
-		rs := &a.Rulesets[i]
-		sort.Slice(rs.Rules, func(x, y int) bool { return rs.Rules[x].Rule < rs.Rules[y].Rule })
-	}
 }
 
 // Encode canonicalizes and renders the artifact as indented JSON with a
@@ -100,29 +78,39 @@ func (a *Artifact) WriteFile(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// ReadArtifact loads and lints a schedule artifact.
+// ReadArtifact loads and lints a schedule artifact. Unknown fields are
+// errors, so a misspelled or stale field is never dropped silently.
 func ReadArtifact(path string) (*Artifact, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var a Artifact
-	if err := json.Unmarshal(b, &a); err != nil {
-		return nil, fmt.Errorf("sched: %s: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&a)
+	// The decoder reads on past an unknown field, so a file of another
+	// schema version is rejected by its tag rather than by the first
+	// field that version names differently.
+	if err == nil || (a.Schema != "" && a.Schema != SchemaV2) {
+		err = a.Lint()
 	}
-	if err := a.Lint(); err != nil {
+	if err == nil && dec.More() {
+		err = fmt.Errorf("trailing data after the artifact")
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sched: %s: %w", path, err)
 	}
 	return &a, nil
 }
 
-// Lint checks the artifact's structural contract: the exact v1 schema,
-// rulesets sorted and unique by name, known scheduler kinds, sane
-// parameters, and overrides sorted and unique per entry. A linted
-// artifact always builds (Build cannot fail on it).
+// Lint checks the artifact's structural contract: the exact v2 schema,
+// rulesets sorted and unique by name, and every entry's spec canonical —
+// it parses, and the parsed strategy's Fingerprint prints it unchanged.
+// For cannot fail on a linted artifact.
 func (a *Artifact) Lint() error {
-	if a.Schema != SchemaV1 {
-		return fmt.Errorf("schema %q, want %q", a.Schema, SchemaV1)
+	if a.Schema != SchemaV2 {
+		return fmt.Errorf("schema %q, want %q", a.Schema, SchemaV2)
 	}
 	if len(a.Rulesets) == 0 {
 		return fmt.Errorf("no ruleset entries")
@@ -141,80 +129,60 @@ func (a *Artifact) Lint() error {
 				return fmt.Errorf("ruleset entries not sorted: %s after %q", label, prev)
 			}
 		}
-		switch rs.Scheduler {
-		case "simple", "backoff", "matchlimit":
-		default:
-			return fmt.Errorf("ruleset %s: unknown scheduler %q", label, rs.Scheduler)
+		s, err := Parse(rs.Scheduler)
+		if err != nil {
+			return fmt.Errorf("ruleset %s: %w", label, err)
 		}
-		if rs.Threshold < 0 || rs.BanLength < 0 || rs.MatchLimit < 0 {
-			return fmt.Errorf("ruleset %s: negative parameter", label)
-		}
-		if rs.Factor != 0 && rs.Factor < 2 {
-			return fmt.Errorf("ruleset %s: factor %d < 2 (backoff must grow geometrically)", label, rs.Factor)
-		}
-		if rs.Scheduler == "simple" && (rs.Threshold != 0 || rs.Factor != 0 || rs.BanLength != 0 || rs.MatchLimit != 0 || len(rs.Rules) != 0) {
-			return fmt.Errorf("ruleset %s: simple takes no parameters", label)
-		}
-		for j := range rs.Rules {
-			o := &rs.Rules[j]
-			if o.Rule == "" {
-				return fmt.Errorf("ruleset %s: override with empty rule name", label)
-			}
-			if j > 0 {
-				switch prev := rs.Rules[j-1].Rule; {
-				case o.Rule == prev:
-					return fmt.Errorf("ruleset %s: duplicate override for rule %q", label, o.Rule)
-				case o.Rule < prev:
-					return fmt.Errorf("ruleset %s: overrides not sorted: %q after %q", label, o.Rule, prev)
-				}
-			}
-			if o.Threshold < 0 || o.BanLength < 0 {
-				return fmt.Errorf("ruleset %s: rule %q: negative parameter", label, o.Rule)
-			}
+		if fp := s.Fingerprint(); fp != rs.Scheduler {
+			return fmt.Errorf("ruleset %s: scheduler %q is not canonical, want %q", label, rs.Scheduler, fp)
 		}
 	}
 	return nil
 }
 
-// For resolves the entry for a rule set name: the exact match if one
-// exists, else the default ("") entry, else nil.
-func (a *Artifact) For(ruleset string) *RulesetSchedule {
+// For resolves the strategy for a rule set name: the exact entry if one
+// exists, else the default ("") entry, else nil. The artifact must have
+// passed Lint (ReadArtifact lints); For panics on a spec Lint rejects.
+func (a *Artifact) For(ruleset string) Scheduler {
 	var def *RulesetSchedule
 	for i := range a.Rulesets {
-		switch a.Rulesets[i].RuleSet {
+		switch rs := &a.Rulesets[i]; rs.RuleSet {
 		case ruleset:
-			return &a.Rulesets[i]
+			return mustParse(rs.Scheduler)
 		case "":
-			def = &a.Rulesets[i]
+			def = rs
 		}
 	}
-	return def
+	if def == nil {
+		return nil
+	}
+	return mustParse(def.Scheduler)
 }
 
-// Build constructs the entry's Scheduler.
-func (rs *RulesetSchedule) Build() (Scheduler, error) {
-	switch rs.Scheduler {
-	case "simple":
-		return Simple{}, nil
-	case "backoff":
-		b := Backoff{Threshold: rs.Threshold, Factor: rs.Factor, BanLength: rs.BanLength}
-		if len(rs.Rules) > 0 {
-			b.Rules = make(map[string]BackoffRule, len(rs.Rules))
-			for _, o := range rs.Rules {
-				b.Rules[o.Rule] = BackoffRule{Threshold: o.Threshold, BanLength: o.BanLength}
-			}
-		}
-		return b, nil
-	case "matchlimit":
-		m := MatchLimit{Limit: rs.MatchLimit}
-		if len(rs.Rules) > 0 {
-			m.Rules = make(map[string]int, len(rs.Rules))
-			for _, o := range rs.Rules {
-				m.Rules[o.Rule] = o.MatchLimit
-			}
-		}
-		return m, nil
-	default:
-		return nil, fmt.Errorf("sched: unknown scheduler %q", rs.Scheduler)
+func mustParse(spec string) Scheduler {
+	s, err := Parse(spec)
+	if err != nil {
+		panic(fmt.Sprintf("sched: unlinted artifact: %v", err))
 	}
+	return s
+}
+
+// Load resolves a run's strategy from the -schedule and -scheduler flags:
+// the artifact at path, when set, supplies the ruleset's entry, and a
+// non-empty spec overrides it. The artifact is read and linted even when
+// the spec wins, so a bad file still fails. The result is nil when
+// neither names a strategy.
+func Load(path, ruleset, spec string) (Scheduler, error) {
+	var s Scheduler
+	if path != "" {
+		a, err := ReadArtifact(path)
+		if err != nil {
+			return nil, err
+		}
+		s = a.For(ruleset)
+	}
+	if spec != "" {
+		return Parse(spec)
+	}
+	return s, nil
 }

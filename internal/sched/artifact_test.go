@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,13 +10,12 @@ import (
 
 func validArtifact() *Artifact {
 	return &Artifact{
-		Schema: SchemaV1,
+		Schema: SchemaV2,
 		Tuner:  &TunerInfo{Workloads: []string{"chain16"}, Objective: "rows_scanned", Budget: 8, Evaluated: 8},
 		Rulesets: []RulesetSchedule{
-			{RuleSet: "", Scheduler: "backoff", Threshold: 200, Factor: 2, BanLength: 3},
-			{RuleSet: "matmul", Scheduler: "backoff", Threshold: 400,
-				Rules: []RuleOverride{{Rule: "assoc", Threshold: 50}, {Rule: "comm", Threshold: 25}}},
-			{RuleSet: "poly", Scheduler: "matchlimit", MatchLimit: 1000},
+			{RuleSet: "", Scheduler: "backoff:threshold=200,factor=2,ban=3"},
+			{RuleSet: "matmul", Scheduler: "backoff:threshold=400,factor=2,ban=5"},
+			{RuleSet: "poly", Scheduler: "matchlimit:limit=1000"},
 			{RuleSet: "vecnorm", Scheduler: "simple"},
 		},
 	}
@@ -29,6 +29,8 @@ func TestArtifactLintAccepts(t *testing.T) {
 
 // TestArtifactLintViolations mutates a valid artifact one invariant at a
 // time; every mutation must be caught with a message naming the problem.
+// The file cases go through ReadArtifact, which also rejects what the
+// decoder sees: an unknown field, or a v1 file by its schema tag.
 func TestArtifactLintViolations(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -36,21 +38,18 @@ func TestArtifactLintViolations(t *testing.T) {
 		wantSub string
 	}{
 		{"wrong schema", func(a *Artifact) { a.Schema = "dialegg-schedule/v0" }, "schema"},
+		{"v1 schema", func(a *Artifact) { a.Schema = "dialegg-schedule/v1" }, `"dialegg-schedule/v1"`},
 		{"empty", func(a *Artifact) { a.Rulesets = nil }, "no ruleset entries"},
 		{"unsorted rulesets", func(a *Artifact) {
 			a.Rulesets[1], a.Rulesets[2] = a.Rulesets[2], a.Rulesets[1]
 		}, "not sorted"},
 		{"duplicate ruleset", func(a *Artifact) { a.Rulesets[2].RuleSet = "matmul" }, "duplicate ruleset"},
 		{"unknown scheduler", func(a *Artifact) { a.Rulesets[0].Scheduler = "annealing" }, "unknown scheduler"},
-		{"negative threshold", func(a *Artifact) { a.Rulesets[0].Threshold = -5 }, "negative"},
-		{"factor one", func(a *Artifact) { a.Rulesets[0].Factor = 1 }, "factor"},
-		{"simple with params", func(a *Artifact) { a.Rulesets[3].Threshold = 7 }, "simple takes no parameters"},
-		{"unsorted overrides", func(a *Artifact) {
-			rs := &a.Rulesets[1]
-			rs.Rules[0], rs.Rules[1] = rs.Rules[1], rs.Rules[0]
-		}, "overrides not sorted"},
-		{"duplicate override", func(a *Artifact) { a.Rulesets[1].Rules[1].Rule = "assoc" }, "duplicate override"},
-		{"empty override name", func(a *Artifact) { a.Rulesets[1].Rules[0].Rule = "" }, "empty rule name"},
+		{"negative threshold", func(a *Artifact) { a.Rulesets[0].Scheduler = "backoff:threshold=-5,factor=2,ban=3" }, "positive integer"},
+		{"simple with params", func(a *Artifact) { a.Rulesets[3].Scheduler = "simple:threshold=7" }, "simple takes no options"},
+		{"non-canonical spec", func(a *Artifact) { a.Rulesets[1].Scheduler = "backoff:threshold=400" }, "not canonical"},
+		{"factor one", func(a *Artifact) { a.Rulesets[0].Scheduler = "backoff:threshold=200,factor=1,ban=3" }, "not canonical"},
+		{"empty spec", func(a *Artifact) { a.Rulesets[3].Scheduler = "" }, "not canonical"},
 	}
 	for _, tc := range cases {
 		a := validArtifact()
@@ -64,45 +63,100 @@ func TestArtifactLintViolations(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSub)
 		}
 	}
+
+	files := []struct{ name, data, wantSub string }{
+		{"v1 file", `{"schema": "dialegg-schedule/v1", "rulesets": [{"ruleset": "", "scheduler": "backoff", "threshold": 128, "factor": 2, "ban_length": 5}]}`,
+			`schema "dialegg-schedule/v1", want "dialegg-schedule/v2"`},
+		{"unknown field", `{"schema": "dialegg-schedule/v2", "rulesets": [{"ruleset": "", "scheduler": "simple", "rules": []}]}`,
+			`unknown field "rules"`},
+		{"trailing data", `{"schema": "dialegg-schedule/v2", "rulesets": [{"ruleset": "", "scheduler": "simple"}]} {}`,
+			"trailing data"},
+	}
+	dir := t.TempDir()
+	for _, tc := range files {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_")+".json")
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadArtifact(path)
+		if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: ReadArtifact error %v, want one mentioning %q", tc.name, err, tc.wantSub)
+		}
+	}
 }
 
-// TestArtifactForResolution: exact ruleset name wins, the default entry
+// TestArtifactBuild: every entry of a linted artifact builds a strategy
+// that hands out instances and carries the entry's tuned parameters.
+func TestArtifactBuild(t *testing.T) {
+	a := validArtifact()
+	for _, rs := range a.Rulesets {
+		s := a.For(rs.RuleSet)
+		if s == nil || s.Fingerprint() != rs.Scheduler {
+			t.Fatalf("For(%q) = %v, want %s", rs.RuleSet, s, rs.Scheduler)
+		}
+		if s.New() == nil {
+			t.Fatalf("For(%q): nil instance", rs.RuleSet)
+		}
+	}
+	if fp := a.For("matmul").Fingerprint(); !strings.Contains(fp, "threshold=400") || !strings.Contains(fp, "ban=5") {
+		t.Fatalf("built fingerprint missing tuned parameters: %s", fp)
+	}
+}
+
+// TestArtifactForResolution: exact ruleset names win, the default entry
 // catches everything else, and a defaultless artifact returns nil for
 // unknown sets.
 func TestArtifactForResolution(t *testing.T) {
 	a := validArtifact()
-	if rs := a.For("matmul"); rs == nil || rs.Threshold != 400 {
-		t.Fatalf("For(matmul) = %+v", rs)
+	if s := a.For("matmul"); s == nil || s.Fingerprint() != a.Rulesets[1].Scheduler {
+		t.Fatalf("For(matmul) should pick its exact entry, got %v", s)
 	}
-	if rs := a.For("imgconv"); rs == nil || rs.RuleSet != "" {
-		t.Fatalf("For(imgconv) should fall back to the default entry, got %+v", rs)
+	if s := a.For("imgconv"); s == nil || s.Fingerprint() != a.Rulesets[0].Scheduler {
+		t.Fatalf("For(imgconv) should fall back to the default entry, got %v", s)
 	}
-	noDefault := &Artifact{Schema: SchemaV1, Rulesets: []RulesetSchedule{{RuleSet: "poly", Scheduler: "simple"}}}
-	if rs := noDefault.For("imgconv"); rs != nil {
-		t.Fatalf("For without default entry should be nil, got %+v", rs)
+	noDefault := &Artifact{Schema: SchemaV2, Rulesets: []RulesetSchedule{{RuleSet: "poly", Scheduler: "simple"}}}
+	if s := noDefault.For("imgconv"); s != nil {
+		t.Fatalf("For without default entry should be nil, got %v", s)
 	}
 }
 
-// TestArtifactBuild: linted entries all build, and the built scheduler
-// carries the entry's parameters into its fingerprint.
-func TestArtifactBuild(t *testing.T) {
-	a := validArtifact()
-	for i := range a.Rulesets {
-		s, err := a.Rulesets[i].Build()
-		if err != nil {
-			t.Fatalf("Build(%q): %v", a.Rulesets[i].RuleSet, err)
-		}
-		if s.New() == nil {
-			t.Fatalf("Build(%q): nil instance", a.Rulesets[i].RuleSet)
-		}
-	}
-	s, err := a.For("matmul").Build()
-	if err != nil {
+// TestLoad: the artifact's entry applies unless a spec overrides it, and
+// a bad artifact fails even when the spec would win.
+func TestLoad(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := validArtifact().WriteFile(good); err != nil {
 		t.Fatal(err)
 	}
-	fp := s.Fingerprint()
-	if !strings.Contains(fp, "threshold=400") || !strings.Contains(fp, "rule=comm;25;0") {
-		t.Fatalf("built fingerprint missing tuned parameters: %s", fp)
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"schema": "dialegg-schedule/v1", "rulesets": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ path, ruleset, spec, want string }{
+		{"", "matmul", "", "<nil>"},
+		{"", "matmul", "matchlimit:64", "matchlimit:limit=64"},
+		{good, "matmul", "", "backoff:threshold=400,factor=2,ban=5"},
+		{good, "imgconv", "", "backoff:threshold=200,factor=2,ban=3"},
+		{good, "matmul", "simple", "simple"},
+	}
+	for _, tc := range cases {
+		s, err := Load(tc.path, tc.ruleset, tc.spec)
+		if err != nil {
+			t.Fatalf("Load(%q, %q, %q): %v", tc.path, tc.ruleset, tc.spec, err)
+		}
+		got := "<nil>"
+		if s != nil {
+			got = s.Fingerprint()
+		}
+		if got != tc.want {
+			t.Errorf("Load(%q, %q, %q) = %s, want %s", tc.path, tc.ruleset, tc.spec, got, tc.want)
+		}
+	}
+	if _, err := Load(bad, "matmul", "simple"); err == nil {
+		t.Error("Load accepted a bad artifact because a spec overrode it")
+	}
+	if _, err := Load("", "", "probation=3"); err == nil {
+		t.Error("Load accepted a bad spec")
 	}
 }
 

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Backoff defaults (egg's BackoffScheduler uses match_limit 1000 and
 // ban_length 5; the factor-2 growth matches its << times_banned shifts).
@@ -13,13 +9,6 @@ const (
 	DefaultBackoffFactor    = 2
 	DefaultBackoffBan       = 5
 )
-
-// BackoffRule overrides the starting threshold and ban length for one
-// rule (zero fields inherit the strategy-wide values).
-type BackoffRule struct {
-	Threshold int
-	BanLength int
-}
 
 // Backoff is the egg-style exponential-backoff strategy: each rule
 // matches under a per-iteration threshold; an iteration whose match count
@@ -46,8 +35,6 @@ type Backoff struct {
 	// BanLength is the first ban's length in iterations
 	// (default DefaultBackoffBan).
 	BanLength int
-	// Rules holds per-rule overrides (tuned schedules set these).
-	Rules map[string]BackoffRule
 }
 
 // withDefaults returns the strategy with zero fields filled in.
@@ -69,22 +56,11 @@ func (b Backoff) New() Instance {
 	return &backoffInstance{cfg: b.withDefaults(), state: map[string]*backoffState{}}
 }
 
-// Fingerprint implements Scheduler: a canonical spec string (sorted rule
-// overrides), stable across processes.
+// Fingerprint implements Scheduler: the spec with every default filled
+// in, e.g. "backoff:threshold=1000,factor=2,ban=5".
 func (b Backoff) Fingerprint() string {
 	c := b.withDefaults()
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "backoff:threshold=%d,factor=%d,ban=%d", c.Threshold, c.Factor, c.BanLength)
-	names := make([]string, 0, len(c.Rules))
-	for n := range c.Rules {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		o := c.Rules[n]
-		fmt.Fprintf(&sb, ",rule=%s;%d;%d", n, o.Threshold, o.BanLength)
-	}
-	return sb.String()
+	return fmt.Sprintf("backoff:threshold=%d,factor=%d,ban=%d", c.Threshold, c.Factor, c.BanLength)
 }
 
 // backoffState is one rule's mutable backoff state within a run.
@@ -93,7 +69,6 @@ type backoffState struct {
 	banLen    int
 	// bannedUntil is the first iteration the rule may run again.
 	bannedUntil int
-	bans        int
 }
 
 type backoffInstance struct {
@@ -105,14 +80,6 @@ func (b *backoffInstance) get(rule string) *backoffState {
 	st, ok := b.state[rule]
 	if !ok {
 		st = &backoffState{threshold: b.cfg.Threshold, banLen: b.cfg.BanLength}
-		if o, ok := b.cfg.Rules[rule]; ok {
-			if o.Threshold > 0 {
-				st.threshold = o.Threshold
-			}
-			if o.BanLength > 0 {
-				st.banLen = o.BanLength
-			}
-		}
 		b.state[rule] = st
 	}
 	return st
@@ -120,7 +87,7 @@ func (b *backoffInstance) get(rule string) *backoffState {
 
 // RuleBudget implements Instance: banned rules skip; everything else
 // matches under the rule's current threshold.
-func (b *backoffInstance) RuleBudget(rule string, iter int, _ RuleStats) Decision {
+func (b *backoffInstance) RuleBudget(rule string, iter int) Decision {
 	st := b.get(rule)
 	if iter < st.bannedUntil {
 		return Decision{Action: ActionSkip}
@@ -143,7 +110,6 @@ func (b *backoffInstance) RecordIter(iter int, stats []RuleIterStats) {
 			st.bannedUntil = iter + 1 + st.banLen
 			st.threshold *= b.cfg.Factor
 			st.banLen *= b.cfg.Factor
-			st.bans++
 		}
 	}
 }

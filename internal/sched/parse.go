@@ -6,17 +6,18 @@ import (
 	"strings"
 )
 
-// Parse builds a Scheduler from a --scheduler flag spec:
+// Parse builds a Scheduler from a -scheduler spec:
 //
 //	simple
 //	backoff
 //	backoff:threshold=500,factor=2,ban=3
 //	matchlimit
 //	matchlimit:2000
-//	matchlimit:limit=2000,probation=5
+//	matchlimit:limit=2000
 //
-// Unknown kinds and malformed options are errors; per-rule overrides are
-// not expressible here — load a dialegg-schedule artifact for those.
+// Omitted options take the strategy's defaults. Unknown kinds and
+// malformed options are errors. Every Fingerprint is a spec Parse reads
+// back to an equal strategy.
 func Parse(spec string) (Scheduler, error) {
 	kind, opts := spec, ""
 	if i := strings.IndexByte(spec, ':'); i >= 0 {
@@ -51,10 +52,7 @@ func Parse(spec string) (Scheduler, error) {
 			m.Limit = n
 			return m, nil
 		}
-		if err := parseOpts(opts, map[string]*int{
-			"limit":     &m.Limit,
-			"probation": &m.Probation,
-		}); err != nil {
+		if err := parseOpts(opts, map[string]*int{"limit": &m.Limit}); err != nil {
 			return nil, fmt.Errorf("sched: matchlimit: %w", err)
 		}
 		return m, nil

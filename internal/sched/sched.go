@@ -1,10 +1,10 @@
 // Package sched is the engine's adaptive rule-scheduling subsystem: the
-// control half of the measure→control loop the per-rule metrics, blame,
-// and selectivity profiles feed. A Scheduler decides, per iteration and
-// per rule, whether the rule matches this iteration (run), sits it out
-// (skip), or matches under a cap (limit N) — the mechanism behind egg's
-// BackoffScheduler, which is what keeps one explosive rule (commutativity,
-// associativity) from dominating saturation time and e-graph growth.
+// control half of the measure→control loop the per-rule metrics feed. A
+// Scheduler decides, per iteration and per rule, whether the rule matches
+// this iteration (run), sits it out (skip), or matches under a cap
+// (limit N) — the mechanism behind egg's BackoffScheduler, which is what
+// keeps one explosive rule (commutativity, associativity) from dominating
+// saturation time and e-graph growth.
 //
 // Determinism is the design constraint everything here bends around: a
 // scheduler decision may depend only on the iteration number, the rule's
@@ -56,24 +56,6 @@ type Decision struct {
 	// Limit is the per-iteration match cap when Action == ActionLimit
 	// (<= 0 means unlimited, equivalent to ActionRun).
 	Limit int
-	// Final marks a decision the scheduler will never revisit (a
-	// permanent ban, e.g. a waste-pruned rule). The runner may declare
-	// saturation on a no-growth iteration despite final skips; non-final
-	// skips suppress saturation, because the decision can change once a
-	// ban expires.
-	Final bool
-}
-
-// RuleStats is the runner-maintained cumulative view of one rule's
-// activity across the run so far, passed to RuleBudget each iteration.
-// All counts are merged (worker-count-independent) quantities.
-type RuleStats struct {
-	// Matched is the rule's pre-truncation match total.
-	Matched int64
-	// Applied is the rule's applied-match total (post any caps).
-	Applied int64
-	// SkippedIters counts iterations the scheduler skipped the rule.
-	SkippedIters int
 }
 
 // RuleIterStats is one rule's merged outcome of one iteration, delivered
@@ -100,7 +82,7 @@ type RuleIterStats struct {
 // locking.
 type Instance interface {
 	// RuleBudget returns the rule's budget for iteration iter (1-based).
-	RuleBudget(rule string, iter int, stats RuleStats) Decision
+	RuleBudget(rule string, iter int) Decision
 	// RecordIter delivers the iteration's merged per-rule outcomes in
 	// rule-declaration order.
 	RecordIter(iter int, stats []RuleIterStats)
@@ -109,9 +91,11 @@ type Instance interface {
 // Scheduler is a reusable, immutable scheduling strategy. New mints the
 // mutable per-run state, so one Scheduler value can bound many runs (the
 // optimizer saturates once per function) without state leaking between
-// them; Fingerprint is the strategy's canonical identity, which result
-// caches fold into their content address (a scheduler changes results, so
-// two runs share a cache entry only when their schedules agree).
+// them. Fingerprint is the strategy's canonical identity and its one text
+// form: a spec that Parse reads back to an equal strategy, which schedule
+// artifacts store and result caches fold into their content address (a
+// scheduler changes results, so two runs share a cache entry only when
+// their schedules agree).
 type Scheduler interface {
 	New() Instance
 	Fingerprint() string
@@ -129,5 +113,5 @@ func (Simple) Fingerprint() string { return "simple" }
 
 type simpleInstance struct{}
 
-func (simpleInstance) RuleBudget(string, int, RuleStats) Decision { return Decision{} }
-func (simpleInstance) RecordIter(int, []RuleIterStats)            {}
+func (simpleInstance) RuleBudget(string, int) Decision { return Decision{} }
+func (simpleInstance) RecordIter(int, []RuleIterStats) {}

@@ -7,12 +7,7 @@
 // graceful drain for rolling restarts.
 package serve
 
-import (
-	"fmt"
-
-	"dialegg/internal/memo"
-	"dialegg/internal/rules"
-)
+import "dialegg/internal/memo"
 
 // OptimizeRequest is the POST /optimize body.
 type OptimizeRequest struct {
@@ -94,29 +89,11 @@ type ServerStats struct {
 	QueueCap   int   `json:"queue_cap"`
 	Workers    int   `json:"workers"`
 	Draining   bool  `json:"draining"`
-	// LatencyP50MS/P99MS are quantiles over a sliding window of recent
-	// request latencies (cache hits included — they are the product).
+	// LatencyP50MS/P99MS are quantiles interpolated within the buckets of
+	// the request-latency histogram (cache hits included — they are the
+	// product).
 	LatencyP50MS float64 `json:"latency_p50_ms"`
 	LatencyP99MS float64 `json:"latency_p99_ms"`
 	// Cache is the memo layer's accounting (entries, bytes, evictions).
 	Cache memo.CacheStats `json:"cache"`
-}
-
-// bundledRules resolves a bundled rule-set name (the same names egg-opt's
-// -rules flag accepts).
-func bundledRules(name string) ([]string, error) {
-	switch name {
-	case "":
-		return nil, nil
-	case "imgconv":
-		return rules.ImgConv(), nil
-	case "vecnorm":
-		return rules.VecNorm(), nil
-	case "poly":
-		return rules.Poly(), nil
-	case "matmul":
-		return rules.MatmulChain(), nil
-	default:
-		return nil, fmt.Errorf("unknown rule set %q (want imgconv, vecnorm, poly, or matmul)", name)
-	}
 }

@@ -21,10 +21,7 @@ func TestScheduleAffectsKeyAndCounters(t *testing.T) {
 	// it within a couple of iterations.
 	art.Rulesets = []sched.RulesetSchedule{{
 		RuleSet:   "",
-		Scheduler: "backoff",
-		Threshold: 4,
-		Factor:    2,
-		BanLength: 2,
+		Scheduler: "backoff:threshold=4,factor=2,ban=2",
 	}}
 	if err := art.Lint(); err != nil {
 		t.Fatalf("test artifact fails lint: %v", err)
@@ -79,7 +76,7 @@ func TestScheduleAffectsKeyAndCounters(t *testing.T) {
 func TestScheduleNamedEntryWins(t *testing.T) {
 	art := sched.NewArtifact()
 	art.Rulesets = []sched.RulesetSchedule{
-		{RuleSet: "", Scheduler: "backoff", Threshold: 1},
+		{RuleSet: "", Scheduler: "backoff:threshold=1,factor=2,ban=5"},
 		{RuleSet: "imgconv", Scheduler: "simple"},
 	}
 	if err := art.Lint(); err != nil {

@@ -21,6 +21,7 @@ import (
 	"dialegg/internal/obs"
 	"dialegg/internal/obs/profile"
 	"dialegg/internal/obs/telemetry"
+	"dialegg/internal/rules"
 	"dialegg/internal/sched"
 )
 
@@ -81,7 +82,7 @@ type Config struct {
 	// profile (sample every Nth match root; 0 = off). Only meaningful
 	// with Profile set.
 	ProfileSample int
-	// Schedule, when non-nil, is a linted dialegg-schedule/v1 artifact
+	// Schedule, when non-nil, is a linted dialegg-schedule/v2 artifact
 	// (egg-tune output): each request's rule set resolves to its entry
 	// (or the artifact's default entry) and runs under that scheduler.
 	// The scheduler participates in the content-address key, so tuned
@@ -295,7 +296,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 // request config over server defaults, canonical module text, and the
 // content-address key.
 func (s *Server) resolve(req *OptimizeRequest) (*workItem, error) {
-	ruleSrcs, err := bundledRules(req.RuleSet)
+	ruleSrcs, err := rules.Bundle(req.RuleSet)
 	if err != nil {
 		return nil, err
 	}
@@ -314,13 +315,7 @@ func (s *Server) resolve(req *OptimizeRequest) (*workItem, error) {
 	// Scheduler resolution happens before the key is computed: a tuned
 	// schedule changes results, so it must be part of result identity.
 	if s.cfg.Schedule != nil {
-		if rs := s.cfg.Schedule.For(req.RuleSet); rs != nil {
-			sch, err := rs.Build()
-			if err != nil {
-				return nil, fmt.Errorf("schedule entry for %q: %w", req.RuleSet, err)
-			}
-			cfg.Scheduler = sch
-		}
+		cfg.Scheduler = s.cfg.Schedule.For(req.RuleSet)
 	}
 	canonical, err := memo.CanonicalizeMLIR(req.MLIR)
 	if err != nil {

@@ -127,7 +127,7 @@ func newInstruments(s *Server) *instruments {
 		ruleApplied: reg.NewCounterVec("egg_rule_applied_total",
 			"Matches applied, by rewrite rule.", "rule"),
 		schedThrottled: reg.NewCounterVec("egg_scheduler_throttled_total",
-			"Iterations the rule scheduler skipped a rule (backoff or waste ban), by rule.", "rule"),
+			"Iterations the rule scheduler skipped a rule (backoff ban), by rule.", "rule"),
 		schedLimited: reg.NewCounterVec("egg_scheduler_limited_total",
 			"Iterations a scheduler cap truncated a rule's matches, by rule.", "rule"),
 		watchdogTrips: reg.NewCounter("egg_watchdog_trips_total",
