@@ -46,7 +46,7 @@ bench:
 # (rows scanned, iterations, scheduler throttle/cap counts) must not
 # grow beyond tolerance.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Saturate|EMatch|Rebuild|Extract' -benchtime=1x ./internal/egraph/ ./internal/bench/
+	$(GO) test -run '^$$' -bench 'Saturate|EMatch|Rebuild|Extract' -benchtime=1x -benchmem ./internal/egraph/ ./internal/bench/
 	$(GO) run ./cmd/benchtab -bench2 -bench2-out bench2_fresh.json
 	$(GO) run ./cmd/benchtab -compare BENCH_4.json bench2_fresh.json
 

@@ -190,19 +190,32 @@ func TestTable2Benchmarks(t *testing.T) {
 
 // TestScalabilityChainsSmall runs short matmul chains and checks
 // saturation time grows super-linearly while the greedy pass stays fast —
-// the Table 2 scalability story in miniature.
+// the Table 2 scalability story in miniature. Each size's time is its
+// minimum over three runs, so one descheduled sample cannot invert the
+// order; the node counts check the same growth deterministically.
 func TestScalabilityChainsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scalability study; skipped in -short")
 	}
-	rows, err := RunTable2(nil, []int{4, 8})
-	if err != nil {
-		t.Fatal(err)
+	var small, large Table2Row
+	for run := 0; run < 3; run++ {
+		rows, err := RunTable2(nil, []int{4, 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 2 {
+			t.Fatalf("rows = %d, want 2", len(rows))
+		}
+		if run == 0 || rows[0].Saturation < small.Saturation {
+			small = rows[0]
+		}
+		if run == 0 || rows[1].Saturation < large.Saturation {
+			large = rows[1]
+		}
 	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
+	if large.Nodes <= small.Nodes {
+		t.Errorf("e-graph should grow with chain length: %d -> %d nodes", small.Nodes, large.Nodes)
 	}
-	small, large := rows[0], rows[1]
 	if large.Saturation <= small.Saturation {
 		t.Errorf("saturation time should grow with chain length: %v -> %v", small.Saturation, large.Saturation)
 	}

@@ -63,12 +63,14 @@ func (g *EGraph) Clone() *EGraph {
 // cloneTables copies a graph's tables for its clone. Rows get their own
 // argument tuples (Rebuild re-canonicalizes them in place); the
 // as-inserted tuples are never written and stay shared. Column indexes
-// start empty and are rebuilt on demand. The tables, their column slots
-// and the argument tuples are each allocated as one block.
+// start empty and are rebuilt on demand. The tables, their column slots,
+// their row indexes and the argument tuples are each allocated as one
+// block.
 func cloneTables(src []*table) []*table {
-	cols, nargs := 0, 0
+	cols, slots, nargs := 0, 0, 0
 	for _, t := range src {
 		cols += len(t.argIndex)
+		slots += len(t.index)
 		for i := range t.rows {
 			nargs += len(t.rows[i].args)
 		}
@@ -76,6 +78,7 @@ func cloneTables(src []*table) []*table {
 	tabs := make([]table, len(src))
 	idx := make([]atomic.Pointer[argIdx], cols)
 	mus := make([]sync.Mutex, cols)
+	index := make([]int32, 0, slots)
 	args := make([]Value, 0, nargs)
 	out := make([]*table, len(src))
 	for i, t := range src {
@@ -83,7 +86,7 @@ func cloneTables(src []*table) []*table {
 		n := len(t.argIndex)
 		*c = table{
 			rows:       slices.Clone(t.rows),
-			index:      maps.Clone(t.index),
+			used:       t.used,
 			live:       t.live,
 			trackOrig:  t.trackOrig,
 			argIndex:   idx[:n:n],
@@ -92,6 +95,9 @@ func cloneTables(src []*table) []*table {
 			frontier:   slices.Clone(t.frontier),
 		}
 		idx, mus = idx[n:], mus[n:]
+		at := len(index)
+		index = append(index, t.index...)
+		c.index = index[at:len(index):len(index)]
 		for j := range c.rows {
 			r := &c.rows[j]
 			start := len(args)

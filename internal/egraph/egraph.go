@@ -2,8 +2,10 @@ package egraph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 
 	"dialegg/internal/obs/journal"
@@ -222,9 +224,10 @@ func (g *EGraph) StringOf(v Value) string { return g.strings.get(uint32(v.Bits))
 // Elements are canonicalized first so bit-equality of canonical vec values
 // implies element-wise equality.
 func (g *EGraph) InternVec(vecSort *Sort, elems []Value) Value {
-	canon := make([]Value, len(elems))
-	for i, e := range elems {
-		canon[i] = g.Find(e)
+	var buf [argBufLen]Value
+	canon := buf[:0]
+	for _, e := range elems {
+		canon = append(canon, g.Find(e))
 	}
 	return Value{Sort: vecSort, Bits: uint64(g.vecs.intern(canon))}
 }
@@ -251,9 +254,10 @@ func (g *EGraph) Find(v Value) Value {
 		if !changed {
 			return v
 		}
-		canon := make([]Value, len(elems))
-		for i, e := range elems {
-			canon[i] = g.Find(e)
+		var buf [argBufLen]Value
+		canon := buf[:0]
+		for _, e := range elems {
+			canon = append(canon, g.Find(e))
 		}
 		return Value{Sort: v.Sort, Bits: uint64(g.vecs.intern(canon))}
 	default:
@@ -261,18 +265,20 @@ func (g *EGraph) Find(v Value) Value {
 	}
 }
 
-// beginFrozenApply snapshots every class's canonical root. Installed by
-// the saturation runner around the apply phase so that table writes key
-// on the iteration-start canonicalization regardless of the unions the
-// phase itself performs (egg's batch semantics: match on the frozen
-// graph, apply the whole batch, then rebuild).
-func (g *EGraph) beginFrozenApply() {
-	n := g.uf.Len()
-	roots := make([]uint32, n)
+// beginFrozenApply snapshots every class's canonical root into roots'
+// storage and returns the snapshot, so the caller can hand the same
+// storage back next iteration. Installed by the saturation runner around
+// the apply phase so that table writes key on the iteration-start
+// canonicalization regardless of the unions the phase itself performs
+// (egg's batch semantics: match on the frozen graph, apply the whole
+// batch, then rebuild).
+func (g *EGraph) beginFrozenApply(roots []uint32) []uint32 {
+	roots = slices.Grow(roots[:0], g.uf.Len())[:g.uf.Len()]
 	for i := range roots {
 		roots[i] = g.uf.Find(uint32(i))
 	}
 	g.snapRoots = roots
+	return roots
 }
 
 // endFrozenApply restores live canonicalization (before Rebuild runs) and
@@ -310,9 +316,10 @@ func (g *EGraph) canonFind(v Value) Value {
 		if !changed {
 			return v
 		}
-		canon := make([]Value, len(elems))
-		for i, e := range elems {
-			canon[i] = g.canonFind(e)
+		var buf [argBufLen]Value
+		canon := buf[:0]
+		for _, e := range elems {
+			canon = append(canon, g.canonFind(e))
 		}
 		return Value{Sort: v.Sort, Bits: uint64(g.vecs.intern(canon))}
 	default:
@@ -332,18 +339,24 @@ func (g *EGraph) newClass(s *Sort) Value {
 	return Value{Sort: s, Bits: uint64(g.uf.MakeSet())}
 }
 
-func (g *EGraph) canonArgs(f *Function, args []Value) ([]Value, error) {
+// argBufLen is the widest tuple that probes, action terms and keys hold
+// in a stack buffer; wider tuples spill to the heap.
+const argBufLen = 8
+
+// canonArgs checks args against f's parameter sorts and appends their
+// canonical forms to dst. Callers pass a stack buffer, so a probe does
+// not allocate.
+func (g *EGraph) canonArgs(dst []Value, f *Function, args []Value) ([]Value, error) {
 	if len(args) != len(f.Params) {
 		return nil, fmt.Errorf("egraph: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
 	}
-	canon := make([]Value, len(args))
 	for i, a := range args {
 		if a.Sort != f.Params[i] {
 			return nil, fmt.Errorf("egraph: %s arg %d: have sort %s, want %s", f.Name, i, a.Sort, f.Params[i])
 		}
-		canon[i] = g.canonFind(a)
+		dst = append(dst, g.canonFind(a))
 	}
-	return canon, nil
+	return dst, nil
 }
 
 // Insert adds (or finds) the e-node f(args) and returns its output value.
@@ -351,7 +364,8 @@ func (g *EGraph) canonArgs(f *Function, args []Value) ([]Value, error) {
 // primitive-output functions Insert is a lookup that fails if the row is
 // absent; use Set to create such rows.
 func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
-	canon, err := g.canonArgs(f, args)
+	var buf [argBufLen]Value
+	canon, err := g.canonArgs(buf[:0], f, args)
 	if err != nil {
 		return Value{}, err
 	}
@@ -392,7 +406,8 @@ func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
 // — the e-node's original class identity, needed by proof production
 // (Explain walks the proof forest from original IDs).
 func (g *EGraph) LookupRaw(f *Function, args ...Value) (Value, bool) {
-	canon, err := g.canonArgs(f, args)
+	var buf [argBufLen]Value
+	canon, err := g.canonArgs(buf[:0], f, args)
 	if err != nil {
 		return Value{}, false
 	}
@@ -402,7 +417,8 @@ func (g *EGraph) LookupRaw(f *Function, args ...Value) (Value, bool) {
 
 // Lookup finds the output of f(args) without inserting.
 func (g *EGraph) Lookup(f *Function, args ...Value) (Value, bool) {
-	canon, err := g.canonArgs(f, args)
+	var buf [argBufLen]Value
+	canon, err := g.canonArgs(buf[:0], f, args)
 	if err != nil {
 		return Value{}, false
 	}
@@ -421,13 +437,14 @@ func (g *EGraph) Set(f *Function, args []Value, out Value) error {
 	if out.Sort != f.Out {
 		return fmt.Errorf("egraph: %s output: have sort %s, want %s", f.Name, out.Sort, f.Out)
 	}
-	canon, err := g.canonArgs(f, args)
+	var buf [argBufLen]Value
+	canon, err := g.canonArgs(buf[:0], f, args)
 	if err != nil {
 		return err
 	}
 	out = g.canonFind(out)
 	t := g.tab(f)
-	if i, ok := t.index[argsKey(canon)]; ok {
+	if i, ok := t.lookupRow(canon); ok {
 		if f.IsConstructor() {
 			// The union (when effective) dirties the graph; the next
 			// Rebuild detects the row's canonical output change through
@@ -505,28 +522,52 @@ func (g *EGraph) SetNodeCost(f *Function, args []Value, cost int64) error {
 	if !f.IsConstructor() {
 		return fmt.Errorf("egraph: unstable-cost on non-constructor %s", f.Name)
 	}
-	canon, err := g.canonArgs(f, args)
+	var buf [argBufLen]Value
+	canon, err := g.canonArgs(buf[:0], f, args)
 	if err != nil {
 		return err
 	}
 	if cost < 1 {
 		cost = 1
 	}
-	costs := g.costs[f.id]
-	if costs == nil {
-		costs = make(map[string]int64)
-		g.costs[f.id] = costs
-	}
-	key := argsKey(canon)
-	if old, ok := costs[key]; ok && old <= cost {
+	var kb [8 * argBufLen]byte
+	key := appendArgBits(kb[:0], canon)
+	if old, ok := g.costs[f.id][string(key)]; ok && old <= cost {
 		return nil // keep the cheaper of the two
 	}
-	costs[key] = cost
+	g.storeCost(f, key, cost)
 	g.effects++
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KCost, Fn: f.Name, Args: g.encodeVals(canon), Cost: cost})
 	}
 	return nil
+}
+
+// storeCost installs cost under the encoded argument key, allocating
+// the key string only now that it is stored.
+func (g *EGraph) storeCost(f *Function, key []byte, cost int64) {
+	if g.costs[f.id] == nil {
+		g.costs[f.id] = make(map[string]int64)
+	}
+	g.costs[f.id][string(key)] = cost
+}
+
+// costOverride returns the unstable-cost override in force for the
+// e-node f(args), canonicalizing args as Rebuild canonicalizes the
+// override keys.
+func (g *EGraph) costOverride(f *Function, args []Value) (int64, bool) {
+	var kb [8 * argBufLen]byte
+	c, ok := g.costs[f.id][string(g.appendCanonKey(kb[:0], args))]
+	return c, ok
+}
+
+// appendCanonKey appends the key of args' canonical forms
+// (appendArgBits of their Finds) to dst.
+func (g *EGraph) appendCanonKey(dst []byte, args []Value) []byte {
+	for _, a := range args {
+		dst = binary.LittleEndian.AppendUint64(dst, g.Find(a).Bits)
+	}
+	return dst
 }
 
 // Union merges the e-classes of a and b (both eq-sort values of the same
@@ -693,8 +734,9 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 		}
 		changed = true
 		t.touch(i, g.epoch)
-		key := argsKey(r.args)
-		if j, ok := t.index[key]; ok && j != i {
+		// A stale entry of row i itself can lie on its new key's probe
+		// path; returning it would hide a congruence, so skip i.
+		if j, ok := t.probe(r.args, i); ok {
 			// Collision: merge outputs into the existing row, kill this one.
 			other := &t.rows[j]
 			if f.IsConstructor() {
@@ -732,53 +774,46 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 			r.dead = true
 			t.live--
 		} else {
-			t.index[key] = i
+			t.addEntry(i)
 		}
 	}
 	return changed
 }
 
 // rebuildCostTable re-canonicalizes cost-override keys; colliding entries
-// keep the cheaper cost.
+// keep the cheaper cost. The map is rewritten only when a key went stale.
 func (g *EGraph) rebuildCostTable(f *Function) bool {
 	costs := g.costs[f.id]
-	if len(costs) == 0 {
-		return false
-	}
-	changed := false
-	fresh := make(map[string]int64, len(costs))
-	args := make([]Value, len(f.Params))
-	for key, cost := range costs {
-		decodeArgs(key, f.Params, args)
-		stale := false
-		for i := range args {
-			c := g.Find(args[i])
-			if c.Bits != args[i].Bits {
-				args[i] = c
-				stale = true
-			}
-		}
-		nk := key
-		if stale {
-			nk = argsKey(args)
-			changed = true
-		}
-		if old, ok := fresh[nk]; !ok || cost < old {
-			fresh[nk] = cost
+	var stale []string
+	var buf [argBufLen]Value
+	var kb [8 * argBufLen]byte
+	for key := range costs {
+		if string(g.appendCanonKey(kb[:0], decodeArgs(buf[:0], key, f.Params))) != key {
+			stale = append(stale, key)
 		}
 	}
-	g.costs[f.id] = fresh
-	return changed
+	// A re-keyed entry is canonical, so it never lands on a stale key
+	// still to be visited, and the kept minimum is order-independent.
+	for _, key := range stale {
+		cost := costs[key]
+		delete(costs, key)
+		nk := g.appendCanonKey(kb[:0], decodeArgs(buf[:0], key, f.Params))
+		if old, ok := costs[string(nk)]; !ok || cost < old {
+			costs[string(nk)] = cost
+		}
+	}
+	return len(stale) > 0
 }
 
-// decodeArgs reconstructs the Values encoded in a table key.
-func decodeArgs(key string, params []*Sort, out []Value) {
-	for i := range params {
-		off := i * 8
+// decodeArgs appends the Values encoded in an argument key
+// (appendArgBits) to dst.
+func decodeArgs(dst []Value, key string, params []*Sort) []Value {
+	for i, s := range params {
 		var bits uint64
 		for b := 7; b >= 0; b-- {
-			bits = bits<<8 | uint64(key[off+b])
+			bits = bits<<8 | uint64(key[8*i+b])
 		}
-		out[i] = Value{Sort: params[i], Bits: bits}
+		dst = append(dst, Value{Sort: s, Bits: bits})
 	}
+	return dst
 }

@@ -79,19 +79,10 @@ func (e *Extractor) run() {
 // nodeCost returns the total cost of the e-node at row r of f, or false if
 // some child class has no known cost yet.
 func (e *Extractor) nodeCost(f *Function, r *row) (int64, bool) {
-	base := f.Cost
-	if e.g.costs[f.id] != nil {
-		// Row args are not guaranteed canonical between rebuilds; the cost
-		// table is canonicalized during Rebuild, so canonicalize the key.
-		canon := make([]Value, len(r.args))
-		for i, a := range r.args {
-			canon[i] = e.g.Find(a)
-		}
-		if c, ok := e.g.costs[f.id][argsKey(canon)]; ok {
-			base = c
-		}
+	total := f.Cost
+	if c, ok := e.g.costOverride(f, r.args); ok {
+		total = c
 	}
-	total := base
 	for _, a := range r.args {
 		c, ok := e.valueCost(a)
 		if !ok {

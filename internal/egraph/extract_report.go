@@ -144,15 +144,9 @@ func (e *Extractor) nodeChoice(f *Function, ri int) (*NodeChoice, bool) {
 		return nil, false
 	}
 	nc := &NodeChoice{Fn: f.Name, Cost: total, Base: f.Cost}
-	if g.costs[f.id] != nil {
-		canon := make([]Value, len(r.args))
-		for i, a := range r.args {
-			canon[i] = g.Find(a)
-		}
-		if c, ok := g.costs[f.id][argsKey(canon)]; ok {
-			nc.Base = c
-			nc.Override = true
-		}
+	if c, ok := g.costOverride(f, r.args); ok {
+		nc.Base = c
+		nc.Override = true
 	}
 	term := fmt.Sprintf("(%s", f.Name)
 	for _, a := range r.args {

@@ -2,6 +2,8 @@ package egraph
 
 import (
 	"fmt"
+	"math/bits"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -107,11 +109,20 @@ type row struct {
 // holding it at one column.
 type argIdx = map[uint64][]int32
 
-// table stores the rows of one function with an index from the encoded
-// canonical argument tuple to the row slot. Rows are append-mostly; a row
-// whose canonical key collides with another during rebuilding is marked
-// dead, and Rebuild compacts a table once dead rows dominate (preserving
+// table stores the rows of one function with an index from the canonical
+// argument tuple to the row slot. Rows are append-mostly; a row whose
+// canonical key collides with another during rebuilding is marked dead,
+// and Rebuild compacts a table once dead rows dominate (preserving
 // relative order, so iteration stays deterministic).
+//
+// index is an open-addressed hash table over row slots, probed linearly
+// from hashArgs of the argument bits: entry r+1 names row r and 0 is
+// empty. Every live row has an entry under its current args. A row that
+// Rebuild re-canonicalizes gets a new entry and leaves its old one stale,
+// so a probe compares each candidate row's current args and skips dead
+// rows. used counts occupied entries, stale ones included, and never
+// exceeds half the index; a grow rehashes live rows only. Like the rows,
+// the index is written only in serial phases and read by match workers.
 //
 // argIndex (built lazily per column, invalidated by unions and refreshed
 // after Rebuild) maps a canonical value to the rows holding it,
@@ -125,7 +136,8 @@ type argIdx = map[uint64][]int32
 // delta the next match iteration scans.
 type table struct {
 	rows  []row
-	index map[string]int
+	index []int32
+	used  int
 	live  int
 	// trackOrig preserves as-inserted argument tuples (proof recording).
 	// It also disables compaction: proof rendering holds row indices.
@@ -140,7 +152,6 @@ type table struct {
 
 func newTable(arity int) *table {
 	return &table{
-		index:      make(map[string]int),
 		argIndex:   make([]atomic.Pointer[argIdx], arity+1),
 		argIndexMu: make([]sync.Mutex, arity+1),
 	}
@@ -238,10 +249,7 @@ func (t *table) maybeCompact() {
 		w++
 	}
 	t.rows = t.rows[:w]
-	t.index = make(map[string]int, w)
-	for r := range t.rows {
-		t.index[argsKey(t.rows[r].args)] = r
-	}
+	t.reindex()
 	pending := t.pending[:0]
 	for _, ri := range t.pending {
 		if ni := remap[ri]; ni >= 0 {
@@ -252,40 +260,118 @@ func (t *table) maybeCompact() {
 	t.frontier = t.frontier[:0]
 }
 
-func argsKey(args []Value) string {
-	buf := make([]byte, 0, len(args)*8)
+// hashSeed keys hashArgs. It is drawn once per process, so argument
+// values a client chooses (i64 literals in a request) cannot be picked to
+// build long probe chains. The index is only probed, never iterated, so
+// the seed cannot reach any output.
+var hashSeed = rand.Uint64()
+
+// hashArgs hashes the bits of an argument tuple, folding in one value at a
+// time with a 64×64→128-bit multiply (the mix wyhash uses).
+func hashArgs(args []Value) uint64 {
+	h := hashSeed
 	for _, a := range args {
-		buf = appendValueBits(buf, a)
+		hi, lo := bits.Mul64(h^a.Bits, 0x9e3779b97f4a7c15)
+		h = hi ^ lo
 	}
-	return string(buf)
+	return h
+}
+
+// sameBits reports whether two tuples of one function's arguments hold
+// the same bits (their sorts are the function's parameter sorts).
+func sameBits(a, b []Value) bool {
+	for i := range a {
+		if a[i].Bits != b[i].Bits {
+			return false
+		}
+	}
+	return true
 }
 
 func (t *table) lookup(args []Value) (Value, bool) {
-	i, ok := t.index[argsKey(args)]
+	i, ok := t.lookupRow(args)
 	if !ok {
 		return Value{}, false
 	}
 	return t.rows[i].out, true
 }
 
-// lookupRow returns the slot of the row keyed by args.
-func (t *table) lookupRow(args []Value) (int, bool) {
-	i, ok := t.index[argsKey(args)]
-	return i, ok
+// lookupRow returns the slot of the live row whose args are args.
+func (t *table) lookupRow(args []Value) (int, bool) { return t.probe(args, -1) }
+
+// probe returns the slot of a live row other than skip whose args are
+// args. Stale entries fail the comparison or name a dead row.
+func (t *table) probe(args []Value, skip int) (int, bool) {
+	if len(t.index) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(t.index) - 1)
+	for i := hashArgs(args) & mask; ; i = (i + 1) & mask {
+		e := t.index[i]
+		if e == 0 {
+			return 0, false
+		}
+		r := int(e - 1)
+		if row := &t.rows[r]; r != skip && !row.dead && sameBits(row.args, args) {
+			return r, true
+		}
+	}
+}
+
+// addEntry indexes live row r under its current args. An entry that
+// would fill more than half the index rehashes it instead, which indexes
+// every live row, r included.
+func (t *table) addEntry(r int) {
+	if 2*(t.used+1) > len(t.index) {
+		t.reindex()
+		return
+	}
+	t.place(r)
+}
+
+// place writes an entry for row r into the first empty slot of its probe
+// sequence.
+func (t *table) place(r int) {
+	mask := uint64(len(t.index) - 1)
+	i := hashArgs(t.rows[r].args) & mask
+	for t.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i] = int32(r + 1)
+	t.used++
+}
+
+// reindex rebuilds the index from the live rows alone, dropping stale
+// entries, sized so that it is at most a quarter full.
+func (t *table) reindex() {
+	n := 8
+	for n < 4*(t.live+1) {
+		n *= 2
+	}
+	if len(t.index) == n {
+		clear(t.index)
+	} else {
+		t.index = make([]int32, n)
+	}
+	t.used = 0
+	for r := range t.rows {
+		if !t.rows[r].dead {
+			t.place(r)
+		}
+	}
 }
 
 // insert adds a row assuming args are canonical and no row with the same
 // key exists, stamping it with the current epoch.
 func (t *table) insert(args []Value, out Value, epoch uint64) {
-	key := argsKey(args)
 	stored := make([]Value, len(args))
 	copy(stored, args)
 	r := row{args: stored, out: out, stamp: epoch, outCanon: out.Bits}
 	if t.trackOrig {
 		r.orig = append([]Value(nil), args...)
 	}
-	t.index[key] = len(t.rows)
 	t.pending = append(t.pending, int32(len(t.rows)))
 	t.rows = append(t.rows, r)
 	t.live++
+	t.addEntry(len(t.rows) - 1)
 }

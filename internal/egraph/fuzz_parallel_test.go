@@ -156,7 +156,7 @@ func checkCongruenceInvariants(t *testing.T, g *EGraph) {
 			for i, a := range args {
 				canon[i] = g.Find(a)
 			}
-			key := argsKey(canon)
+			key := string(appendArgBits(nil, canon))
 			if prev, dup := seen[key]; dup {
 				if g.Find(prev).Bits != g.Find(out).Bits {
 					t.Fatalf("congruence violated in %s: same args, different classes", f.Name)

@@ -48,7 +48,7 @@ func TestInvariantHashcons(t *testing.T) {
 				for i, a := range args {
 					canon[i] = l.g.Find(a)
 				}
-				key := argsKey(canon)
+				key := string(appendArgBits(nil, canon))
 				if prev, dup := seen[key]; dup {
 					if l.g.Find(prev).Bits != l.g.Find(out).Bits {
 						t.Fatalf("trial %d: congruence violated in %s: same args, different classes", trial, f.Name)

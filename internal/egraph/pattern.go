@@ -375,12 +375,38 @@ type matchRun struct {
 	b       *bindings
 	key     []int32 // matched row slot per table ordinal
 	scratch []Value
+	snaps   slab[Value] // the bindings snapshot each match yields
 	scanned int64
 	yield   func(binds []Value, key []int32) bool
 	// sel/trace carry sampled selectivity collection: trace is true while
 	// the run is inside a sampled top-level row's sub-tree.
 	sel   *selSink
 	trace bool
+}
+
+// slabMaxItems caps the items a slab block holds.
+const slabMaxItems = 64
+
+// slab hands out copies carved from shared blocks. Each refill doubles
+// the block, from one item up to slabMaxItems, so a task that finds few
+// matches allocates little and one that finds many allocates once per
+// slabMaxItems matches.
+type slab[T any] struct {
+	free  []T
+	items int // items per block at the last refill
+}
+
+// copyOf returns a copy of src that shares no capacity with other copies.
+func (s *slab[T]) copyOf(src []T) []T {
+	n := len(src)
+	if len(s.free) < n {
+		s.items = min(max(2*s.items, 1), slabMaxItems)
+		s.free = make([]T, n*s.items)
+	}
+	c := s.free[:n:n]
+	s.free = s.free[n:]
+	copy(c, src)
+	return c
 }
 
 // matchShard runs one shard of the query selected by spec, yielding each
@@ -476,9 +502,7 @@ func (m *matchRun) runDelta(lo, hi int) error {
 // calls pass the unrestricted range.
 func (m *matchRun) matchFrom(pos, lo, hi int) error {
 	if pos == len(m.seq) {
-		snap := make([]Value, len(m.b.vals))
-		copy(snap, m.b.vals)
-		if !m.yield(snap, m.key) {
+		if !m.yield(m.snaps.copyOf(m.b.vals), m.key) {
 			return errStopMatch
 		}
 		return nil
@@ -625,7 +649,8 @@ func (m *matchRun) matchTable(pos, i, lo, hi int, p *TablePremise) error {
 		}
 		m.noteEntry(i, p, path)
 	}
-	var undos []int
+	var undoBuf [argBufLen + 1]int
+	undos := undoBuf[:0]
 rows:
 	for k := start; k < n; k++ {
 		ri := k
@@ -695,7 +720,8 @@ rows:
 // delta premise), records its key, and continues the query from nextFrom.
 func (m *matchRun) matchRow(p *TablePremise, row *row, ri int32, i, nextFrom int) error {
 	g, b := m.g, m.b
-	var undos []int
+	var undoBuf [argBufLen + 1]int
+	undos := undoBuf[:0]
 	for j, a := range p.Args {
 		undo, ok := b.match(g, a, g.Find(row.args[j]))
 		if undo >= 0 {
@@ -780,17 +806,26 @@ func (g *EGraph) EvalATerm(t *ATerm, binds []Value) (Value, error) {
 		return g.canonFind(binds[t.Slot]), nil
 	case ALit:
 		return g.canonFind(t.Lit), nil
-	case AApp:
-		args := make([]Value, len(t.Args))
-		for i, a := range t.Args {
+	case AApp, AVec:
+		// The loop is not shared with evalArgs: escape analysis merges the
+		// buffers of all callers inside one recursive cycle, and the
+		// primitive case's arguments escape.
+		var buf [argBufLen]Value
+		args := buf[:0]
+		for _, a := range t.Args {
 			v, err := g.EvalATerm(a, binds)
 			if err != nil {
 				return Value{}, err
 			}
-			args[i] = v
+			args = append(args, v)
+		}
+		if t.Kind == AVec {
+			return g.InternVec(t.VecSort, args), nil
 		}
 		return g.Insert(t.Fn, args...)
 	case APrim:
+		// The arguments escape through the Prim.Apply function value, so
+		// they get a heap slice of exactly their size.
 		args := make([]Value, len(t.Args))
 		for i, a := range t.Args {
 			v, err := g.EvalATerm(a, binds)
@@ -804,16 +839,6 @@ func (g *EGraph) EvalATerm(t *ATerm, binds []Value) (Value, error) {
 			return Value{}, fmt.Errorf("egraph: primitive %s failed in action", t.Prim.Name)
 		}
 		return out, nil
-	case AVec:
-		elems := make([]Value, len(t.Args))
-		for i, a := range t.Args {
-			v, err := g.EvalATerm(a, binds)
-			if err != nil {
-				return Value{}, err
-			}
-			elems[i] = v
-		}
-		return g.InternVec(t.VecSort, elems), nil
 	default:
 		return Value{}, fmt.Errorf("egraph: unknown action term kind %d", t.Kind)
 	}
@@ -845,7 +870,8 @@ func (g *EGraph) ApplyActions(r *Rule, binds []Value) error {
 				return fmt.Errorf("egraph: rule %s: %w", r.Name, err)
 			}
 		case *SetAction:
-			args, err := g.evalATerms(a.Args, binds)
+			var buf [argBufLen]Value
+			args, err := g.evalArgs(buf[:0], a.Args, binds)
 			if err != nil {
 				return err
 			}
@@ -857,7 +883,8 @@ func (g *EGraph) ApplyActions(r *Rule, binds []Value) error {
 				return fmt.Errorf("egraph: rule %s: %w", r.Name, err)
 			}
 		case *CostAction:
-			args, err := g.evalATerms(a.Args, binds)
+			var buf [argBufLen]Value
+			args, err := g.evalArgs(buf[:0], a.Args, binds)
 			if err != nil {
 				return err
 			}
@@ -882,16 +909,16 @@ func (g *EGraph) ApplyActions(r *Rule, binds []Value) error {
 	return nil
 }
 
-func (g *EGraph) evalATerms(ts []*ATerm, binds []Value) ([]Value, error) {
-	out := make([]Value, len(ts))
-	for i, t := range ts {
+// evalArgs appends the values of ts under binds to dst.
+func (g *EGraph) evalArgs(dst []Value, ts []*ATerm, binds []Value) ([]Value, error) {
+	for _, t := range ts {
 		v, err := g.EvalATerm(t, binds)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // evalUnionEndpoint evaluates a union endpoint preserving the original

@@ -300,6 +300,7 @@ type matchTask struct {
 	lo, hi  int
 	buf     [][]Value
 	keys    [][]int32
+	keySlab slab[int32]
 	scanned int64
 	err     error
 	// sel holds the task's sampled selectivity counters when
@@ -476,7 +477,7 @@ func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minSta
 		t.scanned, t.err = g.matchShard(r, spec, t.lo, t.hi, func(binds []Value, key []int32) bool {
 			t.buf = append(t.buf, binds)
 			if t.sub >= 0 {
-				t.keys = append(t.keys, append([]int32(nil), key...))
+				t.keys = append(t.keys, t.keySlab.copyOf(key))
 			}
 			return len(t.buf) < matchLimit
 		})
@@ -666,6 +667,10 @@ type run struct {
 	iterStart    time.Time
 	applyStart   time.Time
 	rebuildStart time.Time
+
+	// roots is the storage of the apply phase's frozen root snapshot,
+	// reused across iterations.
+	roots []uint32
 }
 
 // newRun opens a run: the journal's run bracket, the report's per-rule
@@ -838,7 +843,7 @@ func (r *run) match() error {
 func (r *run) apply() error {
 	g := r.g
 	r.applyStart = time.Now()
-	g.beginFrozenApply()
+	r.roots = g.beginFrozenApply(r.roots)
 	defer g.endFrozenApply()
 	applied := 0
 	for ri := range r.pending {

@@ -82,11 +82,8 @@ func (g *EGraph) Snapshot(iteration int) *Snapshot {
 			if f.IsConstructor() {
 				rs.Class = fmt.Sprintf("#%d", g.uf.Find(uint32(r.out.Bits)))
 			}
-			if g.costs[f.id] != nil {
-				if c, ok := g.costs[f.id][argsKey(r.args)]; ok {
-					cc := c
-					rs.Cost = &cc
-				}
+			if c, ok := g.costOverride(f, r.args); ok {
+				rs.Cost = &c
 			}
 			fs.Rows = append(fs.Rows, rs)
 		}

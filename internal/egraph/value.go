@@ -11,6 +11,7 @@
 package egraph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -161,33 +162,30 @@ func newVecPool() *vecPool {
 	return &vecPool{byKey: make(map[string]uint32)}
 }
 
-func vecKey(elems []Value) string {
-	buf := make([]byte, 0, len(elems)*8)
-	for _, e := range elems {
-		buf = appendValueBits(buf, e)
+// appendArgBits appends the little-endian bits of each value to dst: the
+// map key of interned vectors and of cost overrides. Callers encode into
+// a stack buffer and look up m[string(key)], which does not allocate; the
+// key string is allocated only when it is stored.
+func appendArgBits(dst []byte, args []Value) []byte {
+	for _, a := range args {
+		dst = binary.LittleEndian.AppendUint64(dst, a.Bits)
 	}
-	return string(buf)
-}
-
-func appendValueBits(buf []byte, v Value) []byte {
-	b := v.Bits
-	return append(buf,
-		byte(b), byte(b>>8), byte(b>>16), byte(b>>24),
-		byte(b>>32), byte(b>>40), byte(b>>48), byte(b>>56))
+	return dst
 }
 
 func (p *vecPool) intern(elems []Value) uint32 {
-	key := vecKey(elems)
+	var kb [8 * argBufLen]byte
+	key := appendArgBits(kb[:0], elems)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if id, ok := p.byKey[key]; ok {
+	if id, ok := p.byKey[string(key)]; ok {
 		return id
 	}
 	id := uint32(len(p.vecs))
 	stored := make([]Value, len(elems))
 	copy(stored, elems)
 	p.vecs = append(p.vecs, stored)
-	p.byKey[key] = id
+	p.byKey[string(key)] = id
 	return id
 }
 
