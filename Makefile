@@ -124,10 +124,15 @@ tune-smoke:
 # regressions must stay fixed, expect-fail entries must stay caught —
 # they pin the oracle's detection power), then a short fresh fuzz over
 # every rule bundle. Deterministic in the seed, so CI failures are
-# locally reproducible verbatim.
+# locally reproducible verbatim. Last, 10-s native fuzz runs of the
+# matcher's two engine harnesses (semi-naive against naive, sharded
+# against serial matching); these are not seeded, and a failing input is
+# written under internal/egraph/testdata/fuzz/, where `go test` replays it.
 fuzz-smoke:
 	$(GO) run ./cmd/egg-fuzz -replay internal/difftest/testdata/corpus
 	$(GO) run ./cmd/egg-fuzz -rules all -n 10 -seed 1
+	$(GO) test -run '^$$' -fuzz '^FuzzSemiNaive$$' -fuzztime 10s ./internal/egraph/
+	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatch$$' -fuzztime 10s ./internal/egraph/
 
 # Long-budget campaign for the nightly job: many seeds per bundle,
 # minimized repros written to fuzz-repros/ for artifact upload. Known

@@ -12,11 +12,14 @@ import (
 
 // chain16AllocLimit bounds the allocations of one compile of the
 // 16-matmul chain. Hash-cons probes, action terms and matches allocate
-// nothing; what remains (rows' argument tuples, per-column match indexes,
-// primitive arguments, parsing, extraction and back-translation) comes to
-// about 23,000. A string-keyed row index, or an allocation per probe, per
-// action term or per match, puts a compile above 390,000.
-const chain16AllocLimit = 40_000
+// nothing; matches are stored as pointer-free rows in buffers a run
+// reuses across its iterations, and a column index is one flat block.
+// What remains (rows' argument tuples, primitive arguments, the column
+// indexes, parsing, extraction and back-translation) comes to about
+// 12,000. Per-task bindings snapshots or a slice per indexed value put a
+// compile above 23,000; a string-keyed row index, or an allocation per
+// probe, per action term or per match, above 390,000.
+const chain16AllocLimit = 16_000
 
 // TestChain16CompileAllocs gates the allocation-free hash-consing and rule
 // application paths end to end: parse, saturate at one worker, extract and

@@ -76,7 +76,7 @@ func cloneTables(src []*table) []*table {
 		}
 	}
 	tabs := make([]table, len(src))
-	idx := make([]atomic.Pointer[argIdx], cols)
+	idx := make([]atomic.Pointer[colIndex], cols)
 	mus := make([]sync.Mutex, cols)
 	index := make([]int32, 0, slots)
 	args := make([]Value, 0, nargs)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -105,9 +105,24 @@ type row struct {
 	provIter uint32
 }
 
-// argIdx maps a canonical value's bits to the (ascending) row slots
-// holding it at one column.
-type argIdx = map[uint64][]int32
+// colIndex lists, for one column of a table, the rows holding each
+// canonical value: spans maps the value's bits to its run of rows, a
+// contiguous ascending stretch of the one flat rows block. Neither part
+// holds a pointer, so an index costs no allocation per value and the GC
+// scans nothing inside it.
+type colIndex struct {
+	spans map[uint64]span
+	rows  []int32
+}
+
+// span is the stretch rows[off:off+n] of a colIndex.
+type span struct{ off, n int32 }
+
+// rowsOf returns the ascending slots of the rows holding bits.
+func (c *colIndex) rowsOf(bits uint64) []int32 {
+	s := c.spans[bits]
+	return c.rows[s.off : s.off+s.n : s.off+s.n]
+}
 
 // table stores the rows of one function with an index from the canonical
 // argument tuple to the row slot. Rows are append-mostly; a row whose
@@ -125,11 +140,11 @@ type argIdx = map[uint64][]int32
 // the index is written only in serial phases and read by match workers.
 //
 // argIndex (built lazily per column, invalidated by unions and refreshed
-// after Rebuild) maps a canonical value to the rows holding it,
-// accelerating partially-bound e-matching joins. Position Arity() is the
-// output column, keyed by outCanon. Each slot is an atomic pointer with a
-// per-position build mutex, so concurrent match workers racing on
-// different columns never serialize on each other.
+// after Rebuild) maps a canonical value to the rows holding it
+// (colIndex), accelerating partially-bound e-matching joins. Position
+// Arity() is the output column, keyed by outCanon. Each slot is an atomic
+// pointer with a per-position build mutex, so concurrent match workers
+// racing on different columns never serialize on each other.
 //
 // pending accumulates rows touched during the current epoch (deduplicated
 // via row.stamp); rotateFrontier moves them into frontier, the sorted
@@ -143,7 +158,7 @@ type table struct {
 	// It also disables compaction: proof rendering holds row indices.
 	trackOrig bool
 
-	argIndex   []atomic.Pointer[argIdx]
+	argIndex   []atomic.Pointer[colIndex]
 	argIndexMu []sync.Mutex
 
 	pending  []int32
@@ -152,7 +167,7 @@ type table struct {
 
 func newTable(arity int) *table {
 	return &table{
-		argIndex:   make([]atomic.Pointer[argIdx], arity+1),
+		argIndex:   make([]atomic.Pointer[colIndex], arity+1),
 		argIndexMu: make([]sync.Mutex, arity+1),
 	}
 }
@@ -170,28 +185,51 @@ func (t *table) invalidateArgIndex() {
 // an argument position, or the output column when i == arity. Rows must
 // be canonical (right after Rebuild). Safe for concurrent callers; racers
 // on different columns do not contend.
-func (t *table) buildArgIndex(i, arity int) argIdx {
+func (t *table) buildArgIndex(i, arity int) *colIndex {
 	if p := t.argIndex[i].Load(); p != nil {
-		return *p
+		return p
 	}
 	t.argIndexMu[i].Lock()
 	defer t.argIndexMu[i].Unlock()
 	if p := t.argIndex[i].Load(); p != nil {
-		return *p
+		return p
 	}
-	idx := make(argIdx, t.live)
-	for r := range t.rows {
-		row := &t.rows[r]
-		if row.dead {
-			continue
-		}
-		bits := row.outCanon
+	bits := func(r *row) uint64 {
 		if i < arity {
-			bits = row.args[i].Bits
+			return r.args[i].Bits
 		}
-		idx[bits] = append(idx[bits], int32(r))
+		return r.outCanon
 	}
-	t.argIndex[i].Store(&idx)
+	// Count each value's rows, lay the spans out back to back with off at
+	// each span's end, then fill every span from its end walking the rows
+	// backwards, which leaves off at the span's start and the rows in it
+	// ascending.
+	spans := make(map[uint64]span, t.live)
+	for r := range t.rows {
+		if row := &t.rows[r]; !row.dead {
+			b := bits(row)
+			s := spans[b]
+			s.n++
+			spans[b] = s
+		}
+	}
+	var end int32
+	for b, s := range spans {
+		end += s.n
+		s.off = end
+		spans[b] = s
+	}
+	idx := &colIndex{spans: spans, rows: make([]int32, end)}
+	for r := len(t.rows) - 1; r >= 0; r-- {
+		if row := &t.rows[r]; !row.dead {
+			b := bits(row)
+			s := spans[b]
+			s.off--
+			idx.rows[s.off] = int32(r)
+			spans[b] = s
+		}
+	}
+	t.argIndex[i].Store(idx)
 	return idx
 }
 
@@ -212,7 +250,7 @@ func (t *table) touch(i int, epoch uint64) {
 // live delta rows.
 func (t *table) rotateFrontier() int {
 	t.frontier, t.pending = t.pending, t.frontier[:0]
-	sort.Slice(t.frontier, func(a, b int) bool { return t.frontier[a] < t.frontier[b] })
+	slices.Sort(t.frontier)
 	n := 0
 	for _, ri := range t.frontier {
 		if !t.rows[ri].dead {

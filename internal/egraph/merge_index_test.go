@@ -117,8 +117,8 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 	g.Rebuild()
 	tab := g.tab(l.Add)
 	idx := tab.buildArgIndex(0, 2)
-	if len(idx[g.Find(a).Bits]) != 1 || len(idx[g.Find(c).Bits]) != 1 {
-		t.Fatalf("fresh col-0 index: %v", idx)
+	if len(idx.rowsOf(g.Find(a).Bits)) != 1 || len(idx.rowsOf(g.Find(c).Bits)) != 1 {
+		t.Fatalf("fresh col-0 index: %v", idx.spans)
 	}
 	oldRootA, oldRootC := g.Find(a).Bits, g.Find(c).Bits
 
@@ -136,14 +136,14 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 	}
 	idx = tab.buildArgIndex(0, 2)
 	root := g.Find(a).Bits
-	if len(idx[root]) != 2 {
-		t.Fatalf("rebuilt col-0 index has %d rows under root %d, want 2 (index %v)", len(idx[root]), root, idx)
+	if len(idx.rowsOf(root)) != 2 {
+		t.Fatalf("rebuilt col-0 index has %d rows under root %d, want 2 (index %v)", len(idx.rowsOf(root)), root, idx.spans)
 	}
 	loser := oldRootA
 	if root == oldRootA {
 		loser = oldRootC
 	}
-	if len(idx[loser]) != 0 {
+	if len(idx.rowsOf(loser)) != 0 {
 		t.Errorf("rebuilt col-0 index still keys the unioned-away root %d", loser)
 	}
 
@@ -165,8 +165,8 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 			}
 		}
 	}
-	if len(outIdx[outRoot]) != n {
-		t.Errorf("out-column index has %d rows under root %d, want %d", len(outIdx[outRoot]), outRoot, n)
+	if len(outIdx.rowsOf(outRoot)) != n {
+		t.Errorf("out-column index has %d rows under root %d, want %d", len(outIdx.rowsOf(outRoot)), outRoot, n)
 	}
 }
 
@@ -182,7 +182,7 @@ func TestArgIndexConcurrentBuild(t *testing.T) {
 	g.Rebuild()
 	tab := g.tab(l.Add)
 	var wg sync.WaitGroup
-	results := make([]argIdx, 16)
+	results := make([]*colIndex, 16)
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -192,8 +192,8 @@ func TestArgIndexConcurrentBuild(t *testing.T) {
 	}
 	wg.Wait()
 	for w := 3; w < 16; w++ {
-		if len(results[w]) != len(results[w%3]) {
-			t.Fatalf("racing builders for column %d disagree: %d vs %d keys", w%3, len(results[w]), len(results[w%3]))
+		if len(results[w].spans) != len(results[w%3].spans) {
+			t.Fatalf("racing builders for column %d disagree: %d vs %d keys", w%3, len(results[w].spans), len(results[w%3].spans))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package egraph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Prim is a primitive operation usable in rule premises and actions, such
@@ -138,14 +139,19 @@ type Rule struct {
 	NumSlots int
 }
 
-// bindings is the mutable state of one query execution.
+// bindings is the mutable state of one query execution. A match worker
+// keeps one for all its tasks.
 type bindings struct {
 	vals  []Value
 	bound []bool
 }
 
-func newBindings(n int) *bindings {
-	return &bindings{vals: make([]Value, n), bound: make([]bool, n)}
+// reset sizes b to n slots, all unbound and zero.
+func (b *bindings) reset(n int) {
+	b.vals = slices.Grow(b.vals[:0], n)[:n]
+	b.bound = slices.Grow(b.bound[:0], n)[:n]
+	clear(b.vals)
+	clear(b.bound)
 }
 
 // match unifies an atom with a value; returns (undoSlot, ok) where
@@ -198,10 +204,11 @@ func (g *EGraph) Match(r *Rule, yield func(binds []Value) bool) error {
 // evaluation — run entirely in the shard with lo == 0 and yield nothing
 // elsewhere.
 func (g *EGraph) MatchShard(r *Rule, lo, hi int, yield func(binds []Value) bool) error {
-	_, err := g.matchShard(r, matchSpec{deltaOrd: -1}, lo, hi, func(binds []Value, _ []int32) bool {
-		return yield(binds)
-	})
-	return err
+	plan := planRule(r)
+	var m matchRun
+	m.reset(g, r, &plan, matchSpec{deltaOrd: -1})
+	m.yield = yield
+	return m.matchShard(lo, hi)
 }
 
 // FirstPremiseRows reports the scan length of the rule's first premise:
@@ -228,18 +235,55 @@ func (g *EGraph) firstPremiseScan(r *Rule) (scanLen, live int) {
 	return 0, 0
 }
 
-// tablePremises returns the indices of r's table premises in premise
-// order. The position of an index in the returned slice is the premise's
-// table ordinal, the coordinate system of semi-naive sub-queries and
-// match keys.
-func tablePremises(r *Rule) []int {
-	var tp []int
-	for i, p := range r.Premises {
-		if _, ok := p.(*TablePremise); ok {
-			tp = append(tp, i)
+// rulePlan is what matching a rule needs beyond the rule itself. The
+// runner builds one per rule per run, in its serial planning step, and
+// match workers only read it.
+type rulePlan struct {
+	// tables lists the indices of the table premises in premise order.
+	// The position of an index is the premise's table ordinal, the
+	// coordinate system of semi-naive sub-queries and match keys; ord
+	// maps back from premise index to ordinal (-1 for eval premises).
+	tables []int
+	ord    []int
+	// full is the full query's evaluation order (declared order), and
+	// delta[s] the order of sub-query s after its hoisted delta premise
+	// (deltaSeq).
+	full  []int
+	delta [][]int
+	// slots is the number of query slots: one past the highest slot a
+	// premise binds. A stored match keeps these; the slots past them
+	// belong to action lets.
+	slots int
+}
+
+// planRule builds r's plan.
+func planRule(r *Rule) rulePlan {
+	n := len(r.Premises)
+	p := rulePlan{tables: make([]int, 0, n), ord: make([]int, n), full: make([]int, n)}
+	bind := func(a Atom) {
+		if a.Kind == AtomVar {
+			p.slots = max(p.slots, a.Slot+1)
 		}
 	}
-	return tp
+	for i, pr := range r.Premises {
+		p.full[i], p.ord[i] = i, -1
+		switch pr := pr.(type) {
+		case *TablePremise:
+			p.ord[i] = len(p.tables)
+			p.tables = append(p.tables, i)
+			for _, a := range pr.Args {
+				bind(a)
+			}
+			bind(pr.Out)
+		case *EvalPremise:
+			bind(pr.Out)
+		}
+	}
+	p.delta = make([][]int, len(p.tables))
+	for s, i := range p.tables {
+		p.delta[s] = deltaSeq(r, i)
+	}
+	return p
 }
 
 // deltaSeq plans the evaluation order for the semi-naive sub-query that
@@ -354,6 +398,12 @@ var errStopMatch = fmt.Errorf("egraph: match stopped")
 // sub-query whose ordinal is its first delta premise — and the matches
 // with no delta row are the ones the previous iteration already applied.
 //
+// onlyNew, set on a full query in a semi-naive iteration (the hybrid
+// planner's fallback), keeps only the matches that bind at least one delta
+// row (stamp >= minStamp): the others are old matches, already applied.
+// Old matches are still enumerated and counted, so caps judge every match
+// by its position in the full enumeration order.
+//
 // sel, when non-nil, turns on sampled selectivity collection: every
 // sel.every-th top-level row (by global scan/frontier index, so shard
 // boundaries do not change what is sampled) opens a traced sub-tree in
@@ -361,101 +411,157 @@ var errStopMatch = fmt.Errorf("egraph: match stopped")
 type matchSpec struct {
 	deltaOrd int
 	minStamp uint64
+	onlyNew  bool
 	sel      *selSink
 }
 
-// matchRun is the state of one shard's query execution.
+// matchRun is the state of one shard's query execution. A match worker
+// reuses one for all its tasks (reset), keeping its buffers.
 type matchRun struct {
 	g       *EGraph
 	r       *Rule
+	plan    *rulePlan
 	spec    matchSpec
 	hoist   int   // premise index of the delta premise; -1 for full match
-	ord     []int // premise index -> table ordinal (-1 for eval premises)
 	seq     []int // evaluation order: premise indices, hoist excluded
-	b       *bindings
+	b       bindings
 	key     []int32 // matched row slot per table ordinal
 	scratch []Value
-	snaps   slab[Value] // the bindings snapshot each match yields
 	scanned int64
-	yield   func(binds []Value, key []int32) bool
+	// fresh counts the delta rows the current partial match binds; it is
+	// kept only under spec.onlyNew.
+	fresh int
+	// found counts the matches enumerated; the run stops when it reaches
+	// limit (0: no limit).
+	found, limit int
+	// Each match goes either to out (the runner's task buffer) or, for
+	// Match and MatchShard, to yield.
+	out   *matchBuf
+	yield func(binds []Value) bool
 	// sel/trace carry sampled selectivity collection: trace is true while
 	// the run is inside a sampled top-level row's sub-tree.
 	sel   *selSink
 	trace bool
 }
 
-// slabMaxItems caps the items a slab block holds.
-const slabMaxItems = 64
-
-// slab hands out copies carved from shared blocks. Each refill doubles
-// the block, from one item up to slabMaxItems, so a task that finds few
-// matches allocates little and one that finds many allocates once per
-// slabMaxItems matches.
-type slab[T any] struct {
-	free  []T
-	items int // items per block at the last refill
+// matchBuf holds one match task's kept matches without a pointer per
+// match: each match's query-slot bits (plan.slots per match), its key
+// (semi-naive sub-queries, for the merge's key sort) and its enumeration
+// position within the task (onlyNew full queries, for the caps). A rule's
+// query slots are typed — each is bound from a table column or a
+// primitive's result — so the slots' sorts are recorded once, from the
+// task's first kept match. The runner keeps one buffer per task position
+// for the whole run.
+type matchBuf struct {
+	sorts []*Sort
+	bits  []uint64
+	keys  []int32
+	pos   []int32
+	n     int // matches kept
+	found int // matches enumerated
 }
 
-// copyOf returns a copy of src that shares no capacity with other copies.
-func (s *slab[T]) copyOf(src []T) []T {
-	n := len(src)
-	if len(s.free) < n {
-		s.items = min(max(2*s.items, 1), slabMaxItems)
-		s.free = make([]T, n*s.items)
-	}
-	c := s.free[:n:n]
-	s.free = s.free[n:]
-	copy(c, src)
-	return c
+// reset empties b, keeping its storage.
+func (b *matchBuf) reset() {
+	*b = matchBuf{sorts: b.sorts[:0], bits: b.bits[:0], keys: b.keys[:0], pos: b.pos[:0]}
 }
 
-// matchShard runs one shard of the query selected by spec, yielding each
-// match's bindings along with its key — the vector of matched row slots
-// per table ordinal. Serial full matching enumerates keys in ascending
-// lexicographic order (scans, index candidate lists, and frontiers all
-// iterate ascending row slots), so sorting any union of sub-query yields
-// by key reproduces the exact relative order a naive match would produce.
-// For a full match (spec.deltaOrd < 0) lo/hi shard the leading premise's
-// table scan; for a sub-query they shard the delta premise's frontier.
-// Returns the number of rows scanned (loop visits plus direct lookups).
-func (g *EGraph) matchShard(r *Rule, spec matchSpec, lo, hi int, yield func(binds []Value, key []int32) bool) (int64, error) {
-	tp := tablePremises(r)
-	m := &matchRun{
-		g:     g,
-		r:     r,
-		spec:  spec,
-		hoist: -1,
-		ord:   make([]int, len(r.Premises)),
-		b:     newBindings(r.NumSlots),
-		key:   make([]int32, len(tp)),
-		yield: yield,
-		sel:   spec.sel,
+// load writes stored match i into binds: the query slots from the stored
+// bits and sorts, the remaining slots (action lets) zero.
+func (b *matchBuf) load(binds []Value, i, slots int) {
+	for s, bits := range b.bits[i*slots : (i+1)*slots] {
+		binds[s] = Value{Sort: b.sorts[s], Bits: bits}
 	}
-	for i := range m.ord {
-		m.ord[i] = -1
+	clear(binds[slots:])
+}
+
+// reset prepares m to run rule r's query slice spec, keeping the buffers
+// of m's previous run.
+func (m *matchRun) reset(g *EGraph, r *Rule, plan *rulePlan, spec matchSpec) {
+	*m = matchRun{
+		g: g, r: r, plan: plan, spec: spec, hoist: -1, seq: plan.full,
+		b: m.b, key: slices.Grow(m.key[:0], len(plan.tables))[:len(plan.tables)],
+		scratch: m.scratch, sel: spec.sel,
 	}
-	for o, i := range tp {
-		m.ord[i] = o
-	}
+	m.b.reset(r.NumSlots)
+}
+
+// matchShard runs one shard of the query m was reset to, handing each
+// match to m.yield or to m.out, which also records a sub-query match's
+// key — the vector of matched row slots per table ordinal. Serial full
+// matching enumerates keys in ascending lexicographic order (scans, index
+// candidate lists, and frontiers all iterate ascending row slots), so
+// sorting any union of sub-query matches by key reproduces the exact
+// relative order a naive match would produce. For a full match
+// (spec.deltaOrd < 0) lo/hi shard the leading premise's table scan; for a
+// sub-query they shard the delta premise's frontier. m.scanned counts the
+// rows scanned (loop visits plus direct lookups).
+func (m *matchRun) matchShard(lo, hi int) error {
 	var err error
-	if spec.deltaOrd >= 0 {
-		if spec.deltaOrd >= len(tp) {
-			return 0, fmt.Errorf("egraph: rule %s: sub-query %d of %d table premises", r.Name, spec.deltaOrd, len(tp))
+	if s := m.spec.deltaOrd; s >= 0 {
+		if s >= len(m.plan.tables) {
+			return fmt.Errorf("egraph: rule %s: sub-query %d of %d table premises", m.r.Name, s, len(m.plan.tables))
 		}
-		m.hoist = tp[spec.deltaOrd]
-		m.seq = deltaSeq(r, m.hoist)
+		m.hoist, m.seq = m.plan.tables[s], m.plan.delta[s]
 		err = m.runDelta(lo, hi)
 	} else {
-		m.seq = make([]int, len(r.Premises))
-		for i := range m.seq {
-			m.seq[i] = i
-		}
 		err = m.matchFrom(0, lo, hi)
 	}
 	if err == errStopMatch {
 		err = nil
 	}
-	return m.scanned, err
+	return err
+}
+
+// emit takes one complete match. Match and MatchShard hand a copy of the
+// bindings to yield. A runner task stores the query slots in its buffer,
+// unless spec.onlyNew drops the match for binding no delta row; the match
+// counts as found either way. It reports whether the run goes on.
+func (m *matchRun) emit() bool {
+	m.found++
+	if m.yield != nil {
+		return m.yield(slices.Clone(m.b.vals))
+	}
+	if !m.spec.onlyNew || m.fresh > 0 {
+		out, vals := m.out, m.b.vals[:m.plan.slots]
+		if out.n == 0 {
+			for _, v := range vals {
+				out.sorts = append(out.sorts, v.Sort)
+			}
+		}
+		out.bits = reserve(out.bits, len(vals))
+		for _, v := range vals {
+			out.bits = append(out.bits, v.Bits)
+		}
+		if m.hoist >= 0 {
+			out.keys = append(out.keys, m.key...)
+		}
+		if m.spec.onlyNew {
+			out.pos = append(out.pos, int32(m.found-1))
+		}
+		out.n++
+	}
+	return m.found != m.limit
+}
+
+// reserve returns s with room for n more elements, at least doubling
+// its capacity when it has to grow. Match buffers fill one match at a
+// time, and append's gentler growth of large slices would copy them
+// several times over.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, max(n, len(s)))
+}
+
+// freshRow returns 1 when the run tracks delta rows (spec.onlyNew) and
+// row is one, 0 otherwise: the amount binding row adds to m.fresh.
+func (m *matchRun) freshRow(row *row) int {
+	if m.spec.onlyNew && row.stamp >= m.spec.minStamp {
+		return 1
+	}
+	return 0
 }
 
 // runDelta drives one semi-naive sub-query: the delta premise is matched
@@ -502,7 +608,7 @@ func (m *matchRun) runDelta(lo, hi int) error {
 // calls pass the unrestricted range.
 func (m *matchRun) matchFrom(pos, lo, hi int) error {
 	if pos == len(m.seq) {
-		if !m.yield(m.snaps.copyOf(m.b.vals), m.key) {
+		if !m.emit() {
 			return errStopMatch
 		}
 		return nil
@@ -524,7 +630,7 @@ func (m *matchRun) matchFrom(pos, lo, hi int) error {
 // oldOnly reports whether premise i is restricted to pre-delta rows in
 // this sub-query.
 func (m *matchRun) oldOnly(i int) bool {
-	return m.spec.deltaOrd >= 0 && m.ord[i] < m.spec.deltaOrd
+	return m.spec.deltaOrd >= 0 && m.plan.ord[i] < m.spec.deltaOrd
 }
 
 // args returns the reusable scratch argument buffer; its contents are
@@ -538,7 +644,7 @@ func (m *matchRun) args(n int) []Value {
 }
 
 func (m *matchRun) matchTable(pos, i, lo, hi int, p *TablePremise) error {
-	g, b := m.g, m.b
+	g, b := m.g, &m.b
 	// Fast path: all argument atoms already determined — direct lookup.
 	allBound := true
 	for _, a := range p.Args {
@@ -586,8 +692,11 @@ func (m *matchRun) matchTable(pos, i, lo, hi int, p *TablePremise) error {
 		if m.trace {
 			m.sel.prem[i].Matches++
 		}
-		m.key[m.ord[i]] = int32(ri)
+		m.key[m.plan.ord[i]] = int32(ri)
+		fresh := m.freshRow(row)
+		m.fresh += fresh
 		err := m.matchFrom(pos+1, 0, -1)
+		m.fresh -= fresh
 		if undo >= 0 {
 			b.bound[undo] = false
 		}
@@ -604,8 +713,7 @@ func (m *matchRun) matchTable(pos, i, lo, hi int, p *TablePremise) error {
 	useIndex := false
 	if g.Clean() {
 		consider := func(col int, v Value) {
-			idx := t.buildArgIndex(col, len(p.Args))
-			c := idx[v.Bits]
+			c := t.buildArgIndex(col, len(p.Args)).rowsOf(v.Bits)
 			if !useIndex || len(c) < len(candidates) {
 				candidates = c
 				useIndex = true
@@ -701,8 +809,12 @@ rows:
 			if trc {
 				m.sel.prem[i].Matches++
 			}
-			m.key[m.ord[i]] = int32(ri)
-			if err := m.matchFrom(pos+1, 0, -1); err != nil {
+			m.key[m.plan.ord[i]] = int32(ri)
+			fresh := m.freshRow(row)
+			m.fresh += fresh
+			err := m.matchFrom(pos+1, 0, -1)
+			m.fresh -= fresh
+			if err != nil {
 				for _, u := range undos {
 					b.bound[u] = false
 				}
@@ -719,7 +831,7 @@ rows:
 // matchRow binds premise i's atoms against one concrete row (the hoisted
 // delta premise), records its key, and continues the query from nextFrom.
 func (m *matchRun) matchRow(p *TablePremise, row *row, ri int32, i, nextFrom int) error {
-	g, b := m.g, m.b
+	g, b := m.g, &m.b
 	var undoBuf [argBufLen + 1]int
 	undos := undoBuf[:0]
 	for j, a := range p.Args {
@@ -743,7 +855,7 @@ func (m *matchRun) matchRow(p *TablePremise, row *row, ri int32, i, nextFrom int
 		if m.trace {
 			m.sel.prem[i].Matches++
 		}
-		m.key[m.ord[i]] = ri
+		m.key[m.plan.ord[i]] = ri
 		err = m.matchFrom(nextFrom, 0, -1)
 	}
 	for _, u := range undos {
@@ -753,7 +865,7 @@ func (m *matchRun) matchRow(p *TablePremise, row *row, ri int32, i, nextFrom int
 }
 
 func (m *matchRun) matchEval(pos, i int, p *EvalPremise) error {
-	g, b := m.g, m.b
+	g, b := m.g, &m.b
 	if m.sel != nil {
 		// An eval premise leading a full query runs once: it is top-level
 		// row 0, included under every sampling period.

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,8 +30,10 @@ type RunConfig struct {
 	// NodeLimit stops the run when the e-graph exceeds this many e-nodes
 	// (default 100_000).
 	NodeLimit int
-	// MatchLimit caps matches collected per rule per iteration
-	// (default 500_000).
+	// MatchLimit caps the matches enumerated per rule per iteration
+	// (default 500_000). A match counts by its position in the merged
+	// order whether or not it is applied, so the old matches a semi-naive
+	// full-scan fallback enumerates but skips count toward the cap too.
 	MatchLimit int
 	// TimeLimit stops the run after this wall-clock duration
 	// (default 30s).
@@ -107,8 +109,11 @@ type RunConfig struct {
 	// tables, whose last-writer-wins outputs can depend on naive mode's
 	// redundant re-applications, and runs stopped by MatchLimit, where
 	// each mode truncates a different prefix of the per-rule match list
-	// (naive counts already-seen matches toward the cap). Within either
-	// mode, results stay identical for every worker count.
+	// (naive counts already-seen matches toward the cap). Semi-naive
+	// results do not depend on the plan the hybrid planner picks for a
+	// rule: delta sub-queries and a full-scan fallback apply the same new
+	// matches in the same order. Within either mode, results stay
+	// identical for every worker count.
 	Naive bool
 }
 
@@ -192,7 +197,10 @@ type RunReport struct {
 
 // IterStats records one saturation iteration.
 type IterStats struct {
-	// Matches is the number of matches applied this iteration.
+	// Matches is the number of matches applied this iteration: the new
+	// matches within the caps. Old matches a semi-naive full-scan
+	// fallback re-finds are not applied, so they are not counted here
+	// (RuleStats.Matched counts them).
 	Matches int `json:"matches"`
 	// Nodes is the e-node count after the iteration's rebuild.
 	Nodes int `json:"nodes"`
@@ -249,7 +257,8 @@ type SchedDecision struct {
 	Action string `json:"action"`
 	// Limit is the match cap for "limit" entries.
 	Limit int `json:"limit,omitempty"`
-	// Dropped counts matches discarded by the cap (found minus applied).
+	// Dropped counts the matches the cap discarded: those enumerated
+	// beyond it.
 	Dropped int64 `json:"dropped,omitempty"`
 }
 
@@ -268,16 +277,24 @@ type Observer interface {
 	ObserveIter(iter int, st *IterStats, rules []sched.RuleIterStats)
 }
 
-// ruleMatches holds one rule's merged match buffer for the apply phase.
+// ruleMatches is one rule's merged matches for the apply phase: apply
+// loads src's stored matches order[0:n] (the first n when order is nil).
+// The struct and its buffers are reused across a run's iterations.
 type ruleMatches struct {
-	rule      *Rule
-	matches   [][]Value
-	truncated bool
-	// schedTruncated reports that a scheduler cap (not the engine
-	// MatchLimit) truncated the merged list. Unlike truncated it does not
-	// stop the run.
+	rule  *Rule
+	src   *matchBuf
+	order []int32
+	n     int
+	// buf concatenates the rule's task buffers when it ran as more than
+	// one task; perm is the storage of order.
+	buf  matchBuf
+	perm []int32
+	// truncated reports that the engine MatchLimit cut the rule's matches,
+	// which stops the run; schedTruncated that a scheduler cap did, which
+	// does not.
+	truncated      bool
 	schedTruncated bool
-	// found is the rule's pre-truncation match count this iteration.
+	// found is the number of matches enumerated, before any cap.
 	found int64
 }
 
@@ -298,9 +315,10 @@ type matchTask struct {
 	ruleIdx int
 	sub     int
 	lo, hi  int
-	buf     [][]Value
-	keys    [][]int32
-	keySlab slab[int32]
+	// onlyNew marks the hybrid planner's full-scan fallback, which keeps
+	// only the matches that bind a delta row (matchSpec.onlyNew).
+	onlyNew bool
+	out     *matchBuf
 	scanned int64
 	err     error
 	// sel holds the task's sampled selectivity counters when
@@ -321,41 +339,38 @@ type matchTask struct {
 // workers; below it the coordination overhead dominates.
 const shardMinRows = 64
 
-// shardRange appends tasks covering [0, n) in at most maxShards
-// contiguous pieces (one whole-range task when n is small). worth is the
-// useful-row count the split is judged on — live rows rather than the
-// raw scan length, so a table dominated by tombstones is not over-split.
-func shardRange(tasks []matchTask, ruleIdx, sub, n, worth, maxShards int) []matchTask {
+// shardRange appends copies of task t covering [0, n) in at most
+// maxShards contiguous pieces (one whole-range task when n is small).
+// worth is the useful-row count the split is judged on — live rows
+// rather than the raw scan length, so a table dominated by tombstones is
+// not over-split.
+func shardRange(tasks []matchTask, t matchTask, n, worth, maxShards int) []matchTask {
 	shards := 1
 	if maxShards > 1 && worth >= shardMinRows {
-		shards = maxShards
-		if shards > n {
-			shards = n
-		}
+		shards = min(maxShards, n)
 	}
 	if shards <= 1 {
-		return append(tasks, matchTask{ruleIdx: ruleIdx, sub: sub, lo: 0, hi: -1})
+		t.lo, t.hi = 0, -1
+		return append(tasks, t)
 	}
 	for s := 0; s < shards; s++ {
-		lo := n * s / shards
-		hi := n * (s + 1) / shards
-		tasks = append(tasks, matchTask{ruleIdx: ruleIdx, sub: sub, lo: lo, hi: hi})
+		t.lo, t.hi = n*s/shards, n*(s+1)/shards
+		tasks = append(tasks, t)
 	}
 	return tasks
 }
 
-// planMatchTasks splits each rule's full query into at most `maxShards`
-// shards of its top-level scan. Rules whose first premise does not scan
-// (or scans few live rows) get a single whole-range task; rules the
-// scheduler skipped get none.
-func (g *EGraph) planMatchTasks(rules []*Rule, maxShards int, decisions []sched.Decision) []matchTask {
-	tasks := make([]matchTask, 0, len(rules))
+// planMatchTasks appends to tasks each rule's full query, split into at
+// most `maxShards` shards of its top-level scan. Rules whose first
+// premise does not scan (or scans few live rows) get a single whole-range
+// task; rules the scheduler skipped get none.
+func (g *EGraph) planMatchTasks(tasks []matchTask, rules []*Rule, maxShards int, decisions []sched.Decision) []matchTask {
 	for ri, r := range rules {
 		if schedSkip(decisions, ri) {
 			continue
 		}
 		n, live := g.firstPremiseScan(r)
-		tasks = shardRange(tasks, ri, -1, n, live, maxShards)
+		tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1}, n, live, maxShards)
 	}
 	return tasks
 }
@@ -370,28 +385,28 @@ func (g *EGraph) planMatchTasks(rules []*Rule, maxShards int, decisions []sched.
 // to its leading table scan that the k delta sub-queries would visit more
 // rows than one full pass (each frontier row probes the other k-1
 // premises, so the delta plan costs about Σ|frontier| × k), the rule falls
-// back to its full query for this iteration. The re-found old matches it
-// applies are guaranteed no-ops under the apply phase's frozen
-// canonicalization, so the fallback changes which rows are visited but not
-// a single bit of the result.
+// back to its full query for this iteration. The fallback keeps only the
+// matches that bind a delta row (onlyNew), which are exactly the matches
+// the sub-queries would find, in the order their key sort would give; so
+// it changes which rows are visited but not which matches are applied.
 // Scheduling adds two cases: a skipped rule contributes no tasks, and a
 // rule carrying full-scan debt (needFull — it was skipped or truncated
 // since its last complete pass, so delta frontiers it never saw are gone)
-// runs its full query regardless of the frontier state. Re-found old
-// matches are no-ops, so the forced full pass restores completeness
-// without changing a bit of the already-derived state.
-func (g *EGraph) planDeltaTasks(rules []*Rule, maxShards int, decisions []sched.Decision, needFull []bool) []matchTask {
-	var tasks []matchTask
+// runs its full query regardless of the frontier state and applies every
+// match. Re-found old matches are no-ops under the apply phase's frozen
+// canonicalization, so the forced full pass restores completeness without
+// changing a bit of the already-derived state.
+func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []rulePlan, maxShards int, decisions []sched.Decision, needFull []bool) []matchTask {
 	for ri, r := range rules {
 		if schedSkip(decisions, ri) {
 			continue
 		}
 		if needFull != nil && needFull[ri] {
 			n, live := g.firstPremiseScan(r)
-			tasks = shardRange(tasks, ri, -1, n, live, maxShards)
+			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1}, n, live, maxShards)
 			continue
 		}
-		tp := tablePremises(r)
+		tp := plans[ri].tables
 		outer := 0
 		for _, pi := range tp {
 			outer += len(g.tab(r.Premises[pi].(*TablePremise).Fn).frontier)
@@ -400,7 +415,7 @@ func (g *EGraph) planDeltaTasks(rules []*Rule, maxShards int, decisions []sched.
 			continue
 		}
 		if n, live := g.firstPremiseScan(r); n > 0 && outer*len(tp) >= n+live {
-			tasks = shardRange(tasks, ri, -1, n, live, maxShards)
+			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1, onlyNew: true}, n, live, maxShards)
 			continue
 		}
 		for s, pi := range tp {
@@ -408,49 +423,43 @@ func (g *EGraph) planDeltaTasks(rules []*Rule, maxShards int, decisions []sched.
 			if fr == 0 {
 				continue
 			}
-			tasks = shardRange(tasks, ri, s, fr, fr, maxShards)
+			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: s}, fr, fr, maxShards)
 		}
 	}
 	return tasks
 }
 
-// keyLess is the lexicographic order on equal-length match keys; it is
-// the serial full-match enumeration order.
-func keyLess(a, b []int32) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// collectMatches runs the match phase: every task e-matches against the
-// frozen (rebuilt, canonical) graph on a pool of `workers` goroutines,
-// each filling a private buffer. Buffers are then merged in
-// rule-declaration order, truncated to matchLimit per rule, so the result
-// is independent of worker count and scheduling. Within a rule, naive
-// shards concatenate in shard order; semi-naive sub-query buffers are
-// sorted by match key, which restores the exact relative order a naive
-// match would enumerate those (new) matches in. Matching only reads the
-// graph: pool interning, union-find path halving, and lazy index builds
-// are internally synchronized.
+// collect runs the match phase: every task e-matches against the frozen
+// (rebuilt, canonical) graph on a pool of cfg.Workers goroutines, each
+// filling its own buffer. Buffers are then merged in rule-declaration
+// order, so the result is independent of worker count and scheduling.
+// Within a rule, full-query shards concatenate in shard order; semi-naive
+// sub-query matches are sorted by match key, which restores the exact
+// relative order a naive match would enumerate those (new) matches in.
+// Matching only reads the graph: pool interning, union-find path halving,
+// and lazy index builds are internally synchronized.
 //
-// The returned tasks carry per-task row counts, plus timings and worker
-// ids when a consumer wants them (RuleMetrics or an enabled Recorder);
-// the runner aggregates them serially after the phase.
-// Scheduler decisions and full-scan debt (both nil for unscheduled runs)
-// shape the plan — skipped rules get no tasks, indebted rules full-scan —
-// and scheduler caps truncate the merged per-rule lists. Caps are applied
-// only after the deterministic merge (never to per-task buffers), so the
-// kept prefix is the same for every worker count and shard plan.
-func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minStamp uint64, decisions []sched.Decision, needFull []bool) ([]ruleMatches, []matchTask, int64, error) {
-	workers, matchLimit := cfg.Workers, cfg.MatchLimit
-	var tasks []matchTask
-	if delta {
-		tasks = g.planDeltaTasks(rules, cfg.MatchShards, decisions, needFull)
+// The tasks keep their per-task row counts, plus timings and worker ids
+// when a consumer wants them (RuleMetrics or an enabled Recorder); the
+// runner aggregates them serially after the phase. Scheduler decisions and
+// full-scan debt (both nil for unscheduled runs) shape the plan — skipped
+// rules get no tasks, indebted rules full-scan — and scheduler caps
+// truncate the merged per-rule lists. Caps are applied only after the
+// deterministic merge (never to per-task buffers), so the kept prefix is
+// the same for every worker count and shard plan.
+func (r *run) collect() (scanned int64, err error) {
+	g, cfg := r.g, r.cfg
+	if r.it.SemiNaive {
+		r.tasks = g.planDeltaTasks(r.tasks[:0], r.rules, r.plans, cfg.MatchShards, r.decisions, r.needFull)
 	} else {
-		tasks = g.planMatchTasks(rules, cfg.MatchShards, decisions)
+		r.tasks = g.planMatchTasks(r.tasks[:0], r.rules, cfg.MatchShards, r.decisions)
+	}
+	tasks := r.tasks
+	for len(r.bufs) < len(tasks) {
+		r.bufs = append(r.bufs, matchBuf{})
+	}
+	for i := range tasks {
+		tasks[i].out = &r.bufs[i]
 	}
 	timeTasks := cfg.RuleMetrics || cfg.Recorder.Enabled()
 
@@ -462,31 +471,30 @@ func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minSta
 		// skipping bounds cancellation latency at one task, not one
 		// iteration. Completed runs never skip — ctx errors are sticky —
 		// so determinism for uncanceled runs is unaffected.
+		t.out.reset()
 		if cfg.Ctx.Err() != nil {
 			return
 		}
 		if timeTasks {
 			t.began = time.Now()
 		}
-		r := rules[t.ruleIdx]
-		spec := matchSpec{deltaOrd: t.sub, minStamp: minStamp}
+		rule := r.rules[t.ruleIdx]
+		spec := matchSpec{deltaOrd: t.sub, minStamp: r.minStamp, onlyNew: t.onlyNew}
 		if cfg.ProfileSample > 0 {
-			t.sel = newSelSink(r, cfg.ProfileSample)
+			t.sel = newSelSink(rule, cfg.ProfileSample)
 			spec.sel = t.sel
 		}
-		t.scanned, t.err = g.matchShard(r, spec, t.lo, t.hi, func(binds []Value, key []int32) bool {
-			t.buf = append(t.buf, binds)
-			if t.sub >= 0 {
-				t.keys = append(t.keys, t.keySlab.copyOf(key))
-			}
-			return len(t.buf) < matchLimit
-		})
+		m := &r.runs[worker]
+		m.reset(g, rule, &r.plans[t.ruleIdx], spec)
+		m.out, m.limit = t.out, cfg.MatchLimit
+		t.err = m.matchShard(t.lo, t.hi)
+		t.scanned, t.out.found = m.scanned, m.found
 		if timeTasks {
 			t.took = time.Since(t.began)
 		}
 	}
 
-	if workers <= 1 {
+	if workers := len(r.runs); workers <= 1 {
 		for i := range tasks {
 			runTask(0, i)
 		}
@@ -509,66 +517,87 @@ func (g *EGraph) collectMatches(rules []*Rule, cfg RunConfig, delta bool, minSta
 		wg.Wait()
 	}
 
-	// Merge: declaration order across rules; within a rule, shard-order
-	// concatenation (naive) or key sort (semi-naive sub-queries, whose
-	// keys are unique — each new match is generated by exactly one
-	// sub-query, the one whose delta ordinal is its first delta premise).
-	merged := make([]ruleMatches, len(rules))
-	for i, r := range rules {
-		merged[i].rule = r
-	}
-	var scanned int64
-	keys := make([][][]int32, len(rules))
 	for i := range tasks {
 		t := &tasks[i]
 		if t.err != nil {
-			return nil, nil, 0, fmt.Errorf("matching rule %s: %w", rules[t.ruleIdx].Name, t.err)
+			// A failed phase reports no tasks and no matches.
+			r.tasks = tasks[:0]
+			return 0, fmt.Errorf("matching rule %s: %w", r.rules[t.ruleIdx].Name, t.err)
 		}
 		scanned += t.scanned
-		rm := &merged[t.ruleIdx]
-		rm.found += int64(len(t.buf))
-		if len(rm.matches) == 0 {
-			rm.matches = t.buf
-			keys[t.ruleIdx] = t.keys
-		} else {
-			rm.matches = append(rm.matches, t.buf...)
-			keys[t.ruleIdx] = append(keys[t.ruleIdx], t.keys...)
+	}
+	// Merge: declaration order across rules (the planner emits each rule's
+	// tasks contiguously, in shard order).
+	for i := range r.pending {
+		rm := &r.pending[i]
+		*rm = ruleMatches{rule: rm.rule, buf: rm.buf, perm: rm.perm}
+	}
+	for lo := 0; lo < len(tasks); {
+		hi := lo + 1
+		for hi < len(tasks) && tasks[hi].ruleIdx == tasks[lo].ruleIdx {
+			hi++
+		}
+		r.merge(tasks[lo].ruleIdx, tasks[lo:hi])
+		lo = hi
+	}
+	return scanned, nil
+}
+
+// merge builds rule ri's apply list from its tasks' buffers. Every cap
+// counts matches by their position in the merged order: the engine
+// MatchLimit first (a run that would hit it unscheduled still stops with
+// StopMatchLimit), then the scheduler's cap, whose truncation never stops
+// the run. Sub-query matches are all new and unique by key (each is
+// generated by exactly one sub-query, the one whose delta ordinal is its
+// first delta premise), so they are key-sorted and the first matches up
+// to the cap kept. Full-query matches are in enumeration order already;
+// those stored before the cap are kept, which under onlyNew skips the old
+// matches among them.
+func (r *run) merge(ri int, tasks []matchTask) {
+	rm := &r.pending[ri]
+	src := tasks[0].out
+	if len(tasks) > 1 {
+		src = &rm.buf
+		src.reset()
+		for i := range tasks {
+			t := tasks[i].out
+			if src.n == 0 {
+				src.sorts = t.sorts
+			}
+			src.bits = append(src.bits, t.bits...)
+			src.keys = append(src.keys, t.keys...)
+			for _, p := range t.pos {
+				src.pos = append(src.pos, int32(src.found)+p)
+			}
+			src.n += t.n
+			src.found += t.found
 		}
 	}
-	for i := range merged {
-		rm := &merged[i]
-		// Key-sort only the rules the delta plan ran as sub-queries; a
-		// rule the hybrid planner fell back to full matching for has no
-		// keys and is already in shard (= serial full-match) order.
-		if delta && keys[i] != nil && len(rm.matches) > 1 {
-			k := keys[i]
-			ord := make([]int, len(rm.matches))
-			for j := range ord {
-				ord[j] = j
-			}
-			sort.Slice(ord, func(a, b int) bool { return keyLess(k[ord[a]], k[ord[b]]) })
-			sorted := make([][]Value, len(rm.matches))
-			for j, o := range ord {
-				sorted[j] = rm.matches[o]
-			}
-			rm.matches = sorted
-		}
-		if len(rm.matches) >= matchLimit {
-			rm.matches = rm.matches[:matchLimit]
-			rm.truncated = true
-		}
-		// Scheduler cap: keep the deterministic prefix of the merged
-		// list. Enforced after the engine MatchLimit so a run that would
-		// have hit the engine cap unscheduled still stops with
-		// StopMatchLimit; scheduler truncation itself never stops the run.
-		if decisions != nil && decisions[i].Action == sched.ActionLimit {
-			if lim := decisions[i].Limit; lim > 0 && len(rm.matches) > lim {
-				rm.matches = rm.matches[:lim]
-				rm.schedTruncated = true
-			}
+	rm.src, rm.found = src, int64(src.found)
+	limit := r.cfg.MatchLimit
+	rm.truncated = src.found >= limit
+	if r.decisions != nil && r.decisions[ri].Action == sched.ActionLimit {
+		if lim := r.decisions[ri].Limit; lim > 0 && min(src.found, limit) > lim {
+			limit, rm.schedTruncated = lim, true
 		}
 	}
-	return merged, tasks, scanned, nil
+	switch {
+	case tasks[0].sub >= 0:
+		rm.perm = rm.perm[:0]
+		for i := range src.n {
+			rm.perm = append(rm.perm, int32(i))
+		}
+		k, keys := len(r.plans[ri].tables), src.keys
+		slices.SortFunc(rm.perm, func(a, b int32) int {
+			return slices.Compare(keys[int(a)*k:int(a+1)*k], keys[int(b)*k:int(b+1)*k])
+		})
+		rm.order = rm.perm[:min(src.n, limit)]
+		rm.n = len(rm.order)
+	case tasks[0].onlyNew:
+		rm.n, _ = slices.BinarySearch(src.pos, int32(min(limit, src.found)))
+	default:
+		rm.n = min(src.n, limit)
+	}
 }
 
 // rowCensus counts live and dead (tombstoned, awaiting compaction) rows
@@ -651,6 +680,15 @@ type run struct {
 	decisions []sched.Decision
 	needFull  []bool
 
+	// Match state, reused across iterations: each rule's plan, the
+	// iteration's tasks, one match buffer per task position, one matchRun
+	// per worker, and apply's bindings.
+	plans []rulePlan
+	tasks []matchTask
+	bufs  []matchBuf
+	runs  []matchRun
+	binds []Value
+
 	// The current iteration (0-based): its record, its per-rule outcomes
 	// in declaration order (one buffer reused across iterations), the
 	// merged matches, the counters its growth is measured against, and
@@ -673,14 +711,22 @@ type run struct {
 	roots []uint32
 }
 
-// newRun opens a run: the journal's run bracket, the report's per-rule
-// sections, the scheduler instance, and the trace lane names.
+// newRun opens a run: the journal's run bracket, the rules' plans, the
+// report's per-rule sections, the scheduler instance, and the trace lane
+// names.
 func (g *EGraph) newRun(rules []*Rule, cfg RunConfig) *run {
 	cfg = cfg.withDefaults()
 	r := &run{
 		g: g, rules: rules, cfg: cfg, start: time.Now(),
 		report:  RunReport{Stop: StopIterLimit, Workers: cfg.Workers},
 		outcome: make([]sched.RuleIterStats, 0, len(rules)),
+		plans:   make([]rulePlan, len(rules)),
+		pending: make([]ruleMatches, len(rules)),
+		runs:    make([]matchRun, cfg.Workers),
+	}
+	for i, rule := range rules {
+		r.plans[i] = planRule(rule)
+		r.pending[i].rule = rule
 	}
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KRun, Workers: cfg.Workers})
@@ -766,13 +812,11 @@ func (r *run) plan() StopReason {
 // and folds what its tasks measured into the run: rows scanned, per-rule
 // task metrics, sampled selectivity, and the worker-lane and match-phase
 // spans. On success it starts the iteration's per-rule outcomes from the
-// merged match lists.
+// merged matches.
 func (r *run) match() error {
-	// Drop the previous iteration's matches first, so they can be
-	// collected while this iteration's are gathered.
-	r.pending = nil
 	start := time.Now()
-	pending, tasks, scanned, err := r.g.collectMatches(r.rules, r.cfg, r.it.SemiNaive, r.minStamp, r.decisions, r.needFull)
+	scanned, err := r.collect()
+	tasks := r.tasks
 	r.it.MatchTime = time.Since(start)
 	r.it.RowsScanned = scanned
 	r.report.RowsScanned += scanned
@@ -808,7 +852,7 @@ func (r *run) match() error {
 		if rec.Enabled() {
 			rec.Complete(obs.LaneWorker+t.worker, "match", r.rules[t.ruleIdx].Name, t.began, t.took, map[string]int64{
 				"rows":    t.scanned,
-				"matches": int64(len(t.buf)),
+				"matches": int64(t.out.found),
 				"sub":     int64(t.sub),
 			})
 		}
@@ -819,10 +863,12 @@ func (r *run) match() error {
 			"tasks": int64(len(tasks)),
 		})
 	}
-	r.pending = pending
 	r.outcome = r.outcome[:0]
-	for i := range pending {
-		rm := &pending[i]
+	if err != nil {
+		return err
+	}
+	for i := range r.pending {
+		rm := &r.pending[i]
 		r.outcome = append(r.outcome, sched.RuleIterStats{
 			Rule:    rm.rule.Name,
 			Matched: rm.found,
@@ -830,7 +876,7 @@ func (r *run) match() error {
 			Limited: rm.schedTruncated,
 		})
 	}
-	return err
+	return nil
 }
 
 // apply runs the apply phase serially, in merged (deterministic) order,
@@ -839,7 +885,8 @@ func (r *run) match() error {
 // (beginFrozenApply), so each match's effect depends only on the snapshot
 // it was collected against — re-applying an old match is then a
 // guaranteed no-op, which is what lets semi-naive mode skip old matches
-// without changing a single bit of the result.
+// without changing a single bit of the result. Each match is loaded from
+// its rule's buffer into one bindings slice the run reuses.
 func (r *run) apply() error {
 	g := r.g
 	r.applyStart = time.Now()
@@ -848,9 +895,11 @@ func (r *run) apply() error {
 	applied := 0
 	for ri := range r.pending {
 		rm := &r.pending[ri]
-		if len(rm.matches) == 0 {
+		if rm.n == 0 {
 			continue
 		}
+		slots := r.plans[ri].slots
+		r.binds = slices.Grow(r.binds[:0], rm.rule.NumSlots)[:rm.rule.NumSlots]
 		// Provenance context: rows and unions made while applying this
 		// batch are stamped with the rule (endFrozenApply clears it).
 		g.ruleCur = g.ruleID(rm.rule.Name)
@@ -862,7 +911,12 @@ func (r *run) apply() error {
 			rs = &r.report.Rules[ri]
 			batchStart, rowsBefore, unionsBefore = time.Now(), g.TotalRows(), g.unionCount
 		}
-		for j, binds := range rm.matches {
+		for j := range rm.n {
+			m := j
+			if rm.order != nil {
+				m = int(rm.order[j])
+			}
+			rm.src.load(r.binds, m, slots)
 			// A match whose actions moved neither the union counter nor the
 			// effect counter (new rows, merge changes, cost installs)
 			// changed nothing — the per-rule no-op count is what makes naive
@@ -871,7 +925,7 @@ func (r *run) apply() error {
 			if rs != nil {
 				before = g.unionCount + g.effects
 			}
-			if err := g.ApplyActions(rm.rule, binds); err != nil {
+			if err := g.ApplyActions(rm.rule, r.binds); err != nil {
 				r.outcome[ri].Applied = int64(j)
 				return fmt.Errorf("applying rule %s: %w", rm.rule.Name, err)
 			}
@@ -879,8 +933,8 @@ func (r *run) apply() error {
 				rs.Noops++
 			}
 		}
-		r.outcome[ri].Applied = int64(len(rm.matches))
-		applied += len(rm.matches)
+		r.outcome[ri].Applied = int64(rm.n)
+		applied += rm.n
 		if rs != nil {
 			rs.ApplyTime += time.Since(batchStart)
 			// Growth attribution: rows and unions the batch produced — the
@@ -992,7 +1046,7 @@ func (r *run) recordSched() (active bool) {
 			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "skip"})
 		case o.Limited:
 			active = true
-			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "limit", Limit: r.decisions[i].Limit, Dropped: o.Matched - o.Applied})
+			r.it.Sched = append(r.it.Sched, SchedDecision{Rule: o.Rule, Action: "limit", Limit: r.decisions[i].Limit, Dropped: r.dropped(i)})
 		}
 		r.needFull[i] = o.Skipped || o.Limited
 	}
@@ -1018,9 +1072,16 @@ func (r *run) foldRules(complete bool) {
 			rs.Throttled++
 		case o.Limited:
 			rs.MatchLimited++
-			rs.SchedDropped += o.Matched - o.Applied
+			rs.SchedDropped += r.dropped(i)
 		}
 	}
+}
+
+// dropped is the number of matches rule i's scheduler cap discarded this
+// iteration: those enumerated beyond it. It is not Matched - Applied,
+// which also counts the old matches a full-scan fallback does not apply.
+func (r *run) dropped(i int) int64 {
+	return r.outcome[i].Matched - int64(r.decisions[i].Limit)
 }
 
 // abort stops the run inside an iteration. The partial record is kept:

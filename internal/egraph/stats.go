@@ -12,15 +12,19 @@ import (
 // its time and its matches on", which is what makes rule sets tunable.
 type RuleStats struct {
 	Name string `json:"name"`
-	// Matched counts matches the match phase collected for the rule
-	// (before any MatchLimit truncation), summed over iterations.
+	// Matched counts matches the match phase enumerated for the rule
+	// (before any MatchLimit truncation), summed over iterations. It
+	// includes the old matches a semi-naive full-scan fallback re-finds,
+	// so it depends on the plan the hybrid planner picked.
 	Matched int64 `json:"matched"`
-	// Applied counts matches whose actions actually ran (after
-	// truncation). Applied <= Matched always.
+	// Applied counts matches whose actions actually ran: those within the
+	// caps, less the re-found old matches of a semi-naive full-scan
+	// fallback, which are skipped. Applied <= Matched always.
 	Applied int64 `json:"applied"`
 	// Noops counts applied matches that changed nothing: no effective
 	// union, no new row, no merge-value change. In semi-naive mode these
-	// stay near zero; in naive mode they dominate late iterations.
+	// stay near zero (a scheduler's debt pass re-applies old matches); in
+	// naive mode they dominate late iterations.
 	Noops int64 `json:"noops"`
 	// RowsScanned totals the rule's match-phase row visits.
 	RowsScanned int64 `json:"rows_scanned"`

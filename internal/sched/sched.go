@@ -64,14 +64,19 @@ type RuleIterStats struct {
 	Rule string
 	// Matched is the pre-truncation match count (exact: scheduler caps
 	// are enforced at merge time, after full enumeration, so this is the
-	// number of matches the rule would have applied unscheduled).
+	// number of matches the rule would have enumerated unscheduled). A
+	// semi-naive full-scan fallback enumerates old matches too, and they
+	// count here.
 	Matched int64
-	// Applied is the post-cap applied count.
+	// Applied is the number of matches applied: those enumerated before
+	// the cap, less the old matches a semi-naive full-scan fallback skips.
+	// Applied < Matched therefore does not by itself mean a cap bound.
 	Applied int64
 	// Skipped reports whether the scheduler skipped the rule.
 	Skipped bool
 	// Limited reports whether a scheduler cap actually truncated the
-	// rule's matches (Applied < Matched because of the cap).
+	// rule's matches: Matched exceeded the cap, and the Matched - cap
+	// matches enumerated beyond it were dropped.
 	Limited bool
 }
 
