@@ -39,14 +39,15 @@ test-log:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# One-shot pass over the saturation benchmarks (cheap smoke signal that
-# the hot paths still run), then the perf-regression gate: remeasure the
-# naive-vs-semi-naive row visits into a scratch artifact and compare it
-# against the committed BENCH_4.json baseline. Deterministic counters
-# (rows scanned, iterations, scheduler throttle/cap counts) must not
-# grow beyond tolerance.
+# One-shot pass over the saturation benchmarks and every mode of the
+# observability, profiler and journal overhead benchmarks (cheap smoke
+# signal that the hot paths still run), then the perf-regression gate:
+# remeasure the naive-vs-semi-naive row visits into a scratch artifact
+# and compare it against the committed BENCH_4.json baseline.
+# Deterministic counters (rows scanned, iterations, scheduler
+# throttle/cap counts) must not grow beyond tolerance.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Saturate|EMatch|Rebuild|Extract' -benchtime=1x -benchmem ./internal/egraph/ ./internal/bench/
+	$(GO) test -run '^$$' -bench 'Saturate|EMatch|Rebuild|Extract|ObservabilityOverhead|ProfileOverhead|JournalOverhead' -benchtime=1x -benchmem ./internal/egraph/ ./internal/bench/
 	$(GO) run ./cmd/benchtab -bench2 -bench2-out bench2_fresh.json
 	$(GO) run ./cmd/benchtab -compare BENCH_4.json bench2_fresh.json
 

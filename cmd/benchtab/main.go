@@ -71,13 +71,6 @@ func main() {
 		scale = bench.ScaleFull
 	}
 	benchs := bench.DefaultBenchmarks(scale)
-	if *stats || *statsJSON != "" {
-		// Per-rule accounting rides on the saturation runs the sections
-		// perform anyway; it is off by default to keep timings untainted.
-		for _, b := range benchs {
-			b.RunConfig.RuleMetrics = true
-		}
-	}
 
 	// out aggregates every section's rows for --stats-json.
 	var out struct {

@@ -166,7 +166,7 @@ func lintStats(data, blame []byte) error {
 		}
 		ruleRows += r.RowsScanned
 	}
-	if len(run.Rules) > 0 && ruleRows != run.RowsScanned {
+	if ruleRows != run.RowsScanned {
 		return fmt.Errorf("stats: per-rule rows %d != total rows scanned %d", ruleRows, run.RowsScanned)
 	}
 	for _, rs := range run.Selectivity {

@@ -37,7 +37,8 @@ func TestLintPicksCheckerByShape(t *testing.T) {
 	}{
 		{"trace", trace.String(), "trace OK"},
 		{"empty trace", `{"traceEvents": []}`, "!no span events"},
-		{"stats", `{"run": {"iterations": 1, "per_iter": [{"rows_scanned": 4}], "rows_scanned": 4}}`, "stats OK"},
+		{"stats", `{"run": {"iterations": 1, "per_iter": [{"rows_scanned": 4}], "rows_scanned": 4, "rules": [{"name": "r", "rows_scanned": 4}]}}`, "stats OK"},
+		{"stats no rules", `{"run": {"iterations": 1, "per_iter": [{"rows_scanned": 4}], "rows_scanned": 4}}`, "!per-rule rows 0 != total rows scanned 4"},
 		{"stats rows", `{"iterations": 1, "per_iter": [{"rows_scanned": 3}], "rows_scanned": 4}`, "!per-iteration rows 3"},
 		{"stats applied", `{"iterations": 1, "per_iter": [{"rows_scanned": 4}], "rows_scanned": 4, "rules": [{"name": "r", "matched": 1, "applied": 2, "rows_scanned": 4}]}`, "!applied 2 > matched 1"},
 		{"stats dropped", `{"iterations": 1, "per_iter": [{"rows_scanned": 4}], "rows_scanned": 4, "rules": [{"name": "r", "rows_scanned": 4, "sched_dropped": 3}]}`, "!sched_dropped 3 without"},

@@ -215,7 +215,6 @@ func run(opts options) (err error) {
 				TimeLimit:     opts.timeLimit,
 				Workers:       opts.workers,
 				Naive:         opts.naive,
-				RuleMetrics:   opts.stats || opts.statsJSON != "" || opts.profileFile != "",
 				ProfileSample: opts.profileSample,
 				Recorder:      rec,
 				Scheduler:     scheduler,

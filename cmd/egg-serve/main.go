@@ -85,7 +85,7 @@ func main() {
 	wdWindow := flag.Int("watchdog-window", 0, "consecutive explosive iterations before the watchdog trips (0 = default 3)")
 	wdMemMB := flag.Int("watchdog-mem-mb", 0, "also trip the watchdog above this heap watermark in MiB (0 disables)")
 	noWatchdog := flag.Bool("no-watchdog", false, "disable the engine health watchdog")
-	profileFlag := flag.Bool("profile", false, "aggregate a live saturation profile (per-rule cost/benefit + blame) served at /debugz/profilez; adds per-run RuleMetrics overhead")
+	profileFlag := flag.Bool("profile", false, "aggregate a live saturation profile (per-rule cost/benefit + blame) served at /debugz/profilez; adds an extraction blame walk per run")
 	profileSample := flag.Int("profile-sample", 0, "sample every Nth match root for premise-selectivity statistics in the live profile (0 = off; needs -profile)")
 	schedule := flag.String("schedule", "", "load a tuned dialegg-schedule/v2 artifact (egg-tune output); requests resolve their rule set's entry")
 	flag.Parse()

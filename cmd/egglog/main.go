@@ -144,7 +144,6 @@ func run(opts options) (err error) {
 	}
 	p.RunDefaults.Workers = opts.workers
 	p.RunDefaults.Naive = opts.naive
-	p.RunDefaults.RuleMetrics = opts.stats || opts.statsJSON != "" || opts.profileFile != ""
 	p.RunDefaults.ProfileSample = opts.profileSample
 	if p.RunDefaults.Scheduler, err = sched.Load(opts.scheduleFile, opts.scheduleSet, opts.scheduler); err != nil {
 		return err

@@ -41,7 +41,9 @@ type Benchmark struct {
 	Tolerance float64
 	// UseGreedyPass also measures the hand-written matmul pass (§8.4).
 	UseGreedyPass bool
-	// RunConfig bounds saturation for this benchmark.
+	// RunConfig bounds saturation for this benchmark. Every run keeps
+	// its per-rule and per-iteration accounting, so no field here is
+	// needed for --stats.
 	RunConfig egraph.RunConfig
 }
 
@@ -141,8 +143,8 @@ type VariantResult struct {
 	// Speedup is baseline cycles / this variant's cycles.
 	Speedup float64 `json:"speedup"`
 	// Report is the optimization report for the DialEgg variant (nil for
-	// the others); it carries per-rule metrics when the benchmark's
-	// RunConfig enables RuleMetrics (benchtab --stats/--stats-json).
+	// the others); its run report carries the per-rule metrics that
+	// benchtab --stats/--stats-json print.
 	Report *dialegg.Report `json:"report,omitempty"`
 }
 

@@ -54,24 +54,23 @@ func (l *liveGauges) ObserveIter(iter int, st *egraph.IterStats, rules []sched.R
 
 // BenchmarkObservabilityOverhead runs the chain-saturation workload with
 // the observability layer off, with live telemetry gauges (egg-serve's
-// always-on configuration), with per-rule metrics on, and with metrics
-// plus a live trace recorder — the CLI/serve configurations (plain,
-// /metrics, --stats/--stats-json, and --trace). The off/on ratio is the
-// cost of instrumentation on the hot path; the acceptance budget for
-// the disabled configuration is < 2% versus the seed (the nil-recorder,
-// nil-observer path is a pointer check per iteration, so "off" and "seed"
-// should be indistinguishable within noise).
+// always-on configuration), and with a live trace recorder — the
+// CLI/serve configurations plain, /metrics, and --trace. Every run keeps
+// its per-rule and per-iteration accounting, so "off" is also the
+// --stats/--stats-json run. The off/on ratio is the cost of
+// instrumentation on the hot path; the acceptance budget for the disabled
+// configuration is < 2% versus the seed (the nil-recorder, nil-observer
+// path is a pointer check per iteration, so "off" and "seed" should be
+// indistinguishable within noise).
 func BenchmarkObservabilityOverhead(b *testing.B) {
 	modes := []struct {
-		name    string
-		live    bool
-		metrics bool
-		trace   bool
+		name  string
+		live  bool
+		trace bool
 	}{
-		{"off", false, false, false},
-		{"live", true, false, false},
-		{"metrics", false, true, false},
-		{"metrics+trace", false, true, true},
+		{"off", false, false},
+		{"live", true, false},
+		{"trace", false, true},
 	}
 	for _, n := range []int{8, 16} {
 		dims := NMMDims(n)
@@ -86,12 +85,11 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 						b.Fatal(err)
 					}
 					cfg := egraph.RunConfig{
-						NodeLimit:   2_000_000,
-						MatchLimit:  2_000_000,
-						TimeLimit:   240 * time.Second,
-						IterLimit:   120,
-						Workers:     1,
-						RuleMetrics: mode.metrics,
+						NodeLimit:  2_000_000,
+						MatchLimit: 2_000_000,
+						TimeLimit:  240 * time.Second,
+						IterLimit:  120,
+						Workers:    1,
 					}
 					if mode.trace {
 						cfg.Recorder = obs.NewRecorder()

@@ -14,13 +14,13 @@ import (
 
 // BenchmarkProfileOverhead prices the saturation profiler's three
 // configurations on the chain16 and Poly workloads: off (the default —
-// no RuleMetrics, no sampling, no blame; must be within noise of the
-// seed since the disabled path is a nil/zero check), sampled (the
-// recommended -profile -profile-sample 8 setup: per-rule metrics,
-// every-8th-root selectivity counters, extraction blame), and full
-// (-profile-sample 1: every match root instrumented). The off/sampled
-// ratio is what a user pays to get blame tables; off/full bounds the
-// worst case. Results are recorded in EXPERIMENTS.md.
+// no sampling, no blame; must be within noise of the seed since the
+// disabled path is a nil/zero check), sampled (the recommended -profile
+// -profile-sample 8 setup: every-8th-root selectivity counters and
+// extraction blame), and full (-profile-sample 1: every match root
+// instrumented). Per-rule metrics are on in every mode, as in every run.
+// The off/sampled ratio is what a user pays to get blame tables; off/full
+// bounds the worst case. Results are recorded in EXPERIMENTS.md.
 func BenchmarkProfileOverhead(b *testing.B) {
 	modes := []struct {
 		name   string
@@ -56,7 +56,6 @@ func BenchmarkProfileOverhead(b *testing.B) {
 							TimeLimit:     240 * time.Second,
 							IterLimit:     120,
 							Workers:       1,
-							RuleMetrics:   mode.on,
 							ProfileSample: mode.sample,
 						},
 						Blame: mode.on,

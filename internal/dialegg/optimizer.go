@@ -46,8 +46,8 @@ type Options struct {
 	// decisions (Report.Blame): every constructor row a rule created is
 	// classified as extracted, rejected, or pure waste. This is the
 	// cost/benefit join the saturation profiler renders; it costs one
-	// extra graph walk per function. Enable RunConfig.RuleMetrics too for
-	// the matching cost side.
+	// extra graph walk per function. The cost side, per-rule match and
+	// apply accounting, is in every run's report (Report.Run.Rules).
 	Blame bool
 }
 

@@ -2,8 +2,8 @@ package egglog_test
 
 // Differential tests for the observability layer: metrics must describe
 // the deterministic computation, not the schedule — so per-rule totals are
-// identical at every worker count, and turning metrics or tracing on must
-// not change a single observable output.
+// identical at every worker count, and turning tracing on must not change
+// a single observable output.
 
 import (
 	"fmt"
@@ -13,14 +13,13 @@ import (
 	"dialegg/internal/obs"
 )
 
-// metricsFingerprint executes src with per-rule metrics on and folds every
-// counted (non-time) metric field into a string.
+// metricsFingerprint executes src and folds every counted (non-time)
+// metric field into a string.
 func metricsFingerprint(t *testing.T, src string, workers int, naive bool) string {
 	t.Helper()
 	p := egglog.NewProgram()
 	p.RunDefaults.Workers = workers
 	p.RunDefaults.Naive = naive
-	p.RunDefaults.RuleMetrics = true
 	if _, err := p.ExecuteString(src); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -53,9 +52,9 @@ func TestMetricsWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestObservabilityDoesNotPerturb: running with metrics and a recorder
-// enabled produces exactly the same observable outputs (extractions,
-// checks, final graph shape) as running with observability off.
+// TestObservabilityDoesNotPerturb: running with a recorder enabled
+// produces exactly the same observable outputs (extractions, checks,
+// final graph shape) as running with observability off.
 func TestObservabilityDoesNotPerturb(t *testing.T) {
 	for _, tc := range diffPrograms {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,7 +62,6 @@ func TestObservabilityDoesNotPerturb(t *testing.T) {
 
 			p := egglog.NewProgram()
 			p.RunDefaults.Workers = 4
-			p.RunDefaults.RuleMetrics = true
 			p.RunDefaults.Recorder = obs.NewRecorder()
 			results, err := p.ExecuteString(tc.src)
 			if err != nil {
@@ -103,7 +101,6 @@ func TestScheduleMergesRuleMetrics(t *testing.T) {
 (run-schedule (repeat 2 (run 1)))
 `
 	p := egglog.NewProgram()
-	p.RunDefaults.RuleMetrics = true
 	if _, err := p.ExecuteString(src); err != nil {
 		t.Fatal(err)
 	}

@@ -615,24 +615,12 @@ func (g *EGraph) UnionWithReason(a, b Value, j Justification) (Value, error) {
 // fixpoint.
 func (g *EGraph) UnionCount() uint64 { return g.unionCount }
 
-// NumClasses returns the number of live e-classes (canonical roots in use).
-func (g *EGraph) NumClasses() int {
-	seen := make(map[uint32]struct{})
-	for _, f := range g.funcs {
-		if !f.IsConstructor() {
-			continue
-		}
-		rows := g.tab(f).rows
-		for i := range rows {
-			r := &rows[i]
-			if r.dead {
-				continue
-			}
-			seen[g.uf.Find(uint32(r.out.Bits))] = struct{}{}
-		}
-	}
-	return len(seen)
-}
+// NumClasses returns the number of live e-classes (canonical roots in
+// use): the classes ever made less the effective unions. Every class is
+// born with the constructor row Insert makes for it, and a row dies only
+// when Rebuild unions it into a congruent live row, so each canonical
+// root keeps a live row.
+func (g *EGraph) NumClasses() int { return g.uf.Len() - int(g.unionCount) }
 
 // NumNodes returns the number of live e-nodes across all constructor
 // tables.

@@ -97,8 +97,10 @@ func TestHashConsHitDoesNotAllocate(t *testing.T) {
 // least once. After every Rebuild, each live row is found by its args,
 // and every probe — canonical tuples and raw, possibly stale ones alike —
 // agrees with a linear scan of the live rows, so no stale entry or dead
-// row is ever returned. Where stale entries land depends on the
-// per-process hash seed, so each mode runs several sequences.
+// row is ever returned; and NumClasses equals the number of distinct
+// classes of live constructor rows, in the graph and in its clone. Where
+// stale entries land depends on the per-process hash seed, so each mode
+// runs several sequences.
 func TestRowIndexMatchesScan(t *testing.T) {
 	for _, proofs := range []bool{false, true} {
 		for seed := int64(1); seed <= 8; seed++ {
@@ -161,6 +163,12 @@ func rowIndexTrial(t *testing.T, proofs bool, rng *rand.Rand) {
 		for _, f := range []*Function{l.Num, l.Add, l.Mul} {
 			checkRowIndex(t, g, f, rng, vals)
 		}
+		if got, want := g.NumClasses(), scanClasses(g); got != want {
+			t.Fatalf("round %d: NumClasses = %d, live rows have %d classes", round, got, want)
+		}
+	}
+	if got, want := g.Clone().NumClasses(), g.NumClasses(); got != want {
+		t.Errorf("clone NumClasses = %d, want %d", got, want)
 	}
 	if grows < 3 {
 		t.Errorf("Add index grew %d times, want at least 3", grows)
@@ -171,6 +179,23 @@ func rowIndexTrial(t *testing.T, proofs bool, rng *rand.Rand) {
 	if !proofs && compactions == 0 {
 		t.Error("Add table never compacted")
 	}
+}
+
+// scanClasses counts the distinct canonical classes of g's live
+// constructor rows.
+func scanClasses(g *EGraph) int {
+	seen := make(map[uint32]bool)
+	for _, f := range g.funcs {
+		if !f.IsConstructor() {
+			continue
+		}
+		for _, r := range g.tab(f).rows {
+			if !r.dead {
+				seen[g.uf.Find(uint32(r.out.Bits))] = true
+			}
+		}
+	}
+	return len(seen)
 }
 
 // checkRowIndex asserts that f's row index agrees with a linear scan of

@@ -28,18 +28,17 @@ func (c *captureObserver) ObserveIter(iter int, st *IterStats, rules []sched.Rul
 }
 
 // TestObserverMatchesReport: the observer sees exactly the record the
-// report keeps. With per-rule metrics and a throttling scheduler on, each
-// payload equals its PerIter entry, and the per-rule outcomes summed over
-// iterations equal RunReport.Rules — one record, every consumer.
+// report keeps. With a throttling scheduler on, each payload equals its
+// PerIter entry, and the per-rule outcomes summed over iterations equal
+// RunReport.Rules — one record, every consumer.
 func TestObserverMatchesReport(t *testing.T) {
 	l, rules := blowupGraph(40)
 	obs := &captureObserver{}
 	rep := l.g.Run(rules, RunConfig{
-		IterLimit:   8,
-		Workers:     2,
-		RuleMetrics: true,
-		Scheduler:   sched.Backoff{Threshold: 4, Factor: 2, BanLength: 2},
-		Observer:    obs,
+		IterLimit: 8,
+		Workers:   2,
+		Scheduler: sched.Backoff{Threshold: 4, Factor: 2, BanLength: 2},
+		Observer:  obs,
 	})
 	if rep.Err != nil {
 		t.Fatal(rep.Err)

@@ -233,7 +233,7 @@ func TestBlameClassification(t *testing.T) {
 	}
 }
 
-// TestRowsCreatedAttribution: RuleMetrics growth attribution — the rule
+// TestRowsCreatedAttribution: per-rule growth attribution — the rule
 // that inserts rows gets them, the rule that only unions gets the unions.
 func TestRowsCreatedAttribution(t *testing.T) {
 	l := newExprLangQuiet()
@@ -241,7 +241,7 @@ func TestRowsCreatedAttribution(t *testing.T) {
 	a, _ := g.Insert(l.Num, I64Value(g.I64, 1))
 	b, _ := g.Insert(l.Num, I64Value(g.I64, 2))
 	g.Insert(l.Mul, a, b)
-	rep := g.Run([]*Rule{commRule(l.Mul)}, RunConfig{IterLimit: 10, RuleMetrics: true})
+	rep := g.Run([]*Rule{commRule(l.Mul)}, RunConfig{IterLimit: 10})
 	if !rep.Saturated() {
 		t.Fatalf("stop = %s, want saturated", rep.Stop)
 	}
@@ -276,7 +276,7 @@ func TestRowsCreatedMatchesJournal(t *testing.T) {
 		}
 		g.Insert(l.Mul, prev, prev)
 		rep := g.Run([]*Rule{commRule(l.Add), assocRule(l.Add), commRule(l.Mul)},
-			RunConfig{IterLimit: 4, Workers: tc.workers, Naive: tc.naive, RuleMetrics: true})
+			RunConfig{IterLimit: 4, Workers: tc.workers, Naive: tc.naive})
 		if rep.Err != nil {
 			t.Fatal(rep.Err)
 		}

@@ -101,6 +101,9 @@ func TestReplayBitIdentical(t *testing.T) {
 				if rg.UnionCount() != g.UnionCount() {
 					t.Errorf("union count %d, want %d", rg.UnionCount(), g.UnionCount())
 				}
+				if rg.NumClasses() != g.NumClasses() {
+					t.Errorf("class count %d, want %d", rg.NumClasses(), g.NumClasses())
+				}
 			})
 		}
 	}

@@ -14,7 +14,9 @@ import (
 	"dialegg/internal/sched"
 )
 
-// RunConfig bounds a saturation run. Zero fields get defaults.
+// RunConfig bounds a saturation run. Zero fields get defaults. No field
+// turns accounting on: every run reports its per-rule records
+// (RunReport.Rules) and each iteration's census (IterStats).
 type RunConfig struct {
 	// Ctx, when non-nil, makes the run cancelable: the iteration loop
 	// checks it alongside NodeLimit/TimeLimit, and the match phase
@@ -48,11 +50,6 @@ type RunConfig struct {
 	// improves load balance; the merged match order is unchanged by
 	// either knob.
 	MatchShards int
-	// RuleMetrics enables per-rule accounting (RunReport.Rules) and the
-	// expensive per-iteration gauges (Classes, LiveRows/DeadRows, Finds).
-	// Off — the default — none of these are computed, keeping the
-	// saturation loop's per-iteration cost flat.
-	RuleMetrics bool
 	// Recorder, when non-nil, receives structured trace spans: one per
 	// iteration and per phase on the engine lane, and one per match task
 	// on its worker's lane (args: the task's rows, matches and
@@ -63,10 +60,9 @@ type RunConfig struct {
 	// Observer, when non-nil, receives each iteration's record while the
 	// run is in progress — the feed the serving layer exports as live
 	// Prometheus gauges and the engine health watchdog watches for
-	// saturation explosions. It turns on the IterStats census (Classes,
-	// LiveRows/DeadRows) but, unlike RuleMetrics, not the union-find Find
-	// counter or per-match accounting. A nil Observer costs one pointer
-	// check per iteration and changes nothing.
+	// saturation explosions. It sees the same record every run builds
+	// anyway; a nil Observer costs one pointer check per iteration and
+	// changes nothing.
 	Observer Observer
 	// ProfileSample, when > 0, enables sampled premise-selectivity
 	// collection (RunReport.Selectivity): every N-th top-level row of each
@@ -185,8 +181,7 @@ type RunReport struct {
 	RowsScanned int64 `json:"rows_scanned"`
 	// PerIter records per-iteration statistics for scalability studies.
 	PerIter []IterStats `json:"per_iter,omitempty"`
-	// Rules holds per-rule metrics in rule-declaration order when
-	// RunConfig.RuleMetrics was set.
+	// Rules holds one RuleStats per rule, in rule-declaration order.
 	Rules []RuleStats `json:"rules,omitempty"`
 	// Selectivity holds per-rule sampled premise statistics in
 	// rule-declaration order when RunConfig.ProfileSample was set.
@@ -204,9 +199,7 @@ type IterStats struct {
 	Matches int `json:"matches"`
 	// Nodes is the e-node count after the iteration's rebuild.
 	Nodes int `json:"nodes"`
-	// Classes is the e-class count after the rebuild. Computing it walks
-	// every constructor row, so it is only populated (non-zero) when
-	// RunConfig.RuleMetrics or RunConfig.Observer is set.
+	// Classes is the e-class count after the rebuild (EGraph.NumClasses).
 	Classes int `json:"classes,omitempty"`
 	// Unions counts effective unions performed by applies and rebuild;
 	// RebuildUnions is the rebuild-only share (congruence repairs).
@@ -232,14 +225,9 @@ type IterStats struct {
 	// iteration, which must match the full database).
 	SemiNaive bool `json:"semi_naive"`
 	// LiveRows and DeadRows census the database tables after the
-	// iteration's rebuild (dead rows await compaction). Populated only
-	// when RunConfig.RuleMetrics or RunConfig.Observer is set.
+	// iteration's rebuild (dead rows await compaction).
 	LiveRows int `json:"live_rows,omitempty"`
 	DeadRows int `json:"dead_rows,omitempty"`
-	// Finds counts union-find Find calls during the iteration (match
-	// canonicalization plus rebuild repair). Populated only when
-	// RunConfig.RuleMetrics is set.
-	Finds uint64 `json:"finds,omitempty"`
 	// Sched records the scheduler's effective interventions this
 	// iteration: one entry per skipped rule and per rule whose matches a
 	// scheduler cap actually truncated. Uncapped runs and caps that never
@@ -266,13 +254,14 @@ type SchedDecision struct {
 func (r RunReport) Saturated() bool { return r.Stop == StopSaturated }
 
 // Observer receives a saturation run's iteration records as they are
-// made. ObserveIter is called from the runner's serial section after each
-// completed iteration with its 1-based number within the run, the record
-// the run appends to RunReport.PerIter, and every rule's outcome in
-// declaration order (deltas, not run totals — the same slice the
-// scheduler's RecordIter receives). Both are valid only for the duration
-// of the call: the runner reuses them. Implementations must not call back
-// into the e-graph.
+// made: the records every run builds, census included, so observing adds
+// no engine work. ObserveIter is called from the runner's serial section
+// after each completed iteration with its 1-based number within the run,
+// the record the run appends to RunReport.PerIter, and every rule's
+// outcome in declaration order (deltas, not run totals — the same slice
+// the scheduler's RecordIter receives). Both are valid only for the
+// duration of the call: the runner reuses them. Implementations must not
+// call back into the e-graph.
 type Observer interface {
 	ObserveIter(iter int, st *IterStats, rules []sched.RuleIterStats)
 }
@@ -439,9 +428,8 @@ func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []rulePl
 // Matching only reads the graph: pool interning, union-find path halving,
 // and lazy index builds are internally synchronized.
 //
-// The tasks keep their per-task row counts, plus timings and worker ids
-// when a consumer wants them (RuleMetrics or an enabled Recorder); the
-// runner aggregates them serially after the phase. Scheduler decisions and
+// The tasks keep their row counts, timings and worker ids; the runner
+// aggregates them serially after the phase. Scheduler decisions and
 // full-scan debt (both nil for unscheduled runs) shape the plan — skipped
 // rules get no tasks, indebted rules full-scan — and scheduler caps
 // truncate the merged per-rule lists. Caps are applied only after the
@@ -461,7 +449,6 @@ func (r *run) collect() (scanned int64, err error) {
 	for i := range tasks {
 		tasks[i].out = &r.bufs[i]
 	}
-	timeTasks := cfg.RuleMetrics || cfg.Recorder.Enabled()
 
 	runTask := func(worker, i int) {
 		t := &tasks[i]
@@ -475,9 +462,7 @@ func (r *run) collect() (scanned int64, err error) {
 		if cfg.Ctx.Err() != nil {
 			return
 		}
-		if timeTasks {
-			t.began = time.Now()
-		}
+		t.began = time.Now()
 		rule := r.rules[t.ruleIdx]
 		spec := matchSpec{deltaOrd: t.sub, minStamp: r.minStamp, onlyNew: t.onlyNew}
 		if cfg.ProfileSample > 0 {
@@ -489,9 +474,7 @@ func (r *run) collect() (scanned int64, err error) {
 		m.out, m.limit = t.out, cfg.MatchLimit
 		t.err = m.matchShard(t.lo, t.hi)
 		t.scanned, t.out.found = m.scanned, m.found
-		if timeTasks {
-			t.took = time.Since(t.began)
-		}
+		t.took = time.Since(t.began)
 	}
 
 	if workers := len(r.runs); workers <= 1 {
@@ -627,12 +610,12 @@ func (g *EGraph) rowCensus() (live, dead int) {
 // frontier, so the full match re-establishes the baseline the deltas are
 // relative to.
 //
-// Observability is additive and, when off, free. Each completed
-// iteration's record — its IterStats and one per-rule outcome slice — is
-// built once and feeds every consumer: RunReport.PerIter and (with
-// cfg.RuleMetrics) RunReport.Rules, the scheduler, cfg.Observer, the
-// engine-lane spans of cfg.Recorder, and the journal's due snapshot.
-// None of them changes which matches are found or applied.
+// Observability is additive. Every run builds each completed iteration's
+// record — its IterStats and one per-rule outcome slice — once, and it
+// feeds every consumer: RunReport.PerIter and RunReport.Rules, the
+// scheduler, cfg.Observer, the engine-lane spans of cfg.Recorder, and the
+// journal's due snapshot. An absent Observer, Recorder or journal costs a
+// pointer check. None of them changes which matches are found or applied.
 func (g *EGraph) Run(rules []*Rule, cfg RunConfig) RunReport {
 	r := g.newRun(rules, cfg)
 	for ; r.iter < r.cfg.IterLimit; r.iter++ {
@@ -701,7 +684,6 @@ type run struct {
 	unionsBefore uint64
 	mergesBefore uint64
 	rowsBefore   int
-	findsBefore  uint64
 	iterStart    time.Time
 	applyStart   time.Time
 	rebuildStart time.Time
@@ -724,9 +706,11 @@ func (g *EGraph) newRun(rules []*Rule, cfg RunConfig) *run {
 		pending: make([]ruleMatches, len(rules)),
 		runs:    make([]matchRun, cfg.Workers),
 	}
+	r.report.Rules = make([]RuleStats, len(rules))
 	for i, rule := range rules {
 		r.plans[i] = planRule(rule)
 		r.pending[i].rule = rule
+		r.report.Rules[i].Name = rule.Name
 	}
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KRun, Workers: cfg.Workers})
@@ -741,17 +725,6 @@ func (g *EGraph) newRun(rules []*Rule, cfg RunConfig) *run {
 		r.inst = cfg.Scheduler.New()
 		r.decisions = make([]sched.Decision, len(rules))
 		r.needFull = make([]bool, len(rules))
-	}
-	if cfg.RuleMetrics {
-		r.report.Rules = make([]RuleStats, len(rules))
-		for i, rule := range rules {
-			r.report.Rules[i].Name = rule.Name
-		}
-		// The Find counter is toggled here, in the serial prologue, so the
-		// match phase's concurrent Finds all observe counting == true (the
-		// worker goroutine spawns give the happens-before edge). end turns
-		// it off again.
-		g.uf.SetCounting(true)
 	}
 	if rec := cfg.Recorder; rec.Enabled() {
 		rec.SetLaneName(obs.LaneEngine, "engine")
@@ -794,7 +767,7 @@ func (r *run) plan() StopReason {
 	deltaRows, minStamp := g.advanceFrontier()
 	r.minStamp = minStamp
 	r.unionsBefore, r.mergesBefore = g.unionCount, g.mergeCount
-	r.rowsBefore, r.findsBefore = g.TotalRows(), g.uf.Finds()
+	r.rowsBefore = g.TotalRows()
 	r.it = IterStats{DeltaRows: deltaRows, SemiNaive: !r.cfg.Naive && r.iter > 0}
 	// Scheduler decisions are computed serially before any worker starts,
 	// from state the strategy built out of merged per-iteration outcomes —
@@ -834,19 +807,17 @@ func (r *run) match() error {
 				agg.Premises[j].add(t.sel.prem[j])
 			}
 		}
-		if r.report.Rules != nil {
-			rs := &r.report.Rules[t.ruleIdx]
-			rs.RowsScanned += t.scanned
-			rs.MatchTime += t.took
-			// Count each (rule, sub-query) plan once, on its first shard:
-			// sub >= 0 is a delta-restricted sub-query, sub < 0 a full scan
-			// (naive iterations and hybrid fallbacks).
-			if t.lo == 0 {
-				if t.sub >= 0 {
-					rs.DeltaQueries++
-				} else {
-					rs.FullScans++
-				}
+		rs := &r.report.Rules[t.ruleIdx]
+		rs.RowsScanned += t.scanned
+		rs.MatchTime += t.took
+		// Count each (rule, sub-query) plan once, on its first shard:
+		// sub >= 0 is a delta-restricted sub-query, sub < 0 a full scan
+		// (naive iterations and hybrid fallbacks).
+		if t.lo == 0 {
+			if t.sub >= 0 {
+				rs.DeltaQueries++
+			} else {
+				rs.FullScans++
 			}
 		}
 		if rec.Enabled() {
@@ -903,14 +874,8 @@ func (r *run) apply() error {
 		// Provenance context: rows and unions made while applying this
 		// batch are stamped with the rule (endFrozenApply clears it).
 		g.ruleCur = g.ruleID(rm.rule.Name)
-		var rs *RuleStats
-		var batchStart time.Time
-		var rowsBefore int
-		var unionsBefore uint64
-		if r.report.Rules != nil {
-			rs = &r.report.Rules[ri]
-			batchStart, rowsBefore, unionsBefore = time.Now(), g.TotalRows(), g.unionCount
-		}
+		rs := &r.report.Rules[ri]
+		batchStart, rowsBefore, unionsBefore := time.Now(), g.TotalRows(), g.unionCount
 		for j := range rm.n {
 			m := j
 			if rm.order != nil {
@@ -921,28 +886,23 @@ func (r *run) apply() error {
 			// effect counter (new rows, merge changes, cost installs)
 			// changed nothing — the per-rule no-op count is what makes naive
 			// mode's redundant re-matching visible in --stats.
-			var before uint64
-			if rs != nil {
-				before = g.unionCount + g.effects
-			}
+			before := g.unionCount + g.effects
 			if err := g.ApplyActions(rm.rule, r.binds); err != nil {
 				r.outcome[ri].Applied = int64(j)
 				return fmt.Errorf("applying rule %s: %w", rm.rule.Name, err)
 			}
-			if rs != nil && g.unionCount+g.effects == before {
+			if g.unionCount+g.effects == before {
 				rs.Noops++
 			}
 		}
 		r.outcome[ri].Applied = int64(rm.n)
 		applied += rm.n
-		if rs != nil {
-			rs.ApplyTime += time.Since(batchStart)
-			// Growth attribution: rows and unions the batch produced — the
-			// live-run counterpart of the journal's per-row provenance.
-			// Rebuild's congruence unions belong to no single rule.
-			rs.RowsCreated += int64(g.TotalRows() - rowsBefore)
-			rs.UnionsMade += g.unionCount - unionsBefore
-		}
+		rs.ApplyTime += time.Since(batchStart)
+		// Growth attribution: rows and unions the batch produced — the
+		// live-run counterpart of the journal's per-row provenance.
+		// Rebuild's congruence unions belong to no single rule.
+		rs.RowsCreated += int64(g.TotalRows() - rowsBefore)
+		rs.UnionsMade += g.unionCount - unionsBefore
 	}
 	r.it.Matches = applied
 	r.it.ApplyTime = time.Since(r.applyStart)
@@ -977,13 +937,8 @@ func (r *run) finish() StopReason {
 	r.report.Iterations = r.iter + 1
 	it.Nodes = g.NumNodes()
 	it.Unions = g.unionCount - r.unionsBefore
-	if r.cfg.RuleMetrics || r.cfg.Observer != nil {
-		it.Classes = g.NumClasses()
-		it.LiveRows, it.DeadRows = g.rowCensus()
-	}
-	if r.cfg.RuleMetrics {
-		it.Finds = g.uf.Finds() - r.findsBefore
-	}
+	it.Classes = g.NumClasses()
+	it.LiveRows, it.DeadRows = g.rowCensus()
 	schedActive := r.recordSched()
 	r.report.PerIter = append(r.report.PerIter, *it)
 	r.foldRules(true)
@@ -1054,14 +1009,10 @@ func (r *run) recordSched() (active bool) {
 	return active
 }
 
-// foldRules adds the iteration's per-rule outcomes to RunReport.Rules
-// (when RuleMetrics is on). The scheduler's interventions count only for
-// complete iterations: an iteration stopped before its rebuild never
-// reached the scheduler.
+// foldRules adds the iteration's per-rule outcomes to RunReport.Rules.
+// The scheduler's interventions count only for complete iterations: an
+// iteration stopped before its rebuild never reached the scheduler.
 func (r *run) foldRules(complete bool) {
-	if r.report.Rules == nil {
-		return
-	}
 	for i := range r.outcome {
 		o, rs := &r.outcome[i], &r.report.Rules[i]
 		rs.Matched += o.Matched
@@ -1103,9 +1054,6 @@ func (r *run) end() RunReport {
 	rep.Elapsed = time.Since(r.start)
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KRunEnd, Name: string(rep.Stop)})
-	}
-	if r.cfg.RuleMetrics {
-		g.uf.SetCounting(false)
 	}
 	if rec := r.cfg.Recorder; rec.Enabled() {
 		rec.Complete(obs.LaneEngine, "phase", "run", r.start, rep.Elapsed, map[string]int64{

@@ -299,7 +299,7 @@ func TestStopMidIterationKeepsPartialRecord(t *testing.T) {
 			// Slot 3 is never bound, so matching the rule fails.
 			boom.Premises = append(boom.Premises, &EvalPremise{Prim: failThird, Args: []Atom{VarAtom(3)}, Out: VarAtom(3)})
 		}
-		rep := l.g.Run([]*Rule{commRule(l.Add), boom}, RunConfig{IterLimit: 4, Workers: 2, RuleMetrics: true})
+		rep := l.g.Run([]*Rule{commRule(l.Add), boom}, RunConfig{IterLimit: 4, Workers: 2})
 		if rep.Stop != StopRuleError || rep.Err == nil || !strings.Contains(rep.Err.Error(), phase+"ing rule boom") {
 			t.Fatalf("%s: stop = %s, err = %v", phase, rep.Stop, rep.Err)
 		}

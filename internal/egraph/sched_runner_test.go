@@ -44,10 +44,9 @@ func snapBytes(t *testing.T, g *EGraph) []byte {
 func TestSchedulerBackoffCounters(t *testing.T) {
 	l, rules := blowupGraph(40)
 	rep := l.g.Run(rules, RunConfig{
-		IterLimit:   8,
-		Workers:     2,
-		RuleMetrics: true,
-		Scheduler:   sched.Backoff{Threshold: 4, Factor: 2, BanLength: 2},
+		IterLimit: 8,
+		Workers:   2,
+		Scheduler: sched.Backoff{Threshold: 4, Factor: 2, BanLength: 2},
 	})
 	if rep.Err != nil {
 		t.Fatal(rep.Err)

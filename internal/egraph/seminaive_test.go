@@ -255,7 +255,7 @@ func TestFallbackAppliesOnlyNewMatches(t *testing.T) {
 	first := int64(0)
 	{
 		l, rules := fallbackGraph(chains)
-		first = l.g.Run(rules, RunConfig{IterLimit: 1, Workers: 1, RuleMetrics: true}).Rules[0].Matched
+		first = l.g.Run(rules, RunConfig{IterLimit: 1, Workers: 1}).Rules[0].Matched
 	}
 	limit := max(first, found/2)
 	before := countTrue(isNew[:limit])
@@ -267,7 +267,7 @@ func TestFallbackAppliesOnlyNewMatches(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		l, rules := fallbackGraph(chains)
 		obs := &captureObserver{}
-		rep := l.g.Run(rules, RunConfig{IterLimit: 2, Workers: workers, Observer: obs, RuleMetrics: true,
+		rep := l.g.Run(rules, RunConfig{IterLimit: 2, Workers: workers, Observer: obs,
 			Scheduler: sched.MatchLimit{Limit: int(limit)}})
 		if rep.Err != nil {
 			t.Fatal(rep.Err)

@@ -7,9 +7,10 @@ import (
 )
 
 // RuleStats accumulates one rule's observability counters across a
-// saturation run (RunConfig.RuleMetrics). This is the per-rule accounting
-// egg's reports made standard: it answers "which rule is the run spending
-// its time and its matches on", which is what makes rule sets tunable.
+// saturation run; every run reports one per rule (RunReport.Rules). This
+// is the per-rule accounting egg's reports made standard: it answers
+// "which rule is the run spending its time and its matches on", which is
+// what makes rule sets tunable.
 type RuleStats struct {
 	Name string `json:"name"`
 	// Matched counts matches the match phase enumerated for the rule
@@ -94,9 +95,13 @@ func (s RuleStats) Check() error {
 }
 
 // MergeRuleStats folds src into dst by rule name, preserving dst's order
-// and appending rules dst has not seen. Used when aggregating reports
-// across schedule items or across the functions of a module.
+// and appending rules dst has not seen; into an empty dst it copies src
+// as it is. Used when aggregating reports across schedule items or across
+// the functions of a module.
 func MergeRuleStats(dst, src []RuleStats) []RuleStats {
+	if len(dst) == 0 {
+		return append(dst, src...)
+	}
 	if len(src) == 0 {
 		return dst
 	}

@@ -33,7 +33,7 @@ func buildChainGraph() (*exprLang, []*Rule) {
 func TestRuleMetricsInvariants(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		l, rules := buildChainGraph()
-		rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: 2, RuleMetrics: true, Naive: naive})
+		rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: 2, Naive: naive})
 		if len(rep.Rules) != len(rules) {
 			t.Fatalf("naive=%v: %d rule stats for %d rules", naive, len(rep.Rules), len(rules))
 		}
@@ -81,7 +81,7 @@ func TestRuleMetricsNoopDetection(t *testing.T) {
 	a, _ := g.Insert(l.Num, I64Value(g.I64, 1))
 	b, _ := g.Insert(l.Num, I64Value(g.I64, 2))
 	g.Insert(l.Add, a, b)
-	rep := g.Run([]*Rule{commRule(l.Add)}, RunConfig{IterLimit: 4, Naive: true, RuleMetrics: true})
+	rep := g.Run([]*Rule{commRule(l.Add)}, RunConfig{IterLimit: 4, Naive: true})
 	if !rep.Saturated() {
 		t.Fatalf("stop = %s, want saturated", rep.Stop)
 	}
@@ -151,7 +151,7 @@ func TestRuleMetricsWorkerIndependent(t *testing.T) {
 		var want []counts
 		for _, workers := range []int{1, 2, 8} {
 			l, rules := buildChainGraph()
-			rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: workers, MatchShards: 8, RuleMetrics: true, Naive: naive})
+			rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: workers, MatchShards: 8, Naive: naive})
 			got := make([]counts, len(rep.Rules))
 			for i, r := range rep.Rules {
 				got[i] = counts{r.Matched, r.Applied, r.Noops, r.RowsScanned, r.DeltaQueries, r.FullScans}
@@ -170,36 +170,28 @@ func TestRuleMetricsWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestRuleMetricsOffCostsNothing: with RuleMetrics unset, no per-rule
-// stats, gauges, or find counts are produced (their collection is what
-// costs; absence is the observable contract).
-func TestRuleMetricsOffCostsNothing(t *testing.T) {
-	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2})
-	if rep.Rules != nil {
-		t.Errorf("RuleMetrics off but Rules = %v", rep.Rules)
-	}
-	for i, it := range rep.PerIter {
-		if it.Classes != 0 || it.LiveRows != 0 || it.Finds != 0 {
-			t.Errorf("iter %d: gauges populated with metrics off: %+v", i+1, it)
-		}
-	}
-}
-
-// TestRuleMetricsGauges: with RuleMetrics set, the per-iteration gauges
-// are populated and consistent with the final report.
+// TestRuleMetricsGauges: a run with a zero RunConfig reports one
+// RuleStats per rule and fills every iteration's census, consistent with
+// the final report.
 func TestRuleMetricsGauges(t *testing.T) {
 	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2, RuleMetrics: true})
+	rep := l.g.Run(rules, RunConfig{})
+	if len(rep.Rules) != len(rules) {
+		t.Fatalf("%d rule stats for %d rules", len(rep.Rules), len(rules))
+	}
+	for i, rs := range rep.Rules {
+		if rs.Name != rules[i].Name {
+			t.Errorf("rule stats %d named %q, want %q", i, rs.Name, rules[i].Name)
+		}
+	}
+	for i, it := range rep.PerIter {
+		if it.Classes == 0 || it.LiveRows == 0 {
+			t.Errorf("iter %d: census not populated: %+v", i+1, it)
+		}
+	}
 	last := rep.PerIter[len(rep.PerIter)-1]
 	if last.Classes != rep.Classes {
 		t.Errorf("last iteration classes %d != report classes %d", last.Classes, rep.Classes)
-	}
-	if last.LiveRows == 0 {
-		t.Errorf("live rows gauge not populated")
-	}
-	if last.Finds == 0 {
-		t.Errorf("find counter not populated")
 	}
 }
 
@@ -239,13 +231,21 @@ func TestRunReportMerge(t *testing.T) {
 	if a.Rules[0].Matched != 5 || a.Rules[0].Applied != 4 || a.Rules[0].Noops != 1 {
 		t.Errorf("comm totals wrong: %+v", a.Rules[0])
 	}
+	// Merging into an empty report copies the rules, so later merges
+	// never write through to a merged-in report.
+	var total RunReport
+	total.Merge(b)
+	total.Merge(b)
+	if total.Rules[0].Matched != 4 || b.Rules[0].Matched != 2 {
+		t.Errorf("empty-report merges: total %+v, merged-in %+v", total.Rules, b.Rules)
+	}
 }
 
 // TestRunReportJSONRoundTrip: the stats-JSON schema survives a
 // marshal/unmarshal round trip with every counted field intact.
 func TestRunReportJSONRoundTrip(t *testing.T) {
 	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2, RuleMetrics: true})
+	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2})
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	for i := range back.PerIter {
 		if back.PerIter[i].RowsScanned != rep.PerIter[i].RowsScanned ||
 			back.PerIter[i].Matches != rep.PerIter[i].Matches ||
-			back.PerIter[i].Finds != rep.PerIter[i].Finds {
+			back.PerIter[i].Classes != rep.PerIter[i].Classes {
 			t.Errorf("iter %d changed: %+v vs %+v", i+1, back.PerIter[i], rep.PerIter[i])
 		}
 	}

@@ -53,17 +53,18 @@ func TestKeySchedulerSensitivity(t *testing.T) {
 	}
 }
 
-// TestKeyIgnoresObservability: workers, sharding, metrics, tracing, and
+// TestKeyIgnoresObservability: workers, sharding, selectivity sampling,
+// tracing, and
 // cancellation contexts do not change results, so they must not fragment
 // the cache.
 func TestKeyIgnoresObservability(t *testing.T) {
 	base := Key(keyModule, []string{"(ruleset x)"}, egraph.RunConfig{})
 	traced := Key(keyModule, []string{"(ruleset x)"}, egraph.RunConfig{
-		Workers:     8,
-		MatchShards: 32,
-		RuleMetrics: true,
-		Recorder:    obs.NewRecorder(),
-		Ctx:         context.Background(),
+		Workers:       8,
+		MatchShards:   32,
+		ProfileSample: 1,
+		Recorder:      obs.NewRecorder(),
+		Ctx:           context.Background(),
 	})
 	if base != traced {
 		t.Error("observability knobs changed the cache key")

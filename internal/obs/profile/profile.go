@@ -57,9 +57,9 @@ func (p *Profile) normalize() {
 	sort.Slice(p.Blame, func(i, j int) bool { return p.Blame[i].Rule < p.Blame[j].Rule })
 }
 
-// FromRunReport builds a profile from a run's report: its per-rule records
-// (RunConfig.RuleMetrics) and selectivity (RunConfig.ProfileSample), plus
-// blame from the caller's extraction join (may be nil).
+// FromRunReport builds a profile from a run's report: its per-rule
+// records, which every run keeps, and selectivity (RunConfig.ProfileSample),
+// plus blame from the caller's extraction join (may be nil).
 func FromRunReport(rep egraph.RunReport, blame []egraph.BlameRow) *Profile {
 	p := &Profile{
 		Schema:      SchemaV1,

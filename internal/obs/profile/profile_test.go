@@ -60,7 +60,6 @@ func runProfile(t *testing.T, workers, shards int) *Profile {
 		IterLimit:     4,
 		Workers:       workers,
 		MatchShards:   shards,
-		RuleMetrics:   true,
 		ProfileSample: 2,
 	})
 	return FromRunReport(rep, nil)

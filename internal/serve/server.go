@@ -73,10 +73,10 @@ type Config struct {
 	// Watchdog tunes the engine health watchdog (zero value = defaults).
 	Watchdog WatchdogConfig
 	// Profile enables the live aggregate saturation profile served at
-	// /debugz/profilez: every executed job runs with per-rule metrics and
-	// extraction blame analysis, folded into a server-wide profile
-	// artifact. Costs roughly the RuleMetrics overhead per run (cache
-	// hits cost nothing); off by default.
+	// /debugz/profilez: every executed job's per-rule metrics, which every
+	// run keeps, are joined with an extraction blame analysis and folded
+	// into a server-wide profile artifact. It costs the blame walk per
+	// run (cache hits cost nothing); off by default.
 	Profile bool
 	// ProfileSample adds sampled premise-selectivity statistics to the
 	// profile (sample every Nth match root; 0 = off). Only meaningful
@@ -531,7 +531,6 @@ func (s *Server) runJob(j *job) {
 	}
 	cfg.Observer = s.newLiveSink(j.obs)
 	if s.cfg.Profile {
-		cfg.RuleMetrics = true
 		cfg.ProfileSample = s.cfg.ProfileSample
 	}
 	opt := dialegg.NewOptimizer(dialegg.Options{

@@ -18,32 +18,16 @@ import "sync/atomic"
 type UF struct {
 	parent []atomic.Uint32
 	size   []uint32
-
-	// counting gates the finds counter. It is a plain bool: toggled only
-	// from serial phases (before concurrent Finds start), read by Finds on
-	// every call — a predictable branch, so the counter costs nothing when
-	// observability is off. finds itself is atomic because the match phase
-	// calls Find from many goroutines.
-	counting bool
-	finds    atomic.Uint64
 }
 
-// New returns an empty forest. Equivalent to new(UF); provided for symmetry
-// with NewWithCapacity.
+// New returns an empty forest. Equivalent to new(UF).
 func New() *UF {
 	return &UF{}
 }
 
-// NewWithCapacity returns an empty forest with space preallocated for n
-// elements.
-func NewWithCapacity(n int) *UF {
-	return &UF{
-		parent: make([]atomic.Uint32, 0, n),
-		size:   make([]uint32, 0, n),
-	}
-}
-
-// Len reports the number of elements ever created with MakeSet.
+// Len reports the number of elements ever created with MakeSet. Each
+// Union of two distinct sets removes one set, so Len less the number of
+// such Unions is the number of sets.
 func (u *UF) Len() int { return len(u.parent) }
 
 // MakeSet creates a fresh singleton set and returns its identifier.
@@ -61,9 +45,6 @@ func (u *UF) MakeSet() uint32 {
 // Finds are safe: halving only rewrites a pointer to an ancestor, so
 // races between halvings converge to the same roots.
 func (u *UF) Find(x uint32) uint32 {
-	if u.counting {
-		u.finds.Add(1)
-	}
 	p := u.parent
 	for {
 		px := p[x].Load()
@@ -98,23 +79,9 @@ func (u *UF) Union(a, b uint32) uint32 {
 	return ra
 }
 
-// UnionInto merges b's set into a's set so that a's current root becomes the
-// representative, regardless of size. The e-graph uses this when the caller
-// must control which ID survives (e.g. to keep the ID stored in an
-// analysis table valid).
-func (u *UF) UnionInto(keep, other uint32) uint32 {
-	rk, ro := u.Find(keep), u.Find(other)
-	if rk == ro {
-		return rk
-	}
-	u.parent[ro].Store(rk)
-	u.size[rk] += u.size[ro]
-	return rk
-}
-
 // Clone returns an independent copy of the forest: the same parents and
-// sizes, with the Find counter off and at zero. Safe to call concurrently
-// with other Clones and Finds, not with MakeSet or Union.
+// sizes. Safe to call concurrently with other Clones and Finds, not with
+// MakeSet or Union.
 func (u *UF) Clone() *UF {
 	c := &UF{
 		parent: make([]atomic.Uint32, len(u.parent)),
@@ -128,18 +95,3 @@ func (u *UF) Clone() *UF {
 
 // SizeOf returns the number of elements in x's set.
 func (u *UF) SizeOf(x uint32) int { return int(u.size[u.Find(x)]) }
-
-// SetCounting enables or disables the Find-call counter. Must only be
-// called while no concurrent Finds are running (the saturation runner
-// toggles it between iterations' serial sections).
-func (u *UF) SetCounting(on bool) { u.counting = on }
-
-// Finds returns the number of Find calls recorded while counting was
-// enabled.
-func (u *UF) Finds() uint64 { return u.finds.Load() }
-
-// Reset discards all sets, retaining allocated capacity.
-func (u *UF) Reset() {
-	u.parent = u.parent[:0]
-	u.size = u.size[:0]
-}

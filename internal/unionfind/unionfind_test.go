@@ -64,39 +64,6 @@ func TestUnionIdempotent(t *testing.T) {
 	}
 }
 
-func TestUnionInto(t *testing.T) {
-	u := New()
-	ids := make([]uint32, 10)
-	for i := range ids {
-		ids[i] = u.MakeSet()
-	}
-	// Build a big set rooted anywhere.
-	for i := 1; i < 5; i++ {
-		u.Union(ids[0], ids[i])
-	}
-	// Force ids[9] to be the representative even though its set is smaller.
-	root := u.UnionInto(ids[9], ids[0])
-	if root != ids[9] {
-		t.Fatalf("UnionInto root = %d, want %d", root, ids[9])
-	}
-	if u.Find(ids[0]) != ids[9] {
-		t.Errorf("Find(ids[0]) = %d, want %d", u.Find(ids[0]), ids[9])
-	}
-}
-
-func TestReset(t *testing.T) {
-	u := NewWithCapacity(4)
-	u.MakeSet()
-	u.MakeSet()
-	u.Reset()
-	if u.Len() != 0 {
-		t.Fatalf("Len after Reset = %d, want 0", u.Len())
-	}
-	if got := u.MakeSet(); got != 0 {
-		t.Fatalf("MakeSet after Reset = %d, want 0", got)
-	}
-}
-
 // TestAgainstNaive cross-checks the forest against a naive quadratic
 // implementation on random union sequences.
 func TestAgainstNaive(t *testing.T) {
@@ -165,7 +132,7 @@ func BenchmarkUnionFind(b *testing.B) {
 	const n = 1 << 14
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		u := NewWithCapacity(n)
+		u := New()
 		for j := 0; j < n; j++ {
 			u.MakeSet()
 		}
