@@ -39,15 +39,17 @@ test-log:
 bench:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
-# One-shot pass over the saturation benchmarks and every mode of the
-# observability, profiler and journal overhead benchmarks (cheap smoke
-# signal that the hot paths still run), then the perf-regression gate:
+# One-shot pass over the saturation benchmarks, every mode of the
+# observability, profiler and journal overhead benchmarks, and the cache
+# hit path (in process and through egg-serve's HTTP handler, hit and
+# miss): a cheap smoke signal that the hot paths still run. Then the
+# perf-regression gate:
 # remeasure the naive-vs-semi-naive row visits into a scratch artifact
 # and compare it against the committed BENCH_4.json baseline.
 # Deterministic counters (rows scanned, iterations, scheduler
 # throttle/cap counts) must not grow beyond tolerance.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Saturate|EMatch|Rebuild|Extract|ObservabilityOverhead|ProfileOverhead|JournalOverhead' -benchtime=1x -benchmem ./internal/egraph/ ./internal/bench/
+	$(GO) test -run '^$$' -bench 'Saturate|EMatch|Rebuild|Extract|ObservabilityOverhead|ProfileOverhead|JournalOverhead|CacheHit|ServeCache' -benchtime=1x -benchmem ./internal/egraph/ ./internal/bench/ ./internal/serve/
 	$(GO) run ./cmd/benchtab -bench2 -bench2-out bench2_fresh.json
 	$(GO) run ./cmd/benchtab -compare BENCH_4.json bench2_fresh.json
 
@@ -127,13 +129,16 @@ tune-smoke:
 # every rule bundle. Deterministic in the seed, so CI failures are
 # locally reproducible verbatim. Last, 10-s native fuzz runs of the
 # matcher's two engine harnesses (semi-naive against naive, sharded
-# against serial matching); these are not seeded, and a failing input is
-# written under internal/egraph/testdata/fuzz/, where `go test` replays it.
+# against serial matching) and of the MLIR parser (round trip, and
+# structural type equality against printed text); these are not seeded,
+# and a failing input is written under the package's testdata/fuzz/,
+# where `go test` replays it.
 fuzz-smoke:
 	$(GO) run ./cmd/egg-fuzz -replay internal/difftest/testdata/corpus
 	$(GO) run ./cmd/egg-fuzz -rules all -n 10 -seed 1
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiNaive$$' -fuzztime 10s ./internal/egraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatch$$' -fuzztime 10s ./internal/egraph/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s ./internal/mlir/
 
 # Long-budget campaign for the nightly job: many seeds per bundle,
 # minimized repros written to fuzz-repros/ for artifact upload. Known

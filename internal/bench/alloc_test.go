@@ -6,6 +6,7 @@ import (
 	"dialegg/internal/dialects"
 	"dialegg/internal/dialegg"
 	"dialegg/internal/egraph"
+	"dialegg/internal/memo"
 	"dialegg/internal/mlir"
 	"dialegg/internal/rules"
 )
@@ -48,5 +49,70 @@ func TestChain16CompileAllocs(t *testing.T) {
 		t.Errorf("chain16 compile: %.0f allocations, want at most %d", n, chain16AllocLimit)
 	} else {
 		t.Logf("chain16 compile: %.0f allocations", n)
+	}
+}
+
+// hitInput is one cache-hit request: a module and the rule sources its
+// cache key covers.
+type hitInput struct {
+	name  string
+	src   string
+	rules []string
+}
+
+// paper5HitInputs returns the five section 8.2 programs as hit inputs.
+func paper5HitInputs() []hitInput {
+	var in []hitInput
+	for _, b := range DefaultBenchmarks(ScaleCI) {
+		in = append(in, hitInput{name: b.Name, src: b.Source, rules: b.Rules})
+	}
+	return in
+}
+
+// mm20HitInput returns the 20-matmul chain as a hit input.
+func mm20HitInput() hitInput {
+	return hitInput{name: "20MM", src: MatmulChainSource("mm20", NMMDims(20)), rules: rules.MatmulChain()}
+}
+
+// hitKey is what a cache hit computes before its lookup: the canonical
+// module text and the content address over it and the rule sources.
+func hitKey(tb testing.TB, in hitInput) string {
+	canon, err := memo.CanonicalizeMLIR(in.src)
+	if err != nil {
+		tb.Fatalf("%s: %v", in.name, err)
+	}
+	return memo.Key(canon, in.rules, egraph.RunConfig{})
+}
+
+// Allocation limits of one cache hit's canonicalize and key. A hit
+// allocates the parsed module, its printed text and the digest, about
+// 230 times on a paper5 program and 760 times on the 20-matmul chain.
+// Building the dialect registry per call, rendering types through fmt or
+// comparing types by printing them puts a hit above 580 and 2,300.
+const (
+	paper5HitAllocLimit = 400
+	mm20HitAllocLimit   = 1_400
+)
+
+// TestCacheHitAllocs gates the fixed costs of a cache hit: canonicalize
+// and key each paper5 program (averaged over the five) and the 20-matmul
+// chain. Allocation counts at a fixed input repeat exactly, so the gate
+// cannot flake.
+func TestCacheHitAllocs(t *testing.T) {
+	var total float64
+	inputs := paper5HitInputs()
+	for _, in := range inputs {
+		total += testing.AllocsPerRun(3, func() { hitKey(t, in) })
+	}
+	if n := total / float64(len(inputs)); n > paper5HitAllocLimit {
+		t.Errorf("paper5 hit: %.0f allocations on average, want at most %d", n, paper5HitAllocLimit)
+	} else {
+		t.Logf("paper5 hit: %.0f allocations on average", n)
+	}
+	mm20 := mm20HitInput()
+	if n := testing.AllocsPerRun(3, func() { hitKey(t, mm20) }); n > mm20HitAllocLimit {
+		t.Errorf("mm20 hit: %.0f allocations, want at most %d", n, mm20HitAllocLimit)
+	} else {
+		t.Logf("mm20 hit: %.0f allocations", n)
 	}
 }

@@ -103,8 +103,8 @@ func (f floatBinaryFold) fold(op *mlir.Operation) (mlir.FoldResult, bool) {
 	return mlir.FoldResult{}, false
 }
 
-// RegisterArith registers the arith dialect.
-func RegisterArith(r *mlir.Registry) {
+// registerArith registers the arith dialect.
+func registerArith(r *mlir.Registry) {
 	pureBin := mlir.Traits{Pure: true}
 	commBin := mlir.Traits{Pure: true, Commutative: true}
 
@@ -280,7 +280,8 @@ func RegisterArith(r *mlir.Registry) {
 			ps.Write(" ")
 			ps.PrintOperands(op.Operands)
 			ps.PrintOptionalFastMath(op)
-			ps.Write(" : " + op.Results[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Results[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			if err := mlir.VerifyOperandCount(op, 1); err != nil {
@@ -344,16 +345,9 @@ func RegisterArith(r *mlir.Registry) {
 			return op, nil
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
-			a, _ := op.GetAttr("value")
-			switch attr := a.(type) {
-			case mlir.IntegerAttr:
-				if mlir.TypeEqual(attr.Type, mlir.I1) {
-					ps.Write(" " + attr.String())
-				} else {
-					ps.Writef(" %s", attr)
-				}
-			default:
-				ps.Writef(" %s", a)
+			if a, ok := op.GetAttr("value"); ok {
+				ps.Write(" ")
+				ps.Write(a.String())
 			}
 		},
 		Verify: func(op *mlir.Operation) error {
@@ -404,9 +398,12 @@ func RegisterArith(r *mlir.Registry) {
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			pa, _ := op.GetAttr("predicate")
 			pred := mlir.CmpIPredicate(pa.(mlir.IntegerAttr).Value)
-			ps.Write(" " + pred.String() + ", ")
+			ps.Write(" ")
+			ps.Write(pred.String())
+			ps.Write(", ")
 			ps.PrintOperands(op.Operands)
-			ps.Write(" : " + op.Operands[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Operands[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			if err := mlir.VerifyOperandCount(op, 2); err != nil {
@@ -464,10 +461,13 @@ func RegisterArith(r *mlir.Registry) {
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			pa, _ := op.GetAttr("predicate")
 			pred := mlir.CmpFPredicate(pa.(mlir.IntegerAttr).Value)
-			ps.Write(" " + pred.String() + ", ")
+			ps.Write(" ")
+			ps.Write(pred.String())
+			ps.Write(", ")
 			ps.PrintOperands(op.Operands)
 			ps.PrintOptionalFastMath(op)
-			ps.Write(" : " + op.Operands[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Operands[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			if err := mlir.VerifyOperandCount(op, 2); err != nil {
@@ -515,7 +515,8 @@ func RegisterArith(r *mlir.Registry) {
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			ps.Write(" ")
 			ps.PrintOperands(op.Operands)
-			ps.Write(" : " + op.Results[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Results[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error { return mlir.VerifyOperandCount(op, 3) },
 		Fold: func(op *mlir.Operation) (mlir.FoldResult, bool) {

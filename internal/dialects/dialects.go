@@ -4,25 +4,32 @@
 package dialects
 
 import (
+	"sync"
+
 	"dialegg/internal/mlir"
 )
 
-// NewRegistry returns a registry with every dialect in this package
-// registered.
-func NewRegistry() *mlir.Registry {
-	r := mlir.NewRegistry()
-	RegisterBuiltin(r)
-	RegisterFunc(r)
-	RegisterArith(r)
-	RegisterMath(r)
-	RegisterSCF(r)
-	RegisterTensor(r)
-	RegisterLinalg(r)
-	return r
-}
+// NewRegistry returns the registry of every dialect in this package. It is
+// built once per process and frozen: every call returns the same
+// immutable registry, which is safe for concurrent use, and Register on
+// it panics.
+func NewRegistry() *mlir.Registry { return shared() }
 
-// RegisterBuiltin registers the builtin dialect (the module container).
-func RegisterBuiltin(r *mlir.Registry) {
+var shared = sync.OnceValue(func() *mlir.Registry {
+	r := mlir.NewRegistry()
+	registerBuiltin(r)
+	registerFunc(r)
+	registerArith(r)
+	registerMath(r)
+	registerSCF(r)
+	registerTensor(r)
+	registerLinalg(r)
+	r.Freeze()
+	return r
+})
+
+// registerBuiltin registers the builtin dialect (the module container).
+func registerBuiltin(r *mlir.Registry) {
 	r.Register(&mlir.OpDef{
 		Name: "builtin.module",
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
@@ -75,7 +82,8 @@ func printBinaryOp(ps *mlir.PrintState, op *mlir.Operation) {
 	ps.Write(" ")
 	ps.PrintOperands(op.Operands)
 	ps.PrintOptionalFastMath(op)
-	ps.Write(" : " + op.Results[0].Typ.String())
+	ps.Write(" : ")
+	ps.WriteType(op.Results[0].Typ)
 }
 
 // parseUnaryOp reads `%a [fastmath<f>] : type`.
@@ -138,5 +146,8 @@ func parseCastOp(name string) func(p *mlir.Parser, st *mlir.OpParseState) (*mlir
 func printCastOp(ps *mlir.PrintState, op *mlir.Operation) {
 	ps.Write(" ")
 	ps.PrintOperands(op.Operands)
-	ps.Write(" : " + op.Operands[0].Typ.String() + " to " + op.Results[0].Typ.String())
+	ps.Write(" : ")
+	ps.WriteType(op.Operands[0].Typ)
+	ps.Write(" to ")
+	ps.WriteType(op.Results[0].Typ)
 }

@@ -6,9 +6,9 @@ import (
 	"dialegg/internal/mlir"
 )
 
-// RegisterFunc registers the func dialect: func.func, func.return,
+// registerFunc registers the func dialect: func.func, func.return,
 // func.call.
-func RegisterFunc(r *mlir.Registry) {
+func registerFunc(r *mlir.Registry) {
 	r.Register(&mlir.OpDef{
 		Name: "func.func",
 		Parse: func(p *mlir.Parser, st *mlir.OpParseState) (*mlir.Operation, error) {
@@ -70,29 +70,22 @@ func RegisterFunc(r *mlir.Registry) {
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			ft, _ := mlir.FuncType(op)
-			ps.Write(" @" + mlir.FuncName(op) + "(")
+			ps.Write(" @")
+			ps.Write(mlir.FuncName(op))
+			ps.Write("(")
 			entry := op.Regions[0].First()
 			for i, arg := range entry.Args {
 				if i > 0 {
 					ps.Write(", ")
 				}
-				ps.Write(ps.ValueName(arg) + ": " + arg.Typ.String())
+				ps.WriteValueName(arg)
+				ps.Write(": ")
+				ps.WriteType(arg.Typ)
 			}
 			ps.Write(")")
 			if len(ft.Results) > 0 {
 				ps.Write(" -> ")
-				if len(ft.Results) == 1 {
-					ps.Write(ft.Results[0].String())
-				} else {
-					ps.Write("(")
-					for i, t := range ft.Results {
-						if i > 0 {
-							ps.Write(", ")
-						}
-						ps.Write(t.String())
-					}
-					ps.Write(")")
-				}
+				ps.WriteResultTypes(ft.Results)
 			}
 			extra := 0
 			for _, na := range op.Attrs {
@@ -168,12 +161,7 @@ func RegisterFunc(r *mlir.Registry) {
 				ps.Write(" ")
 				ps.PrintOperands(op.Operands)
 				ps.Write(" : ")
-				for i, o := range op.Operands {
-					if i > 0 {
-						ps.Write(", ")
-					}
-					ps.Write(o.Typ.String())
-				}
+				ps.PrintValueTypes(op.Operands)
 			}
 		},
 	})
@@ -218,15 +206,12 @@ func RegisterFunc(r *mlir.Registry) {
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			callee, _ := op.GetAttr("callee")
-			ps.Write(" " + callee.String() + "(")
+			ps.Write(" ")
+			ps.Write(callee.String())
+			ps.Write("(")
 			ps.PrintOperands(op.Operands)
 			ps.Write(") : (")
-			for i, o := range op.Operands {
-				if i > 0 {
-					ps.Write(", ")
-				}
-				ps.Write(o.Typ.String())
-			}
+			ps.PrintValueTypes(op.Operands)
 			ps.Write(") -> ")
 			ps.PrintResultTypes(op)
 		},

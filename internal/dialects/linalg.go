@@ -6,9 +6,9 @@ import (
 	"dialegg/internal/mlir"
 )
 
-// RegisterLinalg registers the linalg dialect subset used by the paper:
+// registerLinalg registers the linalg dialect subset used by the paper:
 // linalg.matmul and linalg.fill in their ins/outs pretty form.
-func RegisterLinalg(r *mlir.Registry) {
+func registerLinalg(r *mlir.Registry) {
 	// %r = linalg.matmul ins(%a, %b : tA, tB) outs(%c : tC) -> tC
 	r.Register(&mlir.OpDef{
 		Name:   "linalg.matmul",
@@ -35,11 +35,16 @@ func RegisterLinalg(r *mlir.Registry) {
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			ps.Write(" ins(")
 			ps.PrintOperands(op.Operands[:2])
-			ps.Write(" : " + op.Operands[0].Typ.String() + ", " + op.Operands[1].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Operands[0].Typ)
+			ps.Write(", ")
+			ps.WriteType(op.Operands[1].Typ)
 			ps.Write(") outs(")
 			ps.PrintOperands(op.Operands[2:3])
-			ps.Write(" : " + op.Operands[2].Typ.String())
-			ps.Write(") -> " + op.Results[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Operands[2].Typ)
+			ps.Write(") -> ")
+			ps.WriteType(op.Results[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			if err := mlir.VerifyOperandCount(op, 3); err != nil {
@@ -92,11 +97,14 @@ func RegisterLinalg(r *mlir.Registry) {
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			ps.Write(" ins(")
 			ps.PrintOperands(op.Operands[:1])
-			ps.Write(" : " + op.Operands[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Operands[0].Typ)
 			ps.Write(") outs(")
 			ps.PrintOperands(op.Operands[1:2])
-			ps.Write(" : " + op.Operands[1].Typ.String())
-			ps.Write(") -> " + op.Results[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Operands[1].Typ)
+			ps.Write(") -> ")
+			ps.WriteType(op.Results[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			return mlir.VerifyOperandCount(op, 2)

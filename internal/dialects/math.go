@@ -6,8 +6,8 @@ import (
 	"dialegg/internal/mlir"
 )
 
-// RegisterMath registers the math dialect (elementary float functions).
-func RegisterMath(r *mlir.Registry) {
+// registerMath registers the math dialect (elementary float functions).
+func registerMath(r *mlir.Registry) {
 	unary := []struct {
 		name string
 		eval func(float64) (float64, bool)
@@ -46,7 +46,8 @@ func RegisterMath(r *mlir.Registry) {
 				ps.Write(" ")
 				ps.PrintOperands(op.Operands)
 				ps.PrintOptionalFastMath(op)
-				ps.Write(" : " + op.Results[0].Typ.String())
+				ps.Write(" : ")
+				ps.WriteType(op.Results[0].Typ)
 			},
 			Verify: func(op *mlir.Operation) error {
 				if err := mlir.VerifyOperandCount(op, 1); err != nil {
@@ -134,7 +135,8 @@ func RegisterMath(r *mlir.Registry) {
 			ps.Write(" ")
 			ps.PrintOperands(op.Operands)
 			ps.PrintOptionalFastMath(op)
-			ps.Write(" : " + op.Results[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Results[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			if err := mlir.VerifyOperandCount(op, 3); err != nil {

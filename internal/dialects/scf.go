@@ -6,9 +6,9 @@ import (
 	"dialegg/internal/mlir"
 )
 
-// RegisterSCF registers the scf (structured control flow) dialect: scf.for,
+// registerSCF registers the scf (structured control flow) dialect: scf.for,
 // scf.if, scf.yield.
-func RegisterSCF(r *mlir.Registry) {
+func registerSCF(r *mlir.Registry) {
 	r.Register(&mlir.OpDef{
 		Name: "scf.for",
 		Parse: func(p *mlir.Parser, st *mlir.OpParseState) (*mlir.Operation, error) {
@@ -89,24 +89,26 @@ func RegisterSCF(r *mlir.Registry) {
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			entry := op.Regions[0].First()
-			ps.Write(" " + ps.ValueName(entry.Args[0]) + " = " + ps.ValueName(op.Operands[0]))
-			ps.Write(" to " + ps.ValueName(op.Operands[1]))
-			ps.Write(" step " + ps.ValueName(op.Operands[2]))
+			ps.Write(" ")
+			ps.WriteValueName(entry.Args[0])
+			ps.Write(" = ")
+			ps.WriteValueName(op.Operands[0])
+			ps.Write(" to ")
+			ps.WriteValueName(op.Operands[1])
+			ps.Write(" step ")
+			ps.WriteValueName(op.Operands[2])
 			if len(op.Results) > 0 {
 				ps.Write(" iter_args(")
 				for i := range op.Results {
 					if i > 0 {
 						ps.Write(", ")
 					}
-					ps.Write(ps.ValueName(entry.Args[i+1]) + " = " + ps.ValueName(op.Operands[i+3]))
+					ps.WriteValueName(entry.Args[i+1])
+					ps.Write(" = ")
+					ps.WriteValueName(op.Operands[i+3])
 				}
 				ps.Write(") -> (")
-				for i, res := range op.Results {
-					if i > 0 {
-						ps.Write(", ")
-					}
-					ps.Write(res.Typ.String())
-				}
+				ps.PrintValueTypes(op.Results)
 				ps.Write(")")
 			}
 			ps.Write(" ")
@@ -163,15 +165,11 @@ func RegisterSCF(r *mlir.Registry) {
 			return op, nil
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
-			ps.Write(" " + ps.ValueName(op.Operands[0]))
+			ps.Write(" ")
+			ps.WriteValueName(op.Operands[0])
 			if len(op.Results) > 0 {
 				ps.Write(" -> (")
-				for i, res := range op.Results {
-					if i > 0 {
-						ps.Write(", ")
-					}
-					ps.Write(res.Typ.String())
-				}
+				ps.PrintValueTypes(op.Results)
 				ps.Write(")")
 			}
 			ps.Write(" ")
@@ -281,15 +279,12 @@ func RegisterSCF(r *mlir.Registry) {
 				if i > 0 {
 					ps.Write(", ")
 				}
-				ps.Write(ps.ValueName(a) + " = " + ps.ValueName(op.Operands[i]))
+				ps.WriteValueName(a)
+				ps.Write(" = ")
+				ps.WriteValueName(op.Operands[i])
 			}
 			ps.Write(") : (")
-			for i, o := range op.Operands {
-				if i > 0 {
-					ps.Write(", ")
-				}
-				ps.Write(o.Typ.String())
-			}
+			ps.PrintValueTypes(op.Operands)
 			ps.Write(") -> ")
 			ps.PrintResultTypes(op)
 			ps.Write(" ")
@@ -366,17 +361,14 @@ func RegisterSCF(r *mlir.Registry) {
 			return mlir.NewOperation("scf.condition", operands, nil), nil
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
-			ps.Write("(" + ps.ValueName(op.Operands[0]) + ")")
+			ps.Write("(")
+			ps.WriteValueName(op.Operands[0])
+			ps.Write(")")
 			if len(op.Operands) > 1 {
 				ps.Write(" ")
 				ps.PrintOperands(op.Operands[1:])
 				ps.Write(" : ")
-				for i, o := range op.Operands[1:] {
-					if i > 0 {
-						ps.Write(", ")
-					}
-					ps.Write(o.Typ.String())
-				}
+				ps.PrintValueTypes(op.Operands[1:])
 			}
 		},
 		Verify: func(op *mlir.Operation) error {
@@ -423,12 +415,7 @@ func RegisterSCF(r *mlir.Registry) {
 				ps.Write(" ")
 				ps.PrintOperands(op.Operands)
 				ps.Write(" : ")
-				for i, o := range op.Operands {
-					if i > 0 {
-						ps.Write(", ")
-					}
-					ps.Write(o.Typ.String())
-				}
+				ps.PrintValueTypes(op.Operands)
 			}
 		},
 	})

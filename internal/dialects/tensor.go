@@ -6,9 +6,9 @@ import (
 	"dialegg/internal/mlir"
 )
 
-// RegisterTensor registers the tensor dialect: tensor.empty,
+// registerTensor registers the tensor dialect: tensor.empty,
 // tensor.extract, tensor.insert, tensor.dim, tensor.splat.
-func RegisterTensor(r *mlir.Registry) {
+func registerTensor(r *mlir.Registry) {
 	r.Register(&mlir.OpDef{
 		Name:   "tensor.empty",
 		Traits: mlir.Traits{Pure: true},
@@ -29,7 +29,8 @@ func RegisterTensor(r *mlir.Registry) {
 			return mlir.NewOperation("tensor.empty", nil, []mlir.Type{t}), nil
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
-			ps.Write("() : " + op.Results[0].Typ.String())
+			ps.Write("() : ")
+			ps.WriteType(op.Results[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			if !mlir.IsShaped(op.Results[0].Typ) {
@@ -72,9 +73,12 @@ func RegisterTensor(r *mlir.Registry) {
 			return mlir.NewOperation("tensor.extract", operands, []mlir.Type{rt.Elem}), nil
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
-			ps.Write(" " + ps.ValueName(op.Operands[0]) + "[")
+			ps.Write(" ")
+			ps.WriteValueName(op.Operands[0])
+			ps.Write("[")
 			ps.PrintOperands(op.Operands[1:])
-			ps.Write("] : " + op.Operands[0].Typ.String())
+			ps.Write("] : ")
+			ps.WriteType(op.Operands[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			rt, ok := op.Operands[0].Typ.(mlir.RankedTensorType)
@@ -127,9 +131,14 @@ func RegisterTensor(r *mlir.Registry) {
 			return mlir.NewOperation("tensor.insert", operands, []mlir.Type{tt}), nil
 		},
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
-			ps.Write(" " + ps.ValueName(op.Operands[0]) + " into " + ps.ValueName(op.Operands[1]) + "[")
+			ps.Write(" ")
+			ps.WriteValueName(op.Operands[0])
+			ps.Write(" into ")
+			ps.WriteValueName(op.Operands[1])
+			ps.Write("[")
 			ps.PrintOperands(op.Operands[2:])
-			ps.Write("] : " + op.Results[0].Typ.String())
+			ps.Write("] : ")
+			ps.WriteType(op.Results[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			rt, ok := op.Operands[1].Typ.(mlir.RankedTensorType)
@@ -172,7 +181,8 @@ func RegisterTensor(r *mlir.Registry) {
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			ps.Write(" ")
 			ps.PrintOperands(op.Operands)
-			ps.Write(" : " + op.Operands[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Operands[0].Typ)
 		},
 		Fold: func(op *mlir.Operation) (mlir.FoldResult, bool) {
 			rt, ok := op.Operands[0].Typ.(mlir.RankedTensorType)
@@ -207,7 +217,8 @@ func RegisterTensor(r *mlir.Registry) {
 		Print: func(ps *mlir.PrintState, op *mlir.Operation) {
 			ps.Write(" ")
 			ps.PrintOperands(op.Operands)
-			ps.Write(" : " + op.Results[0].Typ.String())
+			ps.Write(" : ")
+			ps.WriteType(op.Results[0].Typ)
 		},
 		Verify: func(op *mlir.Operation) error {
 			rt, ok := op.Results[0].Typ.(mlir.RankedTensorType)

@@ -222,6 +222,28 @@ func.func @two_mm(%A: tensor<100x10xf64>, %B: tensor<10x150xf64>, %C: tensor<150
 	}
 }
 
+// TestOpaqueElementTypesVerify: element types with no egglog encoding
+// (complex<f32>, i4) come back from the e-graph as OpaqueTypes holding
+// their text. The rebuilt matmuls must still verify against the function
+// arguments and the opaque tensor.extract, which hold the parsed types.
+func TestOpaqueElementTypesVerify(t *testing.T) {
+	for _, elem := range []string{"complex<f32>", "i4"} {
+		src := strings.ReplaceAll(`
+func.func @mm(%A: tensor<4x2xELEM>, %B: tensor<2x6xELEM>, %C: tensor<6x3xELEM>, %O1: tensor<4x6xELEM>, %O2: tensor<4x3xELEM>, %i: index) -> ELEM {
+  %AB = linalg.matmul ins(%A, %B : tensor<4x2xELEM>, tensor<2x6xELEM>) outs(%O1 : tensor<4x6xELEM>) -> tensor<4x6xELEM>
+  %r = linalg.matmul ins(%AB, %C : tensor<4x6xELEM>, tensor<6x3xELEM>) outs(%O2 : tensor<4x3xELEM>) -> tensor<4x3xELEM>
+  %x = tensor.extract %r[%i, %i] : tensor<4x3xELEM>
+  func.return %x : ELEM
+}`, "ELEM", elem)
+		m, _, reg := optimize(t, src, rules.MatmulChain())
+		out := mlir.PrintModule(m, reg)
+		// The B*C product shows that the matmuls were rebuilt.
+		if want := "tensor<2x3x" + elem + ">"; !strings.Contains(out, want) {
+			t.Errorf("%s: missing B*C intermediate %s:\n%s", elem, want, out)
+		}
+	}
+}
+
 // TestHornerCaseStudy reproduces §7.5: c + b*x + a*x^2 becomes Horner
 // form with 2 multiplications, 2 additions, and no powf.
 func TestHornerCaseStudy(t *testing.T) {
@@ -392,6 +414,11 @@ func TestTypeTermRoundTrip(t *testing.T) {
 		mlir.TensorOf(mlir.F64, 3, 4),
 		mlir.TensorOf(mlir.I64, 2, 3, 4),
 		mlir.UnrankedTensorType{Elem: mlir.F32},
+		// No structural encoding: these come back as OpaqueTypes.
+		mlir.ComplexType{Elem: mlir.F32}, mlir.IntegerType{Width: 4},
+		mlir.TensorOf(mlir.ComplexType{Elem: mlir.F64}, 2, 2),
+		mlir.TupleType{Elems: []mlir.Type{mlir.I64, mlir.TensorOf(mlir.F32, 4)}},
+		mlir.FunctionType{Inputs: []mlir.Type{mlir.I64}, Results: []mlir.Type{mlir.F32}},
 	}
 	for _, typ := range types {
 		term := TypeToTerm(typ)

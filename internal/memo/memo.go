@@ -41,26 +41,40 @@ func CanonicalizeMLIR(src string) (string, error) {
 	return mlir.PrintModuleCanonical(m, reg), nil
 }
 
-// hashString writes a length-prefixed, tagged string into h. The prefix
-// makes the encoding injective: no concatenation of sections can collide
-// with a different split of the same bytes.
-func hashString(h hash.Hash, tag string, s string) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(tag)))
-	h.Write(buf[:])
-	h.Write([]byte(tag))
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
-	h.Write(buf[:])
-	h.Write([]byte(s))
+// keyWriter writes Key's fields into a SHA-256 hash, each length-prefixed
+// and tagged. The prefix makes the encoding injective: no concatenation of
+// sections can collide with a different split of the same bytes. Text goes
+// to the hash through buf, so the module and rule sources are hashed
+// without a []byte copy of each.
+type keyWriter struct {
+	h   hash.Hash
+	buf [512]byte
 }
 
-func hashInt(h hash.Hash, tag string, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(tag)))
-	h.Write(buf[:])
-	h.Write([]byte(tag))
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:])
+func (w *keyWriter) writeUint(v uint64) {
+	binary.LittleEndian.PutUint64(w.buf[:8], v)
+	w.h.Write(w.buf[:8])
+}
+
+func (w *keyWriter) writeText(s string) {
+	for len(s) > 0 {
+		n := copy(w.buf[:], s)
+		w.h.Write(w.buf[:n])
+		s = s[n:]
+	}
+}
+
+func (w *keyWriter) writeString(tag, s string) {
+	w.writeUint(uint64(len(tag)))
+	w.writeText(tag)
+	w.writeUint(uint64(len(s)))
+	w.writeText(s)
+}
+
+func (w *keyWriter) writeInt(tag string, v int64) {
+	w.writeUint(uint64(len(tag)))
+	w.writeText(tag)
+	w.writeUint(uint64(v))
 }
 
 // Key returns the content address of one optimization request: a hex
@@ -73,29 +87,31 @@ func hashInt(h hash.Hash, tag string, v int64) {
 // explicit-default configs cache-equivalent.
 func Key(canonicalMLIR string, ruleSources []string, cfg egraph.RunConfig) string {
 	cfg = cfg.WithDefaults()
-	h := sha256.New()
-	hashString(h, "mlir", canonicalMLIR)
-	hashInt(h, "nrules", int64(len(ruleSources)))
+	w := &keyWriter{h: sha256.New()}
+	w.writeString("mlir", canonicalMLIR)
+	w.writeInt("nrules", int64(len(ruleSources)))
 	for _, r := range ruleSources {
-		hashString(h, "rule", r)
+		w.writeString("rule", r)
 	}
-	hashInt(h, "iter", int64(cfg.IterLimit))
-	hashInt(h, "node", int64(cfg.NodeLimit))
-	hashInt(h, "match", int64(cfg.MatchLimit))
-	hashInt(h, "time", int64(cfg.TimeLimit))
+	w.writeInt("iter", int64(cfg.IterLimit))
+	w.writeInt("node", int64(cfg.NodeLimit))
+	w.writeInt("match", int64(cfg.MatchLimit))
+	w.writeInt("time", int64(cfg.TimeLimit))
 	naive := int64(0)
 	if cfg.Naive {
 		naive = 1
 	}
-	hashInt(h, "naive", naive)
+	w.writeInt("naive", naive)
 	// A scheduler changes which matches run, so it is part of result
 	// identity. The simple strategy (and nil) is bit-identical to the
 	// unscheduled engine and is deliberately left out of the hash, so
 	// cache entries written before scheduling existed stay valid.
 	if cfg.Scheduler != nil {
 		if fp := cfg.Scheduler.Fingerprint(); fp != "simple" {
-			hashString(h, "sched", fp)
+			w.writeString("sched", fp)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	// The digest and its hex form both fit in buf, behind one another.
+	sum := w.h.Sum(w.buf[:0])
+	return string(hex.AppendEncode(sum[len(sum):], sum))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,6 +32,27 @@ func TestKeyConfigNormalization(t *testing.T) {
 	naive := Key(keyModule, nil, egraph.RunConfig{Naive: true})
 	if naive == zero {
 		t.Error("Naive change did not change the key")
+	}
+}
+
+// TestKeyDigestPinned pins the key encoding, so a change to how Key
+// feeds its fields to the hash shows here: the digests may change only
+// with the encoding's fields or RunConfig's defaults. The long rule source
+// spans several of the key writer's buffers.
+func TestKeyDigestPinned(t *testing.T) {
+	long := strings.Repeat("(rewrite (Add ?a ?b) (Add ?b ?a))\n", 40)
+	for _, tc := range []struct {
+		rules []string
+		cfg   egraph.RunConfig
+		want  string
+	}{
+		{nil, egraph.RunConfig{}, "976a266ecb43fefb12d62163b93be014114426bbb7444318ac009b3fe569c70f"},
+		{[]string{long, "(rule)"}, egraph.RunConfig{IterLimit: 7, Naive: true}, "1bf6cdff8f4fb86bf70b7446189d6926d303bc7709d3f0684880ac2b5fd90fd8"},
+		{[]string{""}, egraph.RunConfig{Scheduler: sched.Backoff{Threshold: 10}}, "750a27922567d54eb85132723992e3d80de37a3c809997cb23cac54184afea06"},
+	} {
+		if got := Key(keyModule, tc.rules, tc.cfg); got != tc.want {
+			t.Errorf("Key(%d rules, %+v) = %s, want %s", len(tc.rules), tc.cfg, got, tc.want)
+		}
 	}
 }
 

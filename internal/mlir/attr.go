@@ -33,7 +33,11 @@ func (a IntegerAttr) String() string {
 		}
 		return "false"
 	}
-	return fmt.Sprintf("%d : %s", a.Value, a.Type)
+	var b strings.Builder
+	writeInt(&b, a.Value)
+	b.WriteString(" : ")
+	writeType(&b, a.Type)
+	return b.String()
 }
 
 // FloatAttr is a typed floating-point constant.

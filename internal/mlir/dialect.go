@@ -49,11 +49,14 @@ type OpDef struct {
 	Fold func(op *Operation) (FoldResult, bool)
 }
 
-// Registry maps operation names to their definitions. A Registry is
-// immutable after setup; concurrent readers are safe.
+// Registry maps operation names to their definitions. The dialects
+// package builds one registry per process, freezes it and hands that
+// shared value to every caller; a frozen registry never changes, so any
+// number of goroutines may parse and print with it at once.
 type Registry struct {
 	ops      map[string]*OpDef
 	dialects map[string]bool
+	frozen   bool
 }
 
 // NewRegistry returns an empty registry.
@@ -61,11 +64,18 @@ func NewRegistry() *Registry {
 	return &Registry{ops: make(map[string]*OpDef), dialects: make(map[string]bool)}
 }
 
-// Register adds an op definition. Duplicate names panic: registration
-// happens at setup time and a duplicate is a programming error.
+// Freeze makes r immutable: a later Register panics.
+func (r *Registry) Freeze() { r.frozen = true }
+
+// Register adds an op definition. Duplicate names, and any registration
+// on a frozen registry, panic: registration happens at setup time and
+// either is a programming error.
 func (r *Registry) Register(def *OpDef) {
 	if def.Name == "" {
 		panic("mlir: OpDef with empty name")
+	}
+	if r.frozen {
+		panic("mlir: register " + def.Name + " on a frozen registry")
 	}
 	if _, dup := r.ops[def.Name]; dup {
 		panic("mlir: duplicate op registration: " + def.Name)

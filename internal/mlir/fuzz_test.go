@@ -15,8 +15,10 @@ func fuzzRegistry() *Registry {
 	return r
 }
 
-// FuzzParseModule: the MLIR parser must never panic, and accepted modules
-// must print and re-parse.
+// FuzzParseModule: the MLIR parser must never panic, accepted modules
+// must print and re-parse, and on every pair of types in an accepted
+// module (operands, results and block arguments) structural TypeEqual must
+// agree with comparing the printed forms.
 func FuzzParseModule(f *testing.F) {
 	seeds := []string{
 		"func.func @f() { func.return }",
@@ -26,6 +28,17 @@ func FuzzParseModule(f *testing.F) {
 		`"d.o"() ({ "d.i"() : () -> () }) {k = 1 : i64} : () -> ()`,
 		"%0 = arith.constant dense<1.5> : tensor<2xf64>",
 		"t.ret",
+		`%0 = "d.a"() : () -> tensor<?x3xf32>
+%1 = "d.b"(%0) : (tensor<?x3xf32>) -> tensor<3x?xf32>`,
+		`%0 = "d.a"() : () -> tuple<i64, tensor<?x3xf32>, tuple<>>
+%1 = "d.b"(%0) : (tuple<i64, tensor<?x3xf32>, tuple<>>) -> complex<f64>`,
+		`"d.o"() ({
+^bb0(%a: complex<f64>, %b: complex<f32>):
+  %0 = "d.f"(%a, %b) : (complex<f64>, complex<f32>) -> ((i64, tensor<2xf64>) -> (f32, index))
+}) : () -> ()`,
+		`%0 = "d.a"() : () -> !dialect.type<tensor<3xf32>, 4>
+%1 = "d.a"() : () -> !dialect.type<tensor<3xf32>, 5>
+%2 = "d.b"(%0, %1) : (!dialect.type<tensor<3xf32>, 4>, !dialect.type<tensor<3xf32>, 5>) -> tensor<*x!dialect.type>`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -40,5 +53,29 @@ func FuzzParseModule(f *testing.F) {
 		if _, err := ParseModule(printed, reg); err != nil {
 			t.Fatalf("printed module does not re-parse: %v\ninput: %q\nprinted:\n%s", err, src, printed)
 		}
+		checkTypeEqualAgreesWithText(t, moduleTypes(m))
 	})
+}
+
+// moduleTypes lists the types of every operand, result and block argument
+// in m, in walk order.
+func moduleTypes(m *Module) []Type {
+	var types []Type
+	m.Op.Walk(func(op *Operation) bool {
+		for _, v := range op.Operands {
+			types = append(types, v.Typ)
+		}
+		for _, v := range op.Results {
+			types = append(types, v.Typ)
+		}
+		for _, r := range op.Regions {
+			for _, b := range r.Blocks {
+				for _, v := range b.Args {
+					types = append(types, v.Typ)
+				}
+			}
+		}
+		return true
+	})
+	return types
 }

@@ -22,6 +22,7 @@ func TestTypeStrings(t *testing.T) {
 		{ComplexType{Elem: F64}, "complex<f64>"},
 		{FunctionType{Inputs: []Type{I64}, Results: []Type{F32}}, "(i64) -> f32"},
 		{FunctionType{Inputs: nil, Results: []Type{F32, I64}}, "() -> (f32, i64)"},
+		{FunctionType{Results: []Type{FunctionType{Inputs: []Type{I64}, Results: []Type{F32}}}}, "() -> ((i64) -> f32)"},
 		{OpaqueType{Text: "!my.type<3>"}, "!my.type<3>"},
 	}
 	for _, tt := range tests {
@@ -47,6 +48,71 @@ func TestTypeEqual(t *testing.T) {
 	if TypeEqual(nil, I64) {
 		t.Error("nil equals i64")
 	}
+}
+
+// typeText is t's String form, or "<nil>" for a nil type.
+func typeText(t Type) string {
+	if t == nil {
+		return "<nil>"
+	}
+	return t.String()
+}
+
+// checkTypeEqualAgreesWithText reports every pair of types on which
+// structural equality and equality of the printed forms disagree.
+func checkTypeEqualAgreesWithText(t *testing.T, types []Type) {
+	t.Helper()
+	for _, a := range types {
+		for _, b := range types {
+			if got, want := TypeEqual(a, b), typeText(a) == typeText(b); got != want {
+				t.Errorf("TypeEqual(%s, %s) = %v, but the printed forms are equal: %v", typeText(a), typeText(b), got, want)
+			}
+		}
+	}
+}
+
+// TestTypeEqualAgreesWithText: TypeEqual compares structure, rendering
+// only to compare an OpaqueType with a type of another kind, yet it must
+// agree with comparing printed forms on every pair of types of every
+// kind, including OpaqueTypes that spell a modelled type.
+func TestTypeEqualAgreesWithText(t *testing.T) {
+	dyn := RankedTensorType{Shape: []int64{DynamicDim, 3}, Elem: F32}
+	checkTypeEqualAgreesWithText(t, []Type{
+		nil,
+		I1, I64, IntegerType{Width: 64}, IntegerType{Width: 32},
+		F32, F64, FloatType{Width: 64},
+		Index, NoneType{},
+		TensorOf(F64, 3, 4), TensorOf(F64, 3, 4), TensorOf(F64, 4, 3),
+		TensorOf(F64, 3), TensorOf(F64, 3, 4, 1), TensorOf(F32, 3, 4),
+		TensorOf(I64), RankedTensorType{Shape: []int64{}, Elem: I64},
+		dyn, RankedTensorType{Shape: []int64{DynamicDim, 3}, Elem: F32},
+		TensorOf(F32, 3, 3), TensorOf(F32, 3, DynamicDim),
+		TensorOf(TensorOf(F32, 2), 3),
+		UnrankedTensorType{Elem: F32}, UnrankedTensorType{Elem: F64},
+		FunctionType{Inputs: []Type{dyn}, Results: []Type{F32}},
+		FunctionType{Inputs: []Type{TensorOf(F32, DynamicDim, 3)}, Results: []Type{F32}},
+		FunctionType{Inputs: []Type{TensorOf(F32, 3, 3)}, Results: []Type{F32}},
+		FunctionType{Inputs: []Type{dyn}, Results: []Type{F32, I64}},
+		FunctionType{Inputs: []Type{dyn}, Results: []Type{I64, F32}},
+		FunctionType{}, FunctionType{Inputs: []Type{}, Results: []Type{}},
+		FunctionType{Results: []Type{FunctionType{Inputs: []Type{I64}, Results: []Type{F32}}}},
+		TupleType{Elems: []Type{I64, TensorOf(F32, DynamicDim)}},
+		TupleType{Elems: []Type{I64, TensorOf(F32, 4)}},
+		TupleType{Elems: []Type{I64}}, TupleType{}, TupleType{Elems: []Type{TupleType{}}},
+		ComplexType{Elem: F64}, ComplexType{Elem: F32},
+		OpaqueType{Text: "!my.type<3>"}, OpaqueType{Text: "!my.type<3>"}, OpaqueType{Text: "!my.type<4>"},
+		TensorOf(OpaqueType{Text: "!my.type<3>"}, 2),
+		OpaqueType{Text: "complex<f64>"}, OpaqueType{Text: "complex<f32>"},
+		OpaqueType{Text: "i4"}, IntegerType{Width: 4}, OpaqueType{Text: "i64"},
+		OpaqueType{Text: "index"}, OpaqueType{Text: "tensor<3x4xf64>"},
+		TensorOf(OpaqueType{Text: "f64"}, 3, 4),
+		TensorOf(OpaqueType{Text: "complex<f32>"}, 2, 2), TensorOf(ComplexType{Elem: F32}, 2, 2),
+		UnrankedTensorType{Elem: OpaqueType{Text: "f32"}},
+		OpaqueType{Text: "(tensor<?x3xf32>) -> f32"},
+		FunctionType{Inputs: []Type{OpaqueType{Text: "tensor<?x3xf32>"}}, Results: []Type{F32}},
+		TupleType{Elems: []Type{OpaqueType{Text: "i64"}, TensorOf(F32, 4)}},
+		ComplexType{Elem: OpaqueType{Text: "f64"}},
+	})
 }
 
 func TestTensorHelpers(t *testing.T) {
@@ -226,15 +292,15 @@ func TestPrinterNameCollisions(t *testing.T) {
 	op1.Results[0].Name = "x"
 	op2 := NewOperation("t.b", nil, []Type{I64})
 	op2.Results[0].Name = "x"
-	ps := newPrintState(reg)
-	n1 := ps.ValueName(op1.Results[0])
-	n2 := ps.ValueName(op2.Results[0])
+	ps := newPrintState(reg, false)
+	n1 := ps.name(op1.Results[0])
+	n2 := ps.name(op2.Results[0])
 	if n1 == n2 {
 		t.Errorf("colliding names: %s vs %s", n1, n2)
 	}
 	// Stable: asking again returns the same name.
-	if ps.ValueName(op1.Results[0]) != n1 {
-		t.Error("ValueName not stable")
+	if ps.name(op1.Results[0]) != n1 {
+		t.Error("value name not stable")
 	}
 }
 

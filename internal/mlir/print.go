@@ -1,16 +1,18 @@
 package mlir
 
 import (
-	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // PrintState carries printer context: SSA value naming and indentation.
 type PrintState struct {
-	b      strings.Builder
-	reg    *Registry
-	names  map[*Value]string
+	b     strings.Builder
+	reg   *Registry
+	names map[*Value]string
+	// taken holds the names in use; nil when anonymize is set, since the
+	// print-order numbers never collide.
 	taken  map[string]bool
 	nextID int
 	indent int
@@ -23,15 +25,7 @@ type PrintState struct {
 
 // PrintModule renders the module in MLIR pretty syntax.
 func PrintModule(m *Module, reg *Registry) string {
-	ps := newPrintState(reg)
-	ps.Write("module {\n")
-	ps.indent++
-	for _, op := range m.Body().Ops {
-		ps.PrintOp(op)
-	}
-	ps.indent--
-	ps.Write("}\n")
-	return ps.b.String()
+	return newPrintState(reg, false).printModule(m)
 }
 
 // PrintModuleCanonical renders the module in canonical form: the same
@@ -42,8 +36,25 @@ func PrintModule(m *Module, reg *Registry) string {
 // parse/print (re-parsing and re-printing canonical output reproduces it
 // exactly).
 func PrintModuleCanonical(m *Module, reg *Registry) string {
-	ps := newPrintState(reg)
-	ps.anonymize = true
+	return newPrintState(reg, true).printModule(m)
+}
+
+// PrintOperation renders a single operation (and its regions).
+func PrintOperation(op *Operation, reg *Registry) string {
+	ps := newPrintState(reg, false)
+	ps.PrintOp(op)
+	return ps.b.String()
+}
+
+func newPrintState(reg *Registry, anonymize bool) *PrintState {
+	ps := &PrintState{reg: reg, names: make(map[*Value]string), anonymize: anonymize}
+	if !anonymize {
+		ps.taken = make(map[string]bool)
+	}
+	return ps
+}
+
+func (ps *PrintState) printModule(m *Module) string {
 	ps.Write("module {\n")
 	ps.indent++
 	for _, op := range m.Body().Ops {
@@ -54,54 +65,50 @@ func PrintModuleCanonical(m *Module, reg *Registry) string {
 	return ps.b.String()
 }
 
-// PrintOperation renders a single operation (and its regions).
-func PrintOperation(op *Operation, reg *Registry) string {
-	ps := newPrintState(reg)
-	ps.PrintOp(op)
-	return ps.b.String()
-}
-
-func newPrintState(reg *Registry) *PrintState {
-	return &PrintState{
-		reg:   reg,
-		names: make(map[*Value]string),
-		taken: make(map[string]bool),
-	}
-}
-
 // Write appends raw text.
 func (ps *PrintState) Write(s string) { ps.b.WriteString(s) }
 
-// Writef appends formatted text.
-func (ps *PrintState) Writef(format string, args ...any) {
-	fmt.Fprintf(&ps.b, format, args...)
-}
+// WriteType appends t's MLIR syntax.
+func (ps *PrintState) WriteType(t Type) { writeType(&ps.b, t) }
+
+// WriteResultTypes appends a result type list: one type bare, or a
+// parenthesized list for zero, many, or a lone function type.
+func (ps *PrintState) WriteResultTypes(ts []Type) { writeResultTypes(&ps.b, ts) }
 
 // Indent writes the current indentation.
-func (ps *PrintState) Indent() { ps.Write(strings.Repeat("  ", ps.indent)) }
+func (ps *PrintState) Indent() {
+	for i := 0; i < ps.indent; i++ {
+		ps.b.WriteString("  ")
+	}
+}
 
-// ValueName returns the printed name (with %) of v, allocating one if
-// needed.
-func (ps *PrintState) ValueName(v *Value) string {
+// WriteValueName appends the printed name (with %) of v, allocating one
+// if needed.
+func (ps *PrintState) WriteValueName(v *Value) {
+	ps.b.WriteByte('%')
+	ps.b.WriteString(ps.name(v))
+}
+
+// name returns v's printed name without the %. When anonymizing, every
+// value gets the next print-order number, which no earlier name can hold.
+func (ps *PrintState) name(v *Value) string {
 	if n, ok := ps.names[v]; ok {
-		return "%" + n
+		return n
 	}
-	name := v.Name
+	var name string
 	if ps.anonymize {
-		name = ""
-	}
-	if name == "" || ps.taken[name] {
-		for {
+		name = strconv.Itoa(ps.nextID)
+		ps.nextID++
+	} else {
+		name = v.Name
+		for name == "" || ps.taken[name] {
 			name = strconv.Itoa(ps.nextID)
 			ps.nextID++
-			if !ps.taken[name] {
-				break
-			}
 		}
+		ps.taken[name] = true
 	}
 	ps.names[v] = name
-	ps.taken[name] = true
-	return "%" + name
+	return name
 }
 
 // PrintOperands writes a comma-separated operand list.
@@ -110,7 +117,17 @@ func (ps *PrintState) PrintOperands(vals []*Value) {
 		if i > 0 {
 			ps.Write(", ")
 		}
-		ps.Write(ps.ValueName(v))
+		ps.WriteValueName(v)
+	}
+}
+
+// PrintValueTypes writes the comma-separated types of vals.
+func (ps *PrintState) PrintValueTypes(vals []*Value) {
+	for i, v := range vals {
+		if i > 0 {
+			ps.Write(", ")
+		}
+		ps.WriteType(v.Typ)
 	}
 }
 
@@ -119,7 +136,8 @@ func (ps *PrintState) PrintOperands(vals []*Value) {
 func (ps *PrintState) PrintOptionalFastMath(op *Operation) {
 	if a, ok := op.GetAttr("fastmath"); ok {
 		if fm, ok := a.(FastMathAttr); ok && fm.Flag != FastMathNone {
-			ps.Write(" " + fm.String())
+			ps.Write(" ")
+			ps.Write(fm.String())
 		}
 	}
 }
@@ -127,30 +145,26 @@ func (ps *PrintState) PrintOptionalFastMath(op *Operation) {
 // PrintAttrDict writes {k = v, ...} for the given attributes, skipping the
 // names in skip. Writes nothing when every attribute is skipped.
 func (ps *PrintState) PrintAttrDict(attrs []NamedAttribute, skip ...string) {
-	skipSet := make(map[string]bool, len(skip))
-	for _, s := range skip {
-		skipSet[s] = true
-	}
-	var kept []NamedAttribute
+	open := false
 	for _, na := range attrs {
-		if !skipSet[na.Name] {
-			kept = append(kept, na)
+		if slices.Contains(skip, na.Name) {
+			continue
 		}
-	}
-	if len(kept) == 0 {
-		return
-	}
-	ps.Write(" {")
-	for i, na := range kept {
-		if i > 0 {
+		if open {
 			ps.Write(", ")
+		} else {
+			ps.Write(" {")
+			open = true
 		}
 		ps.Write(na.Name)
 		if _, isUnit := na.Attr.(UnitAttr); !isUnit {
-			ps.Write(" = " + na.Attr.String())
+			ps.Write(" = ")
+			ps.Write(na.Attr.String())
 		}
 	}
-	ps.Write("}")
+	if open {
+		ps.Write("}")
+	}
 }
 
 // PrintRegion writes a brace-delimited region body (entry-block args are
@@ -176,12 +190,16 @@ func (ps *PrintState) PrintRegionWithBlockHeader(r *Region) {
 	ps.indent++
 	for bi, b := range r.Blocks {
 		ps.Indent()
-		ps.Writef("^bb%d(", bi)
+		ps.Write("^bb")
+		writeInt(&ps.b, int64(bi))
+		ps.Write("(")
 		for i, a := range b.Args {
 			if i > 0 {
 				ps.Write(", ")
 			}
-			ps.Write(ps.ValueName(a) + ": " + a.Typ.String())
+			ps.WriteValueName(a)
+			ps.Write(": ")
+			ps.WriteType(a.Typ)
 		}
 		ps.Write("):\n")
 		for _, op := range b.Ops {
@@ -202,7 +220,7 @@ func (ps *PrintState) PrintOp(op *Operation) {
 			if i > 0 {
 				ps.Write(", ")
 			}
-			ps.Write(ps.ValueName(r))
+			ps.WriteValueName(r)
 		}
 		ps.Write(" = ")
 	}
@@ -230,35 +248,29 @@ func (ps *PrintState) printGenericOp(op *Operation) {
 			if i > 0 {
 				ps.Write(", ")
 			}
-			ps.PrintRegion(r)
+			// The generic form names its block arguments only in a
+			// block header.
+			if b := r.First(); b != nil && len(b.Args) > 0 {
+				ps.PrintRegionWithBlockHeader(r)
+			} else {
+				ps.PrintRegion(r)
+			}
 		}
 		ps.Write(")")
 	}
 	ps.PrintAttrDict(op.Attrs)
 	ps.Write(" : (")
-	for i, o := range op.Operands {
-		if i > 0 {
-			ps.Write(", ")
-		}
-		ps.Write(o.Typ.String())
-	}
+	ps.PrintValueTypes(op.Operands)
 	ps.Write(") -> ")
 	ps.PrintResultTypes(op)
 }
 
-// PrintResultTypes writes result types: one bare type, or a parenthesized
-// list for zero/many.
+// PrintResultTypes writes op's result types as WriteResultTypes does.
 func (ps *PrintState) PrintResultTypes(op *Operation) {
-	if len(op.Results) == 1 {
-		ps.Write(op.Results[0].Typ.String())
-		return
+	var buf [4]Type
+	ts := buf[:0]
+	for _, r := range op.Results {
+		ts = append(ts, r.Typ)
 	}
-	ps.Write("(")
-	for i, r := range op.Results {
-		if i > 0 {
-			ps.Write(", ")
-		}
-		ps.Write(r.Typ.String())
-	}
-	ps.Write(")")
+	ps.WriteResultTypes(ts)
 }

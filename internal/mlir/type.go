@@ -6,24 +6,159 @@
 package mlir
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 )
 
-// Type is an MLIR type. Types are immutable; Equal compares structurally
-// and String returns the canonical MLIR syntax.
+// Type is an MLIR type. Types are immutable; TypeEqual compares them
+// structurally and String returns the canonical MLIR syntax.
 type Type interface {
-	fmt.Stringer
+	String() string
 	isType()
 }
 
-// TypeEqual reports structural equality of two types via their canonical
-// text, which is unique per type in this IR.
+// TypeEqual reports whether a and b are the same type. It compares
+// structure — widths, shapes, and element, input, result and tuple types —
+// without rendering either side. An OpaqueType is the exception: it may
+// spell a type this package models (a term decoder keeps the text of a
+// complex or i4 type that way), so it equals any type whose String is its
+// text, and only that comparison renders. Two types are equal exactly when
+// their String forms are.
 func TypeEqual(a, b Type) bool {
-	if a == nil || b == nil {
-		return a == b
+	switch a := a.(type) {
+	case nil:
+		return b == nil
+	case IntegerType:
+		if b, ok := b.(IntegerType); ok {
+			return a.Width == b.Width
+		}
+	case FloatType:
+		if b, ok := b.(FloatType); ok {
+			return a.Width == b.Width
+		}
+	case IndexType:
+		if _, ok := b.(IndexType); ok {
+			return true
+		}
+	case NoneType:
+		if _, ok := b.(NoneType); ok {
+			return true
+		}
+	case RankedTensorType:
+		if b, ok := b.(RankedTensorType); ok {
+			return slices.Equal(a.Shape, b.Shape) && TypeEqual(a.Elem, b.Elem)
+		}
+	case UnrankedTensorType:
+		if b, ok := b.(UnrankedTensorType); ok {
+			return TypeEqual(a.Elem, b.Elem)
+		}
+	case FunctionType:
+		if b, ok := b.(FunctionType); ok {
+			return slices.EqualFunc(a.Inputs, b.Inputs, TypeEqual) &&
+				slices.EqualFunc(a.Results, b.Results, TypeEqual)
+		}
+	case TupleType:
+		if b, ok := b.(TupleType); ok {
+			return slices.EqualFunc(a.Elems, b.Elems, TypeEqual)
+		}
+	case ComplexType:
+		if b, ok := b.(ComplexType); ok {
+			return TypeEqual(a.Elem, b.Elem)
+		}
+	case OpaqueType:
+		if b, ok := b.(OpaqueType); ok {
+			return a.Text == b.Text
+		}
+		return b != nil && a.Text == typeString(b)
+	default:
+		panic("mlir: TypeEqual: unhandled type " + a.String())
 	}
-	return a.String() == b.String()
+	// a is a modelled type and b is not of its kind.
+	o, ok := b.(OpaqueType)
+	return ok && o.Text == typeString(a)
+}
+
+// typeString renders t through writeType.
+func typeString(t Type) string {
+	var b strings.Builder
+	writeType(&b, t)
+	return b.String()
+}
+
+// writeType appends t's MLIR syntax to b.
+func writeType(b *strings.Builder, t Type) {
+	switch t := t.(type) {
+	case IntegerType:
+		b.WriteByte('i')
+		writeInt(b, int64(t.Width))
+	case FloatType:
+		b.WriteByte('f')
+		writeInt(b, int64(t.Width))
+	case RankedTensorType:
+		b.WriteString("tensor<")
+		for _, d := range t.Shape {
+			if d == DynamicDim {
+				b.WriteByte('?')
+			} else {
+				writeInt(b, d)
+			}
+			b.WriteByte('x')
+		}
+		writeType(b, t.Elem)
+		b.WriteByte('>')
+	case UnrankedTensorType:
+		b.WriteString("tensor<*x")
+		writeType(b, t.Elem)
+		b.WriteByte('>')
+	case FunctionType:
+		b.WriteByte('(')
+		writeTypes(b, t.Inputs)
+		b.WriteString(") -> ")
+		writeResultTypes(b, t.Results)
+	case TupleType:
+		b.WriteString("tuple<")
+		writeTypes(b, t.Elems)
+		b.WriteByte('>')
+	case ComplexType:
+		b.WriteString("complex<")
+		writeType(b, t.Elem)
+		b.WriteByte('>')
+	default: // the leaf types whose String is a constant or a field
+		b.WriteString(t.String())
+	}
+}
+
+// writeTypes appends a comma-separated type list to b.
+func writeTypes(b *strings.Builder, ts []Type) {
+	for i, t := range ts {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		writeType(b, t)
+	}
+}
+
+// writeResultTypes appends a result type list to b: one type bare, and
+// zero or several types in parentheses. A lone function type is
+// parenthesized too, or its arrow would end the list when it is parsed
+// back.
+func writeResultTypes(b *strings.Builder, ts []Type) {
+	if len(ts) == 1 {
+		if _, fn := ts[0].(FunctionType); !fn {
+			writeType(b, ts[0])
+			return
+		}
+	}
+	b.WriteByte('(')
+	writeTypes(b, ts)
+	b.WriteByte(')')
+}
+
+// writeInt appends v in decimal to b.
+func writeInt(b *strings.Builder, v int64) {
+	var buf [20]byte
+	b.Write(strconv.AppendInt(buf[:0], v, 10))
 }
 
 // IntegerType is the builtin iN type (signless, as in MLIR).
@@ -33,7 +168,7 @@ type IntegerType struct {
 }
 
 func (t IntegerType) isType()        {}
-func (t IntegerType) String() string { return fmt.Sprintf("i%d", t.Width) }
+func (t IntegerType) String() string { return typeString(t) }
 
 // Common integer types.
 var (
@@ -51,7 +186,7 @@ type FloatType struct {
 }
 
 func (t FloatType) isType()        {}
-func (t FloatType) String() string { return fmt.Sprintf("f%d", t.Width) }
+func (t FloatType) String() string { return typeString(t) }
 
 // Common float types.
 var (
@@ -87,20 +222,7 @@ type RankedTensorType struct {
 
 func (t RankedTensorType) isType() {}
 
-func (t RankedTensorType) String() string {
-	var b strings.Builder
-	b.WriteString("tensor<")
-	for _, d := range t.Shape {
-		if d == DynamicDim {
-			b.WriteString("?x")
-		} else {
-			fmt.Fprintf(&b, "%dx", d)
-		}
-	}
-	b.WriteString(t.Elem.String())
-	b.WriteString(">")
-	return b.String()
-}
+func (t RankedTensorType) String() string { return typeString(t) }
 
 // Rank returns the number of dimensions.
 func (t RankedTensorType) Rank() int { return len(t.Shape) }
@@ -129,7 +251,7 @@ type UnrankedTensorType struct {
 }
 
 func (t UnrankedTensorType) isType()        {}
-func (t UnrankedTensorType) String() string { return "tensor<*x" + t.Elem.String() + ">" }
+func (t UnrankedTensorType) String() string { return typeString(t) }
 
 // FunctionType is (ins) -> (outs).
 type FunctionType struct {
@@ -139,30 +261,7 @@ type FunctionType struct {
 
 func (t FunctionType) isType() {}
 
-func (t FunctionType) String() string {
-	var b strings.Builder
-	b.WriteString("(")
-	for i, in := range t.Inputs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(in.String())
-	}
-	b.WriteString(") -> ")
-	if len(t.Results) == 1 {
-		b.WriteString(t.Results[0].String())
-	} else {
-		b.WriteString("(")
-		for i, out := range t.Results {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(out.String())
-		}
-		b.WriteString(")")
-	}
-	return b.String()
-}
+func (t FunctionType) String() string { return typeString(t) }
 
 // TupleType is tuple<a, b, ...>.
 type TupleType struct {
@@ -171,18 +270,7 @@ type TupleType struct {
 
 func (t TupleType) isType() {}
 
-func (t TupleType) String() string {
-	var b strings.Builder
-	b.WriteString("tuple<")
-	for i, e := range t.Elems {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(e.String())
-	}
-	b.WriteString(">")
-	return b.String()
-}
+func (t TupleType) String() string { return typeString(t) }
 
 // ComplexType is complex<Elem>.
 type ComplexType struct {
@@ -190,7 +278,7 @@ type ComplexType struct {
 }
 
 func (t ComplexType) isType()        {}
-func (t ComplexType) String() string { return "complex<" + t.Elem.String() + ">" }
+func (t ComplexType) String() string { return typeString(t) }
 
 // OpaqueType carries the textual form of a type this IR does not model
 // structurally; it round-trips through parsing and printing unchanged.
