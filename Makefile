@@ -64,18 +64,20 @@ trace-smoke:
 	$(GO) run ./cmd/egg-lint trace.json stats.json
 	@echo "trace-smoke: OK (trace.json, stats.json, cpu.pprof, mem.pprof)"
 
-# Time-travel smoke: journal a real run with embedded snapshots and an
-# extraction report, lint the journal's event-stream invariants, then
-# replay it with bit-identity verification and exercise diff/why.
+# Time-travel smoke: journal a real run with embedded snapshots while
+# every consumer of the function's one extractor is on (extraction, blame
+# for the profile, rewrite proofs, extraction reports), lint the journal's
+# event-stream invariants and the profile, then replay the journal with
+# bit-identity verification and exercise diff/why.
 debug-smoke:
 	$(GO) run ./cmd/egg-opt -rules imgconv -workers 2 \
-		-journal journal.jsonl -snapshot-every 1 -explain-extraction \
-		examples/div_pow2.mlir > /dev/null 2> extraction.txt
-	$(GO) run ./cmd/egg-lint journal.jsonl
+		-journal journal.jsonl -snapshot-every 1 -explain -explain-extraction \
+		-profile profile.json examples/div_pow2.mlir > /dev/null 2> extraction.txt
+	$(GO) run ./cmd/egg-lint journal.jsonl profile.json
 	$(GO) run ./cmd/egg-debug replay -journal journal.jsonl -verify \
 		-snapshot snapshot.json -dot egraph.dot
 	$(GO) run ./cmd/egg-debug diff -journal journal.jsonl -from 1 -to -1
-	@echo "debug-smoke: OK (journal.jsonl, snapshot.json, egraph.dot, extraction.txt)"
+	@echo "debug-smoke: OK (journal.jsonl, profile.json, snapshot.json, egraph.dot, extraction.txt)"
 
 # Serving smoke: egg-serve's self-contained exercise — start on an
 # ephemeral port, optimize (cache miss), optimize again (cache hit),

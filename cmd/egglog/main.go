@@ -176,7 +176,11 @@ func run(opts options) (err error) {
 					extractRoots = append(extractRoots, n.Args()[0])
 				}
 				if opts.explainExtr && len(n.Args()) > 0 {
-					rep, err := p.ExtractionDecisions(n.Args()[0], 3)
+					v, err := p.EvalExpr(n.Args()[0])
+					var rep *egraph.ExtractionReport
+					if err == nil {
+						rep, err = p.Extractor().Report(v, 3)
+					}
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "(no extraction report: %v)\n", err)
 					} else {
@@ -225,8 +229,13 @@ func run(opts options) (err error) {
 	if opts.profileFile != "" {
 		var blame []egraph.BlameRow
 		if len(extractRoots) > 0 {
-			blame, err = p.Blame(extractRoots...)
-			if err != nil {
+			roots := make([]egraph.Value, len(extractRoots))
+			for i, e := range extractRoots {
+				if roots[i], err = p.EvalExpr(e); err != nil {
+					return fmt.Errorf("blame analysis: %w", err)
+				}
+			}
+			if blame, err = p.Extractor().Blame(roots); err != nil {
 				return fmt.Errorf("blame analysis: %w", err)
 			}
 		}

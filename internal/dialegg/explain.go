@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"dialegg/internal/egglog"
+	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
 	"dialegg/internal/sexp"
 )
@@ -69,10 +70,14 @@ const extractionTopK = 3
 // operation: why extraction chose the replacement term over the other
 // candidates in its e-class, with cost breakdowns and the creating rule of
 // every candidate node.
-func explainExtractions(p *egglog.Program, pairs []rewritePair) []string {
+func explainExtractions(p *egglog.Program, ex *egraph.Extractor, pairs []rewritePair) []string {
 	var out []string
 	for _, pair := range pairs {
-		rep, err := p.ExtractionDecisions(pair.term, extractionTopK)
+		v, err := p.EvalExpr(pair.term)
+		var rep *egraph.ExtractionReport
+		if err == nil {
+			rep, err = ex.Report(v, extractionTopK)
+		}
 		if err != nil {
 			out = append(out, fmt.Sprintf("%s: (no extraction report: %v)", pair.origOp.Name, err))
 			continue
@@ -88,7 +93,7 @@ func explainExtractions(p *egglog.Program, pairs []rewritePair) []string {
 // explainRewrites produces one rendered proof per rewritten operation: why
 // the original e-node is equal to the extracted replacement. p must have
 // been created with explanations enabled.
-func explainRewrites(p *egglog.Program, tr *Translation, pairs []rewritePair) []string {
+func explainRewrites(p *egglog.Program, ex *egraph.Extractor, tr *Translation, pairs []rewritePair) []string {
 	g := p.Graph()
 	var out []string
 	for _, pair := range pairs {
@@ -112,7 +117,7 @@ func explainRewrites(p *egglog.Program, tr *Translation, pairs []rewritePair) []
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s rewritten to %s:\n", pair.origOp.Name, MLIROpName(pair.term.Head()))
-		b.WriteString(g.FormatExplanation(steps))
+		b.WriteString(g.FormatExplanation(ex, steps))
 		out = append(out, b.String())
 	}
 	return out

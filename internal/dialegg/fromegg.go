@@ -16,10 +16,11 @@ type rebuilder struct {
 	encs   *Encodings
 	codecs *Codecs
 
-	// memo is a scope stack mapping a term's structural ID (ids) to the
-	// rebuilt value, giving SSA sharing with correct dominance.
-	memo []map[uint32]*mlir.Value
-	ids  *sexp.Interner
+	// memo is a scope stack mapping an extracted subterm to its rebuilt
+	// value, giving SSA sharing with correct dominance. The extractor
+	// renders each e-class as one node, so keying by pointer gives each
+	// distinct subterm one definition.
+	memo []map[*sexp.Node]*mlir.Value
 	// valueRemap maps original SSA values (function/block args, opaque
 	// results) to their rebuilt counterparts.
 	valueRemap map[*mlir.Value]*mlir.Value
@@ -33,23 +34,12 @@ type rebuilder struct {
 	cur *mlir.Block
 }
 
-// RebuildFunc creates a fresh func.func from the extracted root block term,
-// reusing orig's name, signature, and argument names. Pure rewritten ops
-// whose results end up unused are swept (block elements pin every original
-// op in the e-graph; the sweep is the dataflow DCE that extraction from a
-// bare dataflow root would have given — see DESIGN.md).
-func RebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, encs *Encodings) (*mlir.Operation, error) {
-	return RebuildFuncWithCodecs(orig, rootTerm, tr, encs, nil)
-}
-
-// RebuildFuncWithCodecs is RebuildFunc with custom de-eggifiers (§5.2).
-func RebuildFuncWithCodecs(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, encs *Encodings, codecs *Codecs) (*mlir.Operation, error) {
-	return rebuildFunc(orig, rootTerm, tr, encs, codecs, sexp.NewInterner())
-}
-
-// rebuildFunc is RebuildFuncWithCodecs keying subterms by their IDs in
-// ids, which may already number rootTerm's subterms.
-func rebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, encs *Encodings, codecs *Codecs, ids *sexp.Interner) (*mlir.Operation, error) {
+// rebuildFunc creates a fresh func.func from the extracted root block
+// term, reusing orig's name, signature, and argument names. Pure rewritten
+// ops whose results end up unused are swept (block elements pin every
+// original op in the e-graph; the sweep is the dataflow DCE that
+// extraction from a bare dataflow root would have given — see DESIGN.md).
+func rebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, encs *Encodings, codecs *Codecs) (*mlir.Operation, error) {
 	if rootTerm.Head() != "Blk" {
 		return nil, fmt.Errorf("dialegg: extracted root is not a block term: %s", rootTerm.Head())
 	}
@@ -57,7 +47,6 @@ func rebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, enc
 		tr:             tr,
 		encs:           encs,
 		codecs:         codecs,
-		ids:            ids,
 		valueRemap:     make(map[*mlir.Value]*mlir.Value),
 		reEmitted:      make(map[*mlir.Operation]*mlir.Operation),
 		rebuiltEncoded: make(map[*mlir.Operation]bool),
@@ -79,10 +68,10 @@ func rebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, enc
 	return f, nil
 }
 
-func (rb *rebuilder) pushScope() { rb.memo = append(rb.memo, make(map[uint32]*mlir.Value)) }
+func (rb *rebuilder) pushScope() { rb.memo = append(rb.memo, make(map[*sexp.Node]*mlir.Value)) }
 func (rb *rebuilder) popScope()  { rb.memo = rb.memo[:len(rb.memo)-1] }
 
-func (rb *rebuilder) memoGet(key uint32) (*mlir.Value, bool) {
+func (rb *rebuilder) memoGet(key *sexp.Node) (*mlir.Value, bool) {
 	for i := len(rb.memo) - 1; i >= 0; i-- {
 		if v, ok := rb.memo[i][key]; ok {
 			return v, true
@@ -91,7 +80,7 @@ func (rb *rebuilder) memoGet(key uint32) (*mlir.Value, bool) {
 	return nil, false
 }
 
-func (rb *rebuilder) memoPut(key uint32, v *mlir.Value) {
+func (rb *rebuilder) memoPut(key *sexp.Node, v *mlir.Value) {
 	rb.memo[len(rb.memo)-1][key] = v
 }
 
@@ -143,8 +132,7 @@ func (rb *rebuilder) rebuildBlockInto(b *mlir.Block, blkTerm *sexp.Node, origBlo
 // vectors are stable through saturation); it anchors region rebinding
 // when the term's leaves cannot identify the original block themselves.
 func (rb *rebuilder) buildTerm(term *sexp.Node, origOp *mlir.Operation) (*mlir.Value, error) {
-	key := rb.ids.ID(term)
-	if v, ok := rb.memoGet(key); ok {
+	if v, ok := rb.memoGet(term); ok {
 		return v, nil
 	}
 	head := term.Head()
@@ -224,7 +212,7 @@ func (rb *rebuilder) buildTerm(term *sexp.Node, origOp *mlir.Operation) (*mlir.V
 	if len(op.Results) == 1 {
 		result = op.Results[0]
 	}
-	rb.memoPut(key, result)
+	rb.memoPut(term, result)
 	return result, nil
 }
 

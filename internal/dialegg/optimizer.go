@@ -79,8 +79,11 @@ type Report struct {
 	// NumTranslatedOps and NumOpaqueOps count how MLIR ops were encoded.
 	NumTranslatedOps int `json:"num_translated_ops"`
 	NumOpaqueOps     int `json:"num_opaque_ops"`
-	// ExtractDAGCost is ExtractCost with shared subterms counted once —
-	// the cost of the SSA program actually emitted (see TermDAGCost).
+	// ExtractDAGCost is ExtractCost with each distinct subterm counted
+	// once (egraph.Extractor.DAGCost), as the back-translation emits each
+	// as one SSA definition. It includes block elements that the
+	// back-translation then sweeps as dead: 150,000 of matmul_assoc.mlir's
+	// 170,015 is the original A×B.
 	ExtractDAGCost int64 `json:"extract_dag_cost"`
 	// ExtractCost is the cost of the extracted program under the e-graph
 	// cost model.
@@ -255,17 +258,22 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 			"nodes":      int64(run.Nodes),
 		})
 	}
+	// One extractor serves extraction, DAG cost, blame and both kinds of
+	// explanation: the graph is rebuilt and the cost fixpoint run once.
 	startExtract := time.Now()
-	rootExpr := sexp.Symbol(tr.RootName)
-	term, cost, err := p.ExtractExpr(rootExpr)
+	root, err := p.EvalExpr(sexp.Symbol(tr.RootName))
+	if err != nil {
+		return nil, nil, fmt.Errorf("dialegg: extraction: %w", err)
+	}
+	ex := p.Extractor()
+	term, cost, err := ex.Extract(root)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dialegg: extraction: %w", err)
 	}
 	report.ExtractCost = cost
-	// One numbering of the term's subterms serves the DAG cost and the
-	// back-translation's sharing.
-	ids := sexp.NewInterner()
-	report.ExtractDAGCost = termDAGCost(term, costOfProgram(p), ids)
+	if report.ExtractDAGCost, err = ex.DAGCost(root); err != nil {
+		return nil, nil, fmt.Errorf("dialegg: extraction: %w", err)
+	}
 	if rec.Enabled() {
 		rec.Complete(obs.LanePipeline, "phase", "extract", startExtract, time.Since(startExtract), map[string]int64{
 			"cost":     cost,
@@ -273,7 +281,7 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 		})
 	}
 	if o.opts.Blame {
-		blame, berr := p.Blame(rootExpr)
+		blame, berr := ex.Blame([]egraph.Value{root})
 		if berr != nil {
 			return nil, nil, fmt.Errorf("dialegg: blame analysis: %w", berr)
 		}
@@ -284,16 +292,16 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	if o.opts.ExplainRewrites || o.opts.ExplainExtraction {
 		pairs := collectRewrites(f.Regions[0].First(), term, tr, encs)
 		if o.opts.ExplainRewrites {
-			report.RewriteExplanations = explainRewrites(p, tr, pairs)
+			report.RewriteExplanations = explainRewrites(p, ex, tr, pairs)
 		}
 		if o.opts.ExplainExtraction {
-			report.ExtractionReports = explainExtractions(p, pairs)
+			report.ExtractionReports = explainExtractions(p, ex, pairs)
 		}
 	}
 
 	// Phase 3: Egglog -> MLIR.
 	startBack := time.Now()
-	nf, err := rebuildFunc(f, term, tr, encs, o.opts.Codecs, ids)
+	nf, err := rebuildFunc(f, term, tr, encs, o.opts.Codecs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dialegg: back-translation: %w", err)
 	}

@@ -1,6 +1,9 @@
 package dialegg
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,51 +78,129 @@ func.func @share(%x: i64) -> i64 {
 	}
 }
 
-func TestTermDAGCost(t *testing.T) {
-	costOf := func(head string) int64 {
-		switch head {
-		case "Mul":
-			return 2
-		case "Num", "Var":
-			return 1
+// TestReportDAGCostPinned pins the DAG cost of two matmul chains, whose
+// matmuls carry unstable-cost overrides: DAG cost counts each class at the
+// override, as tree cost does, so it never exceeds tree cost. Of
+// matmul_assoc's 170,015, 150,000 is the original A×B: a dead block
+// element that the back-translation sweeps.
+func TestReportDAGCostPinned(t *testing.T) {
+	for _, c := range []struct {
+		path string
+		want int64
+	}{
+		{"testdata/matmul_assoc.mlir", 170015},
+		{"../difftest/testdata/corpus/matmul_shared_empty.mlir", 135},
+	} {
+		src, err := os.ReadFile(c.path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return 0
+		_, rep, _ := optimize(t, string(src), rules.MatmulChain())
+		if rep.ExtractDAGCost != c.want || rep.ExtractDAGCost > rep.ExtractCost {
+			t.Errorf("%s: DAG cost %d (tree cost %d), want %d", c.path, rep.ExtractDAGCost, rep.ExtractCost, c.want)
+		}
 	}
-	// (Mul (Var "a") (Var "a")): tree cost 4, DAG cost 3.
-	term, err := sexp.ParseOne(`(Mul (Var "a") (Var "a"))`)
+}
+
+// TestExtractedSubtermIdentity checks what the back-translation and DAG
+// cost rely on: in every function's extracted term, two list subterms other
+// than vec-of are the same pointer exactly when they print alike. It runs
+// every testdata and difftest-corpus module under every bundled rule set,
+// and checks DAG cost against tree cost on each.
+func TestExtractedSubtermIdentity(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.mlir")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := TermDAGCost(term, costOf); got != 3 {
-		t.Errorf("DAG cost = %d, want 3", got)
+	corpus, err := filepath.Glob("../difftest/testdata/corpus/*.mlir")
+	if err != nil {
+		t.Fatal(err)
 	}
+	files = append(files, corpus...)
+	bundles := [][]string{rules.ImgConv(), rules.VecNorm(), rules.Poly(), rules.MatmulChain()}
+	shared := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for bi, ruleSrcs := range bundles {
+			m, _ := parseModule(t, string(src))
+			o := NewOptimizer(Options{RuleSources: ruleSrcs})
+			for _, f := range m.Body().Ops {
+				if f.Name != "func.func" {
+					continue
+				}
+				where := fmt.Sprintf("%s, bundle %d, @%s", file, bi, mlir.FuncName(f))
+				term, cost, dag := extractFunc(t, o, f)
+				if dag > cost {
+					t.Errorf("%s: DAG cost %d exceeds tree cost %d", where, dag, cost)
+				}
+				byText := make(map[string]*sexp.Node)
+				seen := make(map[*sexp.Node]bool)
+				var walk func(n *sexp.Node)
+				walk = func(n *sexp.Node) {
+					if n.Kind != sexp.KindList {
+						return
+					}
+					if seen[n] {
+						shared++
+						return
+					}
+					seen[n] = true
+					if n.Head() != "vec-of" {
+						text := n.String()
+						if prev, ok := byText[text]; ok && prev != n {
+							t.Errorf("%s: two nodes print as %s", where, text)
+						}
+						byText[text] = n
+					}
+					for _, a := range n.Args() {
+						walk(a)
+					}
+				}
+				walk(term)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Error("no extracted term shares a subterm; the check saw nothing")
+	}
+}
 
-	// The same term with its (Var "a") shared by pointer, as extracted
-	// terms share subterms, and (Mul x x) nested four deep: each level is
-	// one distinct node, so the DAG cost is 1 + 2*4 = 9 while the tree has
-	// 16 leaves.
-	x := sexp.List(sexp.Symbol("Var"), sexp.String("a"))
-	for i := 0; i < 4; i++ {
-		x = sexp.List(sexp.Symbol("Mul"), x, x)
+// extractFunc runs OptimizeFuncCtx's pipeline on f up to extraction and
+// returns the extracted term with its tree and DAG costs.
+func extractFunc(t *testing.T, o *Optimizer, f *mlir.Operation) (*sexp.Node, int64, int64) {
+	t.Helper()
+	tmpl, err := o.template()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := TermDAGCost(x, costOf); got != 9 {
-		t.Errorf("pointer-shared DAG cost = %d, want 9", got)
+	p := tmpl.prog.Clone()
+	tr, err := TranslateFuncWithCodecs(f, tmpl.encs, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Structurally equal but distinct nodes count once; structurally
-	// different ones (the Int 1 vs the Float 1.0) do not.
-	same := sexp.List(sexp.Symbol("Mul"),
-		sexp.List(sexp.Symbol("Num"), sexp.Int(1)),
-		sexp.List(sexp.Symbol("Num"), sexp.Int(1)))
-	if got := TermDAGCost(same, costOf); got != 3 {
-		t.Errorf("DAG cost of equal distinct subterms = %d, want 3", got)
+	if _, err := p.Execute(tr.Lets); err != nil {
+		t.Fatal(err)
 	}
-	differ := sexp.List(sexp.Symbol("Mul"),
-		sexp.List(sexp.Symbol("Num"), sexp.Int(1)),
-		sexp.List(sexp.Symbol("Num"), sexp.Float(1)))
-	if got := TermDAGCost(differ, costOf); got != 4 {
-		t.Errorf("DAG cost of different subterms = %d, want 4", got)
+	if run := p.RunRules(o.opts.RunConfig); run.Err != nil {
+		t.Fatal(run.Err)
 	}
+	root, err := p.EvalExpr(sexp.Symbol(tr.RootName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := p.Extractor()
+	term, cost, err := ex.Extract(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dag, err := ex.DAGCost(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return term, cost, dag
 }
 
 // TestTemplateCacheBound: the cache holds at most templateCap templates

@@ -46,15 +46,11 @@ type translator struct {
 	nextID  int64
 }
 
-// TranslateFunc translates the body of a func.func into egglog let
-// bindings. The function must have a single-block body (structured control
-// flow nests in regions, which are handled recursively).
-func TranslateFunc(f *mlir.Operation, encs *Encodings) (*Translation, error) {
-	return TranslateFuncWithCodecs(f, encs, nil)
-}
-
-// TranslateFuncWithCodecs is TranslateFunc with custom type/attribute
-// eggifiers (§5.2).
+// TranslateFuncWithCodecs translates the body of a func.func into egglog
+// let bindings, encoding types and attributes with codecs' custom
+// eggifiers (§5.2; nil uses only the built-in encodings). The function
+// must have a single-block body (structured control flow nests in regions,
+// which are handled recursively).
 func TranslateFuncWithCodecs(f *mlir.Operation, encs *Encodings, codecs *Codecs) (*Translation, error) {
 	if f.Name != "func.func" {
 		return nil, fmt.Errorf("dialegg: expected func.func, got %s", f.Name)

@@ -241,8 +241,13 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 		if len(args) < 1 {
 			return nil, fmt.Errorf("egglog: extract expects an expression")
 		}
+		v, err := p.EvalExpr(args[0])
+		if err != nil {
+			return nil, err
+		}
+		ex := p.Extractor()
 		if len(args) == 2 && args[1].Kind == sexp.KindInt {
-			variants, err := p.ExtractVariants(args[0], int(args[1].Int))
+			variants, err := ex.ExtractVariants(v, int(args[1].Int))
 			if err != nil {
 				return nil, err
 			}
@@ -252,7 +257,7 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 			}
 			return r, nil
 		}
-		term, cost, err := p.ExtractExpr(args[0])
+		term, cost, err := ex.Extract(v)
 		if err != nil {
 			return nil, err
 		}
@@ -299,12 +304,12 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.g.Rebuild()
+		ex := p.Extractor()
 		steps, err := p.g.Explain(a, b)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Command: "explain", Explanation: p.g.FormatExplanation(steps)}, nil
+		return &Result{Command: "explain", Explanation: p.g.FormatExplanation(ex, steps)}, nil
 
 	case "ruleset":
 		if len(args) != 1 || args[0].Kind != sexp.KindSymbol {

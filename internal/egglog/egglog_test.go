@@ -612,7 +612,11 @@ func TestProgramCloneIsolation(t *testing.T) {
 	}
 	// The other clone continues from the original's state: it still
 	// extracts a from the let the original bound.
-	term, _, err := c2.ExtractExpr(sexp.Symbol("a"))
+	a, err := c2.EvalExpr(sexp.Symbol("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	term, _, err := c2.Extractor().Extract(a)
 	if err != nil {
 		t.Fatal(err)
 	}

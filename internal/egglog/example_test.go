@@ -39,9 +39,9 @@ func Example() {
 	// Output: (Var "a") (cost 1)
 }
 
-// ExampleProgram_ExtractVariants lists equivalent forms discovered by
+// ExampleProgram_Extractor lists equivalent forms discovered by
 // saturation, cheapest first.
-func ExampleProgram_ExtractVariants() {
+func ExampleProgram_Extractor() {
 	p := egglog.NewProgram()
 	if _, err := p.ExecuteString(`
 (sort Expr)
@@ -55,11 +55,12 @@ func ExampleProgram_ExtractVariants() {
 `); err != nil {
 		log.Fatal(err)
 	}
-	res, err := p.ExecuteString(`(extract e 2)`)
+	e, _ := p.LookupLet("e")
+	variants, err := p.Extractor().ExtractVariants(e, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, v := range res[0].Variants {
+	for _, v := range variants {
 		fmt.Printf("%s (cost %d)\n", v.Term, v.Cost)
 	}
 	// Output:

@@ -444,63 +444,14 @@ func (p *Program) RunRules(cfg egraph.RunConfig) egraph.RunReport {
 	return p.LastRun
 }
 
-// ExtractExpr evaluates expr and extracts the cheapest equivalent term.
-func (p *Program) ExtractExpr(expr *sexp.Node) (*sexp.Node, int64, error) {
-	v, err := p.EvalExpr(expr)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p.ExtractValue(v)
-}
-
-// ExtractVariants evaluates expr and returns up to n distinct terms of
-// its class, cheapest first (the egglog `extract :variants` feature).
-func (p *Program) ExtractVariants(expr *sexp.Node, n int) ([]egraph.Variant, error) {
-	v, err := p.EvalExpr(expr)
-	if err != nil {
-		return nil, err
-	}
+// Extractor rebuilds the graph and returns a new extractor over it. One
+// extractor serves every extraction, extraction report and blame analysis
+// until the graph changes. Evaluate extraction roots with EvalExpr before
+// calling it: evaluating a constructor application can insert e-nodes,
+// which the extractor must see.
+func (p *Program) Extractor() *egraph.Extractor {
 	p.g.Rebuild()
-	ex := egraph.NewExtractor(p.g)
-	return ex.ExtractVariants(v, n)
-}
-
-// ExtractValue extracts the cheapest term for an engine value.
-func (p *Program) ExtractValue(v egraph.Value) (*sexp.Node, int64, error) {
-	p.g.Rebuild()
-	ex := egraph.NewExtractor(p.g)
-	return ex.Extract(v)
-}
-
-// Blame evaluates each expr to an extraction root and runs blame analysis
-// over the set (see egraph.Extractor.Blame): every live constructor row is
-// classified as extracted, rejected, or waste, aggregated per creating
-// rule. The profiler's cost/benefit join uses this as the "benefit" side.
-func (p *Program) Blame(exprs ...*sexp.Node) ([]egraph.BlameRow, error) {
-	roots := make([]egraph.Value, 0, len(exprs))
-	for _, e := range exprs {
-		v, err := p.EvalExpr(e)
-		if err != nil {
-			return nil, err
-		}
-		roots = append(roots, v)
-	}
-	p.g.Rebuild()
-	ex := egraph.NewExtractor(p.g)
-	return ex.Blame(roots)
-}
-
-// ExtractionDecisions evaluates expr and explains the extraction decision
-// for its class: per reachable class, the chosen node with its cost
-// breakdown and provenance, plus up to topK rejected alternatives.
-func (p *Program) ExtractionDecisions(expr *sexp.Node, topK int) (*egraph.ExtractionReport, error) {
-	v, err := p.EvalExpr(expr)
-	if err != nil {
-		return nil, err
-	}
-	p.g.Rebuild()
-	ex := egraph.NewExtractor(p.g)
-	return ex.Report(v, topK)
+	return egraph.NewExtractor(p.g)
 }
 
 // renderRows renders up to limit live rows of a function's table as

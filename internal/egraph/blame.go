@@ -59,36 +59,19 @@ func (e *Extractor) Blame(roots []Value) ([]BlameRow, error) {
 	g := e.g
 
 	// Phase 1: reachable classes and chosen rows, over all roots.
-	reachable := make(map[uint32]bool)
-	chosen := make(map[nodeRef]bool)
-	var queue []uint32
 	for _, root := range roots {
 		if root.Sort.Kind != KindEq {
 			return nil, fmt.Errorf("egraph: blame analysis needs eq-sort roots, got %s", root.Sort)
 		}
-		cls := g.uf.Find(uint32(g.Find(root).Bits))
-		if !reachable[cls] {
-			reachable[cls] = true
-			queue = append(queue, cls)
-		}
 	}
-	for len(queue) > 0 {
-		cls := queue[0]
-		queue = queue[1:]
-		ref, ok := e.bestNode[cls]
-		if !ok {
-			return nil, fmt.Errorf("egraph: class %d has no extractable term", cls)
-		}
+	reachable := make(map[uint32]bool)
+	chosen := make(map[nodeRef]bool)
+	err := e.walk(roots, func(cls uint32, ref nodeRef, _ *row) {
+		reachable[cls] = true
 		chosen[ref] = true
-		r := &g.tab(ref.fn).rows[ref.row]
-		for _, a := range r.args {
-			for _, c := range g.childClasses(a) {
-				if !reachable[c] {
-					reachable[c] = true
-					queue = append(queue, c)
-				}
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Phase 2: classify every live row by provenance. Iteration is in

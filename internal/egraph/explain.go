@@ -230,11 +230,10 @@ func (g *EGraph) explainValues(a, b Value, depth int) ([]ExplainStep, error) {
 	}
 }
 
-// FormatExplanation renders a proof with extracted representative terms
-// for each intermediate class, one step per line, congruence sub-proofs
-// indented.
-func (g *EGraph) FormatExplanation(steps []ExplainStep) string {
-	ex := NewExtractor(g)
+// FormatExplanation renders a proof one step per line, congruence
+// sub-proofs indented. Each endpoint shows its as-inserted term; ex
+// renders the class of an endpoint with no recorded origin.
+func (g *EGraph) FormatExplanation(ex *Extractor, steps []ExplainStep) string {
 	var b strings.Builder
 	g.formatSteps(&b, ex, steps, 0)
 	return b.String()
@@ -348,21 +347,4 @@ func (g *EGraph) originalValueTerm(v Value, depth int) *sexp.Node {
 	default:
 		return nil
 	}
-}
-
-// TermOfStep extracts the representative term of a proof-step endpoint (a
-// convenience for callers rendering proofs themselves).
-func (g *EGraph) TermOfStep(ex *Extractor, id uint32) (*sexp.Node, error) {
-	var eq *Sort
-	for _, f := range g.funcs {
-		if f.IsConstructor() {
-			eq = f.Out
-			break
-		}
-	}
-	if eq == nil {
-		return nil, fmt.Errorf("egraph: no constructors declared")
-	}
-	term, _, err := ex.Extract(Value{Sort: eq, Bits: uint64(id)})
-	return term, err
 }

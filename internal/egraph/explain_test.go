@@ -23,7 +23,7 @@ func TestExplainEngineLevel(t *testing.T) {
 	if len(steps) != 2 {
 		t.Fatalf("steps = %d, want 2", len(steps))
 	}
-	rendered := g.FormatExplanation(steps)
+	rendered := g.FormatExplanation(NewExtractor(g), steps)
 	for _, rule := range []string{"r1", "r2"} {
 		if !strings.Contains(rendered, rule) {
 			t.Errorf("proof missing %q:\n%s", rule, rendered)
@@ -50,7 +50,7 @@ func TestExplainCongruenceEngineLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rendered := g.FormatExplanation(steps)
+	rendered := g.FormatExplanation(NewExtractor(g), steps)
 	if !strings.Contains(rendered, "congruence of Shl") {
 		t.Errorf("missing congruence step:\n%s", rendered)
 	}
@@ -85,20 +85,5 @@ func TestExplainNotEqualErrors(t *testing.T) {
 	b := l.num(t, 2)
 	if _, err := g.Explain(a, b); err == nil {
 		t.Error("Explain of unequal values should fail")
-	}
-}
-
-func TestTermOfStep(t *testing.T) {
-	l := newExprLang(t)
-	g := l.g
-	g.EnableExplanations()
-	a, _ := g.Insert(l.Var, g.InternString("a"))
-	ex := NewExtractor(g)
-	term, err := g.TermOfStep(ex, uint32(a.Bits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if term.String() != `(Var "a")` {
-		t.Errorf("TermOfStep = %s", term)
 	}
 }

@@ -35,7 +35,8 @@ type nodeRef struct {
 }
 
 // NewExtractor computes best costs for every e-class currently in g. The
-// graph must be rebuilt (congruent) for the results to be meaningful.
+// graph must be rebuilt (congruent) for the results to be meaningful, and
+// must not change while the extractor is in use.
 func NewExtractor(g *EGraph) *Extractor {
 	e := &Extractor{
 		g:        g,
@@ -76,13 +77,20 @@ func (e *Extractor) run() {
 	}
 }
 
+// baseCost returns the e-node's own share of its cost: its unstable-cost
+// override when one is set (override true), else the constructor's
+// declared cost.
+func (e *Extractor) baseCost(f *Function, r *row) (cost int64, override bool) {
+	if c, ok := e.g.costOverride(f, r.args); ok {
+		return c, true
+	}
+	return f.Cost, false
+}
+
 // nodeCost returns the total cost of the e-node at row r of f, or false if
 // some child class has no known cost yet.
 func (e *Extractor) nodeCost(f *Function, r *row) (int64, bool) {
-	total := f.Cost
-	if c, ok := e.g.costOverride(f, r.args); ok {
-		total = c
-	}
+	total, _ := e.baseCost(f, r)
 	for _, a := range r.args {
 		c, ok := e.valueCost(a)
 		if !ok {
@@ -128,7 +136,15 @@ func (e *Extractor) CostOf(v Value) (int64, bool) {
 }
 
 // Extract returns the cheapest term of v's class rendered as an
-// s-expression, along with its cost.
+// s-expression, along with its (tree) cost.
+//
+// Every class is rendered once per extractor: each occurrence of a class in
+// the terms this extractor returns is the same *sexp.Node. On a rebuilt
+// graph two classes never render equal terms (their chosen nodes would be
+// congruent, so hash-consing would have merged them), so two list subterms
+// other than vec-of are the same pointer exactly when they are Equal, and
+// consumers may key subterms by pointer. vec-of lists are built afresh at
+// each occurrence.
 func (e *Extractor) Extract(v Value) (*sexp.Node, int64, error) {
 	n, err := e.term(v)
 	if err != nil {
@@ -136,6 +152,88 @@ func (e *Extractor) Extract(v Value) (*sexp.Node, int64, error) {
 	}
 	c, _ := e.CostOf(v)
 	return n, c, nil
+}
+
+// DAGCost returns the cost of root's extracted term with every class it
+// reaches counted once, the cost of the program a back-translation emits
+// when it gives each distinct subterm one definition (see Extract). Each
+// class costs its chosen node's own share under the active cost model (see
+// NodeChoice.Base); vectors and primitives cost nothing. Extract minimizes
+// the tree cost, which counts a shared class at every occurrence, so
+// DAGCost never exceeds it.
+func (e *Extractor) DAGCost(root Value) (int64, error) {
+	var total int64
+	err := e.walk([]Value{root}, func(_ uint32, ref nodeRef, r *row) {
+		c, _ := e.baseCost(ref.fn, r)
+		total += c
+	})
+	return total, err
+}
+
+// classWalk is the breadth-first frontier of walk: the classes found so
+// far, in visiting order, and the set of them.
+type classWalk struct {
+	g     *EGraph
+	queue []uint32
+	seen  map[uint32]bool
+}
+
+// push enqueues the classes v refers to that the walk has not seen:
+// v's own class, or each element class of a vector.
+func (w *classWalk) push(v Value) {
+	switch v.Sort.Kind {
+	case KindEq:
+		cls := w.g.uf.Find(uint32(v.Bits))
+		if !w.seen[cls] {
+			w.seen[cls] = true
+			w.queue = append(w.queue, cls)
+		}
+	case KindVec:
+		for _, el := range w.g.VecElems(v) {
+			w.push(el)
+		}
+	}
+}
+
+// walk visits every class reachable from roots through chosen children
+// once, breadth-first in argument order, passing the class's chosen node.
+// It fails on a class with no extractable node.
+func (e *Extractor) walk(roots []Value, visit func(cls uint32, chosen nodeRef, r *row)) error {
+	w := classWalk{g: e.g, seen: make(map[uint32]bool)}
+	for _, v := range roots {
+		w.push(v)
+	}
+	for i := 0; i < len(w.queue); i++ {
+		cls := w.queue[i]
+		ref, ok := e.bestNode[cls]
+		if !ok {
+			return fmt.Errorf("egraph: class %d has no extractable term", cls)
+		}
+		r := &e.g.tab(ref.fn).rows[ref.row]
+		visit(cls, ref, r)
+		for _, a := range r.args {
+			w.push(a)
+		}
+	}
+	return nil
+}
+
+// eachNode calls fn for every live extractable e-node of class cls, in
+// function-declaration and row order.
+func (e *Extractor) eachNode(cls uint32, fn func(f *Function, ri int, r *row)) {
+	g := e.g
+	for _, f := range g.funcs {
+		if !f.IsConstructor() || f.Unextractable {
+			continue
+		}
+		rows := g.tab(f).rows
+		for ri := range rows {
+			r := &rows[ri]
+			if !r.dead && g.uf.Find(uint32(g.Find(r.out).Bits)) == cls {
+				fn(f, ri, r)
+			}
+		}
+	}
 }
 
 // Variant is one alternative representation of an e-class.
@@ -157,45 +255,24 @@ func (e *Extractor) ExtractVariants(v Value, n int) ([]Variant, error) {
 		}
 		return []Variant{{Term: t, Cost: c}}, nil
 	}
-	g := e.g
-	cls := g.uf.Find(uint32(v.Bits))
 	seen := make(map[string]bool)
 	var out []Variant
-	for _, f := range g.funcs {
-		if !f.IsConstructor() || f.Unextractable {
-			continue
+	e.eachNode(e.g.uf.Find(uint32(v.Bits)), func(f *Function, _ int, r *row) {
+		cost, ok := e.nodeCost(f, r)
+		if !ok {
+			return // unextractable children
 		}
-		rows := g.tab(f).rows
-		for ri := range rows {
-			r := &rows[ri]
-			if r.dead || g.uf.Find(uint32(g.Find(r.out).Bits)) != cls {
-				continue
-			}
-			cost, ok := e.nodeCost(f, r)
-			if !ok {
-				continue // unextractable children
-			}
-			term := sexp.List(sexp.Symbol(f.Name))
-			bad := false
-			for _, a := range r.args {
-				t, err := e.term(a)
-				if err != nil {
-					bad = true
-					break
-				}
-				term.List = append(term.List, t)
-			}
-			if bad {
-				continue
-			}
-			key := term.String()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, Variant{Term: term, Cost: cost})
+		term, err := e.node(f, r)
+		if err != nil {
+			return
 		}
-	}
+		key := term.String()
+		if seen[key] {
+			return
+		}
+		seen[key] = true
+		out = append(out, Variant{Term: term, Cost: cost})
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cost != out[j].Cost {
 			return out[i].Cost < out[j].Cost
@@ -226,15 +303,17 @@ func (e *Extractor) term(v Value) (*sexp.Node, error) {
 		}
 		return sexp.Symbol("false"), nil
 	case KindVec:
-		out := sexp.List(sexp.Symbol("vec-of"))
-		for _, el := range g.VecElems(v) {
+		elems := g.VecElems(v)
+		list := make([]*sexp.Node, 1, 1+len(elems))
+		list[0] = sexp.Symbol("vec-of")
+		for _, el := range elems {
 			t, err := e.term(el)
 			if err != nil {
 				return nil, err
 			}
-			out.List = append(out.List, t)
+			list = append(list, t)
 		}
-		return out, nil
+		return sexp.List(list...), nil
 	case KindEq:
 		cls := g.uf.Find(uint32(v.Bits))
 		if t, ok := e.terms[cls]; ok {
@@ -244,18 +323,28 @@ func (e *Extractor) term(v Value) (*sexp.Node, error) {
 		if !ok {
 			return nil, fmt.Errorf("egraph: class %d of sort %s has no extractable term", cls, v.Sort)
 		}
-		r := &g.tab(ref.fn).rows[ref.row]
-		out := sexp.List(sexp.Symbol(ref.fn.Name))
-		for _, a := range r.args {
-			t, err := e.term(a)
-			if err != nil {
-				return nil, err
-			}
-			out.List = append(out.List, t)
+		out, err := e.node(ref.fn, &g.tab(ref.fn).rows[ref.row])
+		if err != nil {
+			return nil, err
 		}
 		e.terms[cls] = out
 		return out, nil
 	default:
 		return nil, fmt.Errorf("egraph: cannot extract value of sort %s", v.Sort)
 	}
+}
+
+// node renders the e-node at row r of f with each child's cost-optimal
+// term.
+func (e *Extractor) node(f *Function, r *row) (*sexp.Node, error) {
+	list := make([]*sexp.Node, 1, 1+len(r.args))
+	list[0] = sexp.Symbol(f.Name)
+	for _, a := range r.args {
+		t, err := e.term(a)
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, t)
+	}
+	return sexp.List(list...), nil
 }

@@ -57,70 +57,36 @@ func (e *Extractor) Report(root Value, topK int) (*ExtractionReport, error) {
 	if root.Sort.Kind != KindEq {
 		return nil, fmt.Errorf("egraph: extraction report needs an eq-sort root")
 	}
-	g := e.g
 	term, cost, err := e.Extract(root)
 	if err != nil {
 		return nil, err
 	}
 	rep := &ExtractionReport{Root: term.String(), RootCost: cost}
-
-	start := g.uf.Find(uint32(root.Bits))
-	queue := []uint32{start}
-	seen := map[uint32]bool{start: true}
-	for len(queue) > 0 {
-		cls := queue[0]
-		queue = queue[1:]
-		cr, children, err := e.classReport(cls, topK)
-		if err != nil {
-			return nil, err
-		}
-		rep.Classes = append(rep.Classes, *cr)
-		for _, c := range children {
-			if !seen[c] {
-				seen[c] = true
-				queue = append(queue, c)
-			}
-		}
+	err = e.walk([]Value{root}, func(cls uint32, chosen nodeRef, _ *row) {
+		rep.Classes = append(rep.Classes, e.classReport(cls, chosen, topK))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
-// classReport builds one class's decision record and returns the chosen
-// node's child classes (the BFS frontier).
-func (e *Extractor) classReport(cls uint32, topK int) (*ClassReport, []uint32, error) {
-	g := e.g
-	chosen, ok := e.bestNode[cls]
-	if !ok {
-		return nil, nil, fmt.Errorf("egraph: class %d has no extractable term", cls)
-	}
-	cr := &ClassReport{Class: fmt.Sprintf("#%d", cls)}
-	var children []uint32
+// classReport builds one class's decision record.
+func (e *Extractor) classReport(cls uint32, chosen nodeRef, topK int) ClassReport {
+	cr := ClassReport{Class: fmt.Sprintf("#%d", cls)}
 	var rejected []NodeChoice
-	for _, f := range g.funcs {
-		if !f.IsConstructor() || f.Unextractable {
-			continue
+	e.eachNode(cls, func(f *Function, ri int, r *row) {
+		nc, ok := e.nodeChoice(f, ri, r)
+		if !ok {
+			return // some child class is unextractable
 		}
-		rows := g.tab(f).rows
-		for ri := range rows {
-			r := &rows[ri]
-			if r.dead || g.uf.Find(uint32(g.Find(r.out).Bits)) != cls {
-				continue
-			}
-			nc, ok := e.nodeChoice(f, ri)
-			if !ok {
-				continue // some child class is unextractable
-			}
-			cr.Candidates++
-			if f == chosen.fn && ri == chosen.row {
-				cr.Chosen = *nc
-				for _, a := range r.args {
-					children = append(children, g.childClasses(a)...)
-				}
-			} else {
-				rejected = append(rejected, *nc)
-			}
+		cr.Candidates++
+		if f == chosen.fn && ri == chosen.row {
+			cr.Chosen = nc
+		} else {
+			rejected = append(rejected, nc)
 		}
-	}
+	})
 	sort.Slice(rejected, func(i, j int) bool {
 		if rejected[i].Cost != rejected[j].Cost {
 			return rejected[i].Cost < rejected[j].Cost
@@ -131,36 +97,29 @@ func (e *Extractor) classReport(cls uint32, topK int) (*ClassReport, []uint32, e
 		rejected = rejected[:topK]
 	}
 	cr.Rejected = rejected
-	return cr, children, nil
+	return cr
 }
 
-// nodeChoice renders one candidate node with its cost decomposition and
-// provenance; false when a child class has no extractable term.
-func (e *Extractor) nodeChoice(f *Function, ri int) (*NodeChoice, bool) {
+// nodeChoice renders the candidate node at row ri of f with its cost
+// decomposition and provenance; false when a child class has no
+// extractable term.
+func (e *Extractor) nodeChoice(f *Function, ri int, r *row) (NodeChoice, bool) {
 	g := e.g
-	r := &g.tab(f).rows[ri]
 	total, ok := e.nodeCost(f, r)
 	if !ok {
-		return nil, false
+		return NodeChoice{}, false
 	}
-	nc := &NodeChoice{Fn: f.Name, Cost: total, Base: f.Cost}
-	if c, ok := g.costOverride(f, r.args); ok {
-		nc.Base = c
-		nc.Override = true
+	term, err := e.node(f, r)
+	if err != nil {
+		return NodeChoice{}, false
 	}
-	term := fmt.Sprintf("(%s", f.Name)
+	nc := NodeChoice{Term: term.String(), Fn: f.Name, Cost: total}
+	nc.Base, nc.Override = e.baseCost(f, r)
 	for _, a := range r.args {
-		t, err := e.term(a)
-		if err != nil {
-			return nil, false
-		}
-		term += " " + t.String()
 		for _, c := range g.childClasses(a) {
-			cost, _ := e.bestCost[c]
-			nc.Children = append(nc.Children, ChildCost{Class: fmt.Sprintf("#%d", c), Cost: cost})
+			nc.Children = append(nc.Children, ChildCost{Class: fmt.Sprintf("#%d", c), Cost: e.bestCost[c]})
 		}
 	}
-	nc.Term = term + ")"
 	nc.Rule, nc.Iter = g.RowProvenance(f, ri)
 	return nc, true
 }

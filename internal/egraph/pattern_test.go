@@ -286,6 +286,88 @@ func TestExtractorRespectsCosts(t *testing.T) {
 	if term.Head() != "Shl" {
 		t.Errorf("extracted %s, want the cheaper Shl form", term)
 	}
+
+	// The node inserted first (the original program) loses to a cheaper
+	// one a rewrite discovered later.
+	g = New()
+	expr, _ := g.AddEqSort("Expr")
+	mk := func(name string, cost int64, params ...*Sort) *Function {
+		f, err := g.DeclareFunction(&Function{Name: name, Params: params, Out: expr, Cost: cost})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	xf, divf, shrf := mk("X", 1), mk("Div", 18, expr), mk("Shr", 1, expr)
+	num, id := mk("Num", 1, g.I64), mk("Id", 1, expr)
+	x, _ := g.Insert(xf)
+	div, _ := g.Insert(divf, x)
+	shr, _ := g.Insert(shrf, x)
+	g.Union(div, shr)
+	// Id(n) = n: the class of n holds a node whose child is the class
+	// itself, which extraction must never choose.
+	n, _ := g.Insert(num, I64Value(g.I64, 7))
+	wrapped, _ := g.Insert(id, n)
+	g.Union(wrapped, n)
+	g.Rebuild()
+	ex = NewExtractor(g)
+	for _, c := range []struct {
+		name string
+		v    Value
+		want string
+		cost int64
+	}{
+		{"cheaper_rewrite_beats_first_inserted", div, "(Shr (X))", 2},
+		{"self_loop", wrapped, "(Num 7)", 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			term, cost, err := ex.Extract(c.v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if term.String() != c.want || cost != c.cost {
+				t.Errorf("extracted %s at cost %d, want %s at cost %d", term, cost, c.want, c.cost)
+			}
+		})
+	}
+}
+
+// TestExtractorDAGCost: DAG cost counts each class the extracted term
+// reaches once, under the active cost model, while the tree cost counts a
+// shared class at every occurrence.
+func TestExtractorDAGCost(t *testing.T) {
+	l := newExprLang(t)
+	g := l.g
+	// (Mul x x) nested four deep over (Var "a"): five classes, so the DAG
+	// cost is 1 + 2*4 = 9, while the tree has 16 leaves and 15 Muls.
+	x, _ := g.Insert(l.Var, g.InternString("a"))
+	for i := 0; i < 4; i++ {
+		x = l.app(t, l.Mul, x, x)
+	}
+	g.Rebuild()
+	ex := NewExtractor(g)
+	dag, err := ex.DAGCost(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, tree, _ := ex.Extract(x); dag != 9 || tree != 46 {
+		t.Errorf("DAG cost %d, tree cost %d; want 9 and 46", dag, tree)
+	}
+
+	// An unstable-cost override counts in the DAG cost as in the tree cost.
+	inner := l.app(t, l.Mul, g.Find(x), g.Find(x))
+	g.Rebuild()
+	if err := g.SetNodeCost(l.Mul, []Value{g.Find(x), g.Find(x)}, 50); err != nil {
+		t.Fatal(err)
+	}
+	ex = NewExtractor(g)
+	dag, err = ex.DAGCost(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, tree, _ := ex.Extract(inner); dag != 59 || tree != 50+2*46 {
+		t.Errorf("with an override: DAG cost %d, tree cost %d; want 59 and %d", dag, tree, 50+2*46)
+	}
 }
 
 func TestExtractorCostOverride(t *testing.T) {

@@ -200,7 +200,7 @@ func TestReplayWithExplanations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text := rg.FormatExplanation(steps); !strings.Contains(text, "comm-Add") {
+	if text := rg.FormatExplanation(NewExtractor(rg), steps); !strings.Contains(text, "comm-Add") {
 		t.Errorf("replayed explanation lacks the rule name:\n%s", text)
 	}
 }

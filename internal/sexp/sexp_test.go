@@ -248,24 +248,3 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 }
-
-func TestInternerIDsFollowEqual(t *testing.T) {
-	nodes := []*Node{
-		mustParseOne(t, `(f (g 1) "s" 2.0)`),
-		mustParseOne(t, `(f (g 1) "s" 2.0)`),
-		mustParseOne(t, `(f (g 1.0) "s" 2.0)`),
-		mustParseOne(t, `(f (g 1) s 2.0)`),
-		mustParseOne(t, `(f (g 1) "s")`),
-		mustParseOne(t, `(f (g) 1 "s" 2.0)`),
-	}
-	shared := List(Symbol("g"), Int(1))
-	nodes = append(nodes, List(Symbol("f"), shared, String("s"), Float(2)), List(Symbol("h"), shared, shared))
-	in := NewInterner()
-	for i, a := range nodes {
-		for j, b := range nodes {
-			if (in.ID(a) == in.ID(b)) != a.Equal(b) {
-				t.Errorf("nodes %d and %d: same ID %v, Equal %v", i, j, in.ID(a) == in.ID(b), a.Equal(b))
-			}
-		}
-	}
-}
