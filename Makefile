@@ -131,15 +131,17 @@ tune-smoke:
 # every rule bundle. Deterministic in the seed, so CI failures are
 # locally reproducible verbatim. Last, 10-s native fuzz runs of the
 # matcher's two engine harnesses (semi-naive against naive, sharded
-# against serial matching) and of the MLIR parser (round trip, and
-# structural type equality against printed text); these are not seeded,
-# and a failing input is written under the package's testdata/fuzz/,
-# where `go test` replays it.
+# against serial matching), of the egglog front end (every top-level
+# command compiles through the rule compiler) and of the MLIR parser
+# (round trip, and structural type equality against printed text); these
+# are not seeded, and a failing input is written under the package's
+# testdata/fuzz/, where `go test` replays it.
 fuzz-smoke:
 	$(GO) run ./cmd/egg-fuzz -replay internal/difftest/testdata/corpus
 	$(GO) run ./cmd/egg-fuzz -rules all -n 10 -seed 1
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiNaive$$' -fuzztime 10s ./internal/egraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatch$$' -fuzztime 10s ./internal/egraph/
+	$(GO) test -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 10s ./internal/egglog/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s ./internal/mlir/
 
 # Long-budget campaign for the nightly job: many seeds per bundle,
@@ -149,6 +151,8 @@ fuzz-nightly:
 	$(GO) run ./cmd/egg-fuzz -rules all -n 500 -seed $$(date +%j) \
 		-minimize -corpus fuzz-repros -max-failures 10
 
+# The six example programs; each exits non-zero on an error, and horner
+# and imagegray also when the optimized program's results differ.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/horner

@@ -1,6 +1,7 @@
 package dialegg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -414,7 +415,8 @@ func TestTypeTermRoundTrip(t *testing.T) {
 		mlir.TensorOf(mlir.F64, 3, 4),
 		mlir.TensorOf(mlir.I64, 2, 3, 4),
 		mlir.UnrankedTensorType{Elem: mlir.F32},
-		// No structural encoding: these come back as OpaqueTypes.
+		// No structural encoding: these travel as OpaqueType terms holding
+		// their text, and come back as the types the parser makes of it.
 		mlir.ComplexType{Elem: mlir.F32}, mlir.IntegerType{Width: 4},
 		mlir.TensorOf(mlir.ComplexType{Elem: mlir.F64}, 2, 2),
 		mlir.TupleType{Elems: []mlir.Type{mlir.I64, mlir.TensorOf(mlir.F32, 4)}},
@@ -427,8 +429,8 @@ func TestTypeTermRoundTrip(t *testing.T) {
 			t.Errorf("TermToType(%s): %v", term, err)
 			continue
 		}
-		if !mlir.TypeEqual(typ, back) {
-			t.Errorf("type %s round-tripped to %s via %s", typ, back, term)
+		if !mlir.TypeEqual(typ, back) || reflect.TypeOf(back) != reflect.TypeOf(typ) {
+			t.Errorf("type %s (%T) round-tripped to %s (%T) via %s", typ, typ, back, back, term)
 		}
 	}
 }

@@ -133,10 +133,16 @@ func TermToType(n *sexp.Node) (mlir.Type, error) {
 		}
 		return mlir.UnrankedTensorType{Elem: elem}, nil
 	case "OpaqueType":
+		// The text is the type's MLIR syntax; parsing it gives the type
+		// the parser gave the original (i4 and complex<f32> are modelled).
 		if len(n.Args()) != 2 || n.Args()[0].Kind != sexp.KindString {
 			return nil, fmt.Errorf("dialegg: malformed OpaqueType %s", n)
 		}
-		return mlir.OpaqueType{Text: n.Args()[0].Str}, nil
+		t, err := mlir.ParseType(n.Args()[0].Str)
+		if err != nil {
+			return nil, fmt.Errorf("dialegg: OpaqueType %q: %w", n.Args()[0].Str, err)
+		}
+		return t, nil
 	default:
 		return nil, fmt.Errorf("dialegg: unknown type term %s", n)
 	}

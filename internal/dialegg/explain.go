@@ -7,54 +7,59 @@ import (
 	"dialegg/internal/egglog"
 	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
-	"dialegg/internal/sexp"
 )
 
 // rewritePair records one operation whose extracted form differs from its
 // original encoding.
 type rewritePair struct {
 	origOp *mlir.Operation
-	term   *sexp.Node
+	// fn is the function of the node extraction chose for the operation's
+	// e-class, and node that node's original identity, the proof endpoint.
+	fn   *egraph.Function
+	node egraph.Value
 }
 
-// collectRewrites zips the extracted root block term against the original
-// function body (block-vector positions are stable through saturation) and
-// returns every pair whose term head differs from the original op's
-// encoding, recursing into the regions of encoded region-carrying ops.
-func collectRewrites(origBlock *mlir.Block, blkTerm *sexp.Node, tr *Translation, encs *Encodings) []rewritePair {
+// collectRewrites walks the nodes ex chose from the block class blk
+// against the original block (block-vector positions are stable through
+// saturation) and returns every operation whose chosen node differs from
+// the op's encoding, recursing into the regions of encoded
+// region-carrying ops. It visits each chosen node once per position, so
+// it takes time linear in the original function however much the
+// extracted term shares.
+func collectRewrites(ex *egraph.Extractor, g *egraph.EGraph, origBlock *mlir.Block, blk egraph.Value, encs *Encodings) []rewritePair {
 	var out []rewritePair
-	if blkTerm.Head() != "Blk" || len(blkTerm.Args()) != 1 {
+	f, args, _, ok := ex.ChosenNode(blk)
+	if !ok || f.Name != "Blk" || len(args) != 1 {
 		return out
 	}
-	elems := blkTerm.Args()[0].Args()
+	elems := g.VecElems(args[0])
 	if origBlock == nil || len(elems) != len(origBlock.Ops) {
 		return out
 	}
 	for i, elem := range elems {
 		op := origBlock.Ops[i]
-		head := elem.Head()
-		if head == "Value" {
+		fn, opArgs, node, ok := ex.ChosenNode(elem)
+		if !ok || fn.Name == "Value" {
 			continue // opaque: never rewritten
 		}
-		if head != EggOpName(op.Name) && !strings.HasPrefix(head, EggOpName(op.Name)+"_") {
-			out = append(out, rewritePair{origOp: op, term: elem})
+		if fn.Name != EggOpName(op.Name) && !strings.HasPrefix(fn.Name, EggOpName(op.Name)+"_") {
+			out = append(out, rewritePair{origOp: op, fn: fn, node: node})
 			continue
 		}
 		// Same op kind: descend into regions for nested rewrites.
-		enc, ok := encs.LookupEgg(head)
+		enc, ok := encs.LookupEgg(fn.Name)
 		if !ok || enc.NumRegions == 0 || enc.NumRegions > len(op.Regions) {
 			continue
 		}
 		regionStart := enc.NumOperands + enc.NumAttrs
-		args := elem.Args()
-		for ri := 0; ri < enc.NumRegions && regionStart+ri < len(args); ri++ {
-			regTerm := args[regionStart+ri]
-			if regTerm.Head() != "Reg" || len(regTerm.Args()) != 1 {
+		for ri := 0; ri < enc.NumRegions && regionStart+ri < len(opArgs); ri++ {
+			rf, regArgs, _, ok := ex.ChosenNode(opArgs[regionStart+ri])
+			if !ok || rf.Name != "Reg" || len(regArgs) != 1 {
 				continue
 			}
-			for bi, nestedBlk := range regTerm.Args()[0].Args() {
+			for bi, nestedBlk := range g.VecElems(regArgs[0]) {
 				if bi < len(op.Regions[ri].Blocks) {
-					out = append(out, collectRewrites(op.Regions[ri].Blocks[bi], nestedBlk, tr, encs)...)
+					out = append(out, collectRewrites(ex, g, op.Regions[ri].Blocks[bi], nestedBlk, encs)...)
 				}
 			}
 		}
@@ -70,20 +75,16 @@ const extractionTopK = 3
 // operation: why extraction chose the replacement term over the other
 // candidates in its e-class, with cost breakdowns and the creating rule of
 // every candidate node.
-func explainExtractions(p *egglog.Program, ex *egraph.Extractor, pairs []rewritePair) []string {
+func explainExtractions(ex *egraph.Extractor, pairs []rewritePair) []string {
 	var out []string
 	for _, pair := range pairs {
-		v, err := p.EvalExpr(pair.term)
-		var rep *egraph.ExtractionReport
-		if err == nil {
-			rep, err = ex.Report(v, extractionTopK)
-		}
+		rep, err := ex.Report(pair.node, extractionTopK)
 		if err != nil {
 			out = append(out, fmt.Sprintf("%s: (no extraction report: %v)", pair.origOp.Name, err))
 			continue
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "%s rewritten to %s:\n", pair.origOp.Name, MLIROpName(pair.term.Head()))
+		fmt.Fprintf(&b, "%s rewritten to %s:\n", pair.origOp.Name, MLIROpName(pair.fn.Name))
 		b.WriteString(rep.Format())
 		out = append(out, b.String())
 	}
@@ -105,18 +106,13 @@ func explainRewrites(p *egglog.Program, ex *egraph.Extractor, tr *Translation, p
 		if !ok {
 			continue
 		}
-		newVal, err := p.EvalExprRaw(pair.term)
-		if err != nil {
-			out = append(out, fmt.Sprintf("%s: (no proof: %v)", pair.origOp.Name, err))
-			continue
-		}
-		steps, err := g.Explain(origVal, newVal)
+		steps, err := g.Explain(origVal, pair.node)
 		if err != nil {
 			out = append(out, fmt.Sprintf("%s: (no proof: %v)", pair.origOp.Name, err))
 			continue
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "%s rewritten to %s:\n", pair.origOp.Name, MLIROpName(pair.term.Head()))
+		fmt.Fprintf(&b, "%s rewritten to %s:\n", pair.origOp.Name, MLIROpName(pair.fn.Name))
 		b.WriteString(g.FormatExplanation(ex, steps))
 		out = append(out, b.String())
 	}

@@ -10,7 +10,6 @@ import (
 	"dialegg/internal/mlir"
 	"dialegg/internal/obs"
 	"dialegg/internal/obs/journal"
-	"dialegg/internal/sexp"
 )
 
 // Options configures an Optimizer.
@@ -154,20 +153,11 @@ func NewOptimizer(opts Options) *Optimizer {
 // reports show user rules only, as in the paper's Table 2.
 const preludeRuleCount = 2
 
-// OptimizeFunc runs the full DialEgg pipeline on one function and returns
-// the optimized replacement.
-func (o *Optimizer) OptimizeFunc(f *mlir.Operation) (*mlir.Operation, *Report, error) {
-	ctx := o.opts.RunConfig.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return o.OptimizeFuncCtx(ctx, f)
-}
-
-// OptimizeFuncCtx is OptimizeFunc with cancellation: ctx is threaded into
-// the saturation run (overriding Options.RunConfig.Ctx), so an abandoned
-// request stops consuming CPU mid-saturation instead of running to its
-// iteration or time limit. A canceled run returns a non-nil *Report whose
+// OptimizeFuncCtx runs the full DialEgg pipeline on one function and
+// returns the optimized replacement. ctx is threaded into the saturation
+// run (overriding Options.RunConfig.Ctx), so an abandoned request stops
+// consuming CPU mid-saturation instead of running to its iteration or
+// time limit. A canceled run returns a non-nil *Report whose
 // Run.Stop is egraph.StopCanceled alongside an error wrapping ctx's
 // error, so callers (the serve layer) can still account the partial work.
 func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*mlir.Operation, *Report, error) {
@@ -261,9 +251,9 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	// One extractor serves extraction, DAG cost, blame and both kinds of
 	// explanation: the graph is rebuilt and the cost fixpoint run once.
 	startExtract := time.Now()
-	root, err := p.EvalExpr(sexp.Symbol(tr.RootName))
-	if err != nil {
-		return nil, nil, fmt.Errorf("dialegg: extraction: %w", err)
+	root, ok := p.LookupLet(tr.RootName)
+	if !ok {
+		return nil, nil, fmt.Errorf("dialegg: extraction: no let %s", tr.RootName)
 	}
 	ex := p.Extractor()
 	term, cost, err := ex.Extract(root)
@@ -290,12 +280,12 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	report.EggTotal += time.Since(startEgg)
 
 	if o.opts.ExplainRewrites || o.opts.ExplainExtraction {
-		pairs := collectRewrites(f.Regions[0].First(), term, tr, encs)
+		pairs := collectRewrites(ex, p.Graph(), f.Regions[0].First(), root, encs)
 		if o.opts.ExplainRewrites {
 			report.RewriteExplanations = explainRewrites(p, ex, tr, pairs)
 		}
 		if o.opts.ExplainExtraction {
-			report.ExtractionReports = explainExtractions(p, ex, pairs)
+			report.ExtractionReports = explainExtractions(ex, pairs)
 		}
 	}
 

@@ -108,54 +108,8 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 		p.g.Rebuild()
 		return nil, nil
 
-	case "set":
-		if len(args) != 2 || args[0].Kind != sexp.KindList {
-			return nil, fmt.Errorf("egglog: set expects (set (f args...) value)")
-		}
-		call := args[0]
-		f, ok := p.g.FunctionByName(call.Head())
-		if !ok {
-			return nil, fmt.Errorf("egglog: set: unknown function %q", call.Head())
-		}
-		vals := make([]egraph.Value, len(call.Args()))
-		for i, a := range call.Args() {
-			v, err := p.EvalExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		out, err := p.EvalExpr(args[1])
-		if err != nil {
-			return nil, err
-		}
-		return nil, p.g.Set(f, vals, out)
-
-	case "unstable-cost":
-		if len(args) != 2 || args[0].Kind != sexp.KindList {
-			return nil, fmt.Errorf("egglog: unstable-cost expects (unstable-cost (f args...) cost)")
-		}
-		call := args[0]
-		f, ok := p.g.FunctionByName(call.Head())
-		if !ok {
-			return nil, fmt.Errorf("egglog: unstable-cost: unknown function %q", call.Head())
-		}
-		vals := make([]egraph.Value, len(call.Args()))
-		for i, a := range call.Args() {
-			v, err := p.EvalExpr(a)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		cost, err := p.EvalExpr(args[1])
-		if err != nil {
-			return nil, err
-		}
-		if cost.Sort.Kind != egraph.KindI64 {
-			return nil, fmt.Errorf("egglog: unstable-cost expects an i64 cost")
-		}
-		return nil, p.g.SetNodeCost(f, vals, cost.AsI64())
+	case "set", "unstable-cost":
+		return nil, p.apply(n)
 
 	case "rewrite", "birewrite":
 		if len(args) < 2 {
@@ -369,11 +323,7 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 			limit = int(args[1].Int)
 		}
 		p.g.Rebuild()
-		rows, err := p.renderRows(f, limit)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Command: "print-function", Rows: rows}, nil
+		return &Result{Command: "print-function", Rows: p.renderRows(f, limit)}, nil
 
 	case "push", "pop", "print-size", "print-stats", "input", "output", "include":
 		return nil, fmt.Errorf("egglog: command %q is not supported by this interpreter", head)
@@ -383,8 +333,7 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 		// evaluated for its side effect of populating the database (useful
 		// for relations and for seeding terms without a let).
 		if _, ok := p.g.FunctionByName(head); ok {
-			_, err := p.EvalExpr(n)
-			return nil, err
+			return nil, p.apply(n)
 		}
 		return nil, fmt.Errorf("egglog: unknown command %q", head)
 	}

@@ -1,7 +1,9 @@
 package egglog
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"dialegg/internal/egraph"
@@ -623,4 +625,31 @@ func TestProgramCloneIsolation(t *testing.T) {
 	if got := term.String(); got != `(Mul (Var "x") (Num 2))` {
 		t.Errorf("other clone extracts a as %s", got)
 	}
+}
+
+// TestCloneOwnsTermBuffer: top-level commands compile into a term buffer
+// the session reuses, so each clone must start with a buffer of its own;
+// clones of one template evaluating at once would otherwise write the
+// same terms (a race under -race).
+func TestCloneOwnsTermBuffer(t *testing.T) {
+	p := NewProgram()
+	mustExec(t, p, exprPrelude+`(let a (Add (Num 1) (Num 2)))`)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		c := p.Clone()
+		if cap(c.terms.terms) != 0 || cap(c.terms.args) != 0 {
+			t.Fatal("a clone starts with its template's term buffer")
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if _, err := c.ExecuteString(fmt.Sprintf(`(let b (Mul (Num %d) a))`, j)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -63,13 +63,13 @@ func (r *primRegistry) resolve(g *egraph.EGraph, name string, args []*egraph.Sor
 		}
 	}
 	if len(r.byName[name]) == 0 {
-		return nil, nil, fmt.Errorf("egglog: unknown primitive %q", name)
+		return nil, nil, fmt.Errorf("unknown primitive %q", name)
 	}
 	var have []string
 	for _, a := range args {
 		have = append(have, a.Name)
 	}
-	return nil, nil, fmt.Errorf("egglog: no overload of %q for argument sorts %v", name, have)
+	return nil, nil, fmt.Errorf("no overload of %q for argument sorts %v", name, have)
 }
 
 // isPrim reports whether name is a registered primitive.

@@ -7,8 +7,8 @@ import (
 	"dialegg/internal/sexp"
 )
 
-// evalPrim evaluates a primitive expression through the interpreter's
-// EvalExpr path.
+// evalPrim evaluates a primitive expression through EvalExpr, the
+// top-level path.
 func evalPrim(t *testing.T, src string) (egraph.Value, error) {
 	t.Helper()
 	p := NewProgram()

@@ -41,6 +41,10 @@ type Program struct {
 	// commands start from; (run N) overrides its IterLimit. Zero values use
 	// engine defaults.
 	RunDefaults egraph.RunConfig
+
+	// terms holds the action terms of the command being executed; see
+	// topCompiler. Each session has its own.
+	terms termBuf
 }
 
 // NewProgram returns an empty egglog session.
@@ -61,12 +65,14 @@ func NewProgram() *Program {
 
 // Clone returns an independent session continuing from p's state: a
 // clone of the e-graph (egraph.EGraph.Clone) plus copies of the sort
-// names, global lets and rulesets. Compiled rules and primitives are
+// names, global lets and rulesets, and an empty term buffer of its own
+// (see topCompiler). Compiled rules and primitives are
 // shared; they are immutable. Commands executed on the clone never affect
 // p, and p must not be mutated while it is being cloned; concurrent
 // Clones of one program are safe.
 func (p *Program) Clone() *Program {
 	c := *p
+	c.terms = termBuf{}
 	c.g = p.g.Clone()
 	c.sortNames = maps.Clone(p.sortNames)
 	c.lets = maps.Clone(p.lets)
@@ -296,133 +302,63 @@ func (p *Program) declareDatatype(args []*sexp.Node) error {
 	return nil
 }
 
-// EvalExpr evaluates a ground expression (no pattern variables): literals,
-// global let names, constructor applications, primitive applications, and
-// vec-of. Constructor applications insert e-nodes.
+// topCompiler returns the compiler for one top-level command. Top-level
+// expressions and actions compile exactly as rule actions do, with no
+// pattern variables in scope, but take their terms from the session's
+// buffer: the previous command's terms are dead by the time the next
+// command compiles.
+func (p *Program) topCompiler() ruleCompiler {
+	p.terms.reset()
+	return ruleCompiler{p: p, buf: &p.terms}
+}
+
+// compileExpr compiles a ground expression into an action term.
+func (p *Program) compileExpr(n *sexp.Node) (*egraph.ATerm, error) {
+	c := p.topCompiler()
+	t, _, err := c.compileATerm(n, nil)
+	if err != nil {
+		return nil, fmt.Errorf("egglog: %w", err)
+	}
+	return t, nil
+}
+
+// EvalExpr evaluates a ground expression (no pattern variables) the way a
+// rule action evaluates it: literals, global let names, function and
+// primitive applications, and vec-of. Constructor applications insert
+// e-nodes.
 func (p *Program) EvalExpr(n *sexp.Node) (egraph.Value, error) {
-	switch n.Kind {
-	case sexp.KindInt:
-		return egraph.I64Value(p.g.I64, n.Int), nil
-	case sexp.KindFloat:
-		return egraph.F64Value(p.g.F64, n.Float), nil
-	case sexp.KindString:
-		return p.g.InternString(n.Str), nil
-	case sexp.KindSymbol:
-		switch n.Sym {
-		case "true":
-			return egraph.BoolValue(p.g.Bool, true), nil
-		case "false":
-			return egraph.BoolValue(p.g.Bool, false), nil
-		}
-		if v, ok := p.lets[n.Sym]; ok {
-			return p.g.Find(v), nil
-		}
-		// A bare symbol naming a zero-argument function is accepted, which
-		// mirrors how egglog treats nullary constructors.
-		if f, ok := p.g.FunctionByName(n.Sym); ok && f.Arity() == 0 {
-			return p.g.Insert(f)
-		}
-		return egraph.Value{}, fmt.Errorf("egglog: unbound name %q", n.Sym)
-	case sexp.KindList:
-		head := n.Head()
-		if head == "" {
-			return egraph.Value{}, fmt.Errorf("egglog: cannot evaluate %s", n)
-		}
-		if head == "vec-of" {
-			return p.evalVecOf(n)
-		}
-		if f, ok := p.g.FunctionByName(head); ok {
-			args := make([]egraph.Value, len(n.Args()))
-			for i, a := range n.Args() {
-				v, err := p.EvalExpr(a)
-				if err != nil {
-					return egraph.Value{}, err
-				}
-				args[i] = v
-			}
-			if !f.IsConstructor() && f.Out.Kind != egraph.KindUnit {
-				if v, ok := p.g.Lookup(f, args...); ok {
-					return v, nil
-				}
-				return egraph.Value{}, fmt.Errorf("egglog: %s has no value for these arguments", head)
-			}
-			return p.g.Insert(f, args...)
-		}
-		if p.prims.isPrim(head) {
-			args := make([]egraph.Value, len(n.Args()))
-			sorts := make([]*egraph.Sort, len(n.Args()))
-			for i, a := range n.Args() {
-				v, err := p.EvalExpr(a)
-				if err != nil {
-					return egraph.Value{}, err
-				}
-				args[i] = v
-				sorts[i] = v.Sort
-			}
-			prim, _, err := p.prims.resolve(p.g, head, sorts)
-			if err != nil {
-				return egraph.Value{}, err
-			}
-			out, ok := prim.Apply(p.g, args)
-			if !ok {
-				return egraph.Value{}, fmt.Errorf("egglog: primitive %s failed on %s", head, n)
-			}
-			return out, nil
-		}
-		return egraph.Value{}, fmt.Errorf("egglog: unknown function or primitive %q", head)
-	default:
-		return egraph.Value{}, fmt.Errorf("egglog: cannot evaluate %s", n)
+	t, err := p.compileExpr(n)
+	if err != nil {
+		return egraph.Value{}, err
 	}
+	return p.g.EvalATerm(t, nil)
 }
 
-func (p *Program) evalVecOf(n *sexp.Node) (egraph.Value, error) {
-	elems := make([]egraph.Value, len(n.Args()))
-	var elemSort *egraph.Sort
-	for i, a := range n.Args() {
-		v, err := p.EvalExpr(a)
-		if err != nil {
-			return egraph.Value{}, err
-		}
-		elems[i] = v
-		if elemSort == nil {
-			elemSort = v.Sort
-		} else if elemSort != v.Sort {
-			return egraph.Value{}, fmt.Errorf("egglog: vec-of with mixed sorts %s and %s", elemSort, v.Sort)
-		}
-	}
-	if elemSort == nil {
-		return egraph.Value{}, fmt.Errorf("egglog: empty vec-of needs a sort context; use a typed helper")
-	}
-	return p.g.InternVec(p.g.VecSortOf(elemSort), elems), nil
-}
-
-// EvalExprRaw resolves an expression to the original (uncanonicalized)
-// identity of its e-node: global lets return their stored value, and
-// constructor applications return the table row's recorded output. Proof
-// production needs these original IDs (the proof forest is indexed by
-// them); everything else wants EvalExpr's canonical values.
+// EvalExprRaw is EvalExpr returning the original (uncanonicalized)
+// identity of the root e-node: a global let returns its stored value, and
+// a constructor application returns its table row's recorded output.
+// Proof production needs these original IDs (the proof forest is indexed
+// by them); everything else wants EvalExpr's canonical values.
 func (p *Program) EvalExprRaw(n *sexp.Node) (egraph.Value, error) {
-	if n.Kind == sexp.KindSymbol {
-		if v, ok := p.lets[n.Sym]; ok {
-			return v, nil
-		}
+	t, err := p.compileExpr(n)
+	if err != nil {
+		return egraph.Value{}, err
 	}
-	if n.Kind == sexp.KindList {
-		if f, ok := p.g.FunctionByName(n.Head()); ok && f.IsConstructor() {
-			args := make([]egraph.Value, len(n.Args()))
-			for i, a := range n.Args() {
-				v, err := p.EvalExpr(a)
-				if err != nil {
-					return egraph.Value{}, err
-				}
-				args[i] = v
-			}
-			if raw, ok := p.g.LookupRaw(f, args...); ok {
-				return raw, nil
-			}
-		}
+	if t.Kind == egraph.ALit {
+		return t.Lit, nil
 	}
-	return p.EvalExpr(n)
+	return p.g.EvalATerm(t, nil)
+}
+
+// apply runs one top-level action command (set, unstable-cost or a bare
+// function application) as a rule action with no bindings.
+func (p *Program) apply(n *sexp.Node) error {
+	c := p.topCompiler()
+	act, err := c.compileAction(n)
+	if err != nil {
+		return fmt.Errorf("egglog: %w", err)
+	}
+	return p.g.ApplyActions(&egraph.Rule{Name: "top-level", Actions: []egraph.Action{act}}, nil)
 }
 
 // Let evaluates expr and binds it to name (overwriting any previous
@@ -457,11 +393,10 @@ func (p *Program) Extractor() *egraph.Extractor {
 // renderRows renders up to limit live rows of a function's table as
 // "(f args...) -> out" strings, with arguments and eq-sort outputs shown
 // as extracted terms where possible.
-func (p *Program) renderRows(f *egraph.Function, limit int) ([]string, error) {
+func (p *Program) renderRows(f *egraph.Function, limit int) []string {
 	g := p.g
 	ex := egraph.NewExtractor(g)
 	var rows []string
-	var err error
 	g.ForEachRow(f, func(args []egraph.Value, out egraph.Value) bool {
 		if len(rows) >= limit {
 			return false
@@ -491,5 +426,5 @@ func (p *Program) renderRows(f *egraph.Function, limit int) ([]string, error) {
 		rows = append(rows, string(b))
 		return true
 	})
-	return rows, err
+	return rows
 }

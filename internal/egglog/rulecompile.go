@@ -26,6 +26,52 @@ type ruleCompiler struct {
 	// premises accumulates query conjuncts in emission order; the planner
 	// reorders them before execution.
 	premises []egraph.Premise
+	// buf, when set, supplies the action terms instead of the heap; see
+	// Program.topCompiler.
+	buf *termBuf
+}
+
+// termBuf hands out action terms and argument slices from backing arrays
+// that reset makes reusable, so evaluating a top-level expression
+// allocates no terms once the arrays have grown. A term must not be used
+// after the next reset.
+type termBuf struct {
+	terms []egraph.ATerm
+	args  []*egraph.ATerm
+}
+
+func (b *termBuf) reset() {
+	b.terms = b.terms[:0]
+	b.args = b.args[:0]
+}
+
+// term returns a pointer to a copy of t.
+func (c *ruleCompiler) term(t egraph.ATerm) *egraph.ATerm {
+	b := c.buf
+	if b == nil {
+		h := t
+		return &h
+	}
+	if len(b.terms) == cap(b.terms) {
+		// Terms already handed out stay in the old array.
+		b.terms = make([]egraph.ATerm, 0, max(16, 2*cap(b.terms)))
+	}
+	b.terms = append(b.terms, t)
+	return &b.terms[len(b.terms)-1]
+}
+
+// termArgs returns a slice for n argument terms.
+func (c *ruleCompiler) termArgs(n int) []*egraph.ATerm {
+	b := c.buf
+	if b == nil {
+		return make([]*egraph.ATerm, n)
+	}
+	if cap(b.args)-len(b.args) < n {
+		b.args = make([]*egraph.ATerm, 0, max(32, 2*cap(b.args), n))
+	}
+	i := len(b.args)
+	b.args = b.args[:i+n]
+	return b.args[i : i+n : i+n]
 }
 
 func newRuleCompiler(p *Program) *ruleCompiler {
@@ -306,8 +352,8 @@ func (c *ruleCompiler) compileFact(n *sexp.Node) error {
 func (c *ruleCompiler) compileEquality(a, b *sexp.Node) error {
 	// Prefer to compile an application side with the other side as its
 	// output, avoiding an identity premise.
-	aApp := a.Kind == sexp.KindList && !isVecLiteralOnly(a)
-	bApp := b.Kind == sexp.KindList && !isVecLiteralOnly(b)
+	aApp := a.Kind == sexp.KindList
+	bApp := b.Kind == sexp.KindList
 	switch {
 	case bApp:
 		atomA, sortA, err := c.compileAtomOnly(a)
@@ -358,8 +404,6 @@ func (c *ruleCompiler) compileAtomOnly(a *sexp.Node) (*egraph.Atom, *egraph.Sort
 	}
 	return &atom, sort, nil
 }
-
-func isVecLiteralOnly(*sexp.Node) bool { return false }
 
 // planPremises orders premises so every EvalPremise runs only after its
 // argument variables are bound, preferring more-constrained table premises
@@ -434,29 +478,31 @@ func (c *ruleCompiler) planPremises() ([]egraph.Premise, error) {
 
 // --- action-side compilation -------------------------------------------------
 
-// compileATerm compiles an expression in action position.
+// compileATerm compiles an expression in action position. expected may be
+// nil when the context imposes no sort; otherwise the term must have it.
 func (c *ruleCompiler) compileATerm(n *sexp.Node, expected *egraph.Sort) (*egraph.ATerm, *egraph.Sort, error) {
+	t, sort, err := c.compileATermAny(n, expected)
+	if err == nil && expected != nil && sort != expected {
+		return nil, nil, fmt.Errorf("%s has sort %s, want %s", n, sort, expected)
+	}
+	return t, sort, err
+}
+
+// compileATermAny is compileATerm without the final sort check; expected
+// still types vec-of elements and variables of unknown sort.
+func (c *ruleCompiler) compileATermAny(n *sexp.Node, expected *egraph.Sort) (*egraph.ATerm, *egraph.Sort, error) {
 	g := c.p.g
 	switch n.Kind {
 	case sexp.KindInt:
-		if err := checkLitSort(expected, egraph.KindI64, n); err != nil {
-			return nil, nil, err
-		}
-		return &egraph.ATerm{Kind: egraph.ALit, Lit: egraph.I64Value(g.I64, n.Int)}, g.I64, nil
+		return c.term(egraph.ATerm{Kind: egraph.ALit, Lit: egraph.I64Value(g.I64, n.Int)}), g.I64, nil
 	case sexp.KindFloat:
-		if err := checkLitSort(expected, egraph.KindF64, n); err != nil {
-			return nil, nil, err
-		}
-		return &egraph.ATerm{Kind: egraph.ALit, Lit: egraph.F64Value(g.F64, n.Float)}, g.F64, nil
+		return c.term(egraph.ATerm{Kind: egraph.ALit, Lit: egraph.F64Value(g.F64, n.Float)}), g.F64, nil
 	case sexp.KindString:
-		if err := checkLitSort(expected, egraph.KindString, n); err != nil {
-			return nil, nil, err
-		}
-		return &egraph.ATerm{Kind: egraph.ALit, Lit: g.InternString(n.Str)}, g.Str, nil
+		return c.term(egraph.ATerm{Kind: egraph.ALit, Lit: g.InternString(n.Str)}), g.Str, nil
 	case sexp.KindSymbol:
 		switch {
 		case n.Sym == "true" || n.Sym == "false":
-			return &egraph.ATerm{Kind: egraph.ALit, Lit: egraph.BoolValue(g.Bool, n.Sym == "true")}, g.Bool, nil
+			return c.term(egraph.ATerm{Kind: egraph.ALit, Lit: egraph.BoolValue(g.Bool, n.Sym == "true")}), g.Bool, nil
 		case c.isVarSymbol(n.Sym):
 			slot, ok := c.names[n.Sym]
 			if !ok {
@@ -465,13 +511,13 @@ func (c *ruleCompiler) compileATerm(n *sexp.Node, expected *egraph.Sort) (*egrap
 			if err := c.unifySlotSort(slot, expected); err != nil {
 				return nil, nil, err
 			}
-			return &egraph.ATerm{Kind: egraph.AVar, Slot: slot}, c.sorts[slot], nil
+			return c.term(egraph.ATerm{Kind: egraph.AVar, Slot: slot}), c.sorts[slot], nil
 		default:
 			if v, ok := c.p.lets[n.Sym]; ok {
-				return &egraph.ATerm{Kind: egraph.ALit, Lit: v}, v.Sort, nil
+				return c.term(egraph.ATerm{Kind: egraph.ALit, Lit: v}), v.Sort, nil
 			}
 			if f, ok := g.FunctionByName(n.Sym); ok && f.Arity() == 0 {
-				return &egraph.ATerm{Kind: egraph.AApp, Fn: f}, f.Out, nil
+				return c.term(egraph.ATerm{Kind: egraph.AApp, Fn: f}), f.Out, nil
 			}
 			return nil, nil, fmt.Errorf("unbound name %q in action", n.Sym)
 		}
@@ -481,21 +527,14 @@ func (c *ruleCompiler) compileATerm(n *sexp.Node, expected *egraph.Sort) (*egrap
 			return c.compileVecOfATerm(n, expected)
 		}
 		if f, ok := g.FunctionByName(head); ok {
-			if len(n.Args()) != f.Arity() {
-				return nil, nil, fmt.Errorf("%s expects %d arguments, got %d", head, f.Arity(), len(n.Args()))
+			args, err := c.compileArgs(f, n)
+			if err != nil {
+				return nil, nil, err
 			}
-			args := make([]*egraph.ATerm, f.Arity())
-			for i, an := range n.Args() {
-				t, _, err := c.compileATerm(an, f.Params[i])
-				if err != nil {
-					return nil, nil, err
-				}
-				args[i] = t
-			}
-			return &egraph.ATerm{Kind: egraph.AApp, Fn: f, Args: args}, f.Out, nil
+			return c.term(egraph.ATerm{Kind: egraph.AApp, Fn: f, Args: args}), f.Out, nil
 		}
 		if c.p.prims.isPrim(head) {
-			args := make([]*egraph.ATerm, len(n.Args()))
+			args := c.termArgs(len(n.Args()))
 			sorts := make([]*egraph.Sort, len(n.Args()))
 			for i, an := range n.Args() {
 				t, s, err := c.compileATerm(an, nil)
@@ -509,12 +548,28 @@ func (c *ruleCompiler) compileATerm(n *sexp.Node, expected *egraph.Sort) (*egrap
 			if err != nil {
 				return nil, nil, err
 			}
-			return &egraph.ATerm{Kind: egraph.APrim, Prim: prim, Args: args}, outSort, nil
+			return c.term(egraph.ATerm{Kind: egraph.APrim, Prim: prim, Args: args}), outSort, nil
 		}
 		return nil, nil, fmt.Errorf("unknown function or primitive %q in action", head)
 	default:
 		return nil, nil, fmt.Errorf("invalid action expression %s", n)
 	}
+}
+
+// compileArgs compiles the arguments of n, an application of f.
+func (c *ruleCompiler) compileArgs(f *egraph.Function, n *sexp.Node) ([]*egraph.ATerm, error) {
+	if len(n.Args()) != f.Arity() {
+		return nil, fmt.Errorf("%s expects %d arguments, got %d", f.Name, f.Arity(), len(n.Args()))
+	}
+	args := c.termArgs(f.Arity())
+	for i, an := range n.Args() {
+		t, _, err := c.compileATerm(an, f.Params[i])
+		if err != nil {
+			return nil, err
+		}
+		args[i] = t
+	}
+	return args, nil
 }
 
 func (c *ruleCompiler) compileVecOfATerm(n *sexp.Node, expected *egraph.Sort) (*egraph.ATerm, *egraph.Sort, error) {
@@ -525,7 +580,7 @@ func (c *ruleCompiler) compileVecOfATerm(n *sexp.Node, expected *egraph.Sort) (*
 		}
 		elemSort = expected.Elem
 	}
-	args := make([]*egraph.ATerm, len(n.Args()))
+	args := c.termArgs(len(n.Args()))
 	for i, an := range n.Args() {
 		t, s, err := c.compileATerm(an, elemSort)
 		if err != nil {
@@ -536,11 +591,14 @@ func (c *ruleCompiler) compileVecOfATerm(n *sexp.Node, expected *egraph.Sort) (*
 		}
 		args[i] = t
 	}
-	if elemSort == nil {
-		return nil, nil, fmt.Errorf("cannot infer element sort of %s", n)
+	vecSort := expected
+	if vecSort == nil {
+		if elemSort == nil {
+			return nil, nil, fmt.Errorf("cannot infer element sort of %s", n)
+		}
+		vecSort = c.p.g.VecSortOf(elemSort)
 	}
-	vecSort := c.p.g.VecSortOf(elemSort)
-	return &egraph.ATerm{Kind: egraph.AVec, VecSort: vecSort, Args: args}, vecSort, nil
+	return c.term(egraph.ATerm{Kind: egraph.AVec, VecSort: vecSort, Args: args}), vecSort, nil
 }
 
 // compileAction compiles one action form.
@@ -562,50 +620,26 @@ func (c *ruleCompiler) compileAction(n *sexp.Node) (egraph.Action, error) {
 			return nil, err
 		}
 		return &egraph.UnionAction{A: a, B: b}, nil
-	case "set":
+	case "set", "unstable-cost":
+		head := n.Head()
 		if len(n.Args()) != 2 || n.Args()[0].Kind != sexp.KindList {
-			return nil, fmt.Errorf("set expects (set (f args...) value)")
+			return nil, fmt.Errorf("%s expects (%s (f args...) value)", head, head)
 		}
 		call := n.Args()[0]
 		f, ok := c.p.g.FunctionByName(call.Head())
 		if !ok {
-			return nil, fmt.Errorf("set: unknown function %q", call.Head())
+			return nil, fmt.Errorf("%s: unknown function %q", head, call.Head())
 		}
-		if len(call.Args()) != f.Arity() {
-			return nil, fmt.Errorf("set: %s expects %d arguments", f.Name, f.Arity())
-		}
-		args := make([]*egraph.ATerm, f.Arity())
-		for i, an := range call.Args() {
-			t, _, err := c.compileATerm(an, f.Params[i])
-			if err != nil {
-				return nil, err
-			}
-			args[i] = t
-		}
-		out, _, err := c.compileATerm(n.Args()[1], f.Out)
+		args, err := c.compileArgs(f, call)
 		if err != nil {
 			return nil, err
 		}
-		return &egraph.SetAction{Fn: f, Args: args, Out: out}, nil
-	case "unstable-cost":
-		if len(n.Args()) != 2 || n.Args()[0].Kind != sexp.KindList {
-			return nil, fmt.Errorf("unstable-cost expects (unstable-cost (f args...) cost)")
-		}
-		call := n.Args()[0]
-		f, ok := c.p.g.FunctionByName(call.Head())
-		if !ok {
-			return nil, fmt.Errorf("unstable-cost: unknown function %q", call.Head())
-		}
-		if len(call.Args()) != f.Arity() {
-			return nil, fmt.Errorf("unstable-cost: %s expects %d arguments", f.Name, f.Arity())
-		}
-		args := make([]*egraph.ATerm, f.Arity())
-		for i, an := range call.Args() {
-			t, _, err := c.compileATerm(an, f.Params[i])
+		if head == "set" {
+			out, _, err := c.compileATerm(n.Args()[1], f.Out)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = t
+			return &egraph.SetAction{Fn: f, Args: args, Out: out}, nil
 		}
 		cost, _, err := c.compileATerm(n.Args()[1], c.p.g.I64)
 		if err != nil {

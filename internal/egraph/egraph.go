@@ -402,19 +402,6 @@ func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
 	return out, nil
 }
 
-// LookupRaw finds the output of f(args) without canonicalizing the result
-// — the e-node's original class identity, needed by proof production
-// (Explain walks the proof forest from original IDs).
-func (g *EGraph) LookupRaw(f *Function, args ...Value) (Value, bool) {
-	var buf [argBufLen]Value
-	canon, err := g.canonArgs(buf[:0], f, args)
-	if err != nil {
-		return Value{}, false
-	}
-	out, ok := g.tab(f).lookup(canon)
-	return out, ok
-}
-
 // Lookup finds the output of f(args) without inserting.
 func (g *EGraph) Lookup(f *Function, args ...Value) (Value, bool) {
 	var buf [argBufLen]Value

@@ -135,6 +135,22 @@ func (e *Extractor) CostOf(v Value) (int64, bool) {
 	return c, ok
 }
 
+// ChosenNode returns the e-node extraction chose for v's class: its
+// function, its arguments, and the row's original output (the identity
+// proofs are anchored at). ok is false when v is not an eq-sort value or
+// its class has no extractable node. The arguments must not be mutated.
+func (e *Extractor) ChosenNode(v Value) (f *Function, args []Value, out Value, ok bool) {
+	if v.Sort.Kind != KindEq {
+		return nil, nil, Value{}, false
+	}
+	ref, ok := e.bestNode[e.g.uf.Find(uint32(v.Bits))]
+	if !ok {
+		return nil, nil, Value{}, false
+	}
+	r := &e.g.tab(ref.fn).rows[ref.row]
+	return ref.fn, r.args, r.out, true
+}
+
 // Extract returns the cheapest term of v's class rendered as an
 // s-expression, along with its (tree) cost.
 //

@@ -71,10 +71,6 @@ type Sort struct {
 
 func (s *Sort) String() string { return s.Name }
 
-// IsPrimitive reports whether values of this sort carry data rather than
-// e-class identity.
-func (s *Sort) IsPrimitive() bool { return s.Kind != KindEq }
-
 // Value is a single engine value: an e-class ID for eq-sorts or a payload
 // for primitive sorts. The interpretation of Bits depends on Sort.Kind:
 //
@@ -113,9 +109,6 @@ func (v Value) AsF64() float64 { return math.Float64frombits(v.Bits) }
 
 // AsBool returns the boolean payload.
 func (v Value) AsBool() bool { return v.Bits != 0 }
-
-// ClassID returns the e-class identifier of an eq-sort value.
-func (v Value) ClassID() uint32 { return uint32(v.Bits) }
 
 // stringPool interns strings so Value equality on KindString is bit
 // equality. Interning is mutex-guarded because rule matching runs

@@ -56,14 +56,8 @@ func (v Value) Bool() bool { return v.b }
 // Tensor returns the tensor payload.
 func (v Value) Tensor() *Tensor { return v.tensor }
 
-// IsInt reports whether the value holds an integer (or index).
-func (v Value) IsInt() bool { return v.kind == kindInt }
-
 // IsFloat reports whether the value holds a float.
 func (v Value) IsFloat() bool { return v.kind == kindFloat }
-
-// IsBool reports whether the value holds a bool.
-func (v Value) IsBool() bool { return v.kind == kindBool }
 
 // IsTensor reports whether the value holds a tensor.
 func (v Value) IsTensor() bool { return v.kind == kindTensor }

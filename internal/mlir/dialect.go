@@ -194,19 +194,3 @@ func VerifyOperandCount(op *Operation, n int) error {
 	}
 	return nil
 }
-
-// VerifyIntLike checks the result type is integer or index (scalar).
-func VerifyIntLike(op *Operation) error {
-	if len(op.Results) == 1 && !IsIntOrIndex(op.Results[0].Typ) {
-		return fmt.Errorf("expected integer or index result, have %s", op.Results[0].Typ)
-	}
-	return nil
-}
-
-// VerifyFloatLike checks the result type is a float (scalar).
-func VerifyFloatLike(op *Operation) error {
-	if len(op.Results) == 1 && !IsFloat(op.Results[0].Typ) {
-		return fmt.Errorf("expected float result, have %s", op.Results[0].Typ)
-	}
-	return nil
-}

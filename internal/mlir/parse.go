@@ -63,6 +63,20 @@ func ParseModule(src string, reg *Registry) (*Module, error) {
 	return m, nil
 }
 
+// ParseType parses the text of one type, rejecting trailing input.
+func ParseType(text string) (Type, error) {
+	p := &Parser{src: text}
+	t, err := p.ParseType()
+	if err != nil {
+		return nil, err
+	}
+	p.skipWS()
+	if !p.eof() {
+		return nil, p.errf("unexpected trailing input")
+	}
+	return t, nil
+}
+
 // --- low-level scanning ---
 
 func (p *Parser) eof() bool { return p.pos >= len(p.src) }
@@ -1039,9 +1053,6 @@ func (p *Parser) ParseKeyword(kw string) error { return p.expectWord(kw) }
 // AcceptKeyword consumes kw if present.
 func (p *Parser) AcceptKeyword(kw string) bool { return p.acceptWord(kw) }
 
-// PeekKeyword returns the next word without consuming it.
-func (p *Parser) PeekKeyword() string { return p.peekWord() }
-
 // ParseWord reads any bare word.
 func (p *Parser) ParseWord() (string, error) {
 	w := p.word()
@@ -1062,9 +1073,6 @@ func (p *Parser) Errf(format string, args ...any) error { return p.errf(format, 
 
 // ParseSymbolName reads @name (for op hooks).
 func (p *Parser) ParseSymbolName() (string, error) { return p.symbolName() }
-
-// ParseNumber reads an int or float literal (for op hooks).
-func (p *Parser) ParseNumber() (i int64, f float64, isFloat bool, err error) { return p.number() }
 
 // ParsePercentName reads a %name without resolving it (for op hooks that
 // define new values, like loop induction variables).

@@ -39,13 +39,6 @@ func PrintModuleCanonical(m *Module, reg *Registry) string {
 	return newPrintState(reg, true).printModule(m)
 }
 
-// PrintOperation renders a single operation (and its regions).
-func PrintOperation(op *Operation, reg *Registry) string {
-	ps := newPrintState(reg, false)
-	ps.PrintOp(op)
-	return ps.b.String()
-}
-
 func newPrintState(reg *Registry, anonymize bool) *PrintState {
 	ps := &PrintState{reg: reg, names: make(map[*Value]string), anonymize: anonymize}
 	if !anonymize {

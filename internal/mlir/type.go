@@ -20,11 +20,9 @@ type Type interface {
 
 // TypeEqual reports whether a and b are the same type. It compares
 // structure — widths, shapes, and element, input, result and tuple types —
-// without rendering either side. An OpaqueType is the exception: it may
-// spell a type this package models (a term decoder keeps the text of a
-// complex or i4 type that way), so it equals any type whose String is its
-// text, and only that comparison renders. Two types are equal exactly when
-// their String forms are.
+// without rendering either side. The parser makes an OpaqueType only of
+// text it does not model (a '!' dialect type), so two types are equal
+// exactly when their String forms are.
 func TypeEqual(a, b Type) bool {
 	switch a := a.(type) {
 	case nil:
@@ -70,13 +68,10 @@ func TypeEqual(a, b Type) bool {
 		if b, ok := b.(OpaqueType); ok {
 			return a.Text == b.Text
 		}
-		return b != nil && a.Text == typeString(b)
 	default:
 		panic("mlir: TypeEqual: unhandled type " + a.String())
 	}
-	// a is a modelled type and b is not of its kind.
-	o, ok := b.(OpaqueType)
-	return ok && o.Text == typeString(a)
+	return false
 }
 
 // typeString renders t through writeType.

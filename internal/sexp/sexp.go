@@ -78,9 +78,6 @@ func String(v string) *Node { return &Node{Kind: KindString, Str: v} }
 // List returns a new list node with the given elements.
 func List(elems ...*Node) *Node { return &Node{Kind: KindList, List: elems} }
 
-// IsList reports whether n is a list.
-func (n *Node) IsList() bool { return n.Kind == KindList }
-
 // IsSymbol reports whether n is the symbol name.
 func (n *Node) IsSymbol(name string) bool { return n.Kind == KindSymbol && n.Sym == name }
 
