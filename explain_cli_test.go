@@ -9,7 +9,8 @@ import (
 )
 
 // TestEggOptExplainGolden pins egg-opt's -explain -explain-extraction
-// stderr on three paper workloads: the rewrite proofs and the extraction
+// stderr on three paper workloads and on a loop whose one rewrite is
+// inside the scf.for body: the rewrite proofs and the extraction
 // decisions (chosen node, cost breakdown, rejected alternatives and their
 // creating rules) depend only on the saturated graph and the extractor's
 // choices, so the reports must not drift. Regenerate with:
@@ -20,14 +21,17 @@ func TestEggOptExplainGolden(t *testing.T) {
 		t.Skip("builds binaries; skipped in -short")
 	}
 	bin := buildTool(t, "egg-opt")
-	for _, c := range []struct{ rules, module string }{
-		{"imgconv", "div_pow2"},
-		{"poly", "horner"},
-		{"vecnorm", "fast_inv_sqrt"},
+	testdata := filepath.Join("internal", "dialegg", "testdata")
+	corpus := filepath.Join("internal", "difftest", "testdata", "corpus")
+	for _, c := range []struct{ rules, dir, module string }{
+		{"imgconv", testdata, "div_pow2"},
+		{"poly", testdata, "horner"},
+		{"vecnorm", testdata, "fast_inv_sqrt"},
+		{"imgconv", corpus, "loop_iter_args"},
 	} {
 		t.Run(c.module, func(t *testing.T) {
 			cmd := exec.Command(bin, "-rules", c.rules, "-explain", "-explain-extraction",
-				filepath.Join("internal", "dialegg", "testdata", c.module+".mlir"))
+				filepath.Join(c.dir, c.module+".mlir"))
 			var stderr bytes.Buffer
 			cmd.Stderr = &stderr
 			if err := cmd.Run(); err != nil {

@@ -3,7 +3,7 @@
 // scans egglog declarations for MLIR operation encodings (§5.1), the
 // MLIR-to-Egglog translator (§5.3) including opaque-operation handling
 // (§4.3), the saturation driver, and the Egglog-to-MLIR back-translation
-// that rebuilds SSA form from the extracted term.
+// that rebuilds SSA form from the extracted e-nodes.
 package dialegg
 
 import (
@@ -186,11 +186,6 @@ func AttrToTerm(a mlir.Attribute) *sexp.Node {
 	}
 }
 
-// NamedAttrToTerm renders {name = attr} as (NamedAttr "name" attr).
-func NamedAttrToTerm(na mlir.NamedAttribute) *sexp.Node {
-	return sexp.List(sexp.Symbol("NamedAttr"), sexp.String(na.Name), AttrToTerm(na.Attr))
-}
-
 // TermToAttr parses an egglog attribute term.
 func TermToAttr(n *sexp.Node) (mlir.Attribute, error) {
 	switch n.Head() {
@@ -260,16 +255,4 @@ func TermToAttr(n *sexp.Node) (mlir.Attribute, error) {
 	default:
 		return nil, fmt.Errorf("dialegg: unknown attribute term %s", n)
 	}
-}
-
-// TermToNamedAttr parses (NamedAttr "name" attr).
-func TermToNamedAttr(n *sexp.Node) (mlir.NamedAttribute, error) {
-	if n.Head() != "NamedAttr" || len(n.Args()) != 2 || n.Args()[0].Kind != sexp.KindString {
-		return mlir.NamedAttribute{}, fmt.Errorf("dialegg: malformed NamedAttr %s", n)
-	}
-	a, err := TermToAttr(n.Args()[1])
-	if err != nil {
-		return mlir.NamedAttribute{}, err
-	}
-	return mlir.NamedAttribute{Name: n.Args()[0].Str, Attr: a}, nil
 }

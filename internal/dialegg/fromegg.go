@@ -3,30 +3,32 @@ package dialegg
 import (
 	"fmt"
 
+	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
-	"dialegg/internal/sexp"
 )
 
-// rebuilder converts the extracted egglog term back into MLIR SSA form
-// (§5.3 back-translation): structurally identical subterms become one SSA
-// definition with multiple uses, opaque Values are resolved to their
-// original operations, and nested Reg/Blk terms rebuild regions.
+// rebuilder converts the extracted program back into MLIR SSA form (§5.3
+// back-translation). It walks the nodes the extractor chose
+// (egraph.Extractor.ChosenNode) from the function's root block class:
+// each e-class becomes one SSA definition with multiple uses, opaque
+// Values are resolved to their original operations, and nested Reg/Blk
+// nodes rebuild regions.
 type rebuilder struct {
 	tr     *Translation
 	encs   *Encodings
 	codecs *Codecs
+	g      *egraph.EGraph
+	ex     *egraph.Extractor
 
-	// memo is a scope stack mapping an extracted subterm to its rebuilt
-	// value, giving SSA sharing with correct dominance. The extractor
-	// renders each e-class as one node, so keying by pointer gives each
-	// distinct subterm one definition.
-	memo []map[*sexp.Node]*mlir.Value
+	// memo is a scope stack mapping a canonical e-class to its rebuilt
+	// value, giving SSA sharing with correct dominance.
+	memo []map[egraph.Value]*mlir.Value
 	// valueRemap maps original SSA values (function/block args, opaque
 	// results) to their rebuilt counterparts.
 	valueRemap map[*mlir.Value]*mlir.Value
-	// reEmitted memoizes opaque original ops already copied into the new
+	// reEmitted marks opaque original ops already copied into the new
 	// function.
-	reEmitted map[*mlir.Operation]*mlir.Operation
+	reEmitted map[*mlir.Operation]bool
 	// rebuiltEncoded marks ops created from encoded terms; only these are
 	// candidates for the post-rebuild dead-code sweep.
 	rebuiltEncoded map[*mlir.Operation]bool
@@ -34,21 +36,22 @@ type rebuilder struct {
 	cur *mlir.Block
 }
 
-// rebuildFunc creates a fresh func.func from the extracted root block
-// term, reusing orig's name, signature, and argument names. Pure rewritten
-// ops whose results end up unused are swept (block elements pin every
-// original op in the e-graph; the sweep is the dataflow DCE that
-// extraction from a bare dataflow root would have given — see DESIGN.md).
-func rebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, encs *Encodings, codecs *Codecs) (*mlir.Operation, error) {
-	if rootTerm.Head() != "Blk" {
-		return nil, fmt.Errorf("dialegg: extracted root is not a block term: %s", rootTerm.Head())
-	}
+// rebuildFunc creates a fresh func.func from the program ex extracts for
+// the root block class, reusing orig's name, signature, and argument
+// names. Every class root reaches must have a chosen node (ex.DAGCost
+// succeeded). Pure rewritten ops whose results end up unused are swept
+// (block elements pin every original op in the e-graph; the sweep is the
+// dataflow DCE that extraction from a bare dataflow root would have given
+// — see DESIGN.md).
+func rebuildFunc(orig *mlir.Operation, g *egraph.EGraph, ex *egraph.Extractor, root egraph.Value, tr *Translation, encs *Encodings, codecs *Codecs) (*mlir.Operation, error) {
 	rb := &rebuilder{
 		tr:             tr,
 		encs:           encs,
 		codecs:         codecs,
+		g:              g,
+		ex:             ex,
 		valueRemap:     make(map[*mlir.Value]*mlir.Value),
-		reEmitted:      make(map[*mlir.Operation]*mlir.Operation),
+		reEmitted:      make(map[*mlir.Operation]bool),
 		rebuiltEncoded: make(map[*mlir.Operation]bool),
 	}
 
@@ -61,17 +64,17 @@ func rebuildFunc(orig *mlir.Operation, rootTerm *sexp.Node, tr *Translation, enc
 		rb.valueRemap[a] = na
 	}
 
-	if err := rb.rebuildBlockInto(entry, rootTerm, origEntry); err != nil {
+	if err := rb.rebuildBlockInto(entry, root, origEntry); err != nil {
 		return nil, err
 	}
 	rb.sweepDead(f)
 	return f, nil
 }
 
-func (rb *rebuilder) pushScope() { rb.memo = append(rb.memo, make(map[*sexp.Node]*mlir.Value)) }
+func (rb *rebuilder) pushScope() { rb.memo = append(rb.memo, make(map[egraph.Value]*mlir.Value)) }
 func (rb *rebuilder) popScope()  { rb.memo = rb.memo[:len(rb.memo)-1] }
 
-func (rb *rebuilder) memoGet(key *sexp.Node) (*mlir.Value, bool) {
+func (rb *rebuilder) memoGet(key egraph.Value) (*mlir.Value, bool) {
 	for i := len(rb.memo) - 1; i >= 0; i-- {
 		if v, ok := rb.memo[i][key]; ok {
 			return v, true
@@ -80,20 +83,33 @@ func (rb *rebuilder) memoGet(key *sexp.Node) (*mlir.Value, bool) {
 	return nil, false
 }
 
-func (rb *rebuilder) memoPut(key *sexp.Node, v *mlir.Value) {
+func (rb *rebuilder) memoPut(key egraph.Value, v *mlir.Value) {
 	rb.memo[len(rb.memo)-1][key] = v
 }
 
-// rebuildBlockInto rebuilds the ops of a (Blk (vec-of ...)) term into b.
-// origBlock, when known, is the original block this term derives from:
-// vector elements are positionally stable through saturation (nothing
-// rewrites Blk vectors), so element i is the optimized form of
-// origBlock.Ops[i]; each original single result is remapped to the rebuilt
-// value so that opaque operations referencing it pick up the optimized
-// definition instead of re-emitting the original chain.
-func (rb *rebuilder) rebuildBlockInto(b *mlir.Block, blkTerm *sexp.Node, origBlock *mlir.Block) error {
-	if blkTerm.Head() != "Blk" || len(blkTerm.Args()) != 1 || blkTerm.Args()[0].Head() != "vec-of" {
-		return fmt.Errorf("dialegg: malformed block term %s", blkTerm)
+// elems returns the element classes of the vector that the chosen node of
+// a Blk or Reg class wraps. A user rule source may declare other
+// constructors of the Block and Region sorts, so the head is checked.
+func (rb *rebuilder) elems(v egraph.Value, head, what string) ([]egraph.Value, error) {
+	fn, args, _, _ := rb.ex.ChosenNode(v)
+	if fn.Name != head {
+		term, _, _ := rb.ex.Extract(v)
+		return nil, fmt.Errorf("dialegg: malformed %s term %s", what, term)
+	}
+	return rb.g.VecElems(args[0]), nil
+}
+
+// rebuildBlockInto rebuilds the ops of a Blk class into b. origBlock, when
+// known, is the original block this class derives from: vector elements
+// are positionally stable through saturation (nothing rewrites Blk
+// vectors), so element i is the optimized form of origBlock.Ops[i]; each
+// original single result is remapped to the rebuilt value so that opaque
+// operations referencing it pick up the optimized definition instead of
+// re-emitting the original chain.
+func (rb *rebuilder) rebuildBlockInto(b *mlir.Block, blk egraph.Value, origBlock *mlir.Block) error {
+	elems, err := rb.elems(blk, "Blk", "block")
+	if err != nil {
+		return err
 	}
 	prev := rb.cur
 	rb.cur = b
@@ -102,7 +118,6 @@ func (rb *rebuilder) rebuildBlockInto(b *mlir.Block, blkTerm *sexp.Node, origBlo
 		rb.popScope()
 		rb.cur = prev
 	}()
-	elems := blkTerm.Args()[0].Args()
 	zip := origBlock != nil && len(origBlock.Ops) == len(elems)
 	for i, elem := range elems {
 		var origOp *mlir.Operation
@@ -125,50 +140,50 @@ func (rb *rebuilder) rebuildBlockInto(b *mlir.Block, blkTerm *sexp.Node, origBlo
 	return nil
 }
 
-// buildTerm rebuilds one term, appending any needed operations to the
-// current block, and returns the term's SSA value (nil for zero-result
-// operations such as terminators). origOp, when non-nil, is the original
-// operation this term is the optimized form of (known positionally: Blk
-// vectors are stable through saturation); it anchors region rebinding
-// when the term's leaves cannot identify the original block themselves.
-func (rb *rebuilder) buildTerm(term *sexp.Node, origOp *mlir.Operation) (*mlir.Value, error) {
-	if v, ok := rb.memoGet(term); ok {
-		return v, nil
+// buildTerm rebuilds the chosen node of the op class v, appending any
+// needed operations to the current block, and returns the class's SSA
+// value (nil for zero-result operations such as terminators). origOp, when
+// non-nil, is the original operation this class is the optimized form of
+// (known positionally: Blk vectors are stable through saturation); it
+// anchors region rebinding when the node's leaves cannot identify the
+// original block themselves.
+func (rb *rebuilder) buildTerm(v egraph.Value, origOp *mlir.Operation) (*mlir.Value, error) {
+	cls := rb.g.Find(v)
+	if res, ok := rb.memoGet(cls); ok {
+		return res, nil
 	}
-	head := term.Head()
+	fn, args, _, _ := rb.ex.ChosenNode(cls)
+	head := fn.Name
 	if head == "Value" {
-		return rb.buildValue(term)
+		return rb.buildValue(args[0].AsI64())
 	}
 	enc, ok := rb.encs.LookupEgg(head)
 	if !ok {
 		return nil, fmt.Errorf("dialegg: extracted term has no encoding: %s", head)
-	}
-	args := term.Args()
-	want := enc.NumOperands + enc.NumAttrs + enc.NumRegions
-	if enc.HasResultType {
-		want++
-	}
-	if len(args) != want {
-		return nil, fmt.Errorf("dialegg: term %s has %d args, encoding wants %d", head, len(args), want)
 	}
 
 	// Operands first (dominance: their defining ops are appended before
 	// this one).
 	operands := make([]*mlir.Value, enc.NumOperands)
 	for i := 0; i < enc.NumOperands; i++ {
-		v, err := rb.buildTerm(args[i], nil)
+		operand, err := rb.buildTerm(args[i], nil)
 		if err != nil {
 			return nil, err
 		}
-		if v == nil {
+		if operand == nil {
 			return nil, fmt.Errorf("dialegg: operand %d of %s has no value", i, head)
 		}
-		operands[i] = v
+		operands[i] = operand
 	}
 
+	// Attributes and the result type decode from their rendered terms.
 	var attrs []mlir.NamedAttribute
 	for i := 0; i < enc.NumAttrs; i++ {
-		na, err := rb.codecs.TermToNamedAttr(args[enc.NumOperands+i])
+		term, _, err := rb.ex.Extract(args[enc.NumOperands+i])
+		if err != nil {
+			return nil, err
+		}
+		na, err := rb.codecs.TermToNamedAttr(term)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +192,11 @@ func (rb *rebuilder) buildTerm(term *sexp.Node, origOp *mlir.Operation) (*mlir.V
 
 	var resultTypes []mlir.Type
 	if enc.HasResultType {
-		t, err := rb.codecs.TermToType(args[len(args)-1])
+		term, _, err := rb.ex.Extract(args[len(args)-1])
+		if err != nil {
+			return nil, err
+		}
+		t, err := rb.codecs.TermToType(term)
 		if err != nil {
 			return nil, err
 		}
@@ -212,19 +231,21 @@ func (rb *rebuilder) buildTerm(term *sexp.Node, origOp *mlir.Operation) (*mlir.V
 	if len(op.Results) == 1 {
 		result = op.Results[0]
 	}
-	rb.memoPut(term, result)
+	rb.memoPut(cls, result)
 	return result, nil
 }
 
-// buildValue resolves a (Value id type) leaf: a function/block argument or
-// an opaque operation result.
-func (rb *rebuilder) buildValue(term *sexp.Node) (*mlir.Value, error) {
-	if len(term.Args()) != 2 || term.Args()[0].Kind != sexp.KindInt {
-		return nil, fmt.Errorf("dialegg: malformed Value term %s", term)
-	}
-	id := term.Args()[0].Int
+// buildValue resolves the leaf (Value id type): a function or block
+// argument, or a result of an opaque operation, which is copied into the
+// rebuilt function on first use (see rebuildOriginalValue).
+func (rb *rebuilder) buildValue(id int64) (*mlir.Value, error) {
 	if op, ok := rb.tr.OpaqueOps[id]; ok {
-		return rb.reEmitOpaque(op, id)
+		if err := rb.reEmitOpaqueDef(op); err != nil {
+			return nil, err
+		}
+		if len(op.Results) == 0 {
+			return nil, nil
+		}
 	}
 	orig, ok := rb.tr.ValueIDs[id]
 	if !ok {
@@ -234,109 +255,6 @@ func (rb *rebuilder) buildValue(term *sexp.Node) (*mlir.Value, error) {
 		return v, nil
 	}
 	return nil, fmt.Errorf("dialegg: Value id %d (%s) has no rebuilt binding; a rewrite moved a block argument out of its region", id, orig)
-}
-
-// reEmitOpaque copies an untranslated original operation into the rebuilt
-// function, resolving its operands against the rebuilt values (and
-// re-emitting their original defining ops when the optimized dataflow no
-// longer provides them — opaque operands are invisible to the e-graph).
-func (rb *rebuilder) reEmitOpaque(op *mlir.Operation, id int64) (*mlir.Value, error) {
-	if copyOp, done := rb.reEmitted[op]; done {
-		return rb.resultForID(copyOp, op, id)
-	}
-	operands := make([]*mlir.Value, len(op.Operands))
-	for i, o := range op.Operands {
-		v, err := rb.rebuildOriginalValue(o)
-		if err != nil {
-			return nil, err
-		}
-		operands[i] = v
-	}
-	types := make([]mlir.Type, len(op.Results))
-	for i, r := range op.Results {
-		types[i] = r.Typ
-	}
-	copyOp := mlir.NewOperation(op.Name, operands, types)
-	copyOp.Attrs = append([]mlir.NamedAttribute(nil), op.Attrs...)
-	// Opaque ops with regions are copied wholesale; their interiors were
-	// never in the e-graph.
-	for _, reg := range op.Regions {
-		cr := copyOp.AddRegion()
-		for _, blk := range reg.Blocks {
-			cb := cr.AddBlock()
-			for _, a := range blk.Args {
-				na := cb.AddArg(a.Typ, a.Name)
-				rb.valueRemap[a] = na
-			}
-			for _, inner := range blk.Ops {
-				iv, err := rb.reEmitOpaqueInner(inner, cb)
-				if err != nil {
-					return nil, err
-				}
-				_ = iv
-			}
-		}
-	}
-	rb.cur.Append(copyOp)
-	rb.reEmitted[op] = copyOp
-	for i, r := range op.Results {
-		rb.valueRemap[r] = copyOp.Results[i]
-	}
-	return rb.resultForID(copyOp, op, id)
-}
-
-func (rb *rebuilder) reEmitOpaqueInner(op *mlir.Operation, into *mlir.Block) (*mlir.Operation, error) {
-	operands := make([]*mlir.Value, len(op.Operands))
-	for i, o := range op.Operands {
-		v, err := rb.rebuildOriginalValue(o)
-		if err != nil {
-			return nil, err
-		}
-		operands[i] = v
-	}
-	types := make([]mlir.Type, len(op.Results))
-	for i, r := range op.Results {
-		types[i] = r.Typ
-	}
-	copyOp := mlir.NewOperation(op.Name, operands, types)
-	copyOp.Attrs = append([]mlir.NamedAttribute(nil), op.Attrs...)
-	for _, reg := range op.Regions {
-		cr := copyOp.AddRegion()
-		for _, blk := range reg.Blocks {
-			cb := cr.AddBlock()
-			for _, a := range blk.Args {
-				na := cb.AddArg(a.Typ, a.Name)
-				rb.valueRemap[a] = na
-			}
-			for _, inner := range blk.Ops {
-				if _, err := rb.reEmitOpaqueInner(inner, cb); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	into.Append(copyOp)
-	for i, r := range op.Results {
-		rb.valueRemap[r] = copyOp.Results[i]
-	}
-	return copyOp, nil
-}
-
-// resultForID picks the copied result corresponding to the Value id.
-func (rb *rebuilder) resultForID(copyOp, op *mlir.Operation, id int64) (*mlir.Value, error) {
-	if len(op.Results) == 0 {
-		return nil, nil
-	}
-	orig, ok := rb.tr.ValueIDs[id]
-	if !ok {
-		return copyOp.Results[0], nil
-	}
-	for i, r := range op.Results {
-		if r == orig {
-			return copyOp.Results[i], nil
-		}
-	}
-	return copyOp.Results[0], nil
 }
 
 // rebuildOriginalValue maps an original SSA value into the rebuilt
@@ -354,46 +272,82 @@ func (rb *rebuilder) rebuildOriginalValue(o *mlir.Value) (*mlir.Value, error) {
 	// Re-emit the original defining op (unoptimized): opaque operands are
 	// invisible to the e-graph, so their producers may be absent from the
 	// extracted dataflow.
-	copyOp, err := rb.reEmitOpaqueDef(o.Def)
-	if err != nil {
+	if err := rb.reEmitOpaqueDef(o.Def); err != nil {
 		return nil, err
 	}
-	for i, r := range o.Def.Results {
-		if r == o {
-			return copyOp.Results[i], nil
-		}
-	}
-	return nil, fmt.Errorf("dialegg: lost track of %s during re-emission", o)
+	return rb.valueRemap[o], nil
 }
 
-func (rb *rebuilder) reEmitOpaqueDef(op *mlir.Operation) (*mlir.Operation, error) {
-	if copyOp, done := rb.reEmitted[op]; done {
-		return copyOp, nil
+// reEmitOpaqueDef copies an untranslated original operation into the
+// current block once, resolving its operands against the rebuilt values
+// (and re-emitting their original defining ops when the optimized
+// dataflow no longer provides them — opaque operands are invisible to the
+// e-graph).
+func (rb *rebuilder) reEmitOpaqueDef(op *mlir.Operation) error {
+	if rb.reEmitted[op] {
+		return nil
 	}
-	copyOp, err := rb.reEmitOpaqueInner(op, rb.cur)
-	if err != nil {
-		return nil, err
+	if err := rb.reEmitOpaqueInner(op, rb.cur); err != nil {
+		return err
 	}
-	rb.reEmitted[op] = copyOp
+	rb.reEmitted[op] = true
+	return nil
+}
+
+// reEmitOpaqueInner appends a copy of op to into and remaps its results
+// and block arguments to the copy's. Regions are copied wholesale: the
+// interiors of opaque ops were never in the e-graph.
+func (rb *rebuilder) reEmitOpaqueInner(op *mlir.Operation, into *mlir.Block) error {
+	operands := make([]*mlir.Value, len(op.Operands))
+	for i, o := range op.Operands {
+		v, err := rb.rebuildOriginalValue(o)
+		if err != nil {
+			return err
+		}
+		operands[i] = v
+	}
+	types := make([]mlir.Type, len(op.Results))
+	for i, r := range op.Results {
+		types[i] = r.Typ
+	}
+	copyOp := mlir.NewOperation(op.Name, operands, types)
+	copyOp.Attrs = append([]mlir.NamedAttribute(nil), op.Attrs...)
+	for _, reg := range op.Regions {
+		cr := copyOp.AddRegion()
+		for _, blk := range reg.Blocks {
+			cb := cr.AddBlock()
+			for _, a := range blk.Args {
+				na := cb.AddArg(a.Typ, a.Name)
+				rb.valueRemap[a] = na
+			}
+			for _, inner := range blk.Ops {
+				if err := rb.reEmitOpaqueInner(inner, cb); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	into.Append(copyOp)
 	for i, r := range op.Results {
 		rb.valueRemap[r] = copyOp.Results[i]
 	}
-	return copyOp, nil
+	return nil
 }
 
-// rebuildRegion rebuilds a (Reg (vec-of (Blk ...)...)) term into a new
-// region of op, creating entry-block arguments from the original block
-// whose arguments the region body references. origRegion, when non-nil,
-// is the original region this term derives from (known positionally from
-// the original op); its blocks anchor the rebinding even when the body
-// never references its own arguments directly — e.g. an scf.for whose
-// iter_arg is only used inside a nested scf.if region.
-func (rb *rebuilder) rebuildRegion(op *mlir.Operation, regTerm *sexp.Node, origRegion *mlir.Region) error {
-	if regTerm.Head() != "Reg" || len(regTerm.Args()) != 1 || regTerm.Args()[0].Head() != "vec-of" {
-		return fmt.Errorf("dialegg: malformed region term %s", regTerm)
+// rebuildRegion rebuilds a Reg class into a new region of op, creating
+// entry-block arguments from the original block whose arguments the region
+// body references. origRegion, when non-nil, is the original region this
+// class derives from (known positionally from the original op); its blocks
+// anchor the rebinding even when the body never references its own
+// arguments directly — e.g. an scf.for whose iter_arg is only used inside
+// a nested scf.if region.
+func (rb *rebuilder) rebuildRegion(op *mlir.Operation, reg egraph.Value, origRegion *mlir.Region) error {
+	blocks, err := rb.elems(reg, "Reg", "region")
+	if err != nil {
+		return err
 	}
 	region := op.AddRegion()
-	for bi, blkTerm := range regTerm.Args()[0].Args() {
+	for bi, blk := range blocks {
 		block := region.AddBlock()
 		// Identify the original block: positionally through the original
 		// region when known (the strongest evidence), otherwise by scanning
@@ -403,7 +357,7 @@ func (rb *rebuilder) rebuildRegion(op *mlir.Operation, regTerm *sexp.Node, origR
 			origBlock = origRegion.Blocks[bi]
 		}
 		if origBlock == nil {
-			origBlock = rb.findOriginalBlock(blkTerm, op.Name)
+			origBlock = rb.findOriginalBlock(blk, op.Name)
 		}
 		if origBlock != nil {
 			for _, a := range origBlock.Args {
@@ -418,36 +372,61 @@ func (rb *rebuilder) rebuildRegion(op *mlir.Operation, regTerm *sexp.Node, origR
 				block.AddArg(op.Operands[i].Typ, "")
 			}
 		}
-		if err := rb.rebuildBlockInto(block, blkTerm, origBlock); err != nil {
+		if err := rb.rebuildBlockInto(block, blk, origBlock); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// findOriginalBlock locates the original block this (Blk ...) term derives
+// findOriginalBlock locates the original block the Blk class blk derives
 // from, so its arguments can be rebound to the rebuilt block's arguments.
-// It scans the term for Value leaves — block arguments and opaque
-// operation results — whose original location is known, then walks up as
-// many original region levels as there are Reg boundaries between the leaf
-// and this block term. A leaf the block *owns* lands exactly on the block
-// at this term's level, but a leaf capturing a value from an enclosing
-// region walks up to a strictly shallower block — and when the enclosing
-// op has the same name (a nested scf.for capturing the outer iter_arg),
-// the name guard alone cannot tell them apart. Enclosing blocks were
-// already claimed by the time a nested region is rebuilt (regions rebuild
+// It scans the chosen nodes blk reaches for Value leaves — block arguments
+// and opaque operation results — whose original location is known, then
+// walks up as many original region levels as there are Reg nodes between
+// the leaf and blk. A leaf the block *owns* lands exactly on the block at
+// blk's level, but a leaf capturing a value from an enclosing region walks
+// up to a strictly shallower block — and when the enclosing op has the
+// same name (a nested scf.for capturing the outer iter_arg), the name
+// guard alone cannot tell them apart. Enclosing blocks were already
+// claimed by the time a nested region is rebuilt (regions rebuild
 // outside-in, and each original block derives at most one rebuilt block),
 // so candidates whose arguments are already rebound are rejected and the
 // scan continues to a leaf the block really owns.
-func (rb *rebuilder) findOriginalBlock(blkTerm *sexp.Node, opName string) *mlir.Block {
+//
+// The scan is depth-first in argument order and visits each (class, Reg
+// depth) pair once: nothing it reads changes while it runs, so a second
+// visit could only repeat a miss. It takes time linear in the classes blk
+// reaches, however much the extracted program shares.
+func (rb *rebuilder) findOriginalBlock(blk egraph.Value, opName string) *mlir.Block {
+	type visit struct {
+		cls   egraph.Value
+		depth int
+	}
+	seen := make(map[visit]bool)
 	var found *mlir.Block
-	var scan func(n *sexp.Node, depth int)
-	scan = func(n *sexp.Node, depth int) {
-		if found != nil || n.Kind != sexp.KindList {
+	var scan func(v egraph.Value, depth int)
+	scan = func(v egraph.Value, depth int) {
+		if found != nil {
 			return
 		}
-		if n.Head() == "Value" && len(n.Args()) == 2 && n.Args()[0].Kind == sexp.KindInt {
-			id := n.Args()[0].Int
+		if v.Sort.Kind == egraph.KindVec {
+			for _, el := range rb.g.VecElems(v) {
+				scan(el, depth)
+			}
+			return
+		}
+		if v.Sort.Kind != egraph.KindEq {
+			return
+		}
+		cls := rb.g.Find(v)
+		if seen[visit{cls, depth}] {
+			return
+		}
+		seen[visit{cls, depth}] = true
+		fn, args, _, _ := rb.ex.ChosenNode(cls)
+		if fn.Name == "Value" {
+			id := args[0].AsI64()
 			var leafBlock *mlir.Block
 			if op, ok := rb.tr.OpaqueOps[id]; ok {
 				leafBlock = op.ParentBlock
@@ -465,15 +444,14 @@ func (rb *rebuilder) findOriginalBlock(blkTerm *sexp.Node, opName string) *mlir.
 			}
 			return
 		}
-		childDepth := depth
-		if n.Head() == "Reg" {
-			childDepth++
+		if fn.Name == "Reg" {
+			depth++
 		}
-		for _, c := range n.List {
-			scan(c, childDepth)
+		for _, a := range args {
+			scan(a, depth)
 		}
 	}
-	scan(blkTerm, 0)
+	scan(blk, 0)
 	return found
 }
 

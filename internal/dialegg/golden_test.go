@@ -2,6 +2,7 @@ package dialegg
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,5 +82,77 @@ func TestGolden(t *testing.T) {
 				t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
 			}
 		})
+	}
+}
+
+// TestGoldenMatrix optimizes every testdata and difftest-corpus module
+// under each of the four bundled rule sets and compares the printed module,
+// ExtractCost and ExtractDAGCost of every compile against
+// testdata/matrix.golden, so a change to extraction or back-translation
+// that moves any output shows up here. Regenerate with:
+//
+//	go test ./internal/dialegg -run TestGoldenMatrix -update
+func TestGoldenMatrix(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.mlir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := filepath.Glob("../difftest/testdata/corpus/*.mlir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, corpus...)
+	var b strings.Builder
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ruleSet := range []string{"imgconv", "vecnorm", "poly", "matmul"} {
+			ruleSrcs, err := rules.Bundle(ruleSet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := dialects.NewRegistry()
+			m, err := mlir.ParseModule(string(src), reg)
+			if err != nil {
+				t.Fatalf("%s: parse: %v", file, err)
+			}
+			rep, err := NewOptimizer(Options{RuleSources: ruleSrcs}).OptimizeModule(m)
+			if err != nil {
+				t.Fatalf("%s -rules %s: %v", file, ruleSet, err)
+			}
+			fmt.Fprintf(&b, "==== %s -rules %s: extract_cost %d, extract_dag_cost %d\n",
+				filepath.ToSlash(file), ruleSet, rep.ExtractCost, rep.ExtractDAGCost)
+			b.WriteString(mlir.PrintModule(m, reg))
+		}
+	}
+	got := b.String()
+	const goldenPath = "testdata/matrix.golden"
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		gotParts := strings.Split(got, "==== ")
+		wantParts := strings.Split(string(want), "==== ")
+		for i := range max(len(gotParts), len(wantParts)) {
+			var g, w string
+			if i < len(gotParts) {
+				g = gotParts[i]
+			}
+			if i < len(wantParts) {
+				w = wantParts[i]
+			}
+			if g != w {
+				t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, g, w)
+			}
+		}
 	}
 }

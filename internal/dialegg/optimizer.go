@@ -248,25 +248,23 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 			"nodes":      int64(run.Nodes),
 		})
 	}
-	// One extractor serves extraction, DAG cost, blame and both kinds of
-	// explanation: the graph is rebuilt and the cost fixpoint run once.
+	// One extractor serves extraction, DAG cost, blame, both kinds of
+	// explanation and the back-translation: the graph is rebuilt and the
+	// cost fixpoint run once. DAGCost fails unless every class the root
+	// reaches has a chosen node.
 	startExtract := time.Now()
 	root, ok := p.LookupLet(tr.RootName)
 	if !ok {
 		return nil, nil, fmt.Errorf("dialegg: extraction: no let %s", tr.RootName)
 	}
 	ex := p.Extractor()
-	term, cost, err := ex.Extract(root)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dialegg: extraction: %w", err)
-	}
-	report.ExtractCost = cost
 	if report.ExtractDAGCost, err = ex.DAGCost(root); err != nil {
 		return nil, nil, fmt.Errorf("dialegg: extraction: %w", err)
 	}
+	report.ExtractCost, _ = ex.CostOf(root)
 	if rec.Enabled() {
 		rec.Complete(obs.LanePipeline, "phase", "extract", startExtract, time.Since(startExtract), map[string]int64{
-			"cost":     cost,
+			"cost":     report.ExtractCost,
 			"dag_cost": report.ExtractDAGCost,
 		})
 	}
@@ -291,7 +289,7 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 
 	// Phase 3: Egglog -> MLIR.
 	startBack := time.Now()
-	nf, err := rebuildFunc(f, term, tr, encs, o.opts.Codecs)
+	nf, err := rebuildFunc(f, p.Graph(), ex, root, tr, encs, o.opts.Codecs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dialegg: back-translation: %w", err)
 	}

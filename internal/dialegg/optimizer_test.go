@@ -102,11 +102,14 @@ func TestReportDAGCostPinned(t *testing.T) {
 	}
 }
 
-// TestExtractedSubtermIdentity checks what the back-translation and DAG
-// cost rely on: in every function's extracted term, two list subterms other
-// than vec-of are the same pointer exactly when they print alike. It runs
-// every testdata and difftest-corpus module under every bundled rule set,
-// and checks DAG cost against tree cost on each.
+// TestExtractedSubtermIdentity checks that structural identity of
+// extracted subterms is class identity, the reason the back-translation
+// (which keys its SSA sharing by e-class) and DAG cost (which counts each
+// class once) give each distinct subterm one definition: in every
+// function's extracted term, two list subterms other than vec-of are the
+// same pointer (Extract renders each class once) exactly when they print
+// alike. It runs every testdata and difftest-corpus module under every
+// bundled rule set, and checks DAG cost against tree cost on each.
 func TestExtractedSubtermIdentity(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.mlir")
 	if err != nil {

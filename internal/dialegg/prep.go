@@ -43,8 +43,6 @@ type encodingKey struct {
 type Encodings struct {
 	byKey     map[encodingKey]*OpEncoding
 	byEggName map[string]*OpEncoding
-	// all lists encodings in discovery order.
-	all []*OpEncoding
 }
 
 // Lookup finds the encoding for an MLIR op name with the given operand
@@ -59,9 +57,6 @@ func (e *Encodings) LookupEgg(eggName string) (*OpEncoding, bool) {
 	enc, ok := e.byEggName[eggName]
 	return enc, ok
 }
-
-// All returns every discovered encoding.
-func (e *Encodings) All() []*OpEncoding { return e.all }
 
 // preludeOpFunctions are Op-returning prelude functions that are not MLIR
 // operation encodings.
@@ -140,7 +135,6 @@ func Prepare(p *egglog.Program) (*Encodings, error) {
 		}
 		encs.byKey[key] = enc
 		encs.byEggName[f.Name] = enc
-		encs.all = append(encs.all, enc)
 
 		if enc.HasResultType {
 			if err := installTypeOfRule(p, f, enc); err != nil {

@@ -155,12 +155,9 @@ func (e *Extractor) ChosenNode(v Value) (f *Function, args []Value, out Value, o
 // s-expression, along with its (tree) cost.
 //
 // Every class is rendered once per extractor: each occurrence of a class in
-// the terms this extractor returns is the same *sexp.Node. On a rebuilt
-// graph two classes never render equal terms (their chosen nodes would be
-// congruent, so hash-consing would have merged them), so two list subterms
-// other than vec-of are the same pointer exactly when they are Equal, and
-// consumers may key subterms by pointer. vec-of lists are built afresh at
-// each occurrence.
+// the terms this extractor returns is the same *sexp.Node, so rendering
+// takes time linear in the classes reached. vec-of lists are built afresh
+// at each occurrence.
 func (e *Extractor) Extract(v Value) (*sexp.Node, int64, error) {
 	n, err := e.term(v)
 	if err != nil {
