@@ -219,19 +219,22 @@ func run(opts options) (err error) {
 				Recorder:      rec,
 				Scheduler:     scheduler,
 			},
-			KeepEggProgram:    opts.emitEgg,
 			ExplainRewrites:   opts.explain,
 			Journal:           jw,
 			ExplainExtraction: opts.explainExtr,
 			Blame:             opts.profileFile != "",
 		})
+		if opts.emitEgg {
+			prog, err := opt.EggProgram(m)
+			if err != nil {
+				return err
+			}
+			fmt.Print(prog)
+			return nil
+		}
 		rep, err := opt.OptimizeModule(m)
 		if err != nil {
 			return err
-		}
-		if opts.emitEgg {
-			fmt.Print(rep.EggProgram)
-			return nil
 		}
 		if opts.explain {
 			for _, proof := range rep.RewriteExplanations {

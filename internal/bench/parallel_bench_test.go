@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -104,11 +105,11 @@ func taskTimesPerIter(rec *obs.Recorder) [][]time.Duration {
 }
 
 // BenchmarkMatchMakespanProjection measures every match task's serial
-// cost (Workers=1, MatchShards=8, read from the Recorder's worker-lane
-// match spans) and list-schedules each iteration's durations onto 2/4/8
-// simulated workers. On a multi-core host the
-// pool realizes this makespan directly, so proj-speedup-Nw is the
-// match-phase speedup the measured shard balance supports — a
+// cost (the 8-worker shard plan run on one CPU, GOMAXPROCS 1, read from
+// the Recorder's worker-lane match spans) and list-schedules each
+// iteration's durations onto 2/4/8 simulated workers. On a multi-core
+// host the pool realizes this makespan directly, so proj-speedup-Nw is
+// the match-phase speedup the measured shard balance supports — a
 // measurement that stays meaningful on single-core CI, where wall-clock
 // bars cannot separate.
 func BenchmarkMatchMakespanProjection(b *testing.B) {
@@ -116,6 +117,9 @@ func BenchmarkMatchMakespanProjection(b *testing.B) {
 		dims := NMMDims(n)
 		src := MatmulChainSource(fmt.Sprintf("mm%d", n), dims)
 		b.Run(fmt.Sprintf("chain%d", n), func(b *testing.B) {
+			// Set inside the sub-benchmark: the testing package resets
+			// GOMAXPROCS before running each one.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			var serialMatch time.Duration
 			makespans := map[int]time.Duration{2: 0, 4: 0, 8: 0}
 			for i := 0; i < b.N; i++ {
@@ -126,13 +130,12 @@ func BenchmarkMatchMakespanProjection(b *testing.B) {
 				}
 				rec := obs.NewRecorder()
 				cfg := egraph.RunConfig{
-					NodeLimit:   2_000_000,
-					MatchLimit:  2_000_000,
-					TimeLimit:   240 * time.Second,
-					IterLimit:   120,
-					Workers:     1,
-					MatchShards: 8,
-					Recorder:    rec,
+					NodeLimit:  2_000_000,
+					MatchLimit: 2_000_000,
+					TimeLimit:  240 * time.Second,
+					IterLimit:  120,
+					Workers:    8,
+					Recorder:   rec,
 				}
 				opt := dialegg.NewOptimizer(dialegg.Options{
 					RuleSources: rules.MatmulChain(),

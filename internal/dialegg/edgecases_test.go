@@ -139,7 +139,11 @@ func.func @caller(%x: f32) -> f32 {
   func.return %c : f32
 }`
 	m, reg := parseModule(t, src)
-	opt := NewOptimizer(Options{RuleSources: []string{callRules}, KeepEggProgram: true})
+	opt := NewOptimizer(Options{RuleSources: []string{callRules}})
+	prog, err := opt.EggProgram(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep, err := opt.OptimizeModule(m)
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +153,8 @@ func.func @caller(%x: f32) -> f32 {
 	if countOps(m, "func.call") != 3 {
 		t.Errorf("calls lost:\n%s", mlir.PrintModule(m, reg))
 	}
-	if !strings.Contains(rep.EggProgram, "func_call_0") || !strings.Contains(rep.EggProgram, "func_call_2") {
-		t.Errorf("variadic encodings unused:\n%s", rep.EggProgram)
+	if !strings.Contains(prog, "func_call_0") || !strings.Contains(prog, "func_call_2") {
+		t.Errorf("variadic encodings unused:\n%s", prog)
 	}
 	if rep.NumOpaqueOps != 1 {
 		t.Errorf("opaque ops = %d, want 1 (the unary call)", rep.NumOpaqueOps)

@@ -2,6 +2,7 @@ package dialegg
 
 import (
 	"fmt"
+	"slices"
 
 	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
@@ -481,56 +482,62 @@ func walkUpBlocks(b *mlir.Block, n int) *mlir.Block {
 	return b
 }
 
-// sweepDead removes rebuilt encoded ops whose results are all unused.
-// Re-emitted opaque ops are kept (unknown effects); zero-result ops
-// (terminators, plain loops) are kept.
+// sweepDead removes rebuilt encoded ops whose results are all unused,
+// then the ops that only removed ops used, and so on. Uses are counted
+// once and each removal releases its operands, so the sweep is linear in
+// the function however long a dead chain is. Re-emitted opaque ops are
+// kept (unknown effects); zero-result ops (terminators, plain loops) are
+// kept.
 func (rb *rebuilder) sweepDead(f *mlir.Operation) {
-	for {
-		used := make(map[*mlir.Value]bool)
-		f.Walk(func(op *mlir.Operation) bool {
-			for _, o := range op.Operands {
-				used[o] = true
-			}
-			return true
-		})
-		removed := false
-		var sweep func(b *mlir.Block)
-		sweep = func(b *mlir.Block) {
-			kept := b.Ops[:0]
-			for _, op := range b.Ops {
-				for _, r := range op.Regions {
-					for _, inner := range r.Blocks {
-						sweep(inner)
-					}
-				}
-				// Region-carrying ops are never swept even when their
-				// results are unused: their bodies may hold re-emitted
-				// opaque operations whose effects must survive (§4.3).
-				if rb.rebuiltEncoded[op] && len(op.Results) > 0 && len(op.Regions) == 0 {
-					live := false
-					for _, res := range op.Results {
-						if used[res] {
-							live = true
-							break
-						}
-					}
-					if !live {
-						op.ParentBlock = nil
-						removed = true
-						continue
-					}
-				}
-				kept = append(kept, op)
-			}
-			b.Ops = kept
+	uses := make(map[*mlir.Value]int)
+	f.Walk(func(op *mlir.Operation) bool {
+		for _, o := range op.Operands {
+			uses[o]++
 		}
-		for _, r := range f.Regions {
-			for _, b := range r.Blocks {
-				sweep(b)
+		return true
+	})
+	dead := make(map[*mlir.Operation]bool)
+	// Region-carrying ops are never swept even when their results are
+	// unused: their bodies may hold re-emitted opaque operations whose
+	// effects must survive (§4.3).
+	removable := func(op *mlir.Operation) bool {
+		if dead[op] || !rb.rebuiltEncoded[op] || len(op.Results) == 0 || len(op.Regions) > 0 {
+			return false
+		}
+		for _, r := range op.Results {
+			if uses[r] > 0 {
+				return false
 			}
 		}
-		if !removed {
-			return
+		return true
+	}
+	var work []*mlir.Operation
+	f.Walk(func(op *mlir.Operation) bool {
+		if removable(op) {
+			dead[op] = true
+			work = append(work, op)
+		}
+		return true
+	})
+	for len(work) > 0 {
+		op := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, o := range op.Operands {
+			uses[o]--
+			if o.Def != nil && removable(o.Def) {
+				dead[o.Def] = true
+				work = append(work, o.Def)
+			}
 		}
 	}
+	// Walk visits an op before its regions, so each block is filtered
+	// before its ops are visited.
+	f.Walk(func(op *mlir.Operation) bool {
+		for _, r := range op.Regions {
+			for _, b := range r.Blocks {
+				b.Ops = slices.DeleteFunc(b.Ops, func(op *mlir.Operation) bool { return dead[op] })
+			}
+		}
+		return true
+	})
 }

@@ -107,6 +107,40 @@ func TestSelectLoweringOverSharedChainIsFast(t *testing.T) {
 	}
 }
 
+// mulByZero is rules.ArithCore plus a rule that folds a product with
+// zero to zero, leaving the product's other operand unused.
+var mulByZero = []string{rules.ArithCore, `
+(rewrite (arith_muli ?x (arith_constant (NamedAttr "value" (IntegerAttr 0 ?t)) ?t) ?t)
+         (arith_constant (NamedAttr "value" (IntegerAttr 0 ?t)) ?t))
+`}
+
+// TestDeadChainSweepIsLinear multiplies the end of an 8,000-long chain of
+// additions by zero. The rewrite leaves the whole chain dead, one link
+// using the next, and the dead-op sweep must remove it in time linear in
+// the function: a sweep that rebuilds its use map for every link it
+// removes is quadratic and takes seconds at this length.
+func TestDeadChainSweepIsLinear(t *testing.T) {
+	const n = 8000
+	var b strings.Builder
+	b.WriteString("func.func @chain(%x: i64) -> i64 {\n")
+	b.WriteString("  %zero = arith.constant 0 : i64\n")
+	b.WriteString("  %a0 = arith.addi %x, %x : i64\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "  %%a%d = arith.addi %%a%d, %%x : i64\n", i, i-1)
+	}
+	fmt.Fprintf(&b, "  %%r = arith.muli %%a%d, %%zero : i64\n", n)
+	b.WriteString("  func.return %r : i64\n}\n")
+	start := time.Now()
+	m, _, reg := optimize(t, b.String(), mulByZero)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("compile took %v, want under 2s", d)
+	}
+	const want = "module {\n  func.func @chain(%x: i64) -> i64 {\n    %0 = arith.constant 0 : i64\n    func.return %0 : i64\n  }\n}\n"
+	if got := mlir.PrintModule(m, reg); got != want {
+		t.Errorf("got\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestUserBlockAndRegionConstructorsRejected: a rule source may declare
 // more constructors of the prelude's Block and Region sorts. When
 // extraction chooses one, the back-translation must fail with an error,

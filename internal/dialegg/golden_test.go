@@ -85,14 +85,10 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenMatrix optimizes every testdata and difftest-corpus module
-// under each of the four bundled rule sets and compares the printed module,
-// ExtractCost and ExtractDAGCost of every compile against
-// testdata/matrix.golden, so a change to extraction or back-translation
-// that moves any output shows up here. Regenerate with:
-//
-//	go test ./internal/dialegg -run TestGoldenMatrix -update
-func TestGoldenMatrix(t *testing.T) {
+// matrixFiles lists the modules of the golden matrices: every testdata
+// module and every difftest-corpus module.
+func matrixFiles(t *testing.T) []string {
+	t.Helper()
 	files, err := filepath.Glob("testdata/*.mlir")
 	if err != nil {
 		t.Fatal(err)
@@ -101,14 +97,59 @@ func TestGoldenMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files = append(files, corpus...)
+	return append(files, corpus...)
+}
+
+// matrixRuleSets are the bundled rule sets each matrix module runs under.
+var matrixRuleSets = []string{"imgconv", "vecnorm", "poly", "matmul"}
+
+// compareGolden checks got against the golden file at path, one
+// "==== "-headed section at a time, or rewrites the file under -update.
+func compareGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		gotParts := strings.Split(got, "==== ")
+		wantParts := strings.Split(string(want), "==== ")
+		for i := range max(len(gotParts), len(wantParts)) {
+			var g, w string
+			if i < len(gotParts) {
+				g = gotParts[i]
+			}
+			if i < len(wantParts) {
+				w = wantParts[i]
+			}
+			if g != w {
+				t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", path, g, w)
+			}
+		}
+	}
+}
+
+// TestGoldenMatrix optimizes every testdata and difftest-corpus module
+// under each of the four bundled rule sets and compares the printed module,
+// ExtractCost and ExtractDAGCost of every compile against
+// testdata/matrix.golden, so a change to extraction or back-translation
+// that moves any output shows up here. Regenerate with:
+//
+//	go test ./internal/dialegg -run TestGoldenMatrix -update
+func TestGoldenMatrix(t *testing.T) {
 	var b strings.Builder
-	for _, file := range files {
+	for _, file := range matrixFiles(t) {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ruleSet := range []string{"imgconv", "vecnorm", "poly", "matmul"} {
+		for _, ruleSet := range matrixRuleSets {
 			ruleSrcs, err := rules.Bundle(ruleSet)
 			if err != nil {
 				t.Fatal(err)
@@ -127,32 +168,38 @@ func TestGoldenMatrix(t *testing.T) {
 			b.WriteString(mlir.PrintModule(m, reg))
 		}
 	}
-	got := b.String()
-	const goldenPath = "testdata/matrix.golden"
-	if *updateGolden {
-		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+	compareGolden(t, "testdata/matrix.golden", b.String())
+}
+
+// TestTranslationGolden pins the MLIR-to-egglog translation (§5.3): the
+// (let ...) program that egg-opt -emit-egg prints for every
+// TestGoldenMatrix module and rule set (testdata/translation.golden).
+// Regenerate with:
+//
+//	go test ./internal/dialegg -run TestTranslationGolden -update
+func TestTranslationGolden(t *testing.T) {
+	var b strings.Builder
+	for _, file := range matrixFiles(t) {
+		src, err := os.ReadFile(file)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return
-	}
-	want, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if got != string(want) {
-		gotParts := strings.Split(got, "==== ")
-		wantParts := strings.Split(string(want), "==== ")
-		for i := range max(len(gotParts), len(wantParts)) {
-			var g, w string
-			if i < len(gotParts) {
-				g = gotParts[i]
+		for _, ruleSet := range matrixRuleSets {
+			ruleSrcs, err := rules.Bundle(ruleSet)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if i < len(wantParts) {
-				w = wantParts[i]
+			m, err := mlir.ParseModule(string(src), dialects.NewRegistry())
+			if err != nil {
+				t.Fatalf("%s: parse: %v", file, err)
 			}
-			if g != w {
-				t.Errorf("output differs from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, g, w)
+			prog, err := NewOptimizer(Options{RuleSources: ruleSrcs}).EggProgram(m)
+			if err != nil {
+				t.Fatalf("%s -rules %s: %v", file, ruleSet, err)
 			}
+			fmt.Fprintf(&b, "==== %s -rules %s\n", filepath.ToSlash(file), ruleSet)
+			b.WriteString(prog)
 		}
 	}
+	compareGolden(t, "testdata/translation.golden", b.String())
 }

@@ -20,9 +20,6 @@ type Options struct {
 	RuleSources []string
 	// RunConfig bounds and observes each function's saturation run.
 	RunConfig egraph.RunConfig
-	// KeepEggProgram stores the generated egglog program text in the
-	// report (for debugging and the egg-opt --emit-egg flag).
-	KeepEggProgram bool
 	// Codecs supplies custom type/attribute eggifiers and de-eggifiers
 	// (§5.2); nil uses only the built-in encodings.
 	Codecs *Codecs
@@ -91,8 +88,6 @@ type Report struct {
 	// set; for a module it is the per-function results folded with
 	// egraph.MergeBlame.
 	Blame []egraph.BlameRow `json:"blame,omitempty"`
-	// EggProgram is the generated program text when KeepEggProgram is set.
-	EggProgram string `json:"-"`
 	// RewriteExplanations holds one rendered proof per rewritten operation
 	// when Options.ExplainRewrites is set.
 	RewriteExplanations []string `json:"-"`
@@ -125,12 +120,6 @@ func (r *Report) merge(o *Report) {
 	}
 	r.Run.Merge(o.Run)
 	r.Blame = egraph.MergeBlame(r.Blame, o.Blame)
-	if o.EggProgram != "" {
-		if r.EggProgram != "" {
-			r.EggProgram += "\n"
-		}
-		r.EggProgram += o.EggProgram
-	}
 	r.RewriteExplanations = append(r.RewriteExplanations, o.RewriteExplanations...)
 	r.ExtractionReports = append(r.ExtractionReports, o.ExtractionReports...)
 }
@@ -147,11 +136,6 @@ type Optimizer struct {
 func NewOptimizer(opts Options) *Optimizer {
 	return &Optimizer{opts: opts, key: templateKeyOf(opts.RuleSources, opts.ExplainRewrites)}
 }
-
-// preludeRuleCount is the number of rules the prelude itself declares
-// (dimension analysis and Value type-of); subtracted from rule counts so
-// reports show user rules only, as in the paper's Table 2.
-const preludeRuleCount = 2
 
 // OptimizeFuncCtx runs the full DialEgg pipeline on one function and
 // returns the optimized replacement. ctx is threaded into the saturation
@@ -209,14 +193,6 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	}
 	report.NumTranslatedOps = tr.NumTranslated
 	report.NumOpaqueOps = tr.NumOpaque
-	if o.opts.KeepEggProgram {
-		var b strings.Builder
-		for _, l := range tr.Lets {
-			b.WriteString(l.String())
-			b.WriteByte('\n')
-		}
-		report.EggProgram = b.String()
-	}
 
 	// Phase 2: Egglog — load the program, saturate, extract.
 	startEgg = time.Now()
@@ -298,6 +274,36 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 		rec.Complete(obs.LanePipeline, "phase", "egg-to-mlir", startBack, report.EggToMLIR, nil)
 	}
 	return nf, report, nil
+}
+
+// EggProgram returns the egglog program the optimizer would run for m
+// without running it (§5.3): each func.func's translation with the rule
+// set's encodings, one let per line, functions separated by a blank line.
+// As in OptimizeModule, the rule set loads at the first function and
+// errors name the function.
+func (o *Optimizer) EggProgram(m *mlir.Module) (string, error) {
+	var b strings.Builder
+	for _, op := range m.Body().Ops {
+		if op.Name != "func.func" {
+			continue
+		}
+		tmpl, err := o.template()
+		if err != nil {
+			return "", fmt.Errorf("dialegg: @%s: %w", mlir.FuncName(op), err)
+		}
+		tr, err := TranslateFuncWithCodecs(op, tmpl.encs, o.opts.Codecs)
+		if err != nil {
+			return "", fmt.Errorf("dialegg: @%s: %w", mlir.FuncName(op), err)
+		}
+		if b.Len() > 0 {
+			b.WriteByte('\n')
+		}
+		for _, l := range tr.Lets {
+			b.WriteString(l.String())
+			b.WriteByte('\n')
+		}
+	}
+	return b.String(), nil
 }
 
 // OptimizeModule optimizes every func.func in the module in place and

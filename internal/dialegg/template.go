@@ -125,12 +125,14 @@ func buildTemplate(sources []string, explain bool) (*ruleTemplate, error) {
 	if _, err := p.ExecuteString(Prelude); err != nil {
 		return nil, fmt.Errorf("dialegg: prelude: %w", err)
 	}
+	// Reports count user rules only, as in the paper's Table 2.
+	preludeRules := p.NumRules()
 	for i, src := range sources {
 		if _, err := p.ExecuteString(src); err != nil {
 			return nil, fmt.Errorf("dialegg: rule source %d: %w", i, err)
 		}
 	}
-	numRules := p.NumRules() - preludeRuleCount
+	numRules := p.NumRules() - preludeRules
 	encs, err := Prepare(p)
 	if err != nil {
 		return nil, err

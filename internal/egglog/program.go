@@ -100,9 +100,6 @@ func (p *Program) Graph() *egraph.EGraph { return p.g }
 // no-op.
 func (p *Program) SetJournal(w *journal.Writer, label string) { p.g.SetJournal(w, label) }
 
-// Rules returns the compiled rules in declaration order.
-func (p *Program) Rules() []*egraph.Rule { return p.rules }
-
 // NumRules reports how many rewrite/rule commands have been registered.
 func (p *Program) NumRules() int { return len(p.rules) }
 

@@ -3,8 +3,9 @@ package egraph
 // Tests for the saturation profiler's engine half: sampled premise
 // selectivity (RunConfig.ProfileSample) and extraction blame analysis.
 // The load-bearing property is determinism — sampling is keyed to global
-// row indices, so the counters must be byte-identical at every worker and
-// shard count, and turning sampling on must not change the graph.
+// row indices, so the counters must be byte-identical at every worker
+// count (which sets the shard count), and turning sampling on must not
+// change the graph.
 
 import (
 	"bytes"
@@ -14,15 +15,14 @@ import (
 	"dialegg/internal/obs/journal"
 )
 
-// runSelectivity saturates a fresh chain graph under one worker/shard
-// configuration and returns the marshaled selectivity section.
-func runSelectivity(t *testing.T, naive bool, workers, shards, sample int) ([]byte, RunReport) {
+// runSelectivity saturates a fresh chain graph with the given worker
+// count and returns the marshaled selectivity section.
+func runSelectivity(t *testing.T, naive bool, workers, sample int) ([]byte, RunReport) {
 	t.Helper()
 	l, rules := buildChainGraph()
 	rep := l.g.Run(rules, RunConfig{
 		IterLimit:     4,
 		Workers:       workers,
-		MatchShards:   shards,
 		ProfileSample: sample,
 		Naive:         naive,
 	})
@@ -34,21 +34,20 @@ func runSelectivity(t *testing.T, naive bool, workers, shards, sample int) ([]by
 }
 
 // TestSelectivityWorkerIndependent: the sampled counters are byte-identical
-// for every worker and shard count, in both match modes and at several
-// sampling periods — the profile-artifact determinism guarantee rests on
-// this.
+// for every worker count, in both match modes and at several sampling
+// periods — the profile-artifact determinism guarantee rests on this.
 func TestSelectivityWorkerIndependent(t *testing.T) {
 	for _, naive := range []bool{false, true} {
 		for _, sample := range []int{1, 3} {
-			ref, refRep := runSelectivity(t, naive, 1, 1, sample)
-			for _, cfg := range [][2]int{{2, 2}, {4, 8}, {3, 16}} {
-				got, gotRep := runSelectivity(t, naive, cfg[0], cfg[1], sample)
+			ref, refRep := runSelectivity(t, naive, 1, sample)
+			for _, workers := range []int{2, 3, 4, 8} {
+				got, gotRep := runSelectivity(t, naive, workers, sample)
 				if string(got) != string(ref) {
-					t.Errorf("naive=%v sample=%d: selectivity differs at workers=%d shards=%d:\nref %s\ngot %s",
-						naive, sample, cfg[0], cfg[1], ref, got)
+					t.Errorf("naive=%v sample=%d: selectivity differs at workers=%d:\nref %s\ngot %s",
+						naive, sample, workers, ref, got)
 				}
 				if gotRep.Nodes != refRep.Nodes || gotRep.Iterations != refRep.Iterations {
-					t.Errorf("naive=%v sample=%d: run outcome differs at workers=%d shards=%d", naive, sample, cfg[0], cfg[1])
+					t.Errorf("naive=%v sample=%d: run outcome differs at workers=%d", naive, sample, workers)
 				}
 			}
 		}
@@ -61,7 +60,7 @@ func TestSelectivityWorkerIndependent(t *testing.T) {
 // executions, and a positive sampling period on a scanning workload
 // samples roots.
 func TestSelectivityInvariants(t *testing.T) {
-	_, rep := runSelectivity(t, false, 2, 4, 2)
+	_, rep := runSelectivity(t, false, 4, 2)
 	if len(rep.Selectivity) == 0 {
 		t.Fatal("no selectivity collected")
 	}
@@ -129,7 +128,7 @@ func TestProfileSampleOffPath(t *testing.T) {
 // TestMergeSelectivity: merging is summation by rule name — folding a
 // section into itself doubles every counter.
 func TestMergeSelectivity(t *testing.T) {
-	_, rep := runSelectivity(t, false, 1, 1, 1)
+	_, rep := runSelectivity(t, false, 1, 1)
 	merged := MergeSelectivity(nil, rep.Selectivity)
 	merged = MergeSelectivity(merged, rep.Selectivity)
 	if len(merged) != len(rep.Selectivity) {

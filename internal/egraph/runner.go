@@ -45,11 +45,6 @@ type RunConfig struct {
 	// identical for every worker count: matches are merged back in
 	// rule-declaration order before the serial apply phase.
 	Workers int
-	// MatchShards caps how many shards a rule's top-level scan is split
-	// into (default Workers). Sharding finer than the worker count
-	// improves load balance; the merged match order is unchanged by
-	// either knob.
-	MatchShards int
 	// Recorder, when non-nil, receives structured trace spans: one per
 	// iteration and per phase on the engine lane, and one per match task
 	// on its worker's lane (args: the task's rows, matches and
@@ -71,9 +66,9 @@ type RunConfig struct {
 	// traces every top-level row (full profiling); 0 — the default —
 	// collects nothing and costs one pointer check per premise entry.
 	// Sampling is keyed to global row indices, never to shard boundaries,
-	// so the counters are byte-identical for every Workers/MatchShards
-	// setting; like the other observability knobs it changes no engine
-	// behavior and is excluded from result cache keys.
+	// so the counters are byte-identical for every Workers setting; like
+	// the other observability knobs it changes no engine behavior and is
+	// excluded from result cache keys.
 	ProfileSample int
 	// Scheduler, when non-nil, throttles rules adaptively: before each
 	// match phase the runner asks the strategy for every rule's budget
@@ -81,7 +76,7 @@ type RunConfig struct {
 	// per-rule outcome back after the iteration. Decisions are computed in
 	// the runner's serial section from merged, worker-count-independent
 	// statistics, so a scheduled run is byte-identical for every
-	// Workers/MatchShards setting and in both match modes. A skipped rule
+	// Workers setting and in both match modes. A skipped rule
 	// contributes no match tasks; a capped rule keeps the deterministic
 	// prefix of its merged match list (the cap is enforced after merging,
 	// never per task). Because skips and caps drop delta matches that
@@ -137,9 +132,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.MatchShards <= 0 {
-		c.MatchShards = c.Workers
 	}
 	return c
 }
@@ -350,16 +342,16 @@ func shardRange(tasks []matchTask, t matchTask, n, worth, maxShards int) []match
 }
 
 // planMatchTasks appends to tasks each rule's full query, split into at
-// most `maxShards` shards of its top-level scan. Rules whose first
+// most one shard of its top-level scan per worker. Rules whose first
 // premise does not scan (or scans few live rows) get a single whole-range
 // task; rules the scheduler skipped get none.
-func (g *EGraph) planMatchTasks(tasks []matchTask, rules []*Rule, maxShards int, decisions []sched.Decision) []matchTask {
+func (g *EGraph) planMatchTasks(tasks []matchTask, rules []*Rule, workers int, decisions []sched.Decision) []matchTask {
 	for ri, r := range rules {
 		if schedSkip(decisions, ri) {
 			continue
 		}
 		n, live := g.firstPremiseScan(r)
-		tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1}, n, live, maxShards)
+		tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1}, n, live, workers)
 	}
 	return tasks
 }
@@ -385,14 +377,14 @@ func (g *EGraph) planMatchTasks(tasks []matchTask, rules []*Rule, maxShards int,
 // match. Re-found old matches are no-ops under the apply phase's frozen
 // canonicalization, so the forced full pass restores completeness without
 // changing a bit of the already-derived state.
-func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []rulePlan, maxShards int, decisions []sched.Decision, needFull []bool) []matchTask {
+func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []rulePlan, workers int, decisions []sched.Decision, needFull []bool) []matchTask {
 	for ri, r := range rules {
 		if schedSkip(decisions, ri) {
 			continue
 		}
 		if needFull != nil && needFull[ri] {
 			n, live := g.firstPremiseScan(r)
-			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1}, n, live, maxShards)
+			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1}, n, live, workers)
 			continue
 		}
 		tp := plans[ri].tables
@@ -404,7 +396,7 @@ func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []rulePl
 			continue
 		}
 		if n, live := g.firstPremiseScan(r); n > 0 && outer*len(tp) >= n+live {
-			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1, onlyNew: true}, n, live, maxShards)
+			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1, onlyNew: true}, n, live, workers)
 			continue
 		}
 		for s, pi := range tp {
@@ -412,7 +404,7 @@ func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []rulePl
 			if fr == 0 {
 				continue
 			}
-			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: s}, fr, fr, maxShards)
+			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: s}, fr, fr, workers)
 		}
 	}
 	return tasks
@@ -438,9 +430,9 @@ func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []rulePl
 func (r *run) collect() (scanned int64, err error) {
 	g, cfg := r.g, r.cfg
 	if r.it.SemiNaive {
-		r.tasks = g.planDeltaTasks(r.tasks[:0], r.rules, r.plans, cfg.MatchShards, r.decisions, r.needFull)
+		r.tasks = g.planDeltaTasks(r.tasks[:0], r.rules, r.plans, cfg.Workers, r.decisions, r.needFull)
 	} else {
-		r.tasks = g.planMatchTasks(r.tasks[:0], r.rules, cfg.MatchShards, r.decisions)
+		r.tasks = g.planMatchTasks(r.tasks[:0], r.rules, cfg.Workers, r.decisions)
 	}
 	tasks := r.tasks
 	for len(r.bufs) < len(tasks) {

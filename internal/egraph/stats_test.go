@@ -95,30 +95,33 @@ func TestRuleMetricsNoopDetection(t *testing.T) {
 
 // TestTaskRowsSumToRowsScanned: each iteration's RowsScanned equals the
 // sum of the rows args on the Recorder's worker-lane match spans — the
-// invariant that per-task accounting loses no rows.
+// invariant that per-task accounting loses no rows, however many shards
+// the worker count splits each scan into.
 func TestTaskRowsSumToRowsScanned(t *testing.T) {
-	l, rules := buildChainGraph()
-	rec := obs.NewRecorder()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: 4, MatchShards: 8, Recorder: rec})
-	// Spans come back sorted by start time; every task span starts inside
-	// the engine-lane match phase of its iteration.
-	var sums []int64
-	tasks := 0
-	for _, ev := range rec.Events() {
-		switch {
-		case ev.Lane == obs.LaneEngine && ev.Cat == "phase" && ev.Name == "match":
-			sums = append(sums, 0)
-		case ev.Lane >= obs.LaneWorker && ev.Cat == "match":
-			sums[len(sums)-1] += ev.Args["rows"]
-			tasks++
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		l, rules := buildChainGraph()
+		rec := obs.NewRecorder()
+		rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: workers, Recorder: rec})
+		// Spans come back sorted by start time; every task span starts
+		// inside the engine-lane match phase of its iteration.
+		var sums []int64
+		tasks := 0
+		for _, ev := range rec.Events() {
+			switch {
+			case ev.Lane == obs.LaneEngine && ev.Cat == "phase" && ev.Name == "match":
+				sums = append(sums, 0)
+			case ev.Lane >= obs.LaneWorker && ev.Cat == "match":
+				sums[len(sums)-1] += ev.Args["rows"]
+				tasks++
+			}
 		}
-	}
-	if len(sums) != len(rep.PerIter) || tasks == 0 {
-		t.Fatalf("%d match phases with %d task spans for %d iterations", len(sums), tasks, len(rep.PerIter))
-	}
-	for i, it := range rep.PerIter {
-		if sums[i] != it.RowsScanned {
-			t.Errorf("iter %d: task rows sum %d != rows scanned %d", i+1, sums[i], it.RowsScanned)
+		if len(sums) != len(rep.PerIter) || tasks == 0 {
+			t.Fatalf("workers=%d: %d match phases with %d task spans for %d iterations", workers, len(sums), tasks, len(rep.PerIter))
+		}
+		for i, it := range rep.PerIter {
+			if sums[i] != it.RowsScanned {
+				t.Errorf("workers=%d iter %d: task rows sum %d != rows scanned %d", workers, i+1, sums[i], it.RowsScanned)
+			}
 		}
 	}
 }
@@ -149,9 +152,9 @@ func TestRuleMetricsWorkerIndependent(t *testing.T) {
 	}
 	for _, naive := range []bool{false, true} {
 		var want []counts
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 3, 4, 8} {
 			l, rules := buildChainGraph()
-			rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: workers, MatchShards: 8, Naive: naive})
+			rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: workers, Naive: naive})
 			got := make([]counts, len(rep.Rules))
 			for i, r := range rep.Rules {
 				got[i] = counts{r.Matched, r.Applied, r.Noops, r.RowsScanned, r.DeltaQueries, r.FullScans}
@@ -290,7 +293,7 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 func TestRunTraceSpans(t *testing.T) {
 	rec := obs.NewRecorder()
 	l, rules := buildChainGraph()
-	l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2, MatchShards: 4, Recorder: rec})
+	l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 4, Recorder: rec})
 	var engine, worker, run int
 	for _, ev := range rec.Events() {
 		switch {

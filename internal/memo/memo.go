@@ -81,9 +81,9 @@ func (w *keyWriter) writeInt(tag string, v int64) {
 // SHA-256 over the canonical module text, each rule source in order, and
 // the run-config fields that can change the result (iteration, node,
 // match, and time limits, and naive mode). Fields that are proven not to
-// affect the output — Workers, MatchShards, and every observability knob
-// — are deliberately excluded, so a traced run and a production run share
-// cache entries. The config is defaulted first, making zero-valued and
+// affect the output — Workers and every observability knob — are
+// deliberately excluded, so a traced run and a production run share cache
+// entries. The config is defaulted first, making zero-valued and
 // explicit-default configs cache-equivalent.
 func Key(canonicalMLIR string, ruleSources []string, cfg egraph.RunConfig) string {
 	cfg = cfg.WithDefaults()

@@ -53,13 +53,12 @@ func chainWorkload(t *testing.T, leaves int) (*egraph.EGraph, []*egraph.Rule) {
 	return g, []*egraph.Rule{comm(add), comm(mul)}
 }
 
-func runProfile(t *testing.T, workers, shards int) *Profile {
+func runProfile(t *testing.T, workers int) *Profile {
 	t.Helper()
 	g, rules := chainWorkload(t, 40)
 	rep := g.Run(rules, egraph.RunConfig{
 		IterLimit:     4,
 		Workers:       workers,
-		MatchShards:   shards,
 		ProfileSample: 2,
 	})
 	return FromRunReport(rep, nil)
@@ -69,17 +68,17 @@ func runProfile(t *testing.T, workers, shards int) *Profile {
 // at every worker count — the determinism guarantee the perf-regression
 // observatory diffs against.
 func TestCanonicalWorkerIndependent(t *testing.T) {
-	ref, err := runProfile(t, 1, 1).Canonical().Encode()
+	ref, err := runProfile(t, 1).Canonical().Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range [][2]int{{2, 2}, {4, 8}} {
-		got, err := runProfile(t, cfg[0], cfg[1]).Canonical().Encode()
+	for _, workers := range []int{2, 3, 4, 8} {
+		got, err := runProfile(t, workers).Canonical().Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, ref) {
-			t.Errorf("canonical artifact differs at workers=%d shards=%d:\nref:\n%s\ngot:\n%s", cfg[0], cfg[1], ref, got)
+			t.Errorf("canonical artifact differs at workers=%d:\nref:\n%s\ngot:\n%s", workers, ref, got)
 		}
 	}
 }
@@ -87,8 +86,8 @@ func TestCanonicalWorkerIndependent(t *testing.T) {
 // TestMergeSums: merging a profile into itself doubles every counter,
 // keeps canonical order, and leaves the merged-in profile unchanged.
 func TestMergeSums(t *testing.T) {
-	p := runProfile(t, 2, 2)
-	q := runProfile(t, 2, 2)
+	p := runProfile(t, 2)
+	q := runProfile(t, 2)
 	before := append([]egraph.RuleStats(nil), p.Rules...)
 	qBefore, err := q.Encode()
 	if err != nil {
@@ -148,7 +147,7 @@ func TestLintViolations(t *testing.T) {
 // TestRoundTrip: Write then ReadFile reproduces the artifact and the
 // formatting entry points render it without panicking.
 func TestRoundTrip(t *testing.T) {
-	p := runProfile(t, 2, 4)
+	p := runProfile(t, 4)
 	p.Blame = []egraph.BlameRow{{Rule: "comm-Add", Rows: 4, Extracted: 1, Rejected: 2, Waste: 1, WasteRatio: 0.25}}
 	p.normalize()
 	path := filepath.Join(t.TempDir(), "profile.json")

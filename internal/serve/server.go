@@ -56,11 +56,6 @@ type Config struct {
 	SatWorkers int
 	// MaxBodyBytes caps request bodies (default 8 MiB).
 	MaxBodyBytes int64
-	// Recorder, when non-nil, receives per-request spans on
-	// obs.LaneServe. A nil recorder records nothing and costs nothing.
-	// Independent of it, every request gets its own private recorder for
-	// the flight recorder's ring.
-	Recorder *obs.Recorder
 	// Logger receives structured request logs and watchdog warnings
 	// (default: discard). Each line carries the request's correlation ID.
 	Logger *slog.Logger
@@ -205,9 +200,6 @@ func New(cfg Config) *Server {
 		s.prof = profile.New()
 	}
 	s.handler = s.withRequestMeta(s.mux)
-	if cfg.Recorder.Enabled() {
-		cfg.Recorder.SetLaneName(obs.LaneServe, "serve")
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -217,10 +209,6 @@ func New(cfg Config) *Server {
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Registry returns the server's metric registry (for embedding callers
-// that want to add their own instruments or scrape programmatically).
-func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
 // Drain gracefully stops the server: new optimize requests are rejected
 // with 503, in-flight handlers run to completion (bounded by ctx), then
@@ -382,9 +370,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.metrics.observe(dur)
 		cached := int64(map[string]int{"hit": 1, "flight": 2, "miss": 0}[source])
 		ro.rec.Complete(obs.LaneServe, "request", work.key[:12], start, dur, map[string]int64{"cached": cached})
-		if rec := s.cfg.Recorder; rec.Enabled() {
-			rec.Complete(obs.LaneServe, "request", work.key[:12], start, dur, map[string]int64{"cached": cached})
-		}
 		tripped, reason := ro.tripState()
 		s.flight.Record(&obs.FlightRecord{
 			ID: ro.id, Start: start, Dur: dur, Status: status, Source: source,
@@ -543,17 +528,12 @@ func (s *Server) runJob(j *job) {
 	if rep != nil && rep.Run.Stop == egraph.StopCanceled {
 		s.metrics.stopCanceled.Add(1)
 	}
-	var iters int64
-	if rep != nil {
-		iters = int64(rep.Run.Iterations)
-	}
 	if j.obs != nil {
+		var iters int64
+		if rep != nil {
+			iters = int64(rep.Run.Iterations)
+		}
 		j.obs.rec.Complete(obs.LaneServe, "job", j.work.key[:12], start, time.Since(start), map[string]int64{
-			"iterations": iters,
-		})
-	}
-	if rec := s.cfg.Recorder; rec.Enabled() {
-		rec.Complete(obs.LaneServe, "job", j.work.key[:12], start, time.Since(start), map[string]int64{
 			"iterations": iters,
 		})
 	}

@@ -95,8 +95,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // every client gets byte-identical response bodies, and the cache hit
 // ratio is at least 7/8.
 func TestOptimizeSingleflight(t *testing.T) {
-	rec := obs.NewRecorder()
-	s, c := newTestServer(t, Config{Workers: 2, Recorder: rec})
+	s, c := newTestServer(t, Config{Workers: 2})
 
 	const clients = 8
 	req := &OptimizeRequest{MLIR: divPow2Module, RuleSet: "imgconv"}
@@ -167,21 +166,24 @@ func TestOptimizeSingleflight(t *testing.T) {
 		t.Fatalf("cache entries = %d, want 1", got)
 	}
 
-	// The recorder saw the request and job spans on the serve lane.
+	// The flight records hold every request span and the leader's one
+	// job span on the serve lane.
 	var reqSpans, jobSpans int
-	for _, ev := range rec.Events() {
-		if ev.Lane != obs.LaneServe {
-			continue
-		}
-		switch ev.Cat {
-		case "request":
-			reqSpans++
-		case "job":
-			jobSpans++
+	for _, fr := range s.flight.Records() {
+		for _, ev := range fr.Recorder.Events() {
+			if ev.Lane != obs.LaneServe {
+				continue
+			}
+			switch ev.Cat {
+			case "request":
+				reqSpans++
+			case "job":
+				jobSpans++
+			}
 		}
 	}
 	if reqSpans != clients+1 || jobSpans != 1 {
-		t.Fatalf("recorder saw %d request / %d job spans, want %d / 1", reqSpans, jobSpans, clients+1)
+		t.Fatalf("flight records hold %d request / %d job spans, want %d / 1", reqSpans, jobSpans, clients+1)
 	}
 }
 

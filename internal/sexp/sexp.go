@@ -219,33 +219,3 @@ func FormatFloat(f float64) string {
 	}
 	return s
 }
-
-// Pretty renders n with indentation: short lists stay on one line, long ones
-// break after the head with two-space indentation per level. Used when
-// writing generated egglog programs for humans to debug.
-func (n *Node) Pretty() string {
-	var b strings.Builder
-	n.pretty(&b, 0)
-	return b.String()
-}
-
-const prettyWidth = 90
-
-func (n *Node) pretty(b *strings.Builder, indent int) {
-	one := n.String()
-	if n.Kind != KindList || len(one)+indent <= prettyWidth {
-		b.WriteString(one)
-		return
-	}
-	b.WriteByte('(')
-	for i, e := range n.List {
-		if i == 0 {
-			e.pretty(b, indent+1)
-			continue
-		}
-		b.WriteByte('\n')
-		b.WriteString(strings.Repeat(" ", indent+2))
-		e.pretty(b, indent+2)
-	}
-	b.WriteByte(')')
-}

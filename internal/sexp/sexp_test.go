@@ -187,25 +187,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestPretty(t *testing.T) {
-	n := mustParseOne(t, "(short list)")
-	if strings.Contains(n.Pretty(), "\n") {
-		t.Error("short list should stay on one line")
-	}
-	long := List(Symbol("op"))
-	for i := 0; i < 30; i++ {
-		long.List = append(long.List, Symbol("some-longish-symbol-name"))
-	}
-	p := long.Pretty()
-	if !strings.Contains(p, "\n") {
-		t.Error("long list should wrap")
-	}
-	again := mustParseOne(t, p)
-	if !long.Equal(again) {
-		t.Error("Pretty output does not re-parse equal")
-	}
-}
-
 // Property: String output always re-parses to an Equal node, for randomly
 // generated trees built from the quick-checkable seed.
 func TestStringRoundTripProperty(t *testing.T) {
