@@ -49,7 +49,7 @@ bench:
 # Deterministic counters (rows scanned, iterations, scheduler
 # throttle/cap counts) must not grow beyond tolerance.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Saturate|EMatch|Rebuild|Extract|ObservabilityOverhead|ProfileOverhead|JournalOverhead|CacheHit|ServeCache' -benchtime=1x -benchmem ./internal/egraph/ ./internal/bench/ ./internal/serve/
+	$(GO) test -run '^$$' -bench 'Saturate|EMatch|Rebuild|Extract|ObservabilityOverhead|ProfileOverhead|JournalOverhead|CacheHit|ServeCache|Compile' -benchtime=1x -benchmem ./internal/egraph/ ./internal/bench/ ./internal/serve/
 	$(GO) run ./cmd/benchtab -bench2 -bench2-out bench2_fresh.json
 	$(GO) run ./cmd/benchtab -compare BENCH_4.json bench2_fresh.json
 

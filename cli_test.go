@@ -68,6 +68,16 @@ func TestEggOptCLI(t *testing.T) {
 	if !strings.Contains(string(out), "(arith_divsi") || !strings.Contains(string(out), "(Value 0 (I64))") {
 		t.Errorf("emit-egg output unexpected:\n%s", out)
 	}
+	// -emit-egg runs nothing, so a journal beside it is a usage error,
+	// reported before the journal file is created.
+	jPath := filepath.Join(dir, "emit.jsonl")
+	out, err = exec.Command(bin, "-rules", "imgconv", "-emit-egg", "-journal", jPath, mlirPath).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "-emit-egg") {
+		t.Errorf("egg-opt -emit-egg -journal: %v, want exit status 2 naming -emit-egg\n%s", err, out)
+	}
+	if _, err := os.Stat(jPath); !os.IsNotExist(err) {
+		t.Errorf("egg-opt -emit-egg -journal created %s (stat: %v)", jPath, err)
+	}
 
 	// A user-supplied rule file via -egg.
 	eggPath := filepath.Join(dir, "my.egg")

@@ -30,6 +30,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -72,7 +73,12 @@ func lint(path, require string) (string, error) {
 		return "", err
 	}
 	data = bytes.TrimSpace(data)
-	if len(data) == 0 || data[0] != '{' {
+	if len(data) == 0 {
+		// Every artifact holds at least one record; an empty file is
+		// most likely one its producer never wrote.
+		return "", errors.New("empty file")
+	}
+	if data[0] != '{' {
 		return lintMetrics(data, require)
 	}
 	var probe map[string]json.RawMessage

@@ -51,6 +51,7 @@ func TestLintPicksCheckerByShape(t *testing.T) {
 		{"profile", string(prof), "profile OK"},
 		{"schedule", string(schedule), "schedule OK"},
 		{"unknown schema", `{"schema": "nope/v9"}`, "!unknown artifact schema"},
+		{"empty", " \n", "!empty file"},
 	}
 	dir := t.TempDir()
 	for _, tc := range cases {

@@ -114,6 +114,10 @@ func main() {
 	flag.StringVar(&opts.scheduleFile, "schedule", "", "load a tuned dialegg-schedule/v2 artifact (egg-tune output) and use its entry for the -rules set; -scheduler overrides")
 	flag.Parse()
 	opts.eggFiles = eggFiles
+	if opts.emitEgg && opts.journalFile != "" {
+		fmt.Fprintln(os.Stderr, "egg-opt: -journal records a saturation run, and -emit-egg runs none; pass one or the other")
+		os.Exit(2)
+	}
 
 	var stopCPU func() error
 	if *cpuProfile != "" {

@@ -12,15 +12,19 @@ import (
 )
 
 // chain16AllocLimit bounds the allocations of one compile of the
-// 16-matmul chain. Hash-cons probes, action terms and matches allocate
-// nothing; matches are stored as pointer-free rows in buffers a run
-// reuses across its iterations, and a column index is one flat block.
-// What remains (rows' argument tuples, primitive arguments, the column
-// indexes, parsing, extraction and back-translation) comes to about
-// 12,000. Per-task bindings snapshots or a slice per indexed value put a
-// compile above 23,000; a string-keyed row index, or an allocation per
-// probe, per action term or per match, above 390,000.
-const chain16AllocLimit = 16_000
+// 16-matmul chain. Hash-cons probes, action terms, primitive arguments
+// and matches allocate nothing; matches are stored as pointer-free rows
+// in buffers a run reuses across its iterations, a table keeps its rows'
+// argument tuples in one flat block, and a column index is one flat
+// block. What remains comes to about 4,660: the cost overrides'
+// string keys (the largest share), parsing, the MLIR-to-egg translation,
+// the column indexes, table and pool growth, extraction and
+// back-translation. A heap slice per row's arguments, or per primitive
+// application, adds about 2,700 each (both: 10,070); per-task bindings
+// snapshots or a slice per indexed value put a compile above 23,000,
+// and a string-keyed row index, or an allocation per probe, per action
+// term or per match, above 390,000.
+const chain16AllocLimit = 5_000
 
 // TestChain16CompileAllocs gates the allocation-free hash-consing and rule
 // application paths end to end: parse, saturate at one worker, extract and

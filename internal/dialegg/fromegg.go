@@ -411,13 +411,13 @@ func (rb *rebuilder) findOriginalBlock(blk egraph.Value, opName string) *mlir.Bl
 		if found != nil {
 			return
 		}
-		if v.Sort.Kind == egraph.KindVec {
+		if v.Kind() == egraph.KindVec {
 			for _, el := range rb.g.VecElems(v) {
 				scan(el, depth)
 			}
 			return
 		}
-		if v.Sort.Kind != egraph.KindEq {
+		if v.Kind() != egraph.KindEq {
 			return
 		}
 		cls := rb.g.Find(v)

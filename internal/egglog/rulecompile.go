@@ -176,10 +176,10 @@ func (c *ruleCompiler) compilePattern(n *sexp.Node, expected *egraph.Sort) (egra
 			return egraph.VarAtom(slot), c.sorts[slot], nil
 		default:
 			if v, ok := c.p.lets[n.Sym]; ok {
-				if expected != nil && v.Sort != expected {
-					return egraph.Atom{}, nil, fmt.Errorf("let %s has sort %s, want %s", n.Sym, v.Sort, expected)
+				if expected != nil && !v.HasSort(expected) {
+					return egraph.Atom{}, nil, fmt.Errorf("let %s has sort %s, want %s", n.Sym, g.SortOf(v), expected)
 				}
-				return egraph.LitAtom(v), v.Sort, nil
+				return egraph.LitAtom(v), g.SortOf(v), nil
 			}
 			if f, ok := g.FunctionByName(n.Sym); ok && f.Arity() == 0 {
 				// Nullary constructor used bare.
@@ -319,8 +319,8 @@ func (c *ruleCompiler) outAtom(out *egraph.Atom, sort *egraph.Sort) (egraph.Atom
 		if err := c.unifySlotSort(out.Slot, sort); err != nil {
 			return egraph.Atom{}, err
 		}
-	} else if out.Lit.Sort != sort && sort.Kind != egraph.KindUnit {
-		return egraph.Atom{}, fmt.Errorf("output literal sort %s does not match %s", out.Lit.Sort, sort)
+	} else if !out.Lit.HasSort(sort) && sort.Kind != egraph.KindUnit {
+		return egraph.Atom{}, fmt.Errorf("output literal sort %s does not match %s", c.p.g.SortOf(out.Lit), sort)
 	}
 	return *out, nil
 }
@@ -514,7 +514,7 @@ func (c *ruleCompiler) compileATermAny(n *sexp.Node, expected *egraph.Sort) (*eg
 			return c.term(egraph.ATerm{Kind: egraph.AVar, Slot: slot}), c.sorts[slot], nil
 		default:
 			if v, ok := c.p.lets[n.Sym]; ok {
-				return c.term(egraph.ATerm{Kind: egraph.ALit, Lit: v}), v.Sort, nil
+				return c.term(egraph.ATerm{Kind: egraph.ALit, Lit: v}), g.SortOf(v), nil
 			}
 			if f, ok := g.FunctionByName(n.Sym); ok && f.Arity() == 0 {
 				return c.term(egraph.ATerm{Kind: egraph.AApp, Fn: f}), f.Out, nil

@@ -60,13 +60,13 @@ func (e *Extractor) Blame(roots []Value) ([]BlameRow, error) {
 
 	// Phase 1: reachable classes and chosen rows, over all roots.
 	for _, root := range roots {
-		if root.Sort.Kind != KindEq {
-			return nil, fmt.Errorf("egraph: blame analysis needs eq-sort roots, got %s", root.Sort)
+		if root.kind != KindEq {
+			return nil, fmt.Errorf("egraph: blame analysis needs eq-sort roots, got %s", g.SortOf(root))
 		}
 	}
 	reachable := make(map[uint32]bool)
 	chosen := make(map[nodeRef]bool)
-	err := e.walk(roots, func(cls uint32, ref nodeRef, _ *row) {
+	err := e.walk(roots, func(cls uint32, ref nodeRef, _ []Value) {
 		reachable[cls] = true
 		chosen[ref] = true
 	})

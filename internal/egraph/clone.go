@@ -36,6 +36,7 @@ func (g *EGraph) RecordHistory() {
 func (g *EGraph) Clone() *EGraph {
 	c := *g
 	c.funcs = slices.Clip(g.funcs)
+	c.sortTab = slices.Clip(g.sortTab)
 	c.declsShared = true
 	c.uf = g.uf.Clone()
 	c.strings = g.strings.clone()
@@ -56,24 +57,23 @@ func (g *EGraph) Clone() *EGraph {
 		c.history = append(slices.Clip(g.history), g.histBuf.Bytes()...)
 	}
 	c.journal, c.histBuf = nil, nil
-	c.inRebuild, c.snapRoots = false, nil
+	c.inRebuild, c.snapRoots, c.primArgs = false, nil, nil
 	return &c
 }
 
 // cloneTables copies a graph's tables for its clone. Rows get their own
-// argument tuples (Rebuild re-canonicalizes them in place); the
-// as-inserted tuples are never written and stay shared. Column indexes
-// start empty and are rebuilt on demand. The tables, their column slots,
-// their row indexes and the argument tuples are each allocated as one
-// block.
+// argument blocks (Rebuild re-canonicalizes them in place); the
+// as-inserted blocks are never written after insert and stay shared,
+// clipped so that the clone's inserts copy them. Column indexes start
+// empty and are rebuilt on demand. The tables, their column slots, their
+// row indexes and the argument blocks are each carved from one
+// allocation.
 func cloneTables(src []*table) []*table {
 	cols, slots, nargs := 0, 0, 0
 	for _, t := range src {
 		cols += len(t.argIndex)
 		slots += len(t.index)
-		for i := range t.rows {
-			nargs += len(t.rows[i].args)
-		}
+		nargs += len(t.args)
 	}
 	tabs := make([]table, len(src))
 	idx := make([]atomic.Pointer[colIndex], cols)
@@ -85,10 +85,13 @@ func cloneTables(src []*table) []*table {
 		c := &tabs[i]
 		n := len(t.argIndex)
 		*c = table{
+			arity:      t.arity,
 			rows:       slices.Clone(t.rows),
 			used:       t.used,
 			live:       t.live,
 			trackOrig:  t.trackOrig,
+			orig:       slices.Clip(t.orig),
+			origFrom:   t.origFrom,
 			argIndex:   idx[:n:n],
 			argIndexMu: mus[:n:n],
 			pending:    slices.Clone(t.pending),
@@ -98,12 +101,9 @@ func cloneTables(src []*table) []*table {
 		at := len(index)
 		index = append(index, t.index...)
 		c.index = index[at:len(index):len(index)]
-		for j := range c.rows {
-			r := &c.rows[j]
-			start := len(args)
-			args = append(args, r.args...)
-			r.args = args[start:len(args):len(args)]
-		}
+		at = len(args)
+		args = append(args, t.args...)
+		c.args = args[at:len(args):len(args)]
 		out[i] = c
 	}
 	return out

@@ -49,10 +49,9 @@ func (g *EGraph) WriteDot(w io.Writer) error {
 		fmt.Fprintf(w, "  subgraph cluster_%d {\n", cls)
 		fmt.Fprintf(w, "    label=\"class %d\"\n    style=dashed\n", cls)
 		for _, n := range classes[cls] {
-			r := &g.tab(n.fn).rows[n.row]
 			label := n.fn.Name
-			for _, a := range r.args {
-				if a.Sort.Kind != KindEq && a.Sort.Kind != KindVec {
+			for _, a := range g.tab(n.fn).argsOf(n.row) {
+				if a.kind != KindEq && a.kind != KindVec {
 					label += " " + g.valueLabel(a)
 				}
 			}
@@ -80,8 +79,7 @@ func (g *EGraph) WriteDot(w io.Writer) error {
 	}
 	for _, cls := range ids {
 		for _, n := range classes[cls] {
-			r := &g.tab(n.fn).rows[n.row]
-			for _, a := range r.args {
+			for _, a := range g.tab(n.fn).argsOf(n.row) {
 				for _, childCls := range g.childClasses(a) {
 					if target, ok := anchor(childCls); ok {
 						fmt.Fprintf(w, "  %s -> %s [lhead=cluster_%d]\n", nodeName(n), target, childCls)
@@ -97,7 +95,7 @@ func (g *EGraph) WriteDot(w io.Writer) error {
 // childClasses lists the canonical e-class IDs referenced by a value
 // (direct for eq-sorts, transitively through vectors).
 func (g *EGraph) childClasses(v Value) []uint32 {
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindEq:
 		return []uint32{g.uf.Find(uint32(v.Bits))}
 	case KindVec:
@@ -120,7 +118,7 @@ func escapeDotLabel(s string) string {
 
 // valueLabel renders a primitive value for DOT labels.
 func (g *EGraph) valueLabel(v Value) string {
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindI64:
 		return fmt.Sprintf("%d", v.AsI64())
 	case KindF64:

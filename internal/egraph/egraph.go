@@ -16,6 +16,10 @@ import (
 // union-find over e-class IDs, and interning pools for strings and vectors.
 type EGraph struct {
 	sorts map[string]*Sort
+	// sortTab numbers the declared sorts: a Value names its sort by its
+	// index here (Sort.id). Index 0 is no sort. Clones share the table;
+	// it is clipped, so a clone's first declaration copies it.
+	sortTab []*Sort
 	// funcs holds declared functions in declaration order for deterministic
 	// iteration.
 	funcs   []*Function
@@ -90,6 +94,11 @@ type EGraph struct {
 	// no-op, which in turn makes semi-naive matching (which skips those
 	// re-applications) bit-identical to naive matching.
 	snapRoots []uint32
+	// primArgs is the stack EvalATerm evaluates primitive arguments on:
+	// an application pushes its arguments, applies the primitive and
+	// truncates back, so nested primitives push above it. Clones start
+	// with an empty stack of their own.
+	primArgs []Value
 }
 
 // createdRef locates the e-node whose insertion created a class element.
@@ -102,6 +111,7 @@ type createdRef struct {
 func New() *EGraph {
 	g := &EGraph{
 		sorts:   make(map[string]*Sort),
+		sortTab: []*Sort{nil},
 		funcsBy: make(map[string]*Function),
 		uf:      unionfind.New(),
 		strings: newStringPool(),
@@ -122,8 +132,14 @@ func (g *EGraph) mustAddSort(s *Sort) *Sort {
 	}
 	g.ownDecls()
 	g.sorts[s.Name] = s
+	s.id = uint32(len(g.sortTab))
+	g.sortTab = append(g.sortTab, s)
 	return s
 }
+
+// SortOf returns the sort of v, a value of g or of a graph g was cloned
+// from; nil for the zero Value.
+func (g *EGraph) SortOf(v Value) *Sort { return g.sortTab[v.sort] }
 
 // ownDecls gives a clone its own copy of the declaration maps before it
 // first declares a sort or function.
@@ -214,7 +230,7 @@ func (g *EGraph) Functions() []*Function { return g.funcs }
 
 // InternString returns the interned string value.
 func (g *EGraph) InternString(s string) Value {
-	return Value{Sort: g.Str, Bits: uint64(g.strings.intern(s))}
+	return g.Str.value(uint64(g.strings.intern(s)))
 }
 
 // StringOf decodes a KindString value.
@@ -229,7 +245,7 @@ func (g *EGraph) InternVec(vecSort *Sort, elems []Value) Value {
 	for _, e := range elems {
 		canon = append(canon, g.Find(e))
 	}
-	return Value{Sort: vecSort, Bits: uint64(g.vecs.intern(canon))}
+	return vecSort.value(uint64(g.vecs.intern(canon)))
 }
 
 // VecElems decodes a KindVec value. The returned slice must not be mutated.
@@ -239,9 +255,10 @@ func (g *EGraph) VecElems(v Value) []Value { return g.vecs.get(uint32(v.Bits)) }
 // union-find; vector values are re-interned with canonical elements; other
 // primitives are already canonical.
 func (g *EGraph) Find(v Value) Value {
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindEq:
-		return Value{Sort: v.Sort, Bits: uint64(g.uf.Find(uint32(v.Bits)))}
+		v.Bits = uint64(g.uf.Find(uint32(v.Bits)))
+		return v
 	case KindVec:
 		elems := g.vecs.get(uint32(v.Bits))
 		changed := false
@@ -259,7 +276,8 @@ func (g *EGraph) Find(v Value) Value {
 		for _, e := range elems {
 			canon = append(canon, g.Find(e))
 		}
-		return Value{Sort: v.Sort, Bits: uint64(g.vecs.intern(canon))}
+		v.Bits = uint64(g.vecs.intern(canon))
+		return v
 	default:
 		return v
 	}
@@ -298,10 +316,10 @@ func (g *EGraph) canonFind(v Value) Value {
 	if g.snapRoots == nil {
 		return g.Find(v)
 	}
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindEq:
 		if v.Bits < uint64(len(g.snapRoots)) {
-			return Value{Sort: v.Sort, Bits: uint64(g.snapRoots[v.Bits])}
+			v.Bits = uint64(g.snapRoots[v.Bits])
 		}
 		return v
 	case KindVec:
@@ -321,7 +339,8 @@ func (g *EGraph) canonFind(v Value) Value {
 		for _, e := range elems {
 			canon = append(canon, g.canonFind(e))
 		}
-		return Value{Sort: v.Sort, Bits: uint64(g.vecs.intern(canon))}
+		v.Bits = uint64(g.vecs.intern(canon))
+		return v
 	default:
 		return v
 	}
@@ -329,14 +348,14 @@ func (g *EGraph) canonFind(v Value) Value {
 
 // Eq reports whether two values are equal modulo the union-find.
 func (g *EGraph) Eq(a, b Value) bool {
-	if a.Sort != b.Sort {
+	if a.sort != b.sort {
 		return false
 	}
 	return g.Find(a).Bits == g.Find(b).Bits
 }
 
 func (g *EGraph) newClass(s *Sort) Value {
-	return Value{Sort: s, Bits: uint64(g.uf.MakeSet())}
+	return s.value(uint64(g.uf.MakeSet()))
 }
 
 // argBufLen is the widest tuple that probes, action terms and keys hold
@@ -351,8 +370,8 @@ func (g *EGraph) canonArgs(dst []Value, f *Function, args []Value) ([]Value, err
 		return nil, fmt.Errorf("egraph: %s expects %d args, got %d", f.Name, len(f.Params), len(args))
 	}
 	for i, a := range args {
-		if a.Sort != f.Params[i] {
-			return nil, fmt.Errorf("egraph: %s arg %d: have sort %s, want %s", f.Name, i, a.Sort, f.Params[i])
+		if a.sort != f.Params[i].id {
+			return nil, fmt.Errorf("egraph: %s arg %d: have sort %s, want %s", f.Name, i, g.SortOf(a), f.Params[i])
 		}
 		dst = append(dst, g.canonFind(a))
 	}
@@ -383,7 +402,7 @@ func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
 	if f.IsConstructor() {
 		out = g.newClass(f.Out)
 	} else {
-		out = Value{Sort: g.Unit}
+		out = g.Unit.value(0)
 	}
 	t.insert(canon, out, g.epoch)
 	t.invalidateArgIndex()
@@ -421,8 +440,8 @@ func (g *EGraph) Lookup(f *Function, args ...Value) (Value, bool) {
 // the old and new outputs are unioned (egglog's merge semantics for
 // equivalence sorts).
 func (g *EGraph) Set(f *Function, args []Value, out Value) error {
-	if out.Sort != f.Out {
-		return fmt.Errorf("egraph: %s output: have sort %s, want %s", f.Name, out.Sort, f.Out)
+	if out.sort != f.Out.id {
+		return fmt.Errorf("egraph: %s output: have sort %s, want %s", f.Name, g.SortOf(out), f.Out)
 	}
 	var buf [argBufLen]Value
 	canon, err := g.canonArgs(buf[:0], f, args)
@@ -567,18 +586,19 @@ func (g *EGraph) Union(a, b Value) (Value, error) {
 // explanations are enabled, the justification becomes the label of this
 // merge in the proof forest.
 func (g *EGraph) UnionWithReason(a, b Value, j Justification) (Value, error) {
-	if a.Sort != b.Sort {
-		return Value{}, fmt.Errorf("egraph: union across sorts %s and %s", a.Sort, b.Sort)
+	if a.sort != b.sort {
+		return Value{}, fmt.Errorf("egraph: union across sorts %s and %s", g.SortOf(a), g.SortOf(b))
 	}
-	if a.Sort.Kind != KindEq {
+	if a.kind != KindEq {
 		if a.Bits != b.Bits {
-			return Value{}, fmt.Errorf("egraph: union of distinct primitive values of sort %s", a.Sort)
+			return Value{}, fmt.Errorf("egraph: union of distinct primitive values of sort %s", g.SortOf(a))
 		}
 		return a, nil
 	}
 	ra, rb := g.uf.Find(uint32(a.Bits)), g.uf.Find(uint32(b.Bits))
 	if ra == rb {
-		return Value{Sort: a.Sort, Bits: uint64(ra)}, nil
+		a.Bits = uint64(ra)
+		return a, nil
 	}
 	if j.Iter == 0 {
 		j.Iter = int(g.iterCur)
@@ -594,7 +614,8 @@ func (g *EGraph) UnionWithReason(a, b Value, j Justification) (Value, error) {
 	root := g.uf.Union(ra, rb)
 	g.unionCount++
 	g.dirty = true
-	return Value{Sort: a.Sort, Bits: uint64(root)}, nil
+	a.Bits = uint64(root)
+	return a, nil
 }
 
 // UnionCount returns the number of effective unions performed so far; the
@@ -622,15 +643,17 @@ func (g *EGraph) NumNodes() int {
 }
 
 // ForEachRow calls fn for every live row of f's table in insertion order
-// with canonical args/out. The callback must not modify the graph.
+// with canonical args/out. The callback must not modify the graph. args
+// is a window into the table's argument block: it must not be mutated,
+// and it holds the row's arguments only until the table next changes, so
+// a caller that keeps it past that copies it.
 func (g *EGraph) ForEachRow(f *Function, fn func(args []Value, out Value) bool) {
-	rows := g.tab(f).rows
-	for i := range rows {
-		r := &rows[i]
-		if r.dead {
+	t := g.tab(f)
+	for i := range t.rows {
+		if t.rows[i].dead {
 			continue
 		}
-		if !fn(r.args, r.out) {
+		if !fn(t.argsOf(i), t.rows[i].out) {
 			return
 		}
 	}
@@ -687,10 +710,11 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 			continue
 		}
 		stale := false
-		for j, a := range r.args {
+		args := t.argsOf(i)
+		for j, a := range args {
 			c := g.Find(a)
 			if c.Bits != a.Bits {
-				r.args[j] = c
+				args[j] = c
 				stale = true
 			}
 		}
@@ -711,18 +735,18 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 		t.touch(i, g.epoch)
 		// A stale entry of row i itself can lie on its new key's probe
 		// path; returning it would hide a congruence, so skip i.
-		if j, ok := t.probe(r.args, i); ok {
+		if j, ok := t.probe(args, i); ok {
 			// Collision: merge outputs into the existing row, kill this one.
 			other := &t.rows[j]
 			if f.IsConstructor() {
 				just := Justification{Kind: "explicit"}
 				if g.proofs != nil {
-					argsA, argsB := other.orig, r.orig
+					argsA, argsB := t.origOf(j), t.origOf(i)
 					if argsA == nil {
-						argsA = other.args
+						argsA = t.argsOf(j)
 					}
 					if argsB == nil {
-						argsB = r.args
+						argsB = args
 					}
 					just = Justification{
 						Kind:  "congruence",
@@ -788,7 +812,7 @@ func decodeArgs(dst []Value, key string, params []*Sort) []Value {
 		for b := 7; b >= 0; b-- {
 			bits = bits<<8 | uint64(key[8*i+b])
 		}
-		dst = append(dst, Value{Sort: s, Bits: bits})
+		dst = append(dst, s.value(bits))
 	}
 	return dst
 }

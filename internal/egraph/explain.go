@@ -93,7 +93,7 @@ func (g *EGraph) EnableExplanations() {
 		g.proofs.ensure(g.uf.Len())
 	}
 	for _, t := range g.tables {
-		t.trackOrig = true
+		t.recordOrig()
 	}
 	g.trackOrig = true
 }
@@ -120,7 +120,7 @@ func (g *EGraph) Explain(a, b Value) ([]ExplainStep, error) {
 	if g.proofs == nil {
 		return nil, fmt.Errorf("egraph: explanations are not enabled")
 	}
-	if a.Sort != b.Sort || a.Sort.Kind != KindEq {
+	if a.sort != b.sort || a.kind != KindEq {
 		return nil, fmt.Errorf("egraph: can only explain eq-sort equalities")
 	}
 	if !g.Eq(a, b) {
@@ -205,10 +205,10 @@ func (g *EGraph) explainIDs(x, y uint32, depth int) ([]ExplainStep, error) {
 // explainValues explains equality of two values: eq-sorts recurse into the
 // forest; vectors explain element-wise; identical primitives need nothing.
 func (g *EGraph) explainValues(a, b Value, depth int) ([]ExplainStep, error) {
-	if a.Bits == b.Bits && a.Sort == b.Sort {
+	if a.Bits == b.Bits && a.sort == b.sort {
 		return nil, nil
 	}
-	switch a.Sort.Kind {
+	switch a.kind {
 	case KindEq:
 		return g.explainIDs(uint32(a.Bits), uint32(b.Bits), depth)
 	case KindVec:
@@ -286,7 +286,7 @@ func (g *EGraph) termForID(ex *Extractor, id uint32) string {
 		}
 	}
 	if eq != nil {
-		if term, _, err := ex.Extract(Value{Sort: eq, Bits: uint64(id)}); err == nil {
+		if term, _, err := ex.Extract(eq.value(uint64(id))); err == nil {
 			return term.String()
 		}
 	}
@@ -303,10 +303,10 @@ func (g *EGraph) originalTerm(id uint32, depth int) *sexp.Node {
 	if !ok {
 		return nil
 	}
-	r := &g.tab(ref.fn).rows[ref.row]
-	args := r.orig
+	t := g.tab(ref.fn)
+	args := t.origOf(ref.row)
 	if args == nil {
-		args = r.args
+		args = t.argsOf(ref.row)
 	}
 	out := sexp.List(sexp.Symbol(ref.fn.Name))
 	for _, a := range args {
@@ -320,7 +320,7 @@ func (g *EGraph) originalTerm(id uint32, depth int) *sexp.Node {
 }
 
 func (g *EGraph) originalValueTerm(v Value, depth int) *sexp.Node {
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindI64:
 		return sexp.Int(v.AsI64())
 	case KindF64:

@@ -56,13 +56,13 @@ func (e *Extractor) run() {
 			if !f.IsConstructor() || f.Unextractable {
 				continue
 			}
-			rows := g.tab(f).rows
-			for ri := range rows {
-				r := &rows[ri]
+			t := g.tab(f)
+			for ri := range t.rows {
+				r := &t.rows[ri]
 				if r.dead {
 					continue
 				}
-				cost, ok := e.nodeCost(f, r)
+				cost, ok := e.nodeCost(f, t.argsOf(ri))
 				if !ok {
 					continue
 				}
@@ -77,21 +77,21 @@ func (e *Extractor) run() {
 	}
 }
 
-// baseCost returns the e-node's own share of its cost: its unstable-cost
-// override when one is set (override true), else the constructor's
-// declared cost.
-func (e *Extractor) baseCost(f *Function, r *row) (cost int64, override bool) {
-	if c, ok := e.g.costOverride(f, r.args); ok {
+// baseCost returns the own share of the cost of the e-node f(args): its
+// unstable-cost override when one is set (override true), else the
+// constructor's declared cost.
+func (e *Extractor) baseCost(f *Function, args []Value) (cost int64, override bool) {
+	if c, ok := e.g.costOverride(f, args); ok {
 		return c, true
 	}
 	return f.Cost, false
 }
 
-// nodeCost returns the total cost of the e-node at row r of f, or false if
-// some child class has no known cost yet.
-func (e *Extractor) nodeCost(f *Function, r *row) (int64, bool) {
-	total, _ := e.baseCost(f, r)
-	for _, a := range r.args {
+// nodeCost returns the total cost of the e-node f(args), or false if some
+// child class has no known cost yet.
+func (e *Extractor) nodeCost(f *Function, args []Value) (int64, bool) {
+	total, _ := e.baseCost(f, args)
+	for _, a := range args {
 		c, ok := e.valueCost(a)
 		if !ok {
 			return 0, false
@@ -105,7 +105,7 @@ func (e *Extractor) nodeCost(f *Function, r *row) (int64, bool) {
 }
 
 func (e *Extractor) valueCost(v Value) (int64, bool) {
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindEq:
 		cls := e.g.uf.Find(uint32(v.Bits))
 		c, ok := e.bestCost[cls]
@@ -128,7 +128,7 @@ func (e *Extractor) valueCost(v Value) (int64, bool) {
 // CostOf returns the cheapest cost of the class of v (which must be an
 // eq-sort value), or false if the class contains no extractable node.
 func (e *Extractor) CostOf(v Value) (int64, bool) {
-	if v.Sort.Kind != KindEq {
+	if v.kind != KindEq {
 		return 0, true
 	}
 	c, ok := e.bestCost[e.g.uf.Find(uint32(v.Bits))]
@@ -138,17 +138,19 @@ func (e *Extractor) CostOf(v Value) (int64, bool) {
 // ChosenNode returns the e-node extraction chose for v's class: its
 // function, its arguments, and the row's original output (the identity
 // proofs are anchored at). ok is false when v is not an eq-sort value or
-// its class has no extractable node. The arguments must not be mutated.
+// its class has no extractable node. The arguments are a window into the
+// function's table: they must not be mutated, and they stay valid while
+// the graph is unchanged, as the extractor requires anyway.
 func (e *Extractor) ChosenNode(v Value) (f *Function, args []Value, out Value, ok bool) {
-	if v.Sort.Kind != KindEq {
+	if v.kind != KindEq {
 		return nil, nil, Value{}, false
 	}
 	ref, ok := e.bestNode[e.g.uf.Find(uint32(v.Bits))]
 	if !ok {
 		return nil, nil, Value{}, false
 	}
-	r := &e.g.tab(ref.fn).rows[ref.row]
-	return ref.fn, r.args, r.out, true
+	t := e.g.tab(ref.fn)
+	return ref.fn, t.argsOf(ref.row), t.rows[ref.row].out, true
 }
 
 // Extract returns the cheapest term of v's class rendered as an
@@ -176,8 +178,8 @@ func (e *Extractor) Extract(v Value) (*sexp.Node, int64, error) {
 // DAGCost never exceeds it.
 func (e *Extractor) DAGCost(root Value) (int64, error) {
 	var total int64
-	err := e.walk([]Value{root}, func(_ uint32, ref nodeRef, r *row) {
-		c, _ := e.baseCost(ref.fn, r)
+	err := e.walk([]Value{root}, func(_ uint32, ref nodeRef, args []Value) {
+		c, _ := e.baseCost(ref.fn, args)
 		total += c
 	})
 	return total, err
@@ -194,7 +196,7 @@ type classWalk struct {
 // push enqueues the classes v refers to that the walk has not seen:
 // v's own class, or each element class of a vector.
 func (w *classWalk) push(v Value) {
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindEq:
 		cls := w.g.uf.Find(uint32(v.Bits))
 		if !w.seen[cls] {
@@ -209,9 +211,9 @@ func (w *classWalk) push(v Value) {
 }
 
 // walk visits every class reachable from roots through chosen children
-// once, breadth-first in argument order, passing the class's chosen node.
-// It fails on a class with no extractable node.
-func (e *Extractor) walk(roots []Value, visit func(cls uint32, chosen nodeRef, r *row)) error {
+// once, breadth-first in argument order, passing the class's chosen node
+// and its arguments. It fails on a class with no extractable node.
+func (e *Extractor) walk(roots []Value, visit func(cls uint32, chosen nodeRef, args []Value)) error {
 	w := classWalk{g: e.g, seen: make(map[uint32]bool)}
 	for _, v := range roots {
 		w.push(v)
@@ -222,9 +224,9 @@ func (e *Extractor) walk(roots []Value, visit func(cls uint32, chosen nodeRef, r
 		if !ok {
 			return fmt.Errorf("egraph: class %d has no extractable term", cls)
 		}
-		r := &e.g.tab(ref.fn).rows[ref.row]
-		visit(cls, ref, r)
-		for _, a := range r.args {
+		args := e.g.tab(ref.fn).argsOf(ref.row)
+		visit(cls, ref, args)
+		for _, a := range args {
 			w.push(a)
 		}
 	}
@@ -232,18 +234,18 @@ func (e *Extractor) walk(roots []Value, visit func(cls uint32, chosen nodeRef, r
 }
 
 // eachNode calls fn for every live extractable e-node of class cls, in
-// function-declaration and row order.
-func (e *Extractor) eachNode(cls uint32, fn func(f *Function, ri int, r *row)) {
+// function-declaration and row order, with its row and arguments.
+func (e *Extractor) eachNode(cls uint32, fn func(f *Function, ri int, args []Value)) {
 	g := e.g
 	for _, f := range g.funcs {
 		if !f.IsConstructor() || f.Unextractable {
 			continue
 		}
-		rows := g.tab(f).rows
-		for ri := range rows {
-			r := &rows[ri]
+		t := g.tab(f)
+		for ri := range t.rows {
+			r := &t.rows[ri]
 			if !r.dead && g.uf.Find(uint32(g.Find(r.out).Bits)) == cls {
-				fn(f, ri, r)
+				fn(f, ri, t.argsOf(ri))
 			}
 		}
 	}
@@ -261,7 +263,7 @@ type Variant struct {
 // node varies; exhaustively enumerating child combinations would be
 // exponential.
 func (e *Extractor) ExtractVariants(v Value, n int) ([]Variant, error) {
-	if v.Sort.Kind != KindEq {
+	if v.kind != KindEq {
 		t, c, err := e.Extract(v)
 		if err != nil {
 			return nil, err
@@ -270,12 +272,12 @@ func (e *Extractor) ExtractVariants(v Value, n int) ([]Variant, error) {
 	}
 	seen := make(map[string]bool)
 	var out []Variant
-	e.eachNode(e.g.uf.Find(uint32(v.Bits)), func(f *Function, _ int, r *row) {
-		cost, ok := e.nodeCost(f, r)
+	e.eachNode(e.g.uf.Find(uint32(v.Bits)), func(f *Function, _ int, args []Value) {
+		cost, ok := e.nodeCost(f, args)
 		if !ok {
 			return // unextractable children
 		}
-		term, err := e.node(f, r)
+		term, err := e.node(f, args)
 		if err != nil {
 			return
 		}
@@ -303,7 +305,7 @@ func (e *Extractor) ExtractVariants(v Value, n int) ([]Variant, error) {
 
 func (e *Extractor) term(v Value) (*sexp.Node, error) {
 	g := e.g
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindI64:
 		return sexp.Int(v.AsI64()), nil
 	case KindF64:
@@ -334,25 +336,24 @@ func (e *Extractor) term(v Value) (*sexp.Node, error) {
 		}
 		ref, ok := e.bestNode[cls]
 		if !ok {
-			return nil, fmt.Errorf("egraph: class %d of sort %s has no extractable term", cls, v.Sort)
+			return nil, fmt.Errorf("egraph: class %d of sort %s has no extractable term", cls, g.SortOf(v))
 		}
-		out, err := e.node(ref.fn, &g.tab(ref.fn).rows[ref.row])
+		out, err := e.node(ref.fn, g.tab(ref.fn).argsOf(ref.row))
 		if err != nil {
 			return nil, err
 		}
 		e.terms[cls] = out
 		return out, nil
 	default:
-		return nil, fmt.Errorf("egraph: cannot extract value of sort %s", v.Sort)
+		return nil, fmt.Errorf("egraph: cannot extract value of sort %s", g.SortOf(v))
 	}
 }
 
-// node renders the e-node at row r of f with each child's cost-optimal
-// term.
-func (e *Extractor) node(f *Function, r *row) (*sexp.Node, error) {
-	list := make([]*sexp.Node, 1, 1+len(r.args))
+// node renders the e-node f(args) with each child's cost-optimal term.
+func (e *Extractor) node(f *Function, args []Value) (*sexp.Node, error) {
+	list := make([]*sexp.Node, 1, 1+len(args))
 	list[0] = sexp.Symbol(f.Name)
-	for _, a := range r.args {
+	for _, a := range args {
 		t, err := e.term(a)
 		if err != nil {
 			return nil, err

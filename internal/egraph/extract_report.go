@@ -54,7 +54,7 @@ type ExtractionReport struct {
 // rejected alternatives with theirs. Costs reflect the active model —
 // constructor defaults plus any unstable-cost overrides.
 func (e *Extractor) Report(root Value, topK int) (*ExtractionReport, error) {
-	if root.Sort.Kind != KindEq {
+	if root.kind != KindEq {
 		return nil, fmt.Errorf("egraph: extraction report needs an eq-sort root")
 	}
 	term, cost, err := e.Extract(root)
@@ -62,7 +62,7 @@ func (e *Extractor) Report(root Value, topK int) (*ExtractionReport, error) {
 		return nil, err
 	}
 	rep := &ExtractionReport{Root: term.String(), RootCost: cost}
-	err = e.walk([]Value{root}, func(cls uint32, chosen nodeRef, _ *row) {
+	err = e.walk([]Value{root}, func(cls uint32, chosen nodeRef, _ []Value) {
 		rep.Classes = append(rep.Classes, e.classReport(cls, chosen, topK))
 	})
 	if err != nil {
@@ -75,8 +75,8 @@ func (e *Extractor) Report(root Value, topK int) (*ExtractionReport, error) {
 func (e *Extractor) classReport(cls uint32, chosen nodeRef, topK int) ClassReport {
 	cr := ClassReport{Class: fmt.Sprintf("#%d", cls)}
 	var rejected []NodeChoice
-	e.eachNode(cls, func(f *Function, ri int, r *row) {
-		nc, ok := e.nodeChoice(f, ri, r)
+	e.eachNode(cls, func(f *Function, ri int, args []Value) {
+		nc, ok := e.nodeChoice(f, ri, args)
 		if !ok {
 			return // some child class is unextractable
 		}
@@ -100,22 +100,22 @@ func (e *Extractor) classReport(cls uint32, chosen nodeRef, topK int) ClassRepor
 	return cr
 }
 
-// nodeChoice renders the candidate node at row ri of f with its cost
-// decomposition and provenance; false when a child class has no
-// extractable term.
-func (e *Extractor) nodeChoice(f *Function, ri int, r *row) (NodeChoice, bool) {
+// nodeChoice renders the candidate node at row ri of f, whose arguments
+// are args, with its cost decomposition and provenance; false when a
+// child class has no extractable term.
+func (e *Extractor) nodeChoice(f *Function, ri int, args []Value) (NodeChoice, bool) {
 	g := e.g
-	total, ok := e.nodeCost(f, r)
+	total, ok := e.nodeCost(f, args)
 	if !ok {
 		return NodeChoice{}, false
 	}
-	term, err := e.node(f, r)
+	term, err := e.node(f, args)
 	if err != nil {
 		return NodeChoice{}, false
 	}
 	nc := NodeChoice{Term: term.String(), Fn: f.Name, Cost: total}
-	nc.Base, nc.Override = e.baseCost(f, r)
-	for _, a := range r.args {
+	nc.Base, nc.Override = e.baseCost(f, args)
+	for _, a := range args {
 		for _, c := range g.childClasses(a) {
 			nc.Children = append(nc.Children, ChildCost{Class: fmt.Sprintf("#%d", c), Cost: e.bestCost[c]})
 		}

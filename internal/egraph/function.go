@@ -78,11 +78,13 @@ func (f *Function) Arity() int { return len(f.Params) }
 
 func (f *Function) String() string { return f.Name }
 
-// row is one entry of a function table: canonical argument tuple and output.
-// out keeps the identity assigned at insertion (callers canonicalize via
-// Find); orig preserves the as-inserted argument tuple when proof
-// recording is on, so congruence justifications can explain child
-// equalities.
+// row is one entry of a function table: its output and bookkeeping. Its
+// canonical argument tuple lives in the table's flat argument block
+// (table.argsOf), and the as-inserted tuple, kept when proof recording is
+// on so congruence justifications can explain child equalities, in the
+// orig block (table.origOf). A row holds no pointer, so the collector
+// scans none of a table's rows. out keeps the identity assigned at
+// insertion (callers canonicalize via Find).
 //
 // stamp is the e-graph epoch at which the row last changed: inserted, had
 // an argument re-canonicalized, or had its output move to a different
@@ -92,10 +94,7 @@ func (f *Function) String() string { return f.Name }
 // deliberately keeps its original identity for proof anchoring); it also
 // keys the out-column match index.
 type row struct {
-	args     []Value
 	out      Value
-	dead     bool
-	orig     []Value
 	stamp    uint64
 	outCanon uint64
 	// provRule and provIter record provenance: the rule (interned in the
@@ -103,6 +102,7 @@ type row struct {
 	// created the row. Stamped unconditionally — see EGraph.RowProvenance.
 	provRule uint32
 	provIter uint32
+	dead     bool
 }
 
 // colIndex lists, for one column of a table, the rows holding each
@@ -130,6 +130,13 @@ func (c *colIndex) rowsOf(bits uint64) []int32 {
 // and Rebuild compacts a table once dead rows dominate (preserving
 // relative order, so iteration stays deterministic).
 //
+// The rows' argument tuples are one flat block, args, with stride arity:
+// row r's tuple is args[r*arity:(r+1)*arity]. Under trackOrig the
+// as-inserted tuples are a second block, orig, laid out the same way but
+// starting at row origFrom, the row count when recording began (rows
+// inserted before it have no recorded tuple). Neither block holds a
+// pointer, and inserting a row allocates nothing once they have grown.
+//
 // index is an open-addressed hash table over row slots, probed linearly
 // from hashArgs of the argument bits: entry r+1 names row r and 0 is
 // empty. Every live row has an entry under its current args. A row that
@@ -150,13 +157,17 @@ func (c *colIndex) rowsOf(bits uint64) []int32 {
 // via row.stamp); rotateFrontier moves them into frontier, the sorted
 // delta the next match iteration scans.
 type table struct {
+	arity int
 	rows  []row
+	args  []Value
 	index []int32
 	used  int
 	live  int
 	// trackOrig preserves as-inserted argument tuples (proof recording).
 	// It also disables compaction: proof rendering holds row indices.
 	trackOrig bool
+	orig      []Value
+	origFrom  int
 
 	argIndex   []atomic.Pointer[colIndex]
 	argIndexMu []sync.Mutex
@@ -167,8 +178,37 @@ type table struct {
 
 func newTable(arity int) *table {
 	return &table{
+		arity:      arity,
 		argIndex:   make([]atomic.Pointer[colIndex], arity+1),
 		argIndexMu: make([]sync.Mutex, arity+1),
+	}
+}
+
+// argsOf returns row r's argument tuple: a window into the flat block,
+// clipped to its length so an append cannot overrun into the next row.
+// Writing through it updates the row; it stays the row's tuple until the
+// block next grows (an insert) or moves (compaction).
+func (t *table) argsOf(r int) []Value {
+	i := r * t.arity
+	return t.args[i : i+t.arity : i+t.arity]
+}
+
+// origOf returns row r's as-inserted argument tuple, or nil when the row
+// predates proof recording (or recording is off).
+func (t *table) origOf(r int) []Value {
+	if !t.trackOrig || r < t.origFrom {
+		return nil
+	}
+	i := (r - t.origFrom) * t.arity
+	return t.orig[i : i+t.arity : i+t.arity]
+}
+
+// recordOrig turns on as-inserted tuple recording for rows inserted from
+// now on.
+func (t *table) recordOrig() {
+	if !t.trackOrig {
+		t.trackOrig = true
+		t.origFrom = len(t.rows)
 	}
 }
 
@@ -182,10 +222,10 @@ func (t *table) invalidateArgIndex() {
 }
 
 // buildArgIndex returns (building on first use) the index for column i —
-// an argument position, or the output column when i == arity. Rows must
-// be canonical (right after Rebuild). Safe for concurrent callers; racers
-// on different columns do not contend.
-func (t *table) buildArgIndex(i, arity int) *colIndex {
+// an argument position, or the output column when i == t.arity. Rows
+// must be canonical (right after Rebuild). Safe for concurrent callers;
+// racers on different columns do not contend.
+func (t *table) buildArgIndex(i int) *colIndex {
 	if p := t.argIndex[i].Load(); p != nil {
 		return p
 	}
@@ -194,11 +234,11 @@ func (t *table) buildArgIndex(i, arity int) *colIndex {
 	if p := t.argIndex[i].Load(); p != nil {
 		return p
 	}
-	bits := func(r *row) uint64 {
-		if i < arity {
-			return r.args[i].Bits
+	bits := func(r int) uint64 {
+		if i < t.arity {
+			return t.args[r*t.arity+i].Bits
 		}
-		return r.outCanon
+		return t.rows[r].outCanon
 	}
 	// Count each value's rows, lay the spans out back to back with off at
 	// each span's end, then fill every span from its end walking the rows
@@ -206,8 +246,8 @@ func (t *table) buildArgIndex(i, arity int) *colIndex {
 	// ascending.
 	spans := make(map[uint64]span, t.live)
 	for r := range t.rows {
-		if row := &t.rows[r]; !row.dead {
-			b := bits(row)
+		if !t.rows[r].dead {
+			b := bits(r)
 			s := spans[b]
 			s.n++
 			spans[b] = s
@@ -221,8 +261,8 @@ func (t *table) buildArgIndex(i, arity int) *colIndex {
 	}
 	idx := &colIndex{spans: spans, rows: make([]int32, end)}
 	for r := len(t.rows) - 1; r >= 0; r-- {
-		if row := &t.rows[r]; !row.dead {
-			b := bits(row)
+		if !t.rows[r].dead {
+			b := bits(r)
 			s := spans[b]
 			s.off--
 			idx.rows[s.off] = int32(r)
@@ -264,10 +304,11 @@ func (t *table) rotateFrontier() int {
 const compactMinDead = 64
 
 // maybeCompact rewrites the table without dead rows once they outnumber
-// live ones. Relative row order is preserved (scan order, and therefore
-// match order, is unchanged); pending is remapped and the frontier is
-// dropped (it is rebuilt by the next rotation before any delta match).
-// Disabled under proof recording, which anchors explanations at row slots.
+// live ones, moving each kept row's argument tuple along with it.
+// Relative row order is preserved (scan order, and therefore match order,
+// is unchanged); pending is remapped and the frontier is dropped (it is
+// rebuilt by the next rotation before any delta match). Disabled under
+// proof recording, which anchors explanations at row slots.
 func (t *table) maybeCompact() {
 	dead := len(t.rows) - t.live
 	if t.trackOrig || dead < compactMinDead || dead*2 <= len(t.rows) {
@@ -283,10 +324,12 @@ func (t *table) maybeCompact() {
 		remap[r] = int32(w)
 		if w != r {
 			t.rows[w] = t.rows[r]
+			copy(t.argsOf(w), t.argsOf(r))
 		}
 		w++
 	}
 	t.rows = t.rows[:w]
+	t.args = t.args[:w*t.arity]
 	t.reindex()
 	pending := t.pending[:0]
 	for _, ri := range t.pending {
@@ -350,7 +393,7 @@ func (t *table) probe(args []Value, skip int) (int, bool) {
 			return 0, false
 		}
 		r := int(e - 1)
-		if row := &t.rows[r]; r != skip && !row.dead && sameBits(row.args, args) {
+		if r != skip && !t.rows[r].dead && sameBits(t.argsOf(r), args) {
 			return r, true
 		}
 	}
@@ -371,7 +414,7 @@ func (t *table) addEntry(r int) {
 // sequence.
 func (t *table) place(r int) {
 	mask := uint64(len(t.index) - 1)
-	i := hashArgs(t.rows[r].args) & mask
+	i := hashArgs(t.argsOf(r)) & mask
 	for t.index[i] != 0 {
 		i = (i + 1) & mask
 	}
@@ -402,14 +445,12 @@ func (t *table) reindex() {
 // insert adds a row assuming args are canonical and no row with the same
 // key exists, stamping it with the current epoch.
 func (t *table) insert(args []Value, out Value, epoch uint64) {
-	stored := make([]Value, len(args))
-	copy(stored, args)
-	r := row{args: stored, out: out, stamp: epoch, outCanon: out.Bits}
+	t.args = append(t.args, args...)
 	if t.trackOrig {
-		r.orig = append([]Value(nil), args...)
+		t.orig = append(t.orig, args...)
 	}
 	t.pending = append(t.pending, int32(len(t.rows)))
-	t.rows = append(t.rows, r)
+	t.rows = append(t.rows, row{out: out, stamp: epoch, outCanon: out.Bits})
 	t.live++
 	t.addEntry(len(t.rows) - 1)
 }

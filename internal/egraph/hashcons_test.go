@@ -10,8 +10,8 @@ import (
 // probe that finds what it looks for allocates nothing, whether it is an
 // Insert of an existing node, an InternVec of an interned vector, a
 // SetNodeCost that keeps the existing cheaper override, a rule
-// application whose terms all exist and that calls no primitive, or a
-// Rebuild with nothing to repair.
+// application whose terms all exist, nested primitive applications
+// included, or a Rebuild with nothing to repair.
 func TestHashConsHitDoesNotAllocate(t *testing.T) {
 	l := newExprLang(t)
 	g := l.g
@@ -35,8 +35,14 @@ func TestHashConsHitDoesNotAllocate(t *testing.T) {
 
 	// (rule ((= root (Mul x y)))
 	//       ((let s (Add x y)) (union root (Mul x y)) (set (weight s) 7)
-	//        (unstable-cost (Add x y) 5) (Sum (vec-of x y))))
+	//        (unstable-cost (Add x y) 5) (Sum (vec-of x y))
+	//        (unstable-cost (Add x y) (* (* 2 3) 7))))
 	v := func(slot int) *ATerm { return &ATerm{Kind: AVar, Slot: slot} }
+	lit := func(n int64) *ATerm { return &ATerm{Kind: ALit, Lit: I64Value(g.I64, n)} }
+	mul := &Prim{Name: "*", Apply: func(g *EGraph, args []Value) (Value, bool) {
+		return I64Value(g.I64, args[0].AsI64()*args[1].AsI64()), true
+	}}
+	times := func(a, b *ATerm) *ATerm { return &ATerm{Kind: APrim, Prim: mul, Args: []*ATerm{a, b}} }
 	rule := &Rule{
 		Name:     "all-terms-exist",
 		Premises: []Premise{&TablePremise{Fn: l.Mul, Args: []Atom{VarAtom(0), VarAtom(1)}, Out: VarAtom(2)}},
@@ -46,6 +52,7 @@ func TestHashConsHitDoesNotAllocate(t *testing.T) {
 			&SetAction{Fn: weight, Args: []*ATerm{v(3)}, Out: &ATerm{Kind: ALit, Lit: I64Value(g.I64, 7)}},
 			&CostAction{Fn: l.Add, Args: []*ATerm{v(0), v(1)}, Cost: &ATerm{Kind: ALit, Lit: I64Value(g.I64, 5)}},
 			&InsertAction{T: &ATerm{Kind: AApp, Fn: sum, Args: []*ATerm{{Kind: AVec, VecSort: vecSort, Args: []*ATerm{v(0), v(1)}}}}},
+			&CostAction{Fn: l.Add, Args: []*ATerm{v(0), v(1)}, Cost: times(times(lit(2), lit(3)), lit(7))},
 		},
 		NumSlots: 4,
 	}
@@ -205,7 +212,7 @@ func checkRowIndex(t *testing.T, g *EGraph, f *Function, rng *rand.Rand, vals []
 	tab := g.tab(f)
 	scan := func(args []Value) (int, bool) {
 		for r := range tab.rows {
-			if !tab.rows[r].dead && sameBits(tab.rows[r].args, args) {
+			if !tab.rows[r].dead && sameBits(tab.argsOf(r), args) {
 				return r, true
 			}
 		}
@@ -215,7 +222,7 @@ func checkRowIndex(t *testing.T, g *EGraph, f *Function, rng *rand.Rand, vals []
 		if tab.rows[r].dead {
 			continue
 		}
-		if got, ok := tab.lookupRow(tab.rows[r].args); !ok || got != r {
+		if got, ok := tab.lookupRow(tab.argsOf(r)); !ok || got != r {
 			t.Fatalf("%s: live row %d found as %d, %v", f.Name, r, got, ok)
 		}
 	}

@@ -159,7 +159,7 @@ func TestInvariantExtractionMinimal(t *testing.T) {
 				total := r.fn.Cost
 				ok := true
 				for _, a := range r.args {
-					if a.Sort.Kind == KindEq {
+					if a.Kind() == KindEq {
 						c, seen := best[uint32(a.Bits)]
 						if !seen {
 							ok = false

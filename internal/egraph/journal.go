@@ -85,8 +85,8 @@ func (g *EGraph) fnEvent(f *Function) journal.Event {
 // raw 64-bit payload in decimal (eq-sort class IDs are replay-stable —
 // they are allocated densely and every allocation is journaled).
 func (g *EGraph) encodeVal(v Value) journal.Val {
-	jv := journal.Val{Sort: v.Sort.Name}
-	switch v.Sort.Kind {
+	jv := journal.Val{Sort: g.SortOf(v).Name}
+	switch v.kind {
 	case KindString:
 		s := g.StringOf(v)
 		jv.Str = &s
@@ -151,15 +151,15 @@ func (g *EGraph) decodeVal(jv journal.Val) (Value, error) {
 			}
 		}
 		// Raw intern: elements carry the recorded canonical bits already.
-		return Value{Sort: s, Bits: uint64(g.vecs.intern(elems))}, nil
+		return s.value(uint64(g.vecs.intern(elems))), nil
 	case KindUnit:
-		return Value{Sort: s}, nil
+		return s.value(0), nil
 	default:
 		bits, err := strconv.ParseUint(jv.Bits, 10, 64)
 		if err != nil {
 			return Value{}, fmt.Errorf("egraph: journal value payload: %w", err)
 		}
-		return Value{Sort: s, Bits: bits}, nil
+		return s.value(bits), nil
 	}
 }
 

@@ -116,7 +116,7 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 	cd := l.app(t, l.Add, c, d)
 	g.Rebuild()
 	tab := g.tab(l.Add)
-	idx := tab.buildArgIndex(0, 2)
+	idx := tab.buildArgIndex(0)
 	if len(idx.rowsOf(g.Find(a).Bits)) != 1 || len(idx.rowsOf(g.Find(c).Bits)) != 1 {
 		t.Fatalf("fresh col-0 index: %v", idx.spans)
 	}
@@ -134,7 +134,7 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 			t.Fatalf("column %d index survived Rebuild", i)
 		}
 	}
-	idx = tab.buildArgIndex(0, 2)
+	idx = tab.buildArgIndex(0)
 	root := g.Find(a).Bits
 	if len(idx.rowsOf(root)) != 2 {
 		t.Fatalf("rebuilt col-0 index has %d rows under root %d, want 2 (index %v)", len(idx.rowsOf(root)), root, idx.spans)
@@ -154,7 +154,7 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Rebuild()
-	outIdx := tab.buildArgIndex(2, 2)
+	outIdx := tab.buildArgIndex(2)
 	outRoot := g.Find(ab).Bits
 	n := 0
 	for i := range tab.rows {
@@ -187,7 +187,7 @@ func TestArgIndexConcurrentBuild(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w] = tab.buildArgIndex(w%3, 2)
+			results[w] = tab.buildArgIndex(w % 3)
 		}(w)
 	}
 	wg.Wait()

@@ -8,6 +8,8 @@ import (
 // Prim is a primitive operation usable in rule premises and actions, such
 // as i64 addition or log2. Apply returns false when the primitive does not
 // apply (e.g. log2 of a non-power-of-two when the rule requires exactness).
+// Apply must not keep args past its return: the engine passes a window of
+// a buffer it reuses for the next application.
 type Prim struct {
 	Name  string
 	Apply func(g *EGraph, args []Value) (Value, bool)
@@ -163,13 +165,13 @@ func (b *bindings) match(g *EGraph, a Atom, v Value) (int, bool) {
 	switch a.Kind {
 	case AtomVar:
 		if b.bound[a.Slot] {
-			return -1, g.Find(b.vals[a.Slot]).Bits == g.Find(v).Bits && b.vals[a.Slot].Sort == v.Sort
+			return -1, g.Find(b.vals[a.Slot]).Bits == g.Find(v).Bits && b.vals[a.Slot].sort == v.sort
 		}
 		b.vals[a.Slot] = v
 		b.bound[a.Slot] = true
 		return a.Slot, true
 	case AtomLit:
-		return -1, a.Lit.Sort == v.Sort && g.Find(a.Lit).Bits == g.Find(v).Bits
+		return -1, a.Lit.sort == v.sort && g.Find(a.Lit).Bits == g.Find(v).Bits
 	default:
 		return -1, false
 	}
@@ -449,11 +451,12 @@ type matchRun struct {
 // (semi-naive sub-queries, for the merge's key sort) and its enumeration
 // position within the task (onlyNew full queries, for the caps). A rule's
 // query slots are typed — each is bound from a table column or a
-// primitive's result — so the slots' sorts are recorded once, from the
-// task's first kept match. The runner keeps one buffer per task position
-// for the whole run.
+// primitive's result — so the slots' sorts are recorded once: the task's
+// first kept match is the template (tmpl) load copies before writing a
+// match's bits. The runner keeps one buffer per task position for the
+// whole run.
 type matchBuf struct {
-	sorts []*Sort
+	tmpl  []Value
 	bits  []uint64
 	keys  []int32
 	pos   []int32
@@ -463,14 +466,15 @@ type matchBuf struct {
 
 // reset empties b, keeping its storage.
 func (b *matchBuf) reset() {
-	*b = matchBuf{sorts: b.sorts[:0], bits: b.bits[:0], keys: b.keys[:0], pos: b.pos[:0]}
+	*b = matchBuf{tmpl: b.tmpl[:0], bits: b.bits[:0], keys: b.keys[:0], pos: b.pos[:0]}
 }
 
 // load writes stored match i into binds: the query slots from the stored
-// bits and sorts, the remaining slots (action lets) zero.
+// bits and the template's sorts, the remaining slots (action lets) zero.
 func (b *matchBuf) load(binds []Value, i, slots int) {
+	copy(binds, b.tmpl[:slots])
 	for s, bits := range b.bits[i*slots : (i+1)*slots] {
-		binds[s] = Value{Sort: b.sorts[s], Bits: bits}
+		binds[s].Bits = bits
 	}
 	clear(binds[slots:])
 }
@@ -525,9 +529,7 @@ func (m *matchRun) emit() bool {
 	if !m.spec.onlyNew || m.fresh > 0 {
 		out, vals := m.out, m.b.vals[:m.plan.slots]
 		if out.n == 0 {
-			for _, v := range vals {
-				out.sorts = append(out.sorts, v.Sort)
-			}
+			out.tmpl = append(out.tmpl, vals...)
 		}
 		out.bits = reserve(out.bits, len(vals))
 		for _, v := range vals {
@@ -596,7 +598,7 @@ func (m *matchRun) runDelta(lo, hi int) error {
 		if row.dead {
 			continue
 		}
-		if err := m.matchRow(p, row, int32(ri), m.hoist, 0); err != nil {
+		if err := m.matchRow(p, t, ri, m.hoist, 0); err != nil {
 			return err
 		}
 	}
@@ -713,7 +715,7 @@ func (m *matchRun) matchTable(pos, i, lo, hi int, p *TablePremise) error {
 	useIndex := false
 	if g.Clean() {
 		consider := func(col int, v Value) {
-			c := t.buildArgIndex(col, len(p.Args)).rowsOf(v.Bits)
+			c := t.buildArgIndex(col).rowsOf(v.Bits)
 			if !useIndex || len(c) < len(candidates) {
 				candidates = c
 				useIndex = true
@@ -789,8 +791,9 @@ rows:
 			continue
 		}
 		undos = undos[:0]
+		args := t.argsOf(ri)
 		for j, a := range p.Args {
-			undo, ok := b.match(g, a, g.Find(row.args[j]))
+			undo, ok := b.match(g, a, g.Find(args[j]))
 			if undo >= 0 {
 				undos = append(undos, undo)
 			}
@@ -828,14 +831,15 @@ rows:
 	return nil
 }
 
-// matchRow binds premise i's atoms against one concrete row (the hoisted
+// matchRow binds premise i's atoms against row ri of t (the hoisted
 // delta premise), records its key, and continues the query from nextFrom.
-func (m *matchRun) matchRow(p *TablePremise, row *row, ri int32, i, nextFrom int) error {
+func (m *matchRun) matchRow(p *TablePremise, t *table, ri, i, nextFrom int) error {
 	g, b := m.g, &m.b
 	var undoBuf [argBufLen + 1]int
 	undos := undoBuf[:0]
+	args := t.argsOf(ri)
 	for j, a := range p.Args {
-		undo, ok := b.match(g, a, g.Find(row.args[j]))
+		undo, ok := b.match(g, a, g.Find(args[j]))
 		if undo >= 0 {
 			undos = append(undos, undo)
 		}
@@ -846,7 +850,7 @@ func (m *matchRun) matchRow(p *TablePremise, row *row, ri int32, i, nextFrom int
 			return nil
 		}
 	}
-	undo, ok := b.match(g, p.Out, row.out)
+	undo, ok := b.match(g, p.Out, t.rows[ri].out)
 	if undo >= 0 {
 		undos = append(undos, undo)
 	}
@@ -855,7 +859,7 @@ func (m *matchRun) matchRow(p *TablePremise, row *row, ri int32, i, nextFrom int
 		if m.trace {
 			m.sel.prem[i].Matches++
 		}
-		m.key[m.plan.ord[i]] = ri
+		m.key[m.plan.ord[i]] = int32(ri)
 		err = m.matchFrom(nextFrom, 0, -1)
 	}
 	for _, u := range undos {
@@ -920,8 +924,7 @@ func (g *EGraph) EvalATerm(t *ATerm, binds []Value) (Value, error) {
 		return g.canonFind(t.Lit), nil
 	case AApp, AVec:
 		// The loop is not shared with evalArgs: escape analysis merges the
-		// buffers of all callers inside one recursive cycle, and the
-		// primitive case's arguments escape.
+		// buffers of all callers inside one recursive cycle.
 		var buf [argBufLen]Value
 		args := buf[:0]
 		for _, a := range t.Args {
@@ -937,16 +940,20 @@ func (g *EGraph) EvalATerm(t *ATerm, binds []Value) (Value, error) {
 		return g.Insert(t.Fn, args...)
 	case APrim:
 		// The arguments escape through the Prim.Apply function value, so
-		// they get a heap slice of exactly their size.
-		args := make([]Value, len(t.Args))
-		for i, a := range t.Args {
+		// they go on the graph's primitive-argument stack instead of the
+		// heap: push, apply, truncate. A nested primitive pushes above
+		// them, so the window is taken only once all are evaluated.
+		base := len(g.primArgs)
+		for _, a := range t.Args {
 			v, err := g.EvalATerm(a, binds)
 			if err != nil {
+				g.primArgs = g.primArgs[:base]
 				return Value{}, err
 			}
-			args[i] = v
+			g.primArgs = append(g.primArgs, v)
 		}
-		out, ok := t.Prim.Apply(g, args)
+		out, ok := t.Prim.Apply(g, g.primArgs[base:])
+		g.primArgs = g.primArgs[:base]
 		if !ok {
 			return Value{}, fmt.Errorf("egraph: primitive %s failed in action", t.Prim.Name)
 		}
@@ -1004,8 +1011,8 @@ func (g *EGraph) ApplyActions(r *Rule, binds []Value) error {
 			if err != nil {
 				return err
 			}
-			if cv.Sort.Kind != KindI64 {
-				return fmt.Errorf("egraph: rule %s: unstable-cost expects i64 cost, got %s", r.Name, cv.Sort)
+			if cv.kind != KindI64 {
+				return fmt.Errorf("egraph: rule %s: unstable-cost expects i64 cost, got %s", r.Name, g.SortOf(cv))
 			}
 			if err := g.SetNodeCost(a.Fn, args, cv.AsI64()); err != nil {
 				return fmt.Errorf("egraph: rule %s: %w", r.Name, err)

@@ -537,7 +537,7 @@ func (r *run) merge(ri int, tasks []matchTask) {
 		for i := range tasks {
 			t := tasks[i].out
 			if src.n == 0 {
-				src.sorts = t.sorts
+				src.tmpl = t.tmpl
 			}
 			src.bits = append(src.bits, t.bits...)
 			src.keys = append(src.keys, t.keys...)

@@ -28,14 +28,14 @@ func graphFingerprint(g *EGraph) string {
 	fmt.Fprintf(&b, "unions %d nodes %d classes %d\n", g.unionCount, g.NumNodes(), g.NumClasses())
 	for _, f := range g.funcs {
 		fmt.Fprintf(&b, "%s:", f.Name)
-		rows := g.tab(f).rows
-		for i := range rows {
-			r := &rows[i]
+		t := g.tab(f)
+		for i := range t.rows {
+			r := &t.rows[i]
 			if r.dead {
 				continue
 			}
 			b.WriteString(" [")
-			for _, a := range r.args {
+			for _, a := range t.argsOf(i) {
 				fmt.Fprintf(&b, "%d,", g.Find(a).Bits)
 			}
 			fmt.Fprintf(&b, "->%d]", g.Find(r.out).Bits)

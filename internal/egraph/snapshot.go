@@ -64,25 +64,26 @@ func (g *EGraph) Snapshot(iteration int) *Snapshot {
 	}
 	for _, f := range g.funcs {
 		fs := FnSnap{Name: f.Name}
-		rows := g.tab(f).rows
-		for ri := range rows {
-			r := &rows[ri]
+		t := g.tab(f)
+		for ri := range t.rows {
+			r := &t.rows[ri]
 			if r.dead {
 				continue
 			}
+			args := t.argsOf(ri)
 			rs := RowSnap{
-				Args: make([]string, len(r.args)),
+				Args: make([]string, len(args)),
 				Out:  g.renderValue(r.out),
 				Rule: g.ruleName(r.provRule),
 				Iter: int(r.provIter),
 			}
-			for i, a := range r.args {
+			for i, a := range args {
 				rs.Args[i] = g.renderValue(a)
 			}
 			if f.IsConstructor() {
 				rs.Class = fmt.Sprintf("#%d", g.uf.Find(uint32(r.out.Bits)))
 			}
-			if c, ok := g.costOverride(f, r.args); ok {
+			if c, ok := g.costOverride(f, args); ok {
 				rs.Cost = &c
 			}
 			fs.Rows = append(fs.Rows, rs)
@@ -96,7 +97,7 @@ func (g *EGraph) Snapshot(iteration int) *Snapshot {
 // IDs as "#N", strings quoted, floats in shortest round-trip form, vectors
 // element-wise.
 func (g *EGraph) renderValue(v Value) string {
-	switch v.Sort.Kind {
+	switch v.kind {
 	case KindEq:
 		return "#" + strconv.FormatUint(v.Bits, 10)
 	case KindI64:

@@ -61,18 +61,28 @@ func (k SortKind) String() string {
 }
 
 // Sort describes a value domain. Sorts are created once per EGraph and
-// compared by pointer identity.
+// compared by pointer identity. The graph that declares a sort numbers it
+// in its sort table (EGraph.SortOf), so a Value names its sort by that
+// number instead of by pointer.
 type Sort struct {
 	Name string
 	Kind SortKind
 	// Elem is the element sort for KindVec sorts, nil otherwise.
 	Elem *Sort
+
+	// id is the sort's index in the declaring graph's sort table, shared
+	// by that graph's clones; 0 until the sort is declared.
+	id uint32
 }
 
 func (s *Sort) String() string { return s.Name }
 
+// value returns the Value of sort s with payload bits.
+func (s *Sort) value(bits uint64) Value { return Value{Bits: bits, sort: s.id, kind: s.Kind} }
+
 // Value is a single engine value: an e-class ID for eq-sorts or a payload
-// for primitive sorts. The interpretation of Bits depends on Sort.Kind:
+// for primitive sorts. The interpretation of Bits depends on the sort's
+// kind (Kind):
 //
 //	KindEq     e-class ID (union-find element)
 //	KindI64    int64 bits
@@ -81,16 +91,30 @@ func (s *Sort) String() string { return s.Name }
 //	KindBool   0 or 1
 //	KindVec    index into the graph's vector pool
 //	KindUnit   always 0
+//
+// A Value holds no pointer: it names its sort by index into its graph's
+// sort table (EGraph.SortOf resolves it) and carries the sort's kind
+// inline, so canonicalization and matching switch on the kind without a
+// dependent load, and copying values into rows, bindings and match
+// buffers costs the garbage collector nothing. Index 0 names no sort: the
+// zero Value is sortless.
 type Value struct {
-	Sort *Sort
 	Bits uint64
+	sort uint32
+	kind SortKind
 }
 
+// Kind returns the kind of v's sort.
+func (v Value) Kind() SortKind { return v.kind }
+
+// HasSort reports whether v is a value of sort s, a sort of v's graph.
+func (v Value) HasSort(s *Sort) bool { return v.sort == s.id }
+
 // I64Value wraps an int64 as a Value of sort s (s must be KindI64).
-func I64Value(s *Sort, v int64) Value { return Value{Sort: s, Bits: uint64(v)} }
+func I64Value(s *Sort, v int64) Value { return s.value(uint64(v)) }
 
 // F64Value wraps a float64 as a Value of sort s (s must be KindF64).
-func F64Value(s *Sort, v float64) Value { return Value{Sort: s, Bits: math.Float64bits(v)} }
+func F64Value(s *Sort, v float64) Value { return s.value(math.Float64bits(v)) }
 
 // BoolValue wraps a bool as a Value of sort s (s must be KindBool).
 func BoolValue(s *Sort, v bool) Value {
@@ -98,7 +122,7 @@ func BoolValue(s *Sort, v bool) Value {
 	if v {
 		b = 1
 	}
-	return Value{Sort: s, Bits: b}
+	return s.value(b)
 }
 
 // AsI64 returns the int64 payload.
