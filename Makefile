@@ -68,7 +68,10 @@ trace-smoke:
 # every consumer of the function's one extractor is on (extraction, blame
 # for the profile, rewrite proofs, extraction reports), lint the journal's
 # event-stream invariants and the profile, then replay the journal with
-# bit-identity verification and exercise diff/why.
+# bit-identity verification and exercise diff/why. The imgconv run
+# installs no unstable-cost override, so a second journaled run, the
+# matmul rules on matmul_assoc.mlir, is linted and replayed for its
+# cost events.
 debug-smoke:
 	$(GO) run ./cmd/egg-opt -rules imgconv -workers 2 \
 		-journal journal.jsonl -snapshot-every 1 -explain -explain-extraction \
@@ -77,7 +80,11 @@ debug-smoke:
 	$(GO) run ./cmd/egg-debug replay -journal journal.jsonl -verify \
 		-snapshot snapshot.json -dot egraph.dot
 	$(GO) run ./cmd/egg-debug diff -journal journal.jsonl -from 1 -to -1
-	@echo "debug-smoke: OK (journal.jsonl, profile.json, snapshot.json, egraph.dot, extraction.txt)"
+	$(GO) run ./cmd/egg-opt -rules matmul -journal journal-matmul.jsonl -snapshot-every 1 \
+		internal/dialegg/testdata/matmul_assoc.mlir > /dev/null
+	$(GO) run ./cmd/egg-lint journal-matmul.jsonl
+	$(GO) run ./cmd/egg-debug replay -journal journal-matmul.jsonl -verify
+	@echo "debug-smoke: OK (journal.jsonl, profile.json, snapshot.json, egraph.dot, extraction.txt, journal-matmul.jsonl)"
 
 # Serving smoke: egg-serve's self-contained exercise — start on an
 # ephemeral port, optimize (cache miss), optimize again (cache hit),
@@ -174,7 +181,7 @@ full:
 
 clean:
 	rm -f test_output.txt bench_output.txt trace.json stats.json cpu.pprof mem.pprof \
-		journal.jsonl snapshot.json egraph.dot extraction.txt \
+		journal.jsonl journal-matmul.jsonl snapshot.json egraph.dot extraction.txt \
 		metrics.txt flight.trace.json \
 		profile.json profile.merged.json bench2_fresh.json schedule.json
 	rm -rf fuzz-repros

@@ -12,19 +12,20 @@ import (
 )
 
 // chain16AllocLimit bounds the allocations of one compile of the
-// 16-matmul chain. Hash-cons probes, action terms, primitive arguments
-// and matches allocate nothing; matches are stored as pointer-free rows
-// in buffers a run reuses across its iterations, a table keeps its rows'
-// argument tuples in one flat block, and a column index is one flat
-// block. What remains comes to about 4,660: the cost overrides'
-// string keys (the largest share), parsing, the MLIR-to-egg translation,
-// the column indexes, table and pool growth, extraction and
-// back-translation. A heap slice per row's arguments, or per primitive
-// application, adds about 2,700 each (both: 10,070); per-task bindings
-// snapshots or a slice per indexed value put a compile above 23,000,
-// and a string-keyed row index, or an allocation per probe, per action
-// term or per match, above 390,000.
-const chain16AllocLimit = 5_000
+// 16-matmul chain. Hash-cons probes, action terms, primitive arguments,
+// matches and cost-override installs allocate nothing; matches are stored
+// as pointer-free rows in buffers a run reuses across its iterations, a
+// table keeps its rows' argument tuples in one flat block and each
+// unstable-cost override on the row it prices, and a column index is one
+// flat block. What remains comes to about 3,820: parsing and the
+// MLIR-to-egg translation's terms (the largest shares), the column
+// indexes, table and pool growth, extraction and back-translation. A
+// string key per override install adds about 840 (4,657); a heap slice
+// per row's arguments, or per primitive application, about 2,700 each;
+// per-task bindings snapshots or a slice per indexed value put a compile
+// above 23,000, and a string-keyed row index, or an allocation per probe,
+// per action term or per match, above 390,000.
+const chain16AllocLimit = 4_200
 
 // TestChain16CompileAllocs gates the allocation-free hash-consing and rule
 // application paths end to end: parse, saturate at one worker, extract and

@@ -30,7 +30,8 @@ const diffPrelude = `
 
 // diffPrograms are egglog programs covering the engine's features: the
 // paper's figure-1 rules, commutative/associative blowup, primitive
-// evaluation in actions, rulesets with run-schedule, and relations.
+// evaluation in actions, rulesets with run-schedule, relations, and
+// unstable-cost overrides on rows that a union makes congruent.
 var diffPrograms = []struct {
 	name string
 	src  string
@@ -79,6 +80,36 @@ var diffPrograms = []struct {
 (check (= e f))
 (extract e)
 `},
+	{"cost-merge", costMergeProgram},
+}
+
+// costMergeProgram prices two Mul rows 12 and 3, then a union makes them
+// congruent.
+const costMergeProgram = diffPrelude + `
+(rewrite (Mul ?x (Num 2)) (Shl ?x (Num 1)))
+(rule ((= ?e (Shl ?x (Num ?k)))) ((unstable-cost (Shl ?x (Num ?k)) (+ ?k 8))))
+(let e (Mul (Var "a") (Num 2)))
+(let f (Mul (Var "b") (Num 2)))
+(unstable-cost (Mul (Var "a") (Num 2)) 12)
+(unstable-cost (Mul (Var "b") (Num 2)) 3)
+(union (Var "a") (Var "b"))
+(run 4)
+(extract e)
+`
+
+// TestCongruentOverridesKeepCheaper: when the union in costMergeProgram
+// makes the two priced Mul rows congruent, the surviving row keeps the
+// cheaper 3, so Mul (3 + 1 + 1) beats the Shl the rewrite adds
+// (9 + 1 + 1); with the 12 it would lose.
+func TestCongruentOverridesKeepCheaper(t *testing.T) {
+	results, err := egglog.NewProgram().ExecuteString(costMergeProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[len(results)-1]
+	if got, want := fmt.Sprintf("%s ; cost %d", r.Term, r.Cost), `(Mul (Var "a") (Num 2)) ; cost 5`; got != want {
+		t.Errorf("extract e = %s, want %s", got, want)
+	}
 }
 
 // runFingerprint executes src with the given worker count and match mode

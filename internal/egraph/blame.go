@@ -66,7 +66,7 @@ func (e *Extractor) Blame(roots []Value) ([]BlameRow, error) {
 	}
 	reachable := make(map[uint32]bool)
 	chosen := make(map[nodeRef]bool)
-	err := e.walk(roots, func(cls uint32, ref nodeRef, _ []Value) {
+	err := e.walk(roots, func(cls uint32, ref nodeRef) {
 		reachable[cls] = true
 		chosen[ref] = true
 	})

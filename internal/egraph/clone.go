@@ -42,10 +42,6 @@ func (g *EGraph) Clone() *EGraph {
 	c.strings = g.strings.clone()
 	c.vecs = g.vecs.clone()
 	c.tables = cloneTables(g.tables)
-	c.costs = make([]map[string]int64, len(g.costs))
-	for i, m := range g.costs {
-		c.costs[i] = maps.Clone(m)
-	}
 	if g.proofs != nil {
 		c.proofs = &proofForest{parent: slices.Clone(g.proofs.parent), edge: slices.Clone(g.proofs.edge)}
 	}

@@ -26,8 +26,12 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1.Rebuild()
-	if err := c1.SetNodeCost(l.Mul, []Value{a, b}, 9); err != nil {
+	// Price a node every graph has, so a shared row would show the leak.
+	if err := c1.SetNodeCost(l.Add, []Value{a, b}, 9); err != nil {
 		t.Fatal(err)
+	}
+	if c, _ := overrideOf(c1, l.Add, a, b); c != 9 {
+		t.Fatalf("clone's override = %d, want 9", c)
 	}
 	c1.InternVec(c1.VecSortOf(l.Expr), []Value{x})
 	c1.InternString("only in c1")
@@ -48,8 +52,8 @@ func TestCloneIsolation(t *testing.T) {
 		if _, ok := o.Lookup(l.Mul, a, b); ok {
 			t.Errorf("%s sees the clone's row", name)
 		}
-		if o.costs[l.Mul.id] != nil {
-			t.Errorf("%s sees the clone's cost override", name)
+		if c, ok := overrideOf(o, l.Add, a, b); !ok || c != 0 {
+			t.Errorf("%s: Add override = %d (row found %v), want no override", name, c, ok)
 		}
 		if _, ok := o.SortByName("Vec<Expr>"); ok {
 			t.Errorf("%s sees the clone's vector sort", name)

@@ -63,8 +63,8 @@ func TestWriteDotVecChildren(t *testing.T) {
 }
 
 // TestCostOverrideSurvivesRebuild: a per-node cost override installed
-// before a union must still apply after rebuilding re-keys the node's
-// arguments (exercising the cost-table canonicalization).
+// before a union must still apply after rebuilding re-canonicalizes the
+// node's arguments: the override moves with its row.
 func TestCostOverrideSurvivesRebuild(t *testing.T) {
 	l := newExprLang(t)
 	g := l.g
@@ -79,10 +79,14 @@ func TestCostOverrideSurvivesRebuild(t *testing.T) {
 	}
 	// Give the class a cheap alternative so extraction has a choice.
 	g.Union(mul, cheapAlt)
-	// Union a ~ b re-keys the Mul row during rebuild; the override must
-	// follow it.
-	g.Union(a, b)
+	// Union b ~ a makes b's class the root, so rebuilding
+	// re-canonicalizes the Mul row's arguments; the override must stay on
+	// the row.
+	g.Union(b, a)
 	g.Rebuild()
+	if g.Find(a).Bits == a.Bits {
+		t.Fatal("a is still canonical, so the Mul row was not re-canonicalized")
+	}
 
 	ex := NewExtractor(g)
 	term, cost, err := ex.Extract(mul)
@@ -95,17 +99,10 @@ func TestCostOverrideSurvivesRebuild(t *testing.T) {
 	if cost >= 500 {
 		t.Errorf("cost = %d, expected the cheap alternative", cost)
 	}
-	// And the override is still present for the re-keyed node: extracting
-	// with the alternative removed would cost 500+children. Check via the
-	// cost table directly.
-	found := false
-	for _, c := range g.costs[l.Mul.id] {
-		if c == 500 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("cost override lost during rebuild")
+	// The cheap alternative hides the override from extraction, so read
+	// it from the row now keyed by the canonical arguments.
+	if c, ok := overrideOf(g, l.Mul, a, a); !ok || c != 500 {
+		t.Errorf("Mul(a, a) override = %d (row found %v), want 500", c, ok)
 	}
 }
 

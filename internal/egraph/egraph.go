@@ -2,7 +2,6 @@ package egraph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"slices"
@@ -24,12 +23,11 @@ type EGraph struct {
 	// iteration.
 	funcs   []*Function
 	funcsBy map[string]*Function
-	// tables and costs hold each declared function's rows and
-	// unstable-cost overrides, indexed by Function.id. Keeping the storage
+	// tables holds each declared function's rows, unstable-cost
+	// overrides included, indexed by Function.id. Keeping the storage
 	// here rather than on Function leaves sorts, functions and the rules
 	// compiled against them immutable, so clones of one graph share them.
 	tables []*table
-	costs  []map[string]int64
 	// declsShared marks sorts and funcsBy as shared with the graph this
 	// one was cloned from; the first declaration copies them (ownDecls).
 	declsShared bool
@@ -206,7 +204,6 @@ func (g *EGraph) DeclareFunction(f *Function) (*Function, error) {
 	t := newTable(len(f.Params))
 	t.trackOrig = g.trackOrig
 	g.tables = append(g.tables, t)
-	g.costs = append(g.costs, nil)
 	g.funcs = append(g.funcs, f)
 	g.ownDecls()
 	g.funcsBy[f.Name] = f
@@ -398,6 +395,12 @@ func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
 	if !f.IsConstructor() && f.Out.Kind != KindUnit {
 		return Value{}, fmt.Errorf("egraph: %s(...) not present (primitive-output functions need Set)", f.Name)
 	}
+	return g.insertNew(f, t, canon), nil
+}
+
+// insertNew adds the absent node f(canon), of a constructor or a Unit
+// function, as a new row of t and returns its output.
+func (g *EGraph) insertNew(f *Function, t *table, canon []Value) Value {
 	var out Value
 	if f.IsConstructor() {
 		out = g.newClass(f.Out)
@@ -418,7 +421,7 @@ func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
 		o := g.encodeVal(out)
 		g.jEmit(journal.Event{Kind: journal.KInsert, Fn: f.Name, Args: g.encodeVals(canon), Out: &o})
 	}
-	return out, nil
+	return out
 }
 
 // Lookup finds the output of f(args) without inserting.
@@ -523,7 +526,9 @@ func (g *EGraph) TotalRows() int {
 // SetNodeCost installs an extraction-cost override for the specific e-node
 // f(args); this implements the paper's `unstable-cost` action (§6.2).
 // Costs below 1 are clamped to 1 to keep extraction well-founded (a node
-// must cost strictly more than each of its children).
+// must cost strictly more than each of its children). The override lives
+// on the node's row; a node with no row is inserted first, as evaluating
+// the action term (f args) would insert it.
 func (g *EGraph) SetNodeCost(f *Function, args []Value, cost int64) error {
 	if !f.IsConstructor() {
 		return fmt.Errorf("egraph: unstable-cost on non-constructor %s", f.Name)
@@ -536,44 +541,20 @@ func (g *EGraph) SetNodeCost(f *Function, args []Value, cost int64) error {
 	if cost < 1 {
 		cost = 1
 	}
-	var kb [8 * argBufLen]byte
-	key := appendArgBits(kb[:0], canon)
-	if old, ok := g.costs[f.id][string(key)]; ok && old <= cost {
-		return nil // keep the cheaper of the two
+	t := g.tab(f)
+	i, ok := t.lookupRow(canon)
+	if !ok {
+		g.insertNew(f, t, canon)
+		i = len(t.rows) - 1
 	}
-	g.storeCost(f, key, cost)
+	if !t.rows[i].keepCheaper(cost) {
+		return nil
+	}
 	g.effects++
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KCost, Fn: f.Name, Args: g.encodeVals(canon), Cost: cost})
 	}
 	return nil
-}
-
-// storeCost installs cost under the encoded argument key, allocating
-// the key string only now that it is stored.
-func (g *EGraph) storeCost(f *Function, key []byte, cost int64) {
-	if g.costs[f.id] == nil {
-		g.costs[f.id] = make(map[string]int64)
-	}
-	g.costs[f.id][string(key)] = cost
-}
-
-// costOverride returns the unstable-cost override in force for the
-// e-node f(args), canonicalizing args as Rebuild canonicalizes the
-// override keys.
-func (g *EGraph) costOverride(f *Function, args []Value) (int64, bool) {
-	var kb [8 * argBufLen]byte
-	c, ok := g.costs[f.id][string(g.appendCanonKey(kb[:0], args))]
-	return c, ok
-}
-
-// appendCanonKey appends the key of args' canonical forms
-// (appendArgBits of their Finds) to dst.
-func (g *EGraph) appendCanonKey(dst []byte, args []Value) []byte {
-	for _, a := range args {
-		dst = binary.LittleEndian.AppendUint64(dst, g.Find(a).Bits)
-	}
-	return dst
 }
 
 // Union merges the e-classes of a and b (both eq-sort values of the same
@@ -675,9 +656,6 @@ func (g *EGraph) Rebuild() int {
 			if g.rebuildTable(f) {
 				changed = true
 			}
-			if g.rebuildCostTable(f) {
-				changed = true
-			}
 		}
 		if !changed {
 			break
@@ -770,6 +748,7 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 				// only happen with MergeMustEqual misuse and is harmless
 				// for the analyses in this repo (they are monotone).
 			}
+			other.keepCheaper(r.cost)
 			r.dead = true
 			t.live--
 		} else {
@@ -777,42 +756,4 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 		}
 	}
 	return changed
-}
-
-// rebuildCostTable re-canonicalizes cost-override keys; colliding entries
-// keep the cheaper cost. The map is rewritten only when a key went stale.
-func (g *EGraph) rebuildCostTable(f *Function) bool {
-	costs := g.costs[f.id]
-	var stale []string
-	var buf [argBufLen]Value
-	var kb [8 * argBufLen]byte
-	for key := range costs {
-		if string(g.appendCanonKey(kb[:0], decodeArgs(buf[:0], key, f.Params))) != key {
-			stale = append(stale, key)
-		}
-	}
-	// A re-keyed entry is canonical, so it never lands on a stale key
-	// still to be visited, and the kept minimum is order-independent.
-	for _, key := range stale {
-		cost := costs[key]
-		delete(costs, key)
-		nk := g.appendCanonKey(kb[:0], decodeArgs(buf[:0], key, f.Params))
-		if old, ok := costs[string(nk)]; !ok || cost < old {
-			costs[string(nk)] = cost
-		}
-	}
-	return len(stale) > 0
-}
-
-// decodeArgs appends the Values encoded in an argument key
-// (appendArgBits) to dst.
-func decodeArgs(dst []Value, key string, params []*Sort) []Value {
-	for i, s := range params {
-		var bits uint64
-		for b := 7; b >= 0; b-- {
-			bits = bits<<8 | uint64(key[8*i+b])
-		}
-		dst = append(dst, s.value(bits))
-	}
-	return dst
 }

@@ -62,7 +62,7 @@ func (e *Extractor) run() {
 				if r.dead {
 					continue
 				}
-				cost, ok := e.nodeCost(f, t.argsOf(ri))
+				cost, ok := e.nodeCost(f, ri)
 				if !ok {
 					continue
 				}
@@ -77,21 +77,22 @@ func (e *Extractor) run() {
 	}
 }
 
-// baseCost returns the own share of the cost of the e-node f(args): its
-// unstable-cost override when one is set (override true), else the
+// baseCost returns the own share of the cost of the e-node in row r of f:
+// its unstable-cost override when one is set (override true), else the
 // constructor's declared cost.
-func (e *Extractor) baseCost(f *Function, args []Value) (cost int64, override bool) {
-	if c, ok := e.g.costOverride(f, args); ok {
-		return c, true
+func baseCost(f *Function, r *row) (cost int64, override bool) {
+	if r.cost != 0 {
+		return r.cost, true
 	}
 	return f.Cost, false
 }
 
-// nodeCost returns the total cost of the e-node f(args), or false if some
-// child class has no known cost yet.
-func (e *Extractor) nodeCost(f *Function, args []Value) (int64, bool) {
-	total, _ := e.baseCost(f, args)
-	for _, a := range args {
+// nodeCost returns the total cost of the e-node in row ri of f, or false
+// if some child class has no known cost yet.
+func (e *Extractor) nodeCost(f *Function, ri int) (int64, bool) {
+	t := e.g.tab(f)
+	total, _ := baseCost(f, &t.rows[ri])
+	for _, a := range t.argsOf(ri) {
 		c, ok := e.valueCost(a)
 		if !ok {
 			return 0, false
@@ -178,8 +179,8 @@ func (e *Extractor) Extract(v Value) (*sexp.Node, int64, error) {
 // DAGCost never exceeds it.
 func (e *Extractor) DAGCost(root Value) (int64, error) {
 	var total int64
-	err := e.walk([]Value{root}, func(_ uint32, ref nodeRef, args []Value) {
-		c, _ := e.baseCost(ref.fn, args)
+	err := e.walk([]Value{root}, func(_ uint32, ref nodeRef) {
+		c, _ := baseCost(ref.fn, &e.g.tab(ref.fn).rows[ref.row])
 		total += c
 	})
 	return total, err
@@ -211,9 +212,9 @@ func (w *classWalk) push(v Value) {
 }
 
 // walk visits every class reachable from roots through chosen children
-// once, breadth-first in argument order, passing the class's chosen node
-// and its arguments. It fails on a class with no extractable node.
-func (e *Extractor) walk(roots []Value, visit func(cls uint32, chosen nodeRef, args []Value)) error {
+// once, breadth-first in argument order, passing the class's chosen node.
+// It fails on a class with no extractable node.
+func (e *Extractor) walk(roots []Value, visit func(cls uint32, chosen nodeRef)) error {
 	w := classWalk{g: e.g, seen: make(map[uint32]bool)}
 	for _, v := range roots {
 		w.push(v)
@@ -224,9 +225,8 @@ func (e *Extractor) walk(roots []Value, visit func(cls uint32, chosen nodeRef, a
 		if !ok {
 			return fmt.Errorf("egraph: class %d has no extractable term", cls)
 		}
-		args := e.g.tab(ref.fn).argsOf(ref.row)
-		visit(cls, ref, args)
-		for _, a := range args {
+		visit(cls, ref)
+		for _, a := range e.g.tab(ref.fn).argsOf(ref.row) {
 			w.push(a)
 		}
 	}
@@ -272,8 +272,8 @@ func (e *Extractor) ExtractVariants(v Value, n int) ([]Variant, error) {
 	}
 	seen := make(map[string]bool)
 	var out []Variant
-	e.eachNode(e.g.uf.Find(uint32(v.Bits)), func(f *Function, _ int, args []Value) {
-		cost, ok := e.nodeCost(f, args)
+	e.eachNode(e.g.uf.Find(uint32(v.Bits)), func(f *Function, ri int, args []Value) {
+		cost, ok := e.nodeCost(f, ri)
 		if !ok {
 			return // unextractable children
 		}

@@ -62,7 +62,7 @@ func (e *Extractor) Report(root Value, topK int) (*ExtractionReport, error) {
 		return nil, err
 	}
 	rep := &ExtractionReport{Root: term.String(), RootCost: cost}
-	err = e.walk([]Value{root}, func(cls uint32, chosen nodeRef, _ []Value) {
+	err = e.walk([]Value{root}, func(cls uint32, chosen nodeRef) {
 		rep.Classes = append(rep.Classes, e.classReport(cls, chosen, topK))
 	})
 	if err != nil {
@@ -105,7 +105,7 @@ func (e *Extractor) classReport(cls uint32, chosen nodeRef, topK int) ClassRepor
 // child class has no extractable term.
 func (e *Extractor) nodeChoice(f *Function, ri int, args []Value) (NodeChoice, bool) {
 	g := e.g
-	total, ok := e.nodeCost(f, args)
+	total, ok := e.nodeCost(f, ri)
 	if !ok {
 		return NodeChoice{}, false
 	}
@@ -114,7 +114,7 @@ func (e *Extractor) nodeChoice(f *Function, ri int, args []Value) (NodeChoice, b
 		return NodeChoice{}, false
 	}
 	nc := NodeChoice{Term: term.String(), Fn: f.Name, Cost: total}
-	nc.Base, nc.Override = e.baseCost(f, args)
+	nc.Base, nc.Override = baseCost(f, &g.tab(f).rows[ri])
 	for _, a := range args {
 		for _, c := range g.childClasses(a) {
 			nc.Children = append(nc.Children, ChildCost{Class: fmt.Sprintf("#%d", c), Cost: e.bestCost[c]})

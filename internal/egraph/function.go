@@ -63,9 +63,9 @@ type Function struct {
 	// "" for the default MergeMustEqual.
 	MergeName string
 
-	// id indexes the function's storage (rows, cost overrides) in the
-	// graph that declared it and in that graph's clones; it is assigned by
-	// DeclareFunction, after which a Function is never modified.
+	// id indexes the function's table of rows in the graph that declared
+	// it and in that graph's clones; it is assigned by DeclareFunction,
+	// after which a Function is never modified.
 	id int
 }
 
@@ -97,12 +97,26 @@ type row struct {
 	out      Value
 	stamp    uint64
 	outCanon uint64
+	// cost is the node's unstable-cost override, 0 for none (installs
+	// clamp to at least 1). When Rebuild merges two congruent rows, the
+	// survivor keeps the cheaper override.
+	cost int64
 	// provRule and provIter record provenance: the rule (interned in the
 	// graph's provRules table; 0 = none) and saturation iteration that
 	// created the row. Stamped unconditionally — see EGraph.RowProvenance.
 	provRule uint32
 	provIter uint32
 	dead     bool
+}
+
+// keepCheaper installs cost as r's override unless cost is 0 (none) or r
+// already has an override at most as cheap; it reports whether it did.
+func (r *row) keepCheaper(cost int64) bool {
+	if cost == 0 || (r.cost != 0 && r.cost <= cost) {
+		return false
+	}
+	r.cost = cost
+	return true
 }
 
 // colIndex lists, for one column of a table, the rows holding each

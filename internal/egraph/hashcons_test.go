@@ -57,7 +57,8 @@ func TestHashConsHitDoesNotAllocate(t *testing.T) {
 		NumSlots: 4,
 	}
 	binds := []Value{a, b, root, {}}
-	// The first application creates the Add, weight and Sum rows.
+	// The first application creates the weight and Sum rows; the Add row
+	// exists, because SetNodeCost inserted it to hold the override.
 	if err := g.ApplyActions(rule, binds); err != nil {
 		t.Fatal(err)
 	}
@@ -86,15 +87,15 @@ func TestHashConsHitDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		// Nothing to repair: no row and no cost override is rewritten.
+		// Nothing to repair: no row is rewritten.
 		{"Rebuild", func() { g.Rebuild() }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.f); n != 0 {
 			t.Errorf("%s: %v allocations per hit, want 0", tc.name, n)
 		}
 	}
-	if c, ok := g.costOverride(l.Add, args); !ok || c != 3 {
-		t.Errorf("cost override = %d, %v; want the cheaper 3", c, ok)
+	if c, ok := overrideOf(g, l.Add, a, b); !ok || c != 3 {
+		t.Errorf("cost override = %d (row found %v), want the cheaper 3", c, ok)
 	}
 }
 

@@ -39,8 +39,8 @@ type FnSnap struct {
 }
 
 // RowSnap is one live table row: rendered argument tuple and output, the
-// output's canonical class (constructors), provenance, and any
-// unstable-cost override in force for the node.
+// output's canonical class (constructors), provenance, and the row's
+// unstable-cost override, if it has one.
 type RowSnap struct {
 	Args  []string `json:"args"`
 	Out   string   `json:"out"`
@@ -83,7 +83,8 @@ func (g *EGraph) Snapshot(iteration int) *Snapshot {
 			if f.IsConstructor() {
 				rs.Class = fmt.Sprintf("#%d", g.uf.Find(uint32(r.out.Bits)))
 			}
-			if c, ok := g.costOverride(f, args); ok {
+			if r.cost != 0 {
+				c := r.cost
 				rs.Cost = &c
 			}
 			fs.Rows = append(fs.Rows, rs)

@@ -180,9 +180,9 @@ func newVecPool() *vecPool {
 }
 
 // appendArgBits appends the little-endian bits of each value to dst: the
-// map key of interned vectors and of cost overrides. Callers encode into
-// a stack buffer and look up m[string(key)], which does not allocate; the
-// key string is allocated only when it is stored.
+// map key of interned vectors. Callers encode into a stack buffer and look
+// up m[string(key)], which does not allocate; the key string is allocated
+// only when it is stored.
 func appendArgBits(dst []byte, args []Value) []byte {
 	for _, a := range args {
 		dst = binary.LittleEndian.AppendUint64(dst, a.Bits)

@@ -177,6 +177,9 @@ func TestLintViolations(t *testing.T) {
 			e[12].Snapshot = json.RawMessage(`{"iteration":`)
 			return e
 		}), "not valid JSON"},
+		{"cost-below-one", mutate(func(e []Event) []Event {
+			return append(e, Event{Kind: KCost, Iter: 1, Fn: "Num", Args: []Val{{Sort: "i64", Bits: "7"}}})
+		}), "cost 0 below 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,6 +15,8 @@ import (
 //   - union operands were canonical-and-distinct at emit time (the engine
 //     journals only effective unions, after Find);
 //   - row events name a previously declared function;
+//   - cost events carry a cost of at least 1 (installs clamp to 1, and
+//     the engine stores 0 as "no override");
 //   - embedded snapshots are valid JSON.
 //
 // It returns the first violation found, or nil. cmd/egg-lint exposes it,
@@ -78,6 +80,9 @@ func Lint(events []Event) error {
 		case KInsert, KSet, KRowOut, KMerge, KCost:
 			if !fns[e.Fn] {
 				return fmt.Errorf("%s: row event for undeclared function %q", where(), e.Fn)
+			}
+			if e.Kind == KCost && e.Cost < 1 {
+				return fmt.Errorf("%s: cost %d below 1", where(), e.Cost)
 			}
 		case KUnion:
 			if e.CanonA == e.CanonB {
