@@ -139,9 +139,11 @@ tune-smoke:
 # locally reproducible verbatim. Last, 10-s native fuzz runs of the
 # matcher's two engine harnesses (semi-naive against naive, sharded
 # against serial matching), of the egglog front end (every top-level
-# command compiles through the rule compiler) and of the MLIR parser
-# (round trip, and structural type equality against printed text); these
-# are not seeded, and a failing input is written under the package's
+# command compiles through the rule compiler), of the MLIR parser
+# (round trip, and structural type equality against printed text) and of
+# the MLIR-to-egg translation (inserting e-nodes directly leaves the
+# journal and graph its printed let program leaves); these are not
+# seeded, and a failing input is written under the package's
 # testdata/fuzz/, where `go test` replays it.
 fuzz-smoke:
 	$(GO) run ./cmd/egg-fuzz -replay internal/difftest/testdata/corpus
@@ -150,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatch$$' -fuzztime 10s ./internal/egraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 10s ./internal/egglog/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s ./internal/mlir/
+	$(GO) test -run '^$$' -fuzz '^FuzzTranslateInsert$$' -fuzztime 10s ./internal/dialegg/
 
 # Long-budget campaign for the nightly job: many seeds per bundle,
 # minimized repros written to fuzz-repros/ for artifact upload. Known

@@ -9,8 +9,10 @@ import (
 )
 
 // TestEggOptExplainGolden pins egg-opt's -explain -explain-extraction
-// stderr on three paper workloads and on a loop whose one rewrite is
-// inside the scf.for body: the rewrite proofs and the extraction
+// stderr on four paper workloads and on a loop whose one rewrite is
+// inside the scf.for body. matmul_assoc's rewrite keeps the operation's
+// head (the chain is reassociated, linalg.matmul stays linalg.matmul), so
+// it is found by comparing child classes. The rewrite proofs and the extraction
 // decisions (chosen node, cost breakdown, rejected alternatives and their
 // creating rules) depend only on the saturated graph and the extractor's
 // choices, so the reports must not drift. Regenerate with:
@@ -28,6 +30,7 @@ func TestEggOptExplainGolden(t *testing.T) {
 		{"poly", testdata, "horner"},
 		{"vecnorm", testdata, "fast_inv_sqrt"},
 		{"imgconv", corpus, "loop_iter_args"},
+		{"matmul", testdata, "matmul_assoc"},
 	} {
 		t.Run(c.module, func(t *testing.T) {
 			cmd := exec.Command(bin, "-rules", c.rules, "-explain", "-explain-extraction",

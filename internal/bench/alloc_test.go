@@ -16,16 +16,19 @@ import (
 // matches and cost-override installs allocate nothing; matches are stored
 // as pointer-free rows in buffers a run reuses across its iterations, a
 // table keeps its rows' argument tuples in one flat block and each
-// unstable-cost override on the row it prices, and a column index is one
-// flat block. What remains comes to about 3,820: parsing and the
-// MLIR-to-egg translation's terms (the largest shares), the column
-// indexes, table and pool growth, extraction and back-translation. A
-// string key per override install adds about 840 (4,657); a heap slice
-// per row's arguments, or per primitive application, about 2,700 each;
-// per-task bindings snapshots or a slice per indexed value put a compile
-// above 23,000, and a string-keyed row index, or an allocation per probe,
-// per action term or per match, above 390,000.
-const chain16AllocLimit = 4_200
+// unstable-cost override on the row it prices, a column index is one
+// flat block, the translation inserts e-nodes without building terms, and
+// each rule's match plan is built once. What remains comes to about
+// 2,350: saturation's column indexes and table and pool growth (about
+// 770), back-translation (710), parsing (550), the translation's inserted
+// nodes and its maps (175), and extraction. Building the translation as a
+// (let ...) program and evaluating it adds about 1,290 and planning every
+// rule on every run about 180; a string key per override install adds
+// about 840; a heap slice per row's arguments, or per primitive
+// application, about 2,700 each; per-task bindings snapshots or a slice
+// per indexed value over 19,000, and a string-keyed row index, or an
+// allocation per probe, per action term or per match, over 380,000.
+const chain16AllocLimit = 2_600
 
 // TestChain16CompileAllocs gates the allocation-free hash-consing and rule
 // application paths end to end: parse, saturate at one worker, extract and

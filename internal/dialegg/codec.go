@@ -43,22 +43,33 @@ type Codecs struct {
 // TypeToTerm renders an MLIR type, trying custom codecs before the
 // built-in encodings (which fall back to OpaqueType).
 func (c *Codecs) TypeToTerm(t mlir.Type) (*sexp.Node, error) {
-	if c != nil {
-		for i := range c.Types {
-			tc := &c.Types[i]
-			if tc.Matches(t) {
-				n, err := tc.Eggify(t)
-				if err != nil {
-					return nil, fmt.Errorf("dialegg: eggify type %s: %w", t, err)
-				}
-				if n.Head() != tc.Head {
-					return nil, fmt.Errorf("dialegg: codec %q produced head %q", tc.Head, n.Head())
-				}
-				return n, nil
+	n, err := c.eggifyType(t)
+	if n == nil && err == nil {
+		n = TypeToTerm(t)
+	}
+	return n, err
+}
+
+// eggifyType returns the term of the first custom codec matching t, or
+// nil when none does.
+func (c *Codecs) eggifyType(t mlir.Type) (*sexp.Node, error) {
+	if c == nil {
+		return nil, nil
+	}
+	for i := range c.Types {
+		tc := &c.Types[i]
+		if tc.Matches(t) {
+			n, err := tc.Eggify(t)
+			if err != nil {
+				return nil, fmt.Errorf("dialegg: eggify type %s: %w", t, err)
 			}
+			if n.Head() != tc.Head {
+				return nil, fmt.Errorf("dialegg: codec %q produced head %q", tc.Head, n.Head())
+			}
+			return n, nil
 		}
 	}
-	return TypeToTerm(t), nil
+	return nil, nil
 }
 
 // TermToType parses a type term, dispatching custom heads to their codecs.
@@ -76,22 +87,33 @@ func (c *Codecs) TermToType(n *sexp.Node) (mlir.Type, error) {
 
 // AttrToTerm renders an attribute, trying custom codecs first.
 func (c *Codecs) AttrToTerm(a mlir.Attribute) (*sexp.Node, error) {
-	if c != nil {
-		for i := range c.Attrs {
-			ac := &c.Attrs[i]
-			if ac.Matches(a) {
-				n, err := ac.Eggify(a)
-				if err != nil {
-					return nil, fmt.Errorf("dialegg: eggify attribute %s: %w", a, err)
-				}
-				if n.Head() != ac.Head {
-					return nil, fmt.Errorf("dialegg: codec %q produced head %q", ac.Head, n.Head())
-				}
-				return n, nil
+	n, err := c.eggifyAttr(a)
+	if n == nil && err == nil {
+		n = AttrToTerm(a)
+	}
+	return n, err
+}
+
+// eggifyAttr returns the term of the first custom codec matching a, or
+// nil when none does.
+func (c *Codecs) eggifyAttr(a mlir.Attribute) (*sexp.Node, error) {
+	if c == nil {
+		return nil, nil
+	}
+	for i := range c.Attrs {
+		ac := &c.Attrs[i]
+		if ac.Matches(a) {
+			n, err := ac.Eggify(a)
+			if err != nil {
+				return nil, fmt.Errorf("dialegg: eggify attribute %s: %w", a, err)
 			}
+			if n.Head() != ac.Head {
+				return nil, fmt.Errorf("dialegg: codec %q produced head %q", ac.Head, n.Head())
+			}
+			return n, nil
 		}
 	}
-	return AttrToTerm(a), nil
+	return nil, nil
 }
 
 // TermToAttr parses an attribute term, dispatching custom heads first.
@@ -105,15 +127,6 @@ func (c *Codecs) TermToAttr(n *sexp.Node) (mlir.Attribute, error) {
 		}
 	}
 	return TermToAttr(n)
-}
-
-// NamedAttrToTerm renders {name = attr} via the codec set.
-func (c *Codecs) NamedAttrToTerm(na mlir.NamedAttribute) (*sexp.Node, error) {
-	at, err := c.AttrToTerm(na.Attr)
-	if err != nil {
-		return nil, err
-	}
-	return sexp.List(sexp.Symbol("NamedAttr"), sexp.String(na.Name), at), nil
 }
 
 // TermToNamedAttr parses (NamedAttr "name" attr) via the codec set.

@@ -34,27 +34,32 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecEndToEnd runs the full optimizer over a custom dialect whose
-// ops use tuple types, with a rewrite that matches on the structurally
-// eggified Tuple2 — impossible with the opaque encoding, because opaque
-// type text is a black box to patterns.
-func TestCodecEndToEnd(t *testing.T) {
-	src := `
+// swapTwiceSrc is a custom dialect whose ops use tuple types, and
+// swapTwiceRules a rewrite that matches on the structurally eggified
+// Tuple2.
+const (
+	swapTwiceSrc = `
 func.func @swap_twice(%p: tuple<i64, f32>) -> tuple<i64, f32> {
   %q = "pair.swap"(%p) : (tuple<i64, f32>) -> tuple<f32, i64>
   %r = "pair.swap"(%q) : (tuple<f32, i64>) -> tuple<i64, f32>
   func.return %r : tuple<i64, f32>
 }`
-	ruleSrc := `
+	swapTwiceRules = `
 (function Tuple2 (Type Type) Type)
 (function pair_swap (Op Type) Op :cost 4)
 ; swapping twice is the identity — provable only with structural tuples,
 ; because the rule must relate the inner and outer element types.
 (rewrite (pair_swap (pair_swap ?x (Tuple2 ?b ?a)) (Tuple2 ?a ?b)) ?x)
 `
-	m, reg := parseModule(t, src)
+)
+
+// TestCodecEndToEnd runs the full optimizer over swapTwiceSrc with the
+// Tuple2 codec: the rewrite is impossible with the opaque encoding,
+// because opaque type text is a black box to patterns.
+func TestCodecEndToEnd(t *testing.T) {
+	m, reg := parseModule(t, swapTwiceSrc)
 	opt := NewOptimizer(Options{
-		RuleSources: []string{ruleSrc},
+		RuleSources: []string{swapTwiceRules},
 		Codecs:      &Codecs{Types: []TypeCodec{TupleTypeCodec()}},
 	})
 	if _, err := opt.OptimizeModule(m); err != nil {

@@ -38,31 +38,8 @@ func MLIROpName(eggName string) string {
 // TypeToTerm renders an MLIR type as its egglog term (§4.1). Types without
 // a structural encoding become (OpaqueType serialized name).
 func TypeToTerm(t mlir.Type) *sexp.Node {
-	switch tt := t.(type) {
-	case mlir.IntegerType:
-		switch tt.Width {
-		case 1, 8, 16, 32, 64:
-			return sexp.List(sexp.Symbol(fmt.Sprintf("I%d", tt.Width)))
-		}
-	case mlir.FloatType:
-		switch tt.Width {
-		case 16, 32, 64:
-			return sexp.List(sexp.Symbol(fmt.Sprintf("F%d", tt.Width)))
-		}
-	case mlir.IndexType:
-		return sexp.List(sexp.Symbol("Index"))
-	case mlir.NoneType:
-		return sexp.List(sexp.Symbol("None"))
-	case mlir.RankedTensorType:
-		dims := sexp.List(sexp.Symbol("vec-of"))
-		for _, d := range tt.Shape {
-			dims.List = append(dims.List, sexp.Int(d))
-		}
-		return sexp.List(sexp.Symbol("RankedTensor"), dims, TypeToTerm(tt.Elem))
-	case mlir.UnrankedTensorType:
-		return sexp.List(sexp.Symbol("UnrankedTensor"), TypeToTerm(tt.Elem))
-	}
-	return sexp.List(sexp.Symbol("OpaqueType"), sexp.String(t.String()), sexp.String(typeName(t)))
+	var s sink
+	return s.typ(t).n
 }
 
 func typeName(t mlir.Type) string {
@@ -148,42 +125,10 @@ func TermToType(n *sexp.Node) (mlir.Type, error) {
 	}
 }
 
-// fastMathFlagNames maps mlir flags to egglog FastMathFlags variant names.
-var fastMathFlagNames = map[mlir.FastMathFlag]string{
-	mlir.FastMathNone:     "none",
-	mlir.FastMathFast:     "fast",
-	mlir.FastMathNNaN:     "nnan",
-	mlir.FastMathNInf:     "ninf",
-	mlir.FastMathContract: "contract",
-	mlir.FastMathReassoc:  "reassoc",
-}
-
 // AttrToTerm renders an MLIR attribute as its egglog term (§4.2).
 func AttrToTerm(a mlir.Attribute) *sexp.Node {
-	switch at := a.(type) {
-	case mlir.IntegerAttr:
-		return sexp.List(sexp.Symbol("IntegerAttr"), sexp.Int(at.Value), TypeToTerm(at.Type))
-	case mlir.FloatAttr:
-		return sexp.List(sexp.Symbol("FloatAttr"), sexp.Float(at.Value), TypeToTerm(at.Type))
-	case mlir.StringAttr:
-		return sexp.List(sexp.Symbol("StringAttr"), sexp.String(at.Value))
-	case mlir.SymbolRefAttr:
-		return sexp.List(sexp.Symbol("SymbolAttr"), sexp.String(at.Symbol))
-	case mlir.UnitAttr:
-		return sexp.List(sexp.Symbol("UnitAttr"))
-	case mlir.TypeAttr:
-		return sexp.List(sexp.Symbol("TypeAttr"), TypeToTerm(at.Type))
-	case mlir.FastMathAttr:
-		name, ok := fastMathFlagNames[at.Flag]
-		if !ok {
-			name = "none"
-		}
-		return sexp.List(sexp.Symbol("arith_fastmath"), sexp.List(sexp.Symbol(name)))
-	case mlir.DenseAttr:
-		return sexp.List(sexp.Symbol("DenseAttr"), AttrToTerm(at.Splat), TypeToTerm(at.Type))
-	default:
-		return sexp.List(sexp.Symbol("OpaqueAttr"), sexp.String(a.String()))
-	}
+	var s sink
+	return s.attr(a).n
 }
 
 // TermToAttr parses an egglog attribute term.
@@ -234,9 +179,9 @@ func TermToAttr(n *sexp.Node) (mlir.Attribute, error) {
 			return nil, fmt.Errorf("dialegg: malformed arith_fastmath %s", n)
 		}
 		flagName := n.Args()[0].Head()
-		for flag, name := range fastMathFlagNames {
-			if name == flagName {
-				return mlir.FastMathAttr{Flag: flag}, nil
+		for flag, k := range fastMathFlags {
+			if builtinNames[k] == flagName {
+				return mlir.FastMathAttr{Flag: mlir.FastMathFlag(flag)}, nil
 			}
 		}
 		return nil, fmt.Errorf("dialegg: unknown fastmath flag %s", n)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dialegg/internal/egglog"
 	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
 )
@@ -22,11 +21,12 @@ type rewritePair struct {
 // collectRewrites walks the nodes ex chose from the block class blk
 // against the original block (block-vector positions are stable through
 // saturation) and returns every operation whose chosen node differs from
-// the op's encoding, recursing into the regions of encoded
-// region-carrying ops. It visits each chosen node once per position, so
-// it takes time linear in the original function however much the
-// extracted term shares.
-func collectRewrites(ex *egraph.Extractor, g *egraph.EGraph, origBlock *mlir.Block, blk egraph.Value, encs *Encodings) []rewritePair {
+// the node translation inserted for it, by function or by any canonical
+// child class, recursing into the regions of the region-carrying ops whose
+// node is unchanged. It visits each chosen node once per position, so it
+// takes time linear in the original function however much the extracted
+// term shares.
+func collectRewrites(ex *egraph.Extractor, g *egraph.EGraph, origBlock *mlir.Block, blk egraph.Value, tr *Translation, encs *Encodings) []rewritePair {
 	var out []rewritePair
 	f, args, _, ok := ex.ChosenNode(blk)
 	if !ok || f.Name != "Blk" || len(args) != 1 {
@@ -39,14 +39,15 @@ func collectRewrites(ex *egraph.Extractor, g *egraph.EGraph, origBlock *mlir.Blo
 	for i, elem := range elems {
 		op := origBlock.Ops[i]
 		fn, opArgs, node, ok := ex.ChosenNode(elem)
-		if !ok || fn.Name == "Value" {
-			continue // opaque: never rewritten
+		orig, known := tr.Nodes[op]
+		if !ok || !known {
+			continue
 		}
-		if fn.Name != EggOpName(op.Name) && !strings.HasPrefix(fn.Name, EggOpName(op.Name)+"_") {
+		if !sameNode(g, fn, opArgs, orig) {
 			out = append(out, rewritePair{origOp: op, fn: fn, node: node})
 			continue
 		}
-		// Same op kind: descend into regions for nested rewrites.
+		// Unchanged: descend into regions for nested rewrites.
 		enc, ok := encs.LookupEgg(fn.Name)
 		if !ok || enc.NumRegions == 0 || enc.NumRegions > len(op.Regions) {
 			continue
@@ -59,12 +60,26 @@ func collectRewrites(ex *egraph.Extractor, g *egraph.EGraph, origBlock *mlir.Blo
 			}
 			for bi, nestedBlk := range g.VecElems(regArgs[0]) {
 				if bi < len(op.Regions[ri].Blocks) {
-					out = append(out, collectRewrites(ex, g, op.Regions[ri].Blocks[bi], nestedBlk, encs)...)
+					out = append(out, collectRewrites(ex, g, op.Regions[ri].Blocks[bi], nestedBlk, tr, encs)...)
 				}
 			}
 		}
 	}
 	return out
+}
+
+// sameNode reports whether fn(args) is the node n, up to the
+// canonicalization of its children.
+func sameNode(g *egraph.EGraph, fn *egraph.Function, args []egraph.Value, n Node) bool {
+	if fn != n.Fn || len(args) != len(n.Args) {
+		return false
+	}
+	for i, a := range args {
+		if g.Find(a) != g.Find(n.Args[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // extractionTopK bounds the rejected alternatives an extraction report
@@ -92,21 +107,16 @@ func explainExtractions(ex *egraph.Extractor, pairs []rewritePair) []string {
 }
 
 // explainRewrites produces one rendered proof per rewritten operation: why
-// the original e-node is equal to the extracted replacement. p must have
-// been created with explanations enabled.
-func explainRewrites(p *egglog.Program, ex *egraph.Extractor, tr *Translation, pairs []rewritePair) []string {
-	g := p.Graph()
+// the original e-node is equal to the extracted replacement. g must record
+// explanations (EGraph.EnableExplanations).
+func explainRewrites(g *egraph.EGraph, ex *egraph.Extractor, tr *Translation, pairs []rewritePair) []string {
 	var out []string
 	for _, pair := range pairs {
-		letName, ok := tr.OpLets[pair.origOp]
+		orig, ok := tr.Nodes[pair.origOp]
 		if !ok {
 			continue
 		}
-		origVal, ok := p.LookupLet(letName)
-		if !ok {
-			continue
-		}
-		steps, err := g.Explain(origVal, pair.node)
+		steps, err := g.Explain(orig.Out, pair.node)
 		if err != nil {
 			out = append(out, fmt.Sprintf("%s: (no proof: %v)", pair.origOp.Name, err))
 			continue

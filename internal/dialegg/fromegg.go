@@ -240,18 +240,19 @@ func (rb *rebuilder) buildTerm(v egraph.Value, origOp *mlir.Operation) (*mlir.Va
 // argument, or a result of an opaque operation, which is copied into the
 // rebuilt function on first use (see rebuildOriginalValue).
 func (rb *rebuilder) buildValue(id int64) (*mlir.Value, error) {
-	if op, ok := rb.tr.OpaqueOps[id]; ok {
-		if err := rb.reEmitOpaqueDef(op); err != nil {
-			return nil, err
-		}
-		if len(op.Results) == 0 {
-			return nil, nil
-		}
-	}
-	orig, ok := rb.tr.ValueIDs[id]
+	leaf, ok := rb.tr.leaf(id)
 	if !ok {
 		return nil, fmt.Errorf("dialegg: Value id %d was never assigned by translation", id)
 	}
+	if leaf.Op != nil {
+		if err := rb.reEmitOpaqueDef(leaf.Op); err != nil {
+			return nil, err
+		}
+		if leaf.Value == nil {
+			return nil, nil
+		}
+	}
+	orig := leaf.Value
 	if v, ok := rb.valueRemap[orig]; ok {
 		return v, nil
 	}
@@ -427,12 +428,11 @@ func (rb *rebuilder) findOriginalBlock(blk egraph.Value, opName string) *mlir.Bl
 		seen[visit{cls, depth}] = true
 		fn, args, _, _ := rb.ex.ChosenNode(cls)
 		if fn.Name == "Value" {
-			id := args[0].AsI64()
 			var leafBlock *mlir.Block
-			if op, ok := rb.tr.OpaqueOps[id]; ok {
-				leafBlock = op.ParentBlock
-			} else if orig, ok := rb.tr.ValueIDs[id]; ok && orig.IsBlockArg() {
-				leafBlock = orig.OwnerBlock
+			if leaf, ok := rb.tr.leaf(args[0].AsI64()); ok && leaf.Op != nil {
+				leafBlock = leaf.Op.ParentBlock
+			} else if ok && leaf.Value.IsBlockArg() {
+				leafBlock = leaf.Value.OwnerBlock
 			}
 			if leafBlock == nil {
 				return

@@ -9,6 +9,7 @@ package dialegg
 import (
 	"bytes"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -76,5 +77,57 @@ func TestJournalEndToEnd(t *testing.T) {
 	}
 	if res.SnapshotsVerified != rep.Run.Iterations {
 		t.Errorf("verified %d snapshots, run had %d iterations", res.SnapshotsVerified, rep.Run.Iterations)
+	}
+}
+
+// TestJournalWithoutOutRejected: a row event whose out was deleted fails
+// lint and replay with an error rather than a panic. The matmul_assoc
+// journal under the matmul rules holds one rowout event; the insert
+// edited is the last one, made by a rule during saturation.
+func TestJournalWithoutOutRejected(t *testing.T) {
+	src, err := os.ReadFile("testdata/matmul_assoc.mlir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mlir.ParseModule(string(src), dialects.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ruleSrcs, err := rules.Bundle("matmul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	jw := journal.NewWriter(&buf)
+	if _, err := NewOptimizer(Options{RuleSources: ruleSrcs, Journal: jw}).OptimizeModule(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := jw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := journal.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{journal.KRowOut, journal.KInsert} {
+		t.Run(kind, func(t *testing.T) {
+			i := -1
+			for j, e := range events {
+				if e.Kind == kind && (i < 0 || kind == journal.KInsert) {
+					i = j
+				}
+			}
+			if i < 0 {
+				t.Fatalf("journal has no %s event", kind)
+			}
+			edited := slices.Clone(events)
+			edited[i].Out = nil
+			if err := journal.Lint(edited); err == nil || !strings.Contains(err.Error(), "without out") {
+				t.Errorf("lint: %v, want a row event without out", err)
+			}
+			if _, _, err := egraph.Replay(edited, egraph.ReplayOptions{ToIter: -1, Verify: true}); err == nil || !strings.Contains(err.Error(), "records no out") {
+				t.Errorf("replay: %v, want an event that records no out", err)
+			}
+		})
 	}
 }

@@ -48,9 +48,11 @@ type Options struct {
 }
 
 // Report records one optimization run, matching the paper's Table 2
-// columns: translation time to Egglog, total time inside Egglog, the
-// saturation portion, and translation time back to MLIR. Duration fields
-// marshal as nanoseconds in the stats-JSON output (`_ns` suffix).
+// columns: translation time to Egglog (which inserts the function's
+// e-nodes as it goes), total time inside Egglog (cloning the rule set,
+// saturation, extraction), the saturation portion, and translation time
+// back to MLIR. Duration fields marshal as nanoseconds in the stats-JSON
+// output (`_ns` suffix).
 type Report struct {
 	MLIRToEgg  time.Duration `json:"mlir_to_egg_ns"`
 	EggTotal   time.Duration `json:"egg_total_ns"`
@@ -178,9 +180,10 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 		rec.Complete(obs.LanePipeline, "phase", "load-rules", startEgg, time.Since(startEgg), nil)
 	}
 
-	// Phase 1: MLIR -> Egglog.
+	// Phase 1: MLIR -> Egglog, inserting each e-node as the walk reaches
+	// it.
 	startToEgg := time.Now()
-	tr, err := TranslateFuncWithCodecs(f, encs, o.opts.Codecs)
+	tr, err := translateFunc(f, encs, o.opts.Codecs, p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -194,11 +197,7 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	report.NumTranslatedOps = tr.NumTranslated
 	report.NumOpaqueOps = tr.NumOpaque
 
-	// Phase 2: Egglog — load the program, saturate, extract.
-	startEgg = time.Now()
-	if _, err := p.Execute(tr.Lets); err != nil {
-		return nil, nil, fmt.Errorf("dialegg: loading translated program: %w", err)
-	}
+	// Phase 2: Egglog — saturate, extract.
 	startSat := time.Now()
 	cfg := o.opts.RunConfig
 	cfg.Ctx = ctx
@@ -229,10 +228,7 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	// cost fixpoint run once. DAGCost fails unless every class the root
 	// reaches has a chosen node.
 	startExtract := time.Now()
-	root, ok := p.LookupLet(tr.RootName)
-	if !ok {
-		return nil, nil, fmt.Errorf("dialegg: extraction: no let %s", tr.RootName)
-	}
+	root := tr.Root
 	ex := p.Extractor()
 	if report.ExtractDAGCost, err = ex.DAGCost(root); err != nil {
 		return nil, nil, fmt.Errorf("dialegg: extraction: %w", err)
@@ -251,12 +247,12 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 		}
 		report.Blame = blame
 	}
-	report.EggTotal += time.Since(startEgg)
+	report.EggTotal += time.Since(startSat)
 
 	if o.opts.ExplainRewrites || o.opts.ExplainExtraction {
-		pairs := collectRewrites(ex, p.Graph(), f.Regions[0].First(), root, encs)
+		pairs := collectRewrites(ex, p.Graph(), f.Regions[0].First(), root, tr, encs)
 		if o.opts.ExplainRewrites {
-			report.RewriteExplanations = explainRewrites(p, ex, tr, pairs)
+			report.RewriteExplanations = explainRewrites(p.Graph(), ex, tr, pairs)
 		}
 		if o.opts.ExplainExtraction {
 			report.ExtractionReports = explainExtractions(ex, pairs)
@@ -276,11 +272,12 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	return nf, report, nil
 }
 
-// EggProgram returns the egglog program the optimizer would run for m
-// without running it (§5.3): each func.func's translation with the rule
-// set's encodings, one let per line, functions separated by a blank line.
-// As in OptimizeModule, the rule set loads at the first function and
-// errors name the function.
+// EggProgram renders the translation of m as the egglog program of §5.3
+// without optimizing: each func.func's (let opN term) commands with the
+// rule set's encodings, one let per line, functions separated by a blank
+// line. Evaluating a function's lets inserts the nodes OptimizeFuncCtx
+// inserts, in the same order. As in OptimizeModule, the rule set loads at
+// the first function and errors name the function.
 func (o *Optimizer) EggProgram(m *mlir.Module) (string, error) {
 	var b strings.Builder
 	for _, op := range m.Body().Ops {
@@ -291,14 +288,14 @@ func (o *Optimizer) EggProgram(m *mlir.Module) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("dialegg: @%s: %w", mlir.FuncName(op), err)
 		}
-		tr, err := TranslateFuncWithCodecs(op, tmpl.encs, o.opts.Codecs)
+		lets, err := renderFunc(op, tmpl.encs, o.opts.Codecs)
 		if err != nil {
 			return "", fmt.Errorf("dialegg: @%s: %w", mlir.FuncName(op), err)
 		}
 		if b.Len() > 0 {
 			b.WriteByte('\n')
 		}
-		for _, l := range tr.Lets {
+		for _, l := range lets {
 			b.WriteString(l.String())
 			b.WriteByte('\n')
 		}

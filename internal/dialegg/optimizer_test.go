@@ -180,20 +180,14 @@ func extractFunc(t *testing.T, o *Optimizer, f *mlir.Operation) (*sexp.Node, int
 		t.Fatal(err)
 	}
 	p := tmpl.prog.Clone()
-	tr, err := TranslateFuncWithCodecs(f, tmpl.encs, nil)
+	tr, err := translateFunc(f, tmpl.encs, nil, p)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Execute(tr.Lets); err != nil {
 		t.Fatal(err)
 	}
 	if run := p.RunRules(o.opts.RunConfig); run.Err != nil {
 		t.Fatal(run.Err)
 	}
-	root, err := p.EvalExpr(sexp.Symbol(tr.RootName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := tr.Root
 	ex := p.Extractor()
 	term, cost, err := ex.Extract(root)
 	if err != nil {

@@ -30,6 +30,8 @@ type OpEncoding struct {
 	HasResultType bool
 	// Cost is the declared extraction cost.
 	Cost int64
+	// fn is the egglog function the translation inserts.
+	fn *egraph.Function
 }
 
 // encodingKey identifies an encoding by MLIR name and operand count, so
@@ -39,10 +41,12 @@ type encodingKey struct {
 	numOperands int
 }
 
-// Encodings is the registry produced by the preparation phase.
+// Encodings is the registry produced by the preparation phase, with the
+// handles of the prelude constructors the translation inserts.
 type Encodings struct {
 	byKey     map[encodingKey]*OpEncoding
 	byEggName map[string]*OpEncoding
+	fns       [numBuiltins]*egraph.Function
 }
 
 // Lookup finds the encoding for an MLIR op name with the given operand
@@ -77,6 +81,11 @@ func Prepare(p *egglog.Program) (*Encodings, error) {
 	if !ok {
 		return nil, fmt.Errorf("dialegg: prelude not loaded: sort Op missing")
 	}
+	for k, name := range builtinNames {
+		if encs.fns[k], ok = g.FunctionByName(name); !ok {
+			return nil, fmt.Errorf("dialegg: prelude not loaded: function %s missing", name)
+		}
+	}
 	attrPairSort, _ := g.SortByName("AttrPair")
 	regionSort, _ := g.SortByName("Region")
 	typeSort, _ := g.SortByName("Type")
@@ -85,7 +94,7 @@ func Prepare(p *egglog.Program) (*Encodings, error) {
 		if f.Out != opSort || preludeOpFunctions[f.Name] {
 			continue
 		}
-		enc := &OpEncoding{EggName: f.Name, Cost: f.Cost}
+		enc := &OpEncoding{EggName: f.Name, Cost: f.Cost, fn: f}
 		valid := true
 		stage := 0 // 0=operands, 1=attrs, 2=regions, 3=type
 		for _, param := range f.Params {

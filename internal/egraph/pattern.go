@@ -3,6 +3,7 @@ package egraph
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Prim is a primitive operation usable in rule premises and actions, such
@@ -131,7 +132,8 @@ type InsertAction struct{ T *ATerm }
 func (*InsertAction) isAction() {}
 
 // Rule is a compiled egglog rule: when all premises hold under some
-// binding, run the actions under that binding.
+// binding, run the actions under that binding. A rule must not change
+// once it has been matched.
 type Rule struct {
 	Name     string
 	Premises []Premise
@@ -139,6 +141,18 @@ type Rule struct {
 	// NumSlots is the size of the binding array (query variables plus
 	// action lets).
 	NumSlots int
+
+	// plan is built on the rule's first match (planOf) and read by every
+	// later run, including the runs of graphs cloned from one another,
+	// which share their rules.
+	planOnce sync.Once
+	plan     rulePlan
+}
+
+// planOf returns r's plan, building it on first use.
+func (r *Rule) planOf() *rulePlan {
+	r.planOnce.Do(func() { r.plan = planRule(r) })
+	return &r.plan
 }
 
 // bindings is the mutable state of one query execution. A match worker
@@ -206,9 +220,8 @@ func (g *EGraph) Match(r *Rule, yield func(binds []Value) bool) error {
 // evaluation — run entirely in the shard with lo == 0 and yield nothing
 // elsewhere.
 func (g *EGraph) MatchShard(r *Rule, lo, hi int, yield func(binds []Value) bool) error {
-	plan := planRule(r)
 	var m matchRun
-	m.reset(g, r, &plan, matchSpec{deltaOrd: -1})
+	m.reset(g, r, r.planOf(), matchSpec{deltaOrd: -1})
 	m.yield = yield
 	return m.matchShard(lo, hi)
 }
@@ -237,9 +250,8 @@ func (g *EGraph) firstPremiseScan(r *Rule) (scanLen, live int) {
 	return 0, 0
 }
 
-// rulePlan is what matching a rule needs beyond the rule itself. The
-// runner builds one per rule per run, in its serial planning step, and
-// match workers only read it.
+// rulePlan is what matching a rule needs beyond the rule itself. It is
+// built once per rule (Rule.planOf) and only read afterwards.
 type rulePlan struct {
 	// tables lists the indices of the table premises in premise order.
 	// The position of an index is the premise's table ordinal, the

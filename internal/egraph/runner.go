@@ -377,7 +377,7 @@ func (g *EGraph) planMatchTasks(tasks []matchTask, rules []*Rule, workers int, d
 // match. Re-found old matches are no-ops under the apply phase's frozen
 // canonicalization, so the forced full pass restores completeness without
 // changing a bit of the already-derived state.
-func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []rulePlan, workers int, decisions []sched.Decision, needFull []bool) []matchTask {
+func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []*rulePlan, workers int, decisions []sched.Decision, needFull []bool) []matchTask {
 	for ri, r := range rules {
 		if schedSkip(decisions, ri) {
 			continue
@@ -462,7 +462,7 @@ func (r *run) collect() (scanned int64, err error) {
 			spec.sel = t.sel
 		}
 		m := &r.runs[worker]
-		m.reset(g, rule, &r.plans[t.ruleIdx], spec)
+		m.reset(g, rule, r.plans[t.ruleIdx], spec)
 		m.out, m.limit = t.out, cfg.MatchLimit
 		t.err = m.matchShard(t.lo, t.hi)
 		t.scanned, t.out.found = m.scanned, m.found
@@ -658,7 +658,7 @@ type run struct {
 	// Match state, reused across iterations: each rule's plan, the
 	// iteration's tasks, one match buffer per task position, one matchRun
 	// per worker, and apply's bindings.
-	plans []rulePlan
+	plans []*rulePlan
 	tasks []matchTask
 	bufs  []matchBuf
 	runs  []matchRun
@@ -694,13 +694,13 @@ func (g *EGraph) newRun(rules []*Rule, cfg RunConfig) *run {
 		g: g, rules: rules, cfg: cfg, start: time.Now(),
 		report:  RunReport{Stop: StopIterLimit, Workers: cfg.Workers},
 		outcome: make([]sched.RuleIterStats, 0, len(rules)),
-		plans:   make([]rulePlan, len(rules)),
+		plans:   make([]*rulePlan, len(rules)),
 		pending: make([]ruleMatches, len(rules)),
 		runs:    make([]matchRun, cfg.Workers),
 	}
 	r.report.Rules = make([]RuleStats, len(rules))
 	for i, rule := range rules {
-		r.plans[i] = planRule(rule)
+		r.plans[i] = rule.planOf()
 		r.pending[i].rule = rule
 		r.report.Rules[i].Name = rule.Name
 	}

@@ -177,6 +177,14 @@ func TestLintViolations(t *testing.T) {
 			e[12].Snapshot = json.RawMessage(`{"iteration":`)
 			return e
 		}), "not valid JSON"},
+		{"insert-without-out", mutate(func(e []Event) []Event {
+			e[4].Out = nil
+			return e
+		}), "row event without out"},
+		{"rowout-without-out", mutate(func(e []Event) []Event {
+			e[10].Out = nil
+			return e
+		}), "row event without out"},
 		{"cost-below-one", mutate(func(e []Event) []Event {
 			return append(e, Event{Kind: KCost, Iter: 1, Fn: "Num", Args: []Val{{Sort: "i64", Bits: "7"}}})
 		}), "cost 0 below 1"},

@@ -14,7 +14,8 @@ import (
 //     only between them;
 //   - union operands were canonical-and-distinct at emit time (the engine
 //     journals only effective unions, after Find);
-//   - row events name a previously declared function;
+//   - row events name a previously declared function, and insert, set,
+//     rowout and merge events carry the row's output;
 //   - cost events carry a cost of at least 1 (installs clamp to 1, and
 //     the engine stores 0 as "no override");
 //   - embedded snapshots are valid JSON.
@@ -83,6 +84,9 @@ func Lint(events []Event) error {
 			}
 			if e.Kind == KCost && e.Cost < 1 {
 				return fmt.Errorf("%s: cost %d below 1", where(), e.Cost)
+			}
+			if e.Kind != KCost && e.Out == nil {
+				return fmt.Errorf("%s: row event without out", where())
 			}
 		case KUnion:
 			if e.CanonA == e.CanonB {
