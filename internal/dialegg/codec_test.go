@@ -4,33 +4,64 @@ import (
 	"strings"
 	"testing"
 
+	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
-	"dialegg/internal/sexp"
 )
 
-// TestTupleCodecRoundTrip: the ready-made Tuple2 codec eggifies and
-// de-eggifies 2-tuples structurally.
+// roundTrip inserts the term encode builds into a clone of the template
+// of the rule set sources, extracts the clone and decodes the term's
+// class, as a compile's translation and back-translation do. It also
+// returns the term as a rendering encoder prints it.
+func roundTrip[T any](t *testing.T, sources []string, codecs *Codecs, encode func(*Encoder) Term, decode func(*Decoder, egraph.Value) (T, error)) (T, string, error) {
+	t.Helper()
+	tmpl, err := NewOptimizer(Options{RuleSources: sources}).template()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Encoder{codecs: codecs}
+	text := encode(&r).n.String()
+	p := tmpl.prog.Clone()
+	e := Encoder{g: p.Graph(), fns: &tmpl.encs.fns, codecs: codecs}
+	v := encode(&e).v
+	if e.err != nil {
+		var zero T
+		return zero, text, e.err
+	}
+	back, err := decode(&Decoder{g: p.Graph(), ex: p.Extractor(), codecs: codecs}, v)
+	return back, text, err
+}
+
+// tuple2Decl declares the constructor TupleTypeCodec produces.
+const tuple2Decl = `(function Tuple2 (Type Type) Type)`
+
+// TestTupleCodecRoundTrip: the ready-made Tuple2 codec encodes 2-tuples
+// structurally, nested ones and tuple tensor elements included, and
+// decodes them back.
 func TestTupleCodecRoundTrip(t *testing.T) {
 	c := &Codecs{Types: []TypeCodec{TupleTypeCodec()}}
-	typ := mlir.TupleType{Elems: []mlir.Type{mlir.I64, mlir.F32}}
-	term, err := c.TypeToTerm(typ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := term.String(); got != "(Tuple2 (I64) (F32))" {
-		t.Errorf("eggified as %s", got)
-	}
-	back, err := c.TermToType(term)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mlir.TypeEqual(typ, back) {
-		t.Errorf("round trip gave %s", back)
+	pair := mlir.TupleType{Elems: []mlir.Type{mlir.I64, mlir.F32}}
+	for _, tc := range []struct {
+		typ  mlir.Type
+		want string
+	}{
+		{pair, "(Tuple2 (I64) (F32))"},
+		{mlir.TupleType{Elems: []mlir.Type{pair, mlir.Index}}, "(Tuple2 (Tuple2 (I64) (F32)) (Index))"},
+		{mlir.TensorOf(pair, 2), "(RankedTensor (vec-of 2) (Tuple2 (I64) (F32)))"},
+	} {
+		back, term, err := roundTrip(t, []string{tuple2Decl}, c, func(e *Encoder) Term { return e.Type(tc.typ) }, (*Decoder).Type)
+		if term != tc.want {
+			t.Errorf("%s eggified as %s, want %s", tc.typ, term, tc.want)
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.typ, err)
+		} else if !mlir.TypeEqual(tc.typ, back) {
+			t.Errorf("%s round-tripped to %s", tc.typ, back)
+		}
 	}
 	// Without the codec the same type is opaque.
-	plain := TypeToTerm(typ)
-	if plain.Head() != "OpaqueType" {
-		t.Errorf("built-in encoding should be opaque, got %s", plain)
+	var plain Encoder
+	if got := plain.Type(pair).n.Head(); got != "OpaqueType" {
+		t.Errorf("built-in encoding should be opaque, got %s", got)
 	}
 }
 
@@ -77,19 +108,13 @@ func TestCodecEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCodecHeadMismatchRejected: a codec emitting the wrong head is a
-// configuration error, reported eagerly.
-func TestCodecHeadMismatchRejected(t *testing.T) {
-	bad := TypeCodec{
-		Head:    "Right",
-		Matches: func(t mlir.Type) bool { return mlir.TypeEqual(t, mlir.I64) },
-		Eggify: func(t mlir.Type) (*sexp.Node, error) {
-			return sexp.List(sexp.Symbol("Wrong")), nil
-		},
-	}
-	c := &Codecs{Types: []TypeCodec{bad}}
-	if _, err := c.TypeToTerm(mlir.I64); err == nil || !strings.Contains(err.Error(), "Wrong") {
-		t.Errorf("head mismatch not reported: %v", err)
+// TestUndeclaredCodecHeadRejected: a codec whose head the rule sources do
+// not declare fails the compile with an error naming the head.
+func TestUndeclaredCodecHeadRejected(t *testing.T) {
+	m, _ := parseModule(t, swapTwiceSrc)
+	_, err := NewOptimizer(Options{Codecs: &Codecs{Types: []TypeCodec{TupleTypeCodec()}}}).OptimizeModule(m)
+	if err == nil || !strings.Contains(err.Error(), `codec head "Tuple2" is not a declared function`) {
+		t.Errorf("got error %v", err)
 	}
 }
 
@@ -101,24 +126,20 @@ func TestAttrCodec(t *testing.T) {
 			oa, ok := a.(mlir.OpaqueAttr)
 			return ok && strings.HasPrefix(oa.Text, "#gain<")
 		},
-		Eggify: func(a mlir.Attribute) (*sexp.Node, error) {
+		Eggify: func(e *Encoder, a mlir.Attribute) []Term {
 			text := a.(mlir.OpaqueAttr).Text
-			return sexp.List(sexp.Symbol("Gain"), sexp.String(strings.TrimSuffix(strings.TrimPrefix(text, "#gain<"), ">"))), nil
+			return []Term{e.Str(strings.TrimSuffix(strings.TrimPrefix(text, "#gain<"), ">"))}
 		},
-		DeEggify: func(n *sexp.Node) (mlir.Attribute, error) {
-			return mlir.OpaqueAttr{Text: "#gain<" + n.Args()[0].Str + ">"}, nil
+		DeEggify: func(d *Decoder, args []egraph.Value) (mlir.Attribute, error) {
+			return mlir.OpaqueAttr{Text: "#gain<" + d.Str(args[0]) + ">"}, nil
 		},
 	}
 	c := &Codecs{Attrs: []AttrCodec{codec}}
 	a := mlir.OpaqueAttr{Text: "#gain<high>"}
-	term, err := c.AttrToTerm(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if term.String() != `(Gain "high")` {
+	back, term, err := roundTrip(t, []string{`(function Gain (String) Attr)`}, c, func(e *Encoder) Term { return e.Attr(a) }, (*Decoder).Attr)
+	if term != `(Gain "high")` {
 		t.Errorf("eggified as %s", term)
 	}
-	back, err := c.TermToAttr(term)
 	if err != nil {
 		t.Fatal(err)
 	}

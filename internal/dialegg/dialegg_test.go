@@ -414,11 +414,15 @@ func TestEncodingNames(t *testing.T) {
 	}
 }
 
+// TestTypeTermRoundTrip inserts every built-in type encoding into a
+// template clone, extracts it and decodes it back.
 func TestTypeTermRoundTrip(t *testing.T) {
 	types := []mlir.Type{
-		mlir.I1, mlir.I64, mlir.F32, mlir.F64, mlir.Index, mlir.NoneType{},
+		mlir.I1, mlir.I8, mlir.I16, mlir.I32, mlir.I64,
+		mlir.F16, mlir.F32, mlir.F64, mlir.Index, mlir.NoneType{},
 		mlir.TensorOf(mlir.F64, 3, 4),
 		mlir.TensorOf(mlir.I64, 2, 3, 4),
+		mlir.TensorOf(mlir.F32),
 		mlir.UnrankedTensorType{Elem: mlir.F32},
 		// No structural encoding: these travel as OpaqueType terms holding
 		// their text, and come back as the types the parser makes of it.
@@ -428,10 +432,9 @@ func TestTypeTermRoundTrip(t *testing.T) {
 		mlir.FunctionType{Inputs: []mlir.Type{mlir.I64}, Results: []mlir.Type{mlir.F32}},
 	}
 	for _, typ := range types {
-		term := TypeToTerm(typ)
-		back, err := TermToType(term)
+		back, term, err := roundTrip(t, nil, nil, func(e *Encoder) Term { return e.Type(typ) }, (*Decoder).Type)
 		if err != nil {
-			t.Errorf("TermToType(%s): %v", term, err)
+			t.Errorf("type %s via %s: %v", typ, term, err)
 			continue
 		}
 		if !mlir.TypeEqual(typ, back) || reflect.TypeOf(back) != reflect.TypeOf(typ) {
@@ -440,22 +443,27 @@ func TestTypeTermRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAttrTermRoundTrip does the same for every attribute kind and every
+// fastmath flag.
 func TestAttrTermRoundTrip(t *testing.T) {
 	attrs := []mlir.Attribute{
 		mlir.IntegerAttr{Value: 42, Type: mlir.I64},
+		mlir.IntegerAttr{Value: -1, Type: mlir.Index},
 		mlir.FloatAttr{Value: 2.5, Type: mlir.F32},
 		mlir.StringAttr{Value: "hello"},
 		mlir.SymbolRefAttr{Symbol: "fast_inv_sqrt"},
 		mlir.UnitAttr{},
-		mlir.FastMathAttr{Flag: mlir.FastMathFast},
 		mlir.TypeAttr{Type: mlir.F64},
 		mlir.DenseAttr{Splat: mlir.FloatAttr{Value: 0, Type: mlir.F64}, Type: mlir.TensorOf(mlir.F64, 4)},
+		mlir.OpaqueAttr{Text: "#gain<high>"},
+	}
+	for flag := range fastMathFlags {
+		attrs = append(attrs, mlir.FastMathAttr{Flag: mlir.FastMathFlag(flag)})
 	}
 	for _, a := range attrs {
-		term := AttrToTerm(a)
-		back, err := TermToAttr(term)
+		back, term, err := roundTrip(t, nil, nil, func(e *Encoder) Term { return e.Attr(a) }, (*Decoder).Attr)
 		if err != nil {
-			t.Errorf("TermToAttr(%s): %v", term, err)
+			t.Errorf("attr %s via %s: %v", a, term, err)
 			continue
 		}
 		if !mlir.AttrEqual(a, back) {

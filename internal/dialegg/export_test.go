@@ -35,7 +35,7 @@ func TranslateRuns(sources []string, m *mlir.Module, n int) (func() error, error
 			if len(clones) == 0 {
 				return errors.New("TranslateRuns: out of clones")
 			}
-			if _, err := translateFunc(f, tmpl.encs, nil, clones[0]); err != nil {
+			if _, err := translateFunc(f, tmpl.encs, nil, clones[0].Graph()); err != nil {
 				return err
 			}
 			clones = clones[1:]

@@ -15,11 +15,9 @@ import (
 // Values are resolved to their original operations, and nested Reg/Blk
 // nodes rebuild regions.
 type rebuilder struct {
-	tr     *Translation
-	encs   *Encodings
-	codecs *Codecs
-	g      *egraph.EGraph
-	ex     *egraph.Extractor
+	Decoder
+	tr   *Translation
+	encs *Encodings
 
 	// memo is a scope stack mapping a canonical e-class to its rebuilt
 	// value, giving SSA sharing with correct dominance.
@@ -46,11 +44,9 @@ type rebuilder struct {
 // — see DESIGN.md).
 func rebuildFunc(orig *mlir.Operation, g *egraph.EGraph, ex *egraph.Extractor, root egraph.Value, tr *Translation, encs *Encodings, codecs *Codecs) (*mlir.Operation, error) {
 	rb := &rebuilder{
+		Decoder:        Decoder{g: g, ex: ex, codecs: codecs},
 		tr:             tr,
 		encs:           encs,
-		codecs:         codecs,
-		g:              g,
-		ex:             ex,
 		valueRemap:     make(map[*mlir.Value]*mlir.Value),
 		reEmitted:      make(map[*mlir.Operation]bool),
 		rebuiltEncoded: make(map[*mlir.Operation]bool),
@@ -177,27 +173,22 @@ func (rb *rebuilder) buildTerm(v egraph.Value, origOp *mlir.Operation) (*mlir.Va
 		operands[i] = operand
 	}
 
-	// Attributes and the result type decode from their rendered terms.
+	// Attributes and the result type decode from their chosen nodes.
 	var attrs []mlir.NamedAttribute
-	for i := 0; i < enc.NumAttrs; i++ {
-		term, _, err := rb.ex.Extract(args[enc.NumOperands+i])
+	if enc.NumAttrs > 0 {
+		attrs = make([]mlir.NamedAttribute, enc.NumAttrs)
+	}
+	for i := range attrs {
+		na, err := rb.namedAttr(args[enc.NumOperands+i])
 		if err != nil {
 			return nil, err
 		}
-		na, err := rb.codecs.TermToNamedAttr(term)
-		if err != nil {
-			return nil, err
-		}
-		attrs = append(attrs, na)
+		attrs[i] = na
 	}
 
 	var resultTypes []mlir.Type
 	if enc.HasResultType {
-		term, _, err := rb.ex.Extract(args[len(args)-1])
-		if err != nil {
-			return nil, err
-		}
-		t, err := rb.codecs.TermToType(term)
+		t, err := rb.Type(args[len(args)-1])
 		if err != nil {
 			return nil, err
 		}
@@ -234,6 +225,189 @@ func (rb *rebuilder) buildTerm(v egraph.Value, origOp *mlir.Operation) (*mlir.Va
 	}
 	rb.memoPut(cls, result)
 	return result, nil
+}
+
+// Decoder reads types and attributes back from the nodes extraction
+// chose, and a custom codec's DeEggify reads its node's arguments with it
+// (§5.2). Each type or attribute goes to the codec whose Head is its
+// chosen node's function before the built-in encoding.
+type Decoder struct {
+	g      *egraph.EGraph
+	ex     *egraph.Extractor
+	codecs *Codecs
+}
+
+// I64 reads an i64 argument.
+func (d *Decoder) I64(v egraph.Value) int64 { return v.AsI64() }
+
+// F64 reads an f64 argument.
+func (d *Decoder) F64(v egraph.Value) float64 { return v.AsF64() }
+
+// Str reads a String argument.
+func (d *Decoder) Str(v egraph.Value) string { return d.g.StringOf(v) }
+
+// chosen returns the function and arguments of the node extraction chose
+// for v's class.
+func (d *Decoder) chosen(v egraph.Value) (*egraph.Function, []egraph.Value, error) {
+	fn, args, _, ok := d.ex.ChosenNode(v)
+	if !ok {
+		return nil, nil, fmt.Errorf("dialegg: %s value has no extracted node", d.g.SortOf(v))
+	}
+	return fn, args, nil
+}
+
+// errorf words an error about v's class with the term extraction chose
+// for it; decoding renders nothing else.
+func (d *Decoder) errorf(format string, v egraph.Value) error {
+	term, _, _ := d.ex.Extract(v)
+	return fmt.Errorf(format, term)
+}
+
+// Type decodes the Type class of v.
+func (d *Decoder) Type(v egraph.Value) (mlir.Type, error) {
+	fn, args, err := d.chosen(v)
+	if err != nil {
+		return nil, err
+	}
+	if d.codecs != nil {
+		for i := range d.codecs.Types {
+			if c := &d.codecs.Types[i]; c.Head == fn.Name {
+				return c.DeEggify(d, args)
+			}
+		}
+	}
+	switch fn.Name {
+	case "I1":
+		return mlir.I1, nil
+	case "I8":
+		return mlir.I8, nil
+	case "I16":
+		return mlir.I16, nil
+	case "I32":
+		return mlir.I32, nil
+	case "I64":
+		return mlir.I64, nil
+	case "F16":
+		return mlir.F16, nil
+	case "F32":
+		return mlir.F32, nil
+	case "F64":
+		return mlir.F64, nil
+	case "Index":
+		return mlir.Index, nil
+	case "None":
+		return mlir.NoneType{}, nil
+	case "RankedTensor":
+		var shape []int64
+		if dims := d.g.VecElems(args[0]); len(dims) > 0 {
+			shape = make([]int64, len(dims))
+			for i, dim := range dims {
+				shape[i] = dim.AsI64()
+			}
+		}
+		elem, err := d.Type(args[1])
+		if err != nil {
+			return nil, err
+		}
+		return mlir.RankedTensorType{Shape: shape, Elem: elem}, nil
+	case "UnrankedTensor":
+		elem, err := d.Type(args[0])
+		if err != nil {
+			return nil, err
+		}
+		return mlir.UnrankedTensorType{Elem: elem}, nil
+	case "OpaqueType":
+		// The text is the type's MLIR syntax; parsing it gives the type
+		// the parser gave the original (i4 and complex<f32> are modelled).
+		text := d.Str(args[0])
+		t, err := mlir.ParseType(text)
+		if err != nil {
+			return nil, fmt.Errorf("dialegg: OpaqueType %q: %w", text, err)
+		}
+		return t, nil
+	}
+	return nil, d.errorf("dialegg: unknown type term %s", v)
+}
+
+// Attr decodes the Attr class of v.
+func (d *Decoder) Attr(v egraph.Value) (mlir.Attribute, error) {
+	fn, args, err := d.chosen(v)
+	if err != nil {
+		return nil, err
+	}
+	if d.codecs != nil {
+		for i := range d.codecs.Attrs {
+			if c := &d.codecs.Attrs[i]; c.Head == fn.Name {
+				return c.DeEggify(d, args)
+			}
+		}
+	}
+	switch fn.Name {
+	case "IntegerAttr":
+		t, err := d.Type(args[1])
+		if err != nil {
+			return nil, err
+		}
+		return mlir.IntegerAttr{Value: d.I64(args[0]), Type: t}, nil
+	case "FloatAttr":
+		t, err := d.Type(args[1])
+		if err != nil {
+			return nil, err
+		}
+		return mlir.FloatAttr{Value: d.F64(args[0]), Type: t}, nil
+	case "StringAttr":
+		return mlir.StringAttr{Value: d.Str(args[0])}, nil
+	case "SymbolAttr":
+		return mlir.SymbolRefAttr{Symbol: d.Str(args[0])}, nil
+	case "UnitAttr":
+		return mlir.UnitAttr{}, nil
+	case "TypeAttr":
+		t, err := d.Type(args[0])
+		if err != nil {
+			return nil, err
+		}
+		return mlir.TypeAttr{Type: t}, nil
+	case "arith_fastmath":
+		flagFn, _, err := d.chosen(args[0])
+		if err != nil {
+			return nil, err
+		}
+		for flag, k := range fastMathFlags {
+			if builtinNames[k] == flagFn.Name {
+				return mlir.FastMathAttr{Flag: mlir.FastMathFlag(flag)}, nil
+			}
+		}
+		return nil, d.errorf("dialegg: unknown fastmath flag %s", v)
+	case "DenseAttr":
+		splat, err := d.Attr(args[0])
+		if err != nil {
+			return nil, err
+		}
+		t, err := d.Type(args[1])
+		if err != nil {
+			return nil, err
+		}
+		return mlir.DenseAttr{Splat: splat, Type: t}, nil
+	case "OpaqueAttr":
+		return mlir.OpaqueAttr{Text: d.Str(args[0])}, nil
+	}
+	return nil, d.errorf("dialegg: unknown attribute term %s", v)
+}
+
+// namedAttr decodes the AttrPair class of v, a (NamedAttr "name" attr).
+func (d *Decoder) namedAttr(v egraph.Value) (mlir.NamedAttribute, error) {
+	fn, args, err := d.chosen(v)
+	if err != nil {
+		return mlir.NamedAttribute{}, err
+	}
+	if fn.Name != "NamedAttr" {
+		return mlir.NamedAttribute{}, d.errorf("dialegg: malformed NamedAttr %s", v)
+	}
+	a, err := d.Attr(args[1])
+	if err != nil {
+		return mlir.NamedAttribute{}, err
+	}
+	return mlir.NamedAttribute{Name: d.Str(args[0]), Attr: a}, nil
 }
 
 // buildValue resolves the leaf (Value id type): a function or block

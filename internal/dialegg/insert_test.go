@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func insertPathsAgree(o *Optimizer, m *mlir.Module) error {
 	prog, err := o.EggProgram(m)
 	if err != nil {
 		for _, f := range funcs {
-			if _, terr := translateFunc(f, tmpl.encs, o.opts.Codecs, tmpl.prog.Clone()); terr != nil {
+			if _, terr := translateFunc(f, tmpl.encs, o.opts.Codecs, tmpl.prog.Clone().Graph()); terr != nil {
 				return nil
 			}
 		}
@@ -60,7 +61,7 @@ func insertPathsAgree(o *Optimizer, m *mlir.Module) error {
 	for i, f := range funcs {
 		name := mlir.FuncName(f)
 		direct, dw, dbuf := clone(name)
-		tr, err := translateFunc(f, tmpl.encs, o.opts.Codecs, direct)
+		tr, err := translateFunc(f, tmpl.encs, o.opts.Codecs, direct.Graph())
 		if err != nil {
 			return fmt.Errorf("@%s: direct translation: %v", name, err)
 		}
@@ -135,8 +136,14 @@ func TestDirectInsertMatchesLetProgram(t *testing.T) {
 	}
 }
 
+// tupleBit, set in FuzzTranslateInsert's rule-set byte, translates with
+// TupleTypeCodec and declares its constructor after the bundle's rules.
+const tupleBit = 0x80
+
 // FuzzTranslateInsert checks insertPathsAgree on mutated modules, seeded
-// with the testdata and corpus modules under each bundled rule set.
+// with the testdata and corpus modules under each bundled rule set, and
+// with swapTwiceSrc under each rule set with the Tuple2 codec, so custom
+// codec terms are inserted in the let program's order too.
 func FuzzTranslateInsert(f *testing.F) {
 	files, err := filepath.Glob("testdata/*.mlir")
 	if err != nil {
@@ -155,6 +162,9 @@ func FuzzTranslateInsert(f *testing.F) {
 			f.Add(string(src), uint8(i))
 		}
 	}
+	for i := range matrixRuleSets {
+		f.Add(swapTwiceSrc, uint8(i)|tupleBit)
+	}
 	f.Fuzz(func(t *testing.T, src string, ruleSet uint8) {
 		m, err := mlir.ParseModule(src, dialects.NewRegistry())
 		if err != nil {
@@ -164,7 +174,12 @@ func FuzzTranslateInsert(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := insertPathsAgree(NewOptimizer(Options{RuleSources: ruleSrcs}), m); err != nil {
+		opts := Options{RuleSources: ruleSrcs}
+		if ruleSet&tupleBit != 0 {
+			opts.RuleSources = append(slices.Clip(ruleSrcs), tuple2Decl)
+			opts.Codecs = &Codecs{Types: []TypeCodec{TupleTypeCodec()}}
+		}
+		if err := insertPathsAgree(NewOptimizer(opts), m); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -183,7 +183,7 @@ func (o *Optimizer) OptimizeFuncCtx(ctx context.Context, f *mlir.Operation) (*ml
 	// Phase 1: MLIR -> Egglog, inserting each e-node as the walk reaches
 	// it.
 	startToEgg := time.Now()
-	tr, err := translateFunc(f, encs, o.opts.Codecs, p)
+	tr, err := translateFunc(f, encs, o.opts.Codecs, p.Graph())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -180,7 +180,7 @@ func extractFunc(t *testing.T, o *Optimizer, f *mlir.Operation) (*sexp.Node, int
 		t.Fatal(err)
 	}
 	p := tmpl.prog.Clone()
-	tr, err := translateFunc(f, tmpl.encs, nil, p)
+	tr, err := translateFunc(f, tmpl.encs, nil, p.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"dialegg/internal/egglog"
 	"dialegg/internal/egraph"
 	"dialegg/internal/mlir"
 	"dialegg/internal/sexp"
@@ -130,211 +129,218 @@ var fastMathFlags = [...]builtin{
 	mlir.FastMathReassoc:  bFMReassoc,
 }
 
-// term is one translated term: its e-node's value when the translation
-// inserts, its s-expression when it renders.
-type term struct {
+// Term is one term an Encoder emitted: its e-node's value when the
+// encoder inserts, its s-expression when it renders.
+type Term struct {
 	v egraph.Value
 	n *sexp.Node
 }
 
-// sink is where the translation writes each term as it builds it. An
-// inserting sink (p set) adds every application to p's e-graph at once,
-// through the function handles Prepare resolved, and a custom codec's
-// term through p.EvalExpr. A rendering sink (the zero value) builds the
-// s-expression instead and collects the (let opN term) commands. Both
-// receive the same calls in the same order, so one walk defines the
-// translation and the order its nodes are inserted in. The first
-// insertion error is kept and stops further insertion.
-type sink struct {
-	p    *egglog.Program
-	g    *egraph.EGraph
-	fns  *[numBuiltins]*egraph.Function
-	lets []*sexp.Node
+// Encoder is the translation's sink: the translation writes each term
+// through it as it builds it, and a custom codec's Eggify builds its
+// node's arguments with it. An inserting encoder (g set) adds every
+// application to g at once, through the function handles Prepare
+// resolved; a rendering encoder (g nil) builds the s-expression instead
+// and collects the (let opN term) commands. Both receive the same calls
+// in the same order, so one walk defines the translation and the order
+// its nodes are inserted in. The first insertion error is kept and stops
+// further insertion.
+type Encoder struct {
+	g      *egraph.EGraph
+	fns    *[numBuiltins]*egraph.Function
+	codecs *Codecs
+	lets   []*sexp.Node
 	// vals holds a vector's elements while it is interned.
 	vals []egraph.Value
 	err  error
 }
 
-// apply emits f(args); name is f's name, which a rendering sink writes.
-func (s *sink) apply(name string, f *egraph.Function, args ...term) term {
-	if s.p == nil {
+// apply emits f(args); name is f's name, which a rendering encoder writes.
+func (e *Encoder) apply(name string, f *egraph.Function, args ...Term) Term {
+	if e.g == nil {
 		l := make([]*sexp.Node, len(args)+1)
 		l[0] = sexp.Symbol(name)
 		for i, a := range args {
 			l[i+1] = a.n
 		}
-		return term{n: sexp.List(l...)}
+		return Term{n: sexp.List(l...)}
 	}
-	if s.err != nil {
-		return term{}
+	if e.err != nil {
+		return Term{}
 	}
 	var buf [8]egraph.Value
 	vals := buf[:0]
 	for _, a := range args {
 		vals = append(vals, a.v)
 	}
-	v, err := s.g.Insert(f, vals...)
+	v, err := e.g.Insert(f, vals...)
 	if err != nil {
-		s.err = err
+		e.err = err
 	}
-	return term{v: v}
+	return Term{v: v}
 }
 
 // con emits the builtin constructor k applied to args.
-func (s *sink) con(k builtin, args ...term) term {
+func (e *Encoder) con(k builtin, args ...Term) Term {
 	var f *egraph.Function
-	if s.fns != nil {
-		f = s.fns[k]
+	if e.fns != nil {
+		f = e.fns[k]
 	}
-	return s.apply(builtinNames[k], f, args...)
+	return e.apply(builtinNames[k], f, args...)
+}
+
+// custom emits a custom codec's head applied to args. An inserting
+// encoder looks the head up among the graph's functions.
+func (e *Encoder) custom(head string, args []Term) Term {
+	var f *egraph.Function
+	if e.g != nil && e.err == nil {
+		var ok bool
+		if f, ok = e.g.FunctionByName(head); !ok {
+			e.err = fmt.Errorf("codec head %q is not a declared function", head)
+		}
+	}
+	return e.apply(head, f, args...)
 }
 
 // vec emits the vector of elems that builtin k takes as its first
 // argument.
-func (s *sink) vec(k builtin, elems []term) term {
-	if s.p == nil {
+func (e *Encoder) vec(k builtin, elems []Term) Term {
+	if e.g == nil {
 		l := make([]*sexp.Node, len(elems)+1)
 		l[0] = sexp.Symbol("vec-of")
-		for i, e := range elems {
-			l[i+1] = e.n
+		for i, el := range elems {
+			l[i+1] = el.n
 		}
-		return term{n: sexp.List(l...)}
+		return Term{n: sexp.List(l...)}
 	}
-	if s.err != nil {
-		return term{}
+	if e.err != nil {
+		return Term{}
 	}
-	s.vals = s.vals[:0]
-	for _, e := range elems {
-		s.vals = append(s.vals, e.v)
+	e.vals = e.vals[:0]
+	for _, el := range elems {
+		e.vals = append(e.vals, el.v)
 	}
-	return term{v: s.g.InternVec(s.fns[k].Params[0], s.vals)}
+	return Term{v: e.g.InternVec(e.fns[k].Params[0], e.vals)}
 }
 
-func (s *sink) i64(x int64) term {
-	if s.p == nil {
-		return term{n: sexp.Int(x)}
+// I64 emits an i64 literal.
+func (e *Encoder) I64(x int64) Term {
+	if e.g == nil {
+		return Term{n: sexp.Int(x)}
 	}
-	return term{v: egraph.I64Value(s.g.I64, x)}
+	return Term{v: egraph.I64Value(e.g.I64, x)}
 }
 
-func (s *sink) f64(x float64) term {
-	if s.p == nil {
-		return term{n: sexp.Float(x)}
+// F64 emits an f64 literal.
+func (e *Encoder) F64(x float64) Term {
+	if e.g == nil {
+		return Term{n: sexp.Float(x)}
 	}
-	return term{v: egraph.F64Value(s.g.F64, x)}
+	return Term{v: egraph.F64Value(e.g.F64, x)}
 }
 
-func (s *sink) str(x string) term {
-	if s.p == nil {
-		return term{n: sexp.String(x)}
+// Str emits a String literal.
+func (e *Encoder) Str(x string) Term {
+	if e.g == nil {
+		return Term{n: sexp.String(x)}
 	}
-	return term{v: s.g.InternString(x)}
+	return Term{v: e.g.InternString(x)}
 }
 
-// expr emits a custom codec's term, evaluating it as a top-level
-// expression.
-func (s *sink) expr(n *sexp.Node) term {
-	if s.p == nil {
-		return term{n: n}
-	}
-	if s.err != nil {
-		return term{}
-	}
-	v, err := s.p.EvalExpr(n)
-	if err != nil {
-		s.err = err
-	}
-	return term{v: v}
-}
-
-// let binds t as let number i: a rendering sink appends (let opI t) and
-// returns the name, an inserting sink returns t.
-func (s *sink) let(i int, t term) term {
-	if s.p != nil {
+// let binds t as let number i: a rendering encoder appends (let opI t)
+// and returns the name, an inserting encoder returns t.
+func (e *Encoder) let(i int, t Term) Term {
+	if e.g != nil {
 		return t
 	}
 	name := sexp.Symbol("op" + strconv.Itoa(i))
-	s.lets = append(s.lets, sexp.List(sexp.Symbol("let"), name, t.n))
-	return term{n: name}
+	e.lets = append(e.lets, sexp.List(sexp.Symbol("let"), name, t.n))
+	return Term{n: name}
 }
 
-// typ emits t's built-in encoding (§4.1). Types without a structural
-// encoding become (OpaqueType serialized name).
-func (s *sink) typ(t mlir.Type) term {
+// Type emits t through the first custom codec that matches it, or else
+// through its built-in encoding (§4.1).
+func (e *Encoder) Type(t mlir.Type) Term {
+	if e.codecs != nil {
+		for i := range e.codecs.Types {
+			if c := &e.codecs.Types[i]; c.Matches(t) {
+				return e.custom(c.Head, c.Eggify(e, t))
+			}
+		}
+	}
 	switch tt := t.(type) {
 	case mlir.IntegerType:
 		if k, ok := intTypes[tt.Width]; ok {
-			return s.con(k)
+			return e.con(k)
 		}
 	case mlir.FloatType:
 		if k, ok := floatTypes[tt.Width]; ok {
-			return s.con(k)
+			return e.con(k)
 		}
 	case mlir.IndexType:
-		return s.con(bIndex)
+		return e.con(bIndex)
 	case mlir.NoneType:
-		return s.con(bNone)
+		return e.con(bNone)
 	case mlir.RankedTensorType:
-		var buf [4]term
+		var buf [4]Term
 		dims := buf[:0]
 		for _, d := range tt.Shape {
-			dims = append(dims, s.i64(d))
+			dims = append(dims, e.I64(d))
 		}
-		return s.con(bRankedTensor, s.vec(bRankedTensor, dims), s.typ(tt.Elem))
+		return e.con(bRankedTensor, e.vec(bRankedTensor, dims), e.Type(tt.Elem))
 	case mlir.UnrankedTensorType:
-		return s.con(bUnrankedTensor, s.typ(tt.Elem))
+		return e.con(bUnrankedTensor, e.Type(tt.Elem))
 	}
-	return s.con(bOpaqueType, s.str(t.String()), s.str(typeName(t)))
+	// Types without a structural encoding become (OpaqueType text kind).
+	return e.con(bOpaqueType, e.Str(t.String()), e.Str(typeName(t)))
 }
 
-// attr emits a's built-in encoding (§4.2).
-func (s *sink) attr(a mlir.Attribute) term {
+// Attr emits a through the first custom codec that matches it, or else
+// through its built-in encoding (§4.2).
+func (e *Encoder) Attr(a mlir.Attribute) Term {
+	if e.codecs != nil {
+		for i := range e.codecs.Attrs {
+			if c := &e.codecs.Attrs[i]; c.Matches(a) {
+				return e.custom(c.Head, c.Eggify(e, a))
+			}
+		}
+	}
 	switch at := a.(type) {
 	case mlir.IntegerAttr:
-		return s.con(bIntegerAttr, s.i64(at.Value), s.typ(at.Type))
+		return e.con(bIntegerAttr, e.I64(at.Value), e.Type(at.Type))
 	case mlir.FloatAttr:
-		return s.con(bFloatAttr, s.f64(at.Value), s.typ(at.Type))
+		return e.con(bFloatAttr, e.F64(at.Value), e.Type(at.Type))
 	case mlir.StringAttr:
-		return s.con(bStringAttr, s.str(at.Value))
+		return e.con(bStringAttr, e.Str(at.Value))
 	case mlir.SymbolRefAttr:
-		return s.con(bSymbolAttr, s.str(at.Symbol))
+		return e.con(bSymbolAttr, e.Str(at.Symbol))
 	case mlir.UnitAttr:
-		return s.con(bUnitAttr)
+		return e.con(bUnitAttr)
 	case mlir.TypeAttr:
-		return s.con(bTypeAttr, s.typ(at.Type))
+		return e.con(bTypeAttr, e.Type(at.Type))
 	case mlir.FastMathAttr:
 		flag := bFMNone
 		if at.Flag >= 0 && int(at.Flag) < len(fastMathFlags) {
 			flag = fastMathFlags[at.Flag]
 		}
-		return s.con(bFastMath, s.con(flag))
+		return e.con(bFastMath, e.con(flag))
 	case mlir.DenseAttr:
-		return s.con(bDenseAttr, s.attr(at.Splat), s.typ(at.Type))
+		return e.con(bDenseAttr, e.Attr(at.Splat), e.Type(at.Type))
 	default:
-		return s.con(bOpaqueAttr, s.str(a.String()))
+		return e.con(bOpaqueAttr, e.Str(a.String()))
 	}
-}
-
-// codecTyp emits t through its custom codec's term tn, or through the
-// built-in encoding when no codec matched (tn nil).
-func (s *sink) codecTyp(t mlir.Type, tn *sexp.Node) term {
-	if tn != nil {
-		return s.expr(tn)
-	}
-	return s.typ(t)
 }
 
 // translator carries state across one function translation.
 type translator struct {
-	s      sink
-	encs   *Encodings
-	codecs *Codecs
-	out    *Translation
+	s    Encoder
+	encs *Encodings
+	out  *Translation
 	// vals holds the term of every SSA value translated so far.
-	vals map[*mlir.Value]term
+	vals map[*mlir.Value]Term
 	// terms is a stack: each translated block leaves its operations'
 	// terms on it until the enclosing node is built.
-	terms []term
+	terms []Term
 	// args holds the arguments of the nodes in out.Nodes.
 	args []egraph.Value
 	// lets counts let bindings (Optimizer.EggProgram names them opN).
@@ -342,14 +348,14 @@ type translator struct {
 }
 
 // translateFunc translates the body of a func.func, inserting its e-nodes
-// into p's e-graph as it walks the operations. Types and attributes are
-// encoded with codecs' custom eggifiers first (§5.2; nil uses only the
-// built-in encodings). Nodes are inserted in the order evaluating the
-// function's (let opN term) program would insert them (DESIGN.md §15):
-// a let's nested-region lets first, then its attribute terms, region
-// vectors, result type and node, post-order, left to right.
-func translateFunc(f *mlir.Operation, encs *Encodings, codecs *Codecs, p *egglog.Program) (*Translation, error) {
-	t, err := newTranslator(f, encs, codecs, sink{p: p, g: p.Graph(), fns: &encs.fns})
+// into g as it walks the operations. Types and attributes go through
+// codecs' custom eggifiers first (§5.2; nil uses only the built-in
+// encodings). Nodes are inserted in the order evaluating the function's
+// (let opN term) program would insert them (DESIGN.md §15): a let's
+// nested-region lets first, then its attribute terms, region vectors,
+// result type and node, post-order, left to right.
+func translateFunc(f *mlir.Operation, encs *Encodings, codecs *Codecs, g *egraph.EGraph) (*Translation, error) {
+	t, err := newTranslator(f, encs, Encoder{g: g, fns: &encs.fns, codecs: codecs})
 	if err != nil {
 		return nil, err
 	}
@@ -362,7 +368,7 @@ func translateFunc(f *mlir.Operation, encs *Encodings, codecs *Codecs, p *egglog
 // renderFunc translates the body of a func.func into its (let opN term)
 // commands without inserting anything.
 func renderFunc(f *mlir.Operation, encs *Encodings, codecs *Codecs) ([]*sexp.Node, error) {
-	t, err := newTranslator(f, encs, codecs, sink{})
+	t, err := newTranslator(f, encs, Encoder{codecs: codecs})
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +378,7 @@ func renderFunc(f *mlir.Operation, encs *Encodings, codecs *Codecs) ([]*sexp.Nod
 // newTranslator translates f's body into s. The function must have a
 // single-block body (structured control flow nests in regions, which are
 // handled recursively).
-func newTranslator(f *mlir.Operation, encs *Encodings, codecs *Codecs, s sink) (*translator, error) {
+func newTranslator(f *mlir.Operation, encs *Encodings, s Encoder) (*translator, error) {
 	if f.Name != "func.func" {
 		return nil, fmt.Errorf("dialegg: expected func.func, got %s", f.Name)
 	}
@@ -381,26 +387,21 @@ func newTranslator(f *mlir.Operation, encs *Encodings, codecs *Codecs, s sink) (
 		return nil, fmt.Errorf("dialegg: function has no body")
 	}
 	t := &translator{
-		s:      s,
-		encs:   encs,
-		codecs: codecs,
-		out:    &Translation{Nodes: make(map[*mlir.Operation]Node, len(entry.Ops))},
-		vals:   make(map[*mlir.Value]term, len(entry.Args)+len(entry.Ops)),
-		terms:  make([]term, 0, len(entry.Ops)+16),
+		s:     s,
+		encs:  encs,
+		out:   &Translation{Nodes: make(map[*mlir.Operation]Node, len(entry.Ops))},
+		vals:  make(map[*mlir.Value]Term, len(entry.Args)+len(entry.Ops)),
+		terms: make([]Term, 0, len(entry.Ops)+16),
 	}
-	if s.p != nil {
+	if s.g != nil {
 		// About four arguments per node.
 		t.args = make([]egraph.Value, 0, 4*len(entry.Ops))
 	}
 	// Function arguments become Value terms (§5.4 line 3).
 	for _, arg := range entry.Args {
-		if _, err := t.value(arg); err != nil {
-			return nil, err
-		}
+		t.value(arg)
 	}
-	if err := t.block(entry); err != nil {
-		return nil, err
-	}
+	t.block(entry)
 	blk := t.s.con(bBlk, t.s.vec(bBlk, t.terms))
 	t.out.Root = t.s.let(t.fresh(), blk).v
 	return t, nil
@@ -418,8 +419,8 @@ func (t *translator) leaf(l Leaf) int64 {
 }
 
 // node records the e-node just inserted for op.
-func (t *translator) node(op *mlir.Operation, f *egraph.Function, args []term, out term) {
-	if t.s.p == nil {
+func (t *translator) node(op *mlir.Operation, f *egraph.Function, args []Term, out Term) {
+	if t.s.g == nil {
 		return
 	}
 	start := len(t.args)
@@ -431,40 +432,33 @@ func (t *translator) node(op *mlir.Operation, f *egraph.Function, args []term, o
 
 // value creates the (Value id type) binding for a block argument and
 // returns its term.
-func (t *translator) value(v *mlir.Value) (term, error) {
+func (t *translator) value(v *mlir.Value) Term {
 	if tm, ok := t.vals[v]; ok {
-		return tm, nil
+		return tm
 	}
 	id := t.leaf(Leaf{Value: v})
-	i := t.fresh()
-	tn, err := t.codecs.eggifyType(v.Typ)
-	if err != nil {
-		return term{}, err
-	}
-	tm := t.s.let(i, t.s.con(bValue, t.s.i64(id), t.s.codecTyp(v.Typ, tn)))
+	tm := t.s.let(t.fresh(), t.s.con(bValue, t.s.I64(id), t.s.Type(v.Typ)))
 	t.vals[v] = tm
-	return tm, nil
+	return tm
 }
 
 // block translates every op of b, leaving their terms on t.terms in
 // order.
-func (t *translator) block(b *mlir.Block) error {
+func (t *translator) block(b *mlir.Block) {
 	for _, op := range b.Ops {
-		tm, err := t.op(op)
-		if err != nil {
-			return err
-		}
+		// t.op uses the stack above its base, so it runs before the
+		// append reads t.terms.
+		tm := t.op(op)
 		t.terms = append(t.terms, tm)
 	}
-	return nil
 }
 
 // op translates one operation, returning its term (the op's result value
 // for single-result ops).
-func (t *translator) op(op *mlir.Operation) (term, error) {
+func (t *translator) op(op *mlir.Operation) Term {
 	if enc, ok := t.encs.Lookup(op.Name, len(op.Operands)); ok {
 		if tm, err := t.encoded(op, enc); err == nil {
-			return tm, nil
+			return tm
 		}
 		// An encoding mismatch (attribute/region/result layout) degrades
 		// to the opaque path rather than failing the translation.
@@ -472,93 +466,63 @@ func (t *translator) op(op *mlir.Operation) (term, error) {
 	return t.opaque(op)
 }
 
-// codecAttr is one attribute of an encoded op, with its custom codec's
-// term (nil for the built-in encoding).
-type codecAttr struct {
-	mlir.NamedAttribute
-	tn *sexp.Node
-}
-
-// attrsFor orders the op's attributes alphabetically into buf and
-// eggifies custom ones, synthesizing a default fastmath<none> when the
-// encoding expects one more attribute than the op carries (§4.2; the
-// paper's example emits fmnone for ops without an explicit fastmath flag).
-func (t *translator) attrsFor(op *mlir.Operation, want int, buf []codecAttr) ([]codecAttr, error) {
-	attrs := buf
-	for _, na := range op.Attrs {
-		attrs = append(attrs, codecAttr{NamedAttribute: na})
-	}
+// attrsFor orders the op's attributes alphabetically into buf,
+// synthesizing a default fastmath<none> when the encoding expects one more
+// attribute than the op carries (§4.2; the paper's example emits fmnone
+// for ops without an explicit fastmath flag).
+func attrsFor(op *mlir.Operation, want int, buf []mlir.NamedAttribute) ([]mlir.NamedAttribute, error) {
+	attrs := append(buf, op.Attrs...)
 	if len(attrs) == want-1 {
 		if _, has := mlir.GetAttr(op.Attrs, "fastmath"); !has {
-			attrs = append(attrs, codecAttr{NamedAttribute: mlir.NamedAttribute{
+			attrs = append(attrs, mlir.NamedAttribute{
 				Name: "fastmath",
 				Attr: mlir.FastMathAttr{Flag: mlir.FastMathNone},
-			}})
+			})
 		}
 	}
 	if len(attrs) != want {
 		return nil, fmt.Errorf("op has %d attributes, encoding wants %d", len(attrs), want)
 	}
-	slices.SortStableFunc(attrs, func(a, b codecAttr) int { return strings.Compare(a.Name, b.Name) })
-	for i := range attrs {
-		tn, err := t.codecs.eggifyAttr(attrs[i].Attr)
-		if err != nil {
-			return nil, err
-		}
-		attrs[i].tn = tn
-	}
+	slices.SortStableFunc(attrs, func(a, b mlir.NamedAttribute) int { return strings.Compare(a.Name, b.Name) })
 	return attrs, nil
 }
 
 // encoded translates op with its structural encoding. Everything that can
-// fail (attribute codecs, operands, regions, the result type's codec) runs
-// before the op's own terms are emitted, so a mismatch leaves behind only
-// the lets of the regions translated so far, as it always has.
-func (t *translator) encoded(op *mlir.Operation, enc *OpEncoding) (term, error) {
+// fail (the layout checks and the operands) runs before the op's regions
+// are translated and its terms emitted, so a mismatch that falls back to
+// the opaque encoding leaves none of them behind.
+func (t *translator) encoded(op *mlir.Operation, enc *OpEncoding) (Term, error) {
 	if len(op.Results) > 1 {
-		return term{}, fmt.Errorf("multi-result op")
+		return Term{}, fmt.Errorf("multi-result op")
 	}
 	if len(op.Regions) != enc.NumRegions {
-		return term{}, fmt.Errorf("op has %d regions, encoding wants %d", len(op.Regions), enc.NumRegions)
+		return Term{}, fmt.Errorf("op has %d regions, encoding wants %d", len(op.Regions), enc.NumRegions)
 	}
 	if enc.HasResultType && len(op.Results) != 1 {
-		return term{}, fmt.Errorf("encoding carries a result type but op has %d results", len(op.Results))
+		return Term{}, fmt.Errorf("encoding carries a result type but op has %d results", len(op.Results))
 	}
-	var abuf [4]codecAttr
-	attrs, err := t.attrsFor(op, enc.NumAttrs, abuf[:0])
+	var abuf [4]mlir.NamedAttribute
+	attrs, err := attrsFor(op, enc.NumAttrs, abuf[:0])
 	if err != nil {
-		return term{}, err
+		return Term{}, err
 	}
 
 	// Operand terms, then each region's block terms, wait on the stack.
 	base := len(t.terms)
-	fail := func(err error) (term, error) {
-		t.terms = t.terms[:base]
-		return term{}, err
-	}
 	for _, operand := range op.Operands {
 		tm, err := t.operand(operand)
 		if err != nil {
-			return fail(err)
+			t.terms = t.terms[:base]
+			return Term{}, err
 		}
 		t.terms = append(t.terms, tm)
 	}
 	for _, r := range op.Regions {
 		for _, b := range r.Blocks {
 			for _, arg := range b.Args {
-				if _, err := t.value(arg); err != nil {
-					return fail(err)
-				}
+				t.value(arg)
 			}
-			if err := t.block(b); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	var typeTn *sexp.Node
-	if enc.HasResultType {
-		if typeTn, err = t.codecs.eggifyType(op.Results[0].Typ); err != nil {
-			return fail(err)
+			t.block(b)
 		}
 	}
 
@@ -567,13 +531,7 @@ func (t *translator) encoded(op *mlir.Operation, enc *OpEncoding) (term, error) 
 	argBase := len(t.terms)
 	t.terms = append(t.terms, t.terms[base:base+len(op.Operands)]...)
 	for _, a := range attrs {
-		var at term
-		if a.tn != nil {
-			at = s.expr(a.tn)
-		} else {
-			at = s.attr(a.Attr)
-		}
-		t.terms = append(t.terms, s.con(bNamedAttr, s.str(a.Name), at))
+		t.terms = append(t.terms, s.con(bNamedAttr, s.Str(a.Name), s.Attr(a.Attr)))
 	}
 	pos := base + len(op.Operands)
 	for _, r := range op.Regions {
@@ -587,7 +545,7 @@ func (t *translator) encoded(op *mlir.Operation, enc *OpEncoding) (term, error) 
 		t.terms = append(t.terms[:blkBase], reg)
 	}
 	if enc.HasResultType {
-		t.terms = append(t.terms, s.codecTyp(op.Results[0].Typ, typeTn))
+		t.terms = append(t.terms, s.Type(op.Results[0].Typ))
 	}
 	args := t.terms[argBase:]
 	tm := s.let(t.fresh(), s.apply(enc.EggName, enc.fn, args...))
@@ -601,23 +559,23 @@ func (t *translator) encoded(op *mlir.Operation, enc *OpEncoding) (term, error) 
 }
 
 // operand resolves the term of an operand's defining node.
-func (t *translator) operand(v *mlir.Value) (term, error) {
+func (t *translator) operand(v *mlir.Value) (Term, error) {
 	if tm, ok := t.vals[v]; ok {
 		return tm, nil
 	}
 	// Block arguments are pre-registered; an unseen value here is a
 	// forward reference, which SSA rules out.
 	if v.IsBlockArg() {
-		return t.value(v)
+		return t.value(v), nil
 	}
-	return term{}, fmt.Errorf("dialegg: operand %s used before definition", v)
+	return Term{}, fmt.Errorf("dialegg: operand %s used before definition", v)
 }
 
 // opaque emits the (Value id type) stand-in for an operation with no
 // (matching) encoding. Multi-result ops get one Value per result;
 // zero-result ops get a None-typed Value that only serves to keep their
 // block position.
-func (t *translator) opaque(op *mlir.Operation) (term, error) {
+func (t *translator) opaque(op *mlir.Operation) Term {
 	t.out.NumOpaque++
 	var typ mlir.Type = mlir.NoneType{}
 	first := Leaf{Op: op}
@@ -626,12 +584,8 @@ func (t *translator) opaque(op *mlir.Operation) (term, error) {
 	}
 	id := t.leaf(first)
 	i := t.fresh()
-	tn, err := t.codecs.eggifyType(typ)
-	if err != nil {
-		return term{}, err
-	}
 	s := &t.s
-	args := [2]term{s.i64(id), s.codecTyp(typ, tn)}
+	args := [2]Term{s.I64(id), s.Type(typ)}
 	tm := s.let(i, s.con(bValue, args[:]...))
 	t.node(op, t.encs.fns[bValue], args[:], tm)
 	if len(op.Results) >= 1 {
@@ -640,12 +594,7 @@ func (t *translator) opaque(op *mlir.Operation) (term, error) {
 	// Extra results each get their own Value binding keyed by fresh ids.
 	for r := 1; r < len(op.Results); r++ {
 		id2 := t.leaf(Leaf{Value: op.Results[r], Op: op})
-		i2 := t.fresh()
-		tn2, err := t.codecs.eggifyType(op.Results[r].Typ)
-		if err != nil {
-			return term{}, err
-		}
-		t.vals[op.Results[r]] = s.let(i2, s.con(bValue, s.i64(id2), s.codecTyp(op.Results[r].Typ, tn2)))
+		t.vals[op.Results[r]] = s.let(t.fresh(), s.con(bValue, s.I64(id2), s.Type(op.Results[r].Typ)))
 	}
-	return tm, nil
+	return tm
 }

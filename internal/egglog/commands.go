@@ -87,7 +87,7 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 		if len(args) != 2 || args[0].Kind != sexp.KindSymbol {
 			return nil, fmt.Errorf("egglog: let expects (let name expr)")
 		}
-		_, err := p.Let(args[0].Sym, args[1])
+		_, err := p.let(args[0].Sym, args[1])
 		return nil, err
 
 	case "union":
@@ -250,11 +250,11 @@ func (p *Program) executeOne(n *sexp.Node) (*Result, error) {
 		}
 		// Proofs are anchored at the *original* e-node identities (proof
 		// forest nodes), so resolve without canonicalization.
-		a, err := p.EvalExprRaw(args[0])
+		a, err := p.evalExprRaw(args[0])
 		if err != nil {
 			return nil, err
 		}
-		b, err := p.EvalExprRaw(args[1])
+		b, err := p.evalExprRaw(args[1])
 		if err != nil {
 			return nil, err
 		}

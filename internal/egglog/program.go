@@ -331,12 +331,12 @@ func (p *Program) EvalExpr(n *sexp.Node) (egraph.Value, error) {
 	return p.g.EvalATerm(t, nil)
 }
 
-// EvalExprRaw is EvalExpr returning the original (uncanonicalized)
+// evalExprRaw is EvalExpr returning the original (uncanonicalized)
 // identity of the root e-node: a global let returns its stored value, and
 // a constructor application returns its table row's recorded output.
 // Proof production needs these original IDs (the proof forest is indexed
 // by them); everything else wants EvalExpr's canonical values.
-func (p *Program) EvalExprRaw(n *sexp.Node) (egraph.Value, error) {
+func (p *Program) evalExprRaw(n *sexp.Node) (egraph.Value, error) {
 	t, err := p.compileExpr(n)
 	if err != nil {
 		return egraph.Value{}, err
@@ -358,9 +358,9 @@ func (p *Program) apply(n *sexp.Node) error {
 	return p.g.ApplyActions(&egraph.Rule{Name: "top-level", Actions: []egraph.Action{act}}, nil)
 }
 
-// Let evaluates expr and binds it to name (overwriting any previous
+// let evaluates expr and binds it to name (overwriting any previous
 // binding, as egglog shadows).
-func (p *Program) Let(name string, expr *sexp.Node) (egraph.Value, error) {
+func (p *Program) let(name string, expr *sexp.Node) (egraph.Value, error) {
 	v, err := p.EvalExpr(expr)
 	if err != nil {
 		return egraph.Value{}, err

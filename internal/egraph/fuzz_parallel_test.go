@@ -90,12 +90,12 @@ func serialMatches(g *EGraph, r *Rule) [][]Value {
 	return out
 }
 
-// shardedMatches collects matches through MatchShard with the given shard
+// shardedMatches collects matches through matchShard with the given shard
 // count (run concurrently), merged in shard order — the parallel runner's
 // code path.
 func shardedMatches(t *testing.T, g *EGraph, r *Rule, shards int) [][]Value {
 	t.Helper()
-	n := g.FirstPremiseRows(r)
+	n, _ := g.firstPremiseScan(r)
 	if shards > n && n > 0 {
 		shards = n
 	}
@@ -110,7 +110,7 @@ func shardedMatches(t *testing.T, g *EGraph, r *Rule, shards int) [][]Value {
 		go func(s int) {
 			defer wg.Done()
 			lo, hi := n*s/shards, n*(s+1)/shards
-			errs[s] = g.MatchShard(r, lo, hi, func(binds []Value) bool {
+			errs[s] = g.matchShard(r, lo, hi, func(binds []Value) bool {
 				bufs[s] = append(bufs[s], binds)
 				return true
 			})

@@ -208,10 +208,10 @@ func (b *bindings) get(g *EGraph, a Atom) (Value, bool) {
 // Match runs the rule's query and calls yield with a snapshot of the
 // bindings for every match. yield returning false stops the search.
 func (g *EGraph) Match(r *Rule, yield func(binds []Value) bool) error {
-	return g.MatchShard(r, 0, -1, yield)
+	return g.matchShard(r, 0, -1, yield)
 }
 
-// MatchShard runs the rule's query restricted to rows [lo, hi) of the
+// matchShard runs the rule's query restricted to rows [lo, hi) of the
 // first premise's table scan (hi < 0 means unrestricted). Partitioning
 // [0, n) into contiguous ascending shards and concatenating their yields
 // in shard order reproduces Match's sequence exactly, which is what makes
@@ -219,20 +219,11 @@ func (g *EGraph) Match(r *Rule, yield func(binds []Value) bool) error {
 // — a fully-bound direct lookup, an indexed scan, or a primitive
 // evaluation — run entirely in the shard with lo == 0 and yield nothing
 // elsewhere.
-func (g *EGraph) MatchShard(r *Rule, lo, hi int, yield func(binds []Value) bool) error {
+func (g *EGraph) matchShard(r *Rule, lo, hi int, yield func(binds []Value) bool) error {
 	var m matchRun
 	m.reset(g, r, r.planOf(), matchSpec{deltaOrd: -1})
 	m.yield = yield
 	return m.matchShard(lo, hi)
-}
-
-// FirstPremiseRows reports the scan length of the rule's first premise:
-// the row count of its table for a TablePremise, 0 otherwise. The parallel
-// runner uses it to size shard ranges (shard boundaries partition the
-// whole backing slice, tombstones included).
-func (g *EGraph) FirstPremiseRows(r *Rule) int {
-	n, _ := g.firstPremiseScan(r)
-	return n
 }
 
 // firstPremiseScan reports the scan length (total rows — the shard
@@ -449,7 +440,7 @@ type matchRun struct {
 	// limit (0: no limit).
 	found, limit int
 	// Each match goes either to out (the runner's task buffer) or, for
-	// Match and MatchShard, to yield.
+	// Match and matchShard, to yield.
 	out   *matchBuf
 	yield func(binds []Value) bool
 	// sel/trace carry sampled selectivity collection: trace is true while
@@ -529,7 +520,7 @@ func (m *matchRun) matchShard(lo, hi int) error {
 	return err
 }
 
-// emit takes one complete match. Match and MatchShard hand a copy of the
+// emit takes one complete match. Match and matchShard hand a copy of the
 // bindings to yield. A runner task stores the query slots in its buffer,
 // unless spec.onlyNew drops the match for binding no delta row; the match
 // counts as found either way. It reports whether the run goes on.
