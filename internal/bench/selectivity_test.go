@@ -1,0 +1,86 @@
+package bench
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"dialegg/internal/dialects"
+	"dialegg/internal/dialegg"
+	"dialegg/internal/egraph"
+	"dialegg/internal/mlir"
+	"dialegg/internal/rules"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// TestSelectivityGolden pins the sampled premise statistics
+// (RunReport.Selectivity) of two compiles, the 20-matmul chain and Poly,
+// at sampling periods 1 and 3. Each is compared at one and two workers
+// against testdata/selectivity.golden, so a change to how the match phase
+// enumerates, samples or counts rows shows here. Regenerate with -update
+// only when the counters are meant to change.
+func TestSelectivityGolden(t *testing.T) {
+	workloads := []struct {
+		name, src string
+		rules     []string
+	}{
+		{"20MM", MatmulChainSource("mm20", NMMDims(20)), rules.MatmulChain()},
+		{"Poly", PolySource(20_000), rules.Poly()},
+	}
+	var got bytes.Buffer
+	for _, w := range workloads {
+		for _, sample := range []int{1, 3} {
+			var ref []byte
+			for _, workers := range []int{1, 2} {
+				m, err := mlir.ParseModule(w.src, dialects.NewRegistry())
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := dialegg.NewOptimizer(dialegg.Options{
+					RuleSources: w.rules,
+					RunConfig:   egraph.RunConfig{Workers: workers, ProfileSample: sample},
+				})
+				rep, err := opt.OptimizeModule(m)
+				if err != nil {
+					t.Fatalf("%s: %v", w.name, err)
+				}
+				var b []byte
+				for _, rs := range rep.Run.Selectivity {
+					line, err := json.Marshal(rs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					b = append(append(b, line...), '\n')
+				}
+				if ref == nil {
+					ref = b
+					fmt.Fprintf(&got, "== %s sample %d\n%s", w.name, sample, b)
+				} else if !bytes.Equal(b, ref) {
+					t.Errorf("%s sample %d: selectivity at %d workers differs from 1 worker", w.name, sample, workers)
+				}
+			}
+		}
+	}
+	path := filepath.Join("testdata", "selectivity.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("selectivity differs from %s (regenerate with -update only when the counters are meant to change)", path)
+	}
+}

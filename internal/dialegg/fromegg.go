@@ -235,6 +235,11 @@ type Decoder struct {
 	g      *egraph.EGraph
 	ex     *egraph.Extractor
 	codecs *Codecs
+	// types memoizes Type by canonical class: most ops of a function
+	// share a few result-type classes, so the ops decoded from one class
+	// share its mlir.Type, a RankedTensorType's Shape slice included.
+	// Nothing outside tests writes a Shape slice in place.
+	types map[uint64]mlir.Type
 }
 
 // I64 reads an i64 argument.
@@ -263,8 +268,25 @@ func (d *Decoder) errorf(format string, v egraph.Value) error {
 	return fmt.Errorf(format, term)
 }
 
-// Type decodes the Type class of v.
+// Type decodes the Type class of v, once per class.
 func (d *Decoder) Type(v egraph.Value) (mlir.Type, error) {
+	cls := d.g.Find(v).Bits
+	if t, ok := d.types[cls]; ok {
+		return t, nil
+	}
+	t, err := d.decodeType(v)
+	if err != nil {
+		return nil, err
+	}
+	if d.types == nil {
+		d.types = make(map[uint64]mlir.Type)
+	}
+	d.types[cls] = t
+	return t, nil
+}
+
+// decodeType decodes the Type class of v from its chosen node.
+func (d *Decoder) decodeType(v egraph.Value) (mlir.Type, error) {
 	fn, args, err := d.chosen(v)
 	if err != nil {
 		return nil, err

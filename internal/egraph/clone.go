@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"maps"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"dialegg/internal/obs/journal"
 )
@@ -61,39 +59,38 @@ func (g *EGraph) Clone() *EGraph {
 // argument blocks (Rebuild re-canonicalizes them in place); the
 // as-inserted blocks are never written after insert and stay shared,
 // clipped so that the clone's inserts copy them. Column indexes start
-// empty and are rebuilt on demand. The tables, their column slots, their
-// row indexes and the argument blocks are each carved from one
+// empty, with no storage: clones of one graph run concurrently, so each
+// builds its indexes into storage of its own. The tables, their columns,
+// their row indexes and the argument blocks are each carved from one
 // allocation.
 func cloneTables(src []*table) []*table {
-	cols, slots, nargs := 0, 0, 0
+	ncols, slots, nargs := 0, 0, 0
 	for _, t := range src {
-		cols += len(t.argIndex)
+		ncols += len(t.cols)
 		slots += len(t.index)
 		nargs += len(t.args)
 	}
 	tabs := make([]table, len(src))
-	idx := make([]atomic.Pointer[colIndex], cols)
-	mus := make([]sync.Mutex, cols)
+	cols := make([]column, ncols)
 	index := make([]int32, 0, slots)
 	args := make([]Value, 0, nargs)
 	out := make([]*table, len(src))
 	for i, t := range src {
 		c := &tabs[i]
-		n := len(t.argIndex)
+		n := len(t.cols)
 		*c = table{
-			arity:      t.arity,
-			rows:       slices.Clone(t.rows),
-			used:       t.used,
-			live:       t.live,
-			trackOrig:  t.trackOrig,
-			orig:       slices.Clip(t.orig),
-			origFrom:   t.origFrom,
-			argIndex:   idx[:n:n],
-			argIndexMu: mus[:n:n],
-			pending:    slices.Clone(t.pending),
-			frontier:   slices.Clone(t.frontier),
+			arity:     t.arity,
+			rows:      slices.Clone(t.rows),
+			used:      t.used,
+			live:      t.live,
+			trackOrig: t.trackOrig,
+			orig:      slices.Clip(t.orig),
+			origFrom:  t.origFrom,
+			cols:      cols[:n:n],
+			pending:   slices.Clone(t.pending),
+			frontier:  slices.Clone(t.frontier),
 		}
-		idx, mus = idx[n:], mus[n:]
+		cols = cols[n:]
 		at := len(index)
 		index = append(index, t.index...)
 		c.index = index[at:len(index):len(index)]

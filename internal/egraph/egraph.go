@@ -661,11 +661,10 @@ func (g *EGraph) Rebuild() int {
 			break
 		}
 	}
-	// Rows were re-canonicalized; the per-argument match indexes are
-	// stale, and tables dominated by tombstones are worth compacting.
+	// Tables dominated by tombstones are worth compacting. rebuildTable
+	// marked stale the column indexes of each table whose rows it changed.
 	for _, t := range g.tables {
 		t.maybeCompact()
-		t.invalidateArgIndex()
 	}
 	g.dirty = false
 	if g.journal != nil {
@@ -676,12 +675,16 @@ func (g *EGraph) Rebuild() int {
 }
 
 // Clean reports whether no unions happened since the last Rebuild, i.e.
-// every stored row is canonical (the e-matching fast paths rely on this).
+// every stored row is canonical (matching requires it).
 func (g *EGraph) Clean() bool { return !g.dirty }
 
+// rebuildTable re-canonicalizes f's rows once and merges the rows that
+// collide; it reports whether a row's arguments changed. A table whose
+// rows it re-keys, re-points (outCanon) or kills has its column indexes
+// marked stale; the others keep theirs.
 func (g *EGraph) rebuildTable(f *Function) bool {
 	t := g.tab(f)
-	changed := false
+	changed, moved := false, false
 	for i := range t.rows {
 		r := &t.rows[i]
 		if r.dead {
@@ -705,11 +708,12 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 		if oc := g.Find(r.out).Bits; oc != r.outCanon {
 			r.outCanon = oc
 			t.touch(i, g.epoch)
+			moved = true
 		}
 		if !stale {
 			continue
 		}
-		changed = true
+		changed, moved = true, true
 		t.touch(i, g.epoch)
 		// A stale entry of row i itself can lie on its new key's probe
 		// path; returning it would hide a congruence, so skip i.
@@ -754,6 +758,9 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 		} else {
 			t.addEntry(i)
 		}
+	}
+	if moved {
+		t.invalidateArgIndex()
 	}
 	return changed
 }

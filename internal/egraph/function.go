@@ -119,23 +119,98 @@ func (r *row) keepCheaper(cost int64) bool {
 	return true
 }
 
-// colIndex lists, for one column of a table, the rows holding each
-// canonical value: spans maps the value's bits to its run of rows, a
-// contiguous ascending stretch of the one flat rows block. Neither part
-// holds a pointer, so an index costs no allocation per value and the GC
-// scans nothing inside it.
+// colIndex lists, for one column of a table, the live rows holding each
+// canonical value. slots is an open-addressed hash table, probed linearly
+// from hashBits of the value, whose entries name each value's run of
+// rows: a contiguous ascending stretch of the one flat rows block. An
+// entry with n == 0 is empty. Neither part holds a pointer. A change to
+// the table's rows marks the index stale, and building the column again
+// refills both parts in place, so an index allocates only when its table
+// has outgrown it.
 type colIndex struct {
-	spans map[uint64]span
+	slots []colSlot
 	rows  []int32
+	stale atomic.Bool
 }
 
-// span is the stretch rows[off:off+n] of a colIndex.
-type span struct{ off, n int32 }
+// colSlot is one entry of a colIndex: the value's bits and its stretch
+// rows[off:off+n].
+type colSlot struct {
+	bits   uint64
+	off, n int32
+}
 
 // rowsOf returns the ascending slots of the rows holding bits.
 func (c *colIndex) rowsOf(bits uint64) []int32 {
-	s := c.spans[bits]
+	s := c.slot(bits)
 	return c.rows[s.off : s.off+s.n : s.off+s.n]
+}
+
+// slot returns the entry of bits, or the empty entry its probe ends at.
+func (c *colIndex) slot(bits uint64) *colSlot {
+	mask := uint64(len(c.slots) - 1)
+	i := hashBits(hashSeed, bits) & mask
+	for c.slots[i].n != 0 && c.slots[i].bits != bits {
+		i = (i + 1) & mask
+	}
+	return &c.slots[i]
+}
+
+// fill indexes column col of t, reusing c's storage. slots gets at least
+// twice as many entries as t has live rows, so it is at most half full.
+// Each value's rows are counted, the stretches laid out back to back with
+// off at each stretch's end, then every stretch is filled from its end
+// walking the rows backwards, which leaves off at its start and its rows
+// ascending.
+func (c *colIndex) fill(t *table, col int) {
+	n := 8
+	for n < 2*t.live {
+		n *= 2
+	}
+	if cap(c.slots) >= n {
+		c.slots = c.slots[:n]
+		clear(c.slots)
+	} else {
+		c.slots = make([]colSlot, n)
+	}
+	for r := range t.rows {
+		if !t.rows[r].dead {
+			b := t.colBits(r, col)
+			s := c.slot(b)
+			s.bits = b
+			s.n++
+		}
+	}
+	var end int32
+	for i := range c.slots {
+		if c.slots[i].n != 0 {
+			end += c.slots[i].n
+			c.slots[i].off = end
+		}
+	}
+	c.rows = slices.Grow(c.rows[:0], int(end))[:end]
+	for r := len(t.rows) - 1; r >= 0; r-- {
+		if !t.rows[r].dead {
+			s := c.slot(t.colBits(r, col))
+			s.off--
+			c.rows[s.off] = int32(r)
+		}
+	}
+}
+
+// column is the match index of one column of a table (nil until its
+// first build) and the mutex a build takes.
+type column struct {
+	index atomic.Pointer[colIndex]
+	mu    sync.Mutex
+}
+
+// ready returns the column's index when it is built and not stale.
+func (c *column) ready() *colIndex {
+	if p := c.index.Load(); p != nil && !p.stale.Load() {
+		return p
+	}
+	return nil
 }
 
 // table stores the rows of one function with an index from the canonical
@@ -160,12 +235,13 @@ func (c *colIndex) rowsOf(bits uint64) []int32 {
 // exceeds half the index; a grow rehashes live rows only. Like the rows,
 // the index is written only in serial phases and read by match workers.
 //
-// argIndex (built lazily per column, invalidated by unions and refreshed
-// after Rebuild) maps a canonical value to the rows holding it
-// (colIndex), accelerating partially-bound e-matching joins. Position
-// Arity() is the output column, keyed by outCanon. Each slot is an atomic
-// pointer with a per-position build mutex, so concurrent match workers
-// racing on different columns never serialize on each other.
+// cols holds each column's match index (built lazily, marked stale by
+// inserts, Set and a Rebuild that changes a row), which lists the rows
+// holding a canonical value (colIndex) for index-probe steps. Position
+// Arity() is the output column, keyed by outCanon. Each column publishes
+// its index through an atomic pointer and builds under its own mutex, so
+// concurrent match workers racing on different columns never serialize
+// on each other. A stale index keeps its storage for the next build.
 //
 // pending accumulates rows touched during the current epoch (deduplicated
 // via row.stamp); rotateFrontier moves them into frontier, the sorted
@@ -183,19 +259,14 @@ type table struct {
 	orig      []Value
 	origFrom  int
 
-	argIndex   []atomic.Pointer[colIndex]
-	argIndexMu []sync.Mutex
+	cols []column
 
 	pending  []int32
 	frontier []int32
 }
 
 func newTable(arity int) *table {
-	return &table{
-		arity:      arity,
-		argIndex:   make([]atomic.Pointer[colIndex], arity+1),
-		argIndexMu: make([]sync.Mutex, arity+1),
-	}
+	return &table{arity: arity, cols: make([]column, arity+1)}
 }
 
 // argsOf returns row r's argument tuple: a window into the flat block,
@@ -226,12 +297,23 @@ func (t *table) recordOrig() {
 	}
 }
 
-// invalidateArgIndex drops the per-column indexes (after unions/inserts).
-// Only called from serial phases (insert, apply, Rebuild), never
-// concurrently with match-phase builds.
+// colBits returns the canonical bits of column col of row r: an argument,
+// or the output's class when col == t.arity.
+func (t *table) colBits(r, col int) uint64 {
+	if col < t.arity {
+		return t.args[r*t.arity+col].Bits
+	}
+	return t.rows[r].outCanon
+}
+
+// invalidateArgIndex marks the column indexes stale; they keep their
+// storage. Only called from serial phases (insert, Set, apply, Rebuild),
+// never concurrently with match-phase builds.
 func (t *table) invalidateArgIndex() {
-	for i := range t.argIndex {
-		t.argIndex[i].Store(nil)
+	for i := range t.cols {
+		if p := t.cols[i].index.Load(); p != nil {
+			p.stale.Store(true)
+		}
 	}
 }
 
@@ -240,51 +322,23 @@ func (t *table) invalidateArgIndex() {
 // must be canonical (right after Rebuild). Safe for concurrent callers;
 // racers on different columns do not contend.
 func (t *table) buildArgIndex(i int) *colIndex {
-	if p := t.argIndex[i].Load(); p != nil {
+	c := &t.cols[i]
+	if p := c.ready(); p != nil {
 		return p
 	}
-	t.argIndexMu[i].Lock()
-	defer t.argIndexMu[i].Unlock()
-	if p := t.argIndex[i].Load(); p != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.ready(); p != nil {
 		return p
 	}
-	bits := func(r int) uint64 {
-		if i < t.arity {
-			return t.args[r*t.arity+i].Bits
-		}
-		return t.rows[r].outCanon
+	p := c.index.Load()
+	if p == nil {
+		p = new(colIndex)
 	}
-	// Count each value's rows, lay the spans out back to back with off at
-	// each span's end, then fill every span from its end walking the rows
-	// backwards, which leaves off at the span's start and the rows in it
-	// ascending.
-	spans := make(map[uint64]span, t.live)
-	for r := range t.rows {
-		if !t.rows[r].dead {
-			b := bits(r)
-			s := spans[b]
-			s.n++
-			spans[b] = s
-		}
-	}
-	var end int32
-	for b, s := range spans {
-		end += s.n
-		s.off = end
-		spans[b] = s
-	}
-	idx := &colIndex{spans: spans, rows: make([]int32, end)}
-	for r := len(t.rows) - 1; r >= 0; r-- {
-		if !t.rows[r].dead {
-			b := bits(r)
-			s := spans[b]
-			s.off--
-			idx.rows[s.off] = int32(r)
-			spans[b] = s
-		}
-	}
-	t.argIndex[i].Store(idx)
-	return idx
+	p.fill(t, i)
+	p.stale.Store(false)
+	c.index.Store(p)
+	return p
 }
 
 // touch records that row i changed during epoch: semi-naive matching must
@@ -318,7 +372,8 @@ func (t *table) rotateFrontier() int {
 const compactMinDead = 64
 
 // maybeCompact rewrites the table without dead rows once they outnumber
-// live ones, moving each kept row's argument tuple along with it.
+// live ones, moving each kept row's argument tuple along with it, and
+// marks the column indexes stale, since they name row slots.
 // Relative row order is preserved (scan order, and therefore match order,
 // is unchanged); pending is remapped and the frontier is dropped (it is
 // rebuilt by the next rotation before any delta match). Disabled under
@@ -345,6 +400,7 @@ func (t *table) maybeCompact() {
 	t.rows = t.rows[:w]
 	t.args = t.args[:w*t.arity]
 	t.reindex()
+	t.invalidateArgIndex()
 	pending := t.pending[:0]
 	for _, ri := range t.pending {
 		if ni := remap[ri]; ni >= 0 {
@@ -362,14 +418,20 @@ func (t *table) maybeCompact() {
 var hashSeed = rand.Uint64()
 
 // hashArgs hashes the bits of an argument tuple, folding in one value at a
-// time with a 64×64→128-bit multiply (the mix wyhash uses).
+// time (hashBits).
 func hashArgs(args []Value) uint64 {
 	h := hashSeed
 	for _, a := range args {
-		hi, lo := bits.Mul64(h^a.Bits, 0x9e3779b97f4a7c15)
-		h = hi ^ lo
+		h = hashBits(h, a.Bits)
 	}
 	return h
+}
+
+// hashBits folds b into the hash h with a 64×64→128-bit multiply (the mix
+// wyhash uses).
+func hashBits(h, b uint64) uint64 {
+	hi, lo := bits.Mul64(h^b, 0x9e3779b97f4a7c15)
+	return hi ^ lo
 }
 
 // sameBits reports whether two tuples of one function's arguments hold

@@ -14,7 +14,7 @@ import (
 // chan) anywhere inside either type fails the test, as does a Value wider
 // than 16 bytes.
 func TestStorageHoldsNoPointer(t *testing.T) {
-	for _, typ := range []reflect.Type{reflect.TypeOf(Value{}), reflect.TypeOf(row{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(Value{}), reflect.TypeOf(row{}), reflect.TypeOf(colSlot{})} {
 		if path, ok := pointerPath(typ, typ.Name()); ok {
 			t.Errorf("%s carries a pointer at %s", typ.Name(), path)
 		}

@@ -2,8 +2,9 @@ package egraph
 
 // Tests for the builtin merge functions (the lattice operations behind
 // analysis tables) and for the per-argument match indexes: they must be
-// dropped by Rebuild after unions and rebuilt over canonical rows,
-// including the output-column index keyed by outCanon.
+// dropped by a Rebuild that changes their table's rows and rebuilt over
+// canonical rows, including the output-column index keyed by outCanon,
+// and a rebuilt index refills the storage of the one it replaces.
 
 import (
 	"sync"
@@ -118,7 +119,7 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 	tab := g.tab(l.Add)
 	idx := tab.buildArgIndex(0)
 	if len(idx.rowsOf(g.Find(a).Bits)) != 1 || len(idx.rowsOf(g.Find(c).Bits)) != 1 {
-		t.Fatalf("fresh col-0 index: %v", idx.spans)
+		t.Fatalf("fresh col-0 index lists %d values", idx.values())
 	}
 	oldRootA, oldRootC := g.Find(a).Bits, g.Find(c).Bits
 
@@ -126,18 +127,18 @@ func TestArgIndexRefreshAfterUnion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// While dirty, the cached index is stale (it still keys the old
-	// roots); the match engine's Clean() gate refuses it. Rebuild must
-	// drop every cached column.
+	// roots), and matching refuses a dirty graph. Rebuild must drop every
+	// cached column of a table whose rows it changed.
 	g.Rebuild()
-	for i := range tab.argIndex {
-		if tab.argIndex[i].Load() != nil {
+	for i := range tab.cols {
+		if tab.cols[i].ready() != nil {
 			t.Fatalf("column %d index survived Rebuild", i)
 		}
 	}
 	idx = tab.buildArgIndex(0)
 	root := g.Find(a).Bits
 	if len(idx.rowsOf(root)) != 2 {
-		t.Fatalf("rebuilt col-0 index has %d rows under root %d, want 2 (index %v)", len(idx.rowsOf(root)), root, idx.spans)
+		t.Fatalf("rebuilt col-0 index has %d rows under root %d, want 2", len(idx.rowsOf(root)), root)
 	}
 	loser := oldRootA
 	if root == oldRootA {
@@ -192,8 +193,65 @@ func TestArgIndexConcurrentBuild(t *testing.T) {
 	}
 	wg.Wait()
 	for w := 3; w < 16; w++ {
-		if len(results[w].spans) != len(results[w%3].spans) {
-			t.Fatalf("racing builders for column %d disagree: %d vs %d keys", w%3, len(results[w].spans), len(results[w%3].spans))
+		if results[w] != results[w%3] {
+			t.Fatalf("racing builders for column %d got different indexes", w%3)
 		}
 	}
+}
+
+// TestRebuildKeepsUntouchedIndexes: Rebuild drops the column indexes of
+// a table whose rows it re-keys or re-points, and keeps those of a table
+// it leaves alone; a dropped index keeps its storage, which the next
+// build refills without allocating.
+func TestRebuildKeepsUntouchedIndexes(t *testing.T) {
+	l := newExprLang(t)
+	g := l.g
+	a, b, c := l.num(t, 1), l.num(t, 2), l.num(t, 3)
+	for i := int64(0); i < 20; i++ {
+		l.app(t, l.Mul, l.num(t, 10+i), l.num(t, 40+i))
+	}
+	l.app(t, l.Add, a, c)
+	l.app(t, l.Add, b, c)
+	g.Rebuild()
+	add, mul := g.tab(l.Add), g.tab(l.Mul)
+	addIdx, mulIdx := add.buildArgIndex(0), mul.buildArgIndex(0)
+	if _, err := g.Union(a, b); err != nil {
+		t.Fatal(err)
+	}
+	g.Rebuild()
+	if mul.cols[0].ready() != mulIdx {
+		t.Error("Rebuild dropped the index of a table whose rows it did not change")
+	}
+	if add.cols[0].ready() != nil {
+		t.Fatal("Rebuild kept the index of a table whose rows it re-keyed")
+	}
+	if n := testing.AllocsPerRun(1, func() {
+		add.invalidateArgIndex()
+		if add.buildArgIndex(0) != addIdx {
+			t.Fatal("a rebuilt index moved out of its column's storage")
+		}
+	}); n != 0 {
+		t.Errorf("rebuilding an index into its storage made %.0f allocations, want 0", n)
+	}
+	if rows := addIdx.rowsOf(g.Find(a).Bits); len(rows) != 1 {
+		t.Errorf("rebuilt index lists %d rows under the merged class, want 1", len(rows))
+	}
+	clone := g.Clone()
+	cols := clone.tab(l.Add).cols
+	for i := range cols {
+		if cols[i].index.Load() != nil {
+			t.Fatalf("clone's column %d starts with index storage", i)
+		}
+	}
+}
+
+// values counts the distinct values c indexes.
+func (c *colIndex) values() int {
+	n := 0
+	for _, s := range c.slots {
+		if s.n != 0 {
+			n++
+		}
+	}
+	return n
 }

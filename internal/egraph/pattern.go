@@ -155,58 +155,10 @@ func (r *Rule) planOf() *rulePlan {
 	return &r.plan
 }
 
-// bindings is the mutable state of one query execution. A match worker
-// keeps one for all its tasks.
-type bindings struct {
-	vals  []Value
-	bound []bool
-}
-
-// reset sizes b to n slots, all unbound and zero.
-func (b *bindings) reset(n int) {
-	b.vals = slices.Grow(b.vals[:0], n)[:n]
-	b.bound = slices.Grow(b.bound[:0], n)[:n]
-	clear(b.vals)
-	clear(b.bound)
-}
-
-// match unifies an atom with a value; returns (undoSlot, ok) where
-// undoSlot >= 0 means the slot was freshly bound and must be unbound on
-// backtrack. Comparisons canonicalize both sides; fresh bindings keep the
-// value as given, so matched rows contribute their original e-node
-// identities (which proof production preserves into union justifications).
-func (b *bindings) match(g *EGraph, a Atom, v Value) (int, bool) {
-	switch a.Kind {
-	case AtomVar:
-		if b.bound[a.Slot] {
-			return -1, g.Find(b.vals[a.Slot]).Bits == g.Find(v).Bits && b.vals[a.Slot].sort == v.sort
-		}
-		b.vals[a.Slot] = v
-		b.bound[a.Slot] = true
-		return a.Slot, true
-	case AtomLit:
-		return -1, a.Lit.sort == v.sort && g.Find(a.Lit).Bits == g.Find(v).Bits
-	default:
-		return -1, false
-	}
-}
-
-func (b *bindings) get(g *EGraph, a Atom) (Value, bool) {
-	switch a.Kind {
-	case AtomVar:
-		if !b.bound[a.Slot] {
-			return Value{}, false
-		}
-		return g.Find(b.vals[a.Slot]), true
-	case AtomLit:
-		return g.Find(a.Lit), true
-	default:
-		return Value{}, false
-	}
-}
-
 // Match runs the rule's query and calls yield with a snapshot of the
-// bindings for every match. yield returning false stops the search.
+// bindings for every match. yield returning false stops the search. The
+// graph must be rebuilt since its last union (Clean): matching compares
+// the canonical bits rows hold.
 func (g *EGraph) Match(r *Rule, yield func(binds []Value) bool) error {
 	return g.matchShard(r, 0, -1, yield)
 }
@@ -215,10 +167,9 @@ func (g *EGraph) Match(r *Rule, yield func(binds []Value) bool) error {
 // first premise's table scan (hi < 0 means unrestricted). Partitioning
 // [0, n) into contiguous ascending shards and concatenating their yields
 // in shard order reproduces Match's sequence exactly, which is what makes
-// the parallel match phase deterministic. First premises that do not scan
-// — a fully-bound direct lookup, an indexed scan, or a primitive
-// evaluation — run entirely in the shard with lo == 0 and yield nothing
-// elsewhere.
+// the parallel match phase deterministic. First steps that do not scan
+// — a direct lookup, an index probe, or a primitive evaluation — run
+// entirely in the shard with lo == 0 and yield nothing elsewhere.
 func (g *EGraph) matchShard(r *Rule, lo, hi int, yield func(binds []Value) bool) error {
 	var m matchRun
 	m.reset(g, r, r.planOf(), matchSpec{deltaOrd: -1})
@@ -241,152 +192,269 @@ func (g *EGraph) firstPremiseScan(r *Rule) (scanLen, live int) {
 	return 0, 0
 }
 
-// rulePlan is what matching a rule needs beyond the rule itself. It is
-// built once per rule (Rule.planOf) and only read afterwards.
+// rulePlan is a rule's compiled query: the full query and each semi-naive
+// sub-query as a flat list of steps. It is built once per rule
+// (Rule.planOf) and only read afterwards.
 type rulePlan struct {
 	// tables lists the indices of the table premises in premise order.
 	// The position of an index is the premise's table ordinal, the
-	// coordinate system of semi-naive sub-queries and match keys; ord
-	// maps back from premise index to ordinal (-1 for eval premises).
+	// coordinate system of semi-naive sub-queries and match keys.
 	tables []int
-	ord    []int
-	// full is the full query's evaluation order (declared order), and
-	// delta[s] the order of sub-query s after its hoisted delta premise
-	// (deltaSeq).
-	full  []int
-	delta [][]int
+	// full runs the premises in declared order. delta[s] is sub-query s:
+	// a scan of table premise s's frontier, then the other premises in
+	// the order compile picks.
+	full  []step
+	delta [][]step
+	// lits holds the literal atoms the steps read. A run resolves them
+	// once (matchRun.lits): an eq-sort literal's class can be merged after
+	// the plan is built.
+	lits []Value
 	// slots is the number of query slots: one past the highest slot a
 	// premise binds. A stored match keeps these; the slots past them
 	// belong to action lets.
 	slots int
 }
 
+// stepKind is a step's access path.
+type stepKind uint8
+
+// The first four are in the order a sub-query prefers them (compile).
+const (
+	// stepEval applies a primitive to bound values.
+	stepEval stepKind = iota
+	// stepLookup finds the one row whose arguments are all bound.
+	stepLookup
+	// stepProbe visits the rows holding a bound column's value, through
+	// the index of whichever bound column lists the fewest rows.
+	stepProbe
+	// stepScan visits every row of the table (no column is bound).
+	stepScan
+	// stepFrontier visits the table's delta frontier: it opens a
+	// sub-query.
+	stepFrontier
+)
+
+// step is one premise of a compiled query. Which of the premise's
+// columns are bound on entry is fixed by the steps before it, and with it
+// the step's access path and what it does with each column of a row.
+type step struct {
+	kind stepKind
+	// prem is the premise's declared index, which keys its selectivity
+	// counters.
+	prem int
+	// fn is a table step's function and ord its table ordinal. old
+	// restricts the step to rows stamped before the iteration's delta: its
+	// ordinal is below the sub-query's.
+	fn  *Function
+	ord int
+	old bool
+	// keys lists a table step's columns bound on entry, in column order
+	// (arguments, then the output at Arity()), and where their values
+	// come from: a lookup's key is its first Arity() keys, a probe picks
+	// its candidates among them.
+	keys []colKey
+	// ops matches a row's columns: first the columns bound on entry, then
+	// the rest in column order. A lookup has only its output's op, since
+	// the lookup matched its arguments. An eval step's one op is its
+	// output's.
+	ops []colOp
+	// prim and in are an eval step's primitive and its arguments' sources;
+	// unbound is the first argument no earlier step binds (-1: none),
+	// which makes reaching the step an error.
+	prim    *Prim
+	in      []int32
+	unbound int
+}
+
+// colKey is a column bound on entry and its source: a query slot
+// (src >= 0) or literal ^src of the plan.
+type colKey struct{ col, src int32 }
+
+// opKind is what a step does with one column of a row.
+type opKind uint8
+
+const (
+	// opBind stores the value in a slot no earlier column bound.
+	opBind opKind = iota
+	// opCheck requires the value to equal a bound slot's.
+	opCheck
+	// opLit requires the value to equal a literal (arg is its index).
+	opLit
+)
+
+// colOp is one column's op: col is the column (Arity() is the output)
+// and arg the slot, or the literal index of an opLit.
+type colOp struct {
+	kind     opKind
+	col, arg int32
+}
+
 // planRule builds r's plan.
 func planRule(r *Rule) rulePlan {
-	n := len(r.Premises)
-	p := rulePlan{tables: make([]int, 0, n), ord: make([]int, n), full: make([]int, n)}
-	bind := func(a Atom) {
-		if a.Kind == AtomVar {
-			p.slots = max(p.slots, a.Slot+1)
-		}
-	}
+	var p rulePlan
+	ord := make([]int, len(r.Premises))
 	for i, pr := range r.Premises {
-		p.full[i], p.ord[i] = i, -1
+		ord[i] = -1
 		switch pr := pr.(type) {
 		case *TablePremise:
-			p.ord[i] = len(p.tables)
+			ord[i] = len(p.tables)
 			p.tables = append(p.tables, i)
 			for _, a := range pr.Args {
-				bind(a)
+				p.noteSlot(a)
 			}
-			bind(pr.Out)
+			p.noteSlot(pr.Out)
 		case *EvalPremise:
-			bind(pr.Out)
+			p.noteSlot(pr.Out)
 		}
 	}
-	p.delta = make([][]int, len(p.tables))
-	for s, i := range p.tables {
-		p.delta[s] = deltaSeq(r, i)
+	p.full = p.compile(r, ord, -1)
+	p.delta = make([][]step, len(p.tables))
+	for s := range p.tables {
+		p.delta[s] = p.compile(r, ord, s)
 	}
 	return p
 }
 
-// deltaSeq plans the evaluation order for the semi-naive sub-query that
-// hoists premise `hoist` to the front: the remaining premises, greedily
-// ordered so each step prefers the cheapest access path given the
-// variables bound so far — a schedulable primitive evaluation, then a
-// fully-bound direct lookup, then an indexed scan (some argument or the
-// output determined), and a full table scan only when nothing connects.
-// Without this, hoisting a late premise would leave the rule's leading
+// noteSlot counts a's slot among the query slots.
+func (p *rulePlan) noteSlot(a Atom) {
+	if a.Kind == AtomVar {
+		p.slots = max(p.slots, a.Slot+1)
+	}
+}
+
+// compile builds the steps of r's full query (sub < 0), which evaluates
+// the premises in declared order, or of sub-query sub, which scans the
+// frontier of table ordinal sub and then takes, at each step, the premise
+// with the cheapest access path given the slots bound so far: a primitive
+// whose inputs are bound, then a direct lookup, then an index probe, and a
+// full scan only when nothing connects; ties go to declared order. Without
+// that order, hoisting a late premise would leave the rule's leading
 // premises unconstrained and re-scan their whole tables once per frontier
 // row. Reordering a conjunctive query never changes its match set, only
-// the enumeration order, which the runner's key sort restores; primitive
-// premises are only scheduled once their inputs are bound, so the
-// declared-order binding contract still holds. Ties break toward declared
-// order, keeping the plan deterministic.
-func deltaSeq(r *Rule, hoist int) []int {
+// the enumeration order, which the runner's key sort restores. ord maps a
+// premise index to its table ordinal.
+func (p *rulePlan) compile(r *Rule, ord []int, sub int) []step {
 	bound := make([]bool, r.NumSlots)
-	bind := func(a Atom) {
-		if a.Kind == AtomVar {
-			bound[a.Slot] = true
-		}
-	}
-	known := func(a Atom) bool {
-		return a.Kind == AtomLit || bound[a.Slot]
-	}
-	bindPremise := func(p Premise) {
-		switch p := p.(type) {
-		case *TablePremise:
-			for _, a := range p.Args {
-				bind(a)
-			}
-			bind(p.Out)
+	known := func(a Atom) bool { return a.Kind == AtomLit || bound[a.Slot] }
+	unknown := func(a Atom) bool { return !known(a) }
+	// path is the access path premise i takes with the slots bound so far;
+	// a primitive with an unbound input is not ready to run.
+	path := func(i int) (kind stepKind, ready bool) {
+		switch pr := r.Premises[i].(type) {
 		case *EvalPremise:
-			bind(p.Out)
+			return stepEval, !slices.ContainsFunc(pr.Args, unknown)
+		case *TablePremise:
+			switch {
+			case !slices.ContainsFunc(pr.Args, unknown):
+				return stepLookup, true
+			case known(pr.Out) || slices.ContainsFunc(pr.Args, known):
+				return stepProbe, true
+			}
 		}
+		return stepScan, true
 	}
-	bindPremise(r.Premises[hoist])
-
 	used := make([]bool, len(r.Premises))
-	used[hoist] = true
-	seq := make([]int, 0, len(r.Premises)-1)
-	for len(seq) < len(r.Premises)-1 {
-		best, bestScore := -1, 99
-		for i, p := range r.Premises {
+	// next picks the premise of step k.
+	next := func(k int) int {
+		switch {
+		case sub < 0:
+			return k
+		case k == 0:
+			return p.tables[sub]
+		}
+		best, bestKind := -1, stepScan+1
+		for i := range r.Premises {
 			if used[i] {
 				continue
 			}
-			score := 99
-			switch p := p.(type) {
-			case *EvalPremise:
-				ready := true
-				for _, a := range p.Args {
-					if !known(a) {
-						ready = false
-						break
-					}
-				}
-				if !ready {
-					continue // inputs not bound yet; cannot run here
-				}
-				score = 0
-			case *TablePremise:
-				argsKnown, anyKnown := true, false
-				for _, a := range p.Args {
-					if known(a) {
-						anyKnown = true
-					} else {
-						argsKnown = false
-					}
-				}
-				switch {
-				case argsKnown:
-					score = 1 // direct hash lookup
-				case anyKnown || known(p.Out):
-					score = 2 // per-column index
-				default:
-					score = 3 // full scan
-				}
-			}
-			if score < bestScore {
-				bestScore, best = score, i
+			if kind, ready := path(i); ready && kind < bestKind {
+				best, bestKind = i, kind
 			}
 		}
 		if best < 0 {
-			// Unreachable for well-formed rules (declared order is a valid
-			// schedule), but fall back to declared order rather than spin.
-			for i := range r.Premises {
-				if !used[i] {
-					best = i
-					break
+			// Only primitives with unbound inputs are left: take them in
+			// declared order, and reaching one is an error.
+			best = slices.Index(used, false)
+		}
+		return best
+	}
+	// key names the source of column col's atom, which is bound on entry.
+	key := func(col int, a Atom) colKey {
+		if a.Kind == AtomLit {
+			p.lits = append(p.lits, a.Lit)
+			return colKey{col: int32(col), src: ^int32(len(p.lits) - 1)}
+		}
+		return colKey{col: int32(col), src: int32(a.Slot)}
+	}
+	// check compiles a column bound on entry: compare with its source.
+	check := func(k colKey) colOp {
+		if k.src < 0 {
+			return colOp{kind: opLit, col: k.col, arg: ^k.src}
+		}
+		return colOp{kind: opCheck, col: k.col, arg: k.src}
+	}
+	// bind compiles a column whose variable is unbound on entry: the
+	// first such column of the variable binds it, the rest compare.
+	bind := func(col int, a Atom) colOp {
+		if bound[a.Slot] {
+			return colOp{kind: opCheck, col: int32(col), arg: int32(a.Slot)}
+		}
+		bound[a.Slot] = true
+		return colOp{kind: opBind, col: int32(col), arg: int32(a.Slot)}
+	}
+	steps := make([]step, len(r.Premises))
+	for k := range steps {
+		i := next(k)
+		used[i] = true
+		st := &steps[k]
+		st.prem = i
+		st.kind, _ = path(i)
+		switch pr := r.Premises[i].(type) {
+		case *EvalPremise:
+			st.prim, st.unbound = pr.Prim, -1
+			for j, a := range pr.Args {
+				if !known(a) {
+					if st.unbound < 0 {
+						st.unbound = j
+					}
+					st.in = append(st.in, 0)
+					continue
+				}
+				st.in = append(st.in, key(j, a).src)
+			}
+			if known(pr.Out) {
+				st.ops = []colOp{check(key(0, pr.Out))}
+			} else {
+				st.ops = []colOp{bind(0, pr.Out)}
+			}
+		case *TablePremise:
+			st.fn, st.ord = pr.Fn, ord[i]
+			st.old = sub >= 0 && st.ord < sub
+			if k == 0 && sub >= 0 {
+				st.kind = stepFrontier
+			}
+			cols := append(slices.Clip(pr.Args), pr.Out)
+			entry := make([]bool, len(cols))
+			for j, a := range cols {
+				if entry[j] = known(a); entry[j] {
+					st.keys = append(st.keys, key(j, a))
+				}
+			}
+			// The columns bound on entry filter first; a lookup has
+			// matched its arguments already.
+			for _, c := range st.keys {
+				if st.kind != stepLookup || int(c.col) == len(pr.Args) {
+					st.ops = append(st.ops, check(c))
+				}
+			}
+			for j, a := range cols {
+				if !entry[j] {
+					st.ops = append(st.ops, bind(j, a))
 				}
 			}
 		}
-		seq = append(seq, best)
-		used[best] = true
-		bindPremise(r.Premises[best])
 	}
-	return seq
+	return steps
 }
 
 var errStopMatch = fmt.Errorf("egraph: match stopped")
@@ -412,7 +480,7 @@ var errStopMatch = fmt.Errorf("egraph: match stopped")
 // sel, when non-nil, turns on sampled selectivity collection: every
 // sel.every-th top-level row (by global scan/frontier index, so shard
 // boundaries do not change what is sampled) opens a traced sub-tree in
-// which every premise execution is counted.
+// which every step execution is counted.
 type matchSpec struct {
 	deltaOrd int
 	minStamp uint64
@@ -422,14 +490,22 @@ type matchSpec struct {
 
 // matchRun is the state of one shard's query execution. A match worker
 // reuses one for all its tasks (reset), keeping its buffers.
+//
+// Each slot a step binds holds the value as its row stores it (vals: a
+// row's output keeps its original e-node, which proofs anchor at) and
+// that value's canonical bits (canon), which later steps compare. A slot
+// is bound by one step only and read only after it, so backtracking
+// needs no undo.
 type matchRun struct {
-	g       *EGraph
-	r       *Rule
-	plan    *rulePlan
-	spec    matchSpec
-	hoist   int   // premise index of the delta premise; -1 for full match
-	seq     []int // evaluation order: premise indices, hoist excluded
-	b       bindings
+	g     *EGraph
+	r     *Rule
+	plan  *rulePlan
+	spec  matchSpec
+	steps []step
+	vals  []Value
+	canon []uint64
+	// lits holds the plan's literals, canonicalized for this run.
+	lits    []Value
 	key     []int32 // matched row slot per table ordinal
 	scratch []Value
 	scanned int64
@@ -486,11 +562,17 @@ func (b *matchBuf) load(binds []Value, i, slots int) {
 // of m's previous run.
 func (m *matchRun) reset(g *EGraph, r *Rule, plan *rulePlan, spec matchSpec) {
 	*m = matchRun{
-		g: g, r: r, plan: plan, spec: spec, hoist: -1, seq: plan.full,
-		b: m.b, key: slices.Grow(m.key[:0], len(plan.tables))[:len(plan.tables)],
+		g: g, r: r, plan: plan, spec: spec, steps: plan.full,
+		vals:    slices.Grow(m.vals[:0], r.NumSlots)[:r.NumSlots],
+		canon:   slices.Grow(m.canon[:0], r.NumSlots)[:r.NumSlots],
+		lits:    m.lits[:0],
+		key:     slices.Grow(m.key[:0], len(plan.tables))[:len(plan.tables)],
 		scratch: m.scratch, sel: spec.sel,
 	}
-	m.b.reset(r.NumSlots)
+	clear(m.vals)
+	for _, v := range plan.lits {
+		m.lits = append(m.lits, g.Find(v))
+	}
 }
 
 // matchShard runs one shard of the query m was reset to, handing each
@@ -504,16 +586,16 @@ func (m *matchRun) reset(g *EGraph, r *Rule, plan *rulePlan, spec matchSpec) {
 // sub-query they shard the delta premise's frontier. m.scanned counts the
 // rows scanned (loop visits plus direct lookups).
 func (m *matchRun) matchShard(lo, hi int) error {
-	var err error
+	if m.g.dirty {
+		return fmt.Errorf("egraph: rule %s: match needs a graph rebuilt since its last union", m.r.Name)
+	}
 	if s := m.spec.deltaOrd; s >= 0 {
 		if s >= len(m.plan.tables) {
 			return fmt.Errorf("egraph: rule %s: sub-query %d of %d table premises", m.r.Name, s, len(m.plan.tables))
 		}
-		m.hoist, m.seq = m.plan.tables[s], m.plan.delta[s]
-		err = m.runDelta(lo, hi)
-	} else {
-		err = m.matchFrom(0, lo, hi)
+		m.steps = m.plan.delta[s]
 	}
+	err := m.run(0, lo, hi)
 	if err == errStopMatch {
 		err = nil
 	}
@@ -527,10 +609,10 @@ func (m *matchRun) matchShard(lo, hi int) error {
 func (m *matchRun) emit() bool {
 	m.found++
 	if m.yield != nil {
-		return m.yield(slices.Clone(m.b.vals))
+		return m.yield(slices.Clone(m.vals))
 	}
 	if !m.spec.onlyNew || m.fresh > 0 {
-		out, vals := m.out, m.b.vals[:m.plan.slots]
+		out, vals := m.out, m.vals[:m.plan.slots]
 		if out.n == 0 {
 			out.tmpl = append(out.tmpl, vals...)
 		}
@@ -538,7 +620,7 @@ func (m *matchRun) emit() bool {
 		for _, v := range vals {
 			out.bits = append(out.bits, v.Bits)
 		}
-		if m.hoist >= 0 {
+		if m.spec.deltaOrd >= 0 {
 			out.keys = append(out.keys, m.key...)
 		}
 		if m.spec.onlyNew {
@@ -560,87 +642,9 @@ func reserve[T any](s []T, n int) []T {
 	return slices.Grow(s, max(n, len(s)))
 }
 
-// freshRow returns 1 when the run tracks delta rows (spec.onlyNew) and
-// row is one, 0 otherwise: the amount binding row adds to m.fresh.
-func (m *matchRun) freshRow(row *row) int {
-	if m.spec.onlyNew && row.stamp >= m.spec.minStamp {
-		return 1
-	}
-	return 0
-}
-
-// runDelta drives one semi-naive sub-query: the delta premise is matched
-// first against frontier[lo:hi] (binding its variables makes the
-// remaining old/unrestricted premises indexable), then the rest of the
-// query runs in declared order with the delta premise skipped. Hoisting a
-// premise to the front never unbinds an eval premise's inputs — every
-// original predecessor still runs first — and cannot change the match
-// set of a conjunctive query, only the enumeration order, which the key
-// sort restores.
-func (m *matchRun) runDelta(lo, hi int) error {
-	p := m.r.Premises[m.hoist].(*TablePremise)
-	t := m.g.tab(p.Fn)
-	fr := t.frontier
-	if hi < 0 || hi > len(fr) {
-		hi = len(fr)
-	}
-	for k := lo; k < hi; k++ {
-		ri := int(fr[k])
-		m.scanned++
-		row := &t.rows[ri]
-		if m.sel != nil {
-			// Sample by global frontier index: k does not depend on shard
-			// boundaries, so the traced set is worker-count independent.
-			m.trace = k%m.sel.every == 0
-			if m.trace {
-				m.sel.roots++
-				m.noteEntry(m.hoist, p, &m.sel.prem[m.hoist].DeltaScans)
-				m.sel.prem[m.hoist].Visits++
-			}
-		}
-		if row.dead {
-			continue
-		}
-		if err := m.matchRow(p, t, ri, m.hoist, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// matchFrom continues the query at position pos of the evaluation
-// sequence. lo/hi restrict the scan of the first position only; recursive
-// calls pass the unrestricted range.
-func (m *matchRun) matchFrom(pos, lo, hi int) error {
-	if pos == len(m.seq) {
-		if !m.emit() {
-			return errStopMatch
-		}
-		return nil
-	}
-	i := m.seq[pos]
-	switch p := m.r.Premises[i].(type) {
-	case *TablePremise:
-		return m.matchTable(pos, i, lo, hi, p)
-	case *EvalPremise:
-		if lo > 0 {
-			return nil // non-scan premise: handled wholly by the first shard
-		}
-		return m.matchEval(pos, i, p)
-	default:
-		return fmt.Errorf("egraph: unknown premise type %T", p)
-	}
-}
-
-// oldOnly reports whether premise i is restricted to pre-delta rows in
-// this sub-query.
-func (m *matchRun) oldOnly(i int) bool {
-	return m.spec.deltaOrd >= 0 && m.plan.ord[i] < m.spec.deltaOrd
-}
-
 // args returns the reusable scratch argument buffer; its contents are
-// consumed (copied or decoded) by lookups and primitives before any
-// recursion, so one buffer per run suffices.
+// consumed (by a lookup or a primitive) before the run goes on to the
+// next step, so one buffer per run suffices.
 func (m *matchRun) args(n int) []Value {
 	if cap(m.scratch) < n {
 		m.scratch = make([]Value, n)
@@ -648,270 +652,253 @@ func (m *matchRun) args(n int) []Value {
 	return m.scratch[:n]
 }
 
-func (m *matchRun) matchTable(pos, i, lo, hi int, p *TablePremise) error {
-	g, b := m.g, &m.b
-	// Fast path: all argument atoms already determined — direct lookup.
-	allBound := true
-	for _, a := range p.Args {
-		if a.Kind == AtomVar && !b.bound[a.Slot] {
-			allBound = false
-			break
-		}
+// value returns the canonical value a source names.
+func (m *matchRun) value(src int32) Value {
+	if src < 0 {
+		return m.lits[^src]
 	}
-	t := g.tab(p.Fn)
-	if allBound {
-		if lo > 0 {
-			return nil // single-lookup premise: first shard owns it
-		}
-		if m.sel != nil {
-			// A fully-bound root (pos 0 of a full query) is a single
-			// lookup: it is top-level row 0, which every sampling period
-			// includes.
-			if pos == 0 && m.hoist < 0 {
-				m.trace = true
-				m.sel.roots++
-			}
-			if m.trace {
-				m.noteEntry(i, p, &m.sel.prem[i].Lookups)
-				m.sel.prem[i].Visits++
-			}
-		}
-		args := m.args(len(p.Args))
-		for j, a := range p.Args {
-			v, _ := b.get(g, a)
-			args[j] = v
-		}
-		m.scanned++
-		ri, ok := t.lookupRow(args)
-		if !ok {
-			return nil
-		}
-		row := &t.rows[ri]
-		if m.oldOnly(i) && row.stamp >= m.spec.minStamp {
-			return nil
-		}
-		undo, ok := b.match(g, p.Out, row.out)
-		if !ok {
-			return nil
-		}
-		if m.trace {
-			m.sel.prem[i].Matches++
-		}
-		m.key[m.plan.ord[i]] = int32(ri)
-		fresh := m.freshRow(row)
-		m.fresh += fresh
-		err := m.matchFrom(pos+1, 0, -1)
-		m.fresh -= fresh
-		if undo >= 0 {
-			b.bound[undo] = false
-		}
-		return err
-	}
+	v := m.vals[src]
+	v.Bits = m.canon[src]
+	return v
+}
 
-	// General path: scan the table, or — when the graph is clean (rows
-	// canonical) and some argument or the output is already determined —
-	// only the rows sharing that value, via the per-column index. This
-	// turns the two-premise joins of rules like matmul associativity from
-	// quadratic scans into hash lookups, on whichever side of the join the
-	// bound variable lands.
-	var candidates []int32
-	useIndex := false
-	if g.Clean() {
-		consider := func(col int, v Value) {
-			c := t.buildArgIndex(col).rowsOf(v.Bits)
-			if !useIndex || len(c) < len(candidates) {
-				candidates = c
-				useIndex = true
-			}
+// matchVal runs op on a value v whose canonical bits are cb.
+func (m *matchRun) matchVal(op colOp, v Value, cb uint64) bool {
+	switch op.kind {
+	case opBind:
+		m.vals[op.arg], m.canon[op.arg] = v, cb
+		return true
+	case opCheck:
+		return m.canon[op.arg] == cb && m.vals[op.arg].sort == v.sort
+	default:
+		l := &m.lits[op.arg]
+		return l.Bits == cb && l.sort == v.sort
+	}
+}
+
+// matchCols runs st's column ops on row ri of t. Rows are canonical, so an
+// argument's bits are its class and outCanon is the output's.
+func (m *matchRun) matchCols(st *step, t *table, ri int) bool {
+	row, args := &t.rows[ri], t.argsOf(ri)
+	for _, op := range st.ops {
+		v, cb := row.out, row.outCanon
+		if int(op.col) < len(args) {
+			v = args[op.col]
+			cb = v.Bits
 		}
-		for j, a := range p.Args {
-			if v, ok := b.get(g, a); ok {
-				consider(j, v)
-			}
-		}
-		if v, ok := b.get(g, p.Out); ok {
-			consider(len(p.Args), v)
+		if !m.matchVal(op, v, cb) {
+			return false
 		}
 	}
-	// Snapshot the current length: actions of other rules must not be
-	// visible mid-match (the runner matches before applying, but Match is
-	// also usable standalone).
-	n := len(t.rows)
-	start := 0
-	if useIndex {
+	return true
+}
+
+// sample records a traced execution of a lookup or an eval step, which
+// visits one row. One that opens a full query is top-level row 0, which
+// every sampling period includes.
+func (m *matchRun) sample(k int, st *step) {
+	if k == 0 {
+		m.trace = true
+		m.sel.roots++
+	}
+	if m.trace {
+		m.noteEntry(st)
+		m.sel.prem[st.prem].Visits++
+	}
+}
+
+// run executes the query from step k on; lo/hi restrict the rows of step
+// k only. A lookup or an eval yields at most one row, so run goes through
+// them in a loop. A step that visits several rows (scan, probe,
+// frontier) continues the query from each row it matches.
+func (m *matchRun) run(k, lo, hi int) error {
+	fresh := 0 // delta rows this call's lookups bound (spec.onlyNew)
+	var err error
+steps:
+	for ; k < len(m.steps); k++ {
+		st := &m.steps[k]
+		switch st.kind {
+		case stepEval, stepLookup:
+			if lo > 0 {
+				break steps // not a scan: handled wholly by the first shard
+			}
+			ok := false
+			if st.kind == stepEval {
+				ok, err = m.eval(k, st)
+			} else if row := m.lookup(k, st); row != nil {
+				ok = true
+				if m.spec.onlyNew && row.stamp >= m.spec.minStamp {
+					m.fresh++
+					fresh++
+				}
+			}
+			if !ok {
+				break steps
+			}
+			lo, hi = 0, -1 // only the query's first step is sharded
+		default:
+			err = m.scan(k, st, lo, hi)
+			break steps
+		}
+	}
+	if k == len(m.steps) && !m.emit() {
+		err = errStopMatch
+	}
+	m.fresh -= fresh
+	return err
+}
+
+// descend records row ri as the match of step k, which visits several
+// rows, and runs the rest of the query.
+func (m *matchRun) descend(k int, st *step, row *row, ri int) error {
+	m.key[st.ord] = int32(ri)
+	if !m.spec.onlyNew || row.stamp < m.spec.minStamp {
+		return m.run(k+1, 0, -1)
+	}
+	m.fresh++
+	err := m.run(k+1, 0, -1)
+	m.fresh--
+	return err
+}
+
+// eval applies an eval step's primitive and matches its output. It
+// reports whether the query goes on.
+func (m *matchRun) eval(k int, st *step) (bool, error) {
+	if m.sel != nil {
+		m.sample(k, st)
+	}
+	if st.unbound >= 0 {
+		return false, fmt.Errorf("egraph: rule %s: primitive %s argument %d unbound (premise ordering)", m.r.Name, st.prim.Name, st.unbound)
+	}
+	args := m.args(len(st.in))
+	for j, src := range st.in {
+		args[j] = m.value(src)
+	}
+	out, ok := st.prim.Apply(m.g, args)
+	if !ok {
+		return false, nil // primitive did not apply; no match through this premise
+	}
+	out = m.g.Find(out)
+	if !m.matchVal(st.ops[0], out, out.Bits) {
+		return false, nil
+	}
+	if m.trace {
+		m.sel.prem[st.prem].Matches++
+	}
+	return true, nil
+}
+
+// lookup finds the one row a lookup step's bound arguments name and
+// records it as the step's match; it returns nil when the row is absent
+// or does not match.
+func (m *matchRun) lookup(k int, st *step) *row {
+	if m.sel != nil {
+		m.sample(k, st)
+	}
+	t := m.g.tab(st.fn)
+	key := m.args(t.arity)
+	for j := range key {
+		key[j] = m.value(st.keys[j].src)
+	}
+	m.scanned++
+	ri, ok := t.lookupRow(key)
+	if !ok {
+		return nil
+	}
+	row := &t.rows[ri]
+	if (st.old && row.stamp >= m.spec.minStamp) || !m.matchCols(st, t, ri) {
+		return nil
+	}
+	if m.trace {
+		m.sel.prem[st.prem].Matches++
+	}
+	m.key[st.ord] = int32(ri)
+	return row
+}
+
+// scan visits the rows of a step that may match several: a scan step's
+// rows [lo, hi) of the table, a frontier step's [lo, hi) of the frontier,
+// or a probe step's candidates.
+func (m *matchRun) scan(k int, st *step, lo, hi int) error {
+	t := m.g.tab(st.fn)
+	// Snapshot the current length: actions must not be visible
+	// mid-match (the runner matches before applying, but Match is also
+	// usable standalone).
+	n, start := len(t.rows), 0
+	var list []int32 // the slots visited, unless the step scans the table
+	switch st.kind {
+	case stepProbe:
 		if lo > 0 {
-			return nil // indexed scan: first shard owns it
+			return nil // index probe: the first shard owns it
 		}
-		n = len(candidates)
-	} else if hi >= 0 {
-		start = lo
-		if hi < n {
-			n = hi
-		}
+		list = m.candidates(st, t)
+		n = len(list)
+	case stepFrontier:
+		list = t.frontier
+		n = len(list)
 	}
-	oldOnly := m.oldOnly(i)
-	// rootScan: this scan enumerates the full query's top-level rows, so
-	// the per-row sampling decision is made here. Non-root scans inherit
-	// the enclosing trace flag for the whole call.
-	rootScan := m.sel != nil && pos == 0 && m.hoist < 0
+	if hi >= 0 && st.kind != stepProbe {
+		start, n = lo, min(hi, n)
+	}
+	// A query's first step enumerates its top-level rows, so the per-row
+	// sampling decision is made here. Other steps inherit the enclosing
+	// trace flag for the whole call.
+	rootScan := m.sel != nil && k == 0
 	trc := m.sel != nil && m.trace
 	if trc {
-		path := &m.sel.prem[i].FullScans
-		if useIndex {
-			path = &m.sel.prem[i].IndexProbes
-		}
-		m.noteEntry(i, p, path)
+		m.noteEntry(st)
 	}
-	var undoBuf [argBufLen + 1]int
-	undos := undoBuf[:0]
-rows:
-	for k := start; k < n; k++ {
-		ri := k
-		if useIndex {
-			ri = int(candidates[k])
+	for i := start; i < n; i++ {
+		ri := i
+		if st.kind != stepScan {
+			ri = int(list[i])
 		}
 		m.scanned++
 		row := &t.rows[ri]
 		if rootScan {
-			// Sample by global row index: k runs over the whole table (or
-			// candidate list) regardless of sharding, so the traced set —
-			// and with it every counter — is worker-count independent.
-			trc = k%m.sel.every == 0
+			// Sample by global row, candidate or frontier index: i does
+			// not depend on shard boundaries, so the traced set — and with
+			// it every counter — is worker-count independent.
+			trc = i%m.sel.every == 0
 			m.trace = trc
 			if trc {
 				m.sel.roots++
-				path := &m.sel.prem[i].FullScans
-				if useIndex {
-					path = &m.sel.prem[i].IndexProbes
-				}
-				m.noteEntry(i, p, path)
+				m.noteEntry(st)
 			}
 		}
 		if trc {
-			m.sel.prem[i].Visits++
+			m.sel.prem[st.prem].Visits++
 		}
-		if row.dead || (oldOnly && row.stamp >= m.spec.minStamp) {
+		if row.dead || (st.old && row.stamp >= m.spec.minStamp) || !m.matchCols(st, t, ri) {
 			continue
 		}
-		undos = undos[:0]
-		args := t.argsOf(ri)
-		for j, a := range p.Args {
-			undo, ok := b.match(g, a, g.Find(args[j]))
-			if undo >= 0 {
-				undos = append(undos, undo)
-			}
-			if !ok {
-				for _, u := range undos {
-					b.bound[u] = false
-				}
-				continue rows
-			}
+		if trc {
+			m.sel.prem[st.prem].Matches++
 		}
-		undo, ok := b.match(g, p.Out, row.out)
-		if undo >= 0 {
-			undos = append(undos, undo)
-		}
-		if ok {
-			if trc {
-				m.sel.prem[i].Matches++
-			}
-			m.key[m.plan.ord[i]] = int32(ri)
-			fresh := m.freshRow(row)
-			m.fresh += fresh
-			err := m.matchFrom(pos+1, 0, -1)
-			m.fresh -= fresh
-			if err != nil {
-				for _, u := range undos {
-					b.bound[u] = false
-				}
-				return err
-			}
-		}
-		for _, u := range undos {
-			b.bound[u] = false
+		if err := m.descend(k, st, row, ri); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// matchRow binds premise i's atoms against row ri of t (the hoisted
-// delta premise), records its key, and continues the query from nextFrom.
-func (m *matchRun) matchRow(p *TablePremise, t *table, ri, i, nextFrom int) error {
-	g, b := m.g, &m.b
-	var undoBuf [argBufLen + 1]int
-	undos := undoBuf[:0]
-	args := t.argsOf(ri)
-	for j, a := range p.Args {
-		undo, ok := b.match(g, a, g.Find(args[j]))
-		if undo >= 0 {
-			undos = append(undos, undo)
-		}
-		if !ok {
-			for _, u := range undos {
-				b.bound[u] = false
+// candidates returns the rows a probe step visits: the index list of
+// whichever bound column holds the fewest rows, the first such column on
+// a tie. The index is built on first use in the match phase; rows are
+// canonical, so a bound value's canonical bits key it.
+func (m *matchRun) candidates(st *step, t *table) []int32 {
+	var best []int32
+	for j, key := range st.keys {
+		bits := m.value(key.src).Bits
+		rows := t.buildArgIndex(int(key.col)).rowsOf(bits)
+		if j == 0 || len(rows) < len(best) {
+			best = rows
+			if len(best) == 0 {
+				break
 			}
-			return nil
 		}
 	}
-	undo, ok := b.match(g, p.Out, t.rows[ri].out)
-	if undo >= 0 {
-		undos = append(undos, undo)
-	}
-	var err error
-	if ok {
-		if m.trace {
-			m.sel.prem[i].Matches++
-		}
-		m.key[m.plan.ord[i]] = int32(ri)
-		err = m.matchFrom(nextFrom, 0, -1)
-	}
-	for _, u := range undos {
-		b.bound[u] = false
-	}
-	return err
-}
-
-func (m *matchRun) matchEval(pos, i int, p *EvalPremise) error {
-	g, b := m.g, &m.b
-	if m.sel != nil {
-		// An eval premise leading a full query runs once: it is top-level
-		// row 0, included under every sampling period.
-		if pos == 0 && m.hoist < 0 {
-			m.trace = true
-			m.sel.roots++
-		}
-		if m.trace {
-			m.sel.prem[i].Execs++
-			m.sel.prem[i].Visits++
-		}
-	}
-	args := m.args(len(p.Args))
-	for j, a := range p.Args {
-		v, ok := b.get(g, a)
-		if !ok {
-			return fmt.Errorf("egraph: rule %s: primitive %s argument %d unbound (premise ordering)", m.r.Name, p.Prim.Name, j)
-		}
-		args[j] = v
-	}
-	out, ok := p.Prim.Apply(g, args)
-	if !ok {
-		return nil // primitive did not apply; no match through this premise
-	}
-	undo, ok := b.match(g, p.Out, g.Find(out))
-	if !ok {
-		if undo >= 0 {
-			b.bound[undo] = false
-		}
-		return nil
-	}
-	if m.trace {
-		m.sel.prem[i].Matches++
-	}
-	err := m.matchFrom(pos+1, 0, -1)
-	if undo >= 0 {
-		b.bound[undo] = false
-	}
-	return err
+	return best
 }
 
 // EvalATerm evaluates an action term under the given bindings, inserting

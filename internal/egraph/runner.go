@@ -747,10 +747,10 @@ func (r *run) plan() StopReason {
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KIter})
 	}
-	// Matching relies on canonical rows (for safe concurrent reads and
-	// the per-argument indexes). This is also what makes the match-phase
-	// reads a consistent snapshot: no union or insert happens between here
-	// and the end of the match phase.
+	// Matching compares the canonical bits rows hold, so it needs a
+	// rebuilt graph (a dirty one is an error). This is also what makes
+	// the match-phase reads a consistent snapshot: no union or insert
+	// happens between here and the end of the match phase.
 	if !g.Clean() {
 		g.Rebuild()
 	}

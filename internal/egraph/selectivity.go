@@ -178,18 +178,25 @@ func newSelSink(r *Rule, every int) *selSink {
 	return s
 }
 
-// noteEntry records one traced execution of table premise i: its access
-// path and which columns were bound on entry.
-func (m *matchRun) noteEntry(i int, p *TablePremise, path *int64) {
-	ps := &m.sel.prem[i]
+// noteEntry records one traced execution of step st: for a table step,
+// its access path and which columns were bound on entry (fixed by the
+// plan).
+func (m *matchRun) noteEntry(st *step) {
+	ps := &m.sel.prem[st.prem]
 	ps.Execs++
-	*path++
-	for j, a := range p.Args {
-		if a.Kind == AtomLit || m.b.bound[a.Slot] {
-			ps.BoundCols[j]++
-		}
+	switch st.kind {
+	case stepEval:
+		return
+	case stepLookup:
+		ps.Lookups++
+	case stepProbe:
+		ps.IndexProbes++
+	case stepScan:
+		ps.FullScans++
+	case stepFrontier:
+		ps.DeltaScans++
 	}
-	if p.Out.Kind == AtomLit || m.b.bound[p.Out.Slot] {
-		ps.BoundCols[len(p.Args)]++
+	for _, k := range st.keys {
+		ps.BoundCols[k.col]++
 	}
 }
