@@ -137,8 +137,9 @@ tune-smoke:
 # they pin the oracle's detection power), then a short fresh fuzz over
 # every rule bundle. Deterministic in the seed, so CI failures are
 # locally reproducible verbatim. Last, 10-s native fuzz runs of the
-# matcher's two engine harnesses (semi-naive against naive, sharded
-# against serial matching), of the egglog front end (every top-level
+# engine's three harnesses (semi-naive against naive, sharded against
+# serial matching, compiled rule actions against the reference tree
+# walk), of the egglog front end (every top-level
 # command compiles through the rule compiler), of the MLIR parser
 # (round trip, and structural type equality against printed text) and of
 # the MLIR-to-egg translation (inserting e-nodes directly leaves the
@@ -150,6 +151,7 @@ fuzz-smoke:
 	$(GO) run ./cmd/egg-fuzz -rules all -n 10 -seed 1
 	$(GO) test -run '^$$' -fuzz '^FuzzSemiNaive$$' -fuzztime 10s ./internal/egraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelMatch$$' -fuzztime 10s ./internal/egraph/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompiledActions$$' -fuzztime 10s ./internal/egraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzExecute$$' -fuzztime 10s ./internal/egglog/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseModule$$' -fuzztime 10s ./internal/mlir/
 	$(GO) test -run '^$$' -fuzz '^FuzzTranslateInsert$$' -fuzztime 10s ./internal/dialegg/

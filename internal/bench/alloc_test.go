@@ -12,30 +12,35 @@ import (
 )
 
 // chain16AllocLimit bounds the allocations of one compile of the
-// 16-matmul chain. Hash-cons probes, action terms, primitive arguments,
-// matches and cost-override installs allocate nothing; matches are stored
-// as pointer-free rows in buffers a run reuses across its iterations, a
-// table keeps its rows' argument tuples in one flat block and each
+// 16-matmul chain. Hash-cons probes, action instructions, primitive
+// arguments, matches and cost-override installs allocate nothing;
+// matches are stored as pointer-free rows in buffers runs take from a
+// pool and hand back, so the buffers keep their storage from run to run;
+// a table keeps its rows' argument tuples in one flat block and each
 // unstable-cost override on the row it prices, a column index refills
-// the storage of the one it replaces, the translation inserts e-nodes
-// without building terms, each rule's match plan is built once, and the
-// back-translation decodes attributes from the chosen nodes and each
-// result-type class once. What remains comes to about 1,810: saturation
-// (560: table and pool growth in apply, the match buffers, and about 30
-// for column indexes), parsing (550), back-translation (390: the rebuilt
-// operations with their types and attributes, and its maps), the
-// translation's inserted nodes and its maps (175), and extraction (50).
-// Decoding each op's result type afresh adds about 75; building each
-// column index into fresh memory (a map and a rows block per build)
-// about 185; rendering each attribute and result-type class as a term
-// and parsing it back about 280; building the translation as a (let ...)
-// program and evaluating it about 1,290 and planning every rule on every
-// run about 180; a string key per override install adds about 840; a
-// heap slice per row's arguments, or per primitive application, about
-// 2,700 each; per-task bindings snapshots or a slice per indexed value
-// over 19,000, and a string-keyed row index, or an allocation per probe,
-// per action term or per match, over 380,000.
-const chain16AllocLimit = 1_950
+// the storage of the one it replaces, interned vectors are found through
+// an index over the stored vectors, with no key string, the translation
+// inserts e-nodes without building terms, each rule's match plan and
+// compiled actions are built once, and the back-translation decodes
+// attributes from the chosen nodes and each result-type class once.
+// What remains comes to about 1,520: saturation (350: table growth in
+// apply, the stored copy of each new vector, and about 25 for column
+// indexes), parsing (550), back-translation (390: the rebuilt operations
+// with their types and attributes, and its maps), the translation's
+// inserted nodes and its maps (150), and extraction (30). Starting every
+// run's match buffers, tasks and bindings empty, and a key string per
+// interned vector, add about 290 together; decoding each op's result
+// type afresh about 75; building each column index into fresh memory (a
+// map and a rows block per build) about 185; rendering each attribute
+// and result-type class as a term and parsing it back about 280;
+// building the translation as a (let ...) program and evaluating it
+// about 1,290 and planning every rule on every run about 180; a string
+// key per override install adds about 840; a heap slice per row's
+// arguments, or per primitive application, about 2,700 each; per-task
+// bindings snapshots or a slice per indexed value over 19,000, and a
+// string-keyed row index, or an allocation per probe, per action term or
+// per match, over 380,000.
+const chain16AllocLimit = 1_650
 
 // TestChain16CompileAllocs gates the allocation-free hash-consing and rule
 // application paths end to end: parse, saturate at one worker, extract and

@@ -328,7 +328,16 @@ func (p *Program) EvalExpr(n *sexp.Node) (egraph.Value, error) {
 	if err != nil {
 		return egraph.Value{}, err
 	}
-	return p.g.EvalATerm(t, nil)
+	return p.evalTerm(t)
+}
+
+// evalTerm runs t as the one let of a top-level rule and returns the
+// value the let binds.
+func (p *Program) evalTerm(t *egraph.ATerm) (egraph.Value, error) {
+	binds := []egraph.Value{{}}
+	r := &egraph.Rule{Name: "top-level", Actions: []egraph.Action{&egraph.LetAction{Slot: 0, T: t}}, NumSlots: 1}
+	err := p.g.ApplyActions(r, binds)
+	return binds[0], err
 }
 
 // evalExprRaw is EvalExpr returning the original (uncanonicalized)
@@ -344,7 +353,7 @@ func (p *Program) evalExprRaw(n *sexp.Node) (egraph.Value, error) {
 	if t.Kind == egraph.ALit {
 		return t.Lit, nil
 	}
-	return p.g.EvalATerm(t, nil)
+	return p.evalTerm(t)
 }
 
 // apply runs one top-level action command (set, unstable-cost or a bare

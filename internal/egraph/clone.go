@@ -51,7 +51,7 @@ func (g *EGraph) Clone() *EGraph {
 		c.history = append(slices.Clip(g.history), g.histBuf.Bytes()...)
 	}
 	c.journal, c.histBuf = nil, nil
-	c.inRebuild, c.snapRoots, c.primArgs = false, nil, nil
+	c.inRebuild, c.snapRoots, c.stack = false, nil, nil
 	return &c
 }
 
@@ -113,5 +113,5 @@ func (p *stringPool) clone() *stringPool {
 func (p *vecPool) clone() *vecPool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return &vecPool{byKey: maps.Clone(p.byKey), vecs: slices.Clip(p.vecs)}
+	return &vecPool{index: slices.Clone(p.index), vecs: slices.Clip(p.vecs)}
 }

@@ -107,37 +107,45 @@ func TestCloneRunsLikeOriginal(t *testing.T) {
 	}
 }
 
-// TestCloneOwnsPrimArgs: EvalATerm evaluates primitive arguments on a
-// stack the graph reuses, so each clone must start with a stack of its
-// own; clones of one template applying primitive terms at once would
-// otherwise write the same arguments (a race under -race) and read each
-// other's.
-func TestCloneOwnsPrimArgs(t *testing.T) {
+// TestCloneOwnsStack: compiled actions run on a value stack the graph
+// reuses, so each clone must start with a stack of its own; clones of one
+// template applying primitive terms at once would otherwise write the
+// same arguments (a race under -race) and read each other's.
+func TestCloneOwnsStack(t *testing.T) {
 	l := newExprLang(t)
 	g := l.g
 	sub := &Prim{Name: "-", Apply: func(g *EGraph, args []Value) (Value, bool) {
 		return I64Value(g.I64, args[0].AsI64()-args[1].AsI64()), true
 	}}
 	lit := func(n int64) *ATerm { return &ATerm{Kind: ALit, Lit: I64Value(g.I64, n)} }
-	// (Num (- (- ?0 1) (- 10 ?0))), evaluated with ?0 bound.
+	// (let ?1 (Num (- (- ?0 1) (- 10 ?0)))), applied with ?0 bound.
 	term := &ATerm{Kind: AApp, Fn: l.Num, Args: []*ATerm{{Kind: APrim, Prim: sub, Args: []*ATerm{
 		{Kind: APrim, Prim: sub, Args: []*ATerm{{Kind: AVar, Slot: 0}, lit(1)}},
 		{Kind: APrim, Prim: sub, Args: []*ATerm{lit(10), {Kind: AVar, Slot: 0}}},
 	}}}}
-	if _, err := g.EvalATerm(term, []Value{I64Value(g.I64, 3)}); err != nil {
+	rule := &Rule{Name: "num", Actions: []Action{&LetAction{Slot: 1, T: term}}, NumSlots: 2}
+	eval := func(g *EGraph, n int64) (Value, error) {
+		binds := []Value{I64Value(g.I64, n), {}}
+		err := g.ApplyActions(rule, binds)
+		return binds[1], err
+	}
+	if _, err := eval(g, 3); err != nil {
 		t.Fatal(err)
+	}
+	if cap(g.stack) == 0 {
+		t.Fatal("applying the rule left the template without a stack; the test is vacuous")
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		c := g.Clone()
-		if cap(c.primArgs) != 0 {
-			t.Fatal("a clone starts with its template's primitive-argument stack")
+		if cap(c.stack) != 0 {
+			t.Fatal("a clone starts with its template's value stack")
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for n := int64(0); n < 50; n++ {
-				got, err := c.EvalATerm(term, []Value{I64Value(c.I64, n)})
+				got, err := eval(c, n)
 				if err != nil {
 					t.Error(err)
 					return

@@ -92,11 +92,11 @@ type EGraph struct {
 	// no-op, which in turn makes semi-naive matching (which skips those
 	// re-applications) bit-identical to naive matching.
 	snapRoots []uint32
-	// primArgs is the stack EvalATerm evaluates primitive arguments on:
-	// an application pushes its arguments, applies the primitive and
-	// truncates back, so nested primitives push above it. Clones start
-	// with an empty stack of their own.
-	primArgs []Value
+	// stack is the value stack compiled rule actions run on (exec):
+	// an instruction pops its operands from the top and pushes its
+	// result. Rules are shared by clones and only read, so the stack is
+	// the graph's; clones start with an empty one of their own.
+	stack []Value
 }
 
 // createdRef locates the e-node whose insertion created a class element.
@@ -355,8 +355,8 @@ func (g *EGraph) newClass(s *Sort) Value {
 	return s.value(uint64(g.uf.MakeSet()))
 }
 
-// argBufLen is the widest tuple that probes, action terms and keys hold
-// in a stack buffer; wider tuples spill to the heap.
+// argBufLen is the widest tuple that probes, vectors and keys hold in a
+// stack buffer; wider tuples spill to the heap.
 const argBufLen = 8
 
 // canonArgs checks args against f's parameter sorts and appends their
@@ -386,29 +386,30 @@ func (g *EGraph) Insert(f *Function, args ...Value) (Value, error) {
 		return Value{}, err
 	}
 	t := g.tab(f)
-	if out, ok := t.lookup(canon); ok {
+	ri, entry, ok := t.probe(canon, -1)
+	if ok {
 		// The row's original identity is returned (not the canonical
 		// class): callers compare via Find/Eq, and proofs stay anchored at
 		// e-node identities.
-		return out, nil
+		return t.rows[ri].out, nil
 	}
 	if !f.IsConstructor() && f.Out.Kind != KindUnit {
 		return Value{}, fmt.Errorf("egraph: %s(...) not present (primitive-output functions need Set)", f.Name)
 	}
-	return g.insertNew(f, t, canon), nil
+	return g.insertNew(f, t, canon, entry), nil
 }
 
 // insertNew adds the absent node f(canon), of a constructor or a Unit
-// function, as a new row of t and returns its output.
-func (g *EGraph) insertNew(f *Function, t *table, canon []Value) Value {
+// function, as a new row of t and returns its output. entry is where the
+// probe that missed it stopped (table.probe).
+func (g *EGraph) insertNew(f *Function, t *table, canon []Value, entry int) Value {
 	var out Value
 	if f.IsConstructor() {
 		out = g.newClass(f.Out)
 	} else {
 		out = g.Unit.value(0)
 	}
-	t.insert(canon, out, g.epoch)
-	t.invalidateArgIndex()
+	t.insert(canon, out, g.epoch, entry)
 	g.effects++
 	g.stampProvenance(f)
 	if g.trackOrig && f.IsConstructor() {
@@ -431,11 +432,12 @@ func (g *EGraph) Lookup(f *Function, args ...Value) (Value, bool) {
 	if err != nil {
 		return Value{}, false
 	}
-	out, ok := g.tab(f).lookup(canon)
+	t := g.tab(f)
+	ri, ok := t.lookupRow(canon)
 	if !ok {
 		return Value{}, false
 	}
-	return g.Find(out), true
+	return g.Find(t.rows[ri].out), true
 }
 
 // Set writes f(args) = out. For primitive-output functions a conflicting
@@ -451,9 +453,14 @@ func (g *EGraph) Set(f *Function, args []Value, out Value) error {
 	if err != nil {
 		return err
 	}
-	out = g.canonFind(out)
+	return g.setRow(f, canon, g.canonFind(out))
+}
+
+// setRow is Set for canonical arguments and output of f's sorts.
+func (g *EGraph) setRow(f *Function, canon []Value, out Value) error {
 	t := g.tab(f)
-	if i, ok := t.lookupRow(canon); ok {
+	i, entry, ok := t.probe(canon, -1)
+	if ok {
 		if f.IsConstructor() {
 			// The union (when effective) dirties the graph; the next
 			// Rebuild detects the row's canonical output change through
@@ -489,8 +496,7 @@ func (g *EGraph) Set(f *Function, args []Value, out Value) error {
 		}
 		return nil
 	}
-	t.insert(canon, out, g.epoch)
-	t.invalidateArgIndex()
+	t.insert(canon, out, g.epoch, entry)
 	g.effects++
 	g.stampProvenance(f)
 	if g.journal != nil {
@@ -538,23 +544,29 @@ func (g *EGraph) SetNodeCost(f *Function, args []Value, cost int64) error {
 	if err != nil {
 		return err
 	}
+	g.setCost(f, canon, cost)
+	return nil
+}
+
+// setCost is SetNodeCost for a constructor and canonical arguments of its
+// sorts.
+func (g *EGraph) setCost(f *Function, canon []Value, cost int64) {
 	if cost < 1 {
 		cost = 1
 	}
 	t := g.tab(f)
-	i, ok := t.lookupRow(canon)
+	i, entry, ok := t.probe(canon, -1)
 	if !ok {
-		g.insertNew(f, t, canon)
+		g.insertNew(f, t, canon, entry)
 		i = len(t.rows) - 1
 	}
 	if !t.rows[i].keepCheaper(cost) {
-		return nil
+		return
 	}
 	g.effects++
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KCost, Fn: f.Name, Args: g.encodeVals(canon), Cost: cost})
 	}
-	return nil
 }
 
 // Union merges the e-classes of a and b (both eq-sort values of the same
@@ -717,7 +729,7 @@ func (g *EGraph) rebuildTable(f *Function) bool {
 		t.touch(i, g.epoch)
 		// A stale entry of row i itself can lie on its new key's probe
 		// path; returning it would hide a congruence, so skip i.
-		if j, ok := t.probe(args, i); ok {
+		if j, _, ok := t.probe(args, i); ok {
 			// Collision: merge outputs into the existing row, kill this one.
 			other := &t.rows[j]
 			if f.IsConstructor() {

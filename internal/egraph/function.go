@@ -242,6 +242,8 @@ func (c *column) ready() *colIndex {
 // its index through an atomic pointer and builds under its own mutex, so
 // concurrent match workers racing on different columns never serialize
 // on each other. A stale index keeps its storage for the next build.
+// fresh is set by a build and cleared when the indexes are marked stale:
+// while it is clear, no index of the table is fresh.
 //
 // pending accumulates rows touched during the current epoch (deduplicated
 // via row.stamp); rotateFrontier moves them into frontier, the sorted
@@ -259,7 +261,8 @@ type table struct {
 	orig      []Value
 	origFrom  int
 
-	cols []column
+	cols  []column
+	fresh atomic.Bool
 
 	pending  []int32
 	frontier []int32
@@ -308,8 +311,14 @@ func (t *table) colBits(r, col int) uint64 {
 
 // invalidateArgIndex marks the column indexes stale; they keep their
 // storage. Only called from serial phases (insert, Set, apply, Rebuild),
-// never concurrently with match-phase builds.
+// never concurrently with match-phase builds. Once it has, the table's
+// next changes find nothing fresh to mark until a build, so an apply
+// phase marks a table's indexes once, not once per row it adds.
 func (t *table) invalidateArgIndex() {
+	if !t.fresh.Load() {
+		return
+	}
+	t.fresh.Store(false)
 	for i := range t.cols {
 		if p := t.cols[i].index.Load(); p != nil {
 			p.stale.Store(true)
@@ -338,6 +347,7 @@ func (t *table) buildArgIndex(i int) *colIndex {
 	p.fill(t, i)
 	p.stale.Store(false)
 	c.index.Store(p)
+	t.fresh.Store(true)
 	return p
 }
 
@@ -445,32 +455,30 @@ func sameBits(a, b []Value) bool {
 	return true
 }
 
-func (t *table) lookup(args []Value) (Value, bool) {
-	i, ok := t.lookupRow(args)
-	if !ok {
-		return Value{}, false
-	}
-	return t.rows[i].out, true
+// lookupRow returns the slot of the live row whose args are args.
+func (t *table) lookupRow(args []Value) (int, bool) {
+	r, _, ok := t.probe(args, -1)
+	return r, ok
 }
 
-// lookupRow returns the slot of the live row whose args are args.
-func (t *table) lookupRow(args []Value) (int, bool) { return t.probe(args, -1) }
-
 // probe returns the slot of a live row other than skip whose args are
-// args. Stale entries fail the comparison or name a dead row.
-func (t *table) probe(args []Value, skip int) (int, bool) {
+// args. Stale entries fail the comparison or name a dead row. When there
+// is no such row it returns the index entry its probe stopped at, the
+// empty one place would fill for a row with these args (-1 while the
+// index is empty), so a miss can insert without probing again.
+func (t *table) probe(args []Value, skip int) (r, entry int, ok bool) {
 	if len(t.index) == 0 {
-		return 0, false
+		return 0, -1, false
 	}
 	mask := uint64(len(t.index) - 1)
 	for i := hashArgs(args) & mask; ; i = (i + 1) & mask {
 		e := t.index[i]
 		if e == 0 {
-			return 0, false
+			return 0, int(i), false
 		}
 		r := int(e - 1)
 		if r != skip && !t.rows[r].dead && sameBits(t.argsOf(r), args) {
-			return r, true
+			return r, 0, true
 		}
 	}
 }
@@ -519,14 +527,27 @@ func (t *table) reindex() {
 }
 
 // insert adds a row assuming args are canonical and no row with the same
-// key exists, stamping it with the current epoch.
-func (t *table) insert(args []Value, out Value, epoch uint64) {
+// key exists, stamping it with the current epoch, and marks the column
+// indexes stale. entry is the empty index entry where a probe for args
+// stopped (probe), which the row's entry takes unless the index must
+// grow; -1 places it by probing.
+func (t *table) insert(args []Value, out Value, epoch uint64, entry int) {
 	t.args = append(t.args, args...)
 	if t.trackOrig {
 		t.orig = append(t.orig, args...)
 	}
-	t.pending = append(t.pending, int32(len(t.rows)))
+	r := len(t.rows)
+	t.pending = append(t.pending, int32(r))
 	t.rows = append(t.rows, row{out: out, stamp: epoch, outCanon: out.Bits})
 	t.live++
-	t.addEntry(len(t.rows) - 1)
+	switch {
+	case 2*(t.used+1) > len(t.index):
+		t.reindex()
+	case entry >= 0:
+		t.index[entry] = int32(r + 1)
+		t.used++
+	default:
+		t.place(r)
+	}
+	t.invalidateArgIndex()
 }

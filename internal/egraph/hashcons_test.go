@@ -2,14 +2,16 @@ package egraph
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestHashConsHitDoesNotAllocate pins the allocation-free hot path: a
 // probe that finds what it looks for allocates nothing, whether it is an
 // Insert of an existing node, an InternVec of an interned vector, a
-// SetNodeCost that keeps the existing cheaper override, a rule
+// SetNodeCost that keeps the existing cheaper override, a compiled rule
 // application whose terms all exist, nested primitive applications
 // included, or a Rebuild with nothing to repair.
 func TestHashConsHitDoesNotAllocate(t *testing.T) {
@@ -244,5 +246,56 @@ func checkRowIndex(t *testing.T, g *EGraph, f *Function, rng *rand.Rand, vals []
 		if ok != wantOK || got != want {
 			t.Fatalf("%s%v: index found row %d (%v), scan found %d (%v)", f.Name, args, got, ok, want, wantOK)
 		}
+	}
+}
+
+// TestVecPoolMatchesMap interns seeded random vectors (lengths 0 to 10,
+// many of them repeated) through enough growth to rehash the pool's index
+// several times. Every vector gets the number a map keyed by its
+// elements' bits gives: the next unused number the first time, the same
+// number after. A clone of the pool numbers on from the same point and
+// leaves the original untouched.
+func TestVecPoolMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := newVecPool()
+	want := map[string]uint32{}
+	check := func(p *vecPool, want map[string]uint32, elems []Value) {
+		t.Helper()
+		key := string(appendArgBits(nil, elems))
+		id, seen := want[key]
+		if !seen {
+			id = uint32(len(want))
+			want[key] = id
+		}
+		if got := p.intern(elems); got != id {
+			t.Fatalf("intern %v = %d, want %d (seen before: %v)", elems, got, id, seen)
+		}
+		if got := p.get(id); !slices.Equal(got, elems) {
+			t.Fatalf("vector %d holds %v, want %v", id, got, elems)
+		}
+	}
+	draw := func() []Value {
+		elems := make([]Value, rng.Intn(11))
+		for i := range elems {
+			elems[i] = Value{Bits: uint64(rng.Intn(3))}
+		}
+		return elems
+	}
+	for range 2000 {
+		check(p, want, draw())
+	}
+	if len(want) < 500 {
+		t.Fatalf("only %d distinct vectors: the index did not grow enough", len(want))
+	}
+	c, cwant := p.clone(), maps.Clone(want)
+	n := len(p.vecs)
+	for range 500 {
+		check(c, cwant, draw())
+	}
+	if len(p.vecs) != n {
+		t.Fatalf("interning into the clone grew the original from %d to %d vectors", n, len(p.vecs))
+	}
+	for range 500 {
+		check(p, want, draw())
 	}
 }

@@ -1,12 +1,22 @@
 package egraph
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"dialegg/internal/sexp"
 )
+
+// appendArgBits appends the little-endian bits of each value to dst: a
+// map key for an argument tuple.
+func appendArgBits(dst []byte, args []Value) []byte {
+	for _, a := range args {
+		dst = binary.LittleEndian.AppendUint64(dst, a.Bits)
+	}
+	return dst
+}
 
 // randGraph builds a random expression DAG over the test language and
 // performs random unions, returning the graph and all created values.

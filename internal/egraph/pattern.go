@@ -10,7 +10,8 @@ import (
 // as i64 addition or log2. Apply returns false when the primitive does not
 // apply (e.g. log2 of a non-power-of-two when the rule requires exactness).
 // Apply must not keep args past its return: the engine passes a window of
-// a buffer it reuses for the next application.
+// a buffer it reuses for the next application. In an action that buffer
+// is the graph's value stack, so Apply must not run rule actions on g.
 type Prim struct {
 	Name  string
 	Apply func(g *EGraph, args []Value) (Value, bool)
@@ -80,7 +81,8 @@ const (
 	AVec
 )
 
-// ATerm is a (possibly nested) term evaluated during rule application.
+// ATerm is a (possibly nested) term of a rule action. Actions are compiled
+// into instructions before they run (rulePlan.compileActions).
 type ATerm struct {
 	Kind    ATermKind
 	Slot    int       // AVar
@@ -133,7 +135,7 @@ func (*InsertAction) isAction() {}
 
 // Rule is a compiled egglog rule: when all premises hold under some
 // binding, run the actions under that binding. A rule must not change
-// once it has been matched.
+// once it has been matched or applied.
 type Rule struct {
 	Name     string
 	Premises []Premise
@@ -142,9 +144,9 @@ type Rule struct {
 	// action lets).
 	NumSlots int
 
-	// plan is built on the rule's first match (planOf) and read by every
-	// later run, including the runs of graphs cloned from one another,
-	// which share their rules.
+	// plan is built on the rule's first match or application (planOf) and
+	// read by every later run, including the runs of graphs cloned from
+	// one another, which share their rules.
 	planOnce sync.Once
 	plan     rulePlan
 }
@@ -192,9 +194,10 @@ func (g *EGraph) firstPremiseScan(r *Rule) (scanLen, live int) {
 	return 0, 0
 }
 
-// rulePlan is a rule's compiled query: the full query and each semi-naive
-// sub-query as a flat list of steps. It is built once per rule
-// (Rule.planOf) and only read afterwards.
+// rulePlan is a rule's compiled query and actions: the full query and
+// each semi-naive sub-query as a flat list of steps, and the actions as a
+// flat list of instructions. It is built once per rule (Rule.planOf) and
+// only read afterwards.
 type rulePlan struct {
 	// tables lists the indices of the table premises in premise order.
 	// The position of an index is the premise's table ordinal, the
@@ -210,9 +213,12 @@ type rulePlan struct {
 	// the plan is built.
 	lits []Value
 	// slots is the number of query slots: one past the highest slot a
-	// premise binds. A stored match keeps these; the slots past them
-	// belong to action lets.
+	// premise binds; the slots past them belong to action lets.
 	slots int
+	// acts is the actions' code (compileActions) and keep the query
+	// slots it reads, ascending: a stored match keeps only these.
+	acts []instr
+	keep []int32
 }
 
 // stepKind is a step's access path.
@@ -312,6 +318,7 @@ func planRule(r *Rule) rulePlan {
 	for s := range p.tables {
 		p.delta[s] = p.compile(r, ord, s)
 	}
+	p.compileActions(r)
 	return p
 }
 
@@ -526,14 +533,14 @@ type matchRun struct {
 }
 
 // matchBuf holds one match task's kept matches without a pointer per
-// match: each match's query-slot bits (plan.slots per match), its key
-// (semi-naive sub-queries, for the merge's key sort) and its enumeration
-// position within the task (onlyNew full queries, for the caps). A rule's
-// query slots are typed — each is bound from a table column or a
-// primitive's result — so the slots' sorts are recorded once: the task's
-// first kept match is the template (tmpl) load copies before writing a
-// match's bits. The runner keeps one buffer per task position for the
-// whole run.
+// match: the bits of each match's slots that the rule's actions read
+// (plan.keep), its key (semi-naive sub-queries, for the merge's key sort)
+// and its enumeration position within the task (onlyNew full queries,
+// for the caps). A rule's query slots are typed — each is bound from a
+// table column or a primitive's result — so the slots' sorts are recorded
+// once: the task's first kept match is the template (tmpl) load copies
+// before writing a match's bits. The runner keeps one buffer per task
+// position for the whole run, and runs reuse them (runScratch).
 type matchBuf struct {
 	tmpl  []Value
 	bits  []uint64
@@ -548,14 +555,18 @@ func (b *matchBuf) reset() {
 	*b = matchBuf{tmpl: b.tmpl[:0], bits: b.bits[:0], keys: b.keys[:0], pos: b.pos[:0]}
 }
 
-// load writes stored match i into binds: the query slots from the stored
-// bits and the template's sorts, the remaining slots (action lets) zero.
-func (b *matchBuf) load(binds []Value, i, slots int) {
-	copy(binds, b.tmpl[:slots])
-	for s, bits := range b.bits[i*slots : (i+1)*slots] {
-		binds[s].Bits = bits
+// load writes stored match i into binds: the kept query slots from the
+// stored bits and the template's sorts, the slots past the query's
+// (action lets) zero. The other query slots are left as they are: the
+// actions do not read them.
+func (b *matchBuf) load(binds []Value, i int, p *rulePlan) {
+	bits := b.bits[i*len(p.keep) : (i+1)*len(p.keep)]
+	for j, s := range p.keep {
+		v := b.tmpl[j]
+		v.Bits = bits[j]
+		binds[s] = v
 	}
-	clear(binds[slots:])
+	clear(binds[p.slots:])
 }
 
 // reset prepares m to run rule r's query slice spec, keeping the buffers
@@ -603,7 +614,7 @@ func (m *matchRun) matchShard(lo, hi int) error {
 }
 
 // emit takes one complete match. Match and matchShard hand a copy of the
-// bindings to yield. A runner task stores the query slots in its buffer,
+// bindings to yield. A runner task stores the kept slots in its buffer,
 // unless spec.onlyNew drops the match for binding no delta row; the match
 // counts as found either way. It reports whether the run goes on.
 func (m *matchRun) emit() bool {
@@ -612,13 +623,15 @@ func (m *matchRun) emit() bool {
 		return m.yield(slices.Clone(m.vals))
 	}
 	if !m.spec.onlyNew || m.fresh > 0 {
-		out, vals := m.out, m.vals[:m.plan.slots]
+		out, keep := m.out, m.plan.keep
 		if out.n == 0 {
-			out.tmpl = append(out.tmpl, vals...)
+			for _, s := range keep {
+				out.tmpl = append(out.tmpl, m.vals[s])
+			}
 		}
-		out.bits = reserve(out.bits, len(vals))
-		for _, v := range vals {
-			out.bits = append(out.bits, v.Bits)
+		out.bits = reserve(out.bits, len(keep))
+		for _, s := range keep {
+			out.bits = append(out.bits, m.vals[s].Bits)
 		}
 		if m.spec.deltaOrd >= 0 {
 			out.keys = append(out.keys, m.key...)
@@ -899,143 +912,4 @@ func (m *matchRun) candidates(st *step, t *table) []int32 {
 		}
 	}
 	return best
-}
-
-// EvalATerm evaluates an action term under the given bindings, inserting
-// e-nodes for constructor applications. Canonicalization goes through
-// canonFind: inside the runner's apply phase values resolve against the
-// iteration-start snapshot, so the terms a match produces do not depend
-// on unions applied earlier in the same batch.
-func (g *EGraph) EvalATerm(t *ATerm, binds []Value) (Value, error) {
-	switch t.Kind {
-	case AVar:
-		return g.canonFind(binds[t.Slot]), nil
-	case ALit:
-		return g.canonFind(t.Lit), nil
-	case AApp, AVec:
-		// The loop is not shared with evalArgs: escape analysis merges the
-		// buffers of all callers inside one recursive cycle.
-		var buf [argBufLen]Value
-		args := buf[:0]
-		for _, a := range t.Args {
-			v, err := g.EvalATerm(a, binds)
-			if err != nil {
-				return Value{}, err
-			}
-			args = append(args, v)
-		}
-		if t.Kind == AVec {
-			return g.InternVec(t.VecSort, args), nil
-		}
-		return g.Insert(t.Fn, args...)
-	case APrim:
-		// The arguments escape through the Prim.Apply function value, so
-		// they go on the graph's primitive-argument stack instead of the
-		// heap: push, apply, truncate. A nested primitive pushes above
-		// them, so the window is taken only once all are evaluated.
-		base := len(g.primArgs)
-		for _, a := range t.Args {
-			v, err := g.EvalATerm(a, binds)
-			if err != nil {
-				g.primArgs = g.primArgs[:base]
-				return Value{}, err
-			}
-			g.primArgs = append(g.primArgs, v)
-		}
-		out, ok := t.Prim.Apply(g, g.primArgs[base:])
-		g.primArgs = g.primArgs[:base]
-		if !ok {
-			return Value{}, fmt.Errorf("egraph: primitive %s failed in action", t.Prim.Name)
-		}
-		return out, nil
-	default:
-		return Value{}, fmt.Errorf("egraph: unknown action term kind %d", t.Kind)
-	}
-}
-
-// ApplyActions runs the rule's actions under one match's bindings.
-func (g *EGraph) ApplyActions(r *Rule, binds []Value) error {
-	for _, act := range r.Actions {
-		switch a := act.(type) {
-		case *LetAction:
-			v, err := g.EvalATerm(a.T, binds)
-			if err != nil {
-				return err
-			}
-			binds[a.Slot] = v
-		case *UnionAction:
-			// Variable endpoints keep the matched row's original identity
-			// (bindings are stored raw) so union justifications anchor at
-			// the exact e-nodes the rule related.
-			va, err := g.evalUnionEndpoint(a.A, binds)
-			if err != nil {
-				return err
-			}
-			vb, err := g.evalUnionEndpoint(a.B, binds)
-			if err != nil {
-				return err
-			}
-			if _, err := g.UnionWithReason(va, vb, Justification{Kind: "rule", Rule: r.Name}); err != nil {
-				return fmt.Errorf("egraph: rule %s: %w", r.Name, err)
-			}
-		case *SetAction:
-			var buf [argBufLen]Value
-			args, err := g.evalArgs(buf[:0], a.Args, binds)
-			if err != nil {
-				return err
-			}
-			out, err := g.EvalATerm(a.Out, binds)
-			if err != nil {
-				return err
-			}
-			if err := g.Set(a.Fn, args, out); err != nil {
-				return fmt.Errorf("egraph: rule %s: %w", r.Name, err)
-			}
-		case *CostAction:
-			var buf [argBufLen]Value
-			args, err := g.evalArgs(buf[:0], a.Args, binds)
-			if err != nil {
-				return err
-			}
-			cv, err := g.EvalATerm(a.Cost, binds)
-			if err != nil {
-				return err
-			}
-			if cv.kind != KindI64 {
-				return fmt.Errorf("egraph: rule %s: unstable-cost expects i64 cost, got %s", r.Name, g.SortOf(cv))
-			}
-			if err := g.SetNodeCost(a.Fn, args, cv.AsI64()); err != nil {
-				return fmt.Errorf("egraph: rule %s: %w", r.Name, err)
-			}
-		case *InsertAction:
-			if _, err := g.EvalATerm(a.T, binds); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("egraph: unknown action type %T", act)
-		}
-	}
-	return nil
-}
-
-// evalArgs appends the values of ts under binds to dst.
-func (g *EGraph) evalArgs(dst []Value, ts []*ATerm, binds []Value) ([]Value, error) {
-	for _, t := range ts {
-		v, err := g.EvalATerm(t, binds)
-		if err != nil {
-			return nil, err
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
-// evalUnionEndpoint evaluates a union endpoint preserving the original
-// e-node identity of plain variable references (EvalATerm canonicalizes,
-// which is right everywhere else but would blur proof anchors).
-func (g *EGraph) evalUnionEndpoint(t *ATerm, binds []Value) (Value, error) {
-	if t.Kind == AVar {
-		return binds[t.Slot], nil
-	}
-	return g.EvalATerm(t, binds)
 }

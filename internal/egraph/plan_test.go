@@ -162,13 +162,15 @@ func TestLookupKeepsFirstBinding(t *testing.T) {
 		t.Fatalf("union root %d (err %v), want mul = %d", root.Bits, err, mul.Bits)
 	}
 	g.Rebuild()
-	// Add(?a, ?b) = ?r, Mul(?a, ?b) = ?r
+	// Add(?a, ?b) = ?r, Mul(?a, ?b) = ?r  =>  (union ?r ?r). A stored
+	// match keeps the slots the actions read, so the action reads ?r.
 	r := &Rule{
 		Name: "same-class",
 		Premises: []Premise{
 			&TablePremise{Fn: l.Add, Args: []Atom{VarAtom(0), VarAtom(1)}, Out: VarAtom(2)},
 			&TablePremise{Fn: l.Mul, Args: []Atom{VarAtom(0), VarAtom(1)}, Out: VarAtom(2)},
 		},
+		Actions:  []Action{&UnionAction{A: &ATerm{Kind: AVar, Slot: 2}, B: &ATerm{Kind: AVar, Slot: 2}}},
 		NumSlots: 3,
 	}
 	if st := r.planOf().full[1]; st.kind != stepLookup || len(st.ops) != 1 || st.ops[0].kind != opCheck {
@@ -184,7 +186,7 @@ func TestLookupKeepsFirstBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	binds := make([]Value, r.NumSlots)
-	buf.load(binds, 0, r.planOf().slots)
+	buf.load(binds, 0, r.planOf())
 	if buf.n != 1 || binds[2] != add {
 		t.Fatalf("stored %d matches, ?r = %d; want 1 holding the Add row's e-node %d", buf.n, binds[2].Bits, add.Bits)
 	}

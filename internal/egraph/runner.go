@@ -655,23 +655,18 @@ type run struct {
 	decisions []sched.Decision
 	needFull  []bool
 
-	// Match state, reused across iterations: each rule's plan, the
-	// iteration's tasks, one match buffer per task position, one matchRun
-	// per worker, and apply's bindings.
+	// Each rule's plan, and the storage the run reuses across its
+	// iterations (taken from, and handed back to, scratchPool).
 	plans []*rulePlan
-	tasks []matchTask
-	bufs  []matchBuf
-	runs  []matchRun
-	binds []Value
+	*runScratch
 
 	// The current iteration (0-based): its record, its per-rule outcomes
 	// in declaration order (one buffer reused across iterations), the
-	// merged matches, the counters its growth is measured against, and
-	// the start times its spans need.
+	// counters its growth is measured against, and the start times its
+	// spans need.
 	iter         int
 	it           IterStats
 	outcome      []sched.RuleIterStats
-	pending      []ruleMatches
 	minStamp     uint64
 	unionsBefore uint64
 	mergesBefore uint64
@@ -679,10 +674,53 @@ type run struct {
 	iterStart    time.Time
 	applyStart   time.Time
 	rebuildStart time.Time
+}
 
-	// roots is the storage of the apply phase's frozen root snapshot,
-	// reused across iterations.
-	roots []uint32
+// runScratch is the storage of a run's match and apply phases: the
+// iteration's tasks, one match buffer per task position, one matchRun per
+// worker, each rule's merged matches, apply's bindings and the frozen
+// root snapshot. Runs take it from scratchPool and hand it back when they
+// end, so a run starts with the buffers earlier runs grew instead of
+// doubling them again through its first iterations. Once released it
+// points at nothing but its own buffers, whose contents hold no pointer,
+// and a run owns it exclusively, so concurrent runs never share one.
+type runScratch struct {
+	tasks   []matchTask
+	bufs    []matchBuf
+	runs    []matchRun
+	pending []ruleMatches
+	binds   []Value
+	roots   []uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// takeScratch returns pooled run storage sized for rules and workers.
+func takeScratch(rules []*Rule, workers int) *runScratch {
+	s := scratchPool.Get().(*runScratch)
+	s.runs = slices.Grow(s.runs[:0], workers)[:workers]
+	s.pending = slices.Grow(s.pending[:0], len(rules))[:len(rules)]
+	for i, rule := range rules {
+		s.pending[i].rule = rule
+	}
+	return s
+}
+
+// release drops what s points into — graphs, rules, plans, selectivity
+// sinks — keeping the storage, and hands s back to scratchPool.
+func (s *runScratch) release() {
+	clear(s.tasks[:cap(s.tasks)])
+	runs := s.runs[:cap(s.runs)]
+	for i := range runs {
+		m := &runs[i]
+		*m = matchRun{vals: m.vals, canon: m.canon, lits: m.lits, key: m.key, scratch: m.scratch}
+	}
+	pending := s.pending[:cap(s.pending)]
+	for i := range pending {
+		rm := &pending[i]
+		*rm = ruleMatches{buf: rm.buf, perm: rm.perm}
+	}
+	scratchPool.Put(s)
 }
 
 // newRun opens a run: the journal's run bracket, the rules' plans, the
@@ -692,16 +730,14 @@ func (g *EGraph) newRun(rules []*Rule, cfg RunConfig) *run {
 	cfg = cfg.withDefaults()
 	r := &run{
 		g: g, rules: rules, cfg: cfg, start: time.Now(),
-		report:  RunReport{Stop: StopIterLimit, Workers: cfg.Workers},
-		outcome: make([]sched.RuleIterStats, 0, len(rules)),
-		plans:   make([]*rulePlan, len(rules)),
-		pending: make([]ruleMatches, len(rules)),
-		runs:    make([]matchRun, cfg.Workers),
+		report:     RunReport{Stop: StopIterLimit, Workers: cfg.Workers},
+		outcome:    make([]sched.RuleIterStats, 0, len(rules)),
+		plans:      make([]*rulePlan, len(rules)),
+		runScratch: takeScratch(rules, cfg.Workers),
 	}
 	r.report.Rules = make([]RuleStats, len(rules))
 	for i, rule := range rules {
 		r.plans[i] = rule.planOf()
-		r.pending[i].rule = rule
 		r.report.Rules[i].Name = rule.Name
 	}
 	if g.journal != nil {
@@ -849,7 +885,8 @@ func (r *run) match() error {
 // it was collected against — re-applying an old match is then a
 // guaranteed no-op, which is what lets semi-naive mode skip old matches
 // without changing a single bit of the result. Each match is loaded from
-// its rule's buffer into one bindings slice the run reuses.
+// its rule's buffer into one bindings slice the run reuses, and its
+// rule's compiled actions run on it.
 func (r *run) apply() error {
 	g := r.g
 	r.applyStart = time.Now()
@@ -861,7 +898,7 @@ func (r *run) apply() error {
 		if rm.n == 0 {
 			continue
 		}
-		slots := r.plans[ri].slots
+		plan := r.plans[ri]
 		r.binds = slices.Grow(r.binds[:0], rm.rule.NumSlots)[:rm.rule.NumSlots]
 		// Provenance context: rows and unions made while applying this
 		// batch are stamped with the rule (endFrozenApply clears it).
@@ -873,13 +910,13 @@ func (r *run) apply() error {
 			if rm.order != nil {
 				m = int(rm.order[j])
 			}
-			rm.src.load(r.binds, m, slots)
+			rm.src.load(r.binds, m, plan)
 			// A match whose actions moved neither the union counter nor the
 			// effect counter (new rows, merge changes, cost installs)
 			// changed nothing — the per-rule no-op count is what makes naive
 			// mode's redundant re-matching visible in --stats.
 			before := g.unionCount + g.effects
-			if err := g.ApplyActions(rm.rule, r.binds); err != nil {
+			if err := g.exec(rm.rule, plan.acts, r.binds); err != nil {
 				r.outcome[ri].Applied = int64(j)
 				return fmt.Errorf("applying rule %s: %w", rm.rule.Name, err)
 			}
@@ -1037,9 +1074,11 @@ func (r *run) abort(stop StopReason, err error) RunReport {
 	return r.end()
 }
 
-// end sizes the final graph and closes the run's journal bracket and
-// trace span.
+// end sizes the final graph, closes the run's journal bracket and trace
+// span, and hands the run's storage back.
 func (r *run) end() RunReport {
+	r.runScratch.release()
+	r.runScratch = nil
 	g, rep := r.g, &r.report
 	rep.Nodes = g.NumNodes()
 	rep.Classes = g.NumClasses()

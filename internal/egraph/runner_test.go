@@ -156,8 +156,8 @@ func TestRunStatsSemiNaive(t *testing.T) {
 // the apply phase's staleness hazard: matches are collected against the
 // iteration-start snapshot, so by the time a later match is applied, an
 // earlier apply may have unioned away the canonical ID its bindings
-// cached. ApplyActions must re-canonicalize through Find rather than
-// trust the cached IDs.
+// cached. The compiled actions (ApplyActions) must re-canonicalize a
+// slot when they push it rather than trust the cached IDs.
 func TestMidIterationUnionInvalidatesCachedCanon(t *testing.T) {
 	l := newExprLangQuiet()
 	g := l.g

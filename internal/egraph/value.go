@@ -11,9 +11,9 @@
 package egraph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -167,43 +167,72 @@ func (p *stringPool) get(id uint32) string {
 
 // vecPool hash-conses vectors of values. Two vectors with identical
 // (canonical) contents share an index, so Value equality on KindVec is bit
-// equality for canonical values. Interning is mutex-guarded for the
-// concurrent match phase (vec-of premises intern new vectors).
+// equality for canonical values. Vectors are numbered in the order they
+// are first interned. Interning is mutex-guarded for the concurrent match
+// phase (vec-of premises intern new vectors).
+//
+// index is an open-addressed hash table over the vectors, probed linearly
+// from hashArgs of the elements' bits: entry id+1 names vecs[id] and 0 is
+// empty. It is at most half full. Like the row index it is only probed,
+// never iterated, so its seeded hash reaches no output.
 type vecPool struct {
 	mu    sync.Mutex
-	byKey map[string]uint32
+	index []uint32
 	vecs  [][]Value
 }
 
-func newVecPool() *vecPool {
-	return &vecPool{byKey: make(map[string]uint32)}
-}
+func newVecPool() *vecPool { return &vecPool{} }
 
-// appendArgBits appends the little-endian bits of each value to dst: the
-// map key of interned vectors. Callers encode into a stack buffer and look
-// up m[string(key)], which does not allocate; the key string is allocated
-// only when it is stored.
-func appendArgBits(dst []byte, args []Value) []byte {
-	for _, a := range args {
-		dst = binary.LittleEndian.AppendUint64(dst, a.Bits)
-	}
-	return dst
-}
-
+// intern returns the number of the vector whose elements' bits are those
+// of elems, storing a copy of elems when there is none.
 func (p *vecPool) intern(elems []Value) uint32 {
-	var kb [8 * argBufLen]byte
-	key := appendArgBits(kb[:0], elems)
+	h := hashArgs(elems)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if id, ok := p.byKey[string(key)]; ok {
-		return id
+	entry := p.find(h, elems)
+	if entry >= 0 && p.index[entry] != 0 {
+		return p.index[entry] - 1
 	}
 	id := uint32(len(p.vecs))
-	stored := make([]Value, len(elems))
-	copy(stored, elems)
-	p.vecs = append(p.vecs, stored)
-	p.byKey[string(key)] = id
+	p.vecs = append(p.vecs, slices.Clone(elems))
+	if 2*len(p.vecs) > len(p.index) {
+		p.grow()
+	} else {
+		p.index[entry] = id + 1
+	}
 	return id
+}
+
+// find returns the entry of the vector whose elements' bits are those of
+// elems, which hash to h, or the empty entry its probe stopped at (-1
+// while the index is empty).
+func (p *vecPool) find(h uint64, elems []Value) int {
+	if len(p.index) == 0 {
+		return -1
+	}
+	mask := uint64(len(p.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		e := p.index[i]
+		if e == 0 {
+			return int(i)
+		}
+		if v := p.vecs[e-1]; len(v) == len(elems) && sameBits(v, elems) {
+			return int(i)
+		}
+	}
+}
+
+// grow rebuilds the index from the vectors, sized so that it is at most a
+// quarter full.
+func (p *vecPool) grow() {
+	n := 8
+	for n < 4*len(p.vecs) {
+		n *= 2
+	}
+	p.index = make([]uint32, n)
+	for id, v := range p.vecs {
+		p.index[p.find(hashArgs(v), v)] = uint32(id + 1)
+	}
 }
 
 func (p *vecPool) get(id uint32) []Value {

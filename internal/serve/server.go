@@ -383,21 +383,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	val, shared, err := s.group.Do(r.Context(), work.key, func(fctx context.Context) ([]byte, error) {
-		resp, ferr := s.execute(fctx, work, ro)
-		if ferr == nil {
-			s.cache.Add(work.key, resp)
-		}
-		return resp, ferr
-	})
+	val, src, err := s.optimize(r.Context(), work, ro)
 	switch {
 	case err == nil:
-		if shared {
-			source = "flight"
-			s.metrics.hits.Add(1)
-		} else {
-			source = "miss"
+		source = src
+		if source == "miss" {
 			s.metrics.misses.Add(1)
+		} else {
+			s.metrics.hits.Add(1)
 		}
 		s.writeResult(w, source, val)
 	case errors.Is(err, ErrQueueFull):
@@ -417,6 +410,38 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		source, status = "error", http.StatusUnprocessableEntity
 		s.failf(w, http.StatusUnprocessableEntity, "optimization failed: %v", err)
 	}
+}
+
+// optimize returns work's result after the request's cache lookup
+// missed, joining the flight for its key or leading a new one. A flight
+// for the key may have cached its result and left the group between that
+// lookup and this call, so a new flight looks in the cache again before
+// it saturates. source is "flight" for a result shared with the leading
+// request, "hit" when the second lookup found it, and "miss" when this
+// request saturated.
+func (s *Server) optimize(ctx context.Context, work *workItem, ro *requestObs) (val []byte, source string, err error) {
+	cached := false
+	val, shared, err := s.group.Do(ctx, work.key, func(fctx context.Context) ([]byte, error) {
+		if val, ok := s.cache.Get(work.key); ok {
+			cached = true
+			return val, nil
+		}
+		resp, ferr := s.execute(fctx, work, ro)
+		if ferr == nil {
+			s.cache.Add(work.key, resp)
+		}
+		return resp, ferr
+	})
+	switch {
+	case err != nil:
+	case shared:
+		source = "flight"
+	case cached:
+		source = "hit"
+	default:
+		source = "miss"
+	}
+	return val, source, err
 }
 
 func (s *Server) writeResult(w http.ResponseWriter, source string, val []byte) {

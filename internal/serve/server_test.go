@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -452,6 +453,39 @@ func TestStatz(t *testing.T) {
 		t.Fatalf("cache bytes = %d, want > 0", st.Cache.Bytes)
 	}
 	_ = s
+}
+
+// TestFlightRechecksCache: a request can miss the cache just before the
+// flight for its key caches its result and leaves the group. The flight
+// that request then leads must find the result in the cache and start no
+// second saturation. The test sets up that state directly: the key is
+// cached, and the request goes on to its flight.
+func TestFlightRechecksCache(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	var jobs atomic.Int32
+	s.jobHook = func(*workItem) { jobs.Add(1) }
+	req := &OptimizeRequest{MLIR: divPow2Module, RuleSet: "imgconv"}
+	first, source, err := c.OptimizeRaw(context.Background(), req)
+	if err != nil || source != "miss" {
+		t.Fatalf("first request: cache=%q err=%v", source, err)
+	}
+	work, err := s.resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, source, err := s.optimize(context.Background(), work, &requestObs{id: "recheck", rec: obs.NewRecorder()})
+	if err != nil || source != "hit" {
+		t.Fatalf("flight after the key was cached: source %q, err %v; want a hit", source, err)
+	}
+	if string(val) != string(first) {
+		t.Errorf("flight after the key was cached returned a different body:\n%s\nvs\n%s", val, first)
+	}
+	if n := jobs.Load(); n != 1 {
+		t.Errorf("the key saturated %d times, want 1", n)
+	}
+	if st := s.Stats(); st.Runs != 1 {
+		t.Errorf("Runs = %d, want 1", st.Runs)
+	}
 }
 
 // TestJobPanicIsolated: a panic inside one job answers that request with
