@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -36,8 +34,8 @@ type Bench2Mode struct {
 
 // Bench2SchedRef is the fixed reference strategy of the -bench2 scheduled
 // column: not a tuned optimum (egg-tune owns those) but a stable probe
-// whose deterministic intervention counts the perf-regression gate can
-// pin across engine changes.
+// whose deterministic intervention counts testdata/bench2.golden pins
+// across engine changes.
 var Bench2SchedRef = sched.Backoff{Threshold: 128, Factor: 2, BanLength: 5}
 
 // Bench2Row compares naive and semi-naive matching on one benchmark,
@@ -145,7 +143,8 @@ func RunBench2(benchs []*Benchmark) ([]Bench2Row, error) {
 	return out, nil
 }
 
-// FormatBench2 renders the comparison as an aligned text table.
+// FormatBench2 renders the comparison as an aligned text table of the
+// deterministic counters (no timings), which TestBench2Golden pins.
 func FormatBench2(rows []Bench2Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %6s %9s %9s | %9s %9s | %7s | %9s %5s %5s | %7s\n",
@@ -162,13 +161,4 @@ func FormatBench2(rows []Bench2Row) string {
 			r.ScanRatioSched)
 	}
 	return b.String()
-}
-
-// WriteBench2JSON writes the comparison to path as indented JSON.
-func WriteBench2JSON(path string, rows []Bench2Row) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dialegg/internal/dialects"
@@ -66,12 +67,20 @@ func TestSelectivityGolden(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "selectivity.golden")
+	checkGolden(t, "selectivity.golden", got.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update. On a mismatch it reports each line that differs, so the
+// counters that moved show.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -80,7 +89,21 @@ func TestSelectivityGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("selectivity differs from %s (regenerate with -update only when the counters are meant to change)", path)
+	if bytes.Equal(got, want) {
+		return
 	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := range max(len(wl), len(gl)) {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g {
+			t.Errorf("%s line %d:\nwant %s\ngot  %s", path, i+1, w, g)
+		}
+	}
+	t.Errorf("counters differ from %s (regenerate with -update only when they are meant to change)", path)
 }

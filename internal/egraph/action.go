@@ -169,11 +169,10 @@ func hasSort(t *ATerm, got, want *Sort) bool {
 }
 
 // canonical reports whether every value of sort s (nil: unknown) is its
-// own canonical form, so canonicalizing one changes nothing: a primitive.
-// A vector is canonicalized whatever its sort, as canonFind decides by
-// the elements the pool stores for it.
+// own canonical form, so canonicalizing one changes nothing: a sort that
+// holds no class, such as a primitive or a Vec<i64>.
 func canonical(s *Sort) bool {
-	return s != nil && s.Kind != KindEq && s.Kind != KindVec
+	return s != nil && !s.holdsClasses()
 }
 
 // endpoint compiles a union endpoint.

@@ -251,34 +251,7 @@ func (g *EGraph) VecElems(v Value) []Value { return g.vecs.get(uint32(v.Bits)) }
 // Find canonicalizes a value: eq-sort values are resolved through the
 // union-find; vector values are re-interned with canonical elements; other
 // primitives are already canonical.
-func (g *EGraph) Find(v Value) Value {
-	switch v.kind {
-	case KindEq:
-		v.Bits = uint64(g.uf.Find(uint32(v.Bits)))
-		return v
-	case KindVec:
-		elems := g.vecs.get(uint32(v.Bits))
-		changed := false
-		for _, e := range elems {
-			if f := g.Find(e); f.Bits != e.Bits {
-				changed = true
-				break
-			}
-		}
-		if !changed {
-			return v
-		}
-		var buf [argBufLen]Value
-		canon := buf[:0]
-		for _, e := range elems {
-			canon = append(canon, g.Find(e))
-		}
-		v.Bits = uint64(g.vecs.intern(canon))
-		return v
-	default:
-		return v
-	}
-}
+func (g *EGraph) Find(v Value) Value { return g.find(v, nil) }
 
 // beginFrozenApply snapshots every class's canonical root into roots'
 // storage and returns the snapshot, so the caller can hand the same
@@ -306,41 +279,44 @@ func (g *EGraph) endFrozenApply() {
 
 // canonFind canonicalizes like Find, except while a frozen-apply
 // snapshot is installed, where eq-sort values resolve through the
-// iteration-start snapshot. Classes created after the snapshot are
-// their own canonical representative (they existed in no earlier
-// union). Outside the apply phase it is exactly Find.
-func (g *EGraph) canonFind(v Value) Value {
-	if g.snapRoots == nil {
-		return g.Find(v)
-	}
+// iteration-start snapshot. Outside the apply phase it is exactly Find.
+func (g *EGraph) canonFind(v Value) Value { return g.find(v, g.snapRoots) }
+
+// find canonicalizes v through roots, a frozen-apply snapshot of every
+// class's root, or through the union-find when roots is nil. Classes
+// created after the snapshot are their own canonical representative (they
+// existed in no earlier union). A vector is re-interned when one of its
+// elements changes; one whose sort holds no class is canonical as it is.
+func (g *EGraph) find(v Value, roots []uint32) Value {
 	switch v.kind {
 	case KindEq:
-		if v.Bits < uint64(len(g.snapRoots)) {
-			v.Bits = uint64(g.snapRoots[v.Bits])
+		if roots == nil {
+			v.Bits = uint64(g.uf.Find(uint32(v.Bits)))
+		} else if v.Bits < uint64(len(roots)) {
+			v.Bits = uint64(roots[v.Bits])
 		}
-		return v
 	case KindVec:
+		if !g.sortTab[v.sort].holdsClasses() {
+			return v
+		}
 		elems := g.vecs.get(uint32(v.Bits))
 		changed := false
 		for _, e := range elems {
-			if f := g.canonFind(e); f.Bits != e.Bits {
+			if g.find(e, roots).Bits != e.Bits {
 				changed = true
 				break
 			}
 		}
-		if !changed {
-			return v
+		if changed {
+			var buf [argBufLen]Value
+			canon := buf[:0]
+			for _, e := range elems {
+				canon = append(canon, g.find(e, roots))
+			}
+			v.Bits = uint64(g.vecs.intern(canon))
 		}
-		var buf [argBufLen]Value
-		canon := buf[:0]
-		for _, e := range elems {
-			canon = append(canon, g.canonFind(e))
-		}
-		v.Bits = uint64(g.vecs.intern(canon))
-		return v
-	default:
-		return v
 	}
+	return v
 }
 
 // Eq reports whether two values are equal modulo the union-find.
@@ -481,21 +457,17 @@ func (g *EGraph) setRow(f *Function, canon []Value, out Value) error {
 			return fmt.Errorf("egraph: merge %s: %w", f.Name, err)
 		}
 		if merged.Bits != t.rows[i].out.Bits {
-			// A primitive merge can change the value without any union,
-			// so the frontier stamp must happen here (no Rebuild runs).
-			t.rows[i].out = merged
-			t.rows[i].outCanon = merged.Bits
-			t.touch(i, g.epoch)
-			t.invalidateArgIndex()
-			g.effects++
-			g.mergeCount++
-			if g.journal != nil {
-				o := g.encodeVal(merged)
-				g.jEmit(journal.Event{Kind: journal.KMerge, Fn: f.Name, Args: g.encodeVals(canon), Out: &o})
-			}
+			g.mergeRow(f, t, i, merged)
 		}
 		return nil
 	}
+	g.setNew(f, t, canon, out, entry)
+	return nil
+}
+
+// setNew adds the absent row f(canon) = out to t. entry is where the
+// probe that missed it stopped (table.probe).
+func (g *EGraph) setNew(f *Function, t *table, canon []Value, out Value, entry int) {
 	t.insert(canon, out, g.epoch, entry)
 	g.effects++
 	g.stampProvenance(f)
@@ -503,7 +475,23 @@ func (g *EGraph) setRow(f *Function, canon []Value, out Value) error {
 		o := g.encodeVal(out)
 		g.jEmit(journal.Event{Kind: journal.KSet, Fn: f.Name, Args: g.encodeVals(canon), Out: &o})
 	}
-	return nil
+}
+
+// mergeRow stores merged, the value f's primitive merge gave, as the
+// output of row i of f's table t. A primitive merge can change the value
+// without any union, so the frontier stamp must happen here (no Rebuild
+// runs).
+func (g *EGraph) mergeRow(f *Function, t *table, i int, merged Value) {
+	t.rows[i].out = merged
+	t.rows[i].outCanon = merged.Bits
+	t.touch(i, g.epoch)
+	t.invalidateArgIndex()
+	g.effects++
+	g.mergeCount++
+	if g.journal != nil {
+		o := g.encodeVal(merged)
+		g.jEmit(journal.Event{Kind: journal.KMerge, Fn: f.Name, Args: g.encodeVals(t.argsOf(i)), Out: &o})
+	}
 }
 
 // advanceFrontier closes the current epoch: every table's rows touched

@@ -1,6 +1,7 @@
 package egraph
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -219,28 +220,37 @@ func TestVecInterningAndCanonicalization(t *testing.T) {
 }
 
 // TestVecChildCongruence: nodes that take vectors as children must merge
-// when their vector contents become equal.
+// when their vector contents become equal, also when a vector of another
+// element sort whose elements have the same bits was interned first.
 func TestVecChildCongruence(t *testing.T) {
-	l := newExprLang(t)
-	g := l.g
-	vs := g.VecSortOf(l.Expr)
-	blk, err := g.DeclareFunction(&Function{Name: "Blk", Params: []*Sort{vs}, Out: l.Expr, Cost: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := l.num(t, 1)
-	b := l.num(t, 2)
-	v1 := g.InternVec(vs, []Value{a})
-	v2 := g.InternVec(vs, []Value{b})
-	n1 := l.app(t, blk, v1)
-	n2 := l.app(t, blk, v2)
-	if g.Eq(n1, n2) {
-		t.Fatal("distinct blocks equal too early")
-	}
-	g.Union(a, b)
-	g.Rebuild()
-	if !g.Eq(n1, n2) {
-		t.Error("blocks over congruent vectors did not merge")
+	for _, shadowed := range []bool{false, true} {
+		l := newExprLang(t)
+		g := l.g
+		vs := g.VecSortOf(l.Expr)
+		blk, err := g.DeclareFunction(&Function{Name: "Blk", Params: []*Sort{vs}, Out: l.Expr, Cost: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := l.num(t, 1)
+		b := l.num(t, 2)
+		if shadowed {
+			g.InternVec(g.VecSortOf(g.I64), []Value{I64Value(g.I64, int64(a.Bits)), I64Value(g.I64, int64(b.Bits))})
+		}
+		v1 := g.InternVec(vs, []Value{a, b})
+		v2 := g.InternVec(vs, []Value{b, b})
+		if elems := g.VecElems(v1); !slices.Equal(elems, []Value{a, b}) {
+			t.Errorf("shadowed=%v: vector [a b] holds %v", shadowed, elems)
+		}
+		n1 := l.app(t, blk, v1)
+		n2 := l.app(t, blk, v2)
+		if g.Eq(n1, n2) {
+			t.Fatalf("shadowed=%v: distinct blocks equal too early", shadowed)
+		}
+		g.Union(a, b)
+		g.Rebuild()
+		if !g.Eq(n1, n2) {
+			t.Errorf("shadowed=%v: blocks over congruent vectors did not merge", shadowed)
+		}
 	}
 }
 

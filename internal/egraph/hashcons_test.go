@@ -1,6 +1,7 @@
 package egraph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -250,22 +251,27 @@ func checkRowIndex(t *testing.T, g *EGraph, f *Function, rng *rand.Rand, vals []
 }
 
 // TestVecPoolMatchesMap interns seeded random vectors (lengths 0 to 10,
-// many of them repeated) through enough growth to rehash the pool's index
-// several times. Every vector gets the number a map keyed by its
-// elements' bits gives: the next unused number the first time, the same
-// number after. A clone of the pool numbers on from the same point and
-// leaves the original untouched.
+// many of them repeated, each of one of two element sorts whose elements
+// draw from the same bits) through enough growth to rehash the pool's
+// index several times. Every vector gets the number a map keyed by its
+// elements' sorts and bits gives: the next unused number the first time,
+// the same number after. A clone of the pool numbers on from the same
+// point and leaves the original untouched.
 func TestVecPoolMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := newVecPool()
 	want := map[string]uint32{}
 	check := func(p *vecPool, want map[string]uint32, elems []Value) {
 		t.Helper()
-		key := string(appendArgBits(nil, elems))
-		id, seen := want[key]
+		var key []byte
+		for _, e := range elems {
+			key = binary.LittleEndian.AppendUint32(key, e.sort)
+			key = binary.LittleEndian.AppendUint64(key, e.Bits)
+		}
+		id, seen := want[string(key)]
 		if !seen {
 			id = uint32(len(want))
-			want[key] = id
+			want[string(key)] = id
 		}
 		if got := p.intern(elems); got != id {
 			t.Fatalf("intern %v = %d, want %d (seen before: %v)", elems, got, id, seen)
@@ -274,10 +280,12 @@ func TestVecPoolMatchesMap(t *testing.T) {
 			t.Fatalf("vector %d holds %v, want %v", id, got, elems)
 		}
 	}
+	sorts := []*Sort{{Name: "i64", Kind: KindI64, id: 1}, {Name: "E", Kind: KindEq, id: 2}}
 	draw := func() []Value {
+		s := sorts[rng.Intn(len(sorts))]
 		elems := make([]Value, rng.Intn(11))
 		for i := range elems {
-			elems[i] = Value{Bits: uint64(rng.Intn(3))}
+			elems[i] = s.value(uint64(rng.Intn(3)))
 		}
 		return elems
 	}

@@ -341,26 +341,16 @@ func shardRange(tasks []matchTask, t matchTask, n, worth, maxShards int) []match
 	return tasks
 }
 
-// planMatchTasks appends to tasks each rule's full query, split into at
-// most one shard of its top-level scan per worker. Rules whose first
-// premise does not scan (or scans few live rows) get a single whole-range
-// task; rules the scheduler skipped get none.
-func (g *EGraph) planMatchTasks(tasks []matchTask, rules []*Rule, workers int, decisions []sched.Decision) []matchTask {
-	for ri, r := range rules {
-		if schedSkip(decisions, ri) {
-			continue
-		}
-		n, live := g.firstPremiseScan(r)
-		tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1}, n, live, workers)
-	}
-	return tasks
-}
-
-// planDeltaTasks emits the semi-naive plan: for each rule with k table
-// premises, one sharded sub-query per ordinal whose table has a non-empty
-// frontier. Rules whose premise tables all went untouched last iteration
-// contribute no tasks at all — the saturated fringe of a run costs
-// nothing, which is the point of semi-naive evaluation.
+// planDeltaTasks appends to tasks the iteration's match plan. Each task
+// is one shard of a query: a top-level scan or frontier is split into at
+// most one contiguous shard per worker, and a rule whose scan is short (or
+// holds few live rows) gets a single whole-range task. An iteration that
+// is not semi-naive gives every rule its full query. A semi-naive one
+// gives each rule with k table premises one sharded sub-query per ordinal
+// whose table has a non-empty frontier. Rules whose premise tables all
+// went untouched last iteration contribute no tasks at all — the
+// saturated fringe of a run costs nothing, which is the point of
+// semi-naive evaluation.
 //
 // The plan is hybrid: when a rule's summed frontiers are so large relative
 // to its leading table scan that the k delta sub-queries would visit more
@@ -377,12 +367,12 @@ func (g *EGraph) planMatchTasks(tasks []matchTask, rules []*Rule, workers int, d
 // match. Re-found old matches are no-ops under the apply phase's frozen
 // canonicalization, so the forced full pass restores completeness without
 // changing a bit of the already-derived state.
-func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []*rulePlan, workers int, decisions []sched.Decision, needFull []bool) []matchTask {
+func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []*rulePlan, semi bool, workers int, decisions []sched.Decision, needFull []bool) []matchTask {
 	for ri, r := range rules {
 		if schedSkip(decisions, ri) {
 			continue
 		}
-		if needFull != nil && needFull[ri] {
+		if !semi || needFull != nil && needFull[ri] {
 			n, live := g.firstPremiseScan(r)
 			tasks = shardRange(tasks, matchTask{ruleIdx: ri, sub: -1}, n, live, workers)
 			continue
@@ -429,11 +419,7 @@ func (g *EGraph) planDeltaTasks(tasks []matchTask, rules []*Rule, plans []*ruleP
 // the same for every worker count and shard plan.
 func (r *run) collect() (scanned int64, err error) {
 	g, cfg := r.g, r.cfg
-	if r.it.SemiNaive {
-		r.tasks = g.planDeltaTasks(r.tasks[:0], r.rules, r.plans, cfg.Workers, r.decisions, r.needFull)
-	} else {
-		r.tasks = g.planMatchTasks(r.tasks[:0], r.rules, cfg.Workers, r.decisions)
-	}
+	r.tasks = g.planDeltaTasks(r.tasks[:0], r.rules, r.plans, r.it.SemiNaive, cfg.Workers, r.decisions, r.needFull)
 	tasks := r.tasks
 	for len(r.bufs) < len(tasks) {
 		r.bufs = append(r.bufs, matchBuf{})

@@ -77,6 +77,16 @@ type Sort struct {
 
 func (s *Sort) String() string { return s.Name }
 
+// holdsClasses reports whether a value of sort s can hold an e-class ID:
+// s is an eq-sort or a vector, at any depth, of one. Every value of any
+// other sort is its own canonical form.
+func (s *Sort) holdsClasses() bool {
+	for s.Kind == KindVec {
+		s = s.Elem
+	}
+	return s.Kind == KindEq
+}
+
 // value returns the Value of sort s with payload bits.
 func (s *Sort) value(bits uint64) Value { return Value{Bits: bits, sort: s.id, kind: s.Kind} }
 
@@ -165,11 +175,13 @@ func (p *stringPool) get(id uint32) string {
 	return p.texts[id]
 }
 
-// vecPool hash-conses vectors of values. Two vectors with identical
-// (canonical) contents share an index, so Value equality on KindVec is bit
-// equality for canonical values. Vectors are numbered in the order they
-// are first interned. Interning is mutex-guarded for the concurrent match
-// phase (vec-of premises intern new vectors).
+// vecPool hash-conses vectors of values. Two vectors whose elements are
+// equal Values, sort and bits, share an index, so Value equality on
+// KindVec is bit equality for canonical values; vectors of different
+// element sorts never share one, even when their elements' bits agree.
+// Vectors are numbered in the order they are first interned. Interning is
+// mutex-guarded for the concurrent match phase (vec-of premises intern
+// new vectors).
 //
 // index is an open-addressed hash table over the vectors, probed linearly
 // from hashArgs of the elements' bits: entry id+1 names vecs[id] and 0 is
@@ -183,8 +195,8 @@ type vecPool struct {
 
 func newVecPool() *vecPool { return &vecPool{} }
 
-// intern returns the number of the vector whose elements' bits are those
-// of elems, storing a copy of elems when there is none.
+// intern returns the number of the vector whose elements are elems,
+// storing a copy of elems when there is none.
 func (p *vecPool) intern(elems []Value) uint32 {
 	h := hashArgs(elems)
 	p.mu.Lock()
@@ -203,9 +215,9 @@ func (p *vecPool) intern(elems []Value) uint32 {
 	return id
 }
 
-// find returns the entry of the vector whose elements' bits are those of
-// elems, which hash to h, or the empty entry its probe stopped at (-1
-// while the index is empty).
+// find returns the entry of the vector whose elements are elems, which
+// hash to h, or the empty entry its probe stopped at (-1 while the index
+// is empty).
 func (p *vecPool) find(h uint64, elems []Value) int {
 	if len(p.index) == 0 {
 		return -1
@@ -216,7 +228,7 @@ func (p *vecPool) find(h uint64, elems []Value) int {
 		if e == 0 {
 			return int(i)
 		}
-		if v := p.vecs[e-1]; len(v) == len(elems) && sameBits(v, elems) {
+		if slices.Equal(p.vecs[e-1], elems) {
 			return int(i)
 		}
 	}
