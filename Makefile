@@ -100,12 +100,12 @@ metrics-smoke:
 	@echo "metrics-smoke: OK (metrics.txt, flight.trace.json)"
 
 # Profiler smoke: run the paper benchmark with a saturation profile, lint
-# the artifact, render the blame, selectivity, and top reports, then merge
-# the artifact with itself and lint the merged one too.
+# the artifact, render the blame, selectivity (it fails when no rule
+# carries premise counters), and top reports, then merge the artifact with
+# itself and lint the merged one too.
 prof-smoke:
 	$(GO) run ./cmd/egg-opt -rules imgconv -workers 2 \
-		-profile profile.json -profile-sample 2 \
-		examples/div_pow2.mlir > /dev/null
+		-profile profile.json examples/div_pow2.mlir > /dev/null
 	$(GO) run ./cmd/egg-lint profile.json
 	$(GO) run ./cmd/egg-prof blame profile.json
 	$(GO) run ./cmd/egg-prof selectivity profile.json

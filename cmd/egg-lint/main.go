@@ -6,14 +6,14 @@
 //   - stats JSON (egg-opt's report with the engine report under "run" and
 //     extraction blame under "blame", or egglog's bare run report):
 //     per-iteration and per-rule row counts add up to the run total, and
-//     every rule, selectivity, and blame record passes its own Check (the
-//     checks a profile artifact's Lint applies);
+//     every rule (premises included) and blame record passes its own
+//     Check (the checks a profile artifact's Lint applies);
 //   - an e-graph event journal (JSON Lines of events): known kinds,
 //     iteration monotonicity, balanced rebuild markers, canonical union
 //     operands (journal.Lint);
 //   - Prometheus text exposition: name and label syntax, HELP/TYPE,
 //     duplicate samples, counter and histogram invariants (telemetry.Lint);
-//   - a dialegg-profile/v1 or dialegg-schedule/v2 artifact (the schema's
+//   - a dialegg-profile/v2 or dialegg-schedule/v2 artifact (the schema's
 //     Lint).
 //
 // It exits non-zero with a diagnostic on the first malformed file; the
@@ -95,7 +95,7 @@ func lint(path, require string) (string, error) {
 		// A schema that is not a string stays "" and is reported unknown.
 		_ = json.Unmarshal(probe["schema"], &schema)
 		switch schema {
-		case profile.SchemaV1:
+		case profile.SchemaV2:
 			_, err := profile.ReadFile(path)
 			return "profile OK", err
 		case sched.SchemaV2:
@@ -174,11 +174,6 @@ func lintStats(data, blame []byte) error {
 	}
 	if ruleRows != run.RowsScanned {
 		return fmt.Errorf("stats: per-rule rows %d != total rows scanned %d", ruleRows, run.RowsScanned)
-	}
-	for _, rs := range run.Selectivity {
-		if err := rs.Check(); err != nil {
-			return fmt.Errorf("stats: %w", err)
-		}
 	}
 	for _, br := range rows {
 		if err := br.Check(); err != nil {

@@ -42,7 +42,7 @@ func TestLintPicksCheckerByShape(t *testing.T) {
 		{"stats rows", `{"iterations": 1, "per_iter": [{"rows_scanned": 3}], "rows_scanned": 4}`, "!per-iteration rows 3"},
 		{"stats applied", `{"iterations": 1, "per_iter": [{"rows_scanned": 4}], "rows_scanned": 4, "rules": [{"name": "r", "matched": 1, "applied": 2, "rows_scanned": 4}]}`, "!applied 2 > matched 1"},
 		{"stats dropped", `{"iterations": 1, "per_iter": [{"rows_scanned": 4}], "rows_scanned": 4, "rules": [{"name": "r", "rows_scanned": 4, "sched_dropped": 3}]}`, "!sched_dropped 3 without"},
-		{"stats selectivity", `{"iterations": 1, "per_iter": [{}], "selectivity": [{"rule": "r", "premises": [{"kind": "table", "execs": 1, "visits": 1, "matches": 2, "full_scans": 1}]}]}`, "!matches 2 > visits 1"},
+		{"stats premises", `{"iterations": 1, "per_iter": [{"rows_scanned": 1}], "rows_scanned": 1, "rules": [{"name": "r", "rows_scanned": 1, "premises": [{"kind": "table", "execs": 1, "visits": 1, "matches": 2, "full_scans": 1}]}]}`, "!matches 2 > visits 1"},
 		{"stats blame", `{"run": {"iterations": 1, "per_iter": [{}]}, "blame": [{"rule": "r", "rows": 3, "extracted": 1, "rejected": 1}]}`, "!extracted 1 + rejected 1 + waste 0 != rows 3"},
 		{"journal", "{\"k\":\"graph\",\"n\":\"f\"}\n{\"k\":\"sort\",\"n\":\"Expr\"}\n", "journal OK, 2 events"},
 		{"journal kind", "{\"k\":\"graph\",\"n\":\"f\"}\n{\"k\":\"nope\"}\n", "!nope"},

@@ -17,8 +17,8 @@
 // trace-event file loadable in Perfetto or chrome://tracing with pipeline,
 // engine, and match-worker lanes; -cpuprofile/-memprofile write pprof
 // profiles; -profile writes a saturation-profile artifact (per-rule
-// cost/benefit counters joined with extraction blame, plus sampled
-// premise selectivity with -profile-sample N) readable by egg-prof.
+// cost/benefit and premise counters joined with extraction blame)
+// readable by egg-prof.
 //
 // Time travel: -journal records every e-graph mutation as a JSONL event
 // log replayable with cmd/egg-debug, -snapshot-every N embeds a
@@ -78,8 +78,7 @@ type options struct {
 	snapshotEvery int
 	explainExtr   bool
 
-	profileFile   string
-	profileSample int
+	profileFile string
 
 	scheduler    string
 	scheduleFile string
@@ -108,8 +107,7 @@ func main() {
 	flag.StringVar(&opts.journalFile, "journal", "", "write an e-graph event journal (JSONL, replayable with egg-debug) to this file")
 	flag.IntVar(&opts.snapshotEvery, "snapshot-every", 0, "embed an e-graph snapshot in the journal every N saturation iterations (0 = none)")
 	flag.BoolVar(&opts.explainExtr, "explain-extraction", false, "print an extraction-decision report for every rewritten operation to stderr")
-	flag.StringVar(&opts.profileFile, "profile", "", "write a saturation-profile artifact (per-rule cost/benefit + extraction blame; egg-prof readable) to this file")
-	flag.IntVar(&opts.profileSample, "profile-sample", 0, "sample every Nth match root for premise-selectivity statistics in the profile (0 = off)")
+	flag.StringVar(&opts.profileFile, "profile", "", "write a saturation-profile artifact (per-rule cost/benefit and premise counters + extraction blame; egg-prof readable) to this file")
 	flag.StringVar(&opts.scheduler, "scheduler", "", "rule scheduling strategy: simple, backoff[:threshold=N,factor=N,ban=N], or matchlimit[:N] (default simple)")
 	flag.StringVar(&opts.scheduleFile, "schedule", "", "load a tuned dialegg-schedule/v2 artifact (egg-tune output) and use its entry for the -rules set; -scheduler overrides")
 	flag.Parse()
@@ -214,14 +212,14 @@ func run(opts options) (err error) {
 		opt := dialegg.NewOptimizer(dialegg.Options{
 			RuleSources: ruleSrcs,
 			RunConfig: egraph.RunConfig{
-				IterLimit:     opts.iterLimit,
-				NodeLimit:     opts.nodeLimit,
-				TimeLimit:     opts.timeLimit,
-				Workers:       opts.workers,
-				Naive:         opts.naive,
-				ProfileSample: opts.profileSample,
-				Recorder:      rec,
-				Scheduler:     scheduler,
+				IterLimit:   opts.iterLimit,
+				NodeLimit:   opts.nodeLimit,
+				TimeLimit:   opts.timeLimit,
+				Workers:     opts.workers,
+				Naive:       opts.naive,
+				Selectivity: opts.profileFile != "",
+				Recorder:    rec,
+				Scheduler:   scheduler,
 			},
 			ExplainRewrites:   opts.explain,
 			Journal:           jw,

@@ -5,7 +5,7 @@
 //
 //	egg-prof merge -o all.json fn1.json fn2.json
 //	egg-prof blame profile.json        # per-rule extraction cost/benefit
-//	egg-prof selectivity profile.json  # sampled premise fan-out/selectivity
+//	egg-prof selectivity profile.json  # premise fan-out/selectivity
 //	egg-prof top -n 10 profile.json    # most expensive rules
 //
 // merge folds artifacts into one; counters sum per rule. blame,
@@ -90,10 +90,11 @@ func runReport(kind string, args []string) error {
 		}
 		fmt.Print(p.FormatBlame())
 	case "selectivity":
-		if len(p.Selectivity) == 0 {
-			return fmt.Errorf("%s has no selectivity section (produce it with -profile-sample N)", fs.Arg(0))
+		report := p.FormatSelectivity()
+		if report == "" {
+			return fmt.Errorf("%s has no premise counters (produce it with -profile on egg-opt/egglog)", fs.Arg(0))
 		}
-		fmt.Print(p.FormatSelectivity())
+		fmt.Print(report)
 	case "top":
 		fmt.Print(p.FormatTop(*n))
 	}

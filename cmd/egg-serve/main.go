@@ -85,8 +85,7 @@ func main() {
 	wdWindow := flag.Int("watchdog-window", 0, "consecutive explosive iterations before the watchdog trips (0 = default 3)")
 	wdMemMB := flag.Int("watchdog-mem-mb", 0, "also trip the watchdog above this heap watermark in MiB (0 disables)")
 	noWatchdog := flag.Bool("no-watchdog", false, "disable the engine health watchdog")
-	profileFlag := flag.Bool("profile", false, "aggregate a live saturation profile (per-rule cost/benefit + blame) served at /debugz/profilez; adds an extraction blame walk per run")
-	profileSample := flag.Int("profile-sample", 0, "sample every Nth match root for premise-selectivity statistics in the live profile (0 = off; needs -profile)")
+	profileFlag := flag.Bool("profile", false, "aggregate a live saturation profile (per-rule cost/benefit and premise counters + blame) served at /debugz/profilez; adds an extraction blame walk per run")
 	schedule := flag.String("schedule", "", "load a tuned dialegg-schedule/v2 artifact (egg-tune output); requests resolve their rule set's entry")
 	flag.Parse()
 
@@ -110,8 +109,7 @@ func main() {
 					GrowthWindow: *wdWindow,
 					MemBytes:     uint64(*wdMemMB) << 20,
 				},
-				Profile:       *profileFlag,
-				ProfileSample: *profileSample,
+				Profile: *profileFlag,
 			}
 			if *schedule != "" {
 				cfg.Schedule, err = sched.ReadArtifact(*schedule)
@@ -300,11 +298,10 @@ func runMetricsSmoke(cfg serve.Config, dir string, drainTimeout time.Duration) e
 	// Deterministic trip thresholds: the chain workload at least doubles
 	// every early iteration, so 2 consecutive >=1.5x iterations always fire.
 	cfg.Watchdog = serve.WatchdogConfig{GrowthFactor: 1.5, GrowthWindow: 2}
-	// Exercise the whole profiler plane: every job profiles with sampled
-	// selectivity, and a 1ns slow threshold guarantees each executed job
+	// Exercise the whole profiler plane: every job profiles with premise
+	// counters, and a 1ns slow threshold guarantees each executed job
 	// links into the profile's slow-request section.
 	cfg.Profile = true
-	cfg.ProfileSample = 2
 	cfg.SlowThreshold = time.Nanosecond
 	s := serve.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -442,8 +439,8 @@ func runMetricsSmoke(cfg serve.Config, dir string, drainTimeout time.Duration) e
 	if err := pz.Profile.Lint(); err != nil {
 		return fmt.Errorf("metrics-smoke: live profile fails lint: %w", err)
 	}
-	if pz.Profile.Runs == 0 || len(pz.Profile.Rules) == 0 || len(pz.Profile.Blame) == 0 || len(pz.Profile.Selectivity) == 0 {
-		return fmt.Errorf("metrics-smoke: live profile missing sections: %s", profilez)
+	if pz.Profile.Runs == 0 || len(pz.Profile.Rules) == 0 || len(pz.Profile.Blame) == 0 || pz.Profile.FormatSelectivity() == "" {
+		return fmt.Errorf("metrics-smoke: live profile missing sections or premise counters: %s", profilez)
 	}
 	if len(pz.SlowRequests) == 0 {
 		return fmt.Errorf("metrics-smoke: profilez has no slow-request links despite 1ns threshold")

@@ -48,8 +48,7 @@ type options struct {
 	snapshotEvery int
 	explainExtr   bool
 
-	profileFile   string
-	profileSample int
+	profileFile string
 
 	scheduler    string
 	scheduleFile string
@@ -68,8 +67,7 @@ func main() {
 	flag.StringVar(&opts.journalFile, "journal", "", "write an e-graph event journal (JSONL, replayable with egg-debug) to this file")
 	flag.IntVar(&opts.snapshotEvery, "snapshot-every", 0, "embed an e-graph snapshot in the journal every N saturation iterations (0 = none)")
 	flag.BoolVar(&opts.explainExtr, "explain-extraction", false, "print an extraction-decision report for every (extract ...) to stderr")
-	flag.StringVar(&opts.profileFile, "profile", "", "write a saturation-profile artifact (per-rule cost/benefit + extraction blame; egg-prof readable) to this file")
-	flag.IntVar(&opts.profileSample, "profile-sample", 0, "sample every Nth match root for premise-selectivity statistics in the profile (0 = off)")
+	flag.StringVar(&opts.profileFile, "profile", "", "write a saturation-profile artifact (per-rule cost/benefit and premise counters + extraction blame; egg-prof readable) to this file")
 	flag.StringVar(&opts.scheduler, "scheduler", "", "rule scheduling strategy for (run ...): simple, backoff[:threshold=N,factor=N,ban=N], or matchlimit[:N]")
 	flag.StringVar(&opts.scheduleFile, "schedule", "", "load a tuned dialegg-schedule/v2 artifact (egg-tune output); -scheduler overrides")
 	flag.StringVar(&opts.scheduleSet, "schedule-ruleset", "", "ruleset name to resolve in the -schedule artifact (default: the artifact's default entry)")
@@ -144,7 +142,7 @@ func run(opts options) (err error) {
 	}
 	p.RunDefaults.Workers = opts.workers
 	p.RunDefaults.Naive = opts.naive
-	p.RunDefaults.ProfileSample = opts.profileSample
+	p.RunDefaults.Selectivity = opts.profileFile != ""
 	if p.RunDefaults.Scheduler, err = sched.Load(opts.scheduleFile, opts.scheduleSet, opts.scheduler); err != nil {
 		return err
 	}

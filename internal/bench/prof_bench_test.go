@@ -12,24 +12,21 @@ import (
 	"dialegg/internal/rules"
 )
 
-// BenchmarkProfileOverhead prices the saturation profiler's three
+// BenchmarkProfileOverhead prices the saturation profiler's two
 // configurations on the chain16 and Poly workloads: off (the default —
-// no sampling, no blame; must be within noise of the seed since the
-// disabled path is a nil/zero check), sampled (the recommended -profile
-// -profile-sample 8 setup: every-8th-root selectivity counters and
-// extraction blame), and full (-profile-sample 1: every match root
-// instrumented). Per-rule metrics are on in every mode, as in every run.
-// The off/sampled ratio is what a user pays to get blame tables; off/full
-// bounds the worst case. Results are recorded in EXPERIMENTS.md.
+// no premise counters, no blame) and on (what -profile sets: premise
+// counters and extraction blame). Per-rule metrics are on in both modes,
+// as in every run, and the matcher counts each step's rows in both; on
+// adds the serial fold of those counts and the blame walk. The off/on
+// ratio is what a user pays for a profile. Results are recorded in
+// EXPERIMENTS.md.
 func BenchmarkProfileOverhead(b *testing.B) {
 	modes := []struct {
-		name   string
-		sample int
-		on     bool
+		name string
+		on   bool
 	}{
-		{"off", 0, false},
-		{"sampled", 8, true},
-		{"full", 1, true},
+		{"off", false},
+		{"on", true},
 	}
 	workloads := []struct {
 		name     string
@@ -51,12 +48,12 @@ func BenchmarkProfileOverhead(b *testing.B) {
 					opts := dialegg.Options{
 						RuleSources: w.ruleSrcs,
 						RunConfig: egraph.RunConfig{
-							NodeLimit:     2_000_000,
-							MatchLimit:    2_000_000,
-							TimeLimit:     240 * time.Second,
-							IterLimit:     120,
-							Workers:       1,
-							ProfileSample: mode.sample,
+							NodeLimit:   2_000_000,
+							MatchLimit:  2_000_000,
+							TimeLimit:   240 * time.Second,
+							IterLimit:   120,
+							Workers:     1,
+							Selectivity: mode.on,
 						},
 						Blame: mode.on,
 					}

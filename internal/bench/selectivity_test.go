@@ -19,12 +19,12 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestSelectivityGolden pins the sampled premise statistics
-// (RunReport.Selectivity) of two compiles, the 20-matmul chain and Poly,
-// at sampling periods 1 and 3. Each is compared at one and two workers
-// against testdata/selectivity.golden, so a change to how the match phase
-// enumerates, samples or counts rows shows here. Regenerate with -update
-// only when the counters are meant to change.
+// TestSelectivityGolden pins the premise counters (RuleStats.Premises,
+// beside each rule's rows scanned) of two compiles, the 20-matmul chain
+// and Poly. Each is compared at one and two workers against
+// testdata/selectivity.golden, so a change to how the match phase
+// enumerates or counts rows shows here. Regenerate with -update only when
+// the counters are meant to change.
 func TestSelectivityGolden(t *testing.T) {
 	workloads := []struct {
 		name, src string
@@ -35,35 +35,37 @@ func TestSelectivityGolden(t *testing.T) {
 	}
 	var got bytes.Buffer
 	for _, w := range workloads {
-		for _, sample := range []int{1, 3} {
-			var ref []byte
-			for _, workers := range []int{1, 2} {
-				m, err := mlir.ParseModule(w.src, dialects.NewRegistry())
+		var ref []byte
+		for _, workers := range []int{1, 2} {
+			m, err := mlir.ParseModule(w.src, dialects.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := dialegg.NewOptimizer(dialegg.Options{
+				RuleSources: w.rules,
+				RunConfig:   egraph.RunConfig{Workers: workers, Selectivity: true},
+			})
+			rep, err := opt.OptimizeModule(m)
+			if err != nil {
+				t.Fatalf("%s: %v", w.name, err)
+			}
+			var b []byte
+			for _, rs := range rep.Run.Rules {
+				line, err := json.Marshal(struct {
+					Rule        string                `json:"rule"`
+					RowsScanned int64                 `json:"rows_scanned"`
+					Premises    []egraph.PremiseStats `json:"premises"`
+				}{rs.Name, rs.RowsScanned, rs.Premises})
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt := dialegg.NewOptimizer(dialegg.Options{
-					RuleSources: w.rules,
-					RunConfig:   egraph.RunConfig{Workers: workers, ProfileSample: sample},
-				})
-				rep, err := opt.OptimizeModule(m)
-				if err != nil {
-					t.Fatalf("%s: %v", w.name, err)
-				}
-				var b []byte
-				for _, rs := range rep.Run.Selectivity {
-					line, err := json.Marshal(rs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b = append(append(b, line...), '\n')
-				}
-				if ref == nil {
-					ref = b
-					fmt.Fprintf(&got, "== %s sample %d\n%s", w.name, sample, b)
-				} else if !bytes.Equal(b, ref) {
-					t.Errorf("%s sample %d: selectivity at %d workers differs from 1 worker", w.name, sample, workers)
-				}
+				b = append(append(b, line...), '\n')
+			}
+			if ref == nil {
+				ref = b
+				fmt.Fprintf(&got, "== %s\n%s", w.name, b)
+			} else if !bytes.Equal(b, ref) {
+				t.Errorf("%s: premise counters at %d workers differ from 1 worker", w.name, workers)
 			}
 		}
 	}

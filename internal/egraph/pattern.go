@@ -245,8 +245,8 @@ const (
 // the step's access path and what it does with each column of a row.
 type step struct {
 	kind stepKind
-	// prem is the premise's declared index, which keys its selectivity
-	// counters.
+	// prem is the premise's declared index, which keys its premise
+	// record (RuleStats.Premises).
 	prem int
 	// fn is a table step's function and ord its table ordinal. old
 	// restricts the step to rows stamped before the iteration's delta: its
@@ -320,6 +320,15 @@ func planRule(r *Rule) rulePlan {
 	}
 	p.compileActions(r)
 	return p
+}
+
+// query returns the steps of sub-query sub, or of the full query when
+// sub < 0.
+func (p *rulePlan) query(sub int) []step {
+	if sub < 0 {
+		return p.full
+	}
+	return p.delta[sub]
 }
 
 // noteSlot counts a's slot among the query slots.
@@ -483,17 +492,16 @@ var errStopMatch = fmt.Errorf("egraph: match stopped")
 // row (stamp >= minStamp): the others are old matches, already applied.
 // Old matches are still enumerated and counted, so caps judge every match
 // by its position in the full enumeration order.
-//
-// sel, when non-nil, turns on sampled selectivity collection: every
-// sel.every-th top-level row (by global scan/frontier index, so shard
-// boundaries do not change what is sampled) opens a traced sub-tree in
-// which every step execution is counted.
 type matchSpec struct {
 	deltaOrd int
 	minStamp uint64
 	onlyNew  bool
-	sel      *selSink
 }
+
+// stepCount is one step's work in a query execution: the rows it visited
+// (candidates tested; one per execution of a lookup or an eval) and those
+// that passed it.
+type stepCount struct{ visits, passes int64 }
 
 // matchRun is the state of one shard's query execution. A match worker
 // reuses one for all its tasks (reset), keeping its buffers.
@@ -515,7 +523,8 @@ type matchRun struct {
 	lits    []Value
 	key     []int32 // matched row slot per table ordinal
 	scratch []Value
-	scanned int64
+	// count holds each step's visits and passes, indexed like steps.
+	count []stepCount
 	// fresh counts the delta rows the current partial match binds; it is
 	// kept only under spec.onlyNew.
 	fresh int
@@ -526,10 +535,6 @@ type matchRun struct {
 	// Match and matchShard, to yield.
 	out   *matchBuf
 	yield func(binds []Value) bool
-	// sel/trace carry sampled selectivity collection: trace is true while
-	// the run is inside a sampled top-level row's sub-tree.
-	sel   *selSink
-	trace bool
 }
 
 // matchBuf holds one match task's kept matches without a pointer per
@@ -539,20 +544,23 @@ type matchRun struct {
 // for the caps). A rule's query slots are typed — each is bound from a
 // table column or a primitive's result — so the slots' sorts are recorded
 // once: the task's first kept match is the template (tmpl) load copies
-// before writing a match's bits. The runner keeps one buffer per task
-// position for the whole run, and runs reuse them (runScratch).
+// before writing a match's bits. With RunConfig.Selectivity it also holds
+// a copy of the task's step counters, which the runner folds serially
+// after the match phase. The runner keeps one buffer per task position
+// for the whole run, and runs reuse them (runScratch).
 type matchBuf struct {
 	tmpl  []Value
 	bits  []uint64
 	keys  []int32
 	pos   []int32
+	count []stepCount
 	n     int // matches kept
 	found int // matches enumerated
 }
 
 // reset empties b, keeping its storage.
 func (b *matchBuf) reset() {
-	*b = matchBuf{tmpl: b.tmpl[:0], bits: b.bits[:0], keys: b.keys[:0], pos: b.pos[:0]}
+	*b = matchBuf{tmpl: b.tmpl[:0], bits: b.bits[:0], keys: b.keys[:0], pos: b.pos[:0], count: b.count[:0]}
 }
 
 // load writes stored match i into binds: the kept query slots from the
@@ -573,14 +581,16 @@ func (b *matchBuf) load(binds []Value, i int, p *rulePlan) {
 // of m's previous run.
 func (m *matchRun) reset(g *EGraph, r *Rule, plan *rulePlan, spec matchSpec) {
 	*m = matchRun{
-		g: g, r: r, plan: plan, spec: spec, steps: plan.full,
+		g: g, r: r, plan: plan, spec: spec,
 		vals:    slices.Grow(m.vals[:0], r.NumSlots)[:r.NumSlots],
 		canon:   slices.Grow(m.canon[:0], r.NumSlots)[:r.NumSlots],
 		lits:    m.lits[:0],
 		key:     slices.Grow(m.key[:0], len(plan.tables))[:len(plan.tables)],
-		scratch: m.scratch, sel: spec.sel,
+		scratch: m.scratch,
+		count:   slices.Grow(m.count[:0], len(r.Premises))[:len(r.Premises)],
 	}
 	clear(m.vals)
+	clear(m.count)
 	for _, v := range plan.lits {
 		m.lits = append(m.lits, g.Find(v))
 	}
@@ -594,18 +604,16 @@ func (m *matchRun) reset(g *EGraph, r *Rule, plan *rulePlan, spec matchSpec) {
 // sorting any union of sub-query matches by key reproduces the exact
 // relative order a naive match would produce. For a full match
 // (spec.deltaOrd < 0) lo/hi shard the leading premise's table scan; for a
-// sub-query they shard the delta premise's frontier. m.scanned counts the
-// rows scanned (loop visits plus direct lookups).
+// sub-query they shard the delta premise's frontier. m.count counts each
+// step's visits and passes.
 func (m *matchRun) matchShard(lo, hi int) error {
 	if m.g.dirty {
 		return fmt.Errorf("egraph: rule %s: match needs a graph rebuilt since its last union", m.r.Name)
 	}
-	if s := m.spec.deltaOrd; s >= 0 {
-		if s >= len(m.plan.tables) {
-			return fmt.Errorf("egraph: rule %s: sub-query %d of %d table premises", m.r.Name, s, len(m.plan.tables))
-		}
-		m.steps = m.plan.delta[s]
+	if s := m.spec.deltaOrd; s >= len(m.plan.tables) {
+		return fmt.Errorf("egraph: rule %s: sub-query %d of %d table premises", m.r.Name, s, len(m.plan.tables))
 	}
+	m.steps = m.plan.query(m.spec.deltaOrd)
 	err := m.run(0, lo, hi)
 	if err == errStopMatch {
 		err = nil
@@ -706,18 +714,16 @@ func (m *matchRun) matchCols(st *step, t *table, ri int) bool {
 	return true
 }
 
-// sample records a traced execution of a lookup or an eval step, which
-// visits one row. One that opens a full query is top-level row 0, which
-// every sampling period includes.
-func (m *matchRun) sample(k int, st *step) {
-	if k == 0 {
-		m.trace = true
-		m.sel.roots++
+// rowsScanned is the rows the run's table steps visited: scan loop
+// iterations plus direct lookups.
+func (m *matchRun) rowsScanned() int64 {
+	var n int64
+	for k := range m.steps {
+		if m.steps[k].kind != stepEval {
+			n += m.count[k].visits
+		}
 	}
-	if m.trace {
-		m.noteEntry(st)
-		m.sel.prem[st.prem].Visits++
-	}
+	return n
 }
 
 // run executes the query from step k on; lo/hi restrict the rows of step
@@ -735,10 +741,12 @@ steps:
 			if lo > 0 {
 				break steps // not a scan: handled wholly by the first shard
 			}
+			c := &m.count[k]
+			c.visits++
 			ok := false
 			if st.kind == stepEval {
-				ok, err = m.eval(k, st)
-			} else if row := m.lookup(k, st); row != nil {
+				ok, err = m.eval(st)
+			} else if row := m.lookup(st); row != nil {
 				ok = true
 				if m.spec.onlyNew && row.stamp >= m.spec.minStamp {
 					m.fresh++
@@ -748,6 +756,7 @@ steps:
 			if !ok {
 				break steps
 			}
+			c.passes++
 			lo, hi = 0, -1 // only the query's first step is sharded
 		default:
 			err = m.scan(k, st, lo, hi)
@@ -776,10 +785,7 @@ func (m *matchRun) descend(k int, st *step, row *row, ri int) error {
 
 // eval applies an eval step's primitive and matches its output. It
 // reports whether the query goes on.
-func (m *matchRun) eval(k int, st *step) (bool, error) {
-	if m.sel != nil {
-		m.sample(k, st)
-	}
+func (m *matchRun) eval(st *step) (bool, error) {
 	if st.unbound >= 0 {
 		return false, fmt.Errorf("egraph: rule %s: primitive %s argument %d unbound (premise ordering)", m.r.Name, st.prim.Name, st.unbound)
 	}
@@ -792,28 +798,18 @@ func (m *matchRun) eval(k int, st *step) (bool, error) {
 		return false, nil // primitive did not apply; no match through this premise
 	}
 	out = m.g.Find(out)
-	if !m.matchVal(st.ops[0], out, out.Bits) {
-		return false, nil
-	}
-	if m.trace {
-		m.sel.prem[st.prem].Matches++
-	}
-	return true, nil
+	return m.matchVal(st.ops[0], out, out.Bits), nil
 }
 
 // lookup finds the one row a lookup step's bound arguments name and
 // records it as the step's match; it returns nil when the row is absent
 // or does not match.
-func (m *matchRun) lookup(k int, st *step) *row {
-	if m.sel != nil {
-		m.sample(k, st)
-	}
+func (m *matchRun) lookup(st *step) *row {
 	t := m.g.tab(st.fn)
 	key := m.args(t.arity)
 	for j := range key {
 		key[j] = m.value(st.keys[j].src)
 	}
-	m.scanned++
 	ri, ok := t.lookupRow(key)
 	if !ok {
 		return nil
@@ -821,9 +817,6 @@ func (m *matchRun) lookup(k int, st *step) *row {
 	row := &t.rows[ri]
 	if (st.old && row.stamp >= m.spec.minStamp) || !m.matchCols(st, t, ri) {
 		return nil
-	}
-	if m.trace {
-		m.sel.prem[st.prem].Matches++
 	}
 	m.key[st.ord] = int32(ri)
 	return row
@@ -853,46 +846,27 @@ func (m *matchRun) scan(k int, st *step, lo, hi int) error {
 	if hi >= 0 && st.kind != stepProbe {
 		start, n = lo, min(hi, n)
 	}
-	// A query's first step enumerates its top-level rows, so the per-row
-	// sampling decision is made here. Other steps inherit the enclosing
-	// trace flag for the whole call.
-	rootScan := m.sel != nil && k == 0
-	trc := m.sel != nil && m.trace
-	if trc {
-		m.noteEntry(st)
-	}
-	for i := start; i < n; i++ {
+	// The loop counts in locals; the steps it descends into count their
+	// own rows.
+	var visits, passes int64
+	var err error
+	for i := start; i < n && err == nil; i++ {
 		ri := i
 		if st.kind != stepScan {
 			ri = int(list[i])
 		}
-		m.scanned++
+		visits++
 		row := &t.rows[ri]
-		if rootScan {
-			// Sample by global row, candidate or frontier index: i does
-			// not depend on shard boundaries, so the traced set — and with
-			// it every counter — is worker-count independent.
-			trc = i%m.sel.every == 0
-			m.trace = trc
-			if trc {
-				m.sel.roots++
-				m.noteEntry(st)
-			}
-		}
-		if trc {
-			m.sel.prem[st.prem].Visits++
-		}
 		if row.dead || (st.old && row.stamp >= m.spec.minStamp) || !m.matchCols(st, t, ri) {
 			continue
 		}
-		if trc {
-			m.sel.prem[st.prem].Matches++
-		}
-		if err := m.descend(k, st, row, ri); err != nil {
-			return err
-		}
+		passes++
+		err = m.descend(k, st, row, ri)
 	}
-	return nil
+	c := &m.count[k]
+	c.visits += visits
+	c.passes += passes
+	return err
 }
 
 // candidates returns the rows a probe step visits: the index list of

@@ -1,156 +1,204 @@
 package egraph
 
-// Tests for the saturation profiler's engine half: sampled premise
-// selectivity (RunConfig.ProfileSample) and extraction blame analysis.
-// The load-bearing property is determinism — sampling is keyed to global
-// row indices, so the counters must be byte-identical at every worker
-// count (which sets the shard count), and turning sampling on must not
-// change the graph.
+// Tests for the saturation profiler's engine half: premise counters
+// (RunConfig.Selectivity, RuleStats.Premises) and extraction blame
+// analysis. The load-bearing properties are exactness and determinism —
+// the counters come from the matcher's own per-step counts, so they must
+// agree with RowsScanned, be byte-identical at every worker count (which
+// sets the shard count), and turning them on must not change the graph.
 
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dialegg/internal/obs/journal"
 )
 
-// runSelectivity saturates a fresh chain graph with the given worker
-// count and returns the marshaled selectivity section.
-func runSelectivity(t *testing.T, naive bool, workers, sample int) ([]byte, RunReport) {
+// premiseRules reaches every access path: comm scans its table (its
+// delta frontier from the second iteration on), assoc probes the second
+// Add by its first argument, and succ evaluates a primitive and then
+// looks up the row it names.
+func premiseRules(l *exprLang) []*Rule {
+	g := l.g
+	succ := &Rule{
+		Name: "succ",
+		Premises: []Premise{
+			&TablePremise{Fn: l.Num, Args: []Atom{VarAtom(0)}, Out: VarAtom(1)},
+			&EvalPremise{Prim: testPrims["+"], Args: []Atom{VarAtom(0), LitAtom(I64Value(g.I64, 1))}, Out: VarAtom(2)},
+			&TablePremise{Fn: l.Num, Args: []Atom{VarAtom(2)}, Out: VarAtom(3)},
+		},
+		Actions: []Action{
+			&InsertAction{T: &ATerm{Kind: AApp, Fn: l.Mul, Args: []*ATerm{{Kind: AVar, Slot: 1}, {Kind: AVar, Slot: 3}}}},
+		},
+		NumSlots: 4,
+	}
+	return []*Rule{commRule(l.Add), assocRule(l.Add), succ, commRule(l.Mul)}
+}
+
+// runPremises runs premiseRules for four iterations over a fresh
+// 12-term addition chain and returns the report and the snapshot of the
+// resulting graph.
+func runPremises(t *testing.T, cfg RunConfig) (RunReport, []byte) {
 	t.Helper()
-	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{
-		IterLimit:     4,
-		Workers:       workers,
-		ProfileSample: sample,
-		Naive:         naive,
-	})
-	b, err := json.Marshal(rep.Selectivity)
+	l := newExprLangQuiet()
+	g := l.g
+	prev, _ := g.Insert(l.Num, I64Value(g.I64, 0))
+	for i := 1; i < 12; i++ {
+		leaf, _ := g.Insert(l.Num, I64Value(g.I64, int64(i)))
+		prev, _ = g.Insert(l.Add, prev, leaf)
+	}
+	cfg.IterLimit = 4
+	rep := g.Run(premiseRules(l), cfg)
+	if rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	snap, err := json.Marshal(g.Snapshot(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, rep
+	return rep, snap
 }
 
-// TestSelectivityWorkerIndependent: the sampled counters are byte-identical
-// for every worker count, in both match modes and at several sampling
-// periods — the profile-artifact determinism guarantee rests on this.
-func TestSelectivityWorkerIndependent(t *testing.T) {
-	for _, naive := range []bool{false, true} {
-		for _, sample := range []int{1, 3} {
-			ref, refRep := runSelectivity(t, naive, 1, sample)
-			for _, workers := range []int{2, 3, 4, 8} {
-				got, gotRep := runSelectivity(t, naive, workers, sample)
-				if string(got) != string(ref) {
-					t.Errorf("naive=%v sample=%d: selectivity differs at workers=%d:\nref %s\ngot %s",
-						naive, sample, workers, ref, got)
-				}
-				if gotRep.Nodes != refRep.Nodes || gotRep.Iterations != refRep.Iterations {
-					t.Errorf("naive=%v sample=%d: run outcome differs at workers=%d", naive, sample, workers)
-				}
-			}
-		}
-	}
-}
-
-// TestSelectivityInvariants: the counters satisfy their cross-field
-// contracts — matches never exceed visits, table premises attribute every
-// execution to exactly one access path, bound-column counts never exceed
-// executions, and a positive sampling period on a scanning workload
-// samples roots.
-func TestSelectivityInvariants(t *testing.T) {
-	_, rep := runSelectivity(t, false, 4, 2)
-	if len(rep.Selectivity) == 0 {
-		t.Fatal("no selectivity collected")
-	}
-	var roots int64
-	for _, rs := range rep.Selectivity {
-		if rs.SampleEvery != 2 {
-			t.Errorf("rule %s: sample_every = %d, want 2", rs.Rule, rs.SampleEvery)
-		}
-		roots += rs.SampledRoots
-		for _, ps := range rs.Premises {
-			if ps.Matches > ps.Visits {
-				t.Errorf("rule %s premise %d: matches %d > visits %d", rs.Rule, ps.Index, ps.Matches, ps.Visits)
-			}
-			paths := ps.Lookups + ps.IndexProbes + ps.FullScans + ps.DeltaScans
-			switch ps.Kind {
-			case "table":
-				if paths != ps.Execs {
-					t.Errorf("rule %s premise %d: access paths %d != execs %d", rs.Rule, ps.Index, paths, ps.Execs)
-				}
-			case "eval":
-				if paths != 0 {
-					t.Errorf("rule %s premise %d: eval premise has access paths", rs.Rule, ps.Index)
-				}
-			}
-			for col, n := range ps.BoundCols {
-				if n > ps.Execs {
-					t.Errorf("rule %s premise %d col %d: bound %d > execs %d", rs.Rule, ps.Index, col, n, ps.Execs)
-				}
-			}
-		}
-	}
-	if roots == 0 {
-		t.Error("sampling on a scanning workload collected zero roots")
-	}
-}
-
-// TestProfileSampleOffPath: ProfileSample 0 collects nothing, and enabling
-// it changes neither the resulting graph nor the work the run does.
-func TestProfileSampleOffPath(t *testing.T) {
-	run := func(sample int) ([]byte, RunReport) {
-		l, rules := buildChainGraph()
-		rep := l.g.Run(rules, RunConfig{IterLimit: 4, Workers: 2, ProfileSample: sample})
-		snap, err := json.Marshal(l.g.Snapshot(0))
+// premiseJSON marshals each rule's rows scanned and premise counters.
+func premiseJSON(t *testing.T, rules []RuleStats) string {
+	t.Helper()
+	var b strings.Builder
+	for _, rs := range rules {
+		line, err := json.Marshal(struct {
+			Name     string
+			Rows     int64
+			Premises []PremiseStats
+		}{rs.Name, rs.RowsScanned, rs.Premises})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snap, rep
+		b.Write(line)
+		b.WriteByte('\n')
 	}
-	offSnap, offRep := run(0)
-	if offRep.Selectivity != nil {
-		t.Errorf("ProfileSample=0 collected selectivity")
-	}
-	onSnap, onRep := run(2)
-	if len(onRep.Selectivity) == 0 {
-		t.Errorf("ProfileSample=2 collected nothing")
-	}
-	if string(offSnap) != string(onSnap) {
-		t.Error("enabling ProfileSample changed the resulting graph")
-	}
-	if offRep.RowsScanned != onRep.RowsScanned || offRep.Iterations != onRep.Iterations {
-		t.Error("enabling ProfileSample changed the run's work")
+	return b.String()
+}
+
+// TestSelectivityWorkerIndependent: the premise counters are
+// byte-identical for every worker count, in both match modes — the
+// profile-artifact determinism guarantee rests on this.
+func TestSelectivityWorkerIndependent(t *testing.T) {
+	for _, naive := range []bool{false, true} {
+		refRep, _ := runPremises(t, RunConfig{Workers: 1, Naive: naive, Selectivity: true})
+		ref := premiseJSON(t, refRep.Rules)
+		for _, workers := range []int{2, 3, 4, 8} {
+			rep, _ := runPremises(t, RunConfig{Workers: workers, Naive: naive, Selectivity: true})
+			if got := premiseJSON(t, rep.Rules); got != ref {
+				t.Errorf("naive=%v: premises differ at workers=%d:\nref %s\ngot %s", naive, workers, ref, got)
+			}
+			if rep.Nodes != refRep.Nodes || rep.Iterations != refRep.Iterations {
+				t.Errorf("naive=%v: run outcome differs at workers=%d", naive, workers)
+			}
+		}
 	}
 }
 
-// TestMergeSelectivity: merging is summation by rule name — folding a
-// section into itself doubles every counter.
-func TestMergeSelectivity(t *testing.T) {
-	_, rep := runSelectivity(t, false, 1, 1)
-	merged := MergeSelectivity(nil, rep.Selectivity)
-	merged = MergeSelectivity(merged, rep.Selectivity)
-	if len(merged) != len(rep.Selectivity) {
-		t.Fatalf("merged %d rules, want %d", len(merged), len(rep.Selectivity))
-	}
-	for i, rs := range rep.Selectivity {
-		m := merged[i]
-		if m.Rule != rs.Rule || m.SampledRoots != 2*rs.SampledRoots {
-			t.Errorf("rule %s: merged roots %d, want %d", rs.Rule, m.SampledRoots, 2*rs.SampledRoots)
+// TestSelectivityInvariants: every record passes RuleStats.Check — no
+// premise matches more rows than it visited, a table premise attributes
+// every execution to one access path and binds no column more often than
+// it ran, and table-premise visits sum to the rule's rows scanned — the
+// workload reaches every access path, and Check rejects a real record
+// with a visit removed or an access path dropped, naming the rule.
+func TestSelectivityInvariants(t *testing.T) {
+	rep, _ := runPremises(t, RunConfig{Workers: 4, Selectivity: true})
+	var paths [4]int64
+	var evals int64
+	for _, rs := range rep.Rules {
+		if len(rs.Premises) == 0 {
+			t.Fatalf("rule %s: no premises collected", rs.Name)
 		}
+		if err := rs.Check(); err != nil {
+			t.Error(err)
+		}
+		for _, ps := range rs.Premises {
+			paths[0] += ps.Lookups
+			paths[1] += ps.IndexProbes
+			paths[2] += ps.FullScans
+			paths[3] += ps.DeltaScans
+			if ps.Kind == "eval" {
+				evals += ps.Execs
+			}
+		}
+	}
+	if paths[0] == 0 || paths[1] == 0 || paths[2] == 0 || paths[3] == 0 || evals == 0 {
+		t.Errorf("workload misses an access path: lookups/probes/full/delta %v, eval execs %d", paths, evals)
+	}
+
+	// assoc's first premise visits more rows than it passes, so only the
+	// rows-scanned cross-check sees a visit go missing.
+	assoc := rep.Rules[1]
+	broken := []struct {
+		name string
+		edit func(*PremiseStats)
+		want string
+	}{
+		{"visit removed", func(ps *PremiseStats) { ps.Visits-- }, "rows_scanned"},
+		{"access path dropped", func(ps *PremiseStats) { ps.FullScans, ps.DeltaScans = 0, 0 }, "access paths"},
+	}
+	for _, b := range broken {
+		rs := MergeRuleStats(nil, []RuleStats{assoc})[0]
+		b.edit(&rs.Premises[0])
+		err := rs.Check()
+		if err == nil || !strings.Contains(err.Error(), "rule "+assoc.Name) || !strings.Contains(err.Error(), b.want) {
+			t.Errorf("%s: Check() = %v, want an error naming rule %s and %q", b.name, err, assoc.Name, b.want)
+		}
+	}
+}
+
+// TestSelectivityOffPath: with Selectivity off no rule carries premises,
+// and turning it on changes neither the resulting graph nor the rows the
+// run scans.
+func TestSelectivityOffPath(t *testing.T) {
+	offRep, offSnap := runPremises(t, RunConfig{Workers: 2})
+	onRep, onSnap := runPremises(t, RunConfig{Workers: 2, Selectivity: true})
+	for i, rs := range offRep.Rules {
+		if rs.Premises != nil {
+			t.Errorf("rule %s: premises collected with Selectivity off", rs.Name)
+		}
+		if on := onRep.Rules[i]; len(on.Premises) == 0 || on.RowsScanned != rs.RowsScanned {
+			t.Errorf("rule %s: Selectivity on gave %d premises and %d rows, off %d rows", rs.Name, len(on.Premises), on.RowsScanned, rs.RowsScanned)
+		}
+	}
+	if !bytes.Equal(offSnap, onSnap) {
+		t.Error("turning Selectivity on changed the resulting graph")
+	}
+	if offRep.RowsScanned != onRep.RowsScanned || offRep.Iterations != onRep.Iterations {
+		t.Error("turning Selectivity on changed the run's work")
+	}
+}
+
+// TestMergeRuleStatsPremises: merging sums premises by rule name —
+// folding a report into itself doubles every counter — and premises are
+// copied as they enter the aggregate, so folding more into it never
+// writes through to a source.
+func TestMergeRuleStatsPremises(t *testing.T) {
+	rep, _ := runPremises(t, RunConfig{Workers: 1, Selectivity: true})
+	want := premiseJSON(t, rep.Rules)
+	var agg RunReport
+	agg.Merge(rep)
+	agg.Merge(rep)
+	if got := premiseJSON(t, rep.Rules); got != want {
+		t.Errorf("merging changed the source report:\nwas %s\nnow %s", want, got)
+	}
+	for i, rs := range rep.Rules {
 		for j, ps := range rs.Premises {
-			if m.Premises[j].Visits != 2*ps.Visits || m.Premises[j].Matches != 2*ps.Matches {
-				t.Errorf("rule %s premise %d: merge did not sum", rs.Rule, j)
+			m := agg.Rules[i].Premises[j]
+			if m.Execs != 2*ps.Execs || m.Visits != 2*ps.Visits || m.Matches != 2*ps.Matches {
+				t.Errorf("rule %s premise %d: merge did not sum", rs.Name, j)
 			}
 		}
 	}
 
-	// Premises src has beyond dst's are appended as copies, so folding
-	// more into the result never writes through to src.
-	src := []RuleSelectivity{{Rule: "r", Premises: []PremiseStats{{BoundCols: []int64{1}}, {BoundCols: []int64{1}}}}}
-	dst := MergeSelectivity([]RuleSelectivity{{Rule: "r", Premises: []PremiseStats{{BoundCols: []int64{1}}}}}, src)
-	MergeSelectivity(dst, src)
+	// Premises src has beyond dst's are appended as copies too.
+	src := []RuleStats{{Name: "r", Premises: []PremiseStats{{BoundCols: []int64{1}}, {BoundCols: []int64{1}}}}}
+	dst := MergeRuleStats([]RuleStats{{Name: "r", Premises: []PremiseStats{{BoundCols: []int64{1}}}}}, src)
+	MergeRuleStats(dst, src)
 	if got := src[0].Premises[1].BoundCols[0]; got != 1 {
 		t.Errorf("merging into the result changed src's bound-column count to %d", got)
 	}

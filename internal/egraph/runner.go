@@ -59,17 +59,15 @@ type RunConfig struct {
 	// anyway; a nil Observer costs one pointer check per iteration and
 	// changes nothing.
 	Observer Observer
-	// ProfileSample, when > 0, enables sampled premise-selectivity
-	// collection (RunReport.Selectivity): every N-th top-level row of each
-	// rule's match scan opens a traced sub-tree in which per-premise
-	// execution/visit/match and access-path counters are recorded. 1
-	// traces every top-level row (full profiling); 0 — the default —
-	// collects nothing and costs one pointer check per premise entry.
-	// Sampling is keyed to global row indices, never to shard boundaries,
-	// so the counters are byte-identical for every Workers setting; like
-	// the other observability knobs it changes no engine behavior and is
-	// excluded from result cache keys.
-	ProfileSample int
+	// Selectivity adds each rule's premise records (RuleStats.Premises):
+	// the runner folds every match task's per-step visit and pass
+	// counters into them after the match phase. The counts are exact and
+	// identical for every Workers setting, and a rule's table-premise
+	// visits sum to its RowsScanned. Off, the default, the matcher counts
+	// the same rows and nothing is folded. Like the other observability
+	// knobs it changes no engine behavior and is excluded from result
+	// cache keys.
+	Selectivity bool
 	// Scheduler, when non-nil, throttles rules adaptively: before each
 	// match phase the runner asks the strategy for every rule's budget
 	// (run, skip, or a per-iteration match cap) and reports the merged
@@ -175,9 +173,6 @@ type RunReport struct {
 	PerIter []IterStats `json:"per_iter,omitempty"`
 	// Rules holds one RuleStats per rule, in rule-declaration order.
 	Rules []RuleStats `json:"rules,omitempty"`
-	// Selectivity holds per-rule sampled premise statistics in
-	// rule-declaration order when RunConfig.ProfileSample was set.
-	Selectivity []RuleSelectivity `json:"selectivity,omitempty"`
 	// Err holds the first rule error, if Stop == StopRuleError.
 	Err error `json:"-"`
 }
@@ -302,11 +297,6 @@ type matchTask struct {
 	out     *matchBuf
 	scanned int64
 	err     error
-	// sel holds the task's sampled selectivity counters when
-	// RunConfig.ProfileSample is set; task-private until the phase
-	// barrier, folded serially afterwards (summation is commutative, so
-	// the aggregate is independent of worker scheduling).
-	sel *selSink
 	// began/took/worker time the task and name its worker's trace lane.
 	// They live here — goroutine-private until the phase barrier — so
 	// observability adds no shared-state traffic to the hot path; the
@@ -443,15 +433,14 @@ func (r *run) collect() (scanned int64, err error) {
 		t.began = time.Now()
 		rule := r.rules[t.ruleIdx]
 		spec := matchSpec{deltaOrd: t.sub, minStamp: r.minStamp, onlyNew: t.onlyNew}
-		if cfg.ProfileSample > 0 {
-			t.sel = newSelSink(rule, cfg.ProfileSample)
-			spec.sel = t.sel
-		}
 		m := &r.runs[worker]
 		m.reset(g, rule, r.plans[t.ruleIdx], spec)
 		m.out, m.limit = t.out, cfg.MatchLimit
 		t.err = m.matchShard(t.lo, t.hi)
-		t.scanned, t.out.found = m.scanned, m.found
+		t.scanned, t.out.found = m.rowsScanned(), m.found
+		if cfg.Selectivity {
+			t.out.count = append(t.out.count, m.count...)
+		}
 		t.took = time.Since(t.began)
 	}
 
@@ -692,14 +681,14 @@ func takeScratch(rules []*Rule, workers int) *runScratch {
 	return s
 }
 
-// release drops what s points into — graphs, rules, plans, selectivity
-// sinks — keeping the storage, and hands s back to scratchPool.
+// release drops what s points into — graphs, rules, plans — keeping the
+// storage, and hands s back to scratchPool.
 func (s *runScratch) release() {
 	clear(s.tasks[:cap(s.tasks)])
 	runs := s.runs[:cap(s.runs)]
 	for i := range runs {
 		m := &runs[i]
-		*m = matchRun{vals: m.vals, canon: m.canon, lits: m.lits, key: m.key, scratch: m.scratch}
+		*m = matchRun{vals: m.vals, canon: m.canon, lits: m.lits, key: m.key, scratch: m.scratch, count: m.count}
 	}
 	pending := s.pending[:cap(s.pending)]
 	for i := range pending {
@@ -725,15 +714,12 @@ func (g *EGraph) newRun(rules []*Rule, cfg RunConfig) *run {
 	for i, rule := range rules {
 		r.plans[i] = rule.planOf()
 		r.report.Rules[i].Name = rule.Name
+		if cfg.Selectivity {
+			r.report.Rules[i].Premises = newPremises(rule)
+		}
 	}
 	if g.journal != nil {
 		g.jEmit(journal.Event{Kind: journal.KRun, Workers: cfg.Workers})
-	}
-	if cfg.ProfileSample > 0 {
-		r.report.Selectivity = make([]RuleSelectivity, len(rules))
-		for i, rule := range rules {
-			r.report.Selectivity[i] = newRuleSelectivity(rule, cfg.ProfileSample)
-		}
 	}
 	if cfg.Scheduler != nil {
 		r.inst = cfg.Scheduler.New()
@@ -797,7 +783,7 @@ func (r *run) plan() StopReason {
 
 // match runs the match phase against the frozen view on the worker pool
 // and folds what its tasks measured into the run: rows scanned, per-rule
-// task metrics, sampled selectivity, and the worker-lane and match-phase
+// task metrics and premise counters, and the worker-lane and match-phase
 // spans. On success it starts the iteration's per-rule outcomes from the
 // merged matches.
 func (r *run) match() error {
@@ -811,17 +797,10 @@ func (r *run) match() error {
 	rec := r.cfg.Recorder
 	for i := range tasks {
 		t := &tasks[i]
-		if t.sel != nil {
-			// Fold task sinks serially, in plan order. Summation is
-			// commutative, so the aggregate depends only on which rows were
-			// sampled — a function of global row indices, not of sharding.
-			agg := &r.report.Selectivity[t.ruleIdx]
-			agg.SampledRoots += t.sel.roots
-			for j := range t.sel.prem {
-				agg.Premises[j].add(t.sel.prem[j])
-			}
-		}
 		rs := &r.report.Rules[t.ruleIdx]
+		if len(t.out.count) > 0 {
+			notePremises(rs.Premises, r.plans[t.ruleIdx].query(t.sub), t.out.count)
+		}
 		rs.RowsScanned += t.scanned
 		rs.MatchTime += t.took
 		// Count each (rule, sub-query) plan once, on its first shard:

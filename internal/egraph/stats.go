@@ -53,9 +53,15 @@ type RuleStats struct {
 	Throttled    int64 `json:"throttled,omitempty"`
 	MatchLimited int64 `json:"match_limited,omitempty"`
 	SchedDropped int64 `json:"sched_dropped,omitempty"`
+	// Premises holds the rule's premise counters in declared premise
+	// order when RunConfig.Selectivity was set (nil otherwise). Semi-naive
+	// sub-queries reorder evaluation, but counters are keyed by declared
+	// index, so each premise accumulates its own work wherever it runs.
+	Premises []PremiseStats `json:"premises,omitempty"`
 }
 
-// add folds another accumulation of the same rule into s.
+// add folds another accumulation of the same rule into s. Premises s
+// lacks are copied in, so s never shares o's storage.
 func (s *RuleStats) add(o RuleStats) {
 	s.Matched += o.Matched
 	s.Applied += o.Applied
@@ -70,12 +76,21 @@ func (s *RuleStats) add(o RuleStats) {
 	s.Throttled += o.Throttled
 	s.MatchLimited += o.MatchLimited
 	s.SchedDropped += o.SchedDropped
+	for j := range o.Premises {
+		if j == len(s.Premises) {
+			s.Premises = append(s.Premises, clonePremises(o.Premises[j:])...)
+			break
+		}
+		s.Premises[j].add(o.Premises[j])
+	}
 }
 
 // Check reports the first violated invariant of one rule's record: every
 // counter and duration is non-negative, applied <= matched, noops <=
-// applied, and dropped matches imply an iteration a cap truncated.
-// profile.Lint and egg-lint's stats check both hold records to it.
+// applied, dropped matches imply an iteration a cap truncated, every
+// premise passes its own check, and a record with premises has
+// table-premise visits that sum to its rows scanned. profile.Lint and
+// egg-lint's stats check both hold records to it.
 func (s RuleStats) Check() error {
 	if s.Matched < 0 || s.Applied < 0 || s.Noops < 0 || s.RowsScanned < 0 ||
 		s.DeltaQueries < 0 || s.FullScans < 0 || s.MatchTime < 0 || s.ApplyTime < 0 ||
@@ -91,16 +106,33 @@ func (s RuleStats) Check() error {
 	if s.SchedDropped > 0 && s.MatchLimited == 0 {
 		return fmt.Errorf("rule %s: sched_dropped %d without a match_limited iteration", s.Name, s.SchedDropped)
 	}
+	var visits int64
+	for _, ps := range s.Premises {
+		if err := ps.check(s.Name); err != nil {
+			return err
+		}
+		if ps.Kind == "table" {
+			visits += ps.Visits
+		}
+	}
+	if s.Premises != nil && visits != s.RowsScanned {
+		return fmt.Errorf("rule %s: table-premise visits %d != rows_scanned %d", s.Name, visits, s.RowsScanned)
+	}
 	return nil
 }
 
 // MergeRuleStats folds src into dst by rule name, preserving dst's order
 // and appending rules dst has not seen; into an empty dst it copies src
-// as it is. Used when aggregating reports across schedule items or across
-// the functions of a module.
+// as it is. Premises are copied as they enter dst, so folding more into
+// the result never writes through to src. Used when aggregating reports
+// across schedule items or across the functions of a module.
 func MergeRuleStats(dst, src []RuleStats) []RuleStats {
 	if len(dst) == 0 {
-		return append(dst, src...)
+		dst = append(dst, src...)
+		for i := range dst {
+			dst[i].Premises = clonePremises(dst[i].Premises)
+		}
+		return dst
 	}
 	if len(src) == 0 {
 		return dst
@@ -110,12 +142,13 @@ func MergeRuleStats(dst, src []RuleStats) []RuleStats {
 		byName[dst[i].Name] = i
 	}
 	for _, s := range src {
-		if i, ok := byName[s.Name]; ok {
-			dst[i].add(s)
-		} else {
-			byName[s.Name] = len(dst)
-			dst = append(dst, s)
+		i, ok := byName[s.Name]
+		if !ok {
+			i = len(dst)
+			byName[s.Name] = i
+			dst = append(dst, RuleStats{Name: s.Name})
 		}
+		dst[i].add(s)
 	}
 	return dst
 }
@@ -135,7 +168,6 @@ func (r *RunReport) Merge(o RunReport) {
 	r.RowsScanned += o.RowsScanned
 	r.PerIter = append(r.PerIter, o.PerIter...)
 	r.Rules = MergeRuleStats(r.Rules, o.Rules)
-	r.Selectivity = MergeSelectivity(r.Selectivity, o.Selectivity)
 	r.Nodes = o.Nodes
 	r.Classes = o.Classes
 	r.Stop = o.Stop

@@ -6,6 +6,7 @@ package egraph
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -248,12 +249,12 @@ func TestRunReportMerge(t *testing.T) {
 // marshal/unmarshal round trip with every counted field intact.
 func TestRunReportJSONRoundTrip(t *testing.T) {
 	l, rules := buildChainGraph()
-	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2})
+	rep := l.g.Run(rules, RunConfig{IterLimit: 3, Workers: 2, Selectivity: true})
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"iterations"`, `"rows_scanned"`, `"match_ns"`, `"per_iter"`, `"rules"`, `"delta_queries"`} {
+	for _, key := range []string{`"iterations"`, `"rows_scanned"`, `"match_ns"`, `"per_iter"`, `"rules"`, `"delta_queries"`, `"premises"`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("stats JSON missing %s", key)
 		}
@@ -272,7 +273,7 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed rule count: %d vs %d", len(back.Rules), len(rep.Rules))
 	}
 	for i := range back.Rules {
-		if back.Rules[i] != rep.Rules[i] {
+		if !reflect.DeepEqual(back.Rules[i], rep.Rules[i]) {
 			t.Errorf("rule %d changed: %+v vs %+v", i, back.Rules[i], rep.Rules[i])
 		}
 	}

@@ -1,8 +1,8 @@
 // Package profile is the saturation profiler's artifact: a canonical JSON
-// file (schema dialegg-profile/v1) that aggregates the engine's own
-// per-rule records (egraph.RuleStats), extraction blame rows
-// (egraph.BlameRow), and sampled premise selectivity
-// (egraph.RuleSelectivity) over one or more saturation runs.
+// file (schema dialegg-profile/v2) that aggregates the engine's own
+// per-rule records (egraph.RuleStats, with their premise counters) and
+// extraction blame rows (egraph.BlameRow) over one or more saturation
+// runs.
 //
 // FromRunReport is the only constructor of a filled artifact. The -profile
 // flag on egg-opt/egglog writes one artifact per invocation, egg-serve
@@ -28,8 +28,10 @@ import (
 	"dialegg/internal/egraph"
 )
 
-// SchemaV1 identifies the artifact format; Lint rejects anything else.
-const SchemaV1 = "dialegg-profile/v1"
+// SchemaV2 identifies the artifact format; Lint rejects anything else,
+// v1 artifacts (whose premise counters sat in a separate section)
+// included.
+const SchemaV2 = "dialegg-profile/v2"
 
 // Profile is the canonical saturation-profile artifact.
 type Profile struct {
@@ -37,45 +39,32 @@ type Profile struct {
 	// Runs counts saturation runs folded in; Iterations their iterations.
 	Runs       int `json:"runs"`
 	Iterations int `json:"iterations"`
-	// Rules holds the engine's per-rule records sorted by name.
+	// Rules holds the engine's per-rule records sorted by name, with
+	// their premise counters when the producing run set
+	// RunConfig.Selectivity.
 	Rules []egraph.RuleStats `json:"rules,omitempty"`
-	// Selectivity holds sampled premise statistics sorted by rule name,
-	// when the producing run set ProfileSample.
-	Selectivity []egraph.RuleSelectivity `json:"selectivity,omitempty"`
 	// Blame holds extraction blame rows sorted by rule name, when an
 	// extraction decision was joined in.
 	Blame []egraph.BlameRow `json:"blame,omitempty"`
 }
 
-// New returns an empty v1 profile.
-func New() *Profile { return &Profile{Schema: SchemaV1} }
-
-// normalize sorts every section into canonical order.
-func (p *Profile) normalize() {
-	sort.Slice(p.Rules, func(i, j int) bool { return p.Rules[i].Name < p.Rules[j].Name })
-	sort.Slice(p.Selectivity, func(i, j int) bool { return p.Selectivity[i].Rule < p.Selectivity[j].Rule })
-	sort.Slice(p.Blame, func(i, j int) bool { return p.Blame[i].Rule < p.Blame[j].Rule })
-}
+// New returns an empty profile.
+func New() *Profile { return &Profile{Schema: SchemaV2} }
 
 // FromRunReport builds a profile from a run's report: its per-rule
-// records, which every run keeps, and selectivity (RunConfig.ProfileSample),
-// plus blame from the caller's extraction join (may be nil).
+// records, which every run keeps, premises included, plus blame from the
+// caller's extraction join (may be nil). It merges them into an empty
+// profile, so the profile shares no storage with the report.
 func FromRunReport(rep egraph.RunReport, blame []egraph.BlameRow) *Profile {
-	p := &Profile{
-		Schema:      SchemaV1,
-		Runs:        1,
-		Iterations:  rep.Iterations,
-		Rules:       append([]egraph.RuleStats(nil), rep.Rules...),
-		Selectivity: append([]egraph.RuleSelectivity(nil), rep.Selectivity...),
-		Blame:       append([]egraph.BlameRow(nil), blame...),
-	}
-	p.normalize()
+	p := New()
+	p.Merge(&Profile{Runs: 1, Iterations: rep.Iterations, Rules: rep.Rules, Blame: blame})
 	return p
 }
 
-// Merge folds o into p: runs and iterations sum, and rules, selectivity,
-// and blame fold by name through the engine's merge functions. o is not
-// modified, so one aggregate can absorb many short-lived profiles.
+// Merge folds o into p: runs and iterations sum, and rules (premises
+// included) and blame fold by name through the engine's merge functions,
+// which leave blame sorted by rule; rules are sorted by name here. o is
+// not modified, so one aggregate can absorb many short-lived profiles.
 func (p *Profile) Merge(o *Profile) {
 	if o == nil {
 		return
@@ -83,24 +72,20 @@ func (p *Profile) Merge(o *Profile) {
 	p.Runs += o.Runs
 	p.Iterations += o.Iterations
 	p.Rules = egraph.MergeRuleStats(p.Rules, o.Rules)
-	p.Selectivity = egraph.MergeSelectivity(p.Selectivity, o.Selectivity)
+	sort.Slice(p.Rules, func(i, j int) bool { return p.Rules[i].Name < p.Rules[j].Name })
 	p.Blame = egraph.MergeBlame(p.Blame, o.Blame)
-	p.normalize()
 }
 
 // Canonical returns a copy with the per-rule wall times zeroed. What
 // remains is byte-identical across worker counts for a fixed workload —
 // the property the determinism tests rely on.
 func (p *Profile) Canonical() *Profile {
-	cp := *p
-	cp.Rules = append([]egraph.RuleStats(nil), p.Rules...)
+	cp := New()
+	cp.Merge(p)
 	for i := range cp.Rules {
 		cp.Rules[i].MatchTime, cp.Rules[i].ApplyTime = 0, 0
 	}
-	cp.Selectivity = append([]egraph.RuleSelectivity(nil), p.Selectivity...)
-	cp.Blame = append([]egraph.BlameRow(nil), p.Blame...)
-	cp.normalize()
-	return &cp
+	return cp
 }
 
 // Encode renders the profile as indented JSON with a trailing newline —
@@ -139,14 +124,14 @@ func ReadFile(path string) (*Profile, error) {
 	return &p, nil
 }
 
-// Lint validates the artifact against the v1 schema contract: the schema
+// Lint validates the artifact against the v2 schema contract: the schema
 // tag and canonical (sorted, duplicate-free) section order here, and each
-// record's own invariants through its Check method — the same checks
-// egg-lint applies to stats JSON. `make prof-smoke` runs it on freshly
-// produced artifacts through cmd/egg-lint.
+// record's own invariants, premises included, through its Check method —
+// the same checks egg-lint applies to stats JSON. `make prof-smoke` runs
+// it on freshly produced artifacts through cmd/egg-lint.
 func (p *Profile) Lint() error {
-	if p.Schema != SchemaV1 {
-		return fmt.Errorf("schema %q, want %q", p.Schema, SchemaV1)
+	if p.Schema != SchemaV2 {
+		return fmt.Errorf("schema %q, want %q", p.Schema, SchemaV2)
 	}
 	if p.Runs < 0 || p.Iterations < 0 {
 		return fmt.Errorf("negative runs (%d) or iterations (%d)", p.Runs, p.Iterations)
@@ -157,14 +142,6 @@ func (p *Profile) Lint() error {
 		}
 		if i > 0 && p.Rules[i-1].Name >= rs.Name {
 			return fmt.Errorf("rules[%d]: %q out of sorted order after %q", i, rs.Name, p.Rules[i-1].Name)
-		}
-		if err := rs.Check(); err != nil {
-			return err
-		}
-	}
-	for i, rs := range p.Selectivity {
-		if i > 0 && p.Selectivity[i-1].Rule >= rs.Rule {
-			return fmt.Errorf("selectivity[%d]: %q out of sorted order", i, rs.Rule)
 		}
 		if err := rs.Check(); err != nil {
 			return err
@@ -201,14 +178,17 @@ func (p *Profile) FormatBlame() string {
 	return b.String()
 }
 
-// FormatSelectivity renders the selectivity section: per rule, one line
-// per premise with its sampled fan-out (matches per execution) and
-// selectivity (fraction of visited rows that matched), plus the
-// access-path split.
+// FormatSelectivity renders the rules' premise counters: per rule that
+// carries them, one line per premise with its fan-out (matches per
+// execution) and selectivity (fraction of visited rows that matched),
+// plus the access-path split. It is empty when no rule carries premises.
 func (p *Profile) FormatSelectivity() string {
 	var b strings.Builder
-	for _, rs := range p.Selectivity {
-		fmt.Fprintf(&b, "%s  (sampled %d roots, every %d)\n", rs.Rule, rs.SampledRoots, rs.SampleEvery)
+	for _, rs := range p.Rules {
+		if len(rs.Premises) == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "%s  (%d rows scanned)\n", rs.Name, rs.RowsScanned)
 		fmt.Fprintf(&b, "  %2s %-6s %-20s %10s %10s %10s %8s %8s  %s\n",
 			"#", "kind", "fn", "execs", "visits", "matches", "fanout", "sel", "paths (lk/ix/fs/ds)")
 		for _, ps := range rs.Premises {

@@ -57,9 +57,9 @@ func runProfile(t *testing.T, workers int) *Profile {
 	t.Helper()
 	g, rules := chainWorkload(t, 40)
 	rep := g.Run(rules, egraph.RunConfig{
-		IterLimit:     4,
-		Workers:       workers,
-		ProfileSample: 2,
+		IterLimit:   4,
+		Workers:     workers,
+		Selectivity: true,
 	})
 	return FromRunReport(rep, nil)
 }
@@ -107,6 +107,9 @@ func TestMergeSums(t *testing.T) {
 		if rs.MatchTime != before[i].MatchTime+q.Rules[i].MatchTime {
 			t.Errorf("rule %s: merge did not sum match time", rs.Name)
 		}
+		if rs.Premises[0].Visits != 2*q.Rules[i].Premises[0].Visits || rs.Premises[0].Visits != rs.RowsScanned {
+			t.Errorf("rule %s: merge did not double premise visits", rs.Name)
+		}
 	}
 	if qAfter, _ := q.Encode(); !bytes.Equal(qAfter, qBefore) {
 		t.Error("merge modified the merged-in profile")
@@ -127,6 +130,8 @@ func TestLintViolations(t *testing.T) {
 	}
 	cases := map[string]func(*Profile){
 		"bad schema":      func(p *Profile) { p.Schema = "nope" },
+		"v1 schema":       func(p *Profile) { p.Schema = "dialegg-profile/v1" },
+		"premise visits":  func(p *Profile) { p.Rules[1].Premises = []egraph.PremiseStats{{Kind: "table", Visits: 1}} },
 		"unsorted rules":  func(p *Profile) { p.Rules[0], p.Rules[1] = p.Rules[1], p.Rules[0] },
 		"duplicate rules": func(p *Profile) { p.Rules[1].Name = "a" },
 		"applied>matched": func(p *Profile) { p.Rules[0].Applied = 3 },
@@ -149,7 +154,6 @@ func TestLintViolations(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	p := runProfile(t, 4)
 	p.Blame = []egraph.BlameRow{{Rule: "comm-Add", Rows: 4, Extracted: 1, Rejected: 2, Waste: 1, WasteRatio: 0.25}}
-	p.normalize()
 	path := filepath.Join(t.TempDir(), "profile.json")
 	if err := p.Write(path); err != nil {
 		t.Fatal(err)

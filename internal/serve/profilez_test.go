@@ -28,7 +28,6 @@ func TestProfilez(t *testing.T) {
 	s, c := newTestServer(t, Config{
 		Workers:       1,
 		Profile:       true,
-		ProfileSample: 2,
 		SlowThreshold: time.Nanosecond, // every job counts as slow
 	})
 	if _, _, err := c.Optimize(context.Background(), &OptimizeRequest{MLIR: divPow2Module, RuleSet: "imgconv"}); err != nil {
@@ -55,8 +54,10 @@ func TestProfilez(t *testing.T) {
 	if len(got.Profile.Blame) == 0 {
 		t.Error("profile has no blame section")
 	}
-	if len(got.Profile.Selectivity) == 0 {
-		t.Error("profile has no selectivity despite ProfileSample")
+	for _, rs := range got.Profile.Rules {
+		if len(rs.Premises) == 0 {
+			t.Errorf("rule %s carries no premise counters despite Profile", rs.Name)
+		}
 	}
 	if len(got.SlowRequests) == 0 {
 		t.Fatal("no slow-request links despite 1ns threshold")

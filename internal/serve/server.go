@@ -34,6 +34,9 @@ var ErrQueueFull = errors.New("serve: job queue full")
 // requests whose client went away; the write itself is usually moot.
 const statusClientClosedRequest = 499
 
+// maxBodyBytes caps /optimize request bodies; a longer body gets 413.
+const maxBodyBytes = 8 << 20
+
 // Config configures a Server. Zero fields get defaults.
 type Config struct {
 	// Workers bounds how many optimizations execute concurrently
@@ -54,8 +57,6 @@ type Config struct {
 	// SatWorkers bounds each job's match-phase worker pool (default 1:
 	// the service parallelizes across requests, not within one).
 	SatWorkers int
-	// MaxBodyBytes caps request bodies (default 8 MiB).
-	MaxBodyBytes int64
 	// Logger receives structured request logs and watchdog warnings
 	// (default: discard). Each line carries the request's correlation ID.
 	Logger *slog.Logger
@@ -69,14 +70,11 @@ type Config struct {
 	Watchdog WatchdogConfig
 	// Profile enables the live aggregate saturation profile served at
 	// /debugz/profilez: every executed job's per-rule metrics, which every
-	// run keeps, are joined with an extraction blame analysis and folded
-	// into a server-wide profile artifact. It costs the blame walk per
+	// run keeps, and premise counters (RunConfig.Selectivity) are joined
+	// with an extraction blame analysis and folded into a server-wide
+	// profile artifact. It costs the premise fold and the blame walk per
 	// run (cache hits cost nothing); off by default.
 	Profile bool
-	// ProfileSample adds sampled premise-selectivity statistics to the
-	// profile (sample every Nth match root; 0 = off). Only meaningful
-	// with Profile set.
-	ProfileSample int
 	// Schedule, when non-nil, is a linted dialegg-schedule/v2 artifact
 	// (egg-tune output): each request's rule set resolves to its entry
 	// (or the artifact's default entry) and runs under that scheduler.
@@ -97,9 +95,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SatWorkers <= 0 {
 		c.SatWorkers = 1
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.Logger == nil {
 		c.Logger = discardLogger()
@@ -332,7 +327,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.failf(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.failf(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
 		return
@@ -540,9 +535,7 @@ func (s *Server) runJob(j *job) {
 		cfg.Recorder = j.obs.rec
 	}
 	cfg.Observer = s.newLiveSink(j.obs)
-	if s.cfg.Profile {
-		cfg.ProfileSample = s.cfg.ProfileSample
-	}
+	cfg.Selectivity = s.cfg.Profile
 	opt := dialegg.NewOptimizer(dialegg.Options{
 		RuleSources: j.work.rules,
 		RunConfig:   cfg,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -360,8 +361,28 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("bad json status = %d, want 400", resp.StatusCode)
 	}
 
-	if got := s.Stats().Errors; got != uint64(len(cases))+2 {
-		t.Fatalf("Errors = %d, want %d", got, len(cases)+2)
+	// A body one byte over the cap is refused, though what it holds is a
+	// valid request padded with whitespace.
+	body, err := json.Marshal(&OptimizeRequest{MLIR: divPow2Module, RuleSet: "imgconv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, bytes.Repeat([]byte(" "), maxBodyBytes+1-len(body))...)
+	runs := s.Stats().Runs
+	resp, err = http.Post(c.BaseURL+"/optimize", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST oversized body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+
+	if got := s.Stats().Errors; got != uint64(len(cases))+3 {
+		t.Fatalf("Errors = %d, want %d", got, len(cases)+3)
+	}
+	if got := s.Stats().Runs; got != runs {
+		t.Fatalf("Runs = %d after the oversized body, want %d: it ran a job", got, runs)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 var updateProfGolden = flag.Bool("update", false, "rewrite golden files")
 
 // profileWorkload runs egg-opt over the shared CLI program with a
-// sampled saturation profile and returns the artifact path.
+// saturation profile and returns the artifact path.
 func profileWorkload(t *testing.T, bin, dir string, workers string) string {
 	t.Helper()
 	mlirPath := filepath.Join(dir, "prog.mlir")
@@ -32,7 +32,7 @@ func profileWorkload(t *testing.T, bin, dir string, workers string) string {
 	}
 	prof := filepath.Join(dir, "profile"+workers+".json")
 	out, err := exec.Command(bin, "-rules", "imgconv", "-workers", workers,
-		"-profile", prof, "-profile-sample", "2", mlirPath).CombinedOutput()
+		"-profile", prof, mlirPath).CombinedOutput()
 	if err != nil {
 		t.Fatalf("egg-opt -profile: %v\n%s", err, out)
 	}
@@ -75,12 +75,12 @@ func TestEggProfCLI(t *testing.T) {
 		t.Errorf("egg-prof blame drifted from golden (rerun with -update if intended):\ngot:\n%s\nwant:\n%s", out, golden)
 	}
 
-	// selectivity: sampled premise statistics are present and rendered.
+	// selectivity: the rules' premise counters are present and rendered.
 	out, err = exec.Command(profBin, "selectivity", prof).CombinedOutput()
 	if err != nil {
 		t.Fatalf("egg-prof selectivity: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "fanout") || !strings.Contains(string(out), "sampled") {
+	if !strings.Contains(string(out), "fanout") || !strings.Contains(string(out), "rows scanned") {
 		t.Errorf("selectivity report malformed:\n%s", out)
 	}
 
@@ -119,12 +119,17 @@ func TestEggProfCLI(t *testing.T) {
 			t.Errorf("merged rule %s: applied/rows_created %d/%d, want twice %d/%d",
 				rs.Name, rs.Applied, rs.RowsCreated, lp.Rules[i].Applied, lp.Rules[i].RowsCreated)
 		}
+		for j, ps := range rs.Premises {
+			if ps.Visits != 2*lp.Rules[i].Premises[j].Visits {
+				t.Errorf("merged rule %s premise %d: visits %d, want twice %d", rs.Name, j, ps.Visits, lp.Rules[i].Premises[j].Visits)
+			}
+		}
 	}
 
 	// lint rejects a corrupted artifact.
 	bad := filepath.Join(dir, "bad.json")
 	raw, _ := os.ReadFile(prof)
-	if err := os.WriteFile(bad, bytes.Replace(raw, []byte(profile.SchemaV1), []byte("nope/v9"), 1), 0o644); err != nil {
+	if err := os.WriteFile(bad, bytes.Replace(raw, []byte(profile.SchemaV2), []byte("nope/v9"), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if out, err := exec.Command(lintBin, bad).CombinedOutput(); err == nil {
@@ -189,7 +194,7 @@ func TestEgglogProfileCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := filepath.Join(dir, "profile.json")
-	out, err := exec.Command(bin, "-profile", prof, "-profile-sample", "1", eggPath).CombinedOutput()
+	out, err := exec.Command(bin, "-profile", prof, eggPath).CombinedOutput()
 	if err != nil {
 		t.Fatalf("egglog -profile: %v\n%s", err, out)
 	}
@@ -212,7 +217,9 @@ func TestEgglogProfileCLI(t *testing.T) {
 	if junkWaste == 0 {
 		t.Errorf("wasteful Junk rule produced no waste rows: %+v", p.Blame)
 	}
-	if len(p.Selectivity) == 0 {
-		t.Error("profile has no selectivity despite -profile-sample")
+	for _, rs := range p.Rules {
+		if len(rs.Premises) == 0 {
+			t.Errorf("rule %s carries no premise counters despite -profile", rs.Name)
+		}
 	}
 }
